@@ -43,11 +43,10 @@ class IndexAdapter(ABC):
     def claims(self, value) -> bool:
         """Whether this adapter recognizes ``value`` as its index kind."""
         try:
-            return isinstance(self.to_ticks(value), int) and not isinstance(
-                self.to_ticks(value), bool
-            )
+            tick = self.to_ticks(value)
         except Exception:
             return False
+        return isinstance(tick, int) and not isinstance(tick, bool)
 
     def render(self, value) -> str:
         return str(value)

@@ -13,14 +13,13 @@ import sys
 
 from . import aggregates, gaps, rolling, verbs
 from .display import render_summary
-from .errors import DuplicateIndexError, TemporalTableError, UsageError
+from .errors import DuplicateIndexError, SchemaError, TemporalTableError, UsageError
 from .granularity import Granularity
 from .ingest import IngestConfig, ingest, table_to_csv, write_csv
 from .table import TemporalTable
 from .timepoint import parse_timepoint
 
 _TIME_FORMATS = {g.value for g in Granularity} | {"guess"}
-_AGG_FNS = ("sum", "mean", "min", "max", "count")
 
 
 def _add_ingest_args(p: argparse.ArgumentParser) -> None:
@@ -72,21 +71,11 @@ def _config(args) -> IngestConfig:
     )
 
 
-def _check_agg_spec(spec: str) -> None:
-    name, _, arg = spec.partition(":")
-    if name in _AGG_FNS and not arg:
-        return
-    if name == "quantile":
-        try:
-            p = float(arg)
-        except ValueError:
-            raise UsageError(f"bad quantile probability in {spec!r}") from None
-        if 0.0 <= p <= 1.0:
-            return
-    raise UsageError(
-        f"unknown aggregate {spec!r}; expected sum, mean, min, max, count, "
-        "or quantile:p"
-    )
+def _parse_agg_spec(spec: str) -> None:
+    try:
+        aggregates.parse_spec(spec)
+    except SchemaError as exc:
+        raise UsageError(str(exc)) from None
 
 
 # --- commands ---------------------------------------------------------------
@@ -164,7 +153,7 @@ def _cmd_agg(args) -> int:
     if not fns:
         raise UsageError("agg needs at least one --fn COL=FN")
     for col, spec in fns.items():
-        _check_agg_spec(spec)
+        _parse_agg_spec(spec)
 
     t = ingest(_config(args))
     if args.group:
@@ -179,7 +168,7 @@ def _cmd_agg(args) -> int:
 
 
 def _cmd_roll(args) -> int:
-    _check_agg_spec(args.fn)
+    _parse_agg_spec(args.fn)
     if args.op == "stretch":
         size = args.init if args.init is not None else args.size
         if size is None:
@@ -196,12 +185,6 @@ def _cmd_roll(args) -> int:
         t, args.col, args.op, lambda win: aggregates.apply(args.fn, win), w
     )
     table_to_csv(result, sys.stdout)
-    return 0
-
-
-def _cmd_print(args) -> int:
-    t = ingest(_config(args))
-    print(render_summary(t))
     return 0
 
 
@@ -250,9 +233,9 @@ def _parser() -> argparse.ArgumentParser:
                    help="emit growing partial windows before the first full one")
     p.set_defaults(run=_cmd_roll)
 
-    p = sub.add_parser("print", help="contextual summary of a CSV")
+    p = sub.add_parser("print", help="alias of validate")
     _add_ingest_args(p)
-    p.set_defaults(run=_cmd_print)
+    p.set_defaults(run=_cmd_validate)
 
     return parser
 

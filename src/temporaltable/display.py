@@ -7,22 +7,10 @@ short preview of rows follows.  Large counts print with thousands separators.
 
 from __future__ import annotations
 
+from .ingest import render_cell
 from .table import TemporalTable, key_groups
-from .timepoint import TimePoint
 
 _PREVIEW_ROWS = 5
-
-
-def _show_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, TimePoint):
-        return v.render()
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
 
 
 def render_summary(t: TemporalTable, preview: int = _PREVIEW_ROWS) -> str:
@@ -38,7 +26,7 @@ def render_summary(t: TemporalTable, preview: int = _PREVIEW_ROWS) -> str:
     def show(c, v):
         if c == t.index and v is not None:
             return t.driver.render(v)
-        return _show_cell(v)
+        return render_cell(v)
 
     cells = [[show(c, t.columns[c].values[i]) for c in names] for i in range(shown)]
     widths = [

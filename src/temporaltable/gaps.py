@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import aggregates
+from . import aggregates, table
 from .errors import GapError, SchemaError, UnsupportedOperationError
-from .table import Column, TemporalTable, cell_kind, key_groups, rebuild
+from .table import TemporalTable, cell_kind, key_groups
 
 
 @dataclass
@@ -160,7 +160,7 @@ def fill_gaps(
                 else:
                     data[col].append(policy)
 
-    return rebuild(data, t.index, t.key, t.declared_regular, adapter_driver=t.driver)
+    return table.build(data, t.index, t.key, t.declared_regular, adapter=t.driver.adapter_name)
 
 
 def require_gapless(t: TemporalTable) -> None:

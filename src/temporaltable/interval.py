@@ -9,6 +9,7 @@ unknown interval means no key holds two distinct index values.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -76,12 +77,11 @@ def infer_from_ticks(
         return Interval.irregular()
     diffs = []
     for ticks in tick_groups:
-        for a, b in zip(ticks, ticks[1:]):
-            if b <= a:
-                raise PreconditionError("index ticks must be sorted ascending and distinct")
-            diffs.append(b - a)
+        diffs.extend(map(operator.sub, ticks[1:], ticks))
     if not diffs:
         return Interval.unknown()
+    if min(diffs) <= 0:
+        raise PreconditionError("index ticks must be sorted ascending and distinct")
     return Interval.regular(granularity, gcd_of_diffs(diffs), unit_label)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import PreconditionError, SchemaError, TypedResultError, UnsupportedOperationError
 from .gaps import require_gapless
-from .table import Column, TemporalTable, infer_kind, key_groups
+from .table import TemporalTable, key_groups, with_columns
 
 
 def _positive_int(n, what: str) -> int:
@@ -253,16 +253,4 @@ def roll_by_key(
     name = as_name or f"{column}_{op}"
     if name in t.columns:
         raise SchemaError(f"column {name!r} already exists; pass as_name")
-    cols = dict(t.columns)
-    cols[name] = Column(infer_kind(rolled), rolled)
-    out = TemporalTable(
-        cols,
-        t.index,
-        t.key,
-        t.interval,
-        t.declared_regular,
-        t.driver,
-        notes=t.notes,
-    )
-    out._ticks = t._ticks
-    return out
+    return with_columns(t, {**t.columns, name: rolled})

@@ -9,7 +9,9 @@ derived from the index column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
 from .adapters import IndexAdapter, get_adapter, registered_adapters
@@ -53,9 +55,25 @@ def cell_kind(v) -> str | None:
     raise SchemaError(f"unsupported cell value {v!r} of type {type(v).__name__}")
 
 
+_KIND_OF_TYPE = {
+    type(None): None,
+    bool: "bool",
+    int: "int",
+    float: "real",
+    str: "text",
+    TimePoint: "time",
+}
+
+
 def infer_kind(values: Sequence) -> str:
     """Column kind from its values; int and real mix promotes to real."""
-    kinds = {cell_kind(v) for v in values}
+    types = set(map(type, values))
+    if types.issubset(_KIND_OF_TYPE):
+        kinds = {_KIND_OF_TYPE[tp] for tp in types}
+    else:
+        # Subclasses and unsupported cells: classify cell by cell, which
+        # raises for the first unsupported cell in column order.
+        kinds = {cell_kind(v) for v in values}
     kinds.discard(None)
     if not kinds:
         return "text"
@@ -82,6 +100,30 @@ def _sort_cell(v):
     return (0, v)
 
 
+def _sort_keys(columns, key, ticks) -> list:
+    """Per row, a flat (key cells..., tick) tuple ordering rows canonically.
+
+    A key column without missing or time cells sorts by its raw cells,
+    which order exactly as their ``_sort_cell`` forms do.
+    """
+    if not key:
+        return ticks
+    parts = []
+    for k in key:
+        col = columns[k]
+        if col.kind == "time" or None in col.values:
+            parts.append([_sort_cell(v) for v in col.values])
+        else:
+            parts.append(col.values)
+    return list(zip(*parts, ticks))
+
+
+def _has_nan(columns, key) -> bool:
+    return any(
+        v != v for k in key if columns[k].kind == "real" for v in columns[k].values
+    )
+
+
 # --- index drivers ---------------------------------------------------------
 
 
@@ -91,6 +133,7 @@ class IndexDriver:
     granularity: Granularity | None = None
     unit_label: str | None = None  # None means use the granularity's letter
     cell_kind: str = "text"
+    adapter_name: str | None = None  # registry name, for rebuilding through build
 
     def to_ticks(self, value) -> int:
         raise NotImplementedError
@@ -137,6 +180,7 @@ class AdapterDriver(IndexDriver):
     def __init__(self, adapter: IndexAdapter):
         self.adapter = adapter
         self.unit_label = adapter.unit_label
+        self.adapter_name = adapter.name
 
     def to_ticks(self, value):
         return self.adapter.to_ticks(value)
@@ -347,22 +391,13 @@ class TemporalTable:
         )
 
     def is_canonical_order(self) -> bool:
-        prev = None
-        ticks = self.ticks()
-        for i in range(self.nrows):
-            cur = (tuple(_sort_cell(v) for v in self.key_tuple(i)), ticks[i])
-            if prev is not None and cur < prev:
-                return False
-            prev = cur
-        return True
+        keys = _sort_keys(self.columns, self.key, self.ticks())
+        return not any(map(operator.lt, keys[1:], keys))
 
 
 def _sort_order(t: TemporalTable) -> list[int]:
-    ticks = t.ticks()
-    return sorted(
-        range(t.nrows),
-        key=lambda i: (tuple(_sort_cell(v) for v in t.key_tuple(i)), ticks[i]),
-    )
+    keys = _sort_keys(t.columns, t.key, t.ticks())
+    return sorted(range(t.nrows), key=keys.__getitem__)
 
 
 # --- construction ----------------------------------------------------------
@@ -401,29 +436,40 @@ def _prepare(
         raise SchemaError(f"duplicate key columns: {list(key)}")
 
     idx_values = data[index]
-    if not allow_missing_index and any(v is None for v in idx_values):
+    has_missing = any(v is None for v in idx_values)
+    if has_missing and not allow_missing_index:
         pos = next(i for i, v in enumerate(idx_values) if v is None)
         raise MissingIndexError(f"index column {index!r} has a missing value at row {pos}")
     driver = _resolve_driver(index, idx_values, adapter)
 
-    notes = []
     columns: dict[str, Column] = {}
     for name, values in data.items():
         if name == index:
             # Index cells may be adapter values; the driver vouches for them.
             columns[name] = Column(driver.cell_kind, values)
-            continue
-        kind = infer_kind(values)
-        if kind == "time":
-            _check_time_column(name, values)
-        if name in key and values and all(v is None for v in values):
-            notes.append(f"key column {name!r} is entirely missing; treated as one level")
-        columns[name] = Column(kind, values)
+        else:
+            columns[name] = _typed_column(name, values)
     ticks = [None if v is None else driver.to_ticks(v) for v in idx_values]
     for i, tk in enumerate(ticks):
         if tk is not None and (not isinstance(tk, int) or isinstance(tk, bool)):
             raise SchemaError(f"index value {idx_values[i]!r} does not map to integer ticks")
-    return columns, key, driver, ticks, tuple(notes)
+    return columns, key, driver, ticks, _key_notes(columns, key)
+
+
+def _typed_column(name: str, values: list) -> Column:
+    """A non-index column with its kind inferred from its values."""
+    kind = infer_kind(values)
+    if kind == "time":
+        _check_time_column(name, values)
+    return Column(kind, values)
+
+
+def _key_notes(columns: dict[str, Column], key: tuple[str, ...]) -> tuple[str, ...]:
+    return tuple(
+        f"key column {name!r} is entirely missing; treated as one level"
+        for name, col in columns.items()
+        if name in key and col.values and col.values.count(None) == len(col.values)
+    )
 
 
 def _scan_duplicates(columns, index, key, ticks) -> DuplicateReport:
@@ -436,6 +482,8 @@ def _scan_duplicates(columns, index, key, ticks) -> DuplicateReport:
     return DuplicateReport(index=index, key=key, rows=rows, positions=positions)
 
 
+# Other modules call this as ``table.build``, looked up at call time, so a
+# wrapper installed on this module (tracing, spies in tests) sees every build.
 def build(
     raw,
     index: str,
@@ -454,22 +502,22 @@ def build(
     columns, key, driver, ticks, notes = _prepare(
         raw, index, key, adapter, allow_missing_index=False
     )
-    report = _scan_duplicates(columns, index, key, ticks)
-    if report:
-        first_kt = tuple(columns[k].values[report.positions[0]] for k in key)
-        raise DuplicateIndexError(
-            f"{len(report)} rows share a (key, index) pair; first duplicate: "
-            f"key={first_kt!r} index={driver.render(columns[index].values[report.positions[0]])}",
-            report,
-        )
+    keys = _sort_keys(columns, key, ticks)
+    order = sorted(range(len(ticks)), key=keys.__getitem__)
+    # Equal (key, index) pairs sit next to each other once sorted; the scan
+    # in source order then builds the report.  NaN keys defeat the sort, so
+    # they always take the scan.
+    sorted_keys = [keys[i] for i in order]
+    if any(map(operator.eq, sorted_keys, sorted_keys[1:])) or _has_nan(columns, key):
+        report = _scan_duplicates(columns, index, key, ticks)
+        if report:
+            first_kt = tuple(columns[k].values[report.positions[0]] for k in key)
+            raise DuplicateIndexError(
+                f"{len(report)} rows share a (key, index) pair; first duplicate: "
+                f"key={first_kt!r} index={driver.render(columns[index].values[report.positions[0]])}",
+                report,
+            )
 
-    order = sorted(
-        range(len(ticks)),
-        key=lambda i: (
-            tuple(_sort_cell(columns[k].values[i]) for k in key),
-            ticks[i],
-        ),
-    )
     sorted_cols = {
         name: Column(col.kind, [col.values[i] for i in order]) for name, col in columns.items()
     }
@@ -488,18 +536,17 @@ def _infer_for(columns, key, sorted_ticks, driver, regular) -> Interval:
 
 
 def _contiguous_groups(columns, key, nrows) -> list[tuple[tuple, range]]:
-    groups: list[tuple[tuple, range]] = []
-    start = 0
-    prev = None
-    for i in range(nrows):
-        kt = tuple(columns[k].values[i] for k in key)
-        if prev is not None and kt != prev:
-            groups.append((prev, range(start, i)))
-            start = i
-        prev = kt
-    if nrows:
-        groups.append((prev, range(start, nrows)))
-    return groups
+    """(key tuple, row range) per run of equal key tuples; each run is keyed
+    by its last row's cells."""
+    if not nrows:
+        return []
+    if not key:
+        return [((), range(nrows))]
+    kts = list(zip(*(columns[k].values for k in key)))
+    stops = list(compress(range(1, nrows), map(operator.ne, kts[1:], kts)))
+    stops.append(nrows)
+    starts = [0, *stops[:-1]]
+    return [(kts[b - 1], range(a, b)) for a, b in zip(starts, stops)]
 
 
 def duplicates(
@@ -523,29 +570,58 @@ def key_groups(t: TemporalTable) -> list[tuple[tuple, range]]:
     return _contiguous_groups(t.columns, t.key, t.nrows)
 
 
-# --- rebuild helpers shared by the verb layer ------------------------------
+# --- trusted constructors for the verb layer -------------------------------
+#
+# Both take a canonical table (not order-dirty) and rerun only the checks
+# their caller can break; everything else they inherit from ``t``.
 
 
-def rebuild(
-    data: dict[str, Column] | dict[str, list],
-    index: str,
-    key: tuple[str, ...],
-    regular: bool,
-    *,
-    interval_override: Interval | None = None,
-    adapter_driver: IndexDriver | None = None,
-) -> TemporalTable:
-    """Re-validate, re-sort and re-infer after a structural change."""
-    raw = {
-        name: (col.values if isinstance(col, Column) else col) for name, col in data.items()
+def take(t: TemporalTable, rows: Sequence[int]) -> TemporalTable:
+    """The rows at ascending positions ``rows`` of ``t``.
+
+    A subset keeps the order and uniqueness of ``t``.  Column kinds, key
+    notes and the interval are re-inferred on the subset; the index driver
+    is kept.  An empty subset goes through :func:`build`, and so does a
+    table with NaN key cells, whose sorted order a subset need not keep.
+    """
+    subset = {name: [col.values[i] for i in rows] for name, col in t.columns.items()}
+    if not rows or _has_nan(t.columns, t.key):
+        return build(subset, t.index, t.key, t.declared_regular, adapter=t.driver.adapter_name)
+    columns = {
+        name: Column(t.columns[name].kind, values) if name == t.index else _typed_column(name, values)
+        for name, values in subset.items()
     }
-    adapter_name = (
-        adapter_driver.adapter.name if isinstance(adapter_driver, AdapterDriver) else None
+    ticks = t.ticks()
+    ticks = [ticks[i] for i in rows]
+    interval = _infer_for(columns, t.key, ticks, t.driver, t.declared_regular)
+    out = TemporalTable(
+        columns, t.index, t.key, interval, t.declared_regular, t.driver,
+        notes=_key_notes(columns, t.key),
     )
-    t = build(raw, index, key, regular, adapter=adapter_name)
-    if interval_override is not None:
-        t.interval = interval_override
-    return t
+    out._ticks = ticks
+    return out
+
+
+def with_columns(t: TemporalTable, columns: Mapping[str, Column | list]) -> TemporalTable:
+    """``t`` with the same rows, index and key but the columns ``columns``.
+
+    ``columns`` is the full, ordered column mapping of the result and must
+    hold the index and key columns of ``t`` unchanged.  :class:`Column`
+    entries are taken as they are; plain value lists are new or overwritten
+    columns and get their kind inferred.  Interval, ticks and driver carry
+    over; key notes follow the new column order.  Rows keep their order,
+    also in a table with NaN key cells, which a fresh build could reorder.
+    """
+    cols = {
+        name: col if isinstance(col, Column) else _typed_column(name, col)
+        for name, col in columns.items()
+    }
+    out = TemporalTable(
+        cols, t.index, t.key, t.interval, t.declared_regular, t.driver,
+        notes=_key_notes(cols, t.key),
+    )
+    out._ticks = t._ticks
+    return out
 
 
 def validate_table(t: TemporalTable) -> None:

@@ -1,9 +1,25 @@
 """Table verbs that keep the temporal contract intact.
 
 Every verb takes a valid table and either returns a valid table (wrapped in
-a :class:`VerbOutcome` with any diagnostics) or raises an engine error.  Row
-and column changes re-run the construction checks, so uniqueness, ordering
-and the inferred interval stay trustworthy throughout a pipeline.
+a :class:`VerbOutcome` with any diagnostics) or raises an engine error.  Each
+verb reruns only the construction checks its change can break:
+
+* ``filter``, ``filter_index`` and semi/anti ``join`` keep a subset of rows
+  (:func:`~temporaltable.table.take`): order and uniqueness hold, so only
+  column kinds, key notes and the interval are re-inferred.
+* ``mutate`` and ``transmute`` of non-key, non-index columns, ``select``
+  keeping every key column, and left/inner ``join`` where each left row
+  matches at most one right row keep the rows
+  (:func:`~temporaltable.table.with_columns`): only the kinds of new
+  columns are inferred; interval, ticks and driver carry over.
+* Anything that changes the key or index, adds rows or fans rows out goes
+  through :func:`~temporaltable.table.build`: ``summarize``, ``gather``,
+  ``spread``, right/full and fan-out joins, ``select`` dropping a key
+  column, and ``mutate``/``transmute`` of a key or index column.
+
+:func:`~temporaltable.table.validate_table` re-derives the whole contract
+from scratch and stays the oracle the test suite checks every result
+against.
 
 Predicates and derivation functions receive one row as a plain dict.  They
 must be pure; grouped aggregation may evaluate groups in any order.
@@ -13,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from . import aggregates
+from . import aggregates, table
 from .errors import (
     ConversionError,
     ParseError,
@@ -28,8 +44,8 @@ from .table import (
     TemporalTable,
     _resolve_driver,
     _sort_cell,
-    infer_kind,
-    rebuild,
+    take,
+    with_columns,
 )
 from .timepoint import (
     TimePoint,
@@ -63,14 +79,6 @@ def _call_rowwise(fn, row: dict, what: str):
         raise SchemaError(f"{what} references unknown column {exc.args[0]!r}") from exc
 
 
-def _take(t: TemporalTable, keep: list[int]) -> TemporalTable:
-    data = {
-        name: Column(col.kind, [col.values[i] for i in keep])
-        for name, col in t.columns.items()
-    }
-    return rebuild(data, t.index, t.key, t.declared_regular, adapter_driver=t.driver)
-
-
 # --- row verbs --------------------------------------------------------------
 
 
@@ -78,7 +86,7 @@ def filter(t: TemporalTable, predicate) -> VerbOutcome:
     """Keep rows where the predicate holds; interval is re-inferred."""
     t = t.canonical()
     keep = [i for i, row in enumerate(_rows(t)) if _call_rowwise(predicate, row, "predicate")]
-    return VerbOutcome(_take(t, keep))
+    return VerbOutcome(take(t, keep))
 
 
 @dataclass(frozen=True)
@@ -134,7 +142,7 @@ def filter_index(t: TemporalTable, expr) -> VerbOutcome:
         for i, tk in enumerate(ticks)
         if (lo is None or tk >= lo) and (hi is None or tk <= hi)
     ]
-    return VerbOutcome(_take(t, keep))
+    return VerbOutcome(take(t, keep))
 
 
 def arrange(t: TemporalTable, spec) -> VerbOutcome:
@@ -212,9 +220,12 @@ def select(t: TemporalTable, names) -> VerbOutcome:
                 "or summarize/transmute to reshape the table"
             )
     new_key = tuple(k for k in t.key if k in names)
-    data = {name: t.columns[name] for name in names}
+    t = t.canonical()
+    if new_key == t.key:
+        return VerbOutcome(with_columns(t, {name: t.columns[name] for name in names}), warnings)
+    data = {name: t.columns[name].values for name in names}
     return VerbOutcome(
-        rebuild(data, t.index, new_key, t.declared_regular, adapter_driver=t.driver),
+        table.build(data, t.index, new_key, t.declared_regular, adapter=t.driver.adapter_name),
         warnings,
     )
 
@@ -235,6 +246,22 @@ def _evaluate(t_data: dict[str, list], nrows: int, expr, name: str) -> list:
     return [expr] * nrows
 
 
+def _derive(t: TemporalTable, exprs: dict, keep: list[str]) -> TemporalTable:
+    """Evaluate ``exprs`` in order over canonical ``t`` and keep ``keep``.
+
+    New values of the index or a key column re-validate uniqueness and
+    ordering through build; other results only get their kinds inferred.
+    """
+    data = {name: col.values for name, col in t.columns.items()}
+    n = t.nrows
+    for name, expr in exprs.items():
+        data[name] = _evaluate(data, n, expr, name)
+    if t.index in exprs or any(k in exprs for k in t.key):
+        data = {c: data[c] for c in keep}
+        return table.build(data, t.index, t.key, t.declared_regular, adapter=t.driver.adapter_name)
+    return with_columns(t, {c: data[c] if c in exprs else t.columns[c] for c in keep})
+
+
 def mutate(t: TemporalTable, **exprs) -> VerbOutcome:
     """Add or overwrite columns; each expression sees earlier results.
 
@@ -243,25 +270,14 @@ def mutate(t: TemporalTable, **exprs) -> VerbOutcome:
     a key column re-validates uniqueness and ordering.
     """
     t = t.canonical()
-    data = t.to_dict()
-    n = t.nrows
-    for name, expr in exprs.items():
-        data[name] = _evaluate(data, n, expr, name)
-    return VerbOutcome(rebuild(data, t.index, t.key, t.declared_regular, adapter_driver=t.driver))
+    return VerbOutcome(_derive(t, exprs, list(dict.fromkeys([*t.columns, *exprs]))))
 
 
 def transmute(t: TemporalTable, **exprs) -> VerbOutcome:
     """Like mutate, but keep only key, index, and the named results."""
     t = t.canonical()
-    data = t.to_dict()
-    n = t.nrows
-    for name, expr in exprs.items():
-        data[name] = _evaluate(data, n, expr, name)
     keep = list(t.key) + [t.index] + [c for c in exprs if c not in t.key and c != t.index]
-    return VerbOutcome(
-        rebuild({c: data[c] for c in keep}, t.index, t.key, t.declared_regular,
-                adapter_driver=t.driver)
-    )
+    return VerbOutcome(_derive(t, exprs, keep))
 
 
 # --- grouping verbs ---------------------------------------------------------
@@ -402,7 +418,8 @@ def summarize(t: TemporalTable, **aggs) -> TemporalTable:
             out[out_name].append(aggregates.apply(spec, [t.columns[col].values[i] for i in rows]))
 
     adapter_driver = idx_driver if idx_name != t.index else t.driver
-    return rebuild(out, idx_name, tuple(by), t.declared_regular, adapter_driver=adapter_driver)
+    return table.build(out, idx_name, tuple(by), t.declared_regular,
+                       adapter=adapter_driver.adapter_name)
 
 
 # --- reshaping verbs --------------------------------------------------------
@@ -444,8 +461,9 @@ def gather(t: TemporalTable, names_to: str, values_to: str, columns) -> VerbOutc
             data[values_to].append(t.columns[c].values[i])
 
     new_key = t.key + (names_to,)
-    return VerbOutcome(rebuild(data, t.index, new_key, t.declared_regular,
-                               adapter_driver=t.driver))
+    return VerbOutcome(
+        table.build(data, t.index, new_key, t.declared_regular, adapter=t.driver.adapter_name)
+    )
 
 
 def spread(t: TemporalTable, key_col: str, value_col: str) -> VerbOutcome:
@@ -503,8 +521,9 @@ def spread(t: TemporalTable, key_col: str, value_col: str) -> VerbOutcome:
             data[nm].append(groups[gk].get(level))
 
     new_key = tuple(k for k in t.key if k != key_col)
-    return VerbOutcome(rebuild(data, t.index, new_key, t.declared_regular,
-                               adapter_driver=t.driver))
+    return VerbOutcome(
+        table.build(data, t.index, new_key, t.declared_regular, adapter=t.driver.adapter_name)
+    )
 
 
 # --- joins ------------------------------------------------------------------
@@ -557,13 +576,26 @@ def join(t: TemporalTable, other, kind: str = "left", by=None) -> VerbOutcome:
     if kind in ("semi", "anti"):
         want = kind == "semi"
         keep = [i for i, k in enumerate(left_keys) if (k in lookup) == want]
-        return VerbOutcome(_take(t, keep))
+        return VerbOutcome(take(t, keep))
 
     by_right = {rc for _, rc in pairs}
     extra = [c for c in right if c not in by_right]
     renames = {c: (c + "_y" if c in t.columns else c) for c in extra}
     if len(set(renames.values()) | set(t.columns)) != len(renames) + len(t.columns):
         raise SchemaError("suffixed join column names still clash; rename before joining")
+
+    matches = [lookup.get(k) for k in left_keys]
+    if kind in ("left", "inner") and all(js is None or len(js) == 1 for js in matches):
+        # No fan-out: t plus the right columns, then for inner the matched
+        # rows, so the right cells move with their rows if take re-sorts.
+        cols: dict[str, Column | list] = dict(t.columns)
+        for c in extra:
+            values = right[c]
+            cols[renames[c]] = [None if js is None else values[js[0]] for js in matches]
+        out = with_columns(t, cols)
+        if kind == "inner":
+            out = take(out, [i for i, js in enumerate(matches) if js])
+        return VerbOutcome(out)
 
     data: dict[str, list] = {c: [] for c in t.columns}
     for c in extra:
@@ -579,8 +611,7 @@ def join(t: TemporalTable, other, kind: str = "left", by=None) -> VerbOutcome:
                 data[lc][-1] = right[rc][j]
 
     matched_right = set()
-    for i, k in enumerate(left_keys):
-        js = lookup.get(k)
+    for i, js in enumerate(matches):
         if js:
             matched_right.update(js)
             for j in js:
@@ -592,5 +623,6 @@ def join(t: TemporalTable, other, kind: str = "left", by=None) -> VerbOutcome:
             if j not in matched_right:
                 emit(None, j)
 
-    return VerbOutcome(rebuild(data, t.index, t.key, t.declared_regular,
-                               adapter_driver=t.driver))
+    return VerbOutcome(
+        table.build(data, t.index, t.key, t.declared_regular, adapter=t.driver.adapter_name)
+    )

@@ -1,12 +1,54 @@
 import csv
+import functools
+import inspect
 import pathlib
 import sys
 
 import pytest
 
-from temporaltable import build, timepoint as tp
+from temporaltable import build, gaps, rolling, timepoint as tp, verbs
+from temporaltable.table import validate_table
 
-DATA = pathlib.Path(__file__).parent / "data"
+TESTS = pathlib.Path(__file__).parent
+DATA = TESTS / "data"
+
+
+def _checked(fn):
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        validate_table(getattr(result, "table", result))
+        return result
+
+    return wrapper
+
+
+@pytest.fixture(autouse=True, scope="session")
+def validate_every_result():
+    """Check every table that a verb, fill_gaps or roll_by_key returns.
+
+    The verbs rebuild their results with trusted constructors that skip the
+    checks a verb cannot break; this reruns the full contract on each result
+    so the whole suite doubles as an oracle for them.  The wrappers replace
+    the functions wherever the package or a test module holds them,
+    including aliases such as ``from temporaltable import filter as tfilter``.
+    """
+    verb_fns = [
+        fn
+        for name, fn in inspect.getmembers(verbs, inspect.isfunction)
+        if fn.__module__ == verbs.__name__ and not name.startswith("_")
+    ]
+    wrapped = {fn: _checked(fn) for fn in [*verb_fns, gaps.fill_gaps, rolling.roll_by_key]}
+    with pytest.MonkeyPatch.context() as mp:
+        for mod_name, module in list(sys.modules.items()):
+            path = getattr(module, "__file__", None)
+            ours = mod_name.split(".")[0] == "temporaltable"
+            if not ours and not (path and pathlib.Path(path).parent == TESTS):
+                continue
+            for attr, value in list(vars(module).items()):
+                if inspect.isfunction(value) and value in wrapped:
+                    mp.setattr(module, attr, wrapped[value])
+        yield
 
 
 def load_tuberculosis() -> dict[str, list]:

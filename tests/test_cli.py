@@ -172,6 +172,10 @@ def test_agg_usage_errors(capsys):
     rc, _, _ = run(capsys, "agg", TB, "--index", "year", "--by", "year",
                    "--fn", "count=quantile:2")
     assert rc == 2
+    rc, out, err = run(capsys, "agg", TB, "--index", "year", "--by", "year",
+                       "--fn", "count=sum:")
+    assert (rc, out) == (2, "")
+    assert err.startswith("usage error: unknown aggregate 'sum:'")
 
 
 def test_roll_slide_mean(capsys):
@@ -212,6 +216,9 @@ def test_roll_usage_errors(capsys):
     assert rc == 2
     rc, _, _ = run(capsys, *base[:-2], "--op", "slide", "--fn", "median", "--size", "2")
     assert rc == 2
+    rc, out, err = run(capsys, *base[:-2], "--op", "slide", "--fn", "mean:", "--size", "2")
+    assert (rc, out) == (2, "")
+    assert err.startswith("usage error: unknown aggregate 'mean:'")
 
 
 def test_bad_time_format_flag(capsys):

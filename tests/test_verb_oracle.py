@@ -1,0 +1,255 @@
+"""Verb results against a fresh build of the same rows.
+
+The verbs rebuild their results with trusted constructors (``take`` for row
+subsets, ``with_columns`` for same-row column changes) that rerun only the
+checks a verb can break.  Every result must still be exactly what
+:func:`build` makes of its rows: same cells in the same order, same column
+kinds, interval, index driver and key notes.
+"""
+
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from temporaltable import (
+    DuplicateIndexError,
+    Granularity,
+    IndexAdapter,
+    ValidityError,
+    build,
+    fill_gaps,
+    filter_index,
+    join,
+    mutate,
+    register_index_adapter,
+    roll_by_key,
+    select,
+    table,
+    timepoint as tp,
+    transmute,
+    unregister_index_adapter,
+    verbs,
+)
+from temporaltable import filter as tfilter
+from temporaltable.interval import Interval
+
+KEY_COLUMNS = ("k_int", "k_real", "k_text")
+
+
+def assert_matches_build(out):
+    ref = build(out.to_dict(), out.index, out.key, out.declared_regular)
+    assert out.to_dict() == ref.to_dict()
+    assert out.schema == ref.schema
+    assert out.interval == ref.interval
+    assert type(out.driver) is type(ref.driver)
+    assert out.zone == ref.zone
+    assert out.notes == ref.notes
+    assert out.ticks() == ref.ticks()
+
+
+@st.composite
+def tables(draw):
+    """A valid table: int, real and text columns with missing cells, 0-3 key
+    columns, an ordinal or daily index, and a row id ``rid``."""
+    key = tuple(draw(st.permutations(KEY_COLUMNS))[: draw(st.integers(0, 3))])
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from([1, 2, None]),
+                st.sampled_from([0.5, 2, 2.5, None]),  # a real column holding an int
+                st.sampled_from(["a", "b", None]),
+                st.integers(0, 12),
+                st.one_of(st.none(), st.integers(-5, 5)),
+                st.one_of(st.none(), st.integers(-5, 5), st.floats(-10, 10, allow_nan=False)),
+                st.one_of(st.none(), st.sampled_from(["x", "y", "z"])),
+            ),
+            max_size=25,
+        )
+    )
+    step = draw(st.sampled_from([1, 2, 3]))
+    daily = draw(st.booleans())
+    seen, cols = set(), {c: [] for c in ("rid", *KEY_COLUMNS, "t", "m_int", "m_real", "m_text")}
+    for k_int, k_real, k_text, slot, m_int, m_real, m_text in rows:
+        cells = {"k_int": k_int, "k_real": k_real, "k_text": k_text}
+        pair = (tuple(cells[k] for k in key), slot)
+        if pair in seen:
+            continue
+        seen.add(pair)
+        tick = 3 + slot * step
+        cells.update(rid=len(seen), t=tp.TimePoint(tick, Granularity.DAY) if daily else tick,
+                     m_int=m_int, m_real=m_real, m_text=m_text)
+        for c, v in cells.items():
+            cols[c].append(v)
+    return build(cols, "t", key, regular=draw(st.booleans()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tables(), st.data())
+def test_row_subset_verbs_match_build(t, data):
+    keep = data.draw(st.sets(st.integers(1, t.nrows or 1)))
+    out = tfilter(t, lambda r: r["rid"] in keep).table
+    assert_matches_build(out)
+    assert [r["rid"] for r in out.rows()] == [r["rid"] for r in t.rows() if r["rid"] in keep]
+
+    lo, hi = sorted(data.draw(st.lists(st.integers(0, 40), min_size=2, max_size=2)))
+    if t.nrows:
+        window = f"{t.driver.render(t.driver.from_ticks(lo))} ~ {t.driver.render(t.driver.from_ticks(hi))}"
+        out = filter_index(t, window).table
+        assert_matches_build(out)
+        assert out.ticks() == [tk for tk in t.ticks() if lo <= tk <= hi]
+
+    right = {"m_text": ["x", "z", None], "w": [1.5, 2, None]}
+    for kind in ("semi", "anti", "left", "inner"):
+        out = join(t, right, kind, by=["m_text"]).table
+        assert_matches_build(out)
+    left = join(t, right, "left", by=["m_text"]).table
+    lookup = dict(zip(right["m_text"], right["w"]))
+    assert left.column("w") == [lookup.get(v) for v in t.column("m_text")]
+
+
+@settings(max_examples=150, deadline=None)
+@given(tables(), st.data())
+def test_same_row_verbs_match_build(t, data):
+    measures = [c for c in t.columns if c != t.index and c not in t.key]
+    names = data.draw(st.permutations([*t.key, *data.draw(st.sets(st.sampled_from(measures)))]))
+    out = select(t, names).table
+    assert_matches_build(out)
+    assert out.column_names == [*names, t.index]
+
+    cells = st.one_of(st.none(), st.integers(-3, 3), st.floats(-3, 3, allow_nan=False))
+    overwrite = data.draw(st.sampled_from(measures))
+    values = data.draw(st.lists(cells, min_size=t.nrows, max_size=t.nrows))
+    out = mutate(t, **{overwrite: values, "label": lambda r: f"{r['rid']}:{r[overwrite]}"}).table
+    assert_matches_build(out)
+    assert out.column(overwrite) == values
+    assert out.column_names == [*t.column_names, "label"]
+
+    out = transmute(t, twice=lambda r: None if r["m_int"] is None else 2 * r["m_int"]).table
+    assert_matches_build(out)
+
+    if t.nrows and t.interval.form != "irregular":
+        gapless = fill_gaps(t) if t.interval.is_regular else t
+        out = roll_by_key(gapless, "rid", "slide", lambda w: sum(v or 0 for v in w) / 2, 2)
+        assert_matches_build(out)
+
+
+def test_filter_to_zero_rows():
+    t = build({"t": [tp.day(2020, 1, d) for d in (1, 2, 3)], "k": ["a", "a", "b"],
+               "v": [1.5, 2.0, 3.0]}, "t", ("k",))
+    out = tfilter(t, lambda r: False).table
+    assert out.nrows == 0
+    assert out.interval == Interval.unknown()
+    assert_matches_build(out)
+
+
+def test_real_column_subset_of_ints_becomes_int():
+    t = build({"t": [1, 2, 3], "v": [1, 2.5, 3]}, "t")
+    assert t.kind_of("v") == "real"
+    out = tfilter(t, lambda r: r["v"] != 2.5).table
+    assert out.kind_of("v") == "int"
+    assert out.column("v") == [1, 3]
+    assert_matches_build(out)
+
+
+def test_key_column_left_all_missing_gets_its_note():
+    t = build({"k": ["a", None, None], "t": [1, 1, 2]}, "t", ("k",))
+    assert t.notes == ()
+    out = tfilter(t, lambda r: r["k"] is None).table
+    assert out.notes == ("key column 'k' is entirely missing; treated as one level",)
+    assert_matches_build(out)
+
+
+def test_filter_turns_daily_into_every_other_day():
+    t = build({"t": [tp.day(2020, 1, d) for d in range(1, 9)], "v": list(range(8))}, "t")
+    assert t.interval.shorthand() == "[1D]"
+    out = tfilter(t, lambda r: r["v"] % 2 == 0).table
+    assert out.interval.shorthand() == "[2D]"
+    assert_matches_build(out)
+
+
+def test_filter_dropping_a_nan_key_resorts_through_build():
+    # NaN compares false both ways, so build leaves 1.0 before 0.5 here; the
+    # subset without NaN must still come out sorted.
+    t = build({"k": [1.0, math.nan, 0.5], "t": [1, 1, 1]}, "t", ("k",))
+    assert t.column("k")[0] == 1.0
+    out = tfilter(t, lambda r: r["k"] == r["k"]).table
+    assert out.column("k") == [0.5, 1.0]
+    assert_matches_build(out)
+
+
+def test_inner_join_on_a_nan_key_table_keeps_right_cells_with_their_rows():
+    # take re-sorts a subset of a NaN-key table through build; the joined
+    # cells must move with their rows.
+    t = build({"k": [1.0, math.nan, 0.5], "m": ["x", "y", "z"], "t": [1, 1, 1]}, "t", ("k",))
+    out = join(t, {"m": ["x", "z"], "w": [10, 30]}, "inner", by=["m"]).table
+    assert out.to_dict() == {"k": [0.5, 1.0], "m": ["z", "x"], "t": [1, 1], "w": [30, 10]}
+    assert_matches_build(out)
+
+
+class EvenAdapter(IndexAdapter):
+    """Claims even integers only."""
+
+    name = "even"
+    unit_label = "ev"
+    sample_values = (2, 4)
+
+    def to_ticks(self, value):
+        if not isinstance(value, int) or value % 2:
+            raise TypeError(f"not even: {value!r}")
+        return value
+
+    def from_ticks(self, ticks):
+        return ticks
+
+
+def test_row_subset_keeps_the_index_driver_an_adapter_would_claim():
+    # A fresh build of the kept rows [2, 4] resolves to the registered
+    # adapter; a filter keeps the table's ordinal index instead.
+    t = build({"t": [1, 2, 4], "v": [1, 2, 3]}, "t")
+    register_index_adapter(EvenAdapter())
+    try:
+        assert type(t.driver) is table.OrdinalDriver
+        out = tfilter(t, lambda r: r["t"] > 1).table
+        assert type(out.driver) is table.OrdinalDriver
+        assert out.interval.shorthand() == "[2]"
+        assert type(build(out.to_dict(), "t").driver) is table.AdapterDriver
+    finally:
+        unregister_index_adapter("even")
+
+
+def test_left_join_with_duplicated_right_key_goes_through_build(monkeypatch):
+    t = build({"k": ["a", "b"], "t": [1, 1], "v": [1, 2]}, "t", ("k",))
+    calls = []
+    real_build = table.build
+
+    def spy(*args, **kwargs):
+        calls.append(args[1:3])
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(table, "build", spy)
+    with pytest.raises(DuplicateIndexError):
+        join(t, {"k": ["a", "a"], "w": [10, 20]}, "left", by=["k"])
+    assert calls == [("t", ("k",))]
+
+
+def test_mutate_overwriting_a_key_column_still_raises_on_duplicates():
+    t = build({"k": ["a", "b"], "t": [1, 1], "v": [1, 2]}, "t", ("k",))
+    with pytest.raises(DuplicateIndexError):
+        mutate(t, k="a")
+
+
+def test_suite_validates_every_verb_result(monkeypatch):
+    """A constructor that stores a wrong interval is caught by the suite-wide
+    validate_table wrapper, without the test asking for it."""
+    t = build({"t": [1, 2, 4], "v": [1, 2, 3]}, "t")
+
+    def wrong_interval(t, rows):
+        out = table.take(t, rows)
+        out.interval = Interval.regular(Granularity.ORDINAL, 5)
+        return out
+
+    monkeypatch.setattr(verbs, "take", wrong_interval)
+    for verb in (tfilter, verbs.filter):
+        with pytest.raises(ValidityError):
+            verb(t, lambda r: True)
