@@ -1,9 +1,10 @@
-"""Custom index kinds via registered adapters.
+"""Index kinds: every table's index is read through one :class:`IndexAdapter`.
 
-Any value kind that maps totally onto integer ticks can serve as a table
-index: academic semesters, shift numbers, survey waves.  An adapter supplies
-the tick mapping plus an interval-unit token; gap detection, filling and
-interval inference then work unchanged through the ticks.
+Built in are :class:`TimeIndex`, :class:`OrdinalIndex` and :class:`EmptyIndex`.
+Any other value kind that maps totally onto integer ticks can serve as a table
+index once its adapter is registered: academic semesters, shift numbers, survey
+waves.  An adapter supplies the tick mapping plus an interval-unit token; gap
+detection, filling and interval inference then work unchanged through the ticks.
 
 Registration probes the adapter's ``sample_values`` to reject partial
 orderings up front.  Re-registering a name replaces the previous adapter
@@ -16,7 +17,9 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Sequence
 
-from .errors import RegistrationError
+from .errors import RegistrationError, SchemaError
+from .granularity import Granularity
+from .timepoint import TimePoint
 
 
 class IndexAdapter(ABC):
@@ -25,16 +28,24 @@ class IndexAdapter(ABC):
     Subclasses set ``name`` (registry key), ``unit_label`` (interval display
     token, e.g. "sem" renders as "[1sem]") and ``sample_values`` (non-empty;
     probed at registration).  ``from_ticks`` must invert ``to_ticks`` so that
-    gap filling can synthesize missing index values.
+    gap filling can synthesize missing index values.  User adapters keep the
+    defaults of ``granularity``, ``zone`` and ``cell_kind`` (the column kind).
     """
 
     name: str = ""
-    unit_label: str = ""
+    unit_label: str | None = ""
     sample_values: Sequence = ()
+    granularity: Granularity | None = Granularity.ORDINAL
+    zone: str | None = None
+    cell_kind: str = "time"
 
     @abstractmethod
     def to_ticks(self, value) -> int:
-        """Total order: every acceptable value maps to one integer tick."""
+        """Total order: every acceptable value maps to one integer tick.
+
+        Raise TypeError or ValueError for a value of another kind; :meth:`claims`
+        reads only those as "not mine" and lets adapter bugs propagate.
+        """
 
     @abstractmethod
     def from_ticks(self, ticks: int):
@@ -44,12 +55,58 @@ class IndexAdapter(ABC):
         """Whether this adapter recognizes ``value`` as its index kind."""
         try:
             tick = self.to_ticks(value)
-        except Exception:
+        except (TypeError, ValueError):
             return False
         return isinstance(tick, int) and not isinstance(tick, bool)
 
     def render(self, value) -> str:
         return str(value)
+
+
+class TimeIndex(IndexAdapter):
+    """TimePoint cells of one granularity and zone; the ticks are their own."""
+
+    unit_label = None
+
+    def __init__(self, granularity: Granularity, zone: str | None):
+        self.granularity = granularity
+        self.zone = zone
+
+    def to_ticks(self, value):
+        return value.ticks
+
+    def from_ticks(self, ticks):
+        return TimePoint(ticks, self.granularity, self.zone)
+
+    def render(self, value):
+        return value.render()
+
+
+class OrdinalIndex(IndexAdapter):
+    """Plain integer cells that are their own ticks."""
+
+    unit_label = None
+    cell_kind = "int"
+
+    def to_ticks(self, value):
+        return value
+
+    def from_ticks(self, ticks):
+        return ticks
+
+
+class EmptyIndex(IndexAdapter):
+    """The index of a table built from no rows; its kind is undetermined."""
+
+    unit_label = None
+    granularity = None
+    cell_kind = "text"
+
+    def to_ticks(self, value):  # pragma: no cover - no rows to convert
+        raise SchemaError("empty table has no index values")
+
+    def from_ticks(self, ticks):  # pragma: no cover
+        raise SchemaError("empty table has no index values")
 
 
 _REGISTRY: dict[str, IndexAdapter] = {}
@@ -98,3 +155,41 @@ def get_adapter(name: str) -> IndexAdapter | None:
 def registered_adapters() -> list[IndexAdapter]:
     """Registered adapters in registration order."""
     return list(_REGISTRY.values())
+
+
+def resolve_index(
+    name: str, values: Sequence, adapter: str | IndexAdapter | None = None
+) -> IndexAdapter:
+    """The adapter for index column ``name``: ``adapter`` if given as one or
+    as a registered name, else the first kind that takes every value:
+    TimePoints of one granularity and zone, a registered adapter, plain ints.
+    Zero values give :class:`EmptyIndex`.
+    """
+    if isinstance(adapter, IndexAdapter):
+        return adapter
+    if adapter is not None:
+        ad = get_adapter(adapter)
+        if ad is None:
+            raise SchemaError(f"no index adapter registered under {adapter!r}")
+        return ad
+    present = [v for v in values if v is not None]
+    if not present:
+        return EmptyIndex()
+    if all(isinstance(v, TimePoint) for v in present):
+        grans = {v.granularity for v in present}
+        if len(grans) > 1:
+            names = ", ".join(sorted(g.value for g in grans))
+            raise SchemaError(f"index column {name!r} mixes granularities: {names}")
+        zones = {v.zone for v in present}
+        if len(zones) > 1:
+            raise SchemaError(f"index column {name!r} mixes time zones: {sorted(map(str, zones))}")
+        return TimeIndex(grans.pop(), zones.pop())
+    for ad in registered_adapters():
+        if all(ad.claims(v) for v in present):
+            return ad
+    if all(isinstance(v, int) and not isinstance(v, bool) for v in present):
+        return OrdinalIndex()
+    raise SchemaError(
+        f"index column {name!r} holds no recognized time kind "
+        "(expected TimePoint, integer ticks, or a registered adapter kind)"
+    )

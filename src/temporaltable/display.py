@@ -14,8 +14,8 @@ _PREVIEW_ROWS = 5
 
 
 def render_summary(t: TemporalTable, preview: int = _PREVIEW_ROWS) -> str:
-    g = t.driver.granularity
-    zone = f" <{t.zone or 'UTC'}>" if g is not None and g.is_subdaily else ""
+    g = t.adapter.granularity
+    zone = f" <{t.adapter.zone or 'UTC'}>" if g is not None and g.is_subdaily else ""
     lines = [f"# A tsibble: {t.nrows:,} x {t.ncols:,} {t.interval.shorthand()}{zone}"]
     if t.key:
         lines.append(f"# Key:       {', '.join(t.key)} [{len(key_groups(t)):,}]")
@@ -25,7 +25,7 @@ def render_summary(t: TemporalTable, preview: int = _PREVIEW_ROWS) -> str:
 
     def show(c, v):
         if c == t.index and v is not None:
-            return t.driver.render(v)
+            return t.adapter.render(v)
         return render_cell(v)
 
     cells = [[show(c, t.columns[c].values[i]) for c in names] for i in range(shown)]

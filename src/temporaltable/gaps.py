@@ -78,7 +78,7 @@ def scan_gaps(t: TemporalTable, full: bool = False) -> list[tuple[tuple, object]
     rows = []
     for kt, _, missing in _missing_by_key(t, full):
         for tk in missing:
-            rows.append((kt, t.driver.from_ticks(tk)))
+            rows.append((kt, t.adapter.from_ticks(tk)))
     return rows
 
 
@@ -94,7 +94,7 @@ def count_gaps(t: TemporalTable, full: bool = False) -> GapReport:
                 continue
             if prev is not None:
                 entries.append(
-                    (kt, t.driver.from_ticks(start), t.driver.from_ticks(prev),
+                    (kt, t.adapter.from_ticks(start), t.adapter.from_ticks(prev),
                      (prev - start) // m + 1)
                 )
             start = prev = tk
@@ -148,7 +148,7 @@ def fill_gaps(
                 observed = t.columns[col].values[r.start : r.stop]
                 agg_cache[col] = aggregates.apply(policy.spec, observed)
         for tk in missing:
-            data[t.index].append(t.driver.from_ticks(tk))
+            data[t.index].append(t.adapter.from_ticks(tk))
             for name, cell in zip(t.key, kt):
                 data[name].append(cell)
             for col in measured:
@@ -160,7 +160,7 @@ def fill_gaps(
                 else:
                     data[col].append(policy)
 
-    return table.build(data, t.index, t.key, t.declared_regular, adapter=t.driver.adapter_name)
+    return table.build(data, t.index, t.key, t.declared_regular, adapter=t.adapter)
 
 
 def require_gapless(t: TemporalTable) -> None:

@@ -218,6 +218,8 @@ def roll_by_key(
     if op not in _OPS:
         raise PreconditionError(f"op must be one of {_OPS}, got {op!r}")
     w = _as_window(w)
+    if workers is not None:
+        _positive_int(workers, "workers")
     if column not in t.columns:
         raise SchemaError(f"no column named {column!r}")
     if t.kind_of(column) not in ("int", "real"):

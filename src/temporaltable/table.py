@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
-from .adapters import IndexAdapter, get_adapter, registered_adapters
+from .adapters import IndexAdapter, resolve_index
 from .errors import (
     DuplicateIndexError,
     MissingIndexError,
@@ -22,7 +22,6 @@ from .errors import (
     SchemaError,
     ValidityError,
 )
-from .granularity import Granularity
 from .interval import Interval, infer_from_ticks
 from .timepoint import TimePoint
 
@@ -124,113 +123,6 @@ def _has_nan(columns, key) -> bool:
     )
 
 
-# --- index drivers ---------------------------------------------------------
-
-
-class IndexDriver:
-    """Converts index cells to and from integer ticks."""
-
-    granularity: Granularity | None = None
-    unit_label: str | None = None  # None means use the granularity's letter
-    cell_kind: str = "text"
-    adapter_name: str | None = None  # registry name, for rebuilding through build
-
-    def to_ticks(self, value) -> int:
-        raise NotImplementedError
-
-    def from_ticks(self, ticks: int):
-        raise NotImplementedError
-
-    def render(self, value) -> str:
-        return str(value)
-
-
-class TimeDriver(IndexDriver):
-    cell_kind = "time"
-
-    def __init__(self, granularity: Granularity, zone: str | None):
-        self.granularity = granularity
-        self.zone = zone
-
-    def to_ticks(self, value):
-        return value.ticks
-
-    def from_ticks(self, ticks):
-        return TimePoint(ticks, self.granularity, self.zone)
-
-    def render(self, value):
-        return value.render()
-
-
-class OrdinalDriver(IndexDriver):
-    granularity = Granularity.ORDINAL
-    cell_kind = "int"
-
-    def to_ticks(self, value):
-        return value
-
-    def from_ticks(self, ticks):
-        return ticks
-
-
-class AdapterDriver(IndexDriver):
-    granularity = Granularity.ORDINAL
-    cell_kind = "time"
-
-    def __init__(self, adapter: IndexAdapter):
-        self.adapter = adapter
-        self.unit_label = adapter.unit_label
-        self.adapter_name = adapter.name
-
-    def to_ticks(self, value):
-        return self.adapter.to_ticks(value)
-
-    def from_ticks(self, ticks):
-        return self.adapter.from_ticks(ticks)
-
-    def render(self, value):
-        return self.adapter.render(value)
-
-
-class EmptyDriver(IndexDriver):
-    """Driver for tables with no rows; the index kind is undetermined."""
-
-    def to_ticks(self, value):  # pragma: no cover - no rows to convert
-        raise SchemaError("empty table has no index values")
-
-    def from_ticks(self, ticks):  # pragma: no cover
-        raise SchemaError("empty table has no index values")
-
-
-def _resolve_driver(name: str, values: Sequence, adapter: str | None) -> IndexDriver:
-    present = [v for v in values if v is not None]
-    if adapter is not None:
-        ad = get_adapter(adapter)
-        if ad is None:
-            raise SchemaError(f"no index adapter registered under {adapter!r}")
-        return AdapterDriver(ad)
-    if not present:
-        return EmptyDriver()
-    if all(isinstance(v, TimePoint) for v in present):
-        grans = {v.granularity for v in present}
-        if len(grans) > 1:
-            names = ", ".join(sorted(g.value for g in grans))
-            raise SchemaError(f"index column {name!r} mixes granularities: {names}")
-        zones = {v.zone for v in present}
-        if len(zones) > 1:
-            raise SchemaError(f"index column {name!r} mixes time zones: {sorted(map(str, zones))}")
-        return TimeDriver(grans.pop(), zones.pop())
-    for ad in registered_adapters():
-        if all(ad.claims(v) for v in present):
-            return AdapterDriver(ad)
-    if all(isinstance(v, int) and not isinstance(v, bool) for v in present):
-        return OrdinalDriver()
-    raise SchemaError(
-        f"index column {name!r} holds no recognized time kind "
-        "(expected TimePoint, integer ticks, or a registered adapter kind)"
-    )
-
-
 # --- grouping metadata -----------------------------------------------------
 
 
@@ -241,7 +133,7 @@ class Grouping:
     by: tuple[str, ...] = ()
     index_name: str | None = None
     index_values: tuple = ()  # derived index cells aligned to rows
-    index_driver: IndexDriver | None = None
+    index_adapter: IndexAdapter | None = None
 
 
 # --- reports ---------------------------------------------------------------
@@ -280,7 +172,7 @@ class TemporalTable:
         key: tuple[str, ...],
         interval: Interval,
         declared_regular: bool,
-        driver: IndexDriver,
+        adapter: IndexAdapter,
         groups: Grouping | None = None,
         order_dirty: bool = False,
         notes: tuple[str, ...] = (),
@@ -290,7 +182,7 @@ class TemporalTable:
         self.key = key
         self.interval = interval
         self.declared_regular = declared_regular
-        self.driver = driver
+        self.adapter = adapter
         self.groups = groups
         self.order_dirty = order_dirty
         self.notes = notes
@@ -316,10 +208,6 @@ class TemporalTable:
     def schema(self) -> list[tuple[str, str]]:
         return [(name, col.kind) for name, col in self.columns.items()]
 
-    @property
-    def zone(self) -> str | None:
-        return getattr(self.driver, "zone", None)
-
     def column(self, name: str) -> list:
         if name not in self.columns:
             raise SchemaError(f"no column named {name!r}")
@@ -342,7 +230,7 @@ class TemporalTable:
 
     def ticks(self) -> list[int]:
         if self._ticks is None:
-            self._ticks = [self.driver.to_ticks(v) for v in self.columns[self.index].values]
+            self._ticks = [self.adapter.to_ticks(v) for v in self.columns[self.index].values]
         return self._ticks
 
     def key_tuple(self, i: int) -> tuple:
@@ -384,7 +272,7 @@ class TemporalTable:
             self.key,
             self.interval,
             self.declared_regular,
-            self.driver,
+            self.adapter,
             groups=self.groups,
             order_dirty=False,
             notes=self.notes,
@@ -419,7 +307,7 @@ def _prepare(
     raw,
     index: str,
     key: Sequence[str],
-    adapter: str | None,
+    adapter: str | IndexAdapter | None,
     *,
     allow_missing_index: bool,
 ):
@@ -440,20 +328,20 @@ def _prepare(
     if has_missing and not allow_missing_index:
         pos = next(i for i, v in enumerate(idx_values) if v is None)
         raise MissingIndexError(f"index column {index!r} has a missing value at row {pos}")
-    driver = _resolve_driver(index, idx_values, adapter)
+    adapter = resolve_index(index, idx_values, adapter)
 
     columns: dict[str, Column] = {}
     for name, values in data.items():
         if name == index:
-            # Index cells may be adapter values; the driver vouches for them.
-            columns[name] = Column(driver.cell_kind, values)
+            # Index cells may be adapter values; the adapter vouches for them.
+            columns[name] = Column(adapter.cell_kind, values)
         else:
             columns[name] = _typed_column(name, values)
-    ticks = [None if v is None else driver.to_ticks(v) for v in idx_values]
+    ticks = [None if v is None else adapter.to_ticks(v) for v in idx_values]
     for i, tk in enumerate(ticks):
         if tk is not None and (not isinstance(tk, int) or isinstance(tk, bool)):
             raise SchemaError(f"index value {idx_values[i]!r} does not map to integer ticks")
-    return columns, key, driver, ticks, _key_notes(columns, key)
+    return columns, key, adapter, ticks, _key_notes(columns, key)
 
 
 def _typed_column(name: str, values: list) -> Column:
@@ -489,7 +377,7 @@ def build(
     index: str,
     key: Sequence[str] = (),
     regular: bool = True,
-    adapter: str | None = None,
+    adapter: str | IndexAdapter | None = None,
 ) -> TemporalTable:
     """Construct a valid temporal table from raw column data.
 
@@ -498,8 +386,10 @@ def build(
     None.  Raises :class:`DuplicateIndexError` when (key, index) pairs are
     not unique, and :class:`MissingIndexError` for missing index values.
     Row content is preserved exactly; only the row order changes.
+    ``adapter`` (an :class:`IndexAdapter` or a registered name) fixes the
+    index kind; by default the index values decide.
     """
-    columns, key, driver, ticks, notes = _prepare(
+    columns, key, adapter, ticks, notes = _prepare(
         raw, index, key, adapter, allow_missing_index=False
     )
     keys = _sort_keys(columns, key, ticks)
@@ -514,7 +404,7 @@ def build(
             first_kt = tuple(columns[k].values[report.positions[0]] for k in key)
             raise DuplicateIndexError(
                 f"{len(report)} rows share a (key, index) pair; first duplicate: "
-                f"key={first_kt!r} index={driver.render(columns[index].values[report.positions[0]])}",
+                f"key={first_kt!r} index={adapter.render(columns[index].values[report.positions[0]])}",
                 report,
             )
 
@@ -523,16 +413,16 @@ def build(
     }
     sorted_ticks = [ticks[i] for i in order]
 
-    interval = _infer_for(sorted_cols, key, sorted_ticks, driver, regular)
-    t = TemporalTable(sorted_cols, index, key, interval, regular, driver, notes=notes)
+    interval = _infer_for(sorted_cols, key, sorted_ticks, adapter, regular)
+    t = TemporalTable(sorted_cols, index, key, interval, regular, adapter, notes=notes)
     t._ticks = sorted_ticks
     return t
 
 
-def _infer_for(columns, key, sorted_ticks, driver, regular) -> Interval:
+def _infer_for(columns, key, sorted_ticks, adapter, regular) -> Interval:
     groups = _contiguous_groups(columns, key, len(sorted_ticks))
     tick_groups = [sorted_ticks[r.start : r.stop] for _, r in groups]
-    return infer_from_ticks(tick_groups, driver.granularity, regular, driver.unit_label)
+    return infer_from_ticks(tick_groups, adapter.granularity, regular, adapter.unit_label)
 
 
 def _contiguous_groups(columns, key, nrows) -> list[tuple[tuple, range]]:
@@ -550,14 +440,14 @@ def _contiguous_groups(columns, key, nrows) -> list[tuple[tuple, range]]:
 
 
 def duplicates(
-    raw, index: str, key: Sequence[str] = (), adapter: str | None = None
+    raw, index: str, key: Sequence[str] = (), adapter: str | IndexAdapter | None = None
 ) -> DuplicateReport:
     """All rows participating in a duplicated (key, index) pair, in source order.
 
     The report is empty exactly when :func:`build` would succeed with the
     same arguments (missing index values aside, which build rejects outright).
     """
-    columns, key, driver, ticks, _ = _prepare(
+    columns, key, _, ticks, _ = _prepare(
         raw, index, key, adapter, allow_missing_index=True
     )
     ticks = [("missing",) if tk is None else tk for tk in ticks]
@@ -580,22 +470,23 @@ def take(t: TemporalTable, rows: Sequence[int]) -> TemporalTable:
     """The rows at ascending positions ``rows`` of ``t``.
 
     A subset keeps the order and uniqueness of ``t``.  Column kinds, key
-    notes and the interval are re-inferred on the subset; the index driver
-    is kept.  An empty subset goes through :func:`build`, and so does a
-    table with NaN key cells, whose sorted order a subset need not keep.
+    notes and the interval are re-inferred on the subset; the index adapter
+    is kept, also for an empty subset.  A table with NaN key cells, whose
+    sorted order a subset need not keep, goes through :func:`build` on the
+    same adapter.
     """
     subset = {name: [col.values[i] for i in rows] for name, col in t.columns.items()}
-    if not rows or _has_nan(t.columns, t.key):
-        return build(subset, t.index, t.key, t.declared_regular, adapter=t.driver.adapter_name)
+    if _has_nan(t.columns, t.key):
+        return build(subset, t.index, t.key, t.declared_regular, adapter=t.adapter)
     columns = {
         name: Column(t.columns[name].kind, values) if name == t.index else _typed_column(name, values)
         for name, values in subset.items()
     }
     ticks = t.ticks()
     ticks = [ticks[i] for i in rows]
-    interval = _infer_for(columns, t.key, ticks, t.driver, t.declared_regular)
+    interval = _infer_for(columns, t.key, ticks, t.adapter, t.declared_regular)
     out = TemporalTable(
-        columns, t.index, t.key, interval, t.declared_regular, t.driver,
+        columns, t.index, t.key, interval, t.declared_regular, t.adapter,
         notes=_key_notes(columns, t.key),
     )
     out._ticks = ticks
@@ -608,7 +499,7 @@ def with_columns(t: TemporalTable, columns: Mapping[str, Column | list]) -> Temp
     ``columns`` is the full, ordered column mapping of the result and must
     hold the index and key columns of ``t`` unchanged.  :class:`Column`
     entries are taken as they are; plain value lists are new or overwritten
-    columns and get their kind inferred.  Interval, ticks and driver carry
+    columns and get their kind inferred.  Interval, ticks and adapter carry
     over; key notes follow the new column order.  Rows keep their order,
     also in a table with NaN key cells, which a fresh build could reorder.
     """
@@ -617,7 +508,7 @@ def with_columns(t: TemporalTable, columns: Mapping[str, Column | list]) -> Temp
         for name, col in columns.items()
     }
     out = TemporalTable(
-        cols, t.index, t.key, t.interval, t.declared_regular, t.driver,
+        cols, t.index, t.key, t.interval, t.declared_regular, t.adapter,
         notes=_key_notes(cols, t.key),
     )
     out._ticks = t._ticks
@@ -636,10 +527,10 @@ def validate_table(t: TemporalTable) -> None:
         if len(col) != n:
             raise SchemaError(f"column {name!r} has length {len(col)}, expected {n}")
         if name == t.index:
-            if col.kind != t.driver.cell_kind:
+            if col.kind != t.adapter.cell_kind:
                 raise SchemaError(
                     f"index column {name!r} kind {col.kind!r} does not match "
-                    f"its driver ({t.driver.cell_kind!r})"
+                    f"its adapter ({t.adapter.cell_kind!r})"
                 )
             continue
         actual = infer_kind(col.values)
@@ -662,7 +553,7 @@ def validate_table(t: TemporalTable) -> None:
         raise ValidityError("rows are not sorted by (key, index)")
     canon = t.canonical()
     expected = _infer_for(
-        canon.columns, canon.key, canon.ticks(), canon.driver, canon.declared_regular
+        canon.columns, canon.key, canon.ticks(), canon.adapter, canon.declared_regular
     )
     if canon.interval != expected:
         raise ValidityError(

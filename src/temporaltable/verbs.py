@@ -11,11 +11,16 @@ verb reruns only the construction checks its change can break:
   keeping every key column, and left/inner ``join`` where each left row
   matches at most one right row keep the rows
   (:func:`~temporaltable.table.with_columns`): only the kinds of new
-  columns are inferred; interval, ticks and driver carry over.
+  columns are inferred; interval, ticks and index adapter carry over.
 * Anything that changes the key or index, adds rows or fans rows out goes
   through :func:`~temporaltable.table.build`: ``summarize``, ``gather``,
   ``spread``, right/full and fan-out joins, ``select`` dropping a key
   column, and ``mutate``/``transmute`` of a key or index column.
+
+Results keep the table's index adapter, even one since unregistered or
+replaced.  Only new index cells resolve theirs from the values: ``mutate`` or
+``transmute`` of the index, right/full ``join``, and ``index_by`` to another
+granularity or through a callable.
 
 :func:`~temporaltable.table.validate_table` re-derives the whole contract
 from scratch and stays the oracle the test suite checks every result
@@ -30,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from . import aggregates, table
+from .adapters import resolve_index
 from .errors import (
     ConversionError,
     ParseError,
@@ -42,7 +48,6 @@ from .table import (
     Column,
     Grouping,
     TemporalTable,
-    _resolve_driver,
     _sort_cell,
     take,
     with_columns,
@@ -114,7 +119,7 @@ class IndexFilterExpr:
 def _endpoint_span(t: TemporalTable, text: str) -> tuple[int, int]:
     if not text:
         raise ParseError("empty time window")
-    g = t.driver.granularity
+    g = t.adapter.granularity
     if g is None:
         raise ParseError("cannot filter the index of an empty table by time")
     if g is Granularity.ORDINAL:
@@ -126,8 +131,8 @@ def _endpoint_span(t: TemporalTable, text: str) -> tuple[int, int]:
     expr_g = guess_granularity(text)
     if expr_g is None:
         raise ParseError(f"cannot read {text!r} as a time point")
-    point = parse_timepoint(text, expr_g, t.zone)
-    return span_ticks(point, g, t.zone)
+    point = parse_timepoint(text, expr_g, t.adapter.zone)
+    return span_ticks(point, g, t.adapter.zone)
 
 
 def filter_index(t: TemporalTable, expr) -> VerbOutcome:
@@ -180,7 +185,7 @@ def arrange(t: TemporalTable, spec) -> VerbOutcome:
         t.key,
         t.interval,
         t.declared_regular,
-        t.driver,
+        t.adapter,
         notes=t.notes,
     )
     if out.is_canonical_order():
@@ -225,7 +230,7 @@ def select(t: TemporalTable, names) -> VerbOutcome:
         return VerbOutcome(with_columns(t, {name: t.columns[name] for name in names}), warnings)
     data = {name: t.columns[name].values for name in names}
     return VerbOutcome(
-        table.build(data, t.index, new_key, t.declared_regular, adapter=t.driver.adapter_name),
+        table.build(data, t.index, new_key, t.declared_regular, adapter=t.adapter),
         warnings,
     )
 
@@ -258,7 +263,8 @@ def _derive(t: TemporalTable, exprs: dict, keep: list[str]) -> TemporalTable:
         data[name] = _evaluate(data, n, expr, name)
     if t.index in exprs or any(k in exprs for k in t.key):
         data = {c: data[c] for c in keep}
-        return table.build(data, t.index, t.key, t.declared_regular, adapter=t.driver.adapter_name)
+        adapter = None if t.index in exprs else t.adapter
+        return table.build(data, t.index, t.key, t.declared_regular, adapter=adapter)
     return with_columns(t, {c: data[c] if c in exprs else t.columns[c] for c in keep})
 
 
@@ -290,7 +296,7 @@ def _with_groups(t: TemporalTable, groups: Grouping) -> TemporalTable:
         t.key,
         t.interval,
         t.declared_regular,
-        t.driver,
+        t.adapter,
         groups=groups,
         order_dirty=t.order_dirty,
         notes=t.notes,
@@ -327,6 +333,7 @@ def index_by(t: TemporalTable, spec, name: str | None = None) -> TemporalTable:
     values = t.columns[t.index].values
     ticks = t.ticks()
 
+    same_index = False
     if callable(spec) and not isinstance(spec, Granularity):
         fn = spec
         default_name = getattr(fn, "__name__", "")
@@ -334,12 +341,13 @@ def index_by(t: TemporalTable, spec, name: str | None = None) -> TemporalTable:
             default_name = f"{t.index}_by"
     else:
         g = _require_granularity(spec)
-        src = t.driver.granularity
+        src = t.adapter.granularity
         if src is not None and Granularity.ORDINAL in (g, src) and g is not src:
             raise ConversionError(
                 f"cannot derive a {g.value} index from a {src.value} index"
             )
-        if g is src or g is Granularity.ORDINAL:
+        same_index = g is src or g is Granularity.ORDINAL
+        if same_index:
             fn = lambda v: v
         else:
             fn = lambda v: floor_to(v, g)
@@ -352,8 +360,9 @@ def index_by(t: TemporalTable, spec, name: str | None = None) -> TemporalTable:
             cache[tk] = fn(v)
         derived.append(cache[tk])
 
-    driver = _resolve_driver(name or default_name, derived, None)
-    pairs = sorted((tk, driver.to_ticks(d)) for tk, d in cache.items())
+    # An unchanged index keeps its cells, and so its adapter.
+    adapter = t.adapter if same_index else resolve_index(name or default_name, derived)
+    pairs = sorted((tk, adapter.to_ticks(d)) for tk, d in cache.items())
     for (_, d1), (_, d2) in zip(pairs, pairs[1:]):
         if d2 < d1:
             raise PreconditionError("index mapping is not order-preserving")
@@ -363,7 +372,7 @@ def index_by(t: TemporalTable, spec, name: str | None = None) -> TemporalTable:
         base,
         index_name=name or default_name,
         index_values=tuple(derived),
-        index_driver=driver,
+        index_adapter=adapter,
     )
     return _with_groups(t, groups)
 
@@ -387,11 +396,11 @@ def summarize(t: TemporalTable, **aggs) -> TemporalTable:
     if grouping.index_name:
         idx_name = grouping.index_name
         idx_values = list(grouping.index_values)
-        idx_driver = grouping.index_driver
+        idx_adapter = grouping.index_adapter
     else:
         idx_name = t.index
         idx_values = t.columns[t.index].values
-        idx_driver = t.driver
+        idx_adapter = t.adapter
     by = [c for c in grouping.by if c != idx_name]
 
     buckets: dict[tuple, list[int]] = {}
@@ -399,7 +408,7 @@ def summarize(t: TemporalTable, **aggs) -> TemporalTable:
     for i in range(t.nrows):
         group_cells = tuple(t.columns[c].values[i] for c in by)
         tick_key = tuple(_sort_cell(c) for c in group_cells) + (
-            idx_driver.to_ticks(idx_values[i]),
+            idx_adapter.to_ticks(idx_values[i]),
         )
         buckets.setdefault(tick_key, []).append(i)
         cell_of[tick_key] = group_cells + (idx_values[i],)
@@ -417,9 +426,7 @@ def summarize(t: TemporalTable, **aggs) -> TemporalTable:
         for out_name, (spec, col) in aggs.items():
             out[out_name].append(aggregates.apply(spec, [t.columns[col].values[i] for i in rows]))
 
-    adapter_driver = idx_driver if idx_name != t.index else t.driver
-    return table.build(out, idx_name, tuple(by), t.declared_regular,
-                       adapter=adapter_driver.adapter_name)
+    return table.build(out, idx_name, tuple(by), t.declared_regular, adapter=idx_adapter)
 
 
 # --- reshaping verbs --------------------------------------------------------
@@ -462,7 +469,7 @@ def gather(t: TemporalTable, names_to: str, values_to: str, columns) -> VerbOutc
 
     new_key = t.key + (names_to,)
     return VerbOutcome(
-        table.build(data, t.index, new_key, t.declared_regular, adapter=t.driver.adapter_name)
+        table.build(data, t.index, new_key, t.declared_regular, adapter=t.adapter)
     )
 
 
@@ -522,7 +529,7 @@ def spread(t: TemporalTable, key_col: str, value_col: str) -> VerbOutcome:
 
     new_key = tuple(k for k in t.key if k != key_col)
     return VerbOutcome(
-        table.build(data, t.index, new_key, t.declared_regular, adapter=t.driver.adapter_name)
+        table.build(data, t.index, new_key, t.declared_regular, adapter=t.adapter)
     )
 
 
@@ -623,6 +630,7 @@ def join(t: TemporalTable, other, kind: str = "left", by=None) -> VerbOutcome:
             if j not in matched_right:
                 emit(None, j)
 
+    adapter = None if kind in ("right", "full") else t.adapter
     return VerbOutcome(
-        table.build(data, t.index, t.key, t.declared_regular, adapter=t.driver.adapter_name)
+        table.build(data, t.index, t.key, t.declared_regular, adapter=adapter)
     )

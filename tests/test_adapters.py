@@ -12,6 +12,7 @@ from temporaltable import (
     registered_adapters,
     unregister_index_adapter,
 )
+from temporaltable.adapters import OrdinalIndex
 
 
 class Semester:
@@ -62,7 +63,7 @@ def test_semester_table_builds(semester_registry):
         index="term",
     )
     assert t.interval.shorthand() == "[1sem]"
-    assert t.driver.granularity is Granularity.ORDINAL
+    assert t.adapter.granularity is Granularity.ORDINAL
     assert [v.sem for v in t.column("term")] == [1, 2, 1]
 
 
@@ -138,3 +139,32 @@ def test_bad_round_trip_rejected():
 def test_registry_listing(semester_registry):
     names = [a.name for a in registered_adapters()]
     assert "semester" in names
+
+
+def test_claims_reads_only_type_and_value_errors_as_not_mine():
+    class Lookup(SemesterAdapter):
+        """Looks years up in a table that misses 2021: a bug, not a kind."""
+
+        name = "lookup"
+        first_tick = {2019: 0, 2020: 2}
+
+        def to_ticks(self, value):
+            if not isinstance(value, Semester):
+                raise TypeError(f"not a semester: {value!r}")
+            if value.sem not in (1, 2):
+                raise ValueError(f"no semester {value.sem}")
+            return self.first_tick[value.year] + value.sem - 1
+
+        def from_ticks(self, ticks):
+            return Semester(2019 + ticks // 2, ticks % 2 + 1)
+
+    register_index_adapter(Lookup())
+    try:
+        lookup = get_adapter("lookup")
+        assert not lookup.claims(2)
+        assert not lookup.claims(Semester(2019, 3))
+        with pytest.raises(KeyError):
+            build({"term": [Semester(2019, 1), Semester(2021, 1)]}, index="term")
+        assert type(build({"term": [1, 2]}, index="term").adapter) is OrdinalIndex
+    finally:
+        unregister_index_adapter("lookup")

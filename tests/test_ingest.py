@@ -79,7 +79,7 @@ def test_non_index_time_column(tmp_path):
 def test_zone_applies_to_parsed_times(tmp_path):
     path = write(tmp_path, "t,v\n2011-07-05 17:00,1\n2011-07-05 18:00,2\n")
     t = ingest(IngestConfig(path, index="t", zone="America/New_York"))
-    assert t.zone == "America/New_York"
+    assert t.adapter.zone == "America/New_York"
     assert t.column("t")[0].render() == "2011-07-05 17:00"
     utc = ingest(IngestConfig(path, index="t"))
     assert t.column("t")[0].ticks == utc.column("t")[0].ticks + 4 * 60

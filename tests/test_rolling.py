@@ -16,6 +16,7 @@ from temporaltable import (
     slide2,
     stretch,
     tile,
+    rolling,
     validate_table,
 )
 from temporaltable.rolling import (
@@ -281,6 +282,16 @@ def test_roll_by_key_parallel_matches_serial(tb):
     threaded = roll_by_key(tb, "count", "slide", statistics.fmean, 2, workers=4)
     assert serial.column("count_slide") == threaded.column("count_slide")
     assert repr(serial.column("count_slide")) == repr(threaded.column("count_slide"))
+
+
+@pytest.mark.parametrize("workers", [0, -1, True, 2.5, "2"])
+def test_roll_by_key_rejects_bad_workers(tb, workers, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(rolling, "ThreadPoolExecutor", no_pool)
+    with pytest.raises(PreconditionError, match="workers must be a positive integer"):
+        roll_by_key(tb, "count", "slide", sum, 2, workers=workers)
 
 
 def test_roll_by_key_keeps_interval_and_rows(tb):

@@ -4,7 +4,7 @@ The verbs rebuild their results with trusted constructors (``take`` for row
 subsets, ``with_columns`` for same-row column changes) that rerun only the
 checks a verb can break.  Every result must still be exactly what
 :func:`build` makes of its rows: same cells in the same order, same column
-kinds, interval, index driver and key notes.
+kinds, interval, index adapter and key notes.
 """
 
 import math
@@ -20,11 +20,16 @@ from temporaltable import (
     build,
     fill_gaps,
     filter_index,
+    gather,
+    group_by,
+    index_by,
     join,
     mutate,
     register_index_adapter,
     roll_by_key,
     select,
+    spread,
+    summarize,
     table,
     timepoint as tp,
     transmute,
@@ -32,20 +37,23 @@ from temporaltable import (
     verbs,
 )
 from temporaltable import filter as tfilter
+from temporaltable.adapters import OrdinalIndex, TimeIndex
 from temporaltable.interval import Interval
 
 KEY_COLUMNS = ("k_int", "k_real", "k_text")
 
 
 def assert_matches_build(out):
-    ref = build(out.to_dict(), out.index, out.key, out.declared_regular)
+    ref = build(out.to_dict(), out.index, out.key, out.declared_regular, adapter=out.adapter)
     assert out.to_dict() == ref.to_dict()
     assert out.schema == ref.schema
     assert out.interval == ref.interval
-    assert type(out.driver) is type(ref.driver)
-    assert out.zone == ref.zone
     assert out.notes == ref.notes
     assert out.ticks() == ref.ticks()
+    if out.nrows:
+        resolved = build(out.to_dict(), out.index, out.key, out.declared_regular).adapter
+        assert type(resolved) is type(out.adapter)
+        assert (resolved.granularity, resolved.zone) == (out.adapter.granularity, out.adapter.zone)
 
 
 @st.composite
@@ -94,7 +102,7 @@ def test_row_subset_verbs_match_build(t, data):
 
     lo, hi = sorted(data.draw(st.lists(st.integers(0, 40), min_size=2, max_size=2)))
     if t.nrows:
-        window = f"{t.driver.render(t.driver.from_ticks(lo))} ~ {t.driver.render(t.driver.from_ticks(hi))}"
+        window = f"{t.adapter.render(t.adapter.from_ticks(lo))} ~ {t.adapter.render(t.adapter.from_ticks(hi))}"
         out = filter_index(t, window).table
         assert_matches_build(out)
         assert out.ticks() == [tk for tk in t.ticks() if lo <= tk <= hi]
@@ -140,6 +148,8 @@ def test_filter_to_zero_rows():
     out = tfilter(t, lambda r: False).table
     assert out.nrows == 0
     assert out.interval == Interval.unknown()
+    assert type(out.adapter) is TimeIndex
+    assert out.kind_of("t") == "time"
     assert_matches_build(out)
 
 
@@ -203,19 +213,104 @@ class EvenAdapter(IndexAdapter):
         return ticks
 
 
-def test_row_subset_keeps_the_index_driver_an_adapter_would_claim():
-    # A fresh build of the kept rows [2, 4] resolves to the registered
-    # adapter; a filter keeps the table's ordinal index instead.
-    t = build({"t": [1, 2, 4], "v": [1, 2, 3]}, "t")
-    register_index_adapter(EvenAdapter())
+class LoudEvenAdapter(EvenAdapter):
+    """Claims even integers too, under the same name but another unit label."""
+
+    unit_label = "EV"
+
+
+@pytest.fixture(params=["unregistered", "replaced", "registered_later"])
+def kept_index(request):
+    """A two-series table on index 2, 4, 8 and 10, 12 (interval 2, one gap)
+    whose adapter the registry no longer gives back: an even-int adapter
+    since unregistered, or replaced under its name, or an ordinal index with
+    the even-int adapter registered only after the build."""
+    raw = {"k": ["a", "a", "a", "b", "b"], "t": [2, 4, 8, 10, 12],
+           "v": [1, 2, 3, 4, 5], "w": [5, 4, 3, 2, 1]}
     try:
-        assert type(t.driver) is table.OrdinalDriver
-        out = tfilter(t, lambda r: r["t"] > 1).table
-        assert type(out.driver) is table.OrdinalDriver
-        assert out.interval.shorthand() == "[2]"
-        assert type(build(out.to_dict(), "t").driver) is table.AdapterDriver
+        if request.param == "registered_later":
+            t = build(raw, "t", ("k",))
+            register_index_adapter(EvenAdapter())
+            assert type(t.adapter) is OrdinalIndex
+            assert type(build(raw, "t", ("k",)).adapter) is EvenAdapter
+        else:
+            register_index_adapter(EvenAdapter())
+            t = build(raw, "t", ("k",))
+            assert type(t.adapter) is EvenAdapter
+            if request.param == "unregistered":
+                unregister_index_adapter("even")
+            else:
+                register_index_adapter(LoudEvenAdapter())
+        yield t
     finally:
         unregister_index_adapter("even")
+
+
+def _nan_key(t):
+    return mutate(t, k=lambda r: math.nan if r["k"] == "b" else 1.0).table
+
+
+KEEPING_VERBS = {
+    "filter": lambda t: tfilter(t, lambda r: r["t"] > 2),
+    "filter_to_zero_rows": lambda t: tfilter(t, lambda r: False),
+    "filter_on_nan_key": lambda t: tfilter(_nan_key(t), lambda r: r["t"] > 2),
+    "select_keeping_key": lambda t: select(t, ["k", "t", "v"]),
+    "select_dropping_key": lambda t: select(t, ["t", "v"]),
+    "mutate_measure": lambda t: mutate(t, v=lambda r: -r["v"]),
+    "mutate_key": lambda t: mutate(t, k=lambda r: r["k"].upper()),
+    "transmute_key": lambda t: transmute(t, k=lambda r: r["k"] * 2),
+    "left_join": lambda t: join(t, {"k": ["a"], "x": [1]}, "left", by=["k"]),
+    "fill_gaps": fill_gaps,
+    "roll_by_key": lambda t: roll_by_key(fill_gaps(t), "v", "slide", len, 1),
+    "summarize": lambda t: summarize(t, s=("sum", "v")),
+    "summarize_grouped": lambda t: summarize(group_by(t, "k"), s=("sum", "v")),
+    "summarize_by_same_index": lambda t: summarize(index_by(t, Granularity.ORDINAL), s=("sum", "v")),
+    "gather": lambda t: gather(t, "name", "value", ["v", "w"]),
+    "spread": lambda t: spread(gather(t, "name", "value", ["v", "w"]).table, "name", "value"),
+}
+
+
+@pytest.mark.parametrize("verb", KEEPING_VERBS.values(), ids=KEEPING_VERBS.keys())
+def test_verbs_keep_the_table_adapter(kept_index, verb):
+    # Every index cell of these results comes from the table or from its
+    # adapter's from_ticks, so the result keeps that adapter, whatever the
+    # registry holds now.
+    out = verb(kept_index)
+    out = getattr(out, "table", out)
+    assert out.adapter is kept_index.adapter
+    if out.interval.is_regular:
+        assert out.interval.unit_label == kept_index.adapter.unit_label
+
+
+@pytest.mark.parametrize("kind", ["left", "inner"])
+def test_fan_out_join_reports_duplicates_on_the_kept_adapter(kept_index, kind):
+    with pytest.raises(DuplicateIndexError):
+        join(kept_index, {"k": ["a", "a"], "x": [1, 2]}, kind, by=["k"])
+
+
+NEW_INDEX_VERBS = {
+    "mutate_index": lambda t: mutate(t, i=lambda r: r["i"] + 4),
+    "transmute_index": lambda t: transmute(t, i=lambda r: r["i"] + 4),
+    "right_join": lambda t: join(t, {"i": [6, 8], "w": [1, 2]}, "right", by=["i"]),
+    "full_join": lambda t: join(t, {"i": [6, 8], "w": [1, 2]}, "full", by=["i"]),
+}
+
+
+@pytest.mark.parametrize("verb", NEW_INDEX_VERBS.values(), ids=NEW_INDEX_VERBS.keys())
+def test_new_index_cells_resolve_their_adapter_from_values(verb):
+    raw = {"i": [2, 4], "v": [1, 2]}
+    ordinal = build(raw, "i")
+    register_index_adapter(EvenAdapter())
+    try:
+        out = verb(ordinal).table
+        assert type(out.adapter) is EvenAdapter
+        assert out.interval.shorthand() == "[2ev]"
+        even = build(raw, "i")
+    finally:
+        unregister_index_adapter("even")
+    out = verb(even).table
+    assert type(out.adapter) is OrdinalIndex
+    assert out.interval.shorthand() == "[2]"
 
 
 def test_left_join_with_duplicated_right_key_goes_through_build(monkeypatch):
