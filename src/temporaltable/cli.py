@@ -13,7 +13,13 @@ import sys
 
 from . import aggregates, gaps, rolling, verbs
 from .display import render_summary
-from .errors import DuplicateIndexError, SchemaError, TemporalTableError, UsageError
+from .errors import (
+    DuplicateIndexError,
+    PreconditionError,
+    SchemaError,
+    TemporalTableError,
+    UsageError,
+)
 from .granularity import Granularity
 from .ingest import IngestConfig, ingest, table_to_csv, write_csv
 from .table import TemporalTable
@@ -177,9 +183,12 @@ def _cmd_roll(args) -> int:
         size = args.size
         if size is None:
             raise UsageError(f"{args.op} needs --size")
-    if size < 1 or args.step < 1:
-        raise UsageError("--size, --init and --step must be positive")
-    w = rolling.Window(size=size, step=args.step, partial=args.partial)
+    try:
+        w = rolling.check_window(
+            args.op, rolling.Window(size=size, step=args.step, partial=args.partial)
+        )
+    except PreconditionError as exc:
+        raise UsageError(str(exc)) from None
     t = ingest(_config(args))
     result = rolling.roll_by_key(
         t, args.col, args.op, lambda win: aggregates.apply(args.fn, win), w

@@ -190,6 +190,20 @@ def stretch_text(xs, f, init=1, step=1):
 _OPS = ("slide", "tile", "stretch")
 
 
+def check_window(op: str, w) -> Window:
+    """``w`` as a :class:`Window` for ``op``, refused when ``op`` would ignore
+    part of it: tile has no step and neither tile nor stretch has partial
+    windows."""
+    if op not in _OPS:
+        raise PreconditionError(f"op must be one of {_OPS}, got {op!r}")
+    w = _as_window(w)
+    if op == "tile" and w.step != 1:
+        raise PreconditionError(f"tile takes no step (its blocks follow each other), got {w.step}")
+    if op != "slide" and w.partial:
+        raise PreconditionError(f"{op} has no partial windows")
+    return w
+
+
 def _spans_for(op: str, n: int, w: Window) -> list[tuple[int, int]]:
     if op == "slide":
         return _slide_spans(n, w)
@@ -215,9 +229,7 @@ def roll_by_key(
     a pointer to fill_gaps.  ``workers`` > 1 rolls the key groups in a
     thread pool; f must be pure, and the output is identical either way.
     """
-    if op not in _OPS:
-        raise PreconditionError(f"op must be one of {_OPS}, got {op!r}")
-    w = _as_window(w)
+    w = check_window(op, w)
     if workers is not None:
         _positive_int(workers, "workers")
     if column not in t.columns:

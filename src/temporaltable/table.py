@@ -10,7 +10,7 @@ derived from the index column.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
@@ -117,12 +117,6 @@ def _sort_keys(columns, key, ticks) -> list:
     return list(zip(*parts, ticks))
 
 
-def _has_nan(columns, key) -> bool:
-    return any(
-        v != v for k in key if columns[k].kind == "real" for v in columns[k].values
-    )
-
-
 # --- grouping metadata -----------------------------------------------------
 
 
@@ -158,35 +152,27 @@ class DuplicateReport:
 # --- the table -------------------------------------------------------------
 
 
+@dataclass(eq=False)
 class TemporalTable:
     """Columnar table with time-index, key and interval semantics.
 
     Instances are treated as immutable: every operation returns a new table.
-    Do not mutate the lists returned by :meth:`column`.
+    Do not mutate the lists returned by :meth:`column`.  Tables are made by
+    :func:`build`, moved row-wise by :func:`rows_at`, and otherwise derived
+    with :func:`dataclasses.replace`, so every field below travels with the
+    table unless a verb changes it.
     """
 
-    def __init__(
-        self,
-        columns: dict[str, Column],
-        index: str,
-        key: tuple[str, ...],
-        interval: Interval,
-        declared_regular: bool,
-        adapter: IndexAdapter,
-        groups: Grouping | None = None,
-        order_dirty: bool = False,
-        notes: tuple[str, ...] = (),
-    ):
-        self.columns = columns
-        self.index = index
-        self.key = key
-        self.interval = interval
-        self.declared_regular = declared_regular
-        self.adapter = adapter
-        self.groups = groups
-        self.order_dirty = order_dirty
-        self.notes = notes
-        self._ticks: list[int] | None = None
+    columns: dict[str, Column]
+    index: str
+    key: tuple[str, ...]
+    interval: Interval
+    declared_regular: bool
+    adapter: IndexAdapter
+    groups: Grouping | None = None
+    order_dirty: bool = False
+    notes: tuple[str, ...] = ()
+    _ticks: list[int] | None = field(default=None, repr=False)
 
     # -- basic accessors --
 
@@ -229,8 +215,11 @@ class TemporalTable:
         return {name: list(col.values) for name, col in self.columns.items()}
 
     def ticks(self) -> list[int]:
+        """Integer ticks of the index cells, in row order."""
         if self._ticks is None:
-            self._ticks = [self.adapter.to_ticks(v) for v in self.columns[self.index].values]
+            # Every table is built with its ticks; recompute them, uncached,
+            # only when a caller has cleared them.
+            return [self.adapter.to_ticks(v) for v in self.columns[self.index].values]
         return self._ticks
 
     def key_tuple(self, i: int) -> tuple:
@@ -261,22 +250,7 @@ class TemporalTable:
         """This table re-sorted past-to-future if a verb disturbed the order."""
         if not self.order_dirty:
             return self
-        order = _sort_order(self)
-        cols = {
-            name: Column(col.kind, [col.values[i] for i in order])
-            for name, col in self.columns.items()
-        }
-        return TemporalTable(
-            cols,
-            self.index,
-            self.key,
-            self.interval,
-            self.declared_regular,
-            self.adapter,
-            groups=self.groups,
-            order_dirty=False,
-            notes=self.notes,
-        )
+        return replace(rows_at(self, _sort_order(self)), order_dirty=False)
 
     def is_canonical_order(self) -> bool:
         keys = _sort_keys(self.columns, self.key, self.ticks())
@@ -337,6 +311,13 @@ def _prepare(
             columns[name] = Column(adapter.cell_kind, values)
         else:
             columns[name] = _typed_column(name, values)
+    for k in key:
+        if columns[k].kind == "real":
+            # NaN equals nothing, itself included, so it can neither sort
+            # nor tell series apart.
+            pos = next((i for i, v in enumerate(columns[k].values) if v != v), None)
+            if pos is not None:
+                raise SchemaError(f"key column {k!r} holds NaN at row {pos}")
     ticks = [None if v is None else adapter.to_ticks(v) for v in idx_values]
     for i, tk in enumerate(ticks):
         if tk is not None and (not isinstance(tk, int) or isinstance(tk, bool)):
@@ -384,7 +365,8 @@ def build(
     ``raw`` maps column names to equal-length value lists (an existing table
     is also accepted).  Cells may be int, float, str, bool, TimePoint or
     None.  Raises :class:`DuplicateIndexError` when (key, index) pairs are
-    not unique, and :class:`MissingIndexError` for missing index values.
+    not unique, :class:`MissingIndexError` for missing index values, and
+    :class:`SchemaError` for NaN in a key column.
     Row content is preserved exactly; only the row order changes.
     ``adapter`` (an :class:`IndexAdapter` or a registered name) fixes the
     index kind; by default the index values decide.
@@ -395,10 +377,9 @@ def build(
     keys = _sort_keys(columns, key, ticks)
     order = sorted(range(len(ticks)), key=keys.__getitem__)
     # Equal (key, index) pairs sit next to each other once sorted; the scan
-    # in source order then builds the report.  NaN keys defeat the sort, so
-    # they always take the scan.
+    # in source order then builds the report.
     sorted_keys = [keys[i] for i in order]
-    if any(map(operator.eq, sorted_keys, sorted_keys[1:])) or _has_nan(columns, key):
+    if any(map(operator.eq, sorted_keys, sorted_keys[1:])):
         report = _scan_duplicates(columns, index, key, ticks)
         if report:
             first_kt = tuple(columns[k].values[report.positions[0]] for k in key)
@@ -408,15 +389,11 @@ def build(
                 report,
             )
 
-    sorted_cols = {
-        name: Column(col.kind, [col.values[i] for i in order]) for name, col in columns.items()
-    }
-    sorted_ticks = [ticks[i] for i in order]
-
-    interval = _infer_for(sorted_cols, key, sorted_ticks, adapter, regular)
-    t = TemporalTable(sorted_cols, index, key, interval, regular, adapter, notes=notes)
-    t._ticks = sorted_ticks
-    return t
+    unsorted = TemporalTable(
+        columns, index, key, Interval.unknown(), regular, adapter, notes=notes, _ticks=ticks
+    )
+    t = rows_at(unsorted, order)
+    return replace(t, interval=_infer_for(t.columns, key, t.ticks(), adapter, regular))
 
 
 def _infer_for(columns, key, sorted_ticks, adapter, regular) -> Interval:
@@ -462,35 +439,43 @@ def key_groups(t: TemporalTable) -> list[tuple[tuple, range]]:
 
 # --- trusted constructors for the verb layer -------------------------------
 #
-# Both take a canonical table (not order-dirty) and rerun only the checks
-# their caller can break; everything else they inherit from ``t``.
+# Each takes a canonical table (not order-dirty) and reruns only the checks
+# its caller can break; every other field it carries over from ``t``.
+
+
+def rows_at(t: TemporalTable, rows: Sequence[int]) -> TemporalTable:
+    """``t`` with its rows at positions ``rows``, in that order.
+
+    The one place rows move: column cells, index ticks and the row-aligned
+    cells of an ``index_by`` grouping are taken together, and every other
+    field carries over as it is.  Callers re-derive what their reordering
+    or subset can change (order flag, kinds, notes, interval).
+    """
+    ticks = t.ticks()
+    groups = t.groups
+    if groups is not None and groups.index_name is not None:
+        values = groups.index_values
+        groups = replace(groups, index_values=tuple(values[i] for i in rows))
+    columns = {
+        name: Column(col.kind, [col.values[i] for i in rows]) for name, col in t.columns.items()
+    }
+    return replace(t, columns=columns, groups=groups, _ticks=[ticks[i] for i in rows])
 
 
 def take(t: TemporalTable, rows: Sequence[int]) -> TemporalTable:
     """The rows at ascending positions ``rows`` of ``t``.
 
-    A subset keeps the order and uniqueness of ``t``.  Column kinds, key
-    notes and the interval are re-inferred on the subset; the index adapter
-    is kept, also for an empty subset.  A table with NaN key cells, whose
-    sorted order a subset need not keep, goes through :func:`build` on the
-    same adapter.
+    A subset keeps the order and uniqueness of ``t``, its index adapter
+    (also when empty) and its grouping.  Column kinds, key notes and the
+    interval are re-inferred on the subset.
     """
-    subset = {name: [col.values[i] for i in rows] for name, col in t.columns.items()}
-    if _has_nan(t.columns, t.key):
-        return build(subset, t.index, t.key, t.declared_regular, adapter=t.adapter)
+    out = rows_at(t, rows)
     columns = {
-        name: Column(t.columns[name].kind, values) if name == t.index else _typed_column(name, values)
-        for name, values in subset.items()
+        name: col if name == t.index else _typed_column(name, col.values)
+        for name, col in out.columns.items()
     }
-    ticks = t.ticks()
-    ticks = [ticks[i] for i in rows]
-    interval = _infer_for(columns, t.key, ticks, t.adapter, t.declared_regular)
-    out = TemporalTable(
-        columns, t.index, t.key, interval, t.declared_regular, t.adapter,
-        notes=_key_notes(columns, t.key),
-    )
-    out._ticks = ticks
-    return out
+    interval = _infer_for(columns, t.key, out.ticks(), t.adapter, t.declared_regular)
+    return replace(out, columns=columns, interval=interval, notes=_key_notes(columns, t.key))
 
 
 def with_columns(t: TemporalTable, columns: Mapping[str, Column | list]) -> TemporalTable:
@@ -499,20 +484,15 @@ def with_columns(t: TemporalTable, columns: Mapping[str, Column | list]) -> Temp
     ``columns`` is the full, ordered column mapping of the result and must
     hold the index and key columns of ``t`` unchanged.  :class:`Column`
     entries are taken as they are; plain value lists are new or overwritten
-    columns and get their kind inferred.  Interval, ticks and adapter carry
-    over; key notes follow the new column order.  Rows keep their order,
-    also in a table with NaN key cells, which a fresh build could reorder.
+    columns and get their kind inferred.  Every other field of ``t``
+    carries over (interval, ticks, adapter, grouping); key notes follow the
+    new column order.
     """
     cols = {
         name: col if isinstance(col, Column) else _typed_column(name, col)
         for name, col in columns.items()
     }
-    out = TemporalTable(
-        cols, t.index, t.key, t.interval, t.declared_regular, t.adapter,
-        notes=_key_notes(cols, t.key),
-    )
-    out._ticks = t._ticks
-    return out
+    return replace(t, columns=cols, notes=_key_notes(cols, t.key))
 
 
 def validate_table(t: TemporalTable) -> None:
@@ -549,6 +529,14 @@ def validate_table(t: TemporalTable) -> None:
         if pair in seen:
             raise ValidityError(f"duplicate (key, index) pair {pair!r}")
         seen.add(pair)
+    if t.groups is not None:
+        for c in t.groups.by:
+            if c not in t.columns:
+                raise SchemaError(f"grouping column {c!r} missing")
+        if t.groups.index_name is not None and len(t.groups.index_values) != n:
+            raise ValidityError(
+                f"index_by grouping holds {len(t.groups.index_values)} cells for {n} rows"
+            )
     if not t.order_dirty and not t.is_canonical_order():
         raise ValidityError("rows are not sorted by (key, index)")
     canon = t.canonical()

@@ -4,9 +4,12 @@ Every verb takes a valid table and either returns a valid table (wrapped in
 a :class:`VerbOutcome` with any diagnostics) or raises an engine error.  Each
 verb reruns only the construction checks its change can break:
 
-* ``filter``, ``filter_index`` and semi/anti ``join`` keep a subset of rows
+* ``filter``, ``filter_index``, semi/anti ``join`` and inner ``join``
+  without fan-out keep a subset of rows
   (:func:`~temporaltable.table.take`): order and uniqueness hold, so only
   column kinds, key notes and the interval are re-inferred.
+* ``arrange`` reorders the rows (:func:`~temporaltable.table.rows_at`)
+  and only re-checks whether they still run past-to-future.
 * ``mutate`` and ``transmute`` of non-key, non-index columns, ``select``
   keeping every key column, and left/inner ``join`` where each left row
   matches at most one right row keep the rows
@@ -21,6 +24,11 @@ Results keep the table's index adapter, even one since unregistered or
 replaced.  Only new index cells resolve theirs from the values: ``mutate`` or
 ``transmute`` of the index, right/full ``join``, and ``index_by`` to another
 granularity or through a callable.
+
+Grouping set by ``group_by`` or ``index_by`` persists through every verb
+that keeps or subsets rows (the first two kinds above); ``select`` and
+``transmute`` keep grouping columns the way ``select`` keeps the index.
+Results made by ``build`` are ungrouped.
 
 :func:`~temporaltable.table.validate_table` re-derives the whole contract
 from scratch and stays the oracle the test suite checks every result
@@ -44,16 +52,17 @@ from .errors import (
     ValidityError,
 )
 from .granularity import Granularity
+from .ingest import render_cell
 from .table import (
     Column,
     Grouping,
     TemporalTable,
     _sort_cell,
+    rows_at,
     take,
     with_columns,
 )
 from .timepoint import (
-    TimePoint,
     _require_granularity,
     floor_to,
     guess_granularity,
@@ -175,24 +184,11 @@ def arrange(t: TemporalTable, spec) -> VerbOutcome:
         values = t.columns[name].values
         order.sort(key=lambda i: _sort_cell(values[i]), reverse=(direction == "desc"))
 
-    data = {
-        name: Column(col.kind, [col.values[i] for i in order])
-        for name, col in t.columns.items()
-    }
-    out = TemporalTable(
-        data,
-        t.index,
-        t.key,
-        t.interval,
-        t.declared_regular,
-        t.adapter,
-        notes=t.notes,
-    )
+    out = rows_at(t, order)
     if out.is_canonical_order():
-        return VerbOutcome(out)
-    out.order_dirty = True
+        return VerbOutcome(replace(out, order_dirty=False))
     return VerbOutcome(
-        out,
+        replace(out, order_dirty=True),
         warnings=(
             "row order no longer runs past-to-future within keys; "
             "order-sensitive operations will re-sort",
@@ -206,19 +202,24 @@ def arrange(t: TemporalTable, spec) -> VerbOutcome:
 def select(t: TemporalTable, names) -> VerbOutcome:
     """Keep the named columns, preserving temporal semantics.
 
-    The index is retained implicitly (with a warning) when left out of a
-    selection that keeps every key column.  Key columns may be dropped as
-    long as the remaining key still identifies rows uniquely.
+    Grouping columns left out are retained implicitly (with a warning), and
+    so is the index when left out of a selection that keeps every key
+    column.  Key columns may be dropped as long as the remaining key still
+    identifies rows uniquely.
     """
     names = list(dict.fromkeys(names))
     for name in names:
         if name not in t.columns:
             raise SchemaError(f"no column named {name!r}")
     warnings = ()
+    dropped_groups = [c for c in (t.groups.by if t.groups else ()) if c not in names]
+    if dropped_groups:
+        names.extend(dropped_groups)
+        warnings = (f"grouping columns {dropped_groups} retained implicitly",)
     if t.index not in names:
         if all(k in names for k in t.key):
             names.append(t.index)
-            warnings = (f"index column {t.index!r} retained implicitly",)
+            warnings += (f"index column {t.index!r} retained implicitly",)
         else:
             raise SchemaError(
                 f"selection removes the index column {t.index!r}; include it, "
@@ -280,29 +281,15 @@ def mutate(t: TemporalTable, **exprs) -> VerbOutcome:
 
 
 def transmute(t: TemporalTable, **exprs) -> VerbOutcome:
-    """Like mutate, but keep only key, index, and the named results."""
+    """Like mutate, but keep only key, index, grouping columns and the
+    named results."""
     t = t.canonical()
-    keep = list(t.key) + [t.index] + [c for c in exprs if c not in t.key and c != t.index]
+    by = t.groups.by if t.groups else ()
+    keep = list(dict.fromkeys([*t.key, t.index, *by, *exprs]))
     return VerbOutcome(_derive(t, exprs, keep))
 
 
 # --- grouping verbs ---------------------------------------------------------
-
-
-def _with_groups(t: TemporalTable, groups: Grouping) -> TemporalTable:
-    out = TemporalTable(
-        t.columns,
-        t.index,
-        t.key,
-        t.interval,
-        t.declared_regular,
-        t.adapter,
-        groups=groups,
-        order_dirty=t.order_dirty,
-        notes=t.notes,
-    )
-    out._ticks = t._ticks
-    return out
 
 
 def group_by(t: TemporalTable, *columns) -> TemporalTable:
@@ -314,7 +301,7 @@ def group_by(t: TemporalTable, *columns) -> TemporalTable:
         if c == t.index:
             raise SchemaError(f"cannot group by the index column {c!r}; use index_by")
     base = t.groups or Grouping()
-    return _with_groups(t, replace(base, by=tuple(cols)))
+    return replace(t, groups=replace(base, by=tuple(cols)))
 
 
 def group_by_key(t: TemporalTable) -> TemporalTable:
@@ -374,7 +361,7 @@ def index_by(t: TemporalTable, spec, name: str | None = None) -> TemporalTable:
         index_values=tuple(derived),
         index_adapter=adapter,
     )
-    return _with_groups(t, groups)
+    return replace(t, groups=groups)
 
 
 def summarize(t: TemporalTable, **aggs) -> TemporalTable:
@@ -495,7 +482,7 @@ def spread(t: TemporalTable, key_col: str, value_col: str) -> VerbOutcome:
     if any(v is None for v in levels_raw):
         raise ValidityError(f"column {key_col!r} has missing levels; cannot spread")
     levels = sorted(set(levels_raw), key=_sort_cell)
-    names = [v.render() if isinstance(v, TimePoint) else str(v) for v in levels]
+    names = [render_cell(v) for v in levels]
     remaining = [c for c in t.columns if c not in (key_col, value_col)]
     for nm in names:
         if nm in remaining:

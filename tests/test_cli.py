@@ -37,6 +37,15 @@ def test_validate_summary(capsys):
     assert lines[1] == "# Key:       country, gender [6]"
 
 
+def test_validate_rejects_a_nan_key(capsys, tmp_path):
+    # "nan" reads as a float; two of them on one day once built two series.
+    p = tmp_path / "nan.csv"
+    p.write_text("k,t,v\nnan,2020-01-01,1\nnan,2020-01-01,2\n")
+    rc, out, err = run(capsys, "validate", str(p), "--index", "t", "--key", "k")
+    assert (rc, out) == (1, "")
+    assert err == "error: key column 'k' holds NaN at row 0\n"
+
+
 def test_print_matches_validate(capsys):
     rc1, out1, _ = run(capsys, "validate", TB, "--index", "year", "--key", "country,gender")
     rc2, out2, _ = run(capsys, "print", TB, "--index", "year", "--key", "country,gender")
@@ -219,6 +228,15 @@ def test_roll_usage_errors(capsys):
     rc, out, err = run(capsys, *base[:-2], "--op", "slide", "--fn", "mean:", "--size", "2")
     assert (rc, out) == (2, "")
     assert err.startswith("usage error: unknown aggregate 'mean:'")
+    # Window parts the op would ignore are refused before the CSV is read.
+    missing = ["roll", "no-such.csv", *base[2:]]
+    rc, out, err = run(capsys, *missing, "--op", "tile", "--size", "2", "--step", "3")
+    assert (rc, out) == (2, "")
+    assert err == "usage error: tile takes no step (its blocks follow each other), got 3\n"
+    for op, size in (("tile", "--size"), ("stretch", "--init")):
+        rc, out, err = run(capsys, *missing, "--op", op, size, "2", "--partial")
+        assert (rc, out) == (2, "")
+        assert err == f"usage error: {op} has no partial windows\n"
 
 
 def test_bad_time_format_flag(capsys):

@@ -277,6 +277,16 @@ def test_roll_by_key_argument_errors(tb):
         roll_by_key(tb, "count", "slide", sum, 2, as_name="count")
 
 
+@pytest.mark.parametrize("op, w, message", [
+    ("tile", Window(2, step=3), "tile takes no step"),
+    ("tile", Window(2, partial=True), "tile has no partial windows"),
+    ("stretch", Window(2, partial=True), "stretch has no partial windows"),
+])
+def test_roll_by_key_refuses_window_parts_the_op_ignores(tb, op, w, message):
+    with pytest.raises(PreconditionError, match=message):
+        roll_by_key(tb, "count", op, sum, w)
+
+
 def test_roll_by_key_parallel_matches_serial(tb):
     serial = roll_by_key(tb, "count", "slide", statistics.fmean, 2)
     threaded = roll_by_key(tb, "count", "slide", statistics.fmean, 2, workers=4)

@@ -16,8 +16,10 @@ from temporaltable import (
     DuplicateIndexError,
     Granularity,
     IndexAdapter,
+    SchemaError,
     ValidityError,
     build,
+    duplicates,
     fill_gaps,
     filter_index,
     gather,
@@ -178,23 +180,23 @@ def test_filter_turns_daily_into_every_other_day():
     assert_matches_build(out)
 
 
-def test_filter_dropping_a_nan_key_resorts_through_build():
-    # NaN compares false both ways, so build leaves 1.0 before 0.5 here; the
-    # subset without NaN must still come out sorted.
-    t = build({"k": [1.0, math.nan, 0.5], "t": [1, 1, 1]}, "t", ("k",))
-    assert t.column("k")[0] == 1.0
-    out = tfilter(t, lambda r: r["k"] == r["k"]).table
-    assert out.column("k") == [0.5, 1.0]
-    assert_matches_build(out)
+def test_build_rejects_a_nan_key():
+    # NaN compares false both ways, so it could neither sort nor tell two
+    # series apart; build names the column and the source row instead.
+    with pytest.raises(SchemaError, match=r"key column 'k' holds NaN at row 1"):
+        build({"k": [1.0, math.nan, 0.5], "t": [1, 1, 1]}, "t", ("k",))
+    # A verb writing NaN into a key goes through build and is refused too.
+    t = build({"k": ["a", "b"], "t": [1, 1]}, "t", ("k",))
+    with pytest.raises(SchemaError, match=r"key column 'k' holds NaN at row 1"):
+        mutate(t, k=lambda r: math.nan if r["k"] == "b" else 1.0)
+    # NaN in a measure column is an ordinary cell.
+    assert build({"k": [1.0, 0.5], "v": [math.nan, 1.0], "t": [1, 1]}, "t", ("k",)).nrows == 2
 
 
-def test_inner_join_on_a_nan_key_table_keeps_right_cells_with_their_rows():
-    # take re-sorts a subset of a NaN-key table through build; the joined
-    # cells must move with their rows.
-    t = build({"k": [1.0, math.nan, 0.5], "m": ["x", "y", "z"], "t": [1, 1, 1]}, "t", ("k",))
-    out = join(t, {"m": ["x", "z"], "w": [10, 30]}, "inner", by=["m"]).table
-    assert out.to_dict() == {"k": [0.5, 1.0], "m": ["z", "x"], "t": [1, 1], "w": [30, 10]}
-    assert_matches_build(out)
+def test_duplicates_rejects_a_nan_key():
+    # Two NaN cells on one day used to pass as two distinct series.
+    with pytest.raises(SchemaError, match=r"key column 'k' holds NaN at row 0"):
+        duplicates({"k": [math.nan, math.nan], "t": [1, 1]}, "t", ("k",))
 
 
 class EvenAdapter(IndexAdapter):
@@ -246,14 +248,9 @@ def kept_index(request):
         unregister_index_adapter("even")
 
 
-def _nan_key(t):
-    return mutate(t, k=lambda r: math.nan if r["k"] == "b" else 1.0).table
-
-
 KEEPING_VERBS = {
     "filter": lambda t: tfilter(t, lambda r: r["t"] > 2),
     "filter_to_zero_rows": lambda t: tfilter(t, lambda r: False),
-    "filter_on_nan_key": lambda t: tfilter(_nan_key(t), lambda r: r["t"] > 2),
     "select_keeping_key": lambda t: select(t, ["k", "t", "v"]),
     "select_dropping_key": lambda t: select(t, ["t", "v"]),
     "mutate_measure": lambda t: mutate(t, v=lambda r: -r["v"]),

@@ -1,4 +1,5 @@
 import statistics
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -352,6 +353,97 @@ def test_group_by_does_not_touch_rows(tb):
     assert_same_table(grouped, tb)
 
 
+# --- grouping persists -----------------------------------------------------
+
+
+def _sums_by(t, group, index, column):
+    """Brute-force totals of ``column`` per (group cell, rendered index cell)."""
+    totals = {}
+    for row in table_rows(t):
+        cell = row[index]
+        at = (row[group], cell.render() if isinstance(cell, tp.TimePoint) else cell)
+        totals[at] = totals.get(at, 0) + row[column]
+    return totals
+
+
+def test_group_by_then_filter_summarizes_per_group():
+    t = build({"k": ["a", "b", "a", "b"], "c": ["x", "y", "x", "y"], "t": [1, 1, 2, 2],
+               "v": [1, 2, 3, 4]}, "t", ("k",))
+    kept = tfilter(group_by(t, "c"), lambda r: True).table
+    assert kept.groups.by == ("c",)
+    out = summarize(kept, s=("sum", "v"))
+    assert out.to_dict() == {"c": ["x", "x", "y", "y"], "t": [1, 2, 1, 2], "s": [1, 3, 2, 4]}
+
+
+GROUP_KEEPING_VERBS = {
+    "filter": lambda t: tfilter(t, lambda r: r["count"] > 100),
+    "filter_index": lambda t: filter_index(t, "2012"),
+    "arrange": lambda t: arrange(t, [("count", "desc")]),
+    "mutate": lambda t: mutate(t, count=lambda r: r["count"] % 97),
+    "select": lambda t: select(t, ["continent", "count", "country", "gender"]),
+    "semi_join": lambda t: join(t, {"country": ["Australia", "New Zealand"]}, "semi"),
+}
+
+
+@pytest.mark.parametrize("verb", GROUP_KEEPING_VERBS.values(), ids=GROUP_KEEPING_VERBS.keys())
+def test_grouping_persists_through_row_keeping_verbs(tb, verb):
+    grouped = verb(group_by(tb, "continent")).table
+    assert grouped.groups.by == ("continent",)
+    out = summarize(grouped, s=("sum", "count"))
+    assert_same_table(out, summarize(group_by(verb(tb).table, "continent"), s=("sum", "count")))
+    expect = _sums_by(verb(tb).table, "continent", "year", "count")
+    assert _sums_by(out, "continent", "year", "s") == expect
+    assert out.nrows == len(expect)
+
+
+@pytest.fixture
+def monthly_panel():
+    months = [tp.month(2011, m) for m in (10, 11, 12)] + [tp.month(2012, m) for m in (1, 2)]
+    return build({"k": ["a"] * 5 + ["b"] * 5, "month": months * 2,
+                  "v": [1, 2, 3, 4, 5, 10, 20, 30, 40, 50]}, "month", ("k",))
+
+
+@pytest.mark.parametrize("verb", [
+    lambda t: tfilter(t, lambda r: r["v"] % 20 != 0),
+    lambda t: arrange(t, [("v", "desc")]),
+], ids=["filter", "arrange"])
+def test_index_by_persists_through_row_keeping_verbs(monthly_panel, verb):
+    moved = verb(index_by(monthly_panel, Granularity.YEAR)).table
+    assert moved.groups.index_name == "year"
+    out = summarize(moved, s=("sum", "v"))
+    direct = summarize(index_by(verb(monthly_panel).table, Granularity.YEAR), s=("sum", "v"))
+    assert_same_table(out, direct)
+    expect = {}
+    for row in table_rows(verb(monthly_panel).table):
+        year = row["month"].render()[:4]
+        expect[year] = expect.get(year, 0) + row["v"]
+    assert {r["year"].render(): r["s"] for r in table_rows(out)} == expect
+
+
+def test_select_and_transmute_retain_grouping_columns(tb):
+    grouped = group_by(tb, "continent")
+    out, warnings = select(grouped, ["country", "gender", "count"])
+    assert out.column_names == ["country", "gender", "count", "continent", "year"]
+    assert warnings == (
+        "grouping columns ['continent'] retained implicitly",
+        "index column 'year' retained implicitly",
+    )
+    assert out.groups.by == ("continent",)
+    out = transmute(grouped, twice=lambda r: 2 * r["count"]).table
+    assert out.column_names == ["country", "gender", "year", "continent", "twice"]
+    assert out.groups.by == ("continent",)
+
+
+def test_validate_table_checks_grouping(tb):
+    grouped = group_by(tb, "continent")
+    with pytest.raises(SchemaError, match="grouping column 'nope' missing"):
+        validate_table(replace(grouped, groups=replace(grouped.groups, by=("nope",))))
+    yearly = index_by(tb, Granularity.YEAR)
+    short = replace(yearly.groups, index_values=yearly.groups.index_values[1:])
+    with pytest.raises(ValidityError, match="11 cells for 12 rows"):
+        validate_table(replace(yearly, groups=short))
+
+
 # --- index_by ---------------------------------------------------------------
 
 
@@ -494,6 +586,14 @@ def test_spread_level_name_clash(tb):
     renamed = mutate(tb, gender=lambda r: "continent" if r["gender"] == "Female" else "g2")
     with pytest.raises(SchemaError, match="clashes"):
         spread(renamed.table, "gender", "count")
+
+
+def test_spread_names_level_columns_as_csv_cells():
+    t = build({"k": [True, False, True, False], "t": [1, 1, 2, 2], "v": [1, 2, 3, 4]},
+              "t", ("k",))
+    out = spread(t, "k", "v").table
+    assert out.column_names == ["t", "false", "true"]
+    assert out.column("true") == [1, 3]
 
 
 def test_spread_levels_appear_in_ascending_order():
