@@ -21,8 +21,8 @@ from .errors import (
     UsageError,
 )
 from .granularity import Granularity
-from .ingest import IngestConfig, ingest, table_to_csv, write_csv
-from .table import TemporalTable
+from .ingest import IngestConfig, ingest, read_cell, table_to_csv, write_csv
+from .table import TemporalTable, cell_kind
 from .timepoint import parse_timepoint
 
 _TIME_FORMATS = {g.value for g in Granularity} | {"guess"}
@@ -94,30 +94,24 @@ def _cmd_validate(args) -> int:
 
 
 def _fill_policy(t: TemporalTable, col: str, text: str):
-    """A constant of the column's kind when the text parses as one,
-    otherwise an aggregate name."""
+    """A constant of the column's kind when the text reads as one, the way
+    a CSV cell of that column is read, otherwise an aggregate name."""
     kind = t.kind_of(col)
-    if kind == "int":
-        try:
-            return int(text)
-        except ValueError:
-            pass
-    elif kind == "real":
-        try:
-            return float(text)
-        except ValueError:
-            pass
-    elif kind == "bool":
-        if text.lower() in ("true", "false"):
-            return text.lower() == "true"
-    elif kind == "time":
+    if kind == "text":
+        return text
+    if kind == "time":
         sample = next(v for v in t.column(col) if v is not None)
         try:
             return parse_timepoint(text, sample.granularity, sample.zone)
         except TemporalTableError:
             pass
     else:
-        return text
+        v = read_cell(text)
+        got = cell_kind(v)
+        if got == kind:
+            return v
+        if kind == "real" and got == "int":
+            return float(v)
     try:
         return aggregates.Aggregate(text)
     except TemporalTableError:
@@ -206,7 +200,8 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="build a table and report its summary")
+    p = sub.add_parser("validate", aliases=["print"],
+                       help="build a table and report its summary")
     _add_ingest_args(p)
     p.set_defaults(run=_cmd_validate)
 
@@ -241,10 +236,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--partial", action="store_true",
                    help="emit growing partial windows before the first full one")
     p.set_defaults(run=_cmd_roll)
-
-    p = sub.add_parser("print", help="alias of validate")
-    _add_ingest_args(p)
-    p.set_defaults(run=_cmd_validate)
 
     return parser
 

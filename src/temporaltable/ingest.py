@@ -116,6 +116,12 @@ def _infer_cells(cells):
     return [raw for _, raw in cells]
 
 
+def read_cell(text: str):
+    """``text`` typed as a one-cell CSV column: int, real, bool or text, and
+    None for the empty string."""
+    return _infer_cells([(1, text or None)])[0]
+
+
 def typed_columns(cfg: IngestConfig, header, rows) -> dict[str, list]:
     data = {}
     for j, name in enumerate(header):

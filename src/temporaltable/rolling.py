@@ -2,19 +2,27 @@
 
 slide moves an overlapping window, tile partitions into blocks, stretch
 grows a prefix from a fixed start.  All three apply a caller-supplied pure
-function to plain list windows and return a list of results.  The typed
-variants additionally pin the result cell kind.  roll_by_key runs a window
-op within each key group of a table, optionally across worker threads.
+function to plain list windows and return a list of results.
+
+One engine serves every entry point: :func:`check_window` turns the
+caller's window into a :class:`Window` fit for the op (tile's block size is
+``Window(size)``, stretch's prefix is ``Window(init, step)``), and
+``_spans`` lists each window as a (start, stop) slice.  The free functions
+apply f through ``_roll``; roll_by_key runs the same spans within each key
+group of a table, optionally across worker threads.  The typed variants
+(``slide_int`` ... ``stretch_text``) check every result against one of the
+table's cell kinds.
 """
 
 from __future__ import annotations
 
+import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import PreconditionError, SchemaError, TypedResultError, UnsupportedOperationError
 from .gaps import require_gapless
-from .table import TemporalTable, key_groups, with_columns
+from .table import TemporalTable, cell_kind, key_groups, with_columns
 
 
 def _positive_int(n, what: str) -> int:
@@ -41,30 +49,46 @@ class Window:
         _positive_int(self.step, "window step")
 
 
-def _as_window(w) -> Window:
-    if isinstance(w, Window):
-        return w
-    return Window(_positive_int(w, "window size"))
+_OPS = ("slide", "tile", "stretch")
 
 
-def _slide_spans(n: int, w: Window) -> list[tuple[int, int]]:
-    spans = []
-    if w.partial:
-        for s in range(1, min(w.size - 1, n) + 1):
-            spans.append((0, s))
-    end = w.size
-    while end <= n:
-        spans.append((end - w.size, end))
-        end += w.step
-    return spans
+def check_window(op: str, w) -> Window:
+    """``w`` (a :class:`Window` or a size) as a :class:`Window` for ``op``,
+    refused when ``op`` would ignore part of it: tile has no step and
+    neither tile nor stretch has partial windows."""
+    if op not in _OPS:
+        raise PreconditionError(f"op must be one of {_OPS}, got {op!r}")
+    if not isinstance(w, Window):
+        w = Window(w)
+    if op == "tile" and w.step != 1:
+        raise PreconditionError(f"tile takes no step (its blocks follow each other), got {w.step}")
+    if op != "slide" and w.partial:
+        raise PreconditionError(f"{op} has no partial windows")
+    return w
 
 
-def _tile_spans(n: int, size: int) -> list[tuple[int, int]]:
-    return [(a, min(a + size, n)) for a in range(0, n, size)]
+def _spans(op: str, n: int, w: Window) -> list[tuple[int, int]]:
+    """The (start, stop) slice of each window of ``op`` over ``n`` items, in
+    output order.  ``w`` must have passed :func:`check_window` for ``op``."""
+    if op == "tile":
+        return [(a, min(a + w.size, n)) for a in range(0, n, w.size)]
+    ends = range(w.size, n + 1, w.step)
+    if op == "stretch":
+        return [(0, b) for b in ends]
+    prefixes = [(0, b) for b in range(1, min(w.size - 1, n) + 1)] if w.partial else []
+    return prefixes + [(b - w.size, b) for b in ends]
 
 
-def _stretch_spans(n: int, init: int, step: int) -> list[tuple[int, int]]:
-    return [(0, end) for end in range(init, n + 1, step)]
+def _roll(op: str, lists, f, w) -> list:
+    """f applied position-wise to the windows of equal-length ``lists``."""
+    w = check_window(op, w)
+    lists = [list(xs) for xs in lists]
+    if not lists:
+        raise PreconditionError("pslide needs at least one input sequence")
+    lengths = {len(xs) for xs in lists}
+    if len(lengths) > 1:
+        raise PreconditionError(f"input lengths differ: {sorted(lengths)}")
+    return [f(*[xs[a:b] for xs in lists]) for a, b in _spans(op, lengths.pop(), w)]
 
 
 def slide(xs, f, w) -> list:
@@ -73,143 +97,63 @@ def slide(xs, f, w) -> list:
     Complete-only output length is max(0, (n - size) // step + 1); a window
     larger than the input yields an empty list, not an error.
     """
-    w = _as_window(w)
-    xs = list(xs)
-    return [f(xs[a:b]) for a, b in _slide_spans(len(xs), w)]
+    return _roll("slide", [xs], f, w)
 
 
 def tile(xs, f, size: int) -> list:
     """Apply f to consecutive non-overlapping blocks; the trailing short
     block is passed to f as-is."""
-    size = _positive_int(size, "tile size")
-    xs = list(xs)
-    return [f(xs[a:b]) for a, b in _tile_spans(len(xs), size)]
+    return _roll("tile", [xs], f, Window(size))
 
 
 def stretch(xs, f, init: int = 1, step: int = 1) -> list:
     """Apply f to growing prefixes of lengths init, init+step, ... <= n."""
-    init = _positive_int(init, "initial length")
-    step = _positive_int(step, "stretch step")
-    xs = list(xs)
-    return [f(xs[a:b]) for a, b in _stretch_spans(len(xs), init, step)]
+    return _roll("stretch", [xs], f, Window(init, step))
 
 
 def slide2(xs, ys, f, w) -> list:
     """slide over two equal-length inputs; f sees both windows."""
-    return pslide([xs, ys], f, w)
+    return _roll("slide", [xs, ys], f, w)
 
 
 def pslide(lists, f, w) -> list:
     """slide over any number of equal-length inputs, windows position-wise."""
-    w = _as_window(w)
-    lists = [list(xs) for xs in lists]
-    if not lists:
-        raise PreconditionError("pslide needs at least one input sequence")
-    lengths = {len(xs) for xs in lists}
-    if len(lengths) > 1:
-        raise PreconditionError(f"input lengths differ: {sorted(lengths)}")
-    n = lengths.pop()
-    return [f(*(xs[a:b] for xs in lists)) for a, b in _slide_spans(n, w)]
+    return _roll("slide", lists, f, w)
 
 
 # --- typed variants ---------------------------------------------------------
 
 
-def _coerced(kind: str, out: list) -> list:
-    checked = []
-    for pos, v in enumerate(out):
-        ok = False
-        if kind == "bool":
-            ok = isinstance(v, bool)
-        elif kind == "int":
-            ok = isinstance(v, int) and not isinstance(v, bool)
-        elif kind == "real":
-            if isinstance(v, (int, float)) and not isinstance(v, bool):
-                v = float(v)
-                ok = True
-        elif kind == "text":
-            ok = isinstance(v, str)
-        if not ok:
-            raise TypedResultError(
-                f"window result at position {pos} is {v!r}, not {kind}"
-            )
-        checked.append(v)
-    return checked
+def _typed(op, kind: str):
+    """``op`` with every result checked to be a ``kind`` cell; an int result
+    of a real variant widens to float."""
+
+    @functools.wraps(op)
+    def typed(*args, **kwargs):
+        out = op(*args, **kwargs)
+        for pos, v in enumerate(out):
+            try:
+                got = cell_kind(v)
+            except SchemaError:  # not a cell value at all
+                got = None
+            if got != kind and not (kind == "real" and got == "int"):
+                raise TypedResultError(f"window result at position {pos} is {v!r}, not {kind}")
+            if kind == "real":
+                out[pos] = float(v)
+        return out
+
+    typed.__name__ = typed.__qualname__ = f"{op.__name__}_{kind}"
+    typed.__doc__ = f"{op.__name__} whose results must all be {kind} cells."
+    return typed
 
 
-def slide_int(xs, f, w):
-    return _coerced("int", slide(xs, f, w))
-
-
-def slide_real(xs, f, w):
-    return _coerced("real", slide(xs, f, w))
-
-
-def slide_bool(xs, f, w):
-    return _coerced("bool", slide(xs, f, w))
-
-
-def slide_text(xs, f, w):
-    return _coerced("text", slide(xs, f, w))
-
-
-def tile_int(xs, f, size):
-    return _coerced("int", tile(xs, f, size))
-
-
-def tile_real(xs, f, size):
-    return _coerced("real", tile(xs, f, size))
-
-
-def tile_bool(xs, f, size):
-    return _coerced("bool", tile(xs, f, size))
-
-
-def tile_text(xs, f, size):
-    return _coerced("text", tile(xs, f, size))
-
-
-def stretch_int(xs, f, init=1, step=1):
-    return _coerced("int", stretch(xs, f, init, step))
-
-
-def stretch_real(xs, f, init=1, step=1):
-    return _coerced("real", stretch(xs, f, init, step))
-
-
-def stretch_bool(xs, f, init=1, step=1):
-    return _coerced("bool", stretch(xs, f, init, step))
-
-
-def stretch_text(xs, f, init=1, step=1):
-    return _coerced("text", stretch(xs, f, init, step))
+_TYPED_KINDS = ("int", "real", "bool", "text")
+slide_int, slide_real, slide_bool, slide_text = (_typed(slide, k) for k in _TYPED_KINDS)
+tile_int, tile_real, tile_bool, tile_text = (_typed(tile, k) for k in _TYPED_KINDS)
+stretch_int, stretch_real, stretch_bool, stretch_text = (_typed(stretch, k) for k in _TYPED_KINDS)
 
 
 # --- keyed rolling ----------------------------------------------------------
-
-_OPS = ("slide", "tile", "stretch")
-
-
-def check_window(op: str, w) -> Window:
-    """``w`` as a :class:`Window` for ``op``, refused when ``op`` would ignore
-    part of it: tile has no step and neither tile nor stretch has partial
-    windows."""
-    if op not in _OPS:
-        raise PreconditionError(f"op must be one of {_OPS}, got {op!r}")
-    w = _as_window(w)
-    if op == "tile" and w.step != 1:
-        raise PreconditionError(f"tile takes no step (its blocks follow each other), got {w.step}")
-    if op != "slide" and w.partial:
-        raise PreconditionError(f"{op} has no partial windows")
-    return w
-
-
-def _spans_for(op: str, n: int, w: Window) -> list[tuple[int, int]]:
-    if op == "slide":
-        return _slide_spans(n, w)
-    if op == "tile":
-        return _tile_spans(n, w.size)
-    return _stretch_spans(n, w.size, w.step)
 
 
 def roll_by_key(
@@ -250,7 +194,7 @@ def roll_by_key(
     def one_group(r: range) -> list:
         vals = values[r.start : r.stop]
         out = [None] * len(vals)
-        for a, b in _spans_for(op, len(vals), w):
+        for a, b in _spans(op, len(vals), w):
             out[b - 1] = f(vals[a:b])
         return out
 

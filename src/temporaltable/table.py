@@ -64,8 +64,9 @@ _KIND_OF_TYPE = {
 }
 
 
-def infer_kind(values: Sequence) -> str:
-    """Column kind from its values; int and real mix promotes to real."""
+def infer_kind(values: Sequence, empty: str = "text") -> str:
+    """Column kind from its values; int and real mix promotes to real.  A
+    column with no present cell has the kind ``empty``."""
     types = set(map(type, values))
     if types.issubset(_KIND_OF_TYPE):
         kinds = {_KIND_OF_TYPE[tp] for tp in types}
@@ -75,7 +76,7 @@ def infer_kind(values: Sequence) -> str:
         kinds = {cell_kind(v) for v in values}
     kinds.discard(None)
     if not kinds:
-        return "text"
+        return empty
     if len(kinds) == 1:
         return kinds.pop()
     if kinds == {"int", "real"}:
@@ -325,9 +326,10 @@ def _prepare(
     return columns, key, adapter, ticks, _key_notes(columns, key)
 
 
-def _typed_column(name: str, values: list) -> Column:
-    """A non-index column with its kind inferred from its values."""
-    kind = infer_kind(values)
+def _typed_column(name: str, values: list, empty: str = "text") -> Column:
+    """A non-index column with its kind inferred from its values (``empty``
+    when no cell is present)."""
+    kind = infer_kind(values, empty)
     if kind == "time":
         _check_time_column(name, values)
     return Column(kind, values)
@@ -466,12 +468,14 @@ def take(t: TemporalTable, rows: Sequence[int]) -> TemporalTable:
     """The rows at ascending positions ``rows`` of ``t``.
 
     A subset keeps the order and uniqueness of ``t``, its index adapter
-    (also when empty) and its grouping.  Column kinds, key notes and the
-    interval are re-inferred on the subset.
+    (also when empty) and its grouping.  Key notes, the interval and the
+    kind of each column that still holds a present cell are re-inferred on
+    the subset; a column left with no present cell (every column of an
+    empty subset) keeps its kind in ``t``, since no cell is left to type it.
     """
     out = rows_at(t, rows)
     columns = {
-        name: col if name == t.index else _typed_column(name, col.values)
+        name: col if name == t.index else _typed_column(name, col.values, col.kind)
         for name, col in out.columns.items()
     }
     interval = _infer_for(columns, t.key, out.ticks(), t.adapter, t.declared_regular)

@@ -125,10 +125,12 @@ def test_gaps_fill_default_leaves_missing(capsys, gappy_csv):
     assert "A,3,,\n" in out
 
 
-def test_gaps_fill_constant_must_fit_kind(capsys, gappy_csv):
+# A constant is read the way a CSV cell is: "1_000" and " 5" are reals there.
+@pytest.mark.parametrize("fill", ["v=zero", "v=1_000", "v= 5"])
+def test_gaps_fill_constant_must_fit_kind(capsys, gappy_csv, fill):
     rc, out, err = run(capsys, "gaps", "fill", gappy_csv, "--index", "t",
                        "--key", "k", "--time-format", "t=ordinal",
-                       "--fill-with", "v=zero")
+                       "--fill-with", fill)
     assert rc == 2
     assert "usage error" in err
 

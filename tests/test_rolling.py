@@ -1,4 +1,6 @@
+import inspect
 import statistics
+from decimal import Decimal
 
 import pytest
 
@@ -159,18 +161,19 @@ def test_slide2_equals_pslide():
 
 
 def test_window_rejects_bad_shapes():
+    size_error = "window size must be a positive integer"
     for bad in (0, -1, 1.5, True, "2"):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match=size_error):
             Window(bad)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match=size_error):
             slide([1], sum, bad)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="window step must be a positive integer"):
         Window(2, step=0)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match=size_error):
         tile([1], sum, 0)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match=size_error):
         stretch([1], sum, init=0)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="window step must be a positive integer"):
         stretch([1], sum, step=0)
 
 
@@ -204,6 +207,22 @@ def test_typed_mismatch_names_position():
         slide_text([1, 2], sum, 2)
     with pytest.raises(TypedResultError):
         slide_real([1, 2], lambda w: "x", 2)
+
+
+@pytest.mark.parametrize("base", [slide, tile, stretch])
+@pytest.mark.parametrize("kind", ["int", "real", "bool", "text"])
+def test_typed_variants_keep_their_base_signature(base, kind):
+    typed = getattr(rolling, f"{base.__name__}_{kind}")
+    assert typed.__name__ == f"{base.__name__}_{kind}"
+    params = inspect.signature(typed).parameters
+    assert [(p.name, p.default) for p in params.values()] == [
+        (p.name, p.default) for p in inspect.signature(base).parameters.values()
+    ]
+
+
+def test_typed_unsupported_result_names_position():
+    with pytest.raises(TypedResultError, match=r"position 1 is Decimal\('3'\), not real"):
+        slide_real([1, 2, 3], lambda w: Decimal(w[-1]) if w[-1] == 3 else sum(w), 2)
 
 
 # --- roll_by_key ------------------------------------------------------------

@@ -45,10 +45,22 @@ from temporaltable.interval import Interval
 KEY_COLUMNS = ("k_int", "k_real", "k_text")
 
 
-def assert_matches_build(out):
+def assert_matches_build(out, parent=None):
+    """``out`` equals a fresh build of its rows.  With ``parent`` (the table a
+    row subset came from), a column other than the index left with no
+    present cell must keep its kind in ``parent``, where build would type it
+    "text"; every other column has build's kind."""
     ref = build(out.to_dict(), out.index, out.key, out.declared_regular, adapter=out.adapter)
     assert out.to_dict() == ref.to_dict()
-    assert out.schema == ref.schema
+    expected = ref.schema
+    if parent is not None:
+        expected = [
+            (name, parent.kind_of(name))
+            if name != out.index and all(v is None for v in out.column(name))
+            else (name, kind)
+            for name, kind in expected
+        ]
+    assert out.schema == expected
     assert out.interval == ref.interval
     assert out.notes == ref.notes
     assert out.ticks() == ref.ticks()
@@ -99,21 +111,25 @@ def tables(draw):
 def test_row_subset_verbs_match_build(t, data):
     keep = data.draw(st.sets(st.integers(1, t.nrows or 1)))
     out = tfilter(t, lambda r: r["rid"] in keep).table
-    assert_matches_build(out)
+    assert_matches_build(out, parent=t)
     assert [r["rid"] for r in out.rows()] == [r["rid"] for r in t.rows() if r["rid"] in keep]
 
     lo, hi = sorted(data.draw(st.lists(st.integers(0, 40), min_size=2, max_size=2)))
     if t.nrows:
         window = f"{t.adapter.render(t.adapter.from_ticks(lo))} ~ {t.adapter.render(t.adapter.from_ticks(hi))}"
         out = filter_index(t, window).table
-        assert_matches_build(out)
+        assert_matches_build(out, parent=t)
         assert out.ticks() == [tk for tk in t.ticks() if lo <= tk <= hi]
 
     right = {"m_text": ["x", "z", None], "w": [1.5, 2, None]}
-    for kind in ("semi", "anti", "left", "inner"):
+    for kind in ("semi", "anti"):
         out = join(t, right, kind, by=["m_text"]).table
-        assert_matches_build(out)
+        assert_matches_build(out, parent=t)
     left = join(t, right, "left", by=["m_text"]).table
+    assert_matches_build(left)
+    # inner keeps a subset of the left join's rows, right-hand column included.
+    out = join(t, right, "inner", by=["m_text"]).table
+    assert_matches_build(out, parent=left)
     lookup = dict(zip(right["m_text"], right["w"]))
     assert left.column("w") == [lookup.get(v) for v in t.column("m_text")]
 
@@ -152,7 +168,27 @@ def test_filter_to_zero_rows():
     assert out.interval == Interval.unknown()
     assert type(out.adapter) is TimeIndex
     assert out.kind_of("t") == "time"
-    assert_matches_build(out)
+    assert out.kind_of("v") == "real"
+    assert_matches_build(out, parent=t)
+
+
+def test_empty_subset_keeps_a_numeric_column_rollable():
+    t = build({"t": [1, 2, 3], "v": [4, 5, 6]}, "t")
+    empty = tfilter(t, lambda r: False).table
+    assert empty.kind_of("v") == "int"
+    out = roll_by_key(empty, "v", "slide", sum, 2)
+    assert out.nrows == 0
+    assert out.column("v_slide") == []
+
+
+def test_column_left_all_missing_gathers_with_its_kind():
+    t = build({"t": [1, 2, 3], "a": [1, 2, 3], "b": [None, None, 7]}, "t")
+    out = tfilter(t, lambda r: r["b"] is None).table
+    assert out.kind_of("b") == "int"
+    long = gather(out, "which", "value", ["a", "b"]).table
+    assert long.kind_of("value") == "int"
+    assert long.column("which") == ["a", "a", "b", "b"]
+    assert long.column("value") == [1, 2, None, None]
 
 
 def test_real_column_subset_of_ints_becomes_int():
