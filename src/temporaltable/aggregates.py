@@ -1,6 +1,7 @@
 """The fixed aggregation vocabulary: sum, mean, min, max, count, quantile:p.
 
-Shared by summarize, the gap-fill policies, and the rolling CLI command.
+Shared by summarize, the gap-fill policies, and roll_by_key (which runs
+sum, mean, count, min and max as running kernels over its windows).
 Aggregates skip missing cells.  An empty pool yields a missing result,
 except count, which yields 0.
 """
@@ -53,6 +54,16 @@ def parse_spec(spec: str) -> tuple[str, float | None]:
             "sum, mean, min, max, count, quantile:p"
         )
     return name, None
+
+
+def result_kind(name: str, input_kind: str) -> str:
+    """Kind of the column that aggregate ``name`` makes from a column of
+    ``input_kind``: what a result column with no present cell is typed."""
+    if name == "count":
+        return "int"
+    if name in ("mean", "quantile"):
+        return "real"
+    return input_kind
 
 
 def quantile(values, p: float) -> float:

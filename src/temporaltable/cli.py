@@ -184,9 +184,7 @@ def _cmd_roll(args) -> int:
     except PreconditionError as exc:
         raise UsageError(str(exc)) from None
     t = ingest(_config(args))
-    result = rolling.roll_by_key(
-        t, args.col, args.op, lambda win: aggregates.apply(args.fn, win), w
-    )
+    result = rolling.roll_by_key(t, args.col, args.op, args.fn, w)
     table_to_csv(result, sys.stdout)
     return 0
 

@@ -12,17 +12,28 @@ apply f through ``_roll``; roll_by_key runs the same spans within each key
 group of a table, optionally across worker threads.  The typed variants
 (``slide_int`` ... ``stretch_text``) check every result against one of the
 table's cell kinds.
+
+roll_by_key also takes an aggregate spec in place of f.  Sum, mean and
+count then come from exact prefix totals and min and max from a monotonic
+deque, in O(n) per series whatever the window size; quantile, and a series
+these kernels cannot treat exactly (inf, nan), apply the spec to each
+sliced window as a callable f does.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+import operator
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import accumulate
 
+from . import aggregates
 from .errors import PreconditionError, SchemaError, TypedResultError, UnsupportedOperationError
 from .gaps import require_gapless
-from .table import TemporalTable, cell_kind, key_groups, with_columns
+from .table import TemporalTable, _typed_column, cell_kind, key_groups, with_columns
 
 
 def _positive_int(n, what: str) -> int:
@@ -153,6 +164,98 @@ tile_int, tile_real, tile_bool, tile_text = (_typed(tile, k) for k in _TYPED_KIN
 stretch_int, stretch_real, stretch_bool, stretch_text = (_typed(stretch, k) for k in _TYPED_KINDS)
 
 
+# --- running kernels --------------------------------------------------------
+#
+# A kernel turns one series ``vals`` and its window spans into the results
+# of a named aggregate in O(n) whatever the window size, or returns None
+# when the series holds a cell it cannot treat exactly; that series then
+# slices every window.
+
+
+def _sums(name: str, vals: list, spans):
+    """Count, sum or mean of the present cells of each span.
+
+    Every finite float is an integer over a power of two, so over one
+    common denominator a series sums exactly in ints, and each window is
+    the difference of two prefix totals.  Int true division rounds
+    correctly, so a window holding a float sums to ``math.fsum`` of its
+    cells and means to ``statistics.fmean`` of them, bit for bit.  Windows
+    of int cells sum to their exact int total.  A series whose absolute
+    total reaches 2**1023 (inf, nan, an int too large for a float) is left
+    to slicing: below that bound neither these totals nor fsum over any of
+    its windows can overflow.
+    """
+    count = list(accumulate((v is not None for v in vals), initial=0))
+    if name == "count":
+        return (count[b] - count[a] for a, b in spans)
+    try:
+        safe = math.fsum(abs(v) for v in vals if v is not None) < 2.0**1023
+    except OverflowError:
+        safe = False
+    if not safe:
+        return None
+    # fsum reads an int cell as float(cell); so does the float total.
+    ratios = [(0, 1) if v is None else float(v).as_integer_ratio() for v in vals]
+    scale = max(d for _, d in ratios)
+    total = list(accumulate((n * (scale // d) for n, d in ratios), initial=0))
+    if name == "mean":
+        return (
+            (total[b] - total[a]) / scale / (count[b] - count[a]) if count[b] > count[a] else None
+            for a, b in spans
+        )
+    floats = list(accumulate((isinstance(v, float) for v in vals), initial=0))
+    ints = list(accumulate((v if isinstance(v, int) else 0 for v in vals), initial=0))
+    return (
+        None if count[b] == count[a]
+        else (total[b] - total[a]) / scale if floats[b] > floats[a]
+        else ints[b] - ints[a]
+        for a, b in spans
+    )
+
+
+def _extremes(name: str, vals: list, spans):
+    """Min or max of the present cells of each span: a monotonic deque of
+    positions (Lemire 2006) whose front is the window's extreme.  A cell
+    pops only strictly worse ones, so the front is the earliest of equal
+    extremes, as builtin min and max return.  nan orders against nothing,
+    so a series holding one is left to slicing."""
+    if any(v != v for v in vals):
+        return None
+    worse = operator.gt if name == "min" else operator.lt
+
+    def results():
+        best: deque = deque()
+        hi = 0
+        for a, b in spans:
+            while best and best[0] < a:
+                best.popleft()
+            for i in range(max(hi, a), b):
+                v = vals[i]
+                if v is not None:
+                    while best and worse(vals[best[-1]], v):
+                        best.pop()
+                    best.append(i)
+            hi = b
+            yield vals[best[0]] if best else None
+
+    return results()
+
+
+_KERNELS = {"count": _sums, "sum": _sums, "mean": _sums, "min": _extremes, "max": _extremes}
+
+
+def _window_sum(window):
+    """A sliced window's sum: ``math.fsum`` of its present cells when one is
+    a float (what the running kernel gives), else, or where fsum raises on
+    an overflow or on inf and -inf, ``aggregates.apply``."""
+    if any(isinstance(v, float) for v in window):
+        try:
+            return math.fsum(v for v in window if v is not None)
+        except (OverflowError, ValueError):
+            pass
+    return aggregates.apply("sum", window)
+
+
 # --- keyed rolling ----------------------------------------------------------
 
 
@@ -166,6 +269,16 @@ def roll_by_key(
     workers: int | None = None,
 ) -> TemporalTable:
     """Run a window op over one column within each key group.
+
+    ``f`` is a function of a window's list of cells, or an aggregate spec
+    (``"mean"``, ``"quantile:0.9"``; see :mod:`.aggregates`).  The spec is
+    parsed once; sum, mean, count, min and max then run as running kernels
+    in O(n) per series whatever the window size, while quantile, and a
+    series holding inf or nan, apply the spec to each sliced window.
+    Results equal ``aggregates.apply`` on each window, except that the sum
+    of a window holding a float cell is ``math.fsum`` of its cells, the
+    correctly rounded sum.  A spec's result column with no present cell
+    takes the kind of :func:`.aggregates.result_kind`.
 
     Appends a result column aligned to each window's last row; rows that end
     no window hold a missing marker.  The table must be gap-free: rolling
@@ -185,30 +298,37 @@ def roll_by_key(
             "rolling over an irregular table is not meaningful; "
             "aggregate it to a regular interval first"
         )
+    kernel, empty_kind = None, "text"
+    if isinstance(f, str):
+        spec, agg = f, aggregates.parse_spec(f)[0]
+        empty_kind = aggregates.result_kind(agg, t.kind_of(column))
+        if agg in _KERNELS:
+            kernel = functools.partial(_KERNELS[agg], agg)
+        f = _window_sum if agg == "sum" else lambda window: aggregates.apply(spec, window)
     t = t.canonical()
     require_gapless(t)
 
-    groups = key_groups(t)
     values = t.columns[column].values
+    rolled = [None] * t.nrows
 
-    def one_group(r: range) -> list:
+    def one_group(r: range) -> None:
         vals = values[r.start : r.stop]
-        out = [None] * len(vals)
-        for a, b in _spans(op, len(vals), w):
-            out[b - 1] = f(vals[a:b])
-        return out
+        spans = _spans(op, len(vals), w)
+        results = kernel(vals, spans) if kernel else None
+        if results is None:
+            results = (f(vals[a:b]) for a, b in spans)
+        for (_, b), v in zip(spans, results):
+            rolled[r.start + b - 1] = v
 
+    groups = [r for _, r in key_groups(t)]
     if workers and workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(one_group, (r for _, r in groups)))
+            list(pool.map(one_group, groups))
     else:
-        parts = [one_group(r) for _, r in groups]
-
-    rolled: list = []
-    for part in parts:
-        rolled.extend(part)
+        for r in groups:
+            one_group(r)
 
     name = as_name or f"{column}_{op}"
     if name in t.columns:
         raise SchemaError(f"column {name!r} already exists; pass as_name")
-    return with_columns(t, {**t.columns, name: rolled})
+    return with_columns(t, {**t.columns, name: _typed_column(name, rolled, empty_kind)})

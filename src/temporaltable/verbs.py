@@ -58,6 +58,7 @@ from .table import (
     Grouping,
     TemporalTable,
     _sort_cell,
+    _typed_column,
     rows_at,
     take,
     with_columns,
@@ -370,15 +371,20 @@ def summarize(t: TemporalTable, **aggs) -> TemporalTable:
     Each keyword maps an output column to a ``(spec, column)`` pair, with
     spec from the fixed vocabulary (sum, mean, min, max, count, quantile:p).
     The result's key is the grouping columns; without group_by the key
-    columns are dropped and the table collapses to one series.
+    columns are dropped and the table collapses to one series.  An
+    aggregate column with no present cell (an empty table, or only missing
+    cells) has the kind :func:`~temporaltable.aggregates.result_kind`
+    declares for its spec and input column.
     """
     t = t.canonical()
     grouping = t.groups or Grouping()
+    kinds = {}
     for out_name, pair in aggs.items():
         spec, col = pair
-        aggregates.parse_spec(spec)
+        agg = aggregates.parse_spec(spec)[0]
         if col not in t.columns:
             raise SchemaError(f"aggregation over unknown column {col!r}")
+        kinds[out_name] = aggregates.result_kind(agg, t.kind_of(col))
 
     if grouping.index_name:
         idx_name = grouping.index_name
@@ -413,7 +419,12 @@ def summarize(t: TemporalTable, **aggs) -> TemporalTable:
         for out_name, (spec, col) in aggs.items():
             out[out_name].append(aggregates.apply(spec, [t.columns[col].values[i] for i in rows]))
 
-    return table.build(out, idx_name, tuple(by), t.declared_regular, adapter=idx_adapter)
+    result = table.build(out, idx_name, tuple(by), t.declared_regular, adapter=idx_adapter)
+    # An aggregate column with no present cell takes its declared kind.
+    return with_columns(result, {
+        name: _typed_column(name, col.values, kinds[name]) if name in kinds else col
+        for name, col in result.columns.items()
+    })
 
 
 # --- reshaping verbs --------------------------------------------------------

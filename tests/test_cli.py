@@ -1,6 +1,8 @@
 import pytest
 
+from temporaltable import Window, aggregates, roll_by_key
 from temporaltable.cli import main
+from temporaltable.ingest import IngestConfig, ingest, table_to_csv
 from conftest import DATA
 
 TB = str(DATA / "tuberculosis.csv")
@@ -206,6 +208,27 @@ def test_roll_stretch_accepts_init(capsys):
     assert out.splitlines()[2].endswith(",245")
 
 
+def test_roll_float_sum_is_correctly_rounded(capsys, tmp_path):
+    p = tmp_path / "cancel.csv"
+    p.write_text("t,v\n1,1e16\n2,1.0\n3,-1e16\n")
+    rc, out, err = run(capsys, "roll", str(p), "--index", "t", "--time-format", "t=ordinal",
+                       "--op", "slide", "--col", "v", "--fn", "sum", "--size", "3")
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[-1] == "3,-1e+16,1.0"
+
+
+@pytest.mark.parametrize("spec", ["quantile:0.5", "max"])
+def test_roll_named_aggregate_matches_apply(capsys, spec):
+    rc, out, err = run(capsys, "roll", TB, "--index", "year", "--key", "country,gender",
+                       "--op", "slide", "--col", "count", "--fn", spec, "--size", "2",
+                       "--partial")
+    assert (rc, err) == (0, "")
+    t = ingest(IngestConfig(TB, "year", ("country", "gender")))
+    want = roll_by_key(t, "count", "slide", lambda w: aggregates.apply(spec, w),
+                       Window(2, partial=True))
+    assert out == table_to_csv(want)
+
+
 def test_roll_gappy_input_fails(capsys, gappy_csv):
     rc, out, err = run(capsys, "roll", gappy_csv, "--index", "t", "--key", "k",
                        "--time-format", "t=ordinal",
@@ -239,6 +262,10 @@ def test_roll_usage_errors(capsys):
         rc, out, err = run(capsys, *missing, "--op", op, size, "2", "--partial")
         assert (rc, out) == (2, "")
         assert err == f"usage error: {op} has no partial windows\n"
+    # So is a bad aggregate spec.
+    rc, out, err = run(capsys, *missing[:-1], "median", "--op", "slide", "--size", "2")
+    assert (rc, out) == (2, "")
+    assert err.startswith("usage error: unknown aggregate 'median'")
 
 
 def test_bad_time_format_flag(capsys):

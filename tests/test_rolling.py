@@ -1,11 +1,14 @@
 import inspect
+import math
 import statistics
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from temporaltable import (
     GapError,
+    aggregates,
     PreconditionError,
     SchemaError,
     TypedResultError,
@@ -329,3 +332,138 @@ def test_roll_by_key_keeps_interval_and_rows(tb):
     assert out.nrows == tb.nrows
     for name in tb.column_names:
         assert out.column(name) == tb.column(name)
+
+
+# --- roll_by_key with an aggregate spec -------------------------------------
+
+SPECS = ("sum", "mean", "count", "min", "max", "quantile:0.5")
+
+
+def reference(spec, window):
+    """What a spec gives on one window: ``aggregates.apply``, except that a
+    sum over a float cell is ``math.fsum`` of the present cells (where fsum
+    succeeds)."""
+    pool = [v for v in window if v is not None]
+    if spec == "sum" and any(isinstance(v, float) for v in pool):
+        try:
+            return math.fsum(pool)
+        except (OverflowError, ValueError):
+            pass
+    return aggregates.apply(spec, window)
+
+
+def same_cells(got, want):
+    # repr tells nan, -0.0 and 1 from 1.0 apart.
+    return [(type(v), repr(v)) for v in got] == [(type(v), repr(v)) for v in want]
+
+
+@st.composite
+def rolls(draw, cells):
+    """A table of 1-3 series of drawn cells, and an op with its window."""
+    series = draw(st.lists(st.lists(cells, min_size=1, max_size=20), min_size=1, max_size=3))
+    if all(v is None for xs in series for v in xs):
+        series[0][0] = draw(cells.filter(lambda v: v is not None))
+    t = build(
+        {
+            "k": [i for i, xs in enumerate(series) for _ in xs],
+            "t": [j for xs in series for j in range(len(xs))],
+            "v": [v for xs in series for v in xs],
+        },
+        "t",
+        ("k",),
+    )
+    op = draw(st.sampled_from(("slide", "tile", "stretch")))
+    size = draw(st.integers(1, 8))
+    step = 1 if op == "tile" else draw(st.integers(1, 8))
+    partial = op == "slide" and draw(st.booleans())
+    return t, op, Window(size, step, partial)
+
+
+INTS = st.integers()
+REALS = st.floats(allow_nan=False, allow_infinity=False)
+COLUMNS = {
+    "int": st.one_of(st.none(), INTS),
+    "real": st.one_of(st.none(), REALS),
+    "mixed": st.one_of(st.none(), INTS, REALS),
+    "nonfinite": st.one_of(st.none(), INTS, st.floats(), st.sampled_from([math.inf, -math.inf, math.nan])),
+}
+
+
+def check_spec_roll(case, spec, workers):
+    t, op, w = case
+    try:
+        want = roll_by_key(t, "v", op, lambda win: reference(spec, win), w).column("v_" + op)
+    except (OverflowError, ValueError) as exc:  # e.g. fmean over windows whose sum overflows
+        with pytest.raises(type(exc)):
+            roll_by_key(t, "v", op, spec, w, workers=workers)
+        return
+    got = roll_by_key(t, "v", op, spec, w, workers=workers).column("v_" + op)
+    assert same_cells(got, want)
+
+
+@pytest.mark.parametrize("workers", [None, 2])
+@pytest.mark.parametrize("spec", SPECS)
+@pytest.mark.parametrize("column", ["int", "real", "mixed"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_spec_roll_matches_each_window(column, spec, workers, data):
+    check_spec_roll(data.draw(rolls(COLUMNS[column])), spec, workers)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_spec_roll_over_inf_and_nan_slices_the_series(spec, data):
+    check_spec_roll(data.draw(rolls(COLUMNS["nonfinite"])), spec, None)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+@pytest.mark.parametrize("values", [
+    [1.0, math.nan, 0.5, 2.0],  # builtin min/max over nan depend on its place
+    [1.7e308, 1.7e308, -1.7e308, 1.0],  # fsum overflows on the way
+    [1.7e308, 2, 1.7e308, -1e308],
+    [10**400, 1, 2.5, 3],  # an int too large for a float
+])
+def test_spec_roll_series_beyond_the_kernels(spec, values):
+    t = build({"t": list(range(len(values))), "v": values}, "t")
+    for op, w in (("slide", Window(3)), ("tile", Window(2)), ("stretch", Window(1))):
+        check_spec_roll((t, op, w), spec, None)
+
+
+def test_spec_roll_sum_is_correctly_rounded():
+    t = build({"t": [1, 2, 3, 4], "v": [1e16, 1.0, -1e16, 3]}, "t")
+    out = roll_by_key(t, "v", "slide", "sum", 3)
+    assert same_cells(out.column("v_slide"), [None, None, 1.0, math.fsum([1.0, -1e16, 3])])
+    t = build({"t": [1, 2, 3, 4], "v": [1, 2.5, 2, 3]}, "t")
+    # A window of int cells sums to an int, one with a float cell to a float.
+    assert same_cells(roll_by_key(t, "v", "tile", "sum", 2).column("v_tile"),
+                      [None, 3.5, None, 5])
+
+
+def test_spec_roll_min_max_keep_the_earliest_of_equal_cells():
+    t = build({"t": [1, 2, 3, 4], "v": [1, 1.0, 2.0, 2]}, "t")
+    assert same_cells(roll_by_key(t, "v", "slide", "min", 2).column("v_slide"),
+                      [None, 1, 1.0, 2.0])
+    assert same_cells(roll_by_key(t, "v", "stretch", "max", 1).column("v_stretch"),
+                      [1, 1, 2.0, 2.0])
+
+
+@pytest.mark.parametrize("spec, kinds", [
+    ("sum", ("int", "real")),
+    ("min", ("int", "real")),
+    ("max", ("int", "real")),
+    ("count", ("int", "int")),
+    ("mean", ("real", "real")),
+    ("quantile:0.9", ("real", "real")),
+])
+def test_spec_roll_with_no_window_declares_its_kind(spec, kinds):
+    for values, kind in zip(([1, 2, 3], [1.0, 2.0, 3.0]), kinds):
+        t = build({"t": [1, 2, 3], "v": values}, "t")
+        out = roll_by_key(t, "v", "slide", spec, 5)
+        assert out.column("v_slide") == [None, None, None]
+        assert out.kind_of("v_slide") == kind
+
+
+def test_spec_roll_refuses_a_bad_spec(tb):
+    with pytest.raises(SchemaError, match="unknown aggregate 'median'"):
+        roll_by_key(tb, "count", "slide", "median", 2)

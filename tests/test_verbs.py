@@ -300,6 +300,22 @@ def test_summarize_multiple_outputs(tb):
     assert (first["n"], first["top"], first["mid"]) == (1, 120, 120.0)
 
 
+def test_summarize_without_present_cells_declares_kinds():
+    t = build({"t": [1, 2, 3], "v": [1, 2, 3], "x": [1.5, None, 2.5]}, "t")
+    empty = tfilter(t, lambda r: False).table
+    aggs = dict(s=("sum", "v"), lo=("min", "x"), m=("mean", "v"), n=("count", "v"),
+                q=("quantile:0.5", "v"))
+    out = summarize(empty, **aggs)
+    assert out.nrows == 0
+    assert out.schema == [("t", "int"), ("s", "int"), ("lo", "real"), ("m", "real"),
+                          ("n", "int"), ("q", "real")]
+    # Only missing cells in every bucket: the same kinds.
+    holes = tfilter(t, lambda r: r["x"] is None).table
+    out = summarize(holes, lo=("min", "x"), hi=("max", "x"), s=("sum", "x"))
+    assert out.column("lo") == [None]
+    assert out.schema == [("t", "int"), ("lo", "real"), ("hi", "real"), ("s", "real")]
+
+
 def test_summarize_quantile_matches_reference(tb):
     out = summarize(tb, q=("quantile:0.3", "count"))
     by_year = {}
