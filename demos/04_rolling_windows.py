@@ -75,9 +75,8 @@ for kt, rows in ((("AAA",), range(0, 12)), (("BBB",), range(12, 24))):
     head = [smooth.row(r)["price_ma3"] for r in list(rows)[:2]]
     assert head == [None, None], kt
 
-# An aggregate spec in place of the function runs as a running kernel:
-# O(n) per series whatever the window size, with the running high here
-# equal to numpy's cumulative maximum.
+# An aggregate spec from summarize's vocabulary can stand in for the
+# function; the running high here equals numpy's cumulative maximum.
 high = roll_by_key(t, "price", "stretch", "max", 1, as_name="price_high")
 for kt, rows in ((("AAA",), range(0, 12)), (("BBB",), range(12, 24))):
     got = [high.row(r)["price_high"] for r in rows]

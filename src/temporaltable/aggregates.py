@@ -1,13 +1,16 @@
 """The fixed aggregation vocabulary: sum, mean, min, max, count, quantile:p.
 
 Shared by summarize, the gap-fill policies, and roll_by_key (which runs
-sum, mean, count, min and max as running kernels over its windows).
-Aggregates skip missing cells.  An empty pool yields a missing result,
-except count, which yields 0.
+sum, mean and count from prefix totals over its windows, with the same
+results).  Aggregates skip missing cells.  An empty pool yields a missing
+result, except count, which yields 0.  A sum over a float cell is
+``math.fsum``, the correctly rounded sum; a sum of int cells is their exact
+int total.
 """
 
 from __future__ import annotations
 
+import math
 from statistics import fmean
 
 from .errors import SchemaError
@@ -92,6 +95,11 @@ def apply(spec: str, values) -> object:
     if name in _NUMERIC_ONLY and not all(_numeric(v) for v in pool):
         raise SchemaError(f"{name} needs numeric cells")
     if name == "sum":
+        if any(isinstance(v, float) for v in pool):
+            try:
+                return math.fsum(pool)
+            except (OverflowError, ValueError):  # overflow on the way, or inf and -inf
+                pass
         return sum(pool)
     if name == "mean":
         return fmean(pool)

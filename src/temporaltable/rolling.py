@@ -14,18 +14,16 @@ group of a table, optionally across worker threads.  The typed variants
 table's cell kinds.
 
 roll_by_key also takes an aggregate spec in place of f.  Sum, mean and
-count then come from exact prefix totals and min and max from a monotonic
-deque, in O(n) per series whatever the window size; quantile, and a series
-these kernels cannot treat exactly (inf, nan), apply the spec to each
-sliced window as a callable f does.
+count then come from exact prefix totals, in O(n) per series whatever the
+window size; min, max and quantile, and a series these totals cannot treat
+exactly (inf, nan), apply the spec to each sliced window as a callable f
+does.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import accumulate
@@ -166,10 +164,10 @@ stretch_int, stretch_real, stretch_bool, stretch_text = (_typed(stretch, k) for 
 
 # --- running kernels --------------------------------------------------------
 #
-# A kernel turns one series ``vals`` and its window spans into the results
-# of a named aggregate in O(n) whatever the window size, or returns None
-# when the series holds a cell it cannot treat exactly; that series then
-# slices every window.
+# The kernel turns one series ``vals`` and its window spans into the
+# results of a named aggregate in O(n) whatever the window size, or returns
+# None when the series holds a cell it cannot treat exactly; that series
+# then slices every window.
 
 
 def _sums(name: str, vals: list, spans):
@@ -213,47 +211,8 @@ def _sums(name: str, vals: list, spans):
     )
 
 
-def _extremes(name: str, vals: list, spans):
-    """Min or max of the present cells of each span: a monotonic deque of
-    positions (Lemire 2006) whose front is the window's extreme.  A cell
-    pops only strictly worse ones, so the front is the earliest of equal
-    extremes, as builtin min and max return.  nan orders against nothing,
-    so a series holding one is left to slicing."""
-    if any(v != v for v in vals):
-        return None
-    worse = operator.gt if name == "min" else operator.lt
-
-    def results():
-        best: deque = deque()
-        hi = 0
-        for a, b in spans:
-            while best and best[0] < a:
-                best.popleft()
-            for i in range(max(hi, a), b):
-                v = vals[i]
-                if v is not None:
-                    while best and worse(vals[best[-1]], v):
-                        best.pop()
-                    best.append(i)
-            hi = b
-            yield vals[best[0]] if best else None
-
-    return results()
-
-
-_KERNELS = {"count": _sums, "sum": _sums, "mean": _sums, "min": _extremes, "max": _extremes}
-
-
-def _window_sum(window):
-    """A sliced window's sum: ``math.fsum`` of its present cells when one is
-    a float (what the running kernel gives), else, or where fsum raises on
-    an overflow or on inf and -inf, ``aggregates.apply``."""
-    if any(isinstance(v, float) for v in window):
-        try:
-            return math.fsum(v for v in window if v is not None)
-        except (OverflowError, ValueError):
-            pass
-    return aggregates.apply("sum", window)
+# Aggregates with a running kernel; the others slice every window.
+_KERNELS = {"count", "sum", "mean"}
 
 
 # --- keyed rolling ----------------------------------------------------------
@@ -272,13 +231,12 @@ def roll_by_key(
 
     ``f`` is a function of a window's list of cells, or an aggregate spec
     (``"mean"``, ``"quantile:0.9"``; see :mod:`.aggregates`).  The spec is
-    parsed once; sum, mean, count, min and max then run as running kernels
-    in O(n) per series whatever the window size, while quantile, and a
+    parsed once; sum, mean and count then run from prefix totals in O(n)
+    per series whatever the window size, while min, max and quantile, and a
     series holding inf or nan, apply the spec to each sliced window.
-    Results equal ``aggregates.apply`` on each window, except that the sum
-    of a window holding a float cell is ``math.fsum`` of its cells, the
-    correctly rounded sum.  A spec's result column with no present cell
-    takes the kind of :func:`.aggregates.result_kind`.
+    Results equal ``aggregates.apply`` on each window.  A spec's result
+    column with no present cell takes the kind of
+    :func:`.aggregates.result_kind`.
 
     Appends a result column aligned to each window's last row; rows that end
     no window hold a missing marker.  The table must be gap-free: rolling
@@ -300,33 +258,39 @@ def roll_by_key(
         )
     kernel, empty_kind = None, "text"
     if isinstance(f, str):
-        spec, agg = f, aggregates.parse_spec(f)[0]
+        agg = aggregates.parse_spec(f)[0]
         empty_kind = aggregates.result_kind(agg, t.kind_of(column))
         if agg in _KERNELS:
-            kernel = functools.partial(_KERNELS[agg], agg)
-        f = _window_sum if agg == "sum" else lambda window: aggregates.apply(spec, window)
+            kernel = functools.partial(_sums, agg)
+        f = functools.partial(aggregates.apply, f)
     t = t.canonical()
     require_gapless(t)
 
+    groups = key_groups(t)
     values = t.columns[column].values
-    rolled = [None] * t.nrows
 
-    def one_group(r: range) -> None:
+    def one_group(r: range) -> list:
         vals = values[r.start : r.stop]
+        out = [None] * len(vals)
         spans = _spans(op, len(vals), w)
         results = kernel(vals, spans) if kernel else None
         if results is None:
-            results = (f(vals[a:b]) for a, b in spans)
-        for (_, b), v in zip(spans, results):
-            rolled[r.start + b - 1] = v
+            for a, b in spans:
+                out[b - 1] = f(vals[a:b])
+        else:
+            for (_, b), v in zip(spans, results):
+                out[b - 1] = v
+        return out
 
-    groups = [r for _, r in key_groups(t)]
     if workers and workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(one_group, groups))
+            parts = list(pool.map(one_group, (r for _, r in groups)))
     else:
-        for r in groups:
-            one_group(r)
+        parts = [one_group(r) for _, r in groups]
+
+    rolled: list = []
+    for part in parts:
+        rolled.extend(part)
 
     name = as_name or f"{column}_{op}"
     if name in t.columns:

@@ -58,7 +58,6 @@ from .table import (
     Grouping,
     TemporalTable,
     _sort_cell,
-    _typed_column,
     rows_at,
     take,
     with_columns,
@@ -421,10 +420,12 @@ def summarize(t: TemporalTable, **aggs) -> TemporalTable:
 
     result = table.build(out, idx_name, tuple(by), t.declared_regular, adapter=idx_adapter)
     # An aggregate column with no present cell takes its declared kind.
-    return with_columns(result, {
-        name: _typed_column(name, col.values, kinds[name]) if name in kinds else col
-        for name, col in result.columns.items()
-    })
+    empty = {
+        name: Column(kind, result.columns[name].values)
+        for name, kind in kinds.items()
+        if result.columns[name].values.count(None) == result.nrows
+    }
+    return with_columns(result, {**result.columns, **empty}) if empty else result
 
 
 # --- reshaping verbs --------------------------------------------------------

@@ -339,19 +339,6 @@ def test_roll_by_key_keeps_interval_and_rows(tb):
 SPECS = ("sum", "mean", "count", "min", "max", "quantile:0.5")
 
 
-def reference(spec, window):
-    """What a spec gives on one window: ``aggregates.apply``, except that a
-    sum over a float cell is ``math.fsum`` of the present cells (where fsum
-    succeeds)."""
-    pool = [v for v in window if v is not None]
-    if spec == "sum" and any(isinstance(v, float) for v in pool):
-        try:
-            return math.fsum(pool)
-        except (OverflowError, ValueError):
-            pass
-    return aggregates.apply(spec, window)
-
-
 def same_cells(got, want):
     # repr tells nan, -0.0 and 1 from 1.0 apart.
     return [(type(v), repr(v)) for v in got] == [(type(v), repr(v)) for v in want]
@@ -392,7 +379,7 @@ COLUMNS = {
 def check_spec_roll(case, spec, workers):
     t, op, w = case
     try:
-        want = roll_by_key(t, "v", op, lambda win: reference(spec, win), w).column("v_" + op)
+        want = roll_by_key(t, "v", op, lambda win: aggregates.apply(spec, win), w).column("v_" + op)
     except (OverflowError, ValueError) as exc:  # e.g. fmean over windows whose sum overflows
         with pytest.raises(type(exc)):
             roll_by_key(t, "v", op, spec, w, workers=workers)

@@ -1,3 +1,4 @@
+import math
 import statistics
 from dataclasses import replace
 
@@ -13,6 +14,7 @@ from temporaltable import (
     PreconditionError,
     SchemaError,
     ValidityError,
+    aggregates,
     arrange,
     build,
     filter_index,
@@ -314,6 +316,17 @@ def test_summarize_without_present_cells_declares_kinds():
     out = summarize(holes, lo=("min", "x"), hi=("max", "x"), s=("sum", "x"))
     assert out.column("lo") == [None]
     assert out.schema == [("t", "int"), ("lo", "real"), ("hi", "real"), ("s", "real")]
+
+
+def test_float_sum_is_correctly_rounded():
+    t = build({"k": ["a", "b", "c", "a", "b"], "t": [1, 1, 1, 2, 2],
+               "v": [1e16, 1.0, -1e16, 1, 2]}, "t", ("k",))
+    out = summarize(t, s=("sum", "v"))
+    assert out.column("s") == [1.0, 3.0]
+    # Ints alone sum to an exact int; where fsum raises, builtin sum decides.
+    assert aggregates.apply("sum", [2**60, None, 1]) == 2**60 + 1
+    assert aggregates.apply("sum", [1.7e308, 1.7e308, -1.7e308]) == math.inf
+    assert math.isnan(aggregates.apply("sum", [math.inf, -math.inf, 1.0]))
 
 
 def test_summarize_quantile_matches_reference(tb):
