@@ -61,7 +61,7 @@ def parse_spec(spec: str) -> tuple[str, float | None]:
 
 def result_kind(name: str, input_kind: str) -> str:
     """Kind of the column that aggregate ``name`` makes from a column of
-    ``input_kind``: what a result column with no present cell is typed."""
+    ``input_kind``, declared for the whole column whatever cells it holds."""
     if name == "count":
         return "int"
     if name in ("mean", "quantile"):

@@ -22,7 +22,7 @@ from .errors import (
 )
 from .granularity import Granularity
 from .ingest import IngestConfig, ingest, read_cell, table_to_csv, write_csv
-from .table import TemporalTable, cell_kind
+from .table import TemporalTable, as_kind
 from .timepoint import parse_timepoint
 
 _TIME_FORMATS = {g.value for g in Granularity} | {"guess"}
@@ -99,19 +99,13 @@ def _fill_policy(t: TemporalTable, col: str, text: str):
     kind = t.kind_of(col)
     if kind == "text":
         return text
-    if kind == "time":
-        sample = next(v for v in t.column(col) if v is not None)
-        try:
+    try:
+        if kind == "time":
+            sample = next(v for v in t.column(col) if v is not None)
             return parse_timepoint(text, sample.granularity, sample.zone)
-        except TemporalTableError:
-            pass
-    else:
-        v = read_cell(text)
-        got = cell_kind(v)
-        if got == kind:
-            return v
-        if kind == "real" and got == "int":
-            return float(v)
+        return as_kind(read_cell(text), kind)
+    except TemporalTableError:
+        pass
     try:
         return aggregates.Aggregate(text)
     except TemporalTableError:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import aggregates, table
 from .errors import GapError, SchemaError, UnsupportedOperationError
-from .table import TemporalTable, cell_kind, key_groups
+from .table import Column, TemporalTable, as_kind, common_kind, key_groups
 
 
 @dataclass
@@ -110,14 +110,10 @@ def _resolve_fill(t: TemporalTable, fills: dict | None) -> dict:
             raise SchemaError(f"cannot fill {col!r}: index and key columns are derived")
         if isinstance(policy, aggregates.Aggregate) or policy is None:
             continue
-        kind = t.kind_of(col)
-        ck = cell_kind(policy)
-        if ck != kind and not (kind == "real" and ck == "int"):
-            raise SchemaError(
-                f"constant fill {policy!r} ({ck}) does not match column {col!r} ({kind})"
-            )
-        if kind == "real" and ck == "int":
-            fills[col] = float(policy)
+        try:
+            fills[col] = as_kind(policy, t.kind_of(col))
+        except SchemaError as exc:
+            raise SchemaError(f"constant fill for column {col!r}: {exc}") from None
     return fills
 
 
@@ -131,14 +127,19 @@ def fill_gaps(
     over the key's observed values, or None for a plain missing marker
     (the default for unlisted columns).  Existing rows pass through
     untouched; with ``full=True`` the result is a balanced panel over the
-    global span.
+    global span.  Columns keep their kinds; an aggregate policy widens its
+    column to hold :func:`~temporaltable.aggregates.result_kind` cells.
     """
     t = t.canonical()
     fills = _resolve_fill(t, fills)
     per_key = _missing_by_key(t, full)
     measured = [c for c in t.columns if c != t.index and c not in t.key]
 
-    data = t.to_dict()
+    data = {name: Column(col.kind, list(col.values)) for name, col in t.columns.items()}
+    for col, policy in fills.items():
+        if isinstance(policy, aggregates.Aggregate):
+            kind = aggregates.result_kind(aggregates.parse_spec(policy.spec)[0], data[col].kind)
+            data[col].kind = common_kind((data[col].kind, kind))
     for kt, r, missing in per_key:
         if not missing:
             continue
@@ -148,17 +149,17 @@ def fill_gaps(
                 observed = t.columns[col].values[r.start : r.stop]
                 agg_cache[col] = aggregates.apply(policy.spec, observed)
         for tk in missing:
-            data[t.index].append(t.adapter.from_ticks(tk))
+            data[t.index].values.append(t.adapter.from_ticks(tk))
             for name, cell in zip(t.key, kt):
-                data[name].append(cell)
+                data[name].values.append(cell)
             for col in measured:
                 policy = fills.get(col)
                 if policy is None:
-                    data[col].append(None)
+                    data[col].values.append(None)
                 elif isinstance(policy, aggregates.Aggregate):
-                    data[col].append(agg_cache[col])
+                    data[col].values.append(agg_cache[col])
                 else:
-                    data[col].append(policy)
+                    data[col].values.append(policy)
 
     return table.build(data, t.index, t.key, t.declared_regular, adapter=t.adapter)
 

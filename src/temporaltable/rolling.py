@@ -31,7 +31,7 @@ from itertools import accumulate
 from . import aggregates
 from .errors import PreconditionError, SchemaError, TypedResultError, UnsupportedOperationError
 from .gaps import require_gapless
-from .table import TemporalTable, _typed_column, cell_kind, key_groups, with_columns
+from .table import Column, TemporalTable, as_kind, key_groups, with_columns
 
 
 def _positive_int(n, what: str) -> int:
@@ -142,13 +142,11 @@ def _typed(op, kind: str):
         out = op(*args, **kwargs)
         for pos, v in enumerate(out):
             try:
-                got = cell_kind(v)
-            except SchemaError:  # not a cell value at all
-                got = None
-            if got != kind and not (kind == "real" and got == "int"):
-                raise TypedResultError(f"window result at position {pos} is {v!r}, not {kind}")
-            if kind == "real":
-                out[pos] = float(v)
+                out[pos] = as_kind(v, kind)
+            except SchemaError:  # a cell of another kind, or no cell at all
+                raise TypedResultError(
+                    f"window result at position {pos} is {v!r}, not {kind}"
+                ) from None
         return out
 
     typed.__name__ = typed.__qualname__ = f"{op.__name__}_{kind}"
@@ -235,8 +233,9 @@ def roll_by_key(
     per series whatever the window size, while min, max and quantile, and a
     series holding inf or nan, apply the spec to each sliced window.
     Results equal ``aggregates.apply`` on each window.  A spec's result
-    column with no present cell takes the kind of
-    :func:`.aggregates.result_kind`.
+    column has the kind :func:`.aggregates.result_kind` declares, whatever
+    cells it holds; a callable's gets the kind of its cells, or the rolled
+    column's kind when it holds none (no window ends).
 
     Appends a result column aligned to each window's last row; rows that end
     no window hold a missing marker.  The table must be gap-free: rolling
@@ -256,10 +255,10 @@ def roll_by_key(
             "rolling over an irregular table is not meaningful; "
             "aggregate it to a regular interval first"
         )
-    kernel, empty_kind = None, "text"
+    kernel, kind = None, None
     if isinstance(f, str):
         agg = aggregates.parse_spec(f)[0]
-        empty_kind = aggregates.result_kind(agg, t.kind_of(column))
+        kind = aggregates.result_kind(agg, t.kind_of(column))
         if agg in _KERNELS:
             kernel = functools.partial(_sums, agg)
         f = functools.partial(aggregates.apply, f)
@@ -295,4 +294,6 @@ def roll_by_key(
     name = as_name or f"{column}_{op}"
     if name in t.columns:
         raise SchemaError(f"column {name!r} already exists; pass as_name")
-    return with_columns(t, {**t.columns, name: _typed_column(name, rolled, empty_kind)})
+    if kind is None and rolled.count(None) == len(rolled):
+        kind = t.kind_of(column)
+    return with_columns(t, {**t.columns, name: rolled if kind is None else Column(kind, rolled)})

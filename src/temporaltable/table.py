@@ -38,22 +38,7 @@ class Column:
         return len(self.values)
 
 
-def cell_kind(v) -> str | None:
-    if v is None:
-        return None
-    if isinstance(v, bool):
-        return "bool"
-    if isinstance(v, int):
-        return "int"
-    if isinstance(v, float):
-        return "real"
-    if isinstance(v, str):
-        return "text"
-    if isinstance(v, TimePoint):
-        return "time"
-    raise SchemaError(f"unsupported cell value {v!r} of type {type(v).__name__}")
-
-
+# Tried in this order by cell_kind: bool before int, which it subclasses.
 _KIND_OF_TYPE = {
     type(None): None,
     bool: "bool",
@@ -64,24 +49,42 @@ _KIND_OF_TYPE = {
 }
 
 
-def infer_kind(values: Sequence, empty: str = "text") -> str:
-    """Column kind from its values; int and real mix promotes to real.  A
-    column with no present cell has the kind ``empty``."""
+def cell_kind(v) -> str | None:
+    for tp, kind in _KIND_OF_TYPE.items():
+        if isinstance(v, tp):
+            return kind
+    raise SchemaError(f"unsupported cell value {v!r} of type {type(v).__name__}")
+
+
+def common_kind(kinds) -> str | None:
+    """The kind of a column holding cells of ``kinds``: int and real make
+    real, and missing cells (kind None) fit any kind.  None when no kind is
+    given; any other mix raises."""
+    kinds = set(kinds) - {None}
+    if len(kinds) > 1 and kinds != {"int", "real"}:
+        raise SchemaError(f"column mixes cell kinds: {sorted(kinds)}")
+    return "real" if len(kinds) > 1 else next(iter(kinds), None)
+
+
+def as_kind(v, kind: str):
+    """Cell ``v`` as a cell of a ``kind`` column: an int widens to float in a
+    real column.  Raises SchemaError when ``v`` is no such cell."""
+    got = cell_kind(v)
+    if got == kind:
+        return v
+    if kind == "real" and got == "int":
+        return float(v)
+    raise SchemaError(f"{v!r} ({got}) does not fit kind {kind!r}")
+
+
+def infer_kind(values: Sequence) -> str | None:
+    """Column kind from its values; None when no cell is present."""
     types = set(map(type, values))
     if types.issubset(_KIND_OF_TYPE):
-        kinds = {_KIND_OF_TYPE[tp] for tp in types}
-    else:
-        # Subclasses and unsupported cells: classify cell by cell, which
-        # raises for the first unsupported cell in column order.
-        kinds = {cell_kind(v) for v in values}
-    kinds.discard(None)
-    if not kinds:
-        return empty
-    if len(kinds) == 1:
-        return kinds.pop()
-    if kinds == {"int", "real"}:
-        return "real"
-    raise SchemaError(f"column mixes cell kinds: {sorted(kinds)}")
+        return common_kind(map(_KIND_OF_TYPE.get, types))
+    # Subclasses and unsupported cells: classify cell by cell, which raises
+    # for the first unsupported cell in column order.
+    return common_kind(map(cell_kind, values))
 
 
 def _check_time_column(name: str, values: Sequence) -> None:
@@ -209,8 +212,7 @@ class TemporalTable:
         return {name: col.values[i] for name, col in self.columns.items()}
 
     def rows(self) -> Iterable[dict]:
-        for i in range(self.nrows):
-            yield self.row(i)
+        return map(self.row, range(self.nrows))
 
     def to_dict(self) -> dict[str, list]:
         return {name: list(col.values) for name, col in self.columns.items()}
@@ -266,12 +268,12 @@ def _sort_order(t: TemporalTable) -> list[int]:
 # --- construction ----------------------------------------------------------
 
 
-def _normalize_raw(raw) -> dict[str, list]:
+def _normalize_raw(raw) -> dict[str, Column | list]:
     if isinstance(raw, TemporalTable):
-        return raw.to_dict()
+        return dict(raw.columns)
     if not isinstance(raw, Mapping):
         raise SchemaError("raw table must be a mapping of column name to values")
-    cols = {str(name): list(values) for name, values in raw.items()}
+    cols = {str(name): c if isinstance(c, Column) else list(c) for name, c in raw.items()}
     lengths = {len(v) for v in cols.values()}
     if len(lengths) > 1:
         raise SchemaError(f"ragged columns: lengths {sorted(lengths)}")
@@ -298,7 +300,7 @@ def _prepare(
     if len(set(key)) != len(key):
         raise SchemaError(f"duplicate key columns: {list(key)}")
 
-    idx_values = data[index]
+    idx_values = getattr(data[index], "values", data[index])
     has_missing = any(v is None for v in idx_values)
     if has_missing and not allow_missing_index:
         pos = next(i for i, v in enumerate(idx_values) if v is None)
@@ -306,12 +308,12 @@ def _prepare(
     adapter = resolve_index(index, idx_values, adapter)
 
     columns: dict[str, Column] = {}
-    for name, values in data.items():
+    for name, col in data.items():
         if name == index:
             # Index cells may be adapter values; the adapter vouches for them.
-            columns[name] = Column(adapter.cell_kind, values)
+            columns[name] = Column(adapter.cell_kind, idx_values)
         else:
-            columns[name] = _typed_column(name, values)
+            columns[name] = _typed_column(name, col)
     for k in key:
         if columns[k].kind == "real":
             # NaN equals nothing, itself included, so it can neither sort
@@ -326,13 +328,23 @@ def _prepare(
     return columns, key, adapter, ticks, _key_notes(columns, key)
 
 
-def _typed_column(name: str, values: list, empty: str = "text") -> Column:
-    """A non-index column with its kind inferred from its values (``empty``
+def _typed_column(name: str, col: Column | list) -> Column:
+    """A non-index column: a :class:`Column` keeps its declared kind, which
+    must hold its cells; plain values get the kind of their cells ("text"
     when no cell is present)."""
-    kind = infer_kind(values, empty)
-    if kind == "time":
-        _check_time_column(name, values)
-    return Column(kind, values)
+    if isinstance(col, Column):
+        actual = infer_kind(col.values)
+        try:
+            fits = common_kind((col.kind, actual)) == col.kind
+        except SchemaError:
+            fits = False
+        if not fits:
+            raise SchemaError(f"column {name!r} of kind {col.kind!r} holds {actual} cells")
+    else:
+        col = Column(infer_kind(col) or "text", col)
+    if col.kind == "time":
+        _check_time_column(name, col.values)
+    return col
 
 
 def _key_notes(columns: dict[str, Column], key: tuple[str, ...]) -> tuple[str, ...]:
@@ -364,10 +376,13 @@ def build(
 ) -> TemporalTable:
     """Construct a valid temporal table from raw column data.
 
-    ``raw`` maps column names to equal-length value lists (an existing table
-    is also accepted).  Cells may be int, float, str, bool, TimePoint or
-    None.  Raises :class:`DuplicateIndexError` when (key, index) pairs are
-    not unique, :class:`MissingIndexError` for missing index values, and
+    ``raw`` maps column names to equal-length value lists or
+    :class:`Column` entries (an existing table is also accepted).  Cells
+    may be int, float, str, bool, TimePoint or None.  A :class:`Column`
+    keeps its declared kind, checked against its cells; a plain list gets
+    the kind of its cells ("text" when none is present).  Raises
+    :class:`DuplicateIndexError` when (key, index) pairs are not unique,
+    :class:`MissingIndexError` for missing index values, and
     :class:`SchemaError` for NaN in a key column.
     Row content is preserved exactly; only the row order changes.
     ``adapter`` (an :class:`IndexAdapter` or a registered name) fixes the
@@ -450,8 +465,9 @@ def rows_at(t: TemporalTable, rows: Sequence[int]) -> TemporalTable:
 
     The one place rows move: column cells, index ticks and the row-aligned
     cells of an ``index_by`` grouping are taken together, and every other
-    field carries over as it is.  Callers re-derive what their reordering
-    or subset can change (order flag, kinds, notes, interval).
+    field carries over as it is, column kinds included.  Callers re-derive
+    what their reordering or subset can change (order flag, notes,
+    interval).
     """
     ticks = t.ticks()
     groups = t.groups
@@ -468,18 +484,14 @@ def take(t: TemporalTable, rows: Sequence[int]) -> TemporalTable:
     """The rows at ascending positions ``rows`` of ``t``.
 
     A subset keeps the order and uniqueness of ``t``, its index adapter
-    (also when empty) and its grouping.  Key notes, the interval and the
-    kind of each column that still holds a present cell are re-inferred on
-    the subset; a column left with no present cell (every column of an
-    empty subset) keeps its kind in ``t``, since no cell is left to type it.
+    (also when empty), its grouping and the kind of every column: a kind
+    is declared by the code that made the column, not re-read from the
+    cells a subset happens to keep.  Key notes and the interval are
+    re-inferred on the subset.
     """
     out = rows_at(t, rows)
-    columns = {
-        name: col if name == t.index else _typed_column(name, col.values, col.kind)
-        for name, col in out.columns.items()
-    }
-    interval = _infer_for(columns, t.key, out.ticks(), t.adapter, t.declared_regular)
-    return replace(out, columns=columns, interval=interval, notes=_key_notes(columns, t.key))
+    interval = _infer_for(out.columns, t.key, out.ticks(), t.adapter, t.declared_regular)
+    return replace(out, interval=interval, notes=_key_notes(out.columns, t.key))
 
 
 def with_columns(t: TemporalTable, columns: Mapping[str, Column | list]) -> TemporalTable:
@@ -487,8 +499,9 @@ def with_columns(t: TemporalTable, columns: Mapping[str, Column | list]) -> Temp
 
     ``columns`` is the full, ordered column mapping of the result and must
     hold the index and key columns of ``t`` unchanged.  :class:`Column`
-    entries are taken as they are; plain value lists are new or overwritten
-    columns and get their kind inferred.  Every other field of ``t``
+    entries are taken as they are, kind unchecked: the caller declares it.
+    Plain value lists are new or overwritten columns from outside the
+    library and get the kind of their cells.  Every other field of ``t``
     carries over (interval, ticks, adapter, grouping); key notes follow the
     new column order.
     """
@@ -502,8 +515,8 @@ def with_columns(t: TemporalTable, columns: Mapping[str, Column | list]) -> Temp
 def validate_table(t: TemporalTable) -> None:
     """Assert the full construction contract on an existing table.
 
-    Checks column consistency, (key, index) uniqueness, canonical ordering
-    (unless the table is marked order-dirty) and that the stored interval
+    Checks column lengths and declared kinds, (key, index) uniqueness,
+    canonical ordering (unless order-dirty) and that the stored interval
     matches re-inference.  Raises ValidityError or SchemaError on failure.
     """
     n = t.nrows
@@ -517,11 +530,7 @@ def validate_table(t: TemporalTable) -> None:
                     f"its adapter ({t.adapter.cell_kind!r})"
                 )
             continue
-        actual = infer_kind(col.values)
-        if actual != col.kind and not (col.kind == "real" and actual == "int") and not (
-            actual == "text" and all(v is None for v in col.values)
-        ):
-            raise SchemaError(f"column {name!r} kind {col.kind!r} does not match values ({actual!r})")
+        _typed_column(name, col)  # the declared kind must hold the cells
     if t.index not in t.columns:
         raise SchemaError(f"index column {t.index!r} missing")
     if t.index in t.key:

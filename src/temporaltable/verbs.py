@@ -7,18 +7,24 @@ verb reruns only the construction checks its change can break:
 * ``filter``, ``filter_index``, semi/anti ``join`` and inner ``join``
   without fan-out keep a subset of rows
   (:func:`~temporaltable.table.take`): order and uniqueness hold, so only
-  column kinds, key notes and the interval are re-inferred.
+  key notes and the interval are re-inferred.
 * ``arrange`` reorders the rows (:func:`~temporaltable.table.rows_at`)
   and only re-checks whether they still run past-to-future.
 * ``mutate`` and ``transmute`` of non-key, non-index columns, ``select``
   keeping every key column, and left/inner ``join`` where each left row
   matches at most one right row keep the rows
-  (:func:`~temporaltable.table.with_columns`): only the kinds of new
-  columns are inferred; interval, ticks and index adapter carry over.
+  (:func:`~temporaltable.table.with_columns`): only new columns get
+  kinds; interval, ticks and index adapter carry over.
 * Anything that changes the key or index, adds rows or fans rows out goes
   through :func:`~temporaltable.table.build`: ``summarize``, ``gather``,
   ``spread``, right/full and fan-out joins, ``select`` dropping a key
   column, and ``mutate``/``transmute`` of a key or index column.
+
+Every column a verb carries keeps its kind, and ``summarize`` declares
+:func:`~temporaltable.aggregates.result_kind` for each aggregate.  Only
+cells from outside the library get the kind of their values: new columns
+of ``mutate``/``transmute`` and the right-hand table of a ``join`` (all
+columns of a join that goes through ``build``).
 
 Results keep the table's index adapter, even one since unregistered or
 replaced.  Only new index cells resolve theirs from the values: ``mutate`` or
@@ -82,10 +88,6 @@ class VerbOutcome:
         return iter((self.table, self.warnings))
 
 
-def _rows(t: TemporalTable):
-    return (t.row(i) for i in range(t.nrows))
-
-
 def _call_rowwise(fn, row: dict, what: str):
     try:
         return fn(row)
@@ -99,7 +101,7 @@ def _call_rowwise(fn, row: dict, what: str):
 def filter(t: TemporalTable, predicate) -> VerbOutcome:
     """Keep rows where the predicate holds; interval is re-inferred."""
     t = t.canonical()
-    keep = [i for i, row in enumerate(_rows(t)) if _call_rowwise(predicate, row, "predicate")]
+    keep = [i for i, row in enumerate(t.rows()) if _call_rowwise(predicate, row, "predicate")]
     return VerbOutcome(take(t, keep))
 
 
@@ -229,7 +231,7 @@ def select(t: TemporalTable, names) -> VerbOutcome:
     t = t.canonical()
     if new_key == t.key:
         return VerbOutcome(with_columns(t, {name: t.columns[name] for name in names}), warnings)
-    data = {name: t.columns[name].values for name in names}
+    data = {name: t.columns[name] for name in names}
     return VerbOutcome(
         table.build(data, t.index, new_key, t.declared_regular, adapter=t.adapter),
         warnings,
@@ -256,17 +258,18 @@ def _derive(t: TemporalTable, exprs: dict, keep: list[str]) -> TemporalTable:
     """Evaluate ``exprs`` in order over canonical ``t`` and keep ``keep``.
 
     New values of the index or a key column re-validate uniqueness and
-    ordering through build; other results only get their kinds inferred.
+    ordering through build.  Results get the kinds of their cells; the
+    columns carried over keep theirs.
     """
     data = {name: col.values for name, col in t.columns.items()}
     n = t.nrows
     for name, expr in exprs.items():
         data[name] = _evaluate(data, n, expr, name)
+    cols = {c: data[c] if c in exprs else t.columns[c] for c in keep}
     if t.index in exprs or any(k in exprs for k in t.key):
-        data = {c: data[c] for c in keep}
         adapter = None if t.index in exprs else t.adapter
-        return table.build(data, t.index, t.key, t.declared_regular, adapter=adapter)
-    return with_columns(t, {c: data[c] if c in exprs else t.columns[c] for c in keep})
+        return table.build(cols, t.index, t.key, t.declared_regular, adapter=adapter)
+    return with_columns(t, cols)
 
 
 def mutate(t: TemporalTable, **exprs) -> VerbOutcome:
@@ -370,10 +373,9 @@ def summarize(t: TemporalTable, **aggs) -> TemporalTable:
     Each keyword maps an output column to a ``(spec, column)`` pair, with
     spec from the fixed vocabulary (sum, mean, min, max, count, quantile:p).
     The result's key is the grouping columns; without group_by the key
-    columns are dropped and the table collapses to one series.  An
-    aggregate column with no present cell (an empty table, or only missing
-    cells) has the kind :func:`~temporaltable.aggregates.result_kind`
-    declares for its spec and input column.
+    columns are dropped and the table collapses to one series.  Each
+    aggregate column has the kind :func:`~temporaltable.aggregates.result_kind`
+    declares for its spec and input column, whatever cells it holds.
     """
     t = t.canonical()
     grouping = t.groups or Grouping()
@@ -394,6 +396,7 @@ def summarize(t: TemporalTable, **aggs) -> TemporalTable:
         idx_values = t.columns[t.index].values
         idx_adapter = t.adapter
     by = [c for c in grouping.by if c != idx_name]
+    kinds.update((c, t.kind_of(c)) for c in by)
 
     buckets: dict[tuple, list[int]] = {}
     cell_of: dict[tuple, tuple] = {}
@@ -418,14 +421,8 @@ def summarize(t: TemporalTable, **aggs) -> TemporalTable:
         for out_name, (spec, col) in aggs.items():
             out[out_name].append(aggregates.apply(spec, [t.columns[col].values[i] for i in rows]))
 
-    result = table.build(out, idx_name, tuple(by), t.declared_regular, adapter=idx_adapter)
-    # An aggregate column with no present cell takes its declared kind.
-    empty = {
-        name: Column(kind, result.columns[name].values)
-        for name, kind in kinds.items()
-        if result.columns[name].values.count(None) == result.nrows
-    }
-    return with_columns(result, {**result.columns, **empty}) if empty else result
+    columns = {c: Column(kinds[c], v) if c in kinds else v for c, v in out.items()}
+    return table.build(columns, idx_name, tuple(by), t.declared_regular, adapter=idx_adapter)
 
 
 # --- reshaping verbs --------------------------------------------------------
@@ -445,9 +442,7 @@ def gather(t: TemporalTable, names_to: str, values_to: str, columns) -> VerbOutc
             raise SchemaError(f"no column named {c!r}")
         if c == t.index or c in t.key:
             raise SchemaError(f"cannot gather index or key column {c!r}")
-    kinds = {t.kind_of(c) for c in columns}
-    if len(kinds) > 1 and kinds != {"int", "real"}:
-        raise SchemaError(f"gathered columns mix cell kinds: {sorted(kinds)}")
+    kind = table.common_kind(t.kind_of(c) for c in columns)
     remaining = [c for c in t.columns if c not in columns]
     for new in (names_to, values_to):
         if new in remaining:
@@ -456,15 +451,15 @@ def gather(t: TemporalTable, names_to: str, values_to: str, columns) -> VerbOutc
         raise SchemaError("names_to and values_to must differ")
 
     t = t.canonical()
-    data: dict[str, list] = {c: [] for c in remaining}
-    data[names_to] = []
-    data[values_to] = []
+    data = {c: Column(t.kind_of(c), []) for c in remaining}
+    data[names_to] = Column("text", [])
+    data[values_to] = Column(kind, [])
     for i in range(t.nrows):
         for c in columns:
             for r in remaining:
-                data[r].append(t.columns[r].values[i])
-            data[names_to].append(c)
-            data[values_to].append(t.columns[c].values[i])
+                data[r].values.append(t.columns[r].values[i])
+            data[names_to].values.append(c)
+            data[values_to].values.append(t.columns[c].values[i])
 
     new_key = t.key + (names_to,)
     return VerbOutcome(
@@ -517,14 +512,14 @@ def spread(t: TemporalTable, key_col: str, value_col: str) -> VerbOutcome:
             )
         groups[gk][level] = t.columns[value_col].values[i]
 
-    data: dict[str, list] = {c: [] for c in remaining}
+    data = {c: Column(t.kind_of(c), []) for c in remaining}
     for nm in names:
-        data[nm] = []
+        data[nm] = Column(t.kind_of(value_col), [])
     for gk in order:
         for c, cell in zip(remaining, gk):
-            data[c].append(cell)
+            data[c].values.append(cell)
         for level, nm in zip(levels, names):
-            data[nm].append(groups[gk].get(level))
+            data[nm].values.append(groups[gk].get(level))
 
     new_key = tuple(k for k in t.key if k != key_col)
     return VerbOutcome(

@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from temporaltable import (
+    Column,
     DuplicateIndexError,
     MissingIndexError,
     SchemaError,
@@ -14,6 +15,7 @@ from temporaltable import (
     timepoint as tp,
     validate_table,
 )
+from temporaltable.table import as_kind, common_kind, with_columns
 from conftest import table_rows
 
 
@@ -141,6 +143,36 @@ def test_mixed_int_real_promotes():
         build({"t": [tp.ordinal(1), tp.ordinal(2)], "v": [1, "x"]}, "t")
 
 
+def test_one_promotion_rule():
+    assert common_kind(["int", None, "real", "int"]) == "real"
+    assert common_kind(["time", None]) == "time"
+    assert common_kind([None]) is None
+    with pytest.raises(SchemaError, match="mixes cell kinds"):
+        common_kind(["int", "bool"])
+    assert as_kind(2, "real") == 2.0 and isinstance(as_kind(2, "real"), float)
+    assert as_kind(2.5, "real") == 2.5 and as_kind("x", "text") == "x"
+    for cell, kind in ((2.5, "int"), (True, "int"), (None, "real"), ("2", "int")):
+        with pytest.raises(SchemaError):
+            as_kind(cell, kind)
+
+
+def test_build_keeps_a_declared_column_kind():
+    t = build({"t": [2, 1], "v": Column("real", [1, 2]), "w": Column("int", [None, None])}, "t")
+    assert t.schema == [("t", "int"), ("v", "real"), ("w", "int")]
+    assert t.column("v") == [2, 1]
+    # A plain list is read from its cells; "text" when none is present.
+    assert build({"t": [1], "v": [None]}, "t").kind_of("v") == "text"
+    with pytest.raises(SchemaError, match="column 'v' of kind 'int' holds real cells"):
+        build({"t": [1, 2], "v": Column("int", [1, 2.5])}, "t")
+    with pytest.raises(SchemaError, match="column 'v' of kind 'real' holds text cells"):
+        build({"t": [1, 2], "v": Column("real", ["x", None])}, "t")
+
+
+def test_build_of_a_table_keeps_its_kinds():
+    t = build({"t": [1, 2], "v": Column("real", [1, None]), "w": Column("int", [None, None])}, "t")
+    assert build(t, "t").schema == t.schema
+
+
 def test_missing_key_level_sorts_last():
     t = build(
         {
@@ -194,6 +226,17 @@ def test_validate_table_catches_tampering(tb):
     broken._ticks = None
     with pytest.raises(ValidityError):
         validate_table(broken)
+
+
+def test_validate_table_checks_declared_kinds():
+    t = build({"t": [1, 2], "v": [1.5, 2.5]}, "t")
+    # with_columns takes a declared kind unchecked; the oracle checks it.
+    wrong = with_columns(t, {"t": t.columns["t"], "v": Column("int", t.column("v"))})
+    with pytest.raises(SchemaError, match="column 'v' of kind 'int' holds real cells"):
+        validate_table(wrong)
+    for kind in ("int", "real", "text"):
+        validate_table(with_columns(t, {"t": t.columns["t"], "v": Column(kind, [None, None])}))
+    validate_table(with_columns(t, {"t": t.columns["t"], "v": Column("real", [1, None])}))
 
 
 def test_ordinal_index_from_plain_ints():

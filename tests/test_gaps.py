@@ -136,6 +136,15 @@ def test_fill_with_aggregate_uses_key_local_pool(holey):
     assert new == [46.0, 46.0]
 
 
+def test_fill_aggregate_declares_its_kind():
+    # An int column filled with a mean holds reals, gaps or not.
+    for ts in ([1, 2, 4], [1, 2, 3]):
+        t = build({"t": ts, "v": [1, 2, 3], "s": ["a", "b", "c"]}, "t")
+        filled = fill_gaps(t, {"v": Aggregate("mean"), "s": Aggregate("max")})
+        assert filled.schema == [("t", "int"), ("v", "real"), ("s", "text")]
+    assert fill_gaps(t, {"v": Aggregate("max")}).kind_of("v") == "int"
+
+
 def test_fill_rejects_wrong_kind_constant(holey):
     with pytest.raises(SchemaError):
         fill_gaps(holey, {"v": "zero"})

@@ -451,6 +451,15 @@ def test_spec_roll_with_no_window_declares_its_kind(spec, kinds):
         assert out.kind_of("v_slide") == kind
 
 
+def test_callable_roll_with_no_window_takes_the_rolled_kind():
+    out = roll_by_key(build({"t": [1, 2, 3], "v": [1, 2, 3]}, "t"), "v", "slide", sum, 5)
+    assert out.schema[-1] == ("v_slide", "int")
+    assert out.column("v_slide") == [None, None, None]
+    # Where a window ends, the results' own kind wins.
+    out = roll_by_key(build({"t": [1, 2, 3], "v": [1, 2, 3]}, "t"), "v", "slide", statistics.fmean, 2)
+    assert out.schema[-1] == ("v_slide", "real")
+
+
 def test_spec_roll_refuses_a_bad_spec(tb):
     with pytest.raises(SchemaError, match="unknown aggregate 'median'"):
         roll_by_key(tb, "count", "slide", "median", 2)

@@ -318,6 +318,15 @@ def test_summarize_without_present_cells_declares_kinds():
     assert out.schema == [("t", "int"), ("lo", "real"), ("hi", "real"), ("s", "real")]
 
 
+def test_summarize_declares_kinds_whatever_the_cells():
+    t = build({"t": [1, 2], "v": [1, 2.5]}, "t")
+    ints_only = tfilter(t, lambda r: r["v"] == 1).table
+    assert ints_only.kind_of("v") == "real"
+    out = summarize(ints_only, s=("sum", "v"), hi=("max", "v"), n=("count", "v"))
+    assert out.column("s") == [1] and out.column("hi") == [1]
+    assert out.schema == [("t", "int"), ("s", "real"), ("hi", "real"), ("n", "int")]
+
+
 def test_float_sum_is_correctly_rounded():
     t = build({"k": ["a", "b", "c", "a", "b"], "t": [1, 1, 1, 2, 2],
                "v": [1e16, 1.0, -1e16, 1, 2]}, "t", ("k",))
