@@ -2,9 +2,17 @@
 
 Cells are typed per column in a fixed order: integer, then real, then
 boolean, then time (only for columns with a declared format, and always for
-the index), with text as the fallback.  Empty cells are missing.  The index
-column is parsed as time: either at a declared granularity, or by guessing
-from its first non-empty value ("ordinal" declares a plain-integer index).
+the index), with text as the fallback.  Integers and reals are JSON numbers
+(RFC 8259 section 6); other text, "+5" and "nan" included, stays text.
+Empty cells are missing.  The index column is parsed as time: either at a
+declared granularity, or by guessing from its first non-empty value
+("ordinal" declares a plain-integer index).
+
+Both ends work a column at a time and touch each distinct time cell once.
+A time column keeps a dict from raw text to its parsed value, so a day that
+a panel repeats once per series is parsed once; ``TimePoint`` is frozen, so
+every row shares the one instance.  Output renders each column by its
+declared kind, a time column once per distinct point, and streams the rows.
 """
 
 from __future__ import annotations
@@ -16,10 +24,13 @@ from dataclasses import dataclass, field
 
 from .errors import IngestError, ParseError, SchemaError
 from .granularity import Granularity
-from .table import TemporalTable, build
+from .table import Column, TemporalTable, build
 from .timepoint import TimePoint, guess_granularity, parse_timepoint
 
-_INT_RE = re.compile(r"^[+-]?\d+$")
+# Numbers follow the JSON grammar (RFC 8259 section 6), matched whole.
+_INT_RE = re.compile(r"-?(?:0|[1-9][0-9]*)")
+_NUMBER_RE = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
+_ORDINAL_RE = re.compile(r"^[+-]?\d+$")
 _BOOL = {"true": True, "false": False}
 
 
@@ -55,27 +66,37 @@ def read_rows(cfg: IngestConfig) -> tuple[list[str], list[list[str]]]:
     return header, rows
 
 
+def _parse_each_once(cells, parse) -> list:
+    """``cells`` (raw text, "" for missing) mapped through ``parse``, which
+    sees each distinct text once; a ParseError names the first row holding
+    the text."""
+    parsed = {"": None}
+    try:
+        for raw in cells:
+            if raw not in parsed:
+                parsed[raw] = parse(raw)
+    except ParseError as exc:
+        row = cells.index(raw) + 2  # the header is row 1
+        raise IngestError(f"row {row}: {exc}", row=row) from exc
+    return list(map(parsed.__getitem__, cells))
+
+
 def _parse_time_cells(name, cells, gran_name, zone):
     """Parse a column's raw cells as TimePoints (or ints for ordinal)."""
     if gran_name == "ordinal":
-        out = []
-        for lineno, raw in cells:
-            if raw is None:
-                out.append(None)
-            elif _INT_RE.match(raw):
-                out.append(int(raw))
-            else:
-                raise IngestError(
-                    f"row {lineno}: {raw!r} in column {name!r} is not an "
-                    "ordinal (integer) index value",
-                    row=lineno,
+        def parse(raw):
+            if not _ORDINAL_RE.match(raw):
+                raise ParseError(
+                    f"{raw!r} in column {name!r} is not an ordinal (integer) index value"
                 )
-        return out
+            return int(raw)
+
+        return _parse_each_once(cells, parse)
 
     if gran_name in (None, "guess"):
-        first = next((raw for _, raw in cells if raw is not None), None)
+        first = next((raw for raw in cells if raw), None)
         if first is None:
-            return [None for _ in cells]
+            return [None] * len(cells)
         g = guess_granularity(first)
         if g is None:
             raise IngestError(
@@ -87,52 +108,37 @@ def _parse_time_cells(name, cells, gran_name, zone):
             g = Granularity(gran_name)
         except ValueError:
             raise IngestError(f"unknown granularity {gran_name!r} for column {name!r}") from None
-
-    out = []
-    for lineno, raw in cells:
-        if raw is None:
-            out.append(None)
-            continue
-        try:
-            out.append(parse_timepoint(raw, g, zone))
-        except ParseError as exc:
-            raise IngestError(f"row {lineno}: {exc}", row=lineno) from exc
-    return out
+    # Called through the module attribute on every miss, so a wrapper
+    # installed on ``ingest.parse_timepoint`` sees each distinct cell.
+    return _parse_each_once(cells, lambda raw: parse_timepoint(raw, g, zone))
 
 
-def _infer_cells(cells):
-    pool = [raw for _, raw in cells if raw is not None]
-    if pool and all(_INT_RE.match(raw) for raw in pool):
-        return [None if raw is None else int(raw) for _, raw in cells]
-    if pool:
-        try:
-            floats = [None if raw is None else float(raw) for _, raw in cells]
-        except ValueError:
-            floats = None
-        if floats is not None:
-            return floats
-    if pool and all(raw.lower() in _BOOL for raw in pool):
-        return [None if raw is None else _BOOL[raw.lower()] for _, raw in cells]
-    return [raw for _, raw in cells]
+def _infer_cells(cells) -> list:
+    """Raw cells ("" for missing) typed as one int, real, bool or text column."""
+    distinct = set(cells)
+    distinct.discard("")
+    if distinct:
+        for grammar, convert in ((_INT_RE, int), (_NUMBER_RE, float)):
+            if all(grammar.fullmatch(raw) for raw in distinct):
+                return [convert(raw) if raw else None for raw in cells]
+        if all(raw.lower() in _BOOL for raw in distinct):
+            return [_BOOL[raw.lower()] if raw else None for raw in cells]
+    return [raw or None for raw in cells]
 
 
 def read_cell(text: str):
     """``text`` typed as a one-cell CSV column: int, real, bool or text, and
     None for the empty string."""
-    return _infer_cells([(1, text or None)])[0]
+    return _infer_cells((text or "",))[0]
 
 
 def typed_columns(cfg: IngestConfig, header, rows) -> dict[str, list]:
+    # One tuple of raw cells per column, sliced once.
+    columns = zip(*rows) if rows else [()] * len(header)
     data = {}
-    for j, name in enumerate(header):
-        cells = [
-            (lineno, row[j] if row[j] != "" else None)
-            for lineno, row in enumerate(rows, start=2)
-        ]
-        if name == cfg.index:
+    for name, cells in zip(header, columns):
+        if name == cfg.index or name in cfg.time_format:
             data[name] = _parse_time_cells(name, cells, cfg.time_format.get(name), cfg.zone)
-        elif name in cfg.time_format:
-            data[name] = _parse_time_cells(name, cells, cfg.time_format[name], cfg.zone)
         else:
             data[name] = _infer_cells(cells)
     return data
@@ -171,11 +177,48 @@ def write_csv(stream, header, rows) -> None:
         writer.writerow([render_cell(v) for v in row])
 
 
+def _time_cells(values):
+    """render_cell over a time column, rendering each distinct point once.
+
+    Points are cached on (ticks, granularity, zone): TimePoint equality
+    ignores the zone, which changes the text.  Granularity members are
+    singletons, and keying on their id skips Enum's Python-level hash."""
+    text = {}
+    for v in values:
+        if type(v) is not TimePoint:
+            yield render_cell(v)  # missing, or an index adapter's own value
+            continue
+        key = (v.ticks, id(v.granularity), v.zone)
+        s = text.get(key)
+        if s is None:
+            s = text[key] = v.render()
+        yield s
+
+
+_BOOL_TEXT = {None: "", True: "true", False: "false"}
+
+
+def _rendered(col: Column):
+    """The cells of ``col`` as render_cell writes them, chosen by its kind."""
+    if col.kind == "time":
+        return _time_cells(col.values)
+    if col.kind == "bool":
+        return map(_BOOL_TEXT.__getitem__, col.values)
+    # int, real and text: csv.writer writes None as "", a float by repr and
+    # any other cell by str, as render_cell does.
+    return col.values
+
+
 def table_to_csv(t: TemporalTable, stream=None) -> str | None:
-    """Write a table as CSV; returns the text when no stream is given."""
+    """Write a table as CSV; returns the text when no stream is given.
+
+    The output is what :func:`write_csv` makes of the rows, built column by
+    column: each column is rendered by its declared kind, a time column
+    once per distinct point, and rows are streamed to the writer."""
     out = stream or io.StringIO()
-    names = t.column_names
-    write_csv(out, names, ([t.columns[c].values[i] for c in names] for i in range(t.nrows)))
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(t.column_names)
+    writer.writerows(zip(*(_rendered(col) for col in t.columns.values())))
     if stream is None:
         return out.getvalue()
     return None

@@ -16,13 +16,16 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from datetime import date, datetime, timedelta, timezone
+from datetime import date, datetime, time, timedelta, timezone
 from zoneinfo import ZoneInfo
 
 from .errors import ConversionError, ParseError, PreconditionError
 from .granularity import MS_PER_TICK, Granularity, coarser_or_equal
 
 _EPOCH_DATE = date(1970, 1, 1)
+_EPOCH_ORDINAL = _EPOCH_DATE.toordinal()
+_MAX_ORDINAL = date.max.toordinal()
+_MS_PER_DAY = 86_400_000
 _EPOCH_UTC = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _ONE_MS = timedelta(milliseconds=1)
 
@@ -32,8 +35,12 @@ _MONTH_ABBR = {
 }
 
 
+def _is_utc(zone: str | None) -> bool:
+    return zone is None or zone.upper() == "UTC"
+
+
 def _tzinfo(zone: str | None):
-    if zone is None or zone.upper() == "UTC":
+    if _is_utc(zone):
         return timezone.utc
     try:
         return ZoneInfo(zone)
@@ -131,7 +138,7 @@ def _date_to_ticks(d: date, g: Granularity) -> int:
         monday = d - timedelta(days=d.weekday())
         return ((monday - _EPOCH_DATE).days + 3) // 7
     if g is Granularity.DAY:
-        return (d - _EPOCH_DATE).days
+        return d.toordinal() - _EPOCH_ORDINAL
     raise ConversionError(f"{g.value} ticks are not date-based")
 
 
@@ -147,13 +154,22 @@ def _civil_datetime(tp: TimePoint) -> datetime:
 def _ticks_from_civil(g: Granularity, zone: str | None, y, mo=1, d=1, h=0, mi=0, s=0, ms=0) -> int:
     """Encode a civil time at a sub-daily granularity; must align exactly."""
     try:
-        local = datetime(y, mo, d, h, mi, s, ms * 1000, tzinfo=_tzinfo(zone))
+        if _is_utc(zone):
+            # No offset to apply: whole days from the date's ordinal.  date()
+            # and time() check the fields as datetime() does, in the same
+            # order and with the same errors.
+            days = date(y, mo, d).toordinal() - _EPOCH_ORDINAL
+            time(h, mi, s, ms * 1000)
+            total_ms = (((days * 24 + h) * 60 + mi) * 60 + s) * 1000 + ms
+        else:
+            local = datetime(y, mo, d, h, mi, s, ms * 1000, tzinfo=_tzinfo(zone))
+            total_ms = (local - _EPOCH_UTC) // _ONE_MS
     except ValueError as exc:
         raise ParseError(f"invalid civil time {(y, mo, d, h, mi, s, ms)}: {exc}") from exc
-    total_ms = (local - _EPOCH_UTC) // _ONE_MS
     unit = MS_PER_TICK[g]
     ticks, rem = divmod(total_ms, unit)
     if rem:
+        local = datetime(y, mo, d, h, mi, s, ms * 1000, tzinfo=_tzinfo(zone))
         raise ParseError(
             f"{local.isoformat()} does not align to whole {g.value} ticks "
             f"(offset remainder {rem} ms); use a finer granularity"
@@ -340,14 +356,24 @@ def render_timepoint(tp: TimePoint) -> str:
     if g is Granularity.DAY:
         d = _date_from_ticks(tp.ticks, g)
         return f"{d.year:04d}-{d.month:02d}-{d.day:02d}"
-    c = _civil_datetime(tp)
-    base = f"{c.year:04d}-{c.month:02d}-{c.day:02d} {c.hour:02d}:{c.minute:02d}"
+    days, ms = divmod(tp.ticks * MS_PER_TICK[g], _MS_PER_DAY)
+    days += _EPOCH_ORDINAL
+    if _is_utc(tp.zone) and 1 <= days <= _MAX_ORDINAL:
+        # No offset to apply: the date from its ordinal, the clock by divmod.
+        c = date.fromordinal(days)
+        minutes, ms = divmod(ms, 60_000)
+        hh, mm = divmod(minutes, 60)
+        ss, ms = divmod(ms, 1000)
+    else:
+        c = _civil_datetime(tp)
+        hh, mm, ss, ms = c.hour, c.minute, c.second, c.microsecond // 1000
+    base = f"{c.year:04d}-{c.month:02d}-{c.day:02d} {hh:02d}:{mm:02d}"
     if g is Granularity.HOUR or g is Granularity.MINUTE:
         return base
-    base += f":{c.second:02d}"
+    base += f":{ss:02d}"
     if g is Granularity.SECOND:
         return base
-    return base + f".{c.microsecond // 1000:03d}"
+    return base + f".{ms:03d}"
 
 
 # --- parsing ---------------------------------------------------------------

@@ -598,7 +598,7 @@ def join(t: TemporalTable, other, kind: str = "left", by=None) -> VerbOutcome:
             out = take(out, [i for i, js in enumerate(matches) if js])
         return VerbOutcome(out)
 
-    data: dict[str, list] = {c: [] for c in t.columns}
+    data: dict[str, Column | list] = {c: [] for c in t.columns}
     for c in extra:
         data[renames[c]] = []
 
@@ -624,7 +624,17 @@ def join(t: TemporalTable, other, kind: str = "left", by=None) -> VerbOutcome:
             if j not in matched_right:
                 emit(None, j)
 
-    adapter = None if kind in ("right", "full") else t.adapter
+    # Left columns keep their declared kinds.  A right/full join also puts
+    # right-hand cells in the join columns, which take the common kind of
+    # both sides.  The index kind is its adapter's.
+    adds_right = kind in ("right", "full")
+    for c, col in t.columns.items():
+        if c != t.index:
+            declared = col.kind
+            if adds_right and any(c == lc for lc, _ in pairs):
+                declared = table.common_kind((declared, table.infer_kind(data[c])))
+            data[c] = Column(declared, data[c])
+    adapter = None if adds_right else t.adapter
     return VerbOutcome(
         table.build(data, t.index, t.key, t.declared_regular, adapter=adapter)
     )

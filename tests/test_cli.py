@@ -1,6 +1,8 @@
+import importlib
+
 import pytest
 
-from temporaltable import Window, aggregates, roll_by_key
+from temporaltable import TimePoint, Window, aggregates, roll_by_key
 from temporaltable.cli import main
 from temporaltable.ingest import IngestConfig, ingest, table_to_csv
 from conftest import DATA
@@ -39,13 +41,17 @@ def test_validate_summary(capsys):
     assert lines[1] == "# Key:       country, gender [6]"
 
 
-def test_validate_rejects_a_nan_key(capsys, tmp_path):
-    # "nan" reads as a float; two of them on one day once built two series.
+def test_validate_reads_nan_as_a_text_key(capsys, tmp_path):
+    # "nan" is no JSON number, so it reads as text: the two rows are one
+    # series with one day twice, never two NaN series.
     p = tmp_path / "nan.csv"
     p.write_text("k,t,v\nnan,2020-01-01,1\nnan,2020-01-01,2\n")
     rc, out, err = run(capsys, "validate", str(p), "--index", "t", "--key", "k")
     assert (rc, out) == (1, "")
-    assert err == "error: key column 'k' holds NaN at row 0\n"
+    assert err.splitlines()[0] == (
+        "error: 2 rows share a (key, index) pair; first duplicate: "
+        "key=('nan',) index=2020-01-01"
+    )
 
 
 def test_print_matches_validate(capsys):
@@ -127,7 +133,7 @@ def test_gaps_fill_default_leaves_missing(capsys, gappy_csv):
     assert "A,3,,\n" in out
 
 
-# A constant is read the way a CSV cell is: "1_000" and " 5" are reals there.
+# A constant is read the way a CSV cell is: "1_000" and " 5" are text there.
 @pytest.mark.parametrize("fill", ["v=zero", "v=1_000", "v= 5"])
 def test_gaps_fill_constant_must_fit_kind(capsys, gappy_csv, fill):
     rc, out, err = run(capsys, "gaps", "fill", gappy_csv, "--index", "t",
@@ -312,3 +318,34 @@ def test_gaps_irregular_table_fails(capsys, gappy_csv):
                      "--time-format", "t=ordinal", "--irregular")
     assert rc == 1
     assert "regular" in err
+
+
+def test_each_distinct_time_cell_is_parsed_and_rendered_once(capsys, tmp_path, monkeypatch):
+    # The benchmark counts parse_timepoint at this attribute and
+    # TimePoint.render on the class; both must see every distinct cell.
+    # (The package's ``ingest`` attribute is the function, not the module.)
+    ingest_module = importlib.import_module("temporaltable.ingest")
+
+    calls = {"parse": [], "render": []}
+    parse, render = ingest_module.parse_timepoint, TimePoint.render
+
+    def counted_parse(text, *args):
+        calls["parse"].append(text)
+        return parse(text, *args)
+
+    def counted_render(point):
+        calls["render"].append(point.ticks)
+        return render(point)
+
+    monkeypatch.setattr(ingest_module, "parse_timepoint", counted_parse)
+    monkeypatch.setattr(TimePoint, "render", counted_render)
+    days = ["2020-01-01", "2020-01-02", "2020-01-04"]
+    p = tmp_path / "daily.csv"
+    p.write_text("city,day,riders\n" + "".join(
+        f"{city},{day},{n}\n" for n, city in enumerate("ABCDE") for day in days))
+    rc, out, err = run(capsys, "gaps", "fill", str(p), "--index", "day", "--key", "city",
+                       "--fill-with", "riders=0")
+    assert (rc, err) == (0, "")
+    assert out.count("\n") == 1 + 5 * 4
+    assert sorted(calls["parse"]) == days
+    assert sorted(calls["render"]) == [18262, 18263, 18264, 18265]

@@ -1,18 +1,35 @@
 import io
+import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from temporaltable import (
+    Column,
     DuplicateIndexError,
+    Granularity,
     IngestConfig,
     IngestError,
+    ParseError,
     SchemaError,
+    TimePoint,
+    build,
+    guess_granularity,
     ingest,
+    parse_timepoint,
     table_to_csv,
     timepoint as tp,
 )
-from temporaltable.ingest import render_cell
+from temporaltable.ingest import (
+    _parse_time_cells,
+    read_cell,
+    render_cell,
+    typed_columns,
+    write_csv,
+)
+from temporaltable.granularity import MS_PER_TICK
 from conftest import DATA, assert_same_table
+from test_adapters import Semester, SemesterAdapter
 
 
 def write(tmp_path, text, name="t.csv"):
@@ -182,3 +199,188 @@ def test_table_to_csv_stream(tb):
     assert lines[0] == "country,continent,gender,year,count"
     assert lines[1] == "Australia,Oceania,Female,2011,120"
     assert len(lines) == 13
+
+
+# A cell is an int or a real when it is a JSON number (RFC 8259 section 6);
+# any other text stays text.
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("0", 0), ("-0", 0), ("12", 12), ("-7", -7), ("123456789012345678901", 123456789012345678901),
+        ("1.5", 1.5), ("-0.0", -0.0), ("1e5", 1e5), ("2.5E-3", 2.5e-3), ("1e+16", 1e16),
+        ("007", "007"), ("+5", "+5"), ("1_000", "1_000"), ("inf", "inf"), ("nan", "nan"),
+        ("-Infinity", "-Infinity"), (" 2.5", " 2.5"), ("2.5 ", "2.5 "), ("12\n", "12\n"),
+        (".5", ".5"), ("5.", "5."), ("1e", "1e"), ("0x10", "0x10"), ("\u0661\u0662", "\u0661\u0662"),
+        ("true", True), ("FALSE", False), ("", None),
+    ],
+)
+def test_read_cell_number_grammar(text, want):
+    # repr tells 1 from 1.0 and True, and -0.0 from 0.0.
+    assert repr(read_cell(text)) == repr(want)
+
+
+def test_one_non_number_makes_a_text_column(tmp_path):
+    path = write(tmp_path, "t,i,r,n\n1,1,1.5,2\n2,+5,inf,007\n")
+    t = ingest(IngestConfig(path, index="t", time_format={"t": "ordinal"}))
+    assert dict(t.schema) == {"t": "int", "i": "text", "r": "text", "n": "text"}
+    assert t.column("r") == ["1.5", "inf"]
+
+
+# --- per-column caches: the same result as reading cell by cell -------------
+
+ODD_CELLS = (
+    "2021-02-30", "2021-02-30 01:00", "2021-01-01 24:00", "0000-01-01",
+    "\u0662\u0660\u0662\u0661-\u0660\u0661-\u0660\u0661",  # Arabic-Indic digits
+    "2021 Q5", "2020 W53", "2021 W54", "2021-13", "2021 Jul", "2021 Foo",
+    "2021-04-04 02:00", "2021-04-04T02:30", "2021-10-03 02:30", " 2021-01-01 ",
+    "2021-01-01 10:00:00.5", "12", "+5", "007", "-3", "never",
+)
+
+
+def _rendered_texts(g):
+    if g is Granularity.ORDINAL:
+        return st.integers(-50, 50).map(str)
+    if g.is_subdaily:
+        # Ticks up to a day before and a few after the Australia/Melbourne
+        # fall-back at 2021-04-04 03:00 local time (16:00 UTC the day before).
+        unit = MS_PER_TICK[g]
+        fallback = 1_617_465_600_000 // unit
+        ticks = st.integers(fallback - 86_400_000 // unit, fallback + 3)
+    else:
+        ticks = st.integers(-800, 800)
+    return ticks.map(lambda k: TimePoint(k, g).render())
+
+
+@st.composite
+def _time_column(draw, g):
+    """Raw cells that repeat: a few distinct texts, each on several rows."""
+    pool = draw(st.lists(st.one_of(st.sampled_from(ODD_CELLS), _rendered_texts(g)),
+                         min_size=1, max_size=6))
+    return draw(st.lists(st.sampled_from(pool + [""]), max_size=25))
+
+
+def _cell_by_cell(cells, gran_name, zone):
+    """Each cell of column "t" read on its own: (values, None, None), or
+    (None, the first error's text, its row)."""
+    if gran_name == "ordinal":
+        values = []
+        for row, raw in enumerate(cells, start=2):
+            try:
+                values += _parse_time_cells("t", (raw,), "ordinal", zone)
+            except IngestError as exc:
+                return None, str(exc).replace("row 2:", f"row {row}:", 1), row
+        return values, None, None
+    if gran_name is None:
+        first = next((raw for raw in cells if raw), None)
+        g = first and guess_granularity(first)
+        if first and g is None:
+            return None, (f"cannot guess the time granularity of column 't' from "
+                          f"{first!r}; declare one with a time format"), None
+    else:
+        g = Granularity(gran_name)
+    values = []
+    for row, raw in enumerate(cells, start=2):
+        try:
+            values.append(parse_timepoint(raw, g, zone) if raw else None)
+        except ParseError as exc:
+            return None, f"row {row}: {exc}", row
+    return values, None, None
+
+
+@given(data=st.data())
+@pytest.mark.parametrize(
+    "gran_name", [g.value for g in Granularity if g is not Granularity.ORDINAL] + ["ordinal", None])
+def test_time_column_matches_cell_by_cell_parsing(gran_name, data):
+    g = Granularity(gran_name) if gran_name else data.draw(st.sampled_from(list(Granularity)))
+    cells = data.draw(_time_column(g))
+    zone = data.draw(st.sampled_from([None, "UTC", "Australia/Melbourne"]))
+    cfg = IngestConfig("t.csv", index="t", time_format={"t": gran_name} if gran_name else {},
+                       zone=zone)
+    rows = [[raw, "1"] for raw in cells]
+    want, error, row = _cell_by_cell(cells, gran_name, zone)
+    if error is not None:
+        with pytest.raises(IngestError) as info:
+            typed_columns(cfg, ["t", "v"], rows)
+        assert (str(info.value), info.value.row) == (error, row)
+        return
+    got = typed_columns(cfg, ["t", "v"], rows)["t"]
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        if isinstance(b, TimePoint):
+            assert (a.ticks, a.granularity, a.zone) == (b.ticks, b.granularity, b.zone)
+        else:
+            assert type(a) is type(b) and a == b
+
+
+def _row_by_row(t) -> str:
+    """The table written one row at a time through render_cell."""
+    buf = io.StringIO()
+    names = t.column_names
+    write_csv(buf, names, ([t.columns[c].values[i] for c in names] for i in range(t.nrows)))
+    return buf.getvalue()
+
+
+_CELLS = {
+    "int": st.integers(),
+    "real": st.one_of(st.floats(), st.sampled_from([-0.0, math.inf, -math.inf, math.nan]),
+                      st.integers(-10**20, 10**20)),
+    "bool": st.booleans(),
+    "text": st.text(),
+    "time": st.builds(
+        TimePoint,
+        st.integers(-3, 3) | st.integers(-10**7, 10**7),
+        st.just(Granularity.HOUR),
+        st.sampled_from([None, "UTC", "utc", "Australia/Melbourne", "America/New_York"]),
+    ),
+}
+
+_INDEXES = {
+    "ordinal": lambda n: (list(range(n)), None),
+    "day": lambda n: ([TimePoint(k, Granularity.DAY) for k in range(n)], None),
+    "semester": lambda n: ([Semester(2000 + k // 2, k % 2 + 1) for k in range(n)],
+                           SemesterAdapter()),
+}
+
+
+@st.composite
+def _tables(draw):
+    n = draw(st.integers(0, 12))
+    idx, adapter = _INDEXES[draw(st.sampled_from(sorted(_INDEXES)))](n)
+    cols = {"i": idx}
+    for j in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(sorted(_CELLS)))
+        # One column in four is all missing.
+        cells = st.none() if draw(st.integers(0, 3)) == 0 else st.none() | _CELLS[kind]
+        cols[f"c{j}"] = Column(kind, draw(st.lists(cells, min_size=n, max_size=n)))
+    return cols, adapter
+
+
+@given(_tables())
+def test_table_to_csv_matches_row_by_row_rendering(cols_adapter):
+    cols, adapter = cols_adapter
+    t = build(cols, "i", adapter=adapter)
+    want = _row_by_row(t)
+    assert table_to_csv(t) == want
+    buf = io.StringIO()
+    table_to_csv(t, buf)
+    assert buf.getvalue() == want
+
+
+def test_table_to_csv_renders_each_kind_like_render_cell():
+    t = build(
+        {
+            "t": [tp.day(2021, 1, 1), tp.day(2021, 1, 2), tp.day(2021, 1, 3)],
+            "r": Column("real", [1, -0.0, math.nan]),
+            "b": [True, None, False],
+            "h": [TimePoint(0, Granularity.HOUR, "UTC"), TimePoint(0, Granularity.HOUR),
+                  TimePoint(0, Granularity.HOUR, "Australia/Melbourne")],
+            "m": Column("int", [None, None, None]),
+        },
+        "t",
+    )
+    assert table_to_csv(t) == _row_by_row(t) == (
+        "t,r,b,h,m\n"
+        "2021-01-01,1,true,1970-01-01 00:00,\n"
+        "2021-01-02,-0.0,,1970-01-01 00:00,\n"
+        "2021-01-03,nan,false,1970-01-01 10:00,\n"
+    )

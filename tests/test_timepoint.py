@@ -18,6 +18,7 @@ from temporaltable import (
     parse_timepoint,
     timepoint as tp,
 )
+from temporaltable.granularity import MS_PER_TICK
 from temporaltable.timepoint import span_ticks
 
 EPOCH = date(1970, 1, 1)
@@ -232,3 +233,70 @@ def test_week_span_covers_seven_days():
     monday = date.fromisocalendar(2011, 7, 1)
     assert lo == (monday - EPOCH).days
     assert hi - lo == 6
+
+
+# --- UTC fast paths: the same ticks, text and errors as datetime arithmetic --
+
+SUBDAILY = [g for g in Granularity if g.is_subdaily]
+EPOCH_UTC = datetime(1970, 1, 1, tzinfo=timezone.utc)
+
+
+def _civil_text(g, y, mo, d, h, mi, s, ms):
+    text = f"{y:04d}-{mo:02d}-{d:02d} {h:02d}:{mi:02d}"
+    if g is Granularity.SECOND or g is Granularity.MILLISECOND:
+        text += f":{s:02d}"
+    if g is Granularity.MILLISECOND:
+        text += f".{ms:03d}"
+    return text
+
+
+@given(
+    st.sampled_from(SUBDAILY),
+    st.sampled_from([None, "UTC", "utc"]),
+    st.tuples(st.integers(0, 9999), st.integers(0, 13), st.integers(0, 32),
+              st.integers(0, 25), st.integers(0, 61), st.integers(0, 61), st.integers(0, 999)),
+)
+def test_utc_subdaily_parse_matches_datetime(g, zone, fields):
+    # Fields finer than g are zero, as the text at g carries none of them.
+    keep = {Granularity.HOUR: 4, Granularity.MINUTE: 5, Granularity.SECOND: 6}.get(g, 7)
+    fields = fields[:keep] + (0,) * (7 - keep)
+    y, mo, d, h, mi, s, ms = fields
+    text = _civil_text(g, *fields)
+    try:
+        local = datetime(y, mo, d, h, mi, s, ms * 1000, tzinfo=timezone.utc)
+    except ValueError as exc:
+        with pytest.raises(ParseError) as info:
+            parse_timepoint(text, g, zone)
+        assert str(info.value) == f"invalid civil time {fields}: {exc}"
+        return
+    point = parse_timepoint(text, g, zone)
+    want = (local - EPOCH_UTC) // timedelta(milliseconds=MS_PER_TICK[g])
+    assert (point.ticks, point.granularity, point.zone) == (want, g, zone)
+    assert point.render() == text
+
+
+def _render_by_datetime(point):
+    """The text of a sub-daily point from its zone-local datetime."""
+    g, zone = point.granularity, point.zone
+    tz = timezone.utc if zone in (None, "UTC", "utc") else ZoneInfo(zone)
+    c = (EPOCH_UTC + timedelta(milliseconds=point.ticks * MS_PER_TICK[g])).astimezone(tz)
+    return _civil_text(g, c.year, c.month, c.day, c.hour, c.minute, c.second,
+                       c.microsecond // 1000)
+
+
+@given(
+    st.sampled_from(SUBDAILY),
+    st.sampled_from([None, "UTC", "utc", "Australia/Melbourne"]),
+    # From before year 1 to after year 9999, in milliseconds since the epoch.
+    st.integers(-63 * 10**12, 254 * 10**12),
+)
+def test_subdaily_render_matches_datetime(g, zone, ms):
+    point = TimePoint(ms // MS_PER_TICK[g], g, zone)
+    try:
+        want = _render_by_datetime(point)
+    except (OverflowError, ValueError) as exc:
+        with pytest.raises(type(exc)) as info:
+            point.render()
+        assert str(info.value) == str(exc)
+        return
+    assert point.render() == want

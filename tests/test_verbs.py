@@ -736,6 +736,22 @@ def test_full_join_materializes_right_only_rows(tb):
     validate_table(out)
 
 
+def test_joins_that_rebuild_keep_the_left_kinds():
+    # v (real) holds only an int after the filter, r (real) only missing
+    # cells; a right/full join must not re-read their kinds from the cells.
+    t = build({"k": ["a", "a"], "t": [1, 2], "v": [1, 2.5], "r": [None, 1.0]}, "t", ("k",))
+    s = tfilter(t, lambda r: r["t"] == 1).table
+    full = join(s, {"k": ["a"], "t": [2], "x": [1]}, "full", by=["k", "t"]).table
+    assert full.schema == [("k", "text"), ("t", "int"), ("v", "real"), ("r", "real"), ("x", "int")]
+    # A join column of a right/full join also holds right cells: the common
+    # kind of both sides, and a clash of kinds is refused.
+    g = tfilter(build({"t": [1, 2], "g": [1, 2.5]}, "t"), lambda r: r["t"] == 1).table
+    out = join(g, {"t": [2], "g": [2]}, "right", by=["t", "g"]).table
+    assert dict(out.schema)["g"] == "real"
+    with pytest.raises(SchemaError, match="mixes cell kinds"):
+        join(g, {"t": [2], "g": ["two"]}, "full", by=["t", "g"])
+
+
 def test_right_only_rows_need_index_values(tb):
     with pytest.raises(MissingIndexError):
         join(tb, {"country": ["Narnia"], "pop": [1]}, kind="full")
