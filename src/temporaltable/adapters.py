@@ -15,6 +15,7 @@ shared across threads; the registry is the package's only mutable state.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from operator import attrgetter
 from typing import Sequence
 
 from .errors import RegistrationError, SchemaError
@@ -110,6 +111,8 @@ class EmptyIndex(IndexAdapter):
 
 
 _REGISTRY: dict[str, IndexAdapter] = {}
+_granularity = attrgetter("granularity")
+_zone = attrgetter("zone")
 
 
 def register_index_adapter(adapter: IndexAdapter) -> None:
@@ -172,22 +175,28 @@ def resolve_index(
         if ad is None:
             raise SchemaError(f"no index adapter registered under {adapter!r}")
         return ad
-    present = [v for v in values if v is not None]
+    types = set(map(type, values))
+    present = values
+    if type(None) in types:
+        types.discard(type(None))
+        present = [v for v in values if v is not None]
     if not present:
         return EmptyIndex()
-    if all(isinstance(v, TimePoint) for v in present):
-        grans = {v.granularity for v in present}
-        if len(grans) > 1:
-            names = ", ".join(sorted(g.value for g in grans))
+    if types == {TimePoint} or all(isinstance(v, TimePoint) for v in present):
+        # Counting compares members by identity first, so no cell runs
+        # Enum's Python-level hash.
+        grans = list(map(_granularity, present))
+        if grans.count(grans[0]) != len(grans):
+            names = ", ".join(sorted({v.granularity.value for v in present}))
             raise SchemaError(f"index column {name!r} mixes granularities: {names}")
-        zones = {v.zone for v in present}
+        zones = set(map(_zone, present))
         if len(zones) > 1:
             raise SchemaError(f"index column {name!r} mixes time zones: {sorted(map(str, zones))}")
-        return TimeIndex(grans.pop(), zones.pop())
+        return TimeIndex(grans[0], zones.pop())
     for ad in registered_adapters():
-        if all(ad.claims(v) for v in present):
+        if all(map(ad.claims, present)):
             return ad
-    if all(isinstance(v, int) and not isinstance(v, bool) for v in present):
+    if types == {int} or all(isinstance(v, int) and not isinstance(v, bool) for v in present):
         return OrdinalIndex()
     raise SchemaError(
         f"index column {name!r} holds no recognized time kind "

@@ -11,7 +11,6 @@ int total.
 from __future__ import annotations
 
 import math
-from statistics import fmean
 
 from .errors import SchemaError
 
@@ -78,6 +77,15 @@ def quantile(values, p: float) -> float:
     if frac == 0.0:
         return float(s[lo])
     return s[lo] + frac * (s[lo + 1] - s[lo])
+
+
+def fmean(values) -> float:
+    """``statistics.fmean``, which is slow to import: the first call
+    imports it and puts it in this function's place."""
+    global fmean
+    from statistics import fmean
+
+    return fmean(values)
 
 
 def _numeric(v) -> bool:

@@ -3,10 +3,12 @@
 Cells are typed per column in a fixed order: integer, then real, then
 boolean, then time (only for columns with a declared format, and always for
 the index), with text as the fallback.  Integers and reals are JSON numbers
-(RFC 8259 section 6); other text, "+5" and "nan" included, stays text.
-Empty cells are missing.  The index column is parsed as time: either at a
-declared granularity, or by guessing from its first non-empty value
-("ordinal" declares a plain-integer index).
+(RFC 8259 section 6); other text, "+5" and "nan" included, stays text,
+and so does a number too large for a float ("1e999"), since JSON numbers
+are finite.  Empty cells are missing.  The index column is parsed as time:
+either at a declared granularity, or by guessing from its first non-empty
+value ("ordinal" declares an index of JSON ints).  Output refuses a real
+column holding inf or nan by the same rule.
 
 Both ends work a column at a time and touch each distinct time cell once.
 A time column keeps a dict from raw text to its parsed value, so a day that
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -30,7 +33,6 @@ from .timepoint import TimePoint, guess_granularity, parse_timepoint
 # Numbers follow the JSON grammar (RFC 8259 section 6), matched whole.
 _INT_RE = re.compile(r"-?(?:0|[1-9][0-9]*)")
 _NUMBER_RE = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
-_ORDINAL_RE = re.compile(r"^[+-]?\d+$")
 _BOOL = {"true": True, "false": False}
 
 
@@ -85,7 +87,7 @@ def _parse_time_cells(name, cells, gran_name, zone):
     """Parse a column's raw cells as TimePoints (or ints for ordinal)."""
     if gran_name == "ordinal":
         def parse(raw):
-            if not _ORDINAL_RE.match(raw):
+            if not _INT_RE.fullmatch(raw):
                 raise ParseError(
                     f"{raw!r} in column {name!r} is not an ordinal (integer) index value"
                 )
@@ -113,15 +115,34 @@ def _parse_time_cells(name, cells, gran_name, zone):
     return _parse_each_once(cells, lambda raw: parse_timepoint(raw, g, zone))
 
 
+def _first_non_finite(values) -> int | None:
+    """Position of the first inf or nan float among ``values``, or None when
+    there is none."""
+    try:
+        if math.isfinite(sum(filter(None, values))):
+            return None  # an inf or nan cell makes any sum inf or nan
+    except (OverflowError, TypeError):  # an int too large for a float; no number
+        pass
+    return next(
+        (i for i, v in enumerate(values) if isinstance(v, float) and not math.isfinite(v)), None
+    )
+
+
 def _infer_cells(cells) -> list:
-    """Raw cells ("" for missing) typed as one int, real, bool or text column."""
+    """Raw cells ("" for missing) typed as one int, real, bool or text column.
+
+    JSON has no inf or nan (RFC 8259 section 6), so a number too large for
+    a float (``1e999``) reads as text, as ``inf`` does."""
     distinct = set(cells)
     distinct.discard("")
     if distinct:
-        for grammar, convert in ((_INT_RE, int), (_NUMBER_RE, float)):
-            if all(grammar.fullmatch(raw) for raw in distinct):
-                return [convert(raw) if raw else None for raw in cells]
-        if all(raw.lower() in _BOOL for raw in distinct):
+        if all(_INT_RE.fullmatch(raw) for raw in distinct):
+            return [int(raw) if raw else None for raw in cells]
+        if all(_NUMBER_RE.fullmatch(raw) for raw in distinct):
+            reals = [float(raw) if raw else None for raw in cells]
+            if _first_non_finite(reals) is None:
+                return reals
+        elif all(raw.lower() in _BOOL for raw in distinct):
             return [_BOOL[raw.lower()] if raw else None for raw in cells]
     return [raw or None for raw in cells]
 
@@ -170,7 +191,25 @@ def render_cell(v) -> str:
     return str(v)
 
 
+def _refuse_non_finite(name: str, values) -> None:
+    """Raise SchemaError for the first inf or nan cell of column ``name``:
+    a CSV number is a JSON number, and JSON has none (RFC 8259 section 6)."""
+    row = _first_non_finite(values)
+    if row is not None:
+        raise SchemaError(
+            f"real column {name!r} holds {values[row]!r} at row {row}; "
+            "CSV numbers must be finite"
+        )
+
+
 def write_csv(stream, header, rows) -> None:
+    """Write ``header`` and ``rows`` as CSV, each cell by :func:`render_cell`.
+
+    Raises SchemaError, before writing anything, when a column holds an inf
+    or nan cell."""
+    rows = [list(row) for row in rows]
+    for name, values in zip(header, zip(*rows)):
+        _refuse_non_finite(name, values)
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
@@ -214,7 +253,12 @@ def table_to_csv(t: TemporalTable, stream=None) -> str | None:
 
     The output is what :func:`write_csv` makes of the rows, built column by
     column: each column is rendered by its declared kind, a time column
-    once per distinct point, and rows are streamed to the writer."""
+    once per distinct point, and rows are streamed to the writer.  Raises
+    SchemaError, before writing anything, when a real column holds an inf
+    or nan cell."""
+    for name, col in t.columns.items():
+        if col.kind == "real":
+            _refuse_non_finite(name, col.values)
     out = stream or io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(t.column_names)

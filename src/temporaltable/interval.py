@@ -82,7 +82,8 @@ def infer_from_ticks(
         return Interval.unknown()
     if min(diffs) <= 0:
         raise PreconditionError("index ticks must be sorted ascending and distinct")
-    return Interval.regular(granularity, gcd_of_diffs(diffs), unit_label)
+    # Ticks are ints, so their differences need none of gcd_of_diffs' checks.
+    return Interval.regular(granularity, math.gcd(*diffs), unit_label)
 
 
 def infer_interval(

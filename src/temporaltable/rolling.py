@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -32,6 +31,16 @@ from . import aggregates
 from .errors import PreconditionError, SchemaError, TypedResultError, UnsupportedOperationError
 from .gaps import require_gapless
 from .table import Column, TemporalTable, as_kind, key_groups, with_columns
+
+
+def ThreadPoolExecutor(max_workers: int):
+    """``concurrent.futures.ThreadPoolExecutor``, which only
+    ``roll_by_key(workers > 1)`` needs: the first call imports it and puts
+    it in this function's place."""
+    global ThreadPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=max_workers)
 
 
 def _positive_int(n, what: str) -> int:

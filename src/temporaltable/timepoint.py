@@ -17,7 +17,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta, timezone
-from zoneinfo import ZoneInfo
 
 from .errors import ConversionError, ParseError, PreconditionError
 from .granularity import MS_PER_TICK, Granularity, coarser_or_equal
@@ -37,6 +36,16 @@ _MONTH_ABBR = {
 
 def _is_utc(zone: str | None) -> bool:
     return zone is None or zone.upper() == "UTC"
+
+
+def ZoneInfo(zone: str):
+    """``zoneinfo.ZoneInfo``, imported on the first zone that is not UTC
+    (most tables have none): the first call puts it in this function's
+    place."""
+    global ZoneInfo
+    from zoneinfo import ZoneInfo
+
+    return ZoneInfo(zone)
 
 
 def _tzinfo(zone: str | None):

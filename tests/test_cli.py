@@ -223,6 +223,21 @@ def test_roll_float_sum_is_correctly_rounded(capsys, tmp_path):
     assert out.splitlines()[-1] == "3,-1e+16,1.0"
 
 
+@pytest.mark.parametrize("command", [
+    ["roll", "--op", "slide", "--col", "v", "--fn", "sum", "--size", "2"],
+    ["agg", "--by", "year", "--fn", "v=sum"],
+])
+def test_an_overflowing_real_is_a_schema_error(capsys, tmp_path, command):
+    # 1e308 + 1e308 is inf, which no CSV number can hold: ttab writes
+    # nothing and reports the column and row as it does other schema errors.
+    p = tmp_path / "big.csv"
+    p.write_text("t,v\n2021-01-01,1e308\n2021-01-02,1e308\n2021-01-03,1.0\n")
+    rc, out, err = run(capsys, command[0], str(p), "--index", "t", *command[1:])
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: real column 'v")
+    assert "holds inf at row" in err and err.endswith("CSV numbers must be finite\n")
+
+
 @pytest.mark.parametrize("spec", ["quantile:0.5", "max"])
 def test_roll_named_aggregate_matches_apply(capsys, spec):
     rc, out, err = run(capsys, "roll", TB, "--index", "year", "--key", "country,gender",

@@ -1,11 +1,17 @@
+import math
 import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from temporaltable import (
     Column,
     DuplicateIndexError,
+    Granularity,
+    Interval,
+    TimePoint,
+    arrange,
     MissingIndexError,
     SchemaError,
     ValidityError,
@@ -15,8 +21,9 @@ from temporaltable import (
     timepoint as tp,
     validate_table,
 )
-from temporaltable.table import as_kind, common_kind, with_columns
+from temporaltable.table import _sort_keys, as_kind, common_kind, with_columns
 from conftest import table_rows
+from test_adapters import Semester, SemesterAdapter
 
 
 def shuffled(raw, seed):
@@ -244,3 +251,149 @@ def test_ordinal_index_from_plain_ints():
     assert t.column("t") == [1, 2, 3]
     assert t.column("v") == ["b", "c", "a"]
     assert t.interval.shorthand() == "[1]"
+
+
+# --- build against a tuple model -------------------------------------------
+#
+# build sorts, checks uniqueness and splits series on one int per row.  The
+# model below does the same work on (key cells..., tick) tuples, the way the
+# contract states it: two rows share a pair when their cells compare equal.
+
+_KEY_CELLS = {
+    "int": st.integers(-2, 2) | st.just(10**20),
+    # Equal cells of two types: 1 and 1.0, 0.0 and -0.0, 10**20 and 1e20;
+    # 2**53 + 1 and 2.0**53 are neighbours no float tells apart.
+    "real": st.sampled_from([1, 1.0, 0.0, -0.0, -2.5, 10**20, 1e20, 2**53 + 1, 2.0**53]),
+    "text": st.sampled_from(["", "a", "b", "B", "ä"]),
+    "bool": st.booleans(),
+    # Time cells compare by ticks; their zone does not tell them apart.
+    "time": st.builds(TimePoint, st.integers(-1, 2), st.just(Granularity.DAY),
+                      st.sampled_from([None, "UTC", "Australia/Melbourne"])),
+}
+
+
+def _index_cells(kind, zone):
+    """Index cells of ``kind`` drawn from a few ticks, and build's adapter."""
+    step = st.sampled_from([1, 2, 3, 7])
+    ticks = st.tuples(st.integers(-3, 4), step).map(lambda p: p[0] * p[1])
+    if kind == "ordinal":
+        return ticks, None
+    if kind == "day":
+        return ticks.map(lambda k: TimePoint(k, Granularity.DAY)), None
+    if kind == "minute":
+        return ticks.map(lambda k: TimePoint(27_000_000 + k, Granularity.MINUTE, zone)), None
+    return ticks.map(lambda k: Semester(2000 + k // 2, k % 2 + 1)), SemesterAdapter()
+
+
+@st.composite
+def _raw_tables(draw):
+    """Raw columns with 0-3 key columns, shuffled rows, and sometimes a
+    repeated (key, index) pair."""
+    kinds = draw(st.lists(st.sampled_from(sorted(_KEY_CELLS)), max_size=3))
+    index_kind = draw(st.sampled_from(["ordinal", "day", "minute", "semester"]))
+    index_cells, adapter = _index_cells(index_kind, draw(st.sampled_from([None, "UTC"])))
+    missing = [draw(st.booleans()) for _ in kinds]
+    row = st.tuples(
+        index_cells,
+        *(st.none() | _KEY_CELLS[k] if m else _KEY_CELLS[k] for k, m in zip(kinds, missing)),
+    )
+    rows = draw(st.lists(row, max_size=14))
+    if draw(st.booleans()):
+        # Keep the first row of each (key, index) pair: a valid table.
+        first = {}
+        for r in rows:
+            first.setdefault((r[1:], adapter_ticks(adapter, r[0])), r)
+        rows = list(first.values())
+    elif rows and draw(st.booleans()):
+        # Repeat a pair, through equal cells that are not the same cells.
+        index_cell, *cells = rows[draw(st.integers(0, len(rows) - 1))]
+        rows.append((index_cell, *map(_twin, kinds, cells)))
+    rows = [rows[i] for i in draw(st.permutations(range(len(rows))))]
+    key = tuple(f"k{j}" for j in range(len(kinds)))
+    raw = {"i": [r[0] for r in rows]}
+    for j, kind in enumerate(kinds):
+        raw[key[j]] = Column(kind, [r[j + 1] for r in rows])
+    raw["v"] = list(range(len(rows)))
+    return raw, key, adapter
+
+
+def _twin(kind, cell):
+    """A cell of a ``kind`` column equal to ``cell`` but of another type,
+    sign or zone, where there is one."""
+    if kind == "time" and cell is not None:
+        return TimePoint(cell.ticks, cell.granularity, None if cell.zone else "UTC")
+    if kind != "real" or cell is None:
+        return cell
+    if cell == 0:
+        return -0.0 if math.copysign(1, cell) > 0 else 0.0
+    if isinstance(cell, float):
+        return int(cell) if cell.is_integer() else cell
+    return float(cell) if float(cell) == cell else cell
+
+
+def adapter_ticks(adapter, cell):
+    if adapter is not None:
+        return adapter.to_ticks(cell)
+    return cell.ticks if isinstance(cell, TimePoint) else cell
+
+
+def _values(raw, name):
+    return getattr(raw[name], "values", raw[name])
+
+
+def _exact(rows):
+    """Rows as text that tells 1 from 1.0, -0.0 from 0.0 and zones apart."""
+    return [repr(sorted(r.items())) for r in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_raw_tables())
+def test_build_matches_a_tuple_model(table):
+    raw, key, adapter = table
+    n = len(raw["v"])
+    ticks = [adapter_ticks(adapter, c) for c in raw["i"]]
+    pairs = [(tuple(_values(raw, k)[i] for k in key), ticks[i]) for i in range(n)]
+    counts = Counter(pairs)
+    repeated = [i for i in range(n) if counts[pairs[i]] > 1]
+    model_rows = [{name: _values(raw, name)[i] for name in raw} for i in range(n)]
+
+    if repeated:
+        with pytest.raises(DuplicateIndexError) as info:
+            build(raw, "i", key, adapter=adapter)
+        report = info.value.report
+        assert report.positions == repeated
+        assert _exact(report.rows) == _exact(model_rows[i] for i in repeated)
+        assert str(info.value).startswith(
+            f"{len(repeated)} rows share a (key, index) pair; "
+            f"first duplicate: key={pairs[repeated[0]][0]!r} index="
+        )
+        assert duplicates(raw, "i", key, adapter=adapter).positions == repeated
+        return
+
+    t = build(raw, "i", key, adapter=adapter)
+    columns = {k: raw[k] for k in key}
+    sort_keys = _sort_keys(columns, key, ticks)
+    order = sorted(range(n), key=sort_keys.__getitem__)
+    assert _exact(t.rows()) == _exact(model_rows[i] for i in order)
+    assert t.ticks() == [ticks[i] for i in order]
+
+    # Series: runs of equal key tuples in model order, keyed by the last row.
+    groups, tick_groups = [], []
+    for i, pos in enumerate(order):
+        if not groups or pairs[pos][0] != pairs[order[i - 1]][0]:
+            groups.append([None, i, i])
+            tick_groups.append([])
+        groups[-1][0], groups[-1][2] = pairs[pos][0], i + 1
+        tick_groups[-1].append(ticks[pos])
+    assert repr(key_groups(t)) == repr([(kt, range(a, b)) for kt, a, b in groups])
+    diffs = [b - a for ts in tick_groups for a, b in zip(ts, ts[1:])]
+    if diffs:
+        want = Interval.regular(t.adapter.granularity, math.gcd(*diffs), t.adapter.unit_label)
+    else:
+        want = Interval.unknown()
+    assert t.interval == want
+
+    # An order-dirty table sorts back to the fresh build.
+    again = arrange(t, [("v", "desc")]).table.canonical()
+    assert _exact(again.rows()) == _exact(t.rows())
+    assert (again.ticks(), again.interval, again.order_dirty) == (t.ticks(), t.interval, False)

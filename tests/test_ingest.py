@@ -76,6 +76,17 @@ def test_ordinal_index_declared(tmp_path):
     assert t.interval.shorthand() == "[1]"
 
 
+@pytest.mark.parametrize("cell", ["+5", "007", "\u0663", "1.0", " 4", "1_000"])
+def test_ordinal_index_reads_the_json_int_grammar(tmp_path, cell):
+    # The ordinal index reads its cells as int columns do: "+5", "007" and
+    # the Arabic-Indic digit three are no ints, so the row is named.
+    path = write(tmp_path, f"t,v\n-2,a\n0,b\n{cell},c\n")
+    with pytest.raises(IngestError) as info:
+        ingest(IngestConfig(path, index="t", time_format={"t": "ordinal"}))
+    assert str(info.value).startswith(f"row 4: {cell!r} in column 't' is not an ordinal")
+    assert info.value.row == 4
+
+
 def test_declared_granularity_beats_guessing(tmp_path):
     # "2011" alone would guess year; declaring month reads it as a parse error,
     # while declaring year on month text fails, so declarations are honored.
@@ -212,6 +223,8 @@ def test_table_to_csv_stream(tb):
         ("-Infinity", "-Infinity"), (" 2.5", " 2.5"), ("2.5 ", "2.5 "), ("12\n", "12\n"),
         (".5", ".5"), ("5.", "5."), ("1e", "1e"), ("0x10", "0x10"), ("\u0661\u0662", "\u0661\u0662"),
         ("true", True), ("FALSE", False), ("", None),
+        # JSON numbers whose float is not finite read as text, as "inf" does.
+        ("1e999", "1e999"), ("-1e400", "-1e400"), ("1e308", 1e308), ("1e-999", 0.0),
     ],
 )
 def test_read_cell_number_grammar(text, want):
@@ -224,6 +237,34 @@ def test_one_non_number_makes_a_text_column(tmp_path):
     t = ingest(IngestConfig(path, index="t", time_format={"t": "ordinal"}))
     assert dict(t.schema) == {"t": "int", "i": "text", "r": "text", "n": "text"}
     assert t.column("r") == ["1.5", "inf"]
+
+
+def test_a_number_too_large_for_a_float_makes_a_text_column(tmp_path):
+    path = write(tmp_path, "t,r,s,i\n1,1.5,1e308,1e999\n2,-1e999,,10\n")
+    t = ingest(IngestConfig(path, index="t", time_format={"t": "ordinal"}))
+    assert dict(t.schema) == {"t": "int", "r": "text", "s": "real", "i": "text"}
+    assert t.column("r") == ["1.5", "-1e999"]
+    assert t.column("i") == ["1e999", "10"]
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_csv_writers_refuse_non_finite_reals(bad):
+    t = build({"t": [1, 2, 3, 4], "v": Column("real", [1, None, bad, bad]), "w": [2.5, bad, 1.0, 0.0]},
+              "t")
+    message = f"real column 'v' holds {bad!r} at row 2; CSV numbers must be finite"
+    buf = io.StringIO()
+    with pytest.raises(SchemaError) as info:
+        table_to_csv(t, buf)
+    assert (str(info.value), buf.getvalue()) == (message, "")
+    with pytest.raises(SchemaError) as info:
+        write_csv(buf, ["v", "w"], [[None, 1.5], [2, bad]])
+    assert (str(info.value), buf.getvalue()) == (
+        f"real column 'w' holds {bad!r} at row 1; CSV numbers must be finite", "")
+
+
+def test_csv_writers_keep_large_finite_reals():
+    t = build({"t": [1, 2, 3], "v": Column("real", [1e308, 1e308, 10**400])}, "t")
+    assert table_to_csv(t) == f"t,v\n1,1e+308\n2,1e+308\n3,{10**400}\n"
 
 
 # --- per-column caches: the same result as reading cell by cell -------------
@@ -359,6 +400,21 @@ def _tables(draw):
 def test_table_to_csv_matches_row_by_row_rendering(cols_adapter):
     cols, adapter = cols_adapter
     t = build(cols, "i", adapter=adapter)
+    non_finite = [
+        (name, row)
+        for name, col in t.columns.items() if col.kind == "real"
+        for row, v in enumerate(col.values) if isinstance(v, float) and not math.isfinite(v)
+    ]
+    if non_finite:
+        # Both writers refuse the first inf or nan cell, column by column,
+        # before writing anything.
+        name, row = non_finite[0]
+        for write in (lambda buf: table_to_csv(t, buf), lambda buf: buf.write(_row_by_row(t))):
+            buf = io.StringIO()
+            with pytest.raises(SchemaError, match=f"^real column '{name}' holds .* at row {row};"):
+                write(buf)
+            assert buf.getvalue() == ""
+        return
     want = _row_by_row(t)
     assert table_to_csv(t) == want
     buf = io.StringIO()
@@ -370,7 +426,7 @@ def test_table_to_csv_renders_each_kind_like_render_cell():
     t = build(
         {
             "t": [tp.day(2021, 1, 1), tp.day(2021, 1, 2), tp.day(2021, 1, 3)],
-            "r": Column("real", [1, -0.0, math.nan]),
+            "r": Column("real", [1, -0.0, 1e16]),
             "b": [True, None, False],
             "h": [TimePoint(0, Granularity.HOUR, "UTC"), TimePoint(0, Granularity.HOUR),
                   TimePoint(0, Granularity.HOUR, "Australia/Melbourne")],
@@ -382,5 +438,5 @@ def test_table_to_csv_renders_each_kind_like_render_cell():
         "t,r,b,h,m\n"
         "2021-01-01,1,true,1970-01-01 00:00,\n"
         "2021-01-02,-0.0,,1970-01-01 00:00,\n"
-        "2021-01-03,nan,false,1970-01-01 10:00,\n"
+        "2021-01-03,1e+16,false,1970-01-01 10:00,\n"
     )
