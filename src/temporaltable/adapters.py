@@ -175,14 +175,10 @@ def resolve_index(
         if ad is None:
             raise SchemaError(f"no index adapter registered under {adapter!r}")
         return ad
-    types = set(map(type, values))
-    present = values
-    if type(None) in types:
-        types.discard(type(None))
-        present = [v for v in values if v is not None]
+    present = [v for v in values if v is not None]
     if not present:
         return EmptyIndex()
-    if types == {TimePoint} or all(isinstance(v, TimePoint) for v in present):
+    if all(isinstance(v, TimePoint) for v in present):
         # Counting compares members by identity first, so no cell runs
         # Enum's Python-level hash.
         grans = list(map(_granularity, present))
@@ -196,7 +192,7 @@ def resolve_index(
     for ad in registered_adapters():
         if all(map(ad.claims, present)):
             return ad
-    if types == {int} or all(isinstance(v, int) and not isinstance(v, bool) for v in present):
+    if all(isinstance(v, int) and not isinstance(v, bool) for v in present):
         return OrdinalIndex()
     raise SchemaError(
         f"index column {name!r} holds no recognized time kind "

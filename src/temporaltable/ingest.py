@@ -118,11 +118,6 @@ def _parse_time_cells(name, cells, gran_name, zone):
 def _first_non_finite(values) -> int | None:
     """Position of the first inf or nan float among ``values``, or None when
     there is none."""
-    try:
-        if math.isfinite(sum(filter(None, values))):
-            return None  # an inf or nan cell makes any sum inf or nan
-    except (OverflowError, TypeError):  # an int too large for a float; no number
-        pass
     return next(
         (i for i, v in enumerate(values) if isinstance(v, float) and not math.isfinite(v)), None
     )
@@ -139,9 +134,8 @@ def _infer_cells(cells) -> list:
         if all(_INT_RE.fullmatch(raw) for raw in distinct):
             return [int(raw) if raw else None for raw in cells]
         if all(_NUMBER_RE.fullmatch(raw) for raw in distinct):
-            reals = [float(raw) if raw else None for raw in cells]
-            if _first_non_finite(reals) is None:
-                return reals
+            if all(math.isfinite(float(raw)) for raw in distinct):
+                return [float(raw) if raw else None for raw in cells]
         elif all(raw.lower() in _BOOL for raw in distinct):
             return [_BOOL[raw.lower()] if raw else None for raw in cells]
     return [raw or None for raw in cells]
@@ -191,29 +185,34 @@ def render_cell(v) -> str:
     return str(v)
 
 
-def _refuse_non_finite(name: str, values) -> None:
-    """Raise SchemaError for the first inf or nan cell of column ``name``:
+def _non_finite_error(name: str, row: int, v) -> SchemaError:
+    """The error for an inf or nan cell ``v`` of column ``name`` at ``row``:
     a CSV number is a JSON number, and JSON has none (RFC 8259 section 6)."""
-    row = _first_non_finite(values)
-    if row is not None:
-        raise SchemaError(
-            f"real column {name!r} holds {values[row]!r} at row {row}; "
-            "CSV numbers must be finite"
-        )
+    return SchemaError(
+        f"real column {name!r} holds {v!r} at row {row}; CSV numbers must be finite"
+    )
 
 
 def write_csv(stream, header, rows) -> None:
     """Write ``header`` and ``rows`` as CSV, each cell by :func:`render_cell`.
 
-    Raises SchemaError, before writing anything, when a column holds an inf
-    or nan cell."""
-    rows = [list(row) for row in rows]
-    for name, values in zip(header, zip(*rows)):
-        _refuse_non_finite(name, values)
-    writer = csv.writer(stream, lineterminator="\n")
+    Raises SchemaError, before writing anything, when a cell is an inf or
+    nan float, naming the leftmost such column and its first such row, as
+    :func:`table_to_csv` does.  The text is made in a buffer and written
+    once it is whole."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
+    first = None  # (column, row, cell) of the leftmost inf or nan cell
+    for i, row in enumerate(rows):
+        c = _first_non_finite(row)
+        if c is not None and (first is None or c < first[0]):
+            first = (c, i, row[c])
         writer.writerow([render_cell(v) for v in row])
+    if first is not None:
+        c, i, v = first
+        raise _non_finite_error(header[c], i, v)
+    stream.write(buf.getvalue())
 
 
 def _time_cells(values):
@@ -258,7 +257,9 @@ def table_to_csv(t: TemporalTable, stream=None) -> str | None:
     or nan cell."""
     for name, col in t.columns.items():
         if col.kind == "real":
-            _refuse_non_finite(name, col.values)
+            bad = _first_non_finite(col.values)
+            if bad is not None:
+                raise _non_finite_error(name, bad, col.values[bad])
     out = stream or io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(t.column_names)

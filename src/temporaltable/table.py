@@ -12,17 +12,16 @@ cells get codes in ``_sort_cell`` order (missing last), and equal cells
 (``1`` and ``1.0``, ``0.0`` and ``-0.0``) share a code.  The codes and the
 tick are read as digits of one mixed-radix number whose last digit spans
 the table's ticks, so row keys order rows as the ``(key cells..., tick)``
-tuples of ``_sort_keys`` do, two rows share a row key exactly when they
-share a (key, index) pair, and the rows of one series share the leading
-digits.  ``validate_table`` keeps to the tuples, so it checks the row keys
-rather than trusting them.
+tuples of ``_sort_keys`` do, and two rows share a row key exactly when
+they share a (key, index) pair.  ``validate_table`` keeps to the tuples,
+so it checks the row keys rather than trusting them.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field, replace
-from itertools import compress, repeat
+from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
 from .adapters import IndexAdapter, resolve_index
@@ -132,10 +131,9 @@ def _sort_keys(columns, key, ticks) -> list:
     return list(zip(*parts, ticks))
 
 
-def _row_keys(columns, key, ticks) -> tuple[list[int], int, int]:
+def _row_keys(columns, key, ticks) -> list[int]:
     """One int per row: the key columns' codes, then the tick, as digits of
-    one mixed-radix number.  Returns the row keys, the lowest tick and the
-    tick span; a row's series is ``(row key - lowest tick) // span``.
+    one mixed-radix number whose last digit spans the table's ticks.
 
     A key column's codes follow ``_sort_cell`` order, with missing cells
     last, and cells that compare equal share a code.  Each code is made
@@ -155,7 +153,7 @@ def _row_keys(columns, key, ticks) -> tuple[list[int], int, int]:
         code[None] = weight * len(levels)
         row_keys = list(map(operator.add, map(code.__getitem__, values), row_keys))
         weight *= len(levels) + 1
-    return row_keys, lo, span
+    return row_keys
 
 
 # --- grouping metadata -----------------------------------------------------
@@ -298,7 +296,7 @@ class TemporalTable:
 
 
 def _sort_order(t: TemporalTable) -> list[int]:
-    row_keys = _row_keys(t.columns, t.key, t.ticks())[0]
+    row_keys = _row_keys(t.columns, t.key, t.ticks())
     return sorted(range(t.nrows), key=row_keys.__getitem__)
 
 
@@ -338,7 +336,7 @@ def _prepare(
         raise SchemaError(f"duplicate key columns: {list(key)}")
 
     idx_values = getattr(data[index], "values", data[index])
-    has_missing = type(None) in set(map(type, idx_values))
+    has_missing = any(v is None for v in idx_values)
     if has_missing and not allow_missing_index:
         pos = next(i for i, v in enumerate(idx_values) if v is None)
         raise MissingIndexError(f"index column {index!r} has a missing value at row {pos}")
@@ -358,10 +356,7 @@ def _prepare(
             pos = next((i for i, v in enumerate(columns[k].values) if v != v), None)
             if pos is not None:
                 raise SchemaError(f"key column {k!r} holds NaN at row {pos}")
-    if has_missing:
-        ticks = [None if v is None else adapter.to_ticks(v) for v in idx_values]
-    else:
-        ticks = list(map(adapter.to_ticks, idx_values))
+    ticks = [None if v is None else adapter.to_ticks(v) for v in idx_values]
     if not set(map(type, ticks)) <= {int, type(None)}:
         # Subclasses of int other than bool pass; any other tick names its row.
         for i, tk in enumerate(ticks):
@@ -430,16 +425,16 @@ def build(
     ``adapter`` (an :class:`IndexAdapter` or a registered name) fixes the
     index kind; by default the index values decide.
 
-    The rows are sorted, checked for repeated (key, index) pairs and split
-    into series on one int per row, their row keys (see the module
-    docstring), made here and not kept.  A repeated row key is reported
-    from a scan of the cells in source order, and the interval is the GCD
-    of the tick differences within each series.
+    The rows are sorted and checked for repeated (key, index) pairs on one
+    int per row, their row keys (see the module docstring), made here and
+    not kept.  A repeated row key is reported from a scan of the cells in
+    source order, and the interval is the GCD of the tick differences
+    within each series.
     """
     columns, key, adapter, ticks, notes = _prepare(
         raw, index, key, adapter, allow_missing_index=False
     )
-    row_keys, lo, span = _row_keys(columns, key, ticks)
+    row_keys = _row_keys(columns, key, ticks)
     # Each row key maps to its last row; a shorter map means a repeated
     # (key, index) pair, which the scan in source order then reports.
     rows_of = dict(zip(row_keys, range(len(row_keys))))
@@ -451,22 +446,11 @@ def build(
             f"key={first_kt!r} index={adapter.render(columns[index].values[report.positions[0]])}",
             report,
         )
-    sorted_keys = sorted(rows_of)
     unsorted = TemporalTable(
         columns, index, key, Interval.unknown(), regular, adapter, notes=notes, _ticks=ticks
     )
-    t = rows_at(unsorted, list(map(rows_of.__getitem__, sorted_keys)))
-    # A series starts where the row key's leading digits change.
-    sorted_ticks = t.ticks()
-    starts = [0]
-    if key:
-        series = list(map(operator.floordiv, map(operator.sub, sorted_keys, repeat(lo)), repeat(span)))
-        starts += compress(range(1, len(series)), map(operator.ne, series[1:], series))
-    bounds = zip(starts, [*starts[1:], len(sorted_ticks)])
-    interval = infer_from_ticks(
-        [sorted_ticks[a:b] for a, b in bounds], adapter.granularity, regular, adapter.unit_label
-    )
-    return replace(t, interval=interval)
+    t = rows_at(unsorted, list(map(rows_of.__getitem__, sorted(rows_of))))
+    return replace(t, interval=_infer_for(t.columns, key, t.ticks(), adapter, regular))
 
 
 def _infer_for(columns, key, sorted_ticks, adapter, regular) -> Interval:

@@ -255,7 +255,7 @@ def test_ordinal_index_from_plain_ints():
 
 # --- build against a tuple model -------------------------------------------
 #
-# build sorts, checks uniqueness and splits series on one int per row.  The
+# build sorts and checks uniqueness on one int per row.  The
 # model below does the same work on (key cells..., tick) tuples, the way the
 # contract states it: two rows share a pair when their cells compare equal.
 
