@@ -28,10 +28,6 @@ class Granularity(Enum):
         return f"Granularity.{self.name}"
 
     @property
-    def is_calendar(self) -> bool:
-        return self is not Granularity.ORDINAL
-
-    @property
     def is_subdaily(self) -> bool:
         return self in _SUBDAILY
 
@@ -94,9 +90,3 @@ def coarser_or_equal(a: Granularity, b: Granularity) -> bool:
         )
     return _RANK[a] <= _RANK[b]
 
-
-def coarser_chain(g: Granularity) -> tuple[Granularity, ...]:
-    """Granularities strictly coarser than ``g``, finest first."""
-    if g is Granularity.ORDINAL:
-        return ()
-    return tuple(reversed(_COARSENESS[: _RANK[g]]))

@@ -28,11 +28,11 @@ from dataclasses import dataclass, field
 from .errors import IngestError, ParseError, SchemaError
 from .granularity import Granularity
 from .table import Column, TemporalTable, build
-from .timepoint import TimePoint, guess_granularity, parse_timepoint
+from .timepoint import JSON_INT, TimePoint, guess_granularity, parse_timepoint
 
 # Numbers follow the JSON grammar (RFC 8259 section 6), matched whole.
-_INT_RE = re.compile(r"-?(?:0|[1-9][0-9]*)")
-_NUMBER_RE = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
+_INT_RE = re.compile(JSON_INT)
+_NUMBER_RE = re.compile(JSON_INT + r"(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
 _BOOL = {"true": True, "false": False}
 
 

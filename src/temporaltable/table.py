@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field, replace
-from itertools import compress
-from typing import Iterable, Mapping, Sequence
+from itertools import compress, count, repeat
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .adapters import IndexAdapter, resolve_index
 from .errors import (
@@ -247,17 +247,13 @@ class TemporalTable:
         return {name: col.values[i] for name, col in self.columns.items()}
 
     def rows(self) -> Iterable[dict]:
-        return map(self.row, range(self.nrows))
+        return row_dicts(list(self.columns), [col.values for col in self.columns.values()])
 
     def to_dict(self) -> dict[str, list]:
         return {name: list(col.values) for name, col in self.columns.items()}
 
     def ticks(self) -> list[int]:
-        """Integer ticks of the index cells, in row order."""
-        if self._ticks is None:
-            # Every table is built with its ticks; recompute them, uncached,
-            # only when a caller has cleared them.
-            return [self.adapter.to_ticks(v) for v in self.columns[self.index].values]
+        """Integer ticks of the index cells, in row order, as built."""
         return self._ticks
 
     def key_tuple(self, i: int) -> tuple:
@@ -293,6 +289,11 @@ class TemporalTable:
     def is_canonical_order(self) -> bool:
         keys = _sort_keys(self.columns, self.key, self.ticks())
         return not any(map(operator.lt, keys[1:], keys))
+
+
+def row_dicts(names: Sequence[str], columns: Iterable[Sequence]) -> Iterator[dict]:
+    """One ``{name: cell}`` dict per row of the equal-length ``columns``."""
+    return map(dict, map(zip, repeat(names), zip(*columns)))
 
 
 def _sort_order(t: TemporalTable) -> list[int]:
@@ -555,9 +556,10 @@ def with_columns(t: TemporalTable, columns: Mapping[str, Column | list]) -> Temp
 def validate_table(t: TemporalTable) -> None:
     """Assert the full construction contract on an existing table.
 
-    Checks column lengths and declared kinds, (key, index) uniqueness,
-    canonical ordering (unless order-dirty) and that the stored interval
-    matches re-inference.  Raises ValidityError or SchemaError on failure.
+    Checks column lengths and declared kinds, the stored ticks against
+    the index cells, (key, index) uniqueness, canonical ordering (unless
+    order-dirty) and that the stored interval matches re-inference.
+    Raises ValidityError or SchemaError on failure.
     """
     n = t.nrows
     for name, col in t.columns.items():
@@ -576,6 +578,11 @@ def validate_table(t: TemporalTable) -> None:
     if t.index in t.key:
         raise SchemaError("index column duplicated in key")
     ticks = t.ticks()
+    cell_ticks = list(map(t.adapter.to_ticks, t.columns[t.index].values))
+    if ticks != cell_ticks:
+        ticks = ticks or ()
+        row = next(compress(count(), map(operator.ne, ticks, cell_ticks)), min(len(ticks), n))
+        raise ValidityError(f"stored ticks differ from the index cells' from row {row}")
     seen = set()
     for i in range(n):
         pair = (t.key_tuple(i), ticks[i])

@@ -387,107 +387,114 @@ def render_timepoint(tp: TimePoint) -> str:
 
 # --- parsing ---------------------------------------------------------------
 
-_RE_YEAR = re.compile(r"^(-?\d+)$")
-_RE_QUARTER = re.compile(r"^(-?\d+)\s+Q([1-4])$")
-_RE_MONTH_NUM = re.compile(r"^(-?\d+)-(\d{2})$")
-_RE_MONTH_ABBR = re.compile(r"^(-?\d+)\s+([A-Za-z]{3})$")
-_RE_WEEK = re.compile(r"^(-?\d+)\s+W(\d{1,2})$")
-_RE_DAY = re.compile(r"^(\d{4})-(\d{2})-(\d{2})$")
-_RE_HOUR = re.compile(r"^(\d{4})-(\d{2})-(\d{2})[ T](\d{2})(?::00)?$")
-_RE_MINUTE = re.compile(r"^(\d{4})-(\d{2})-(\d{2})[ T](\d{2}):(\d{2})$")
-_RE_SECOND = re.compile(r"^(\d{4})-(\d{2})-(\d{2})[ T](\d{2}):(\d{2}):(\d{2})$")
-_RE_MILLI = re.compile(r"^(\d{4})-(\d{2})-(\d{2})[ T](\d{2}):(\d{2}):(\d{2})\.(\d{1,3})$")
+# A JSON int (RFC 8259 section 6): the text of an ordinal index value, and
+# of an int cell in CSV.
+JSON_INT = r"-?(?:0|[1-9][0-9]*)"
+
+_DATE = r"(\d{4})-(\d{2})-(\d{2})"
+_CLOCK = _DATE + r"[ T](\d{2})"
+# Month names are ASCII in any case ("a" keeps "ſ", U+017F, from folding to "s").
+_MONTH_NAME = "((?ai:" + "|".join(_MONTH_ABBR) + "))"
+
+
+def _on_ints(factory, zoned=False):
+    """A form's maker: ``factory`` over the match's groups read as ints,
+    and over the zone too when ``zoned``."""
+    if zoned:
+        return lambda zone, *fields: factory(*map(int, fields), zone=zone)
+    return lambda zone, *fields: factory(*map(int, fields))
+
+
+def _millisecond(zone, *fields):
+    *clock, ms = fields
+    return millisecond(*map(int, clock), int(ms.ljust(3, "0")), zone=zone)
+
+
+# The text forms, in guessing order: (granularity, pattern matched whole,
+# maker of the point from the zone and the match's groups, guessable).
+# Parsing tries the rows of its granularity; guessing takes the first
+# guessable row that matches.  Hour and ordinal are never guessed.
+_FORMS = tuple(
+    (g, re.compile(pattern), make, guessable)
+    for g, pattern, make, guessable in (
+        (Granularity.MILLISECOND, _CLOCK + r":(\d{2}):(\d{2})\.(\d{1,3})", _millisecond, True),
+        (Granularity.SECOND, _CLOCK + r":(\d{2}):(\d{2})", _on_ints(second, zoned=True), True),
+        (Granularity.MINUTE, _CLOCK + r":(\d{2})", _on_ints(minute, zoned=True), True),
+        (Granularity.HOUR, _CLOCK + r"(?::00)?", _on_ints(hour, zoned=True), False),
+        (Granularity.DAY, _DATE, _on_ints(day), True),
+        (Granularity.WEEK, r"(-?\d+)\s+W(\d{1,2})", _on_ints(week), True),
+        (Granularity.QUARTER, r"(-?\d+)\s+Q([1-4])", _on_ints(quarter), True),
+        (Granularity.MONTH, r"(-?\d+)-(\d{2})", _on_ints(month), True),
+        (
+            Granularity.MONTH,
+            r"(-?\d+)\s+" + _MONTH_NAME,
+            lambda zone, y, name: month(int(y), _MONTH_ABBR[name.lower()]),
+            True,
+        ),
+        (Granularity.YEAR, r"(-?\d+)", _on_ints(year), True),
+        (Granularity.ORDINAL, "(" + JSON_INT + ")", _on_ints(ordinal), False),
+    )
+)
+_FORMS_OF = {g: tuple((p, make) for h, p, make, _ in _FORMS if h is g) for g in Granularity}
 
 
 def parse_timepoint(text: str, granularity, zone: str | None = None) -> TimePoint:
     """Parse canonical text at a declared granularity.
 
-    Canonical forms: "2011", "2011 Q3", "2011-07" (or "2011 Jul"),
-    "2011 W07", "2011-07-05", "2011-07-05 17:00", "2011-07-05 17:45",
-    "2011-07-05 17:45:00", "2011-07-05 17:45:00.123".  Ordinal values are
-    plain integers.  A "T" date-time separator is accepted on input.
+    Surrounding whitespace is stripped, and a "T" date-time separator is
+    accepted on input.  Ordinal values are JSON ints.  The canonical forms:
+
+    >>> parse_timepoint("2011", "year")
+    TimePoint('2011', 'year')
+    >>> parse_timepoint("2011 Q3", "quarter")
+    TimePoint('2011 Q3', 'quarter')
+    >>> parse_timepoint("2011-07", "month"), parse_timepoint("2011 Jul", "month")
+    (TimePoint('2011-07', 'month'), TimePoint('2011-07', 'month'))
+    >>> parse_timepoint("2011 W07", "week"), parse_timepoint("2011-07-05", "day")
+    (TimePoint('2011 W07', 'week'), TimePoint('2011-07-05', 'day'))
+    >>> parse_timepoint("2011-07-05 17:00", "hour"), parse_timepoint("2011-07-05T17", "hour")
+    (TimePoint('2011-07-05 17:00', 'hour'), TimePoint('2011-07-05 17:00', 'hour'))
+    >>> parse_timepoint("2011-07-05 17:45", "minute")
+    TimePoint('2011-07-05 17:45', 'minute')
+    >>> parse_timepoint("2011-07-05 17:45:00", "second")
+    TimePoint('2011-07-05 17:45:00', 'second')
+    >>> parse_timepoint("2011-07-05 17:45:00.123", "millisecond")
+    TimePoint('2011-07-05 17:45:00.123', 'millisecond')
+    >>> parse_timepoint("-42", "ordinal")
+    TimePoint('-42', 'ordinal')
+    >>> parse_timepoint("007", "ordinal")
+    Traceback (most recent call last):
+    ...
+    temporaltable.errors.ParseError: cannot parse '007' as ordinal
     """
     g = _require_granularity(granularity)
     text = text.strip()
     try:
-        return _parse_strict(text, g, zone)
+        for pattern, make in _FORMS_OF[g]:
+            m = pattern.fullmatch(text)
+            if m:
+                return make(zone, *m.groups())
     except ParseError:
         raise
     except (ValueError, OverflowError) as exc:
         raise ParseError(f"cannot parse {text!r} as {g.value}: {exc}") from exc
-
-
-def _parse_strict(text: str, g: Granularity, zone: str | None) -> TimePoint:
-    def fail():
-        raise ParseError(f"cannot parse {text!r} as {g.value}")
-
-    if g is Granularity.ORDINAL:
-        m = _RE_YEAR.match(text) or fail()
-        return ordinal(int(m.group(1)))
-    if g is Granularity.YEAR:
-        m = _RE_YEAR.match(text) or fail()
-        return year(int(m.group(1)))
-    if g is Granularity.QUARTER:
-        m = _RE_QUARTER.match(text) or fail()
-        return quarter(int(m.group(1)), int(m.group(2)))
-    if g is Granularity.MONTH:
-        m = _RE_MONTH_NUM.match(text)
-        if m:
-            mo = int(m.group(2))
-            if not 1 <= mo <= 12:
-                fail()
-            return month(int(m.group(1)), mo)
-        m = _RE_MONTH_ABBR.match(text) or fail()
-        mo = _MONTH_ABBR.get(m.group(2).lower()) or fail()
-        return month(int(m.group(1)), mo)
-    if g is Granularity.WEEK:
-        m = _RE_WEEK.match(text) or fail()
-        return week(int(m.group(1)), int(m.group(2)))
-    if g is Granularity.DAY:
-        m = _RE_DAY.match(text) or fail()
-        return day(*(int(p) for p in m.groups()))
-    if g is Granularity.HOUR:
-        m = _RE_HOUR.match(text) or fail()
-        return hour(*(int(p) for p in m.groups()), zone=zone)
-    if g is Granularity.MINUTE:
-        m = _RE_MINUTE.match(text) or fail()
-        return minute(*(int(p) for p in m.groups()), zone=zone)
-    if g is Granularity.SECOND:
-        m = _RE_SECOND.match(text) or fail()
-        return second(*(int(p) for p in m.groups()), zone=zone)
-    if g is Granularity.MILLISECOND:
-        m = _RE_MILLI.match(text) or fail()
-        y, mo, d, h, mi, s = (int(p) for p in m.groups()[:6])
-        ms = int(m.group(7).ljust(3, "0"))
-        return millisecond(y, mo, d, h, mi, s, ms, zone=zone)
-    fail()
-
-
-_GUESS_ORDER = (
-    (Granularity.MILLISECOND, _RE_MILLI),
-    (Granularity.SECOND, _RE_SECOND),
-    (Granularity.MINUTE, _RE_MINUTE),
-    (Granularity.DAY, _RE_DAY),
-    (Granularity.WEEK, _RE_WEEK),
-    (Granularity.QUARTER, _RE_QUARTER),
-    (Granularity.MONTH, _RE_MONTH_NUM),
-    (Granularity.MONTH, _RE_MONTH_ABBR),
-    (Granularity.YEAR, _RE_YEAR),
-)
+    raise ParseError(f"cannot parse {text!r} as {g.value}")
 
 
 def guess_granularity(text: str) -> Granularity | None:
-    """Best-effort granularity of a canonical time string.
+    """Best-effort granularity of a canonical time string: that of the first
+    guessable form it matches, or None.
 
-    Bare integers guess as years; "HH:MM" forms guess as minutes (declare the
-    hour granularity explicitly when a column is hourly).
+    >>> [guess_granularity(s).value for s in ("2011", "2011 Q3", "2011-07", "2011 Jul",
+    ...     "2011 W07", "2011-07-05", "2011-07-05 17:45", "2011-07-05 17:45:00",
+    ...     "2011-07-05 17:45:00.123")]
+    ['year', 'quarter', 'month', 'month', 'week', 'day', 'minute', 'second', 'millisecond']
+
+    Bare integers guess as years, and "HH:MM" forms as minutes: declare the
+    hour granularity when a column is hourly.
+
+    >>> guess_granularity("2011-07-05 17:00").value, guess_granularity("2011-07-05 17")
+    ('minute', None)
     """
     text = text.strip()
-    for g, rx in _GUESS_ORDER:
-        if rx.match(text):
-            if g is Granularity.MONTH and rx is _RE_MONTH_ABBR:
-                m = rx.match(text)
-                if m.group(2).lower() not in _MONTH_ABBR:
-                    continue
-            return g
-    return None
+    return next((g for g, p, _, guessable in _FORMS if guessable and p.fullmatch(text)), None)

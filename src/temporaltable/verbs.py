@@ -134,10 +134,8 @@ def _endpoint_span(t: TemporalTable, text: str) -> tuple[int, int]:
     if g is None:
         raise ParseError("cannot filter the index of an empty table by time")
     if g is Granularity.ORDINAL:
-        try:
-            tick = int(text)
-        except ValueError:
-            raise ParseError(f"index is ordinal; {text!r} is not an integer") from None
+        # Any ordinal index, plain ints or an adapter's, reads JSON ints.
+        tick = parse_timepoint(text, g).ticks
         return tick, tick
     expr_g = guess_granularity(text)
     if expr_g is None:
@@ -240,11 +238,9 @@ def select(t: TemporalTable, names) -> VerbOutcome:
 
 def _evaluate(t_data: dict[str, list], nrows: int, expr, name: str) -> list:
     if callable(expr):
-        out = []
-        for i in range(nrows):
-            row = {col: vals[i] for col, vals in t_data.items()}
-            out.append(_call_rowwise(expr, row, f"column {name!r}"))
-        return out
+        what = f"column {name!r}"
+        rows = table.row_dicts(list(t_data), t_data.values())
+        return [_call_rowwise(expr, row, what) for row in rows]
     if isinstance(expr, (list, tuple)):
         if len(expr) != nrows:
             raise PreconditionError(
@@ -398,26 +394,22 @@ def summarize(t: TemporalTable, **aggs) -> TemporalTable:
     by = [c for c in grouping.by if c != idx_name]
     kinds.update((c, t.kind_of(c)) for c in by)
 
+    # Rows bucketed by (group cells..., index tick) in first-seen order;
+    # build sorts the result.
+    group_values = [t.columns[c].values for c in by]
     buckets: dict[tuple, list[int]] = {}
-    cell_of: dict[tuple, tuple] = {}
-    for i in range(t.nrows):
-        group_cells = tuple(t.columns[c].values[i] for c in by)
-        tick_key = tuple(_sort_cell(c) for c in group_cells) + (
-            idx_adapter.to_ticks(idx_values[i]),
-        )
-        buckets.setdefault(tick_key, []).append(i)
-        cell_of[tick_key] = group_cells + (idx_values[i],)
+    for i, bucket in enumerate(zip(*group_values, map(idx_adapter.to_ticks, idx_values))):
+        buckets.setdefault(bucket, []).append(i)
 
     out: dict[str, list] = {c: [] for c in by}
     out[idx_name] = []
     for name in aggs:
         out[name] = []
-    for tick_key in sorted(buckets):
-        rows = buckets[tick_key]
-        cells = cell_of[tick_key]
-        for c, cell in zip(by, cells):
-            out[c].append(cell)
-        out[idx_name].append(cells[-1])
+    for rows in buckets.values():
+        last = rows[-1]  # the bucket's cells are its last row's
+        for c, values in zip(by, group_values):
+            out[c].append(values[last])
+        out[idx_name].append(idx_values[last])
         for out_name, (spec, col) in aggs.items():
             out[out_name].append(aggregates.apply(spec, [t.columns[col].values[i] for i in rows]))
 

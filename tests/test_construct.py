@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -228,11 +229,19 @@ def test_validate_table_accepts_built(tb):
 
 
 def test_validate_table_catches_tampering(tb):
+    # Cells moved behind the stored ticks' back no longer match them.
     broken = build(tb.to_dict(), "year", ("country", "gender"))
     broken.columns["year"].values.reverse()
-    broken._ticks = None
     with pytest.raises(ValidityError):
         validate_table(broken)
+
+
+def test_validate_table_checks_stored_ticks():
+    # Ticks that order and space the rows well but are not the cells' ticks.
+    t = build({"t": [8, 9, 10, 11], "v": [1, 2, 3, 4]}, "t")
+    bad = replace(t, _ticks=[0, 1, 2, 3])
+    with pytest.raises(ValidityError, match="row 0"):
+        validate_table(bad)
 
 
 def test_validate_table_checks_declared_kinds():

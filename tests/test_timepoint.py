@@ -193,6 +193,53 @@ def test_guess_granularity():
     assert guess_granularity("nonsense") is None
 
 
+# The grammar at its edges: (text, declared granularity, what parsing at it
+# gives — the rendered point, or the error — and what guessing gives).
+GRAMMAR = [
+    # Month names are ASCII, in any case; U+017F (long s) folds to "s" only
+    # under Unicode case folding, so it is no "sep".
+    ("2011 Jul", "month", "2011-07", Granularity.MONTH),
+    ("2011 jUL", "month", "2011-07", Granularity.MONTH),
+    ("2011 ſep", "month", ParseError, None),
+    ("2011 Spt", "month", ParseError, None),
+    ("2011-7", "month", ParseError, None),
+    # The form matches, so it guesses month; the month number does not parse.
+    ("2011-13", "month", ParseError, Granularity.MONTH),
+    ("2011\tQ3", "quarter", "2011 Q3", Granularity.QUARTER),
+    ("-5 W01", "week", ParseError, Granularity.WEEK),
+    # Hour is never guessed, and "HH:00" guesses minute.
+    ("2011-07-05T17", "hour", "2011-07-05 17:00", None),
+    ("2011-07-05 17", "hour", "2011-07-05 17:00", None),
+    ("2011-07-05 17:00", "hour", "2011-07-05 17:00", Granularity.MINUTE),
+    ("2011-07-05 17:45:00.1", "millisecond", "2011-07-05 17:45:00.100",
+     Granularity.MILLISECOND),
+    # Surrounding whitespace is stripped; year digits may be any decimal digits.
+    (" 2011 ", "year", "2011", Granularity.YEAR),
+    ("٢٠١١", "year", "2011", Granularity.YEAR),
+]
+
+
+@pytest.mark.parametrize("text,g,parsed,guessed", GRAMMAR)
+def test_grammar_pinned(text, g, parsed, guessed):
+    if parsed is ParseError:
+        with pytest.raises(ParseError):
+            parse_timepoint(text, g)
+    else:
+        assert parse_timepoint(text, g).render() == parsed
+    assert guess_granularity(text) is guessed
+
+
+@pytest.mark.parametrize("text", ["+5", "007", "٣", "1_0", "1.0"])
+def test_ordinal_text_is_a_json_int(text):
+    with pytest.raises(ParseError):
+        parse_timepoint(text, "ordinal")
+
+
+def test_ordinal_text_reads_json_ints():
+    for text, n in [("-2", -2), ("0", 0), ("-0", 0), (" 6 ", 6), ("10", 10)]:
+        assert parse_timepoint(text, "ordinal") == tp.ordinal(n)
+
+
 def test_span_year_to_days_matches_calendar():
     lo, hi = span_ticks(tp.year(2012), Granularity.DAY)
     assert lo == (date(2012, 1, 1) - EPOCH).days

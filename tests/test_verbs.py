@@ -108,6 +108,22 @@ def test_filter_index_ordinal():
         filter_index(t, "2011-07")
 
 
+@pytest.mark.parametrize("points", [False, True], ids=["ints", "ordinal_points"])
+def test_filter_index_ordinal_endpoints_are_json_ints(points):
+    # Plain int cells and tp.ordinal cells both index ordinal ticks, and
+    # both read their endpoints by the JSON int grammar, as ingest does.
+    ticks = [-2, 0, 5, 6, 10]
+    cells = [tp.ordinal(n) for n in ticks] if points else ticks
+    t = build({"t": cells, "v": [1, 2, 3, 4, 5]}, "t")
+    for text in ("+5", "1_0", "007", "\u0663", "+5 ~", "~ 1_0"):
+        with pytest.raises(ParseError):
+            filter_index(t, text)
+    assert filter_index(t, "-2").table.column("v") == [1]
+    assert filter_index(t, "0").table.column("v") == [2]
+    assert filter_index(t, " 6 ").table.column("v") == [4]
+    assert filter_index(t, "-2 ~ 5").table.column("v") == [1, 2, 3]
+
+
 def test_filter_index_parse_errors(tb):
     with pytest.raises(ParseError):
         filter_index(tb, "2011 ~ 2012 ~ 2013")
