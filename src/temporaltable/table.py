@@ -13,13 +13,20 @@ cells get codes in ``_sort_cell`` order (missing last), and equal cells
 tick are read as digits of one mixed-radix number whose last digit spans
 the table's ticks, so row keys order rows as the ``(key cells..., tick)``
 tuples of ``_sort_keys`` do, and two rows share a row key exactly when
-they share a (key, index) pair.  ``validate_table`` keeps to the tuples,
-so it checks the row keys rather than trusting them.
+they share a (key, index) pair.
+
+The series the sorted row keys give are stored: a series ends wherever
+the key digits of the row key change, and the table keeps those end
+offsets (``_ends``), a run-end encoding of its key columns that ``take``
+and ``key_groups`` read in place of the key cells.  ``validate_table``
+keeps to the tuples and to runs of equal key cells, so it checks the row
+keys and the stored ends rather than trusting them.
 """
 
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from itertools import compress, count, repeat
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -156,6 +163,22 @@ def _row_keys(columns, key, ticks) -> list[int]:
     return row_keys
 
 
+def _run_ends(sorted_row_keys: list[int], ticks) -> list[int]:
+    """Exclusive end offset of each series in rows sorted on their row keys.
+
+    The key digits of a row key are ``(row key - lowest tick) // span``;
+    the tick digit is the raw tick, not offset by the lowest one.
+    """
+    if not sorted_row_keys:
+        return []
+    lo = min(ticks)
+    span = max(ticks) - lo + 1
+    series = [(rk - lo) // span for rk in sorted_row_keys]
+    ends = list(compress(count(1), map(operator.ne, series, series[1:])))
+    ends.append(len(series))
+    return ends
+
+
 # --- grouping metadata -----------------------------------------------------
 
 
@@ -200,6 +223,10 @@ class TemporalTable:
     :func:`build`, moved row-wise by :func:`rows_at`, and otherwise derived
     with :func:`dataclasses.replace`, so every field below travels with the
     table unless a verb changes it.
+
+    ``_ends`` holds the exclusive end row of each series, in row order, for
+    a table in canonical order (None while rows are out of it).  A
+    series' key tuple is read from its last row.
     """
 
     columns: dict[str, Column]
@@ -212,6 +239,7 @@ class TemporalTable:
     order_dirty: bool = False
     notes: tuple[str, ...] = ()
     _ticks: list[int] | None = field(default=None, repr=False)
+    _ends: list[int] | None = field(default=None, repr=False)
 
     # -- basic accessors --
 
@@ -284,7 +312,8 @@ class TemporalTable:
         """This table re-sorted past-to-future if a verb disturbed the order."""
         if not self.order_dirty:
             return self
-        return replace(rows_at(self, _sort_order(self)), order_dirty=False)
+        row_keys = _row_keys(self.columns, self.key, self.ticks())
+        return _sorted_rows(self, dict(zip(row_keys, count())))
 
     def is_canonical_order(self) -> bool:
         keys = _sort_keys(self.columns, self.key, self.ticks())
@@ -296,9 +325,12 @@ def row_dicts(names: Sequence[str], columns: Iterable[Sequence]) -> Iterator[dic
     return map(dict, map(zip, repeat(names), zip(*columns)))
 
 
-def _sort_order(t: TemporalTable) -> list[int]:
-    row_keys = _row_keys(t.columns, t.key, t.ticks())
-    return sorted(range(t.nrows), key=row_keys.__getitem__)
+def _sorted_rows(t: TemporalTable, rows_of: dict[int, int]) -> TemporalTable:
+    """``t`` in canonical order, with its series ends, given the row of
+    each (unique) row key."""
+    row_keys = sorted(rows_of)
+    out = rows_at(t, list(map(rows_of.__getitem__, row_keys)))
+    return replace(out, order_dirty=False, _ends=_run_ends(row_keys, t.ticks()))
 
 
 # --- construction ----------------------------------------------------------
@@ -428,9 +460,9 @@ def build(
 
     The rows are sorted and checked for repeated (key, index) pairs on one
     int per row, their row keys (see the module docstring), made here and
-    not kept.  A repeated row key is reported from a scan of the cells in
-    source order, and the interval is the GCD of the tick differences
-    within each series.
+    not kept; the series ends they give are kept.  A repeated row key is
+    reported from a scan of the cells in source order, and the interval is
+    the GCD of the tick differences within each series.
     """
     columns, key, adapter, ticks, notes = _prepare(
         raw, index, key, adapter, allow_missing_index=False
@@ -450,19 +482,18 @@ def build(
     unsorted = TemporalTable(
         columns, index, key, Interval.unknown(), regular, adapter, notes=notes, _ticks=ticks
     )
-    t = rows_at(unsorted, list(map(rows_of.__getitem__, sorted(rows_of))))
-    return replace(t, interval=_infer_for(t.columns, key, t.ticks(), adapter, regular))
+    t = _sorted_rows(unsorted, rows_of)
+    return replace(t, interval=_infer_for(t._ends, t.ticks(), adapter, regular))
 
 
-def _infer_for(columns, key, sorted_ticks, adapter, regular) -> Interval:
-    groups = _contiguous_groups(columns, key, len(sorted_ticks))
-    tick_groups = [sorted_ticks[r.start : r.stop] for _, r in groups]
+def _infer_for(ends, sorted_ticks, adapter, regular) -> Interval:
+    tick_groups = [sorted_ticks[a:b] for a, b in zip([0, *ends], ends)]
     return infer_from_ticks(tick_groups, adapter.granularity, regular, adapter.unit_label)
 
 
 def _contiguous_groups(columns, key, nrows) -> list[tuple[tuple, range]]:
     """(key tuple, row range) per run of equal key tuples; each run is keyed
-    by its last row's cells."""
+    by its last row's cells.  The oracle for the stored series ends."""
     if not nrows:
         return []
     if not key:
@@ -492,7 +523,11 @@ def duplicates(
 def key_groups(t: TemporalTable) -> list[tuple[tuple, range]]:
     """One (key tuple, row range) entry per series, in sorted key order."""
     t = t.canonical()
-    return _contiguous_groups(t.columns, t.key, t.nrows)
+    key_columns = [t.columns[k].values for k in t.key]
+    return [
+        (tuple(values[b - 1] for values in key_columns), range(a, b))
+        for a, b in zip([0, *t._ends], t._ends)
+    ]
 
 
 # --- trusted constructors for the verb layer -------------------------------
@@ -506,9 +541,9 @@ def rows_at(t: TemporalTable, rows: Sequence[int]) -> TemporalTable:
 
     The one place rows move: column cells, index ticks and the row-aligned
     cells of an ``index_by`` grouping are taken together, and every other
-    field carries over as it is, column kinds included.  Callers re-derive
-    what their reordering or subset can change (order flag, notes,
-    interval).
+    field carries over as it is, column kinds included.  The series ends
+    are cleared; callers re-derive what their reordering or subset can
+    change (order flag, series ends, notes, interval).
     """
     ticks = t.ticks()
     groups = t.groups
@@ -518,7 +553,9 @@ def rows_at(t: TemporalTable, rows: Sequence[int]) -> TemporalTable:
     columns = {
         name: Column(col.kind, [col.values[i] for i in rows]) for name, col in t.columns.items()
     }
-    return replace(t, columns=columns, groups=groups, _ticks=[ticks[i] for i in rows])
+    return replace(
+        t, columns=columns, groups=groups, _ticks=[ticks[i] for i in rows], _ends=None
+    )
 
 
 def take(t: TemporalTable, rows: Sequence[int]) -> TemporalTable:
@@ -527,12 +564,15 @@ def take(t: TemporalTable, rows: Sequence[int]) -> TemporalTable:
     A subset keeps the order and uniqueness of ``t``, its index adapter
     (also when empty), its grouping and the kind of every column: a kind
     is declared by the code that made the column, not re-read from the
-    cells a subset happens to keep.  Key notes and the interval are
-    re-inferred on the subset.
+    cells a subset happens to keep.  A series ends where the kept rows
+    before its old end do, and a series left with no row is dropped.  Key
+    notes and the interval are re-inferred on the subset.
     """
     out = rows_at(t, rows)
-    interval = _infer_for(out.columns, t.key, out.ticks(), t.adapter, t.declared_regular)
-    return replace(out, interval=interval, notes=_key_notes(out.columns, t.key))
+    cut = [bisect_left(rows, end) for end in t._ends]
+    ends = [b for a, b in zip([0, *cut], cut) if b > a]
+    interval = _infer_for(ends, out.ticks(), t.adapter, t.declared_regular)
+    return replace(out, interval=interval, notes=_key_notes(out.columns, t.key), _ends=ends)
 
 
 def with_columns(t: TemporalTable, columns: Mapping[str, Column | list]) -> TemporalTable:
@@ -558,7 +598,8 @@ def validate_table(t: TemporalTable) -> None:
 
     Checks column lengths and declared kinds, the stored ticks against
     the index cells, (key, index) uniqueness, canonical ordering (unless
-    order-dirty) and that the stored interval matches re-inference.
+    order-dirty), the stored series ends against the runs of equal key
+    cells, and that the stored interval matches re-inference.
     Raises ValidityError or SchemaError on failure.
     """
     n = t.nrows
@@ -600,9 +641,10 @@ def validate_table(t: TemporalTable) -> None:
     if not t.order_dirty and not t.is_canonical_order():
         raise ValidityError("rows are not sorted by (key, index)")
     canon = t.canonical()
-    expected = _infer_for(
-        canon.columns, canon.key, canon.ticks(), canon.adapter, canon.declared_regular
-    )
+    runs = [r.stop for _, r in _contiguous_groups(canon.columns, canon.key, n)]
+    if canon._ends != runs:
+        raise ValidityError("stored series ends do not match the runs of equal key cells")
+    expected = _infer_for(runs, canon.ticks(), canon.adapter, canon.declared_regular)
     if canon.interval != expected:
         raise ValidityError(
             f"stored interval {canon.interval} does not match re-inference {expected}"

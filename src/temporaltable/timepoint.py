@@ -391,8 +391,11 @@ def render_timepoint(tp: TimePoint) -> str:
 # of an int cell in CSV.
 JSON_INT = r"-?(?:0|[1-9][0-9]*)"
 
-_DATE = r"(\d{4})-(\d{2})-(\d{2})"
-_CLOCK = _DATE + r"[ T](\d{2})"
+# Digits are ASCII: ``\d`` would take any Unicode decimal digit.
+_DATE = r"([0-9]{4})-([0-9]{2})-([0-9]{2})"
+_CLOCK = _DATE + r"[ T]([0-9]{2})"
+_MINUTE = _CLOCK + r":([0-9]{2})"
+_SECOND = _MINUTE + r":([0-9]{2})"
 # Month names are ASCII in any case ("a" keeps "ſ", U+017F, from folding to "s").
 _MONTH_NAME = "((?ai:" + "|".join(_MONTH_ABBR) + "))"
 
@@ -417,21 +420,21 @@ def _millisecond(zone, *fields):
 _FORMS = tuple(
     (g, re.compile(pattern), make, guessable)
     for g, pattern, make, guessable in (
-        (Granularity.MILLISECOND, _CLOCK + r":(\d{2}):(\d{2})\.(\d{1,3})", _millisecond, True),
-        (Granularity.SECOND, _CLOCK + r":(\d{2}):(\d{2})", _on_ints(second, zoned=True), True),
-        (Granularity.MINUTE, _CLOCK + r":(\d{2})", _on_ints(minute, zoned=True), True),
+        (Granularity.MILLISECOND, _SECOND + r"\.([0-9]{1,3})", _millisecond, True),
+        (Granularity.SECOND, _SECOND, _on_ints(second, zoned=True), True),
+        (Granularity.MINUTE, _MINUTE, _on_ints(minute, zoned=True), True),
         (Granularity.HOUR, _CLOCK + r"(?::00)?", _on_ints(hour, zoned=True), False),
         (Granularity.DAY, _DATE, _on_ints(day), True),
-        (Granularity.WEEK, r"(-?\d+)\s+W(\d{1,2})", _on_ints(week), True),
-        (Granularity.QUARTER, r"(-?\d+)\s+Q([1-4])", _on_ints(quarter), True),
-        (Granularity.MONTH, r"(-?\d+)-(\d{2})", _on_ints(month), True),
+        (Granularity.WEEK, r"(-?[0-9]+)\s+W([0-9]{1,2})", _on_ints(week), True),
+        (Granularity.QUARTER, r"(-?[0-9]+)\s+Q([1-4])", _on_ints(quarter), True),
+        (Granularity.MONTH, r"(-?[0-9]+)-([0-9]{2})", _on_ints(month), True),
         (
             Granularity.MONTH,
-            r"(-?\d+)\s+" + _MONTH_NAME,
+            r"(-?[0-9]+)\s+" + _MONTH_NAME,
             lambda zone, y, name: month(int(y), _MONTH_ABBR[name.lower()]),
             True,
         ),
-        (Granularity.YEAR, r"(-?\d+)", _on_ints(year), True),
+        (Granularity.YEAR, r"(-?[0-9]+)", _on_ints(year), True),
         (Granularity.ORDINAL, "(" + JSON_INT + ")", _on_ints(ordinal), False),
     )
 )

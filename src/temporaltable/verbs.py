@@ -186,7 +186,9 @@ def arrange(t: TemporalTable, spec) -> VerbOutcome:
 
     out = rows_at(t, order)
     if out.is_canonical_order():
-        return VerbOutcome(replace(out, order_dirty=False))
+        # (key, index) pairs are unique, so there is one canonical order:
+        # these are the canonical rows of ``t``, series ends included.
+        return VerbOutcome(t.canonical())
     return VerbOutcome(
         replace(out, order_dirty=True),
         warnings=(
@@ -533,6 +535,11 @@ def _other_columns(other) -> dict[str, list]:
     return cols
 
 
+def _zipped(columns: list[list], nrows: int) -> list[tuple]:
+    """One tuple of cells per row of ``columns``; ``()`` per row when none."""
+    return list(zip(*columns)) if columns else [()] * nrows
+
+
 def join(t: TemporalTable, other, kind: str = "left", by=None) -> VerbOutcome:
     """Relational join re-validated under the temporal contract.
 
@@ -560,11 +567,10 @@ def join(t: TemporalTable, other, kind: str = "left", by=None) -> VerbOutcome:
             raise SchemaError(f"joined table has no column named {rc!r}")
 
     lookup: dict[tuple, list[int]] = {}
-    for j in range(rn):
-        k = tuple(right[rc][j] for _, rc in pairs)
+    for j, k in enumerate(_zipped([right[rc] for _, rc in pairs], rn)):
         lookup.setdefault(k, []).append(j)
 
-    left_keys = [tuple(t.columns[lc].values[i] for lc, _ in pairs) for i in range(t.nrows)]
+    left_keys = _zipped([t.columns[lc].values for lc, _ in pairs], t.nrows)
 
     if kind in ("semi", "anti"):
         want = kind == "semi"

@@ -3,14 +3,30 @@ import functools
 import inspect
 import pathlib
 import sys
+import warnings
 
 import pytest
+from hypothesis import strategies as st
 
 from temporaltable import build, gaps, rolling, timepoint as tp, verbs
 from temporaltable.table import validate_table
 
 TESTS = pathlib.Path(__file__).parent
 DATA = TESTS / "data"
+
+
+def pytest_configure(config):
+    """Build Hypothesis's Unicode character table before any test runs.
+
+    The first ``st.text()`` draw builds it, which takes seconds when no
+    ``.hypothesis/`` directory caches it (a fresh checkout), and the test
+    that happens to draw first then fails the "input generation is slow"
+    health check.  ``example()`` warns that it is meant for interactive
+    use; here it only warms the table.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        st.text().example()
 
 
 def _checked(fn):

@@ -1,7 +1,11 @@
 import importlib
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import temporaltable
 from temporaltable import TimePoint, Window, aggregates, roll_by_key
 from temporaltable.cli import main
 from temporaltable.ingest import IngestConfig, ingest, table_to_csv
@@ -364,3 +368,18 @@ def test_each_distinct_time_cell_is_parsed_and_rendered_once(capsys, tmp_path, m
     assert out.count("\n") == 1 + 5 * 4
     assert sorted(calls["parse"]) == days
     assert sorted(calls["render"]) == [18262, 18263, 18264, 18265]
+
+
+def test_cli_import_defers_slow_stdlib_modules():
+    # Each is imported on first use (a thread pool, fmean, a non-UTC zone),
+    # so a ttab command that needs none of them never pays for it.
+    deferred = ("concurrent.futures", "statistics", "zoneinfo")
+    src = str(pathlib.Path(temporaltable.__file__).parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import temporaltable.cli; "
+        f"print(*[m for m in {deferred!r} if m in sys.modules])"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert done.stdout.split() == []

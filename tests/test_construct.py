@@ -22,7 +22,7 @@ from temporaltable import (
     timepoint as tp,
     validate_table,
 )
-from temporaltable.table import _sort_keys, as_kind, common_kind, with_columns
+from temporaltable.table import _sort_keys, as_kind, common_kind, take, with_columns
 from conftest import table_rows
 from test_adapters import Semester, SemesterAdapter
 
@@ -244,6 +244,14 @@ def test_validate_table_checks_stored_ticks():
         validate_table(bad)
 
 
+def test_validate_table_checks_stored_series_ends():
+    t = build({"k": ["a", "a", "b"], "t": [1, 2, 1], "v": [1, 2, 3]}, "t", ("k",))
+    assert t._ends == [2, 3]
+    for ends in ([1, 3], [3], [2], None):
+        with pytest.raises(ValidityError, match="series ends"):
+            validate_table(replace(t, _ends=ends))
+
+
 def test_validate_table_checks_declared_kinds():
     t = build({"t": [1, 2], "v": [1.5, 2.5]}, "t")
     # with_columns takes a declared kind unchecked; the oracle checks it.
@@ -264,9 +272,10 @@ def test_ordinal_index_from_plain_ints():
 
 # --- build against a tuple model -------------------------------------------
 #
-# build sorts and checks uniqueness on one int per row.  The
-# model below does the same work on (key cells..., tick) tuples, the way the
-# contract states it: two rows share a pair when their cells compare equal.
+# build sorts, checks uniqueness and finds the series' ends on one int per
+# row.  The model below does the same work on (key cells..., tick) tuples,
+# the way the contract states it: two rows share a pair when their cells
+# compare equal, and a series is a run of equal key tuples.
 
 _KEY_CELLS = {
     "int": st.integers(-2, 2) | st.just(10**20),
@@ -356,8 +365,8 @@ def _exact(rows):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_raw_tables())
-def test_build_matches_a_tuple_model(table):
+@given(_raw_tables(), st.data())
+def test_build_matches_a_tuple_model(table, data):
     raw, key, adapter = table
     n = len(raw["v"])
     ticks = [adapter_ticks(adapter, c) for c in raw["i"]]
@@ -395,6 +404,7 @@ def test_build_matches_a_tuple_model(table):
         groups[-1][0], groups[-1][2] = pairs[pos][0], i + 1
         tick_groups[-1].append(ticks[pos])
     assert repr(key_groups(t)) == repr([(kt, range(a, b)) for kt, a, b in groups])
+    assert t._ends == [b for _, _, b in groups]
     diffs = [b - a for ts in tick_groups for a, b in zip(ts, ts[1:])]
     if diffs:
         want = Interval.regular(t.adapter.granularity, math.gcd(*diffs), t.adapter.unit_label)
@@ -406,3 +416,11 @@ def test_build_matches_a_tuple_model(table):
     again = arrange(t, [("v", "desc")]).table.canonical()
     assert _exact(again.rows()) == _exact(t.rows())
     assert (again.ticks(), again.interval, again.order_dirty) == (t.ticks(), t.interval, False)
+    assert again._ends == t._ends
+
+    # A subset's series are the runs of equal key tuples among its rows.
+    mask = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    keep = [i for i in range(n) if mask[i]]
+    kept_keys = [pairs[order[i]][0] for i in keep]
+    runs = [j for j in range(1, len(keep)) if kept_keys[j] != kept_keys[j - 1]]
+    assert take(t, keep)._ends == (runs + [len(keep)] if keep else [])

@@ -213,9 +213,14 @@ GRAMMAR = [
     ("2011-07-05 17:00", "hour", "2011-07-05 17:00", Granularity.MINUTE),
     ("2011-07-05 17:45:00.1", "millisecond", "2011-07-05 17:45:00.100",
      Granularity.MILLISECOND),
-    # Surrounding whitespace is stripped; year digits may be any decimal digits.
+    ("2011 Q3", "quarter", "2011 Q3", Granularity.QUARTER),
+    # Surrounding whitespace is stripped; digits are ASCII, leading zeros
+    # allowed in a year.
     (" 2011 ", "year", "2011", Granularity.YEAR),
-    ("٢٠١١", "year", "2011", Granularity.YEAR),
+    ("0011", "year", "11", Granularity.YEAR),
+    ("٢٠١١", "year", ParseError, None),
+    ("٢٠٢١-٠١-٠١", "day", ParseError, None),
+    ("2011-07-05 ١٧:00", "minute", ParseError, None),
 ]
 
 

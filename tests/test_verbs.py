@@ -736,6 +736,15 @@ def test_anti_join_inverts_semi(tb):
     assert empty.nrows == 0
 
 
+def test_join_on_no_columns_matches_every_row(tb):
+    # With ``by=[]`` every row has the empty key, so each left row meets
+    # every right row.
+    out = join(tb, {"note": ["x"]}, by=[]).table
+    assert out.column("note") == ["x"] * tb.nrows
+    assert join(tb, {"note": ["x"]}, kind="semi", by=[]).table.nrows == tb.nrows
+    assert join(tb, {"note": ["x"]}, kind="anti", by=[]).table.nrows == 0
+
+
 def test_full_join_materializes_right_only_rows(tb):
     other = {
         "country": ["Australia", "Narnia"],
