@@ -77,7 +77,6 @@ from .table import (
 )
 from .timepoint import TimePoint, floor_to, guess_granularity, parse_timepoint
 from .verbs import (
-    IndexFilterExpr,
     VerbOutcome,
     arrange,
     filter,
@@ -106,7 +105,6 @@ __all__ = [
     "GapReport",
     "Granularity",
     "IndexAdapter",
-    "IndexFilterExpr",
     "IngestConfig",
     "IngestError",
     "Interval",

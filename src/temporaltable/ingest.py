@@ -215,8 +215,8 @@ def write_csv(stream, header, rows) -> None:
     stream.write(buf.getvalue())
 
 
-def _time_cells(values):
-    """render_cell over a time column, rendering each distinct point once.
+def _time_cells(values, render):
+    """``render`` over a time column, rendering each distinct point once.
 
     Points are cached on (ticks, granularity, zone): TimePoint equality
     ignores the zone, which changes the text.  Granularity members are
@@ -224,22 +224,22 @@ def _time_cells(values):
     text = {}
     for v in values:
         if type(v) is not TimePoint:
-            yield render_cell(v)  # missing, or an index adapter's own value
+            yield render(v)  # missing, or an index adapter's own value
             continue
         key = (v.ticks, id(v.granularity), v.zone)
         s = text.get(key)
         if s is None:
-            s = text[key] = v.render()
+            s = text[key] = render(v)
         yield s
 
 
 _BOOL_TEXT = {None: "", True: "true", False: "false"}
 
 
-def _rendered(col: Column):
-    """The cells of ``col`` as render_cell writes them, chosen by its kind."""
+def _rendered(col: Column, render):
+    """The cells of ``col`` as ``render`` writes them, chosen by its kind."""
     if col.kind == "time":
-        return _time_cells(col.values)
+        return _time_cells(col.values, render)
     if col.kind == "bool":
         return map(_BOOL_TEXT.__getitem__, col.values)
     # int, real and text: csv.writer writes None as "", a float by repr and
@@ -250,11 +250,12 @@ def _rendered(col: Column):
 def table_to_csv(t: TemporalTable, stream=None) -> str | None:
     """Write a table as CSV; returns the text when no stream is given.
 
-    The output is what :func:`write_csv` makes of the rows, built column by
-    column: each column is rendered by its declared kind, a time column
-    once per distinct point, and rows are streamed to the writer.  Raises
-    SchemaError, before writing anything, when a real column holds an inf
-    or nan cell."""
+    The output is what :func:`write_csv` makes of the rows, except that
+    index cells are written by the table's index adapter, as the summary
+    shows them.  It is built column by column: each column is rendered by
+    its declared kind, a time column once per distinct point, and rows are
+    streamed to the writer.  Raises SchemaError, before writing anything,
+    when a real column holds an inf or nan cell."""
     for name, col in t.columns.items():
         if col.kind == "real":
             bad = _first_non_finite(col.values)
@@ -263,7 +264,8 @@ def table_to_csv(t: TemporalTable, stream=None) -> str | None:
     out = stream or io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(t.column_names)
-    writer.writerows(zip(*(_rendered(col) for col in t.columns.values())))
+    renders = (t.adapter.render if name == t.index else render_cell for name in t.columns)
+    writer.writerows(zip(*map(_rendered, t.columns.values(), renders)))
     if stream is None:
         return out.getvalue()
     return None

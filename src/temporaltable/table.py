@@ -226,7 +226,8 @@ class TemporalTable:
 
     ``_ends`` holds the exclusive end row of each series, in row order, for
     a table in canonical order (None while rows are out of it).  A
-    series' key tuple is read from its last row.
+    series' key tuple is read from its last row.  ``notes`` are derived
+    from the key columns on each read.
     """
 
     columns: dict[str, Column]
@@ -237,7 +238,6 @@ class TemporalTable:
     adapter: IndexAdapter
     groups: Grouping | None = None
     order_dirty: bool = False
-    notes: tuple[str, ...] = ()
     _ticks: list[int] | None = field(default=None, repr=False)
     _ends: list[int] | None = field(default=None, repr=False)
 
@@ -248,6 +248,11 @@ class TemporalTable:
         if not self.columns:
             return 0
         return len(next(iter(self.columns.values())))
+
+    @property
+    def notes(self) -> tuple[str, ...]:
+        """One note per key column that is entirely missing."""
+        return _key_notes(self.columns, self.key)
 
     @property
     def ncols(self) -> int:
@@ -395,7 +400,7 @@ def _prepare(
         for i, tk in enumerate(ticks):
             if tk is not None and (not isinstance(tk, int) or isinstance(tk, bool)):
                 raise SchemaError(f"index value {idx_values[i]!r} does not map to integer ticks")
-    return columns, key, adapter, ticks, _key_notes(columns, key)
+    return columns, key, adapter, ticks
 
 
 def _typed_column(name: str, col: Column | list) -> Column:
@@ -464,7 +469,7 @@ def build(
     reported from a scan of the cells in source order, and the interval is
     the GCD of the tick differences within each series.
     """
-    columns, key, adapter, ticks, notes = _prepare(
+    columns, key, adapter, ticks = _prepare(
         raw, index, key, adapter, allow_missing_index=False
     )
     row_keys = _row_keys(columns, key, ticks)
@@ -480,7 +485,7 @@ def build(
             report,
         )
     unsorted = TemporalTable(
-        columns, index, key, Interval.unknown(), regular, adapter, notes=notes, _ticks=ticks
+        columns, index, key, Interval.unknown(), regular, adapter, _ticks=ticks
     )
     t = _sorted_rows(unsorted, rows_of)
     return replace(t, interval=_infer_for(t._ends, t.ticks(), adapter, regular))
@@ -513,7 +518,7 @@ def duplicates(
     The report is empty exactly when :func:`build` would succeed with the
     same arguments (missing index values aside, which build rejects outright).
     """
-    columns, key, _, ticks, _ = _prepare(
+    columns, key, _, ticks = _prepare(
         raw, index, key, adapter, allow_missing_index=True
     )
     ticks = [("missing",) if tk is None else tk for tk in ticks]
@@ -543,7 +548,7 @@ def rows_at(t: TemporalTable, rows: Sequence[int]) -> TemporalTable:
     cells of an ``index_by`` grouping are taken together, and every other
     field carries over as it is, column kinds included.  The series ends
     are cleared; callers re-derive what their reordering or subset can
-    change (order flag, series ends, notes, interval).
+    change (order flag, series ends, interval).
     """
     ticks = t.ticks()
     groups = t.groups
@@ -565,14 +570,14 @@ def take(t: TemporalTable, rows: Sequence[int]) -> TemporalTable:
     (also when empty), its grouping and the kind of every column: a kind
     is declared by the code that made the column, not re-read from the
     cells a subset happens to keep.  A series ends where the kept rows
-    before its old end do, and a series left with no row is dropped.  Key
-    notes and the interval are re-inferred on the subset.
+    before its old end do, and a series left with no row is dropped.  The
+    interval is re-inferred on the subset.
     """
     out = rows_at(t, rows)
     cut = [bisect_left(rows, end) for end in t._ends]
     ends = [b for a, b in zip([0, *cut], cut) if b > a]
     interval = _infer_for(ends, out.ticks(), t.adapter, t.declared_regular)
-    return replace(out, interval=interval, notes=_key_notes(out.columns, t.key), _ends=ends)
+    return replace(out, interval=interval, _ends=ends)
 
 
 def with_columns(t: TemporalTable, columns: Mapping[str, Column | list]) -> TemporalTable:
@@ -583,14 +588,13 @@ def with_columns(t: TemporalTable, columns: Mapping[str, Column | list]) -> Temp
     entries are taken as they are, kind unchecked: the caller declares it.
     Plain value lists are new or overwritten columns from outside the
     library and get the kind of their cells.  Every other field of ``t``
-    carries over (interval, ticks, adapter, grouping); key notes follow the
-    new column order.
+    carries over (interval, ticks, adapter, grouping).
     """
     cols = {
         name: col if isinstance(col, Column) else _typed_column(name, col)
         for name, col in columns.items()
     }
-    return replace(t, columns=cols, notes=_key_notes(cols, t.key))
+    return replace(t, columns=cols)
 
 
 def validate_table(t: TemporalTable) -> None:

@@ -173,7 +173,12 @@ def _ticks_from_civil(g: Granularity, zone: str | None, y, mo=1, d=1, h=0, mi=0,
         else:
             local = datetime(y, mo, d, h, mi, s, ms * 1000, tzinfo=_tzinfo(zone))
             total_ms = (local - _EPOCH_UTC) // _ONE_MS
-    except ValueError as exc:
+            # A local time that a clock change skips comes back from UTC as
+            # another wall-clock time.
+            back = local.astimezone(timezone.utc).astimezone(local.tzinfo)
+            if back.replace(tzinfo=None) != local.replace(tzinfo=None):
+                raise ValueError(f"the clocks in {zone} skip {local:%Y-%m-%d %H:%M:%S}")
+    except (ValueError, OverflowError) as exc:
         raise ParseError(f"invalid civil time {(y, mo, d, h, mi, s, ms)}: {exc}") from exc
     unit = MS_PER_TICK[g]
     ticks, rem = divmod(total_ms, unit)
@@ -282,66 +287,6 @@ def floor_to(t: TimePoint, g) -> TimePoint:
         factor = MS_PER_TICK[g] // MS_PER_TICK[t.granularity]
         return TimePoint(t.ticks // factor, g, t.zone)
     return TimePoint(_date_to_ticks(start_date(t), g), g)
-
-
-# --- span expansion (used by time-window filtering) ------------------------
-
-def span_ticks(t: TimePoint, g: Granularity, zone: str | None = None) -> tuple[int, int]:
-    """Inclusive tick range at granularity ``g`` covered by the period ``t``.
-
-    ``g`` must be finer than or equal to ``t.granularity``.  A tick is covered
-    when its start instant falls inside the period.
-    """
-    if t.granularity is Granularity.ORDINAL:
-        if g is not Granularity.ORDINAL:
-            raise ConversionError("ordinal periods cover only ordinal ticks")
-        return t.ticks, t.ticks
-    if not coarser_or_equal(t.granularity, g):
-        raise PreconditionError(
-            f"a {t.granularity.value} period cannot expand to coarser {g.value} ticks"
-        )
-    if g.is_subdaily:
-        lo_ms, hi_ms = period_instant_bounds(t, zone)
-        return subday_span_ticks(lo_ms, hi_ms, g)
-    start, end = _period_bounds(t)
-    return _ceil_date_tick(start, g), _ceil_date_tick(end, g) - 1
-
-
-def subday_span_ticks(start_ms: int, end_ms: int, g: Granularity) -> tuple[int, int]:
-    """Inclusive sub-daily tick range for the instant range [start_ms, end_ms)."""
-    unit = MS_PER_TICK[g]
-    return -(-start_ms // unit), -(-end_ms // unit) - 1
-
-
-def _period_bounds(t: TimePoint) -> tuple[date, date]:
-    """[start, end) dates of a day-or-coarser period."""
-    g = t.granularity
-    if g.is_subdaily:
-        raise PreconditionError("sub-daily periods have instant bounds, not date bounds")
-    start = _date_from_ticks(t.ticks, g)
-    end = _date_from_ticks(t.ticks + 1, g)
-    return start, end
-
-
-def _ceil_date_tick(d: date, g: Granularity) -> int:
-    """Smallest day-or-coarser tick whose period starts on or after ``d``."""
-    tick = _date_to_ticks(d, g)
-    if _date_from_ticks(tick, g) < d:
-        tick += 1
-    return tick
-
-
-def period_instant_bounds(t: TimePoint, zone: str | None) -> tuple[int, int]:
-    """[start, end) epoch-millisecond bounds of any calendar period."""
-    g = t.granularity
-    if g.is_subdaily:
-        unit = MS_PER_TICK[g]
-        return t.ticks * unit, (t.ticks + 1) * unit
-    start, end = _period_bounds(t)
-    tz = _tzinfo(zone)
-    lo = (datetime.combine(start, datetime.min.time(), tz) - _EPOCH_UTC) // _ONE_MS
-    hi = (datetime.combine(end, datetime.min.time(), tz) - _EPOCH_UTC) // _ONE_MS
-    return lo, hi
 
 
 # --- rendering -------------------------------------------------------------

@@ -7,7 +7,7 @@ verb reruns only the construction checks its change can break:
 * ``filter``, ``filter_index``, semi/anti ``join`` and inner ``join``
   without fan-out keep a subset of rows
   (:func:`~temporaltable.table.take`): order and uniqueness hold, so only
-  key notes and the interval are re-inferred.
+  the interval is re-inferred.
 * ``arrange`` reorders the rows (:func:`~temporaltable.table.rows_at`)
   and only re-checks whether they still run past-to-future.
 * ``mutate`` and ``transmute`` of non-key, non-index columns, ``select``
@@ -46,6 +46,7 @@ must be pure; grouped aggregation may evaluate groups in any order.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 
 from . import aggregates, table
@@ -57,7 +58,7 @@ from .errors import (
     SchemaError,
     ValidityError,
 )
-from .granularity import Granularity
+from .granularity import Granularity, coarser_or_equal
 from .ingest import render_cell
 from .table import (
     Column,
@@ -73,7 +74,6 @@ from .timepoint import (
     floor_to,
     guess_granularity,
     parse_timepoint,
-    span_ticks,
 )
 
 
@@ -105,58 +105,58 @@ def filter(t: TemporalTable, predicate) -> VerbOutcome:
     return VerbOutcome(take(t, keep))
 
 
-@dataclass(frozen=True)
-class IndexFilterExpr:
-    """A textual time window: "2011", "2013-01 ~ 2013-03", "~ 2012", "2012 ~"."""
+def filter_index(t: TemporalTable, expr: str) -> VerbOutcome:
+    """Keep the rows in the time window ``expr``: one point (``"2011"``),
+    two (``"2011-03 ~ 2011-09"``) or one open side (``"~ 2012"``).
 
-    text: str
+    Each endpoint is read at the granularity its text shows, which may be
+    coarser than the index but not finer.  A row is kept when the period
+    holding it, floored as ``index_by`` floors it, lies in the window.  On
+    an ordinal index the endpoints are JSON ints.
 
-    def bounds(self, t: TemporalTable) -> tuple[int | None, int | None]:
-        """Inclusive [lo, hi] bounds in the table's index tick space."""
-        parts = self.text.split("~")
-        if len(parts) > 2:
-            raise ParseError(f"too many '~' in time window {self.text!r}")
-        sides = [p.strip() for p in parts]
-        if not any(sides):
-            raise ParseError(f"time window {self.text!r} has no endpoints")
-        if len(sides) == 1:
-            lo, hi = _endpoint_span(t, sides[0])
-            return lo, hi
-        lo = _endpoint_span(t, sides[0])[0] if sides[0] else None
-        hi = _endpoint_span(t, sides[1])[1] if sides[1] else None
-        return lo, hi
+    >>> from temporaltable import build, timepoint as tp
+    >>> t = build({"d": [tp.day(2011, m, 1) for m in range(1, 13)], "v": list(range(12))}, "d")
+    >>> filter_index(t, "2011 Q3").table.column("v")
+    [6, 7, 8]
+    >>> filter_index(t, "2011-11 ~").table.column("v")
+    [10, 11]
+    >>> filter_index(t, "2011-01-05 12:00")
+    Traceback (most recent call last):
+    ...
+    temporaltable.errors.PreconditionError: a minute window is finer than the day index
+    """
+    sides = [side.strip() for side in expr.split("~")]
+    if len(sides) > 2:
+        raise ParseError(f"too many '~' in time window {expr!r}")
+    if not any(sides):
+        raise ParseError(f"time window {expr!r} has no endpoints")
+    t = t.canonical()
+    ticks = sorted(set(t.ticks()))
+    start = _window_edge(t, sides[0], ticks, bisect_left) if sides[0] else 0
+    stop = _window_edge(t, sides[-1], ticks, bisect_right) if sides[-1] else len(ticks)
+    window = set(ticks[start:stop])
+    return VerbOutcome(take(t, [i for i, tk in enumerate(t.ticks()) if tk in window]))
 
 
-def _endpoint_span(t: TemporalTable, text: str) -> tuple[int, int]:
-    if not text:
-        raise ParseError("empty time window")
+def _window_edge(t: TemporalTable, text: str, ticks: list[int], side) -> int:
+    """Where the endpoint ``text`` cuts the sorted distinct ``ticks``:
+    ``side`` is ``bisect_left`` for a lower end, ``bisect_right`` for an
+    upper one.  Flooring is monotone in the tick, so the floored ticks are
+    sorted too."""
     g = t.adapter.granularity
     if g is None:
         raise ParseError("cannot filter the index of an empty table by time")
     if g is Granularity.ORDINAL:
         # Any ordinal index, plain ints or an adapter's, reads JSON ints.
-        tick = parse_timepoint(text, g).ticks
-        return tick, tick
-    expr_g = guess_granularity(text)
-    if expr_g is None:
+        return side(ticks, parse_timepoint(text, g).ticks)
+    point_g = guess_granularity(text)
+    if point_g is None:
         raise ParseError(f"cannot read {text!r} as a time point")
-    point = parse_timepoint(text, expr_g, t.adapter.zone)
-    return span_ticks(point, g, t.adapter.zone)
-
-
-def filter_index(t: TemporalTable, expr) -> VerbOutcome:
-    """Shorthand time subsetting; the window may be coarser than the index."""
-    if isinstance(expr, str):
-        expr = IndexFilterExpr(expr)
-    t = t.canonical()
-    lo, hi = expr.bounds(t)
-    ticks = t.ticks()
-    keep = [
-        i
-        for i, tk in enumerate(ticks)
-        if (lo is None or tk >= lo) and (hi is None or tk <= hi)
-    ]
-    return VerbOutcome(take(t, keep))
+    point = parse_timepoint(text, point_g, t.adapter.zone)
+    if not coarser_or_equal(point_g, g):
+        raise PreconditionError(f"a {point_g.value} window is finer than the {g.value} index")
+    from_ticks = t.adapter.from_ticks
+    return side(ticks, point.ticks, key=lambda tick: floor_to(from_ticks(tick), point_g).ticks)
 
 
 def arrange(t: TemporalTable, spec) -> VerbOutcome:

@@ -10,6 +10,8 @@ from temporaltable import (
     has_gaps,
     register_index_adapter,
     registered_adapters,
+    render_summary,
+    table_to_csv,
     unregister_index_adapter,
 )
 from temporaltable.adapters import OrdinalIndex
@@ -168,3 +170,14 @@ def test_claims_reads_only_type_and_value_errors_as_not_mine():
         assert type(build({"term": [1, 2]}, index="term").adapter) is OrdinalIndex
     finally:
         unregister_index_adapter("lookup")
+
+
+def test_csv_writes_index_cells_as_the_adapter_renders_them():
+    class Named(SemesterAdapter):
+        def render(self, value):
+            return f"{value.year}-S{value.sem}"
+
+    t = build({"term": [Semester(2019, 2), Semester(2019, 1)], "n": [5, 4]}, "term",
+              adapter=Named())
+    assert table_to_csv(t) == "term,n\n2019-S1,4\n2019-S2,5\n"
+    assert "2019-S1" in render_summary(t)

@@ -19,7 +19,6 @@ from temporaltable import (
     timepoint as tp,
 )
 from temporaltable.granularity import MS_PER_TICK
-from temporaltable.timepoint import span_ticks
 
 EPOCH = date(1970, 1, 1)
 
@@ -245,46 +244,20 @@ def test_ordinal_text_reads_json_ints():
         assert parse_timepoint(text, "ordinal") == tp.ordinal(n)
 
 
-def test_span_year_to_days_matches_calendar():
-    lo, hi = span_ticks(tp.year(2012), Granularity.DAY)
-    assert lo == (date(2012, 1, 1) - EPOCH).days
-    assert hi == (date(2012, 12, 31) - EPOCH).days
-    assert hi - lo + 1 == 366
-
-
-def test_span_quarter_to_months():
-    lo, hi = span_ticks(tp.quarter(2011, 3), Granularity.MONTH)
-    assert (lo, hi) == (tp.month(2011, 7).ticks, tp.month(2011, 9).ticks)
-
-
-def test_span_hour_to_minutes():
-    h = tp.hour(2011, 7, 5, 17)
-    lo, hi = span_ticks(h, Granularity.MINUTE)
-    assert hi - lo + 1 == 60
-    assert lo == h.ticks * 60
-
-
-def test_span_respects_zone_for_dst_day():
-    # New York sprang forward on 2017-03-12: a 23-hour civil day.
-    lo, hi = span_ticks(tp.day(2017, 3, 12), Granularity.MINUTE, "America/New_York")
-    assert hi - lo + 1 == 23 * 60
-    start = datetime(2017, 3, 12, tzinfo=ZoneInfo("America/New_York"))
-    assert lo == int(start.timestamp()) // 60
-
-
-def test_span_rejects_coarser_target():
-    with pytest.raises(PreconditionError):
-        span_ticks(tp.month(2011, 7), Granularity.YEAR)
-    with pytest.raises(ConversionError):
-        span_ticks(tp.ordinal(3), Granularity.DAY)
-
-
-def test_week_span_covers_seven_days():
-    w = tp.week(2011, 7)
-    lo, hi = span_ticks(w, Granularity.DAY)
-    monday = date.fromisocalendar(2011, 7, 1)
-    assert lo == (monday - EPOCH).days
-    assert hi - lo == 6
+def test_local_times_skipped_by_dst_are_rejected():
+    # Melbourne sprang forward on 2021-10-03: 02:00 became 03:00.
+    with pytest.raises(ParseError, match="skip"):
+        parse_timepoint("2021-10-03 02:30", "minute", "Australia/Melbourne")
+    with pytest.raises(ParseError, match="skip"):
+        tp.hour(2021, 10, 3, 2, zone="Australia/Melbourne")
+    mel = ZoneInfo("Australia/Melbourne")
+    for text, h in [("2021-10-03 01:30", 1), ("2021-10-03 03:30", 3)]:
+        point = parse_timepoint(text, "minute", "Australia/Melbourne")
+        assert point.render() == text
+        assert point.ticks * 60 == int(datetime(2021, 10, 3, h, 30, tzinfo=mel).timestamp())
+    # A repeated local time (fall back) still reads as its first instant.
+    first = parse_timepoint("2021-04-04 02:30", "minute", "Australia/Melbourne")
+    assert first.ticks * 60 == int(datetime(2021, 4, 4, 2, 30, tzinfo=mel).timestamp())
 
 
 # --- UTC fast paths: the same ticks, text and errors as datetime arithmetic --

@@ -9,6 +9,7 @@ re-read from cells: a row subset keeps its parent's schema.
 """
 
 import math
+from datetime import datetime, timezone
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,11 +24,13 @@ from temporaltable import (
     duplicates,
     fill_gaps,
     filter_index,
+    floor_to,
     gather,
     group_by,
     index_by,
     join,
     mutate,
+    parse_timepoint,
     register_index_adapter,
     roll_by_key,
     select,
@@ -41,6 +44,7 @@ from temporaltable import (
 )
 from temporaltable import filter as tfilter
 from temporaltable.adapters import OrdinalIndex, TimeIndex
+from temporaltable.granularity import coarser_or_equal
 from temporaltable.interval import Interval
 
 KEY_COLUMNS = ("k_int", "k_real", "k_text")
@@ -152,6 +156,84 @@ def test_same_row_verbs_match_build(t, data):
         # Where no window ends, the result column takes the rolled column's kind.
         rolled = "real" if any(v is not None for v in out.column("rid_slide")) else "int"
         assert_matches_build(out, [*gapless.schema, ("rid_slide", rolled)])
+
+
+# Clock changes in 2021, as UTC minutes since the epoch: New York springs
+# forward on 14 March and falls back on 7 November, Melbourne falls back on
+# 4 April and springs forward on 3 October.
+DST_2021_MINUTES = [
+    int(datetime(2021, mo, d, h, tzinfo=timezone.utc).timestamp()) // 60
+    for mo, d, h in [(3, 14, 7), (11, 7, 6), (4, 3, 16), (10, 2, 16)]
+]
+WINDOW_ZONES = (None, "America/New_York", "Australia/Melbourne")
+# Index granularities, each with how many of its ticks its rows lie within
+# on either side of a clock change.
+INDEX_SPREAD = {
+    Granularity.WEEK: 20,
+    Granularity.DAY: 40,
+    Granularity.HOUR: 60,
+    Granularity.MINUTE: 1500,
+}
+# The granularities a window endpoint is written at, down to the finest
+# index: hour text reads as minutes.
+ENDPOINT_GRANULARITIES = [Granularity.YEAR, Granularity.QUARTER, Granularity.MONTH,
+                          Granularity.WEEK, Granularity.DAY, Granularity.MINUTE]
+
+
+def _tick_near(g, minute, offset):
+    """The tick of ``g`` ``offset`` ticks from the one holding UTC ``minute``."""
+    day = minute // (24 * 60)
+    return offset + {
+        Granularity.MINUTE: minute,
+        Granularity.HOUR: minute // 60,
+        Granularity.DAY: day,
+        Granularity.WEEK: (day + 3) // 7,  # week 0 starts on Monday 1969-12-29
+    }[g]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_filter_index_keeps_rows_whose_floor_lies_in_the_window(data):
+    g = data.draw(st.sampled_from(sorted(INDEX_SPREAD, key=lambda g: g.value)), label="index")
+    zone = data.draw(st.sampled_from(WINDOW_ZONES), label="zone")
+    minute = data.draw(st.sampled_from(DST_2021_MINUTES), label="clock change")
+    spread = INDEX_SPREAD[g]
+    offsets = st.integers(-spread, spread)
+    rows = data.draw(st.lists(st.tuples(st.sampled_from("ab"), offsets), min_size=1,
+                              max_size=40, unique=True), label="rows")
+    t = build({"k": [k for k, _ in rows], "rid": list(range(len(rows))),
+               "t": [tp.TimePoint(_tick_near(g, minute, o), g, zone) for _, o in rows]},
+              "t", ("k",))
+
+    def endpoint():
+        eg = data.draw(st.sampled_from(
+            [e for e in ENDPOINT_GRANULARITIES if coarser_or_equal(e, g)]))
+        cell = tp.TimePoint(_tick_near(g, minute, data.draw(offsets)), g, zone)
+        text = floor_to(cell, eg).render()
+        return text, eg, parse_timepoint(text, eg, zone).ticks
+
+    shape = data.draw(st.sampled_from(["single", "closed", "from", "to"]), label="shape")
+    lo = hi = None
+    if shape == "single":
+        text, eg, tick = endpoint()
+        window, lo, hi = text, (eg, tick), (eg, tick)
+    else:
+        if shape != "to":
+            text_lo, eg, tick = endpoint()
+            lo = (eg, tick)
+        if shape != "from":
+            text_hi, eg, tick = endpoint()
+            hi = (eg, tick)
+        window = f"{text_lo if lo else ''} ~ {text_hi if hi else ''}"
+
+    def kept(cell):
+        return (lo is None or floor_to(cell, lo[0]).ticks >= lo[1]) and (
+            hi is None or floor_to(cell, hi[0]).ticks <= hi[1])
+
+    out = filter_index(t, window).table
+    assert_matches_build(out, t.schema)
+    assert out.column("rid") == [r for r, cell in zip(t.column("rid"), t.column("t"))
+                                 if kept(cell)]
 
 
 def test_filter_to_zero_rows():

@@ -18,6 +18,7 @@ from temporaltable import (
     arrange,
     build,
     filter_index,
+    floor_to,
     gather,
     group_by,
     group_by_key,
@@ -131,6 +132,54 @@ def test_filter_index_parse_errors(tb):
         filter_index(tb, "whenever")
     with pytest.raises(ParseError):
         filter_index(tb, "~")
+
+
+def _run_of(first, n):
+    """``n`` consecutive points from ``first``, at its granularity and zone."""
+    return [tp.TimePoint(first.ticks + i, first.granularity, first.zone) for i in range(n)]
+
+
+def test_filter_index_year_selects_366_days():
+    t = build({"d": _run_of(tp.day(2011, 12, 1), 430)}, "d")
+    days = filter_index(t, "2012").table.column("d")
+    assert len(days) == 366
+    assert (days[0], days[-1]) == (tp.day(2012, 1, 1), tp.day(2012, 12, 31))
+
+
+def test_filter_index_quarter_selects_three_months():
+    t = build({"m": _run_of(tp.month(2011, 1), 12)}, "m")
+    assert filter_index(t, "2011 Q3").table.column("m") == _run_of(tp.month(2011, 7), 3)
+
+
+def test_filter_index_hour_selects_60_minutes():
+    t = build({"m": _run_of(tp.minute(2011, 7, 5, 16, 0), 180)}, "m")
+    out = filter_index(t, "2011-07-05 17:00 ~ 2011-07-05 17:59").table
+    assert out.column("m") == _run_of(tp.minute(2011, 7, 5, 17, 0), 60)
+    assert {floor_to(m, Granularity.HOUR) for m in out.column("m")} == {tp.hour(2011, 7, 5, 17)}
+
+
+def test_filter_index_new_york_dst_day_is_23_hours():
+    # New York sprang forward on 2017-03-12: a 23-hour civil day.
+    ny = "America/New_York"
+    t = build({"m": _run_of(tp.minute(2017, 3, 11, 0, 0, zone=ny), 3 * 24 * 60)}, "m")
+    out = filter_index(t, "2017-03-12").table
+    assert out.column("m") == _run_of(tp.minute(2017, 3, 12, 0, 0, zone=ny), 23 * 60)
+
+
+def test_filter_index_iso_week_selects_seven_days():
+    t = build({"d": _run_of(tp.day(2011, 2, 1), 28)}, "d")
+    assert filter_index(t, "2011 W07").table.column("d") == _run_of(tp.day(2011, 2, 14), 7)
+
+
+def test_filter_index_refuses_finer_or_calendar_windows():
+    years = build({"y": _run_of(tp.year(2010), 3)}, "y")
+    with pytest.raises(PreconditionError, match="finer"):
+        filter_index(years, "2011-07")
+    steps = build({"t": _run_of(tp.ordinal(3), 3)}, "t")
+    with pytest.raises(ParseError):
+        filter_index(steps, "2011-07")
+    with pytest.raises(ParseError):
+        filter_index(build({"t": []}, "t"), "2011")
 
 
 # --- arrange ----------------------------------------------------------------
