@@ -15,8 +15,8 @@ shared across threads; the registry is the package's only mutable state.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections.abc import Sequence
 from operator import attrgetter
-from typing import Sequence
 
 from .errors import RegistrationError, SchemaError
 from .granularity import Granularity

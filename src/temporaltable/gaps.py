@@ -9,20 +9,26 @@ key's own tick phase so that observed points remain on-grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import aggregates, table
 from .errors import GapError, SchemaError, UnsupportedOperationError
+from .record import Record
 from .table import Column, TemporalTable, as_kind, common_kind, key_groups
 
 
-@dataclass
-class GapReport:
+class GapReport(Record):
     """Maximal missing ranges per key: (key tuple, from, to, n)."""
 
-    key_names: tuple[str, ...]
-    index_name: str
-    entries: list[tuple[tuple, object, object, int]]
+    __slots__ = ("key_names", "index_name", "entries")
+
+    def __init__(
+        self,
+        key_names: tuple[str, ...],
+        index_name: str,
+        entries: list[tuple[tuple, object, object, int]],
+    ):
+        self.key_names = key_names
+        self.index_name = index_name
+        self.entries = entries
 
     def total(self) -> int:
         return sum(n for _, _, _, n in self.entries)

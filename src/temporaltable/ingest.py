@@ -23,10 +23,10 @@ import csv
 import io
 import math
 import re
-from dataclasses import dataclass, field
 
 from .errors import IngestError, ParseError, SchemaError
 from .granularity import Granularity
+from .record import Record
 from .table import Column, TemporalTable, build
 from .timepoint import JSON_INT, TimePoint, guess_granularity, parse_timepoint
 
@@ -36,15 +36,26 @@ _NUMBER_RE = re.compile(JSON_INT + r"(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
 _BOOL = {"true": True, "false": False}
 
 
-@dataclass
-class IngestConfig:
-    path: str
-    index: str
-    key: tuple[str, ...] = ()
-    regular: bool = True
-    time_format: dict = field(default_factory=dict)  # column -> granularity name
-    zone: str | None = None
-    delimiter: str = ","
+class IngestConfig(Record):
+    __slots__ = ("path", "index", "key", "regular", "time_format", "zone", "delimiter")
+
+    def __init__(
+        self,
+        path: str,
+        index: str,
+        key: tuple[str, ...] = (),
+        regular: bool = True,
+        time_format: dict | None = None,  # column -> granularity name; None is {}
+        zone: str | None = None,
+        delimiter: str = ",",
+    ):
+        self.path = path
+        self.index = index
+        self.key = key
+        self.regular = regular
+        self.time_format = {} if time_format is None else time_format
+        self.zone = zone
+        self.delimiter = delimiter
 
 
 def read_rows(cfg: IngestConfig) -> tuple[list[str], list[list[str]]]:

@@ -10,20 +10,28 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import PreconditionError, SchemaError
 from .granularity import UNIT_LETTERS, Granularity
+from .record import Frozen, set_field
 from .timepoint import TimePoint
 
 
-@dataclass(frozen=True)
-class Interval:
-    form: str  # "regular" | "irregular" | "unknown"
-    unit: Granularity | None = None
-    multiple: int | None = None
-    unit_label: str | None = None  # adapter-supplied rendering token
+class Interval(Frozen):
+    __slots__ = ("form", "unit", "multiple", "unit_label")
+
+    def __init__(
+        self,
+        form: str,  # "regular" | "irregular" | "unknown"
+        unit: Granularity | None = None,
+        multiple: int | None = None,
+        unit_label: str | None = None,  # adapter-supplied rendering token
+    ):
+        set_field(self, "form", form)
+        set_field(self, "unit", unit)
+        set_field(self, "multiple", multiple)
+        set_field(self, "unit_label", unit_label)
 
     @classmethod
     def regular(cls, unit: Granularity, multiple: int, unit_label: str | None = None):

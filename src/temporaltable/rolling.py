@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from itertools import accumulate
 
 from . import aggregates
 from .errors import PreconditionError, SchemaError, TypedResultError, UnsupportedOperationError
 from .gaps import require_gapless
+from .record import Frozen, set_field
 from .table import Column, TemporalTable, as_kind, key_groups, with_columns
 
 
@@ -49,8 +49,7 @@ def _positive_int(n, what: str) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(Frozen):
     """Window shape: size, stride between window ends, and partial policy.
 
     ``partial=False`` (the default) emits complete windows only; with
@@ -58,13 +57,12 @@ class Window:
     first.  For stretch, ``size`` is the initial prefix length.
     """
 
-    size: int
-    step: int = 1
-    partial: bool = False
+    __slots__ = ("size", "step", "partial")
 
-    def __post_init__(self):
-        _positive_int(self.size, "window size")
-        _positive_int(self.step, "window step")
+    def __init__(self, size: int, step: int = 1, partial: bool = False):
+        set_field(self, "size", _positive_int(size, "window size"))
+        set_field(self, "step", _positive_int(step, "window step"))
+        set_field(self, "partial", partial)
 
 
 _OPS = ("slide", "tile", "stretch")

@@ -27,9 +27,8 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from itertools import compress, count, repeat
-from typing import Iterable, Iterator, Mapping, Sequence
 
 from .adapters import IndexAdapter, resolve_index
 from .errors import (
@@ -40,16 +39,19 @@ from .errors import (
     ValidityError,
 )
 from .interval import Interval, infer_from_ticks
+from .record import Frozen, Record, set_field
 from .timepoint import TimePoint
 
 # Cell kinds: "int", "real", "text", "bool", "time".  Missing cells are None.
 KINDS = ("int", "real", "text", "bool", "time")
 
 
-@dataclass
-class Column:
-    kind: str
-    values: list
+class Column(Record):
+    __slots__ = ("kind", "values")
+
+    def __init__(self, kind: str, values: list):
+        self.kind = kind
+        self.values = values
 
     def __len__(self):
         return len(self.values)
@@ -182,27 +184,37 @@ def _run_ends(sorted_row_keys: list[int], ticks) -> list[int]:
 # --- grouping metadata -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Grouping:
+class Grouping(Frozen):
     """Active grouping: plain columns and/or a derived index."""
 
-    by: tuple[str, ...] = ()
-    index_name: str | None = None
-    index_values: tuple = ()  # derived index cells aligned to rows
-    index_adapter: IndexAdapter | None = None
+    __slots__ = ("by", "index_name", "index_values", "index_adapter")
+
+    def __init__(
+        self,
+        by: tuple[str, ...] = (),
+        index_name: str | None = None,
+        index_values: tuple = (),  # derived index cells aligned to rows
+        index_adapter: IndexAdapter | None = None,
+    ):
+        set_field(self, "by", by)
+        set_field(self, "index_name", index_name)
+        set_field(self, "index_values", index_values)
+        set_field(self, "index_adapter", index_adapter)
 
 
 # --- reports ---------------------------------------------------------------
 
 
-@dataclass
-class DuplicateReport:
+class DuplicateReport(Record):
     """Rows whose (key, index) pair occurs more than once, in source order."""
 
-    index: str
-    key: tuple[str, ...]
-    rows: list[dict]
-    positions: list[int]
+    __slots__ = ("index", "key", "rows", "positions")
+
+    def __init__(self, index: str, key: tuple[str, ...], rows: list[dict], positions: list[int]):
+        self.index = index
+        self.key = key
+        self.rows = rows
+        self.positions = positions
 
     def __bool__(self):
         return bool(self.rows)
@@ -214,14 +226,13 @@ class DuplicateReport:
 # --- the table -------------------------------------------------------------
 
 
-@dataclass(eq=False)
 class TemporalTable:
     """Columnar table with time-index, key and interval semantics.
 
     Instances are treated as immutable: every operation returns a new table.
     Do not mutate the lists returned by :meth:`column`.  Tables are made by
     :func:`build`, moved row-wise by :func:`rows_at`, and otherwise derived
-    with :func:`dataclasses.replace`, so every field below travels with the
+    with :func:`replace`, so every field in ``__slots__`` travels with the
     table unless a verb changes it.
 
     ``_ends`` holds the exclusive end row of each series, in row order, for
@@ -230,16 +241,42 @@ class TemporalTable:
     from the key columns on each read.
     """
 
-    columns: dict[str, Column]
-    index: str
-    key: tuple[str, ...]
-    interval: Interval
-    declared_regular: bool
-    adapter: IndexAdapter
-    groups: Grouping | None = None
-    order_dirty: bool = False
-    _ticks: list[int] | None = field(default=None, repr=False)
-    _ends: list[int] | None = field(default=None, repr=False)
+    __slots__ = (
+        "columns",
+        "index",
+        "key",
+        "interval",
+        "declared_regular",
+        "adapter",
+        "groups",
+        "order_dirty",
+        "_ticks",
+        "_ends",
+    )
+
+    def __init__(
+        self,
+        columns: dict[str, Column],
+        index: str,
+        key: tuple[str, ...],
+        interval: Interval,
+        declared_regular: bool,
+        adapter: IndexAdapter,
+        groups: Grouping | None = None,
+        order_dirty: bool = False,
+        _ticks: list[int] | None = None,
+        _ends: list[int] | None = None,
+    ):
+        self.columns = columns
+        self.index = index
+        self.key = key
+        self.interval = interval
+        self.declared_regular = declared_regular
+        self.adapter = adapter
+        self.groups = groups
+        self.order_dirty = order_dirty
+        self._ticks = _ticks
+        self._ends = _ends
 
     # -- basic accessors --
 
@@ -323,6 +360,14 @@ class TemporalTable:
     def is_canonical_order(self) -> bool:
         keys = _sort_keys(self.columns, self.key, self.ticks())
         return not any(map(operator.lt, keys[1:], keys))
+
+
+def replace(obj: TemporalTable | Grouping, **changes):
+    """A copy of ``obj``, a table or a grouping, with the fields named in
+    ``changes`` set anew; every other field carries over."""
+    fields = {name: getattr(obj, name) for name in obj.__slots__}
+    fields.update(changes)
+    return type(obj)(**fields)
 
 
 def row_dicts(names: Sequence[str], columns: Iterable[Sequence]) -> Iterator[dict]:

@@ -15,11 +15,11 @@ the stored ticks.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta, timezone
 
 from .errors import ConversionError, ParseError, PreconditionError
 from .granularity import MS_PER_TICK, Granularity, coarser_or_equal
+from .record import Frozen
 
 _EPOCH_DATE = date(1970, 1, 1)
 _EPOCH_ORDINAL = _EPOCH_DATE.toordinal()
@@ -66,17 +66,26 @@ def _require_granularity(g) -> Granularity:
         raise PreconditionError(f"unknown granularity {g!r}") from None
 
 
-@dataclass(frozen=True)
-class TimePoint:
-    """An instant at a granularity; ordered by ticks within one granularity."""
+class TimePoint(Frozen):
+    """An instant at a granularity; ordered by ticks within one granularity.
+    The zone is not compared: equal points are the same instant."""
 
-    ticks: int
-    granularity: Granularity
-    zone: str | None = field(default=None, compare=False)
+    __slots__ = ("ticks", "granularity", "zone")
 
-    def __post_init__(self):
-        if not isinstance(self.ticks, int) or isinstance(self.ticks, bool):
-            raise PreconditionError(f"ticks must be an integer, got {self.ticks!r}")
+    def __init__(self, ticks: int, granularity: Granularity, zone: str | None = None):
+        if not isinstance(ticks, int) or isinstance(ticks, bool):
+            raise PreconditionError(f"ticks must be an integer, got {ticks!r}")
+        _set_ticks(self, ticks)
+        _set_granularity(self, granularity)
+        _set_zone(self, zone)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.ticks == other.ticks and self.granularity == other.granularity
+
+    def __hash__(self):
+        return hash((self.ticks, self.granularity))
 
     def _check_comparable(self, other):
         if not isinstance(other, TimePoint):
@@ -114,6 +123,14 @@ class TimePoint:
     @staticmethod
     def parse(text: str, granularity, zone: str | None = None) -> "TimePoint":
         return parse_timepoint(text, granularity, zone)
+
+
+# A point is made for each distinct cell read and each index value made, so
+# its fields are set through their slots' own setters, the fastest way past
+# the frozen ``__setattr__``.
+_set_ticks = TimePoint.ticks.__set__
+_set_granularity = TimePoint.granularity.__set__
+_set_zone = TimePoint.zone.__set__
 
 
 # --- tick <-> civil conversions -------------------------------------------
@@ -353,6 +370,14 @@ def _on_ints(factory, zoned=False):
     return lambda zone, *fields: factory(*map(int, fields))
 
 
+def _hour(zone, *fields):
+    # Minutes other than the zone's offset (Kolkata's hours are at :30) do
+    # not align to whole hours, and _ticks_from_civil refuses them.
+    *clock, mi = fields
+    ticks = _ticks_from_civil(Granularity.HOUR, zone, *map(int, clock), int(mi or 0))
+    return TimePoint(ticks, Granularity.HOUR, zone)
+
+
 def _millisecond(zone, *fields):
     *clock, ms = fields
     return millisecond(*map(int, clock), int(ms.ljust(3, "0")), zone=zone)
@@ -368,7 +393,7 @@ _FORMS = tuple(
         (Granularity.MILLISECOND, _SECOND + r"\.([0-9]{1,3})", _millisecond, True),
         (Granularity.SECOND, _SECOND, _on_ints(second, zoned=True), True),
         (Granularity.MINUTE, _MINUTE, _on_ints(minute, zoned=True), True),
-        (Granularity.HOUR, _CLOCK + r"(?::00)?", _on_ints(hour, zoned=True), False),
+        (Granularity.HOUR, _CLOCK + r"(?::([0-9]{2}))?", _hour, False),
         (Granularity.DAY, _DATE, _on_ints(day), True),
         (Granularity.WEEK, r"(-?[0-9]+)\s+W([0-9]{1,2})", _on_ints(week), True),
         (Granularity.QUARTER, r"(-?[0-9]+)\s+Q([1-4])", _on_ints(quarter), True),
@@ -402,6 +427,8 @@ def parse_timepoint(text: str, granularity, zone: str | None = None) -> TimePoin
     (TimePoint('2011 W07', 'week'), TimePoint('2011-07-05', 'day'))
     >>> parse_timepoint("2011-07-05 17:00", "hour"), parse_timepoint("2011-07-05T17", "hour")
     (TimePoint('2011-07-05 17:00', 'hour'), TimePoint('2011-07-05 17:00', 'hour'))
+    >>> parse_timepoint("2011-07-05 22:30", "hour", "Asia/Kolkata")
+    TimePoint('2011-07-05 22:30', 'hour')
     >>> parse_timepoint("2011-07-05 17:45", "minute")
     TimePoint('2011-07-05 17:45', 'minute')
     >>> parse_timepoint("2011-07-05 17:45:00", "second")

@@ -47,7 +47,6 @@ must be pure; grouped aggregation may evaluate groups in any order.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
 
 from . import aggregates, table
 from .adapters import resolve_index
@@ -60,11 +59,13 @@ from .errors import (
 )
 from .granularity import Granularity, coarser_or_equal
 from .ingest import render_cell
+from .record import Frozen, set_field
 from .table import (
     Column,
     Grouping,
     TemporalTable,
     _sort_cell,
+    replace,
     rows_at,
     take,
     with_columns,
@@ -77,12 +78,14 @@ from .timepoint import (
 )
 
 
-@dataclass(frozen=True)
-class VerbOutcome:
+class VerbOutcome(Frozen):
     """A verb result: the table plus any warnings raised along the way."""
 
-    table: TemporalTable
-    warnings: tuple[str, ...] = ()
+    __slots__ = ("table", "warnings")
+
+    def __init__(self, table: TemporalTable, warnings: tuple[str, ...] = ()):
+        set_field(self, "table", table)
+        set_field(self, "warnings", warnings)
 
     def __iter__(self):
         return iter((self.table, self.warnings))
@@ -109,8 +112,10 @@ def filter_index(t: TemporalTable, expr: str) -> VerbOutcome:
     """Keep the rows in the time window ``expr``: one point (``"2011"``),
     two (``"2011-03 ~ 2011-09"``) or one open side (``"~ 2012"``).
 
-    Each endpoint is read at the granularity its text shows, which may be
-    coarser than the index but not finer.  A row is kept when the period
+    Each endpoint is read at the index's granularity when its text is one
+    such point (an index cell's rendering selects that cell), and otherwise
+    at the granularity its text shows, which may be coarser than the index
+    but not finer.  A row is kept when the period
     holding it, floored as ``index_by`` floors it, lies in the window.  On
     an ordinal index the endpoints are JSON ints.
 
@@ -149,10 +154,14 @@ def _window_edge(t: TemporalTable, text: str, ticks: list[int], side) -> int:
     if g is Granularity.ORDINAL:
         # Any ordinal index, plain ints or an adapter's, reads JSON ints.
         return side(ticks, parse_timepoint(text, g).ticks)
-    point_g = guess_granularity(text)
-    if point_g is None:
-        raise ParseError(f"cannot read {text!r} as a time point")
-    point = parse_timepoint(text, point_g, t.adapter.zone)
+    try:
+        # The index's own text, hours included, which are never guessed.
+        point_g, point = g, parse_timepoint(text, g, t.adapter.zone)
+    except ParseError:
+        point_g = guess_granularity(text)
+        if point_g is None:
+            raise ParseError(f"cannot read {text!r} as a time point") from None
+        point = parse_timepoint(text, point_g, t.adapter.zone)
     if not coarser_or_equal(point_g, g):
         raise PreconditionError(f"a {point_g.value} window is finer than the {g.value} index")
     from_ticks = t.adapter.from_ticks

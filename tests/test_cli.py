@@ -372,14 +372,18 @@ def test_each_distinct_time_cell_is_parsed_and_rendered_once(capsys, tmp_path, m
 
 def test_cli_import_defers_slow_stdlib_modules():
     # Each is imported on first use (a thread pool, fmean, a non-UTC zone),
-    # so a ttab command that needs none of them never pays for it.
-    deferred = ("concurrent.futures", "statistics", "zoneinfo")
+    # so a ttab command that needs none of them never pays for it.  The
+    # package's classes are plain slotted classes, so dataclasses and the
+    # inspect module it pulls in are never loaded, nor typing: it is checked
+    # under -S too, as a site-packages .pth file may import typing itself.
+    deferred = ("concurrent.futures", "statistics", "zoneinfo", "dataclasses", "inspect")
     src = str(pathlib.Path(temporaltable.__file__).parents[1])
-    code = (
-        f"import sys; sys.path.insert(0, {src!r}); import temporaltable.cli; "
-        f"print(*[m for m in {deferred!r} if m in sys.modules])"
-    )
-    done = subprocess.run(
-        [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
-    )
-    assert done.stdout.split() == []
+    for flags, absent in ((["-I"], deferred), (["-I", "-S"], (*deferred, "typing"))):
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); import temporaltable.cli; "
+            f"print(*[m for m in {absent!r} if m in sys.modules])"
+        )
+        done = subprocess.run(
+            [sys.executable, *flags, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert done.stdout.split() == [], flags

@@ -1,7 +1,6 @@
 import math
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +21,7 @@ from temporaltable import (
     timepoint as tp,
     validate_table,
 )
-from temporaltable.table import _sort_keys, as_kind, common_kind, take, with_columns
+from temporaltable.table import _sort_keys, as_kind, common_kind, replace, take, with_columns
 from conftest import table_rows
 from test_adapters import Semester, SemesterAdapter
 

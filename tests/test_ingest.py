@@ -192,6 +192,20 @@ def test_csv_round_trip(tb, tmp_path):
     assert_same_table(again, tb)
 
 
+def test_kolkata_hourly_csv_round_trip(tmp_path):
+    # Kolkata (UTC+05:30) writes its hours at :30, and reads them back.
+    zone = "Asia/Kolkata"
+    first = tp.hour(2011, 7, 5, 0).ticks
+    hours = [TimePoint(first + i, Granularity.HOUR, zone) for i in range(24)]
+    t = build({"ts": hours, "v": list(range(24))}, "ts")
+    path = tmp_path / "out.csv"
+    path.write_text(table_to_csv(t))
+    assert path.read_text().splitlines()[1] == "2011-07-05 05:30,0"
+    again = ingest(IngestConfig(str(path), "ts", time_format={"ts": "hour"}, zone=zone))
+    assert_same_table(again, t)
+    assert {h.zone for h in again.column("ts")} == {zone}
+
+
 def test_csv_round_trip_quoting_and_missing(tmp_path):
     raw = 't,s,x\n2011,"a,b",1.25\n2012,,\n'
     path = write(tmp_path, raw)

@@ -155,6 +155,17 @@ def test_parse_alternates():
     assert parse_timepoint("2011-07-05 17", Granularity.HOUR) == tp.hour(2011, 7, 5, 17)
 
 
+def test_parse_hour_reads_the_zone_offset_minutes():
+    # An hour in Kolkata (UTC+05:30) starts at :30 local time.
+    kolkata = "Asia/Kolkata"
+    point = parse_timepoint("2011-07-05 22:30", Granularity.HOUR, kolkata)
+    assert point == tp.hour(2011, 7, 5, 17)
+    assert (point.zone, point.render()) == (kolkata, "2011-07-05 22:30")
+    for text in ("2011-07-05 22:00", "2011-07-05 22"):
+        with pytest.raises(ParseError, match="align"):
+            parse_timepoint(text, Granularity.HOUR, kolkata)
+
+
 def test_parse_rejects_malformed():
     for text, g in [
         ("2011-13", Granularity.MONTH),

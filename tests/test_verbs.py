@@ -1,6 +1,5 @@
 import math
 import statistics
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,6 +33,7 @@ from temporaltable import (
     validate_table,
 )
 from temporaltable import filter as tfilter
+from temporaltable.table import replace
 from conftest import assert_same_table, table_rows
 
 
@@ -169,6 +169,21 @@ def test_filter_index_new_york_dst_day_is_23_hours():
 def test_filter_index_iso_week_selects_seven_days():
     t = build({"d": _run_of(tp.day(2011, 2, 1), 28)}, "d")
     assert filter_index(t, "2011 W07").table.column("d") == _run_of(tp.day(2011, 2, 14), 7)
+
+
+@pytest.mark.parametrize("zone", [None, "Asia/Kolkata"])
+def test_filter_index_rendered_hour_selects_its_row(zone):
+    # An hour cell renders as "17:00" in UTC and as "22:30" in Kolkata
+    # (UTC+05:30); both read back at the index's own granularity.
+    t = build({"h": _run_of(tp.TimePoint(tp.hour(2011, 7, 5, 0).ticks, Granularity.HOUR, zone), 24),
+               "v": list(range(24))}, "h")
+    texts = [h.render() for h in t.column("h")]
+    assert texts[17].endswith(":30" if zone else ":00")
+    for i, text in enumerate(texts):
+        assert filter_index(t, text).table.column("v") == [i]
+    assert filter_index(t, f"{texts[3]} ~ {texts[5]}").table.column("v") == [3, 4, 5]
+    with pytest.raises(PreconditionError, match="a minute window is finer than the hour index"):
+        filter_index(t, texts[17][:-2] + ("00" if zone else "30"))
 
 
 def test_filter_index_refuses_finer_or_calendar_windows():
