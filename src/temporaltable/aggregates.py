@@ -79,15 +79,6 @@ def quantile(values, p: float) -> float:
     return s[lo] + frac * (s[lo + 1] - s[lo])
 
 
-def fmean(values) -> float:
-    """``statistics.fmean``, which is slow to import: the first call
-    imports it and puts it in this function's place."""
-    global fmean
-    from statistics import fmean
-
-    return fmean(values)
-
-
 def _numeric(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
@@ -110,7 +101,7 @@ def apply(spec: str, values) -> object:
                 pass
         return sum(pool)
     if name == "mean":
-        return fmean(pool)
+        return math.fsum(pool) / len(pool)
     if name == "min":
         return min(pool)
     if name == "max":

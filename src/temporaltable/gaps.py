@@ -1,10 +1,15 @@
 """Detect, summarize, and repair implicit missing observations.
 
 A regular table promises one observation every ``multiple`` ticks per key.
-These verbs compare that promise against the data.  The expected grid for a
-key starts at the key's own first observation; with ``full=True`` it is
-extended over the global [min, max] span of the whole table, staying on the
-key's own tick phase so that observed points remain on-grid.
+A gap is a run of missing index values between two consecutive
+observations of a series, found from their ticks alone: the four verbs
+read the same runs.  With ``full=True`` each series is also held to the
+global [min, max] span of the whole table, on its own tick phase so that
+observed points stay on-grid, which adds a run before its first and after
+its last observation where the span reaches further.  ``has_gaps``,
+``count_gaps`` and ``require_gapless`` therefore cost time per observation,
+not per expected tick; ``scan_gaps`` and ``fill_gaps`` cost per missing
+value they return.
 """
 
 from __future__ import annotations
@@ -48,8 +53,8 @@ def _require_regular(t: TemporalTable) -> None:
         )
 
 
-def _missing_by_key(t: TemporalTable, full: bool) -> list[tuple[tuple, range, list[int]]]:
-    """Per key: (key tuple, row range, sorted missing ticks)."""
+def _runs_by_key(t: TemporalTable, full: bool) -> list[tuple[tuple, range, list[range]]]:
+    """Per key: (key tuple, row range, runs of missing ticks as ranges)."""
     _require_regular(t)
     t = t.canonical()
     groups = key_groups(t)
@@ -61,49 +66,38 @@ def _missing_by_key(t: TemporalTable, full: bool) -> list[tuple[tuple, range, li
     out = []
     for kt, r in groups:
         observed = ticks[r.start : r.stop]
-        have = set(observed)
         if full:
-            # Stay on this key's phase inside the global span.
-            lo = glo + (observed[0] - glo) % m
-            hi = ghi
-        else:
-            lo = observed[0]
-            hi = observed[-1]
-        missing = [tk for tk in range(lo, hi + 1, m) if tk not in have]
-        out.append((kt, r, missing))
+            # One step outside the first and last tick on this key's phase
+            # inside the global span.
+            first = observed[0]
+            observed = [glo + (first - glo) % m - m, *observed, ghi - (ghi - first) % m + m]
+        runs = [range(a + m, b, m) for a, b in zip(observed, observed[1:]) if b - a > m]
+        out.append((kt, r, runs))
     return out
 
 
 def has_gaps(t: TemporalTable, full: bool = False) -> list[tuple[tuple, bool]]:
     """Per key tuple: does the series miss any expected index value?"""
-    return [(kt, bool(missing)) for kt, _, missing in _missing_by_key(t, full)]
+    return [(kt, bool(runs)) for kt, _, runs in _runs_by_key(t, full)]
 
 
 def scan_gaps(t: TemporalTable, full: bool = False) -> list[tuple[tuple, object]]:
     """Every implicit missing observation as a (key tuple, index value) row."""
-    rows = []
-    for kt, _, missing in _missing_by_key(t, full):
-        for tk in missing:
-            rows.append((kt, t.adapter.from_ticks(tk)))
-    return rows
+    return [
+        (kt, t.adapter.from_ticks(tk))
+        for kt, _, runs in _runs_by_key(t, full)
+        for run in runs
+        for tk in run
+    ]
 
 
 def count_gaps(t: TemporalTable, full: bool = False) -> GapReport:
-    """Merge scan_gaps output into maximal consecutive ranges with counts."""
-    m = t.interval.multiple if t.interval.is_regular else None
-    entries = []
-    for kt, _, missing in _missing_by_key(t, full):
-        start = prev = None
-        for tk in missing + [None]:
-            if prev is not None and tk is not None and tk - prev == m:
-                prev = tk
-                continue
-            if prev is not None:
-                entries.append(
-                    (kt, t.adapter.from_ticks(start), t.adapter.from_ticks(prev),
-                     (prev - start) // m + 1)
-                )
-            start = prev = tk
+    """Each run of missing index values as (key tuple, from, to, count)."""
+    entries = [
+        (kt, t.adapter.from_ticks(run[0]), t.adapter.from_ticks(run[-1]), len(run))
+        for kt, _, runs in _runs_by_key(t, full)
+        for run in runs
+    ]
     return GapReport(key_names=t.key, index_name=t.index, entries=entries)
 
 
@@ -138,7 +132,7 @@ def fill_gaps(
     """
     t = t.canonical()
     fills = _resolve_fill(t, fills)
-    per_key = _missing_by_key(t, full)
+    per_key = _runs_by_key(t, full)
     measured = [c for c in t.columns if c != t.index and c not in t.key]
 
     data = {name: Column(col.kind, list(col.values)) for name, col in t.columns.items()}
@@ -146,26 +140,22 @@ def fill_gaps(
         if isinstance(policy, aggregates.Aggregate):
             kind = aggregates.result_kind(aggregates.parse_spec(policy.spec)[0], data[col].kind)
             data[col].kind = common_kind((data[col].kind, kind))
-    for kt, r, missing in per_key:
-        if not missing:
+    for kt, r, runs in per_key:
+        n = sum(map(len, runs))
+        if not n:
             continue
-        agg_cache = {}
-        for col, policy in fills.items():
-            if isinstance(policy, aggregates.Aggregate):
-                observed = t.columns[col].values[r.start : r.stop]
-                agg_cache[col] = aggregates.apply(policy.spec, observed)
-        for tk in missing:
-            data[t.index].values.append(t.adapter.from_ticks(tk))
-            for name, cell in zip(t.key, kt):
-                data[name].values.append(cell)
-            for col in measured:
-                policy = fills.get(col)
-                if policy is None:
-                    data[col].values.append(None)
-                elif isinstance(policy, aggregates.Aggregate):
-                    data[col].values.append(agg_cache[col])
-                else:
-                    data[col].values.append(policy)
+        for run in runs:
+            data[t.index].values.extend(map(t.adapter.from_ticks, run))
+        for name, cell in zip(t.key, kt):
+            data[name].values.extend([cell] * n)
+        cells = {
+            col: aggregates.apply(policy.spec, t.columns[col].values[r.start : r.stop])
+            if isinstance(policy, aggregates.Aggregate)
+            else policy
+            for col, policy in fills.items()
+        }
+        for col in measured:
+            data[col].values.extend([cells.get(col)] * n)
 
     return table.build(data, t.index, t.key, t.declared_regular, adapter=t.adapter)
 
@@ -176,7 +166,9 @@ def require_gapless(t: TemporalTable) -> None:
         return
     gappy = [kt for kt, flag in has_gaps(t, full=False) if flag]
     if gappy:
+        kt, first, last, n = count_gaps(t).entries[0]
         raise GapError(
-            f"{len(gappy)} key(s) have implicit gaps (first: {gappy[0]!r}); "
+            f"{len(gappy)} key(s) have implicit gaps (first: key {kt!r} misses "
+            f"{t.adapter.render(first)} .. {t.adapter.render(last)} ({n} points)); "
             "run fill_gaps first"
         )

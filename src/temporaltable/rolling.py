@@ -182,7 +182,7 @@ def _sums(name: str, vals: list, spans):
     common denominator a series sums exactly in ints, and each window is
     the difference of two prefix totals.  Int true division rounds
     correctly, so a window holding a float sums to ``math.fsum`` of its
-    cells and means to ``statistics.fmean`` of them, bit for bit.  Windows
+    cells and means to that sum over their count, bit for bit.  Windows
     of int cells sum to their exact int total.  A series whose absolute
     total reaches 2**1023 (inf, nan, an int too large for a float) is left
     to slicing: below that bound neither these totals nor fsum over any of

@@ -52,6 +52,7 @@ from . import aggregates, table
 from .adapters import resolve_index
 from .errors import (
     ConversionError,
+    MissingIndexError,
     ParseError,
     PreconditionError,
     SchemaError,
@@ -89,6 +90,11 @@ class VerbOutcome(Frozen):
 
     def __iter__(self):
         return iter((self.table, self.warnings))
+
+
+def _names(names) -> list:
+    """Column names given as an iterable of names; one bare name is a str."""
+    return [names] if isinstance(names, str) else list(names)
 
 
 def _call_rowwise(fn, row: dict, what: str):
@@ -176,7 +182,7 @@ def arrange(t: TemporalTable, spec) -> VerbOutcome:
     operations downstream.
     """
     norm = []
-    for item in spec:
+    for item in _names(spec):
         if isinstance(item, str):
             norm.append((item, "asc"))
         else:
@@ -218,7 +224,7 @@ def select(t: TemporalTable, names) -> VerbOutcome:
     column.  Key columns may be dropped as long as the remaining key still
     identifies rows uniquely.
     """
-    names = list(dict.fromkeys(names))
+    names = list(dict.fromkeys(_names(names)))
     for name in names:
         if name not in t.columns:
             raise SchemaError(f"no column named {name!r}")
@@ -355,6 +361,10 @@ def index_by(t: TemporalTable, spec, name: str | None = None) -> TemporalTable:
     for v, tk in zip(values, ticks):
         if tk not in cache:
             cache[tk] = fn(v)
+            if cache[tk] is None:
+                raise MissingIndexError(
+                    f"index_by maps {t.index!r} cell {t.adapter.render(v)} to a missing value"
+                )
         derived.append(cache[tk])
 
     # An unchanged index keeps its cells, and so its adapter.
@@ -437,7 +447,7 @@ def gather(t: TemporalTable, names_to: str, values_to: str, columns) -> VerbOutc
     The name column joins the key, so each original row becomes one row per
     melted column and uniqueness is preserved.
     """
-    columns = list(dict.fromkeys(columns))
+    columns = list(dict.fromkeys(_names(columns)))
     if not columns:
         raise PreconditionError("gather needs at least one column")
     for c in columns:
@@ -568,7 +578,7 @@ def join(t: TemporalTable, other, kind: str = "left", by=None) -> VerbOutcome:
         if not pairs:
             raise SchemaError("tables share no column names; pass join columns")
     else:
-        pairs = [(p, p) if isinstance(p, str) else (p[0], p[1]) for p in by]
+        pairs = [(p, p) if isinstance(p, str) else (p[0], p[1]) for p in _names(by)]
     for lc, rc in pairs:
         if lc not in t.columns:
             raise SchemaError(f"no column named {lc!r}")

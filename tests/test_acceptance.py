@@ -93,7 +93,7 @@ def test_criterion_02_duplicate_workflow(capsys, tmp_path):
     assert all(l.startswith("NK630,2017-08-03 17:45:00") for l in data_lines)
     assert "N601NK" in data_lines[0] and "N639NK" in data_lines[1]
 
-    kept = [l for l in open(DATA / "flights10.csv").read().splitlines(keepends=True)
+    kept = [l for l in (DATA / "flights10.csv").read_text().splitlines(keepends=True)
             if "N601NK" not in l]
     fixed = tmp_path / "deduped.csv"
     fixed.write_text("".join(kept))

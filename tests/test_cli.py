@@ -82,7 +82,7 @@ def test_validate_duplicate_rows_fail_with_report(capsys):
 
 
 def test_validate_after_removing_duplicate(capsys, tmp_path):
-    rows = open(FLIGHTS).read().splitlines(keepends=True)
+    rows = pathlib.Path(FLIGHTS).read_text().splitlines(keepends=True)
     kept = [r for r in rows if "N601NK,LAX" not in r]
     assert len(kept) == len(rows) - 1
     fixed = tmp_path / "fixed.csv"
@@ -371,16 +371,19 @@ def test_each_distinct_time_cell_is_parsed_and_rendered_once(capsys, tmp_path, m
 
 
 def test_cli_import_defers_slow_stdlib_modules():
-    # Each is imported on first use (a thread pool, fmean, a non-UTC zone),
-    # so a ttab command that needs none of them never pays for it.  The
-    # package's classes are plain slotted classes, so dataclasses and the
-    # inspect module it pulls in are never loaded, nor typing: it is checked
-    # under -S too, as a site-packages .pth file may import typing itself.
+    # Each is imported on first use (a thread pool, a non-UTC zone), so a
+    # ttab command that needs none of them never pays for it.  A mean is
+    # math.fsum over the count, so statistics is never loaded, even once a
+    # mean has run.  The package's classes are plain slotted classes, so
+    # dataclasses and the inspect module it pulls in are never loaded, nor
+    # typing: it is checked under -S too, as a site-packages .pth file may
+    # import typing itself.
     deferred = ("concurrent.futures", "statistics", "zoneinfo", "dataclasses", "inspect")
     src = str(pathlib.Path(temporaltable.__file__).parents[1])
     for flags, absent in ((["-I"], deferred), (["-I", "-S"], (*deferred, "typing"))):
         code = (
             f"import sys; sys.path.insert(0, {src!r}); import temporaltable.cli; "
+            "assert temporaltable.aggregates.apply('mean', [1, 2.5]) == 1.75; "
             f"print(*[m for m in {absent!r} if m in sys.modules])"
         )
         done = subprocess.run(

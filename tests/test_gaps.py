@@ -1,20 +1,27 @@
 import random
+import statistics
+import tracemalloc
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from temporaltable import (
     Aggregate,
+    Column,
     GapError,
+    Granularity,
     SchemaError,
     UnsupportedOperationError,
     build,
     count_gaps,
     fill_gaps,
     has_gaps,
+    key_groups,
     require_gapless,
     scan_gaps,
     timepoint as tp,
 )
+from temporaltable.timepoint import TimePoint
 from conftest import assert_same_table, table_rows
 
 
@@ -187,7 +194,8 @@ def test_unknown_interval_refuses_gap_analysis():
 
 
 def test_require_gapless(holey):
-    with pytest.raises(GapError, match="fill_gaps"):
+    first_run = r"key \('A',\) misses 3 \.\. 4 \(2 points\)\); run fill_gaps"
+    with pytest.raises(GapError, match=first_run):
         require_gapless(holey)
     require_gapless(fill_gaps(holey))
     require_gapless(build({"t": [1, 2, 5], "v": [1, 2, 3]}, "t", regular=False))
@@ -233,3 +241,116 @@ def test_random_fill_round_trip():
             assert count_gaps(t, full=full).total() == len(scan_gaps(t, full=full))
             assert filled.nrows == t.nrows + len(scan_gaps(t, full=full))
             assert_same_table(fill_gaps(filled, full=full), filled)
+
+
+def test_gap_error_names_the_first_missing_run():
+    days = [tp.day(2020, 12, 31), tp.day(2021, 1, 1), tp.day(2020, 12, 31), tp.day(2021, 1, 31)]
+    t = build({"k": ["a", "a", "b", "b"], "d": days, "v": [1, 2, 3, 4]}, "d", ("k",))
+    with pytest.raises(GapError) as info:
+        require_gapless(t)
+    assert str(info.value) == (
+        "1 key(s) have implicit gaps (first: key ('b',) misses 2021-01-01 .. 2021-01-30 "
+        "(30 points)); run fill_gaps first"
+    )
+
+
+def test_gap_checks_cost_per_observation_not_per_missing_tick():
+    # Series b misses 10**6 ticks; a grid of its expected ticks would take
+    # tens of MB.
+    t = build({"k": ["a", "a", "b", "b"], "t": [0, 1, 0, 10**6 + 1], "v": [1, 2, 3, 4]},
+              "t", ("k",))
+    tracemalloc.start()
+    try:
+        assert has_gaps(t) == [(("a",), False), (("b",), True)]
+        assert count_gaps(t).entries == [(("b",), 1, 10**6, 10**6)]
+        with pytest.raises(GapError, match="misses 1 .. 1000000"):
+            require_gapless(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def _grid_model(t, full):
+    """Per key: (key tuple, sorted missing ticks), by listing each series'
+    whole grid of expected ticks and keeping those not observed."""
+    m = t.interval.multiple
+    ticks = t.ticks()
+    glo, ghi = min(ticks), max(ticks)
+    out = []
+    for kt, r in key_groups(t):
+        observed = ticks[r.start : r.stop]
+        have = set(observed)
+        lo = glo + (observed[0] - glo) % m if full else observed[0]
+        hi = ghi if full else observed[-1]
+        out.append((kt, [tk for tk in range(lo, hi + 1, m) if tk not in have]))
+    return out
+
+
+def _model_runs(missing, m):
+    runs = []
+    for tk in missing:
+        if runs and tk - runs[-1][-1] == m:
+            runs[-1].append(tk)
+        else:
+            runs.append([tk])
+    return runs
+
+
+def _model_fill(cells, policy):
+    pool = [c for c in cells if c is not None]
+    if policy == "mean":
+        return statistics.fmean(pool) if pool else None
+    if policy == "max":
+        return max(pool) if pool else None
+    return policy
+
+
+@st.composite
+def _gappy_tables(draw):
+    step = draw(st.integers(1, 3))
+    days = draw(st.booleans())
+    base = draw(st.integers(-6, 6))
+    cols = {"k": [], "t": [], "v": [], "s": []}
+    for k in "ABC"[: draw(st.integers(1, 3))]:
+        phase = draw(st.integers(0, step - 1))
+        slots = draw(st.sets(st.integers(0, 9), min_size=1, max_size=6))
+        for slot in sorted(slots):
+            tk = base + phase + slot * step
+            cols["k"].append(k)
+            cols["t"].append(TimePoint(tk, Granularity.DAY) if days else tk)
+            cols["v"].append(draw(st.none() | st.integers(-50, 50)))
+            cols["s"].append(draw(st.none() | st.sampled_from("xyz")))
+    cols["v"] = Column("int", cols["v"])
+    cols["s"] = Column("text", cols["s"])
+    return build(cols, "t", ("k",))
+
+
+@given(_gappy_tables(), st.booleans(), st.data())
+def test_gap_verbs_match_a_grid_of_expected_ticks(t, full, data):
+    assume(t.interval.is_regular)
+    m = t.interval.multiple
+    model = _grid_model(t, full)
+    cell = t.adapter.from_ticks
+
+    assert has_gaps(t, full) == [(kt, bool(missing)) for kt, missing in model]
+    assert scan_gaps(t, full) == [(kt, cell(tk)) for kt, missing in model for tk in missing]
+    report = count_gaps(t, full)
+    assert (report.key_names, report.index_name) == (("k",), "t")
+    assert report.entries == [
+        (kt, cell(run[0]), cell(run[-1]), len(run))
+        for kt, missing in model
+        for run in _model_runs(missing, m)
+    ]
+
+    policies = {
+        "v": data.draw(st.sampled_from([None, 0, "mean", "max"])),
+        "s": data.draw(st.sampled_from([None, "w", "max"])),
+    }
+    fills = {c: Aggregate(p) if p in ("mean", "max") else p for c, p in policies.items()}
+    rows = table_rows(t)
+    for (kt, missing), (_, r) in zip(model, key_groups(t)):
+        filled = {c: _model_fill([t.column(c)[i] for i in r], p) for c, p in policies.items()}
+        rows += [{"k": kt[0], "t": cell(tk), **filled} for tk in missing]
+    rows.sort(key=lambda row: (row["k"], t.adapter.to_ticks(row["t"])))
+    assert table_rows(fill_gaps(t, fills, full)) == rows

@@ -3,6 +3,7 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from temporaltable import (
     ConversionError,
@@ -283,6 +284,25 @@ def test_select_key_can_shrink_when_unique():
     assert out.nrows == 4
 
 
+_BY_NAMES = {
+    "select": lambda t, names: select(t, names),
+    "arrange": lambda t, names: arrange(t, names),
+    "gather": lambda t, names: gather(t, "name", "value", names),
+    "join": lambda t, names: join(t, {"day": [2], "store": ["b"]}, by=names),
+}
+
+
+@pytest.mark.parametrize("verb, name", [
+    ("select", "units"), ("arrange", "units"), ("gather", "units"), ("join", "day"),
+])
+def test_a_bare_str_is_one_column_name(verb, name):
+    t = build({"day": [1, 2, 3], "units": [3, 1, 2], "price": [1.0, 2.0, 3.0]}, "day")
+    out, warnings = _BY_NAMES[verb](t, name)
+    want, want_warnings = _BY_NAMES[verb](t, [name])
+    assert_same_table(out, want)
+    assert warnings == want_warnings
+
+
 def test_select_unknown_column(tb):
     with pytest.raises(SchemaError):
         select(tb, ["country", "nope", "year"])
@@ -434,6 +454,21 @@ def test_summarize_mean_matches_reference(tb):
         pool = [r["count"] for r in table_rows(tb)
                 if r["gender"] == row["gender"] and r["year"] == row["year"]]
         assert row["avg"] == pytest.approx(statistics.fmean(pool))
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except (OverflowError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@given(st.lists(st.none() | st.integers() | st.floats(), min_size=1))
+def test_mean_is_statistics_fmean_bit_for_bit(cells):
+    # statistics.fmean stays the reference; the library does not import it.
+    pool = [v for v in cells if v is not None]
+    got = _outcome(aggregates.apply, "mean", cells)
+    assert got == (_outcome(statistics.fmean, pool) if pool else "None")
 
 
 def test_summarize_skips_missing_values():
@@ -612,6 +647,14 @@ def test_index_by_same_granularity_is_identity(tb):
 def test_index_by_non_monotone_rejected(monthly):
     with pytest.raises(PreconditionError, match="order-preserving"):
         index_by(monthly, lambda v: -v.ticks)
+
+
+def test_index_by_missing_derived_cell_names_its_source():
+    days = build({"d": [tp.day(2021, 1, i) for i in range(1, 6)], "v": [1, 2, 3, 4, 5]}, "d")
+    with pytest.raises(MissingIndexError, match="'d' cell 2021-01-03 to a missing value"):
+        index_by(days, lambda v: None if v == tp.day(2021, 1, 3) else v)
+    with pytest.raises(MissingIndexError, match="'d' cell 2021-01-01 to a missing value"):
+        index_by(days, lambda v: None)
 
 
 def test_index_by_ordinal_calendar_mix_rejected(tb):
