@@ -5,14 +5,17 @@ sum, mean and count from prefix totals over its windows, with the same
 results).  Aggregates skip missing cells.  An empty pool yields a missing
 result, except count, which yields 0.  A sum over a float cell is
 ``math.fsum``, the correctly rounded sum; a sum of int cells is their exact
-int total.
+int total.  A mean is ``math.fsum`` of the cells over their count, as in
+``statistics.fmean``.  Where fsum fails, both use builtin ``sum`` instead
+(``[inf, -inf]`` gives nan).  A sum, mean or quantile of int cells too
+large for a float raises :class:`~temporaltable.errors.PreconditionError`.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import SchemaError
+from .errors import PreconditionError, SchemaError
 
 NAMES = ("sum", "mean", "min", "max", "count", "quantile")
 
@@ -83,6 +86,14 @@ def _numeric(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _fsum(pool: list):
+    """``math.fsum`` of the cells, or builtin ``sum`` where fsum fails."""
+    try:
+        return math.fsum(pool)
+    except (OverflowError, ValueError):  # overflow on the way, or inf and -inf
+        return sum(pool)
+
+
 def apply(spec: str, values) -> object:
     """Apply an aggregate spec to a sequence of cells, skipping missing ones."""
     name, p = parse_spec(spec)
@@ -93,17 +104,15 @@ def apply(spec: str, values) -> object:
         return None
     if name in _NUMERIC_ONLY and not all(_numeric(v) for v in pool):
         raise SchemaError(f"{name} needs numeric cells")
-    if name == "sum":
-        if any(isinstance(v, float) for v in pool):
-            try:
-                return math.fsum(pool)
-            except (OverflowError, ValueError):  # overflow on the way, or inf and -inf
-                pass
-        return sum(pool)
-    if name == "mean":
-        return math.fsum(pool) / len(pool)
     if name == "min":
         return min(pool)
     if name == "max":
         return max(pool)
-    return quantile(pool, p)
+    try:
+        if name == "sum":
+            return _fsum(pool) if any(isinstance(v, float) for v in pool) else sum(pool)
+        if name == "mean":
+            return _fsum(pool) / len(pool)
+        return quantile(pool, p)
+    except OverflowError:  # an int too large for a float
+        raise PreconditionError(f"{name} of these cells does not fit a float") from None

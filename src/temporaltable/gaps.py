@@ -56,7 +56,6 @@ def _require_regular(t: TemporalTable) -> None:
 def _runs_by_key(t: TemporalTable, full: bool) -> list[tuple[tuple, range, list[range]]]:
     """Per key: (key tuple, row range, runs of missing ticks as ranges)."""
     _require_regular(t)
-    t = t.canonical()
     groups = key_groups(t)
     ticks = t.ticks()
     m = t.interval.multiple
@@ -130,7 +129,6 @@ def fill_gaps(
     global span.  Columns keep their kinds; an aggregate policy widens its
     column to hold :func:`~temporaltable.aggregates.result_kind` cells.
     """
-    t = t.canonical()
     fills = _resolve_fill(t, fills)
     per_key = _runs_by_key(t, full)
     measured = [c for c in t.columns if c != t.index and c not in t.key]

@@ -95,15 +95,15 @@ def infer_from_ticks(
 
 
 def infer_interval(
-    index_values: Iterable[Sequence[TimePoint]], declared_regular: bool = True
+    series: Iterable[Sequence[TimePoint]], declared_regular: bool = True
 ) -> Interval:
-    """Infer the table interval from per-key index values.
+    """Infer the table interval from the index cells of each series.
 
     Pools consecutive differences across all keys and takes their GCD, on the
     assumption that one table carries one interval.  With ``declared_regular``
     false the result is irregular regardless of spacing.
     """
-    groups = [list(vals) for vals in index_values]
+    groups = [list(vals) for vals in series]
     grans = {tp.granularity for vals in groups for tp in vals}
     if len(grans) > 1:
         names = ", ".join(sorted(g.value for g in grans))

@@ -269,7 +269,6 @@ def roll_by_key(
         if agg in _KERNELS:
             kernel = functools.partial(_sums, agg)
         f = functools.partial(aggregates.apply, f)
-    t = t.canonical()
     require_gapless(t)
 
     groups = key_groups(t)

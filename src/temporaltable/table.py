@@ -185,21 +185,34 @@ def _run_ends(sorted_row_keys: list[int], ticks) -> list[int]:
 
 
 class Grouping(Frozen):
-    """Active grouping: plain columns and/or a derived index."""
+    """Active grouping: plain columns and/or a derived index.
 
-    __slots__ = ("by", "index_name", "index_values", "index_adapter")
+    ``index_cells`` holds the derived index cell of each source tick, as
+    (tick, cell) pairs sorted by tick.
+    """
+
+    __slots__ = ("by", "index_name", "index_cells", "index_adapter")
 
     def __init__(
         self,
         by: tuple[str, ...] = (),
         index_name: str | None = None,
-        index_values: tuple = (),  # derived index cells aligned to rows
+        index_cells: tuple[tuple[int, object], ...] = (),
         index_adapter: IndexAdapter | None = None,
     ):
         set_field(self, "by", by)
         set_field(self, "index_name", index_name)
-        set_field(self, "index_values", index_values)
+        set_field(self, "index_cells", index_cells)
         set_field(self, "index_adapter", index_adapter)
+
+
+def uncovered_row(groups: Grouping, ticks: Sequence[int]) -> int | None:
+    """The first row whose tick in ``ticks`` has no ``index_by`` cell in
+    ``groups``; None when every row has one or ``groups`` derives no index."""
+    if groups.index_name is None:
+        return None
+    cells = dict(groups.index_cells)
+    return next((i for i, tk in enumerate(ticks) if tk not in cells), None)
 
 
 # --- reports ---------------------------------------------------------------
@@ -235,10 +248,10 @@ class TemporalTable:
     with :func:`replace`, so every field in ``__slots__`` travels with the
     table unless a verb changes it.
 
-    ``_ends`` holds the exclusive end row of each series, in row order, for
-    a table in canonical order (None while rows are out of it).  A
-    series' key tuple is read from its last row.  ``notes`` are derived
-    from the key columns on each read.
+    Rows are always in canonical order: by key, past-to-future within each
+    series.  ``_ends`` holds the exclusive end row of each series, in row
+    order, and a series' key tuple is read from its last row.  ``notes``
+    are derived from the key columns on each read.
     """
 
     __slots__ = (
@@ -249,7 +262,6 @@ class TemporalTable:
         "declared_regular",
         "adapter",
         "groups",
-        "order_dirty",
         "_ticks",
         "_ends",
     )
@@ -263,7 +275,6 @@ class TemporalTable:
         declared_regular: bool,
         adapter: IndexAdapter,
         groups: Grouping | None = None,
-        order_dirty: bool = False,
         _ticks: list[int] | None = None,
         _ends: list[int] | None = None,
     ):
@@ -274,7 +285,6 @@ class TemporalTable:
         self.declared_regular = declared_regular
         self.adapter = adapter
         self.groups = groups
-        self.order_dirty = order_dirty
         self._ticks = _ticks
         self._ends = _ends
 
@@ -348,19 +358,6 @@ class TemporalTable:
             f"index={self.index!r} key={list(self.key)!r}>"
         )
 
-    # -- ordering --
-
-    def canonical(self) -> "TemporalTable":
-        """This table re-sorted past-to-future if a verb disturbed the order."""
-        if not self.order_dirty:
-            return self
-        row_keys = _row_keys(self.columns, self.key, self.ticks())
-        return _sorted_rows(self, dict(zip(row_keys, count())))
-
-    def is_canonical_order(self) -> bool:
-        keys = _sort_keys(self.columns, self.key, self.ticks())
-        return not any(map(operator.lt, keys[1:], keys))
-
 
 def replace(obj: TemporalTable | Grouping, **changes):
     """A copy of ``obj``, a table or a grouping, with the fields named in
@@ -380,7 +377,7 @@ def _sorted_rows(t: TemporalTable, rows_of: dict[int, int]) -> TemporalTable:
     each (unique) row key."""
     row_keys = sorted(rows_of)
     out = rows_at(t, list(map(rows_of.__getitem__, row_keys)))
-    return replace(out, order_dirty=False, _ends=_run_ends(row_keys, t.ticks()))
+    return replace(out, _ends=_run_ends(row_keys, t.ticks()))
 
 
 # --- construction ----------------------------------------------------------
@@ -572,7 +569,6 @@ def duplicates(
 
 def key_groups(t: TemporalTable) -> list[tuple[tuple, range]]:
     """One (key tuple, row range) entry per series, in sorted key order."""
-    t = t.canonical()
     key_columns = [t.columns[k].values for k in t.key]
     return [
         (tuple(values[b - 1] for values in key_columns), range(a, b))
@@ -582,30 +578,23 @@ def key_groups(t: TemporalTable) -> list[tuple[tuple, range]]:
 
 # --- trusted constructors for the verb layer -------------------------------
 #
-# Each takes a canonical table (not order-dirty) and reruns only the checks
-# its caller can break; every other field it carries over from ``t``.
+# Each reruns only the checks its caller can break; every other field it
+# carries over from ``t``.
 
 
 def rows_at(t: TemporalTable, rows: Sequence[int]) -> TemporalTable:
     """``t`` with its rows at positions ``rows``, in that order.
 
-    The one place rows move: column cells, index ticks and the row-aligned
-    cells of an ``index_by`` grouping are taken together, and every other
-    field carries over as it is, column kinds included.  The series ends
-    are cleared; callers re-derive what their reordering or subset can
-    change (order flag, series ends, interval).
+    The one place rows move: column cells and index ticks are taken
+    together, and every other field carries over as it is, column kinds and
+    grouping included.  The series ends are cleared; the two callers,
+    :func:`build` and :func:`take`, re-derive them.
     """
     ticks = t.ticks()
-    groups = t.groups
-    if groups is not None and groups.index_name is not None:
-        values = groups.index_values
-        groups = replace(groups, index_values=tuple(values[i] for i in rows))
     columns = {
         name: Column(col.kind, [col.values[i] for i in rows]) for name, col in t.columns.items()
     }
-    return replace(
-        t, columns=columns, groups=groups, _ticks=[ticks[i] for i in rows], _ends=None
-    )
+    return replace(t, columns=columns, _ticks=[ticks[i] for i in rows], _ends=None)
 
 
 def take(t: TemporalTable, rows: Sequence[int]) -> TemporalTable:
@@ -646,9 +635,10 @@ def validate_table(t: TemporalTable) -> None:
     """Assert the full construction contract on an existing table.
 
     Checks column lengths and declared kinds, the stored ticks against
-    the index cells, (key, index) uniqueness, canonical ordering (unless
-    order-dirty), the stored series ends against the runs of equal key
-    cells, and that the stored interval matches re-inference.
+    the index cells, (key, index) uniqueness, canonical ordering, the
+    grouping against the columns and ticks, the stored series ends against
+    the runs of equal key cells, and that the stored interval matches
+    re-inference.
     Raises ValidityError or SchemaError on failure.
     """
     n = t.nrows
@@ -673,28 +663,25 @@ def validate_table(t: TemporalTable) -> None:
         ticks = ticks or ()
         row = next(compress(count(), map(operator.ne, ticks, cell_ticks)), min(len(ticks), n))
         raise ValidityError(f"stored ticks differ from the index cells' from row {row}")
-    seen = set()
-    for i in range(n):
-        pair = (t.key_tuple(i), ticks[i])
-        if pair in seen:
-            raise ValidityError(f"duplicate (key, index) pair {pair!r}")
-        seen.add(pair)
+    # Sorted rows hold each (key, index) pair once exactly when no two
+    # neighbours share one.
+    keys = _sort_keys(t.columns, t.key, ticks)
+    if any(map(operator.lt, keys[1:], keys)):
+        raise ValidityError("rows are not sorted by (key, index)")
+    row = next(compress(count(1), map(operator.eq, keys[1:], keys)), None)
+    if row is not None:
+        raise ValidityError(f"duplicate (key, index) pair {(t.key_tuple(row), ticks[row])!r}")
     if t.groups is not None:
         for c in t.groups.by:
             if c not in t.columns:
                 raise SchemaError(f"grouping column {c!r} missing")
-        if t.groups.index_name is not None and len(t.groups.index_values) != n:
-            raise ValidityError(
-                f"index_by grouping holds {len(t.groups.index_values)} cells for {n} rows"
-            )
-    if not t.order_dirty and not t.is_canonical_order():
-        raise ValidityError("rows are not sorted by (key, index)")
-    canon = t.canonical()
-    runs = [r.stop for _, r in _contiguous_groups(canon.columns, canon.key, n)]
-    if canon._ends != runs:
+        row = uncovered_row(t.groups, ticks)
+        if row is not None:
+            cell = t.adapter.render(t.columns[t.index].values[row])
+            raise ValidityError(f"index_by grouping has no cell for index {cell} at row {row}")
+    runs = [r.stop for _, r in _contiguous_groups(t.columns, t.key, n)]
+    if t._ends != runs:
         raise ValidityError("stored series ends do not match the runs of equal key cells")
-    expected = _infer_for(runs, canon.ticks(), canon.adapter, canon.declared_regular)
-    if canon.interval != expected:
-        raise ValidityError(
-            f"stored interval {canon.interval} does not match re-inference {expected}"
-        )
+    expected = _infer_for(runs, ticks, t.adapter, t.declared_regular)
+    if t.interval != expected:
+        raise ValidityError(f"stored interval {t.interval} does not match re-inference {expected}")

@@ -7,9 +7,7 @@ verb reruns only the construction checks its change can break:
 * ``filter``, ``filter_index``, semi/anti ``join`` and inner ``join``
   without fan-out keep a subset of rows
   (:func:`~temporaltable.table.take`): order and uniqueness hold, so only
-  the interval is re-inferred.
-* ``arrange`` reorders the rows (:func:`~temporaltable.table.rows_at`)
-  and only re-checks whether they still run past-to-future.
+  the interval is re-inferred, and a changed interval is warned about.
 * ``mutate`` and ``transmute`` of non-key, non-index columns, ``select``
   keeping every key column, and left/inner ``join`` where each left row
   matches at most one right row keep the rows
@@ -34,7 +32,13 @@ granularity or through a callable.
 Grouping set by ``group_by`` or ``index_by`` persists through every verb
 that keeps or subsets rows (the first two kinds above); ``select`` and
 ``transmute`` keep grouping columns the way ``select`` keeps the index.
-Results made by ``build`` are ungrouped.
+The verbs that go through ``build`` and return a :class:`VerbOutcome` keep
+the grouping columns that survive and an ``index_by`` grouping whose index
+column, adapter and ticks survive, and warn about what they drop.
+``summarize`` returns an ungrouped table.
+
+Every table is in canonical order, so ``arrange`` returns no table: it
+lists the rows, as dicts, in the order asked for, for presentation.
 
 :func:`~temporaltable.table.validate_table` re-derives the whole contract
 from scratch and stays the oracle the test suite checks every result
@@ -46,6 +50,7 @@ must be pure; grouped aggregation may evaluate groups in any order.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left, bisect_right
 
 from . import aggregates, table
@@ -67,7 +72,6 @@ from .table import (
     TemporalTable,
     _sort_cell,
     replace,
-    rows_at,
     take,
     with_columns,
 )
@@ -107,11 +111,46 @@ def _call_rowwise(fn, row: dict, what: str):
 # --- row verbs --------------------------------------------------------------
 
 
+def _kept(t: TemporalTable, rows) -> VerbOutcome:
+    """The rows at ascending positions ``rows`` of ``t``, with a warning
+    when the subset has another interval than ``t``."""
+    out = take(t, rows)
+    if out.interval == t.interval:
+        return VerbOutcome(out)
+    return VerbOutcome(out, (f"interval changed from {t.interval} to {out.interval}",))
+
+
+def _rebuilt(t: TemporalTable, out: TemporalTable, warnings: tuple = ()) -> VerbOutcome:
+    """``out``, which ``build`` made from the rows of ``t``, with what
+    survives of the grouping of ``t``, and a warning for what does not.
+
+    A grouping column survives when ``out`` has it.  An ``index_by``
+    grouping survives when ``out`` keeps the index column, reads it through
+    an adapter of the same kind, granularity and zone (``build`` resolves a
+    new one for new index cells), and holds no tick without a derived cell.
+    """
+    same = lambda ad: (type(ad), ad.granularity, ad.zone)
+    groups = t.groups
+    if groups is None:
+        return VerbOutcome(out, warnings)
+    lost = [c for c in groups.by if c not in out.columns]
+    if lost:
+        warnings += (f"grouping columns {lost} dropped",)
+    groups = replace(groups, by=tuple(c for c in groups.by if c in out.columns))
+    if groups.index_name is not None and not (
+        out.index == t.index
+        and same(out.adapter) == same(t.adapter)
+        and table.uncovered_row(groups, out.ticks()) is None
+    ):
+        warnings += (f"index_by grouping {groups.index_name!r} dropped",)
+        groups = replace(groups, index_name=None, index_cells=(), index_adapter=None)
+    return VerbOutcome(replace(out, groups=groups), warnings)
+
+
 def filter(t: TemporalTable, predicate) -> VerbOutcome:
     """Keep rows where the predicate holds; interval is re-inferred."""
-    t = t.canonical()
     keep = [i for i, row in enumerate(t.rows()) if _call_rowwise(predicate, row, "predicate")]
-    return VerbOutcome(take(t, keep))
+    return _kept(t, keep)
 
 
 def filter_index(t: TemporalTable, expr: str) -> VerbOutcome:
@@ -141,12 +180,11 @@ def filter_index(t: TemporalTable, expr: str) -> VerbOutcome:
         raise ParseError(f"too many '~' in time window {expr!r}")
     if not any(sides):
         raise ParseError(f"time window {expr!r} has no endpoints")
-    t = t.canonical()
     ticks = sorted(set(t.ticks()))
     start = _window_edge(t, sides[0], ticks, bisect_left) if sides[0] else 0
     stop = _window_edge(t, sides[-1], ticks, bisect_right) if sides[-1] else len(ticks)
     window = set(ticks[start:stop])
-    return VerbOutcome(take(t, [i for i, tk in enumerate(t.ticks()) if tk in window]))
+    return _kept(t, [i for i, tk in enumerate(t.ticks()) if tk in window])
 
 
 def _window_edge(t: TemporalTable, text: str, ticks: list[int], side) -> int:
@@ -174,12 +212,12 @@ def _window_edge(t: TemporalTable, text: str, ticks: list[int], side) -> int:
     return side(ticks, point.ticks, key=lambda tick: floor_to(from_ticks(tick), point_g).ticks)
 
 
-def arrange(t: TemporalTable, spec) -> VerbOutcome:
-    """Reorder rows; warns and marks the table when time order is disturbed.
+def arrange(t: TemporalTable, spec) -> list[dict]:
+    """The rows of ``t`` as dicts, sorted for presentation; ``t`` is unchanged.
 
-    ``spec`` lists column names, each optionally as (name, "desc").
-    Order-dirty tables are re-sorted automatically by order-sensitive
-    operations downstream.
+    ``spec`` lists column names, each optionally as (name, "desc"); the
+    first name sorts first, and ties keep the table's canonical order.
+    Missing cells sort last ascending, first descending.
     """
     norm = []
     for item in _names(spec):
@@ -194,23 +232,10 @@ def arrange(t: TemporalTable, spec) -> VerbOutcome:
         if name not in t.columns:
             raise SchemaError(f"no column named {name!r}")
 
-    order = list(range(t.nrows))
+    rows = list(t.rows())
     for name, direction in reversed(norm):
-        values = t.columns[name].values
-        order.sort(key=lambda i: _sort_cell(values[i]), reverse=(direction == "desc"))
-
-    out = rows_at(t, order)
-    if out.is_canonical_order():
-        # (key, index) pairs are unique, so there is one canonical order:
-        # these are the canonical rows of ``t``, series ends included.
-        return VerbOutcome(t.canonical())
-    return VerbOutcome(
-        replace(out, order_dirty=True),
-        warnings=(
-            "row order no longer runs past-to-future within keys; "
-            "order-sensitive operations will re-sort",
-        ),
-    )
+        rows.sort(key=lambda row: _sort_cell(row[name]), reverse=(direction == "desc"))
+    return rows
 
 
 # --- column verbs -----------------------------------------------------------
@@ -243,14 +268,11 @@ def select(t: TemporalTable, names) -> VerbOutcome:
                 "or summarize/transmute to reshape the table"
             )
     new_key = tuple(k for k in t.key if k in names)
-    t = t.canonical()
-    if new_key == t.key:
-        return VerbOutcome(with_columns(t, {name: t.columns[name] for name in names}), warnings)
     data = {name: t.columns[name] for name in names}
-    return VerbOutcome(
-        table.build(data, t.index, new_key, t.declared_regular, adapter=t.adapter),
-        warnings,
-    )
+    if new_key == t.key:
+        return VerbOutcome(with_columns(t, data), warnings)
+    out = table.build(data, t.index, new_key, t.declared_regular, adapter=t.adapter)
+    return _rebuilt(t, out, warnings)
 
 
 def _evaluate(t_data: dict[str, list], nrows: int, expr, name: str) -> list:
@@ -267,8 +289,8 @@ def _evaluate(t_data: dict[str, list], nrows: int, expr, name: str) -> list:
     return [expr] * nrows
 
 
-def _derive(t: TemporalTable, exprs: dict, keep: list[str]) -> TemporalTable:
-    """Evaluate ``exprs`` in order over canonical ``t`` and keep ``keep``.
+def _derive(t: TemporalTable, exprs: dict, keep: list[str]) -> VerbOutcome:
+    """Evaluate ``exprs`` in order over ``t`` and keep ``keep``.
 
     New values of the index or a key column re-validate uniqueness and
     ordering through build.  Results get the kinds of their cells; the
@@ -281,8 +303,8 @@ def _derive(t: TemporalTable, exprs: dict, keep: list[str]) -> TemporalTable:
     cols = {c: data[c] if c in exprs else t.columns[c] for c in keep}
     if t.index in exprs or any(k in exprs for k in t.key):
         adapter = None if t.index in exprs else t.adapter
-        return table.build(cols, t.index, t.key, t.declared_regular, adapter=adapter)
-    return with_columns(t, cols)
+        return _rebuilt(t, table.build(cols, t.index, t.key, t.declared_regular, adapter=adapter))
+    return VerbOutcome(with_columns(t, cols))
 
 
 def mutate(t: TemporalTable, **exprs) -> VerbOutcome:
@@ -292,17 +314,15 @@ def mutate(t: TemporalTable, **exprs) -> VerbOutcome:
     values, or a constant broadcast to every row.  Overwriting the index or
     a key column re-validates uniqueness and ordering.
     """
-    t = t.canonical()
-    return VerbOutcome(_derive(t, exprs, list(dict.fromkeys([*t.columns, *exprs]))))
+    return _derive(t, exprs, list(dict.fromkeys([*t.columns, *exprs])))
 
 
 def transmute(t: TemporalTable, **exprs) -> VerbOutcome:
     """Like mutate, but keep only key, index, grouping columns and the
     named results."""
-    t = t.canonical()
     by = t.groups.by if t.groups else ()
     keep = list(dict.fromkeys([*t.key, t.index, *by, *exprs]))
-    return VerbOutcome(_derive(t, exprs, keep))
+    return _derive(t, exprs, keep)
 
 
 # --- grouping verbs ---------------------------------------------------------
@@ -332,7 +352,6 @@ def index_by(t: TemporalTable, spec, name: str | None = None) -> TemporalTable:
     callable mapping index values to new index values.  The mapping must be
     order-preserving; summarize then uses the derived column as the index.
     """
-    t = t.canonical()
     values = t.columns[t.index].values
     ticks = t.ticks()
 
@@ -356,30 +375,28 @@ def index_by(t: TemporalTable, spec, name: str | None = None) -> TemporalTable:
             fn = lambda v: floor_to(v, g)
         default_name = g.value
 
-    cache = {}
-    derived = []
+    cells = {}
     for v, tk in zip(values, ticks):
-        if tk not in cache:
-            cache[tk] = fn(v)
-            if cache[tk] is None:
+        if tk not in cells:
+            cells[tk] = fn(v)
+            if cells[tk] is None:
                 raise MissingIndexError(
                     f"index_by maps {t.index!r} cell {t.adapter.render(v)} to a missing value"
                 )
-        derived.append(cache[tk])
 
     # An unchanged index keeps its cells, and so its adapter.
-    adapter = t.adapter if same_index else resolve_index(name or default_name, derived)
-    pairs = sorted((tk, adapter.to_ticks(d)) for tk, d in cache.items())
-    for (_, d1), (_, d2) in zip(pairs, pairs[1:]):
-        if d2 < d1:
-            raise PreconditionError("index mapping is not order-preserving")
+    if same_index:
+        adapter = t.adapter
+    else:
+        adapter = resolve_index(name or default_name, list(map(cells.__getitem__, ticks)))
+    index_cells = tuple(sorted(cells.items()))
+    derived_ticks = [adapter.to_ticks(d) for _, d in index_cells]
+    if any(map(operator.lt, derived_ticks[1:], derived_ticks)):
+        raise PreconditionError("index mapping is not order-preserving")
 
     base = t.groups or Grouping()
     groups = replace(
-        base,
-        index_name=name or default_name,
-        index_values=tuple(derived),
-        index_adapter=adapter,
+        base, index_name=name or default_name, index_cells=index_cells, index_adapter=adapter
     )
     return replace(t, groups=groups)
 
@@ -394,7 +411,6 @@ def summarize(t: TemporalTable, **aggs) -> TemporalTable:
     aggregate column has the kind :func:`~temporaltable.aggregates.result_kind`
     declares for its spec and input column, whatever cells it holds.
     """
-    t = t.canonical()
     grouping = t.groups or Grouping()
     kinds = {}
     for out_name, pair in aggs.items():
@@ -406,7 +422,8 @@ def summarize(t: TemporalTable, **aggs) -> TemporalTable:
 
     if grouping.index_name:
         idx_name = grouping.index_name
-        idx_values = list(grouping.index_values)
+        cells = dict(grouping.index_cells)
+        idx_values = list(map(cells.__getitem__, t.ticks()))
         idx_adapter = grouping.index_adapter
     else:
         idx_name = t.index
@@ -463,7 +480,6 @@ def gather(t: TemporalTable, names_to: str, values_to: str, columns) -> VerbOutc
     if names_to == values_to:
         raise SchemaError("names_to and values_to must differ")
 
-    t = t.canonical()
     data = {c: Column(t.kind_of(c), []) for c in remaining}
     data[names_to] = Column("text", [])
     data[values_to] = Column(kind, [])
@@ -475,9 +491,7 @@ def gather(t: TemporalTable, names_to: str, values_to: str, columns) -> VerbOutc
             data[values_to].values.append(t.columns[c].values[i])
 
     new_key = t.key + (names_to,)
-    return VerbOutcome(
-        table.build(data, t.index, new_key, t.declared_regular, adapter=t.adapter)
-    )
+    return _rebuilt(t, table.build(data, t.index, new_key, t.declared_regular, adapter=t.adapter))
 
 
 def spread(t: TemporalTable, key_col: str, value_col: str) -> VerbOutcome:
@@ -497,11 +511,10 @@ def spread(t: TemporalTable, key_col: str, value_col: str) -> VerbOutcome:
     if value_col in t.key:
         raise SchemaError(f"cannot use key column {value_col!r} as spread values")
 
-    t = t.canonical()
-    levels_raw = [v for v in t.columns[key_col].values]
-    if any(v is None for v in levels_raw):
+    levels = t.columns[key_col].values
+    if None in levels:
         raise ValidityError(f"column {key_col!r} has missing levels; cannot spread")
-    levels = sorted(set(levels_raw), key=_sort_cell)
+    levels = sorted(set(levels), key=_sort_cell)
     names = [render_cell(v) for v in levels]
     remaining = [c for c in t.columns if c not in (key_col, value_col)]
     for nm in names:
@@ -535,9 +548,7 @@ def spread(t: TemporalTable, key_col: str, value_col: str) -> VerbOutcome:
             data[nm].values.append(groups[gk].get(level))
 
     new_key = tuple(k for k in t.key if k != key_col)
-    return VerbOutcome(
-        table.build(data, t.index, new_key, t.declared_regular, adapter=t.adapter)
-    )
+    return _rebuilt(t, table.build(data, t.index, new_key, t.declared_regular, adapter=t.adapter))
 
 
 # --- joins ------------------------------------------------------------------
@@ -569,7 +580,6 @@ def join(t: TemporalTable, other, kind: str = "left", by=None) -> VerbOutcome:
     """
     if kind not in _JOIN_KINDS:
         raise PreconditionError(f"join kind must be one of {_JOIN_KINDS}, got {kind!r}")
-    t = t.canonical()
     right = _other_columns(other)
     rn = len(next(iter(right.values()))) if right else 0
 
@@ -593,8 +603,7 @@ def join(t: TemporalTable, other, kind: str = "left", by=None) -> VerbOutcome:
 
     if kind in ("semi", "anti"):
         want = kind == "semi"
-        keep = [i for i, k in enumerate(left_keys) if (k in lookup) == want]
-        return VerbOutcome(take(t, keep))
+        return _kept(t, [i for i, k in enumerate(left_keys) if (k in lookup) == want])
 
     by_right = {rc for _, rc in pairs}
     extra = [c for c in right if c not in by_right]
@@ -604,15 +613,14 @@ def join(t: TemporalTable, other, kind: str = "left", by=None) -> VerbOutcome:
 
     matches = [lookup.get(k) for k in left_keys]
     if kind in ("left", "inner") and all(js is None or len(js) == 1 for js in matches):
-        # No fan-out: t plus the right columns, then for inner the matched
-        # rows, so the right cells move with their rows if take re-sorts.
+        # No fan-out: t plus the right columns, then for inner the matched rows.
         cols: dict[str, Column | list] = dict(t.columns)
         for c in extra:
             values = right[c]
             cols[renames[c]] = [None if js is None else values[js[0]] for js in matches]
         out = with_columns(t, cols)
         if kind == "inner":
-            out = take(out, [i for i, js in enumerate(matches) if js])
+            return _kept(out, [i for i, js in enumerate(matches) if js])
         return VerbOutcome(out)
 
     data: dict[str, Column | list] = {c: [] for c in t.columns}
@@ -652,6 +660,4 @@ def join(t: TemporalTable, other, kind: str = "left", by=None) -> VerbOutcome:
                 declared = table.common_kind((declared, table.infer_kind(data[c])))
             data[c] = Column(declared, data[c])
     adapter = None if adds_right else t.adapter
-    return VerbOutcome(
-        table.build(data, t.index, t.key, t.declared_regular, adapter=adapter)
-    )
+    return _rebuilt(t, table.build(data, t.index, t.key, t.declared_regular, adapter=adapter))

@@ -11,7 +11,6 @@ from temporaltable import (
     Granularity,
     Interval,
     TimePoint,
-    arrange,
     MissingIndexError,
     SchemaError,
     ValidityError,
@@ -410,12 +409,6 @@ def test_build_matches_a_tuple_model(table, data):
     else:
         want = Interval.unknown()
     assert t.interval == want
-
-    # An order-dirty table sorts back to the fresh build.
-    again = arrange(t, [("v", "desc")]).table.canonical()
-    assert _exact(again.rows()) == _exact(t.rows())
-    assert (again.ticks(), again.interval, again.order_dirty) == (t.ticks(), t.interval, False)
-    assert again._ends == t._ends
 
     # A subset's series are the runs of equal key tuples among its rows.
     mask = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))

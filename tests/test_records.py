@@ -62,11 +62,11 @@ CASES = [
     ),
     (
         Grouping,
-        [("by", ()), ("index_name", None), ("index_values", ()), ("index_adapter", None)],
-        lambda x: Grouping(("k",), index_values=(x,)),
+        [("by", ()), ("index_name", None), ("index_cells", ()), ("index_adapter", None)],
+        lambda x: Grouping(("k",), index_cells=((x, x),)),
         True,
         True,
-        "Grouping(by=('k',), index_name=None, index_values=(0,), index_adapter=None)",
+        "Grouping(by=('k',), index_name=None, index_cells=((0, 0),), index_adapter=None)",
     ),
     (
         VerbOutcome,
@@ -113,8 +113,7 @@ CASES = [
     (
         TemporalTable,
         [("columns", E), ("index", E), ("key", E), ("interval", E), ("declared_regular", E),
-         ("adapter", E), ("groups", None), ("order_dirty", False), ("_ticks", None),
-         ("_ends", None)],
+         ("adapter", E), ("groups", None), ("_ticks", None), ("_ends", None)],
         _table,
         False,
         False,
@@ -175,11 +174,11 @@ def test_ingest_config_time_formats_are_not_shared():
 
 def test_replace_derives_a_table_or_a_grouping():
     t = group_by(_table(), "k")
-    dirty = replace(t, order_dirty=True)
-    assert dirty.order_dirty and not t.order_dirty
+    irregular = replace(t, declared_regular=False)
+    assert not irregular.declared_regular and t.declared_regular
     for name in TemporalTable.__slots__:
-        if name != "order_dirty":
-            assert getattr(dirty, name) is getattr(t, name), name
+        if name != "declared_regular":
+            assert getattr(irregular, name) is getattr(t, name), name
     groups = replace(t.groups, index_name="decade")
     assert groups == Grouping(("k",), "decade") and t.groups == Grouping(("k",))
     with pytest.raises(TypeError):

@@ -14,6 +14,7 @@ from temporaltable import (
     PreconditionError,
     SchemaError,
     ValidityError,
+    Window,
     aggregates,
     arrange,
     build,
@@ -26,6 +27,7 @@ from temporaltable import (
     join,
     key_groups,
     mutate,
+    roll_by_key,
     select,
     spread,
     summarize,
@@ -34,7 +36,7 @@ from temporaltable import (
     validate_table,
 )
 from temporaltable import filter as tfilter
-from temporaltable.table import replace
+from temporaltable.table import Grouping, _sort_cell, replace
 from conftest import assert_same_table, table_rows
 
 
@@ -70,6 +72,24 @@ def test_filter_reinfers_interval():
 def test_filter_unknown_column_mentions_name(tb):
     with pytest.raises(SchemaError, match="wrong"):
         tfilter(tb, lambda r: r["wrong"] > 0)
+
+
+_EVERY_OTHER_DAY = {
+    "filter": lambda t: tfilter(t, lambda r: r["v"] % 2 == 0),
+    "semi_join": lambda t: join(t, {"v": [0, 2, 4, 6]}, "semi"),
+    "anti_join": lambda t: join(t, {"v": [1, 3, 5, 7]}, "anti"),
+    "inner_join": lambda t: join(t, {"v": [0, 2, 4, 6], "w": [1, 2, 3, 4]}, "inner"),
+}
+
+
+@pytest.mark.parametrize("verb", _EVERY_OTHER_DAY.values(), ids=_EVERY_OTHER_DAY.keys())
+def test_a_subset_warns_when_the_interval_changes(verb):
+    t = build({"d": [tp.day(2011, 1, d) for d in range(1, 9)], "v": list(range(8))}, "d")
+    out, warnings = verb(t)
+    assert out.column("v") == [0, 2, 4, 6]
+    assert str(out.interval) == "[2D]"
+    assert warnings == ("interval changed from [1D] to [2D]",)
+    assert filter_index(t, "2011-01-02 ~ 2011-01-05").warnings == ()
 
 
 # --- filter_index -----------------------------------------------------------
@@ -201,29 +221,40 @@ def test_filter_index_refuses_finer_or_calendar_windows():
 # --- arrange ----------------------------------------------------------------
 
 
-def test_arrange_desc_warns_and_marks(tb):
-    out, warnings = arrange(tb, [("count", "desc")])
-    assert len(warnings) == 1
-    assert "re-sort" in warnings[0]
-    assert out.order_dirty
-    assert out.column("count")[0] == 2489
-    restored = out.canonical()
-    assert not restored.order_dirty
-    assert_same_table(restored, tb)
+_ARRANGE_ROWS = st.lists(
+    st.tuples(
+        st.sampled_from(["a", "b", None]),
+        st.integers(0, 9),
+        st.none() | st.integers(-2, 2) | st.floats(),
+        st.none() | st.sampled_from(["x", "y", ""]),
+    ),
+    unique_by=lambda cells: cells[:2],
+    max_size=12,
+)
+_ARRANGE_SPEC = st.lists(
+    st.tuples(st.sampled_from(["k", "t", "v", "w"]), st.sampled_from([None, "asc", "desc"])),
+    max_size=4,
+)
 
 
-def test_arrange_canonical_order_is_silent(tb):
-    out, warnings = arrange(tb, ["country", "gender", "year"])
-    assert warnings == ()
-    assert not out.order_dirty
-    assert_same_table(out, tb)
+@given(_ARRANGE_ROWS, _ARRANGE_SPEC)
+def test_arrange_is_a_stable_multi_key_sort_of_the_rows(cells, spec):
+    columns = [list(c) for c in zip(*cells)] or [[], [], [], []]
+    t = build(dict(zip(["k", "t", "v", "w"], columns)), "t", ("k",))
+    before = list(t.rows())
+    want = list(t.rows())
+    for name, direction in reversed(spec):
+        want = sorted(want, key=lambda row: _sort_cell(row[name]), reverse=direction == "desc")
+    items = [name if direction is None else (name, direction) for name, direction in spec]
+    assert arrange(t, items) == want
+    assert list(t.rows()) == before
 
 
 def test_arrange_multi_column_stable(tb):
-    out = arrange(tb, ["gender", ("count", "desc")]).table
-    genders = out.column("gender")
+    rows = arrange(tb, ["gender", ("count", "desc")])
+    genders = [r["gender"] for r in rows]
     assert genders == sorted(genders)
-    female_counts = [r["count"] for r in table_rows(out) if r["gender"] == "Female"]
+    female_counts = [r["count"] for r in rows if r["gender"] == "Female"]
     assert female_counts == sorted(female_counts, reverse=True)
 
 
@@ -232,11 +263,6 @@ def test_arrange_rejects_bad_spec(tb):
         arrange(tb, [("count", "sideways")])
     with pytest.raises(SchemaError):
         arrange(tb, ["nope"])
-
-
-def test_arrange_keeps_interval(tb):
-    out = arrange(tb, [("year", "desc")]).table
-    assert out.interval == tb.interval
 
 
 # --- select -----------------------------------------------------------------
@@ -297,10 +323,12 @@ _BY_NAMES = {
 ])
 def test_a_bare_str_is_one_column_name(verb, name):
     t = build({"day": [1, 2, 3], "units": [3, 1, 2], "price": [1.0, 2.0, 3.0]}, "day")
-    out, warnings = _BY_NAMES[verb](t, name)
-    want, want_warnings = _BY_NAMES[verb](t, [name])
-    assert_same_table(out, want)
-    assert warnings == want_warnings
+    got, want = _BY_NAMES[verb](t, name), _BY_NAMES[verb](t, [name])
+    if isinstance(got, list):  # arrange lists rows
+        assert got == want
+    else:
+        assert_same_table(got.table, want.table)
+        assert got.warnings == want.warnings
 
 
 def test_select_unknown_column(tb):
@@ -456,19 +484,59 @@ def test_summarize_mean_matches_reference(tb):
         assert row["avg"] == pytest.approx(statistics.fmean(pool))
 
 
-def _outcome(fn, *args):
-    try:
-        return repr(fn(*args))
-    except (OverflowError, ValueError) as exc:
-        return f"{type(exc).__name__}: {exc}"
-
-
 @given(st.lists(st.none() | st.integers() | st.floats(), min_size=1))
 def test_mean_is_statistics_fmean_bit_for_bit(cells):
-    # statistics.fmean stays the reference; the library does not import it.
+    # statistics.fmean stays the reference where it returns; the library
+    # does not import it.  Where fsum fails, the mean is builtin sum over
+    # the count, and a mean that does not fit a float is refused.
     pool = [v for v in cells if v is not None]
-    got = _outcome(aggregates.apply, "mean", cells)
-    assert got == (_outcome(statistics.fmean, pool) if pool else "None")
+    try:
+        want = repr(statistics.fmean(pool)) if pool else "None"
+    except (OverflowError, ValueError):
+        try:
+            want = repr(sum(pool) / len(pool))
+        except OverflowError:
+            with pytest.raises(PreconditionError, match="mean"):
+                aggregates.apply("mean", cells)
+            return
+    assert repr(aggregates.apply("mean", cells)) == want
+
+
+def _mean_three_ways(cells):
+    """The mean of ``cells`` from apply, from summarize pooling two series
+    into one row, and from roll_by_key over one window of both cells."""
+    pooled = build({"k": ["a", "b"], "t": [1, 1], "v": cells}, "t", ("k",))
+    rolled = roll_by_key(build({"t": [1, 2], "v": cells}, "t"), "v", "slide", "mean", Window(2))
+    return [
+        aggregates.apply("mean", cells),
+        summarize(pooled, m=("mean", "v")).column("m")[0],
+        rolled.column("v_slide")[1],
+    ]
+
+
+@pytest.mark.parametrize("cells, want", [
+    ([float("inf"), float("-inf")], "nan"),
+    ([1e308, 1e308], "inf"),
+])
+def test_mean_is_the_sum_over_the_count_where_fsum_fails(cells, want):
+    assert [repr(m) for m in _mean_three_ways(cells)] == [want] * 3
+    assert repr(aggregates.apply("sum", cells) / 2) == want
+
+
+@pytest.mark.parametrize("cells", [[10**400, 1], [10**400, 1.0]])
+def test_mean_that_does_not_fit_a_float_is_refused(cells):
+    with pytest.raises(PreconditionError, match="mean"):
+        aggregates.apply("mean", cells)
+    with pytest.raises(PreconditionError, match="mean"):
+        summarize(build({"k": ["a", "b"], "t": [1, 1], "v": cells}, "t", ("k",)), m=("mean", "v"))
+    with pytest.raises(PreconditionError, match="mean"):
+        roll_by_key(build({"t": [1, 2], "v": cells}, "t"), "v", "slide", "mean", Window(2))
+
+
+@pytest.mark.parametrize("spec, cells", [("sum", [10**400, 1.0]), ("quantile:0.5", [10**400, 1])])
+def test_sum_and_quantile_that_do_not_fit_a_float_are_refused(spec, cells):
+    with pytest.raises(PreconditionError, match=spec.partition(":")[0]):
+        aggregates.apply(spec, cells)
 
 
 def test_summarize_skips_missing_values():
@@ -531,7 +599,6 @@ def test_group_by_then_filter_summarizes_per_group():
 GROUP_KEEPING_VERBS = {
     "filter": lambda t: tfilter(t, lambda r: r["count"] > 100),
     "filter_index": lambda t: filter_index(t, "2012"),
-    "arrange": lambda t: arrange(t, [("count", "desc")]),
     "mutate": lambda t: mutate(t, count=lambda r: r["count"] % 97),
     "select": lambda t: select(t, ["continent", "count", "country", "gender"]),
     "semi_join": lambda t: join(t, {"country": ["Australia", "New Zealand"]}, "semi"),
@@ -550,16 +617,81 @@ def test_grouping_persists_through_row_keeping_verbs(tb, verb):
 
 
 @pytest.fixture
+def wide():
+    return build({"k": ["a", "a", "b", "b"], "c": ["x", "x", "y", "y"], "t": [1, 2, 1, 2],
+                  "u": [1, 2, 3, 4], "w": [5, 6, 7, 8]}, "t", ("k",))
+
+
+def test_grouping_survives_gather_and_spread(wide):
+    long, warnings = gather(group_by(wide, "c"), "name", "value", ["u", "w"])
+    assert long.groups.by == ("c",) and warnings == ()
+    out = summarize(long, s=("sum", "value"))
+    assert out.to_dict() == {"c": ["x", "x", "y", "y"], "t": [1, 2, 1, 2], "s": [6, 8, 10, 12]}
+    back, warnings = spread(long, "name", "value")
+    assert back.groups.by == ("c",) and warnings == ()
+    assert_same_table(replace(back, groups=None), wide)
+
+
+def test_verbs_that_rebuild_warn_naming_the_grouping_they_drop(wide):
+    out, warnings = spread(group_by(wide, "c", "k"), "c", "u")
+    assert out.groups.by == ("k",)
+    assert warnings == ("grouping columns ['c'] dropped",)
+    out, warnings = gather(group_by(wide, "c"), "name", "value", ["c"])
+    assert out.groups.by == ()
+    assert warnings == ("grouping columns ['c'] dropped",)
+
+
+def test_grouping_survives_select_dropping_a_key_and_mutate_of_the_key():
+    t = build({"k": ["a", "a", "b"], "c": ["x", "x", "y"], "t": [1, 2, 3], "v": [1, 2, 3]},
+              "t", ("k",))
+    out, warnings = select(group_by(t, "c"), ["c", "t", "v"])
+    assert (out.key, out.groups.by, warnings) == ((), ("c",), ())
+    out, warnings = mutate(group_by(t, "c"), k=lambda r: r["k"].upper())
+    assert (out.column("k"), out.groups.by, warnings) == (["A", "A", "B"], ("c",), ())
+
+
+def test_index_by_grouping_survives_a_rebuild_that_keeps_its_ticks(monthly_panel):
+    yearly = index_by(monthly_panel, Granularity.YEAR)
+    long, warnings = gather(yearly, "name", "value", ["v"])
+    assert long.groups == yearly.groups and warnings == ()
+    out = summarize(long, s=("sum", "value"))
+    assert [(r["year"].render(), r["s"]) for r in table_rows(out)] == [("2011", 66), ("2012", 99)]
+    same, warnings = mutate(yearly, month=lambda r: r["month"])
+    assert same.groups == yearly.groups and warnings == ()
+    inner = join(yearly, {"k": ["a"], "tag": ["t"]}, "inner", by=["k"]).table
+    assert inner.groups == yearly.groups
+
+
+def test_index_by_grouping_is_dropped_with_a_warning_when_a_tick_is_new(monthly_panel):
+    yearly = index_by(monthly_panel, Granularity.YEAR)
+    extra = {"k": ["c"], "month": [tp.month(2013, 1)], "v": [0]}
+    out, warnings = join(yearly, extra, "full", by=["k", "month", "v"])
+    assert out.groups == Grouping()
+    assert warnings == ("index_by grouping 'year' dropped",)
+    later = lambda r: tp.TimePoint(r["month"].ticks + 12, Granularity.MONTH)
+    out, warnings = mutate(group_by(yearly, "k"), month=later)
+    assert out.groups == Grouping(("k",))
+    assert warnings == ("index_by grouping 'year' dropped",)
+
+
+@pytest.fixture
 def monthly_panel():
     months = [tp.month(2011, m) for m in (10, 11, 12)] + [tp.month(2012, m) for m in (1, 2)]
     return build({"k": ["a"] * 5 + ["b"] * 5, "month": months * 2,
                   "v": [1, 2, 3, 4, 5, 10, 20, 30, 40, 50]}, "month", ("k",))
 
 
-@pytest.mark.parametrize("verb", [
-    lambda t: tfilter(t, lambda r: r["v"] % 20 != 0),
-    lambda t: arrange(t, [("v", "desc")]),
-], ids=["filter", "arrange"])
+INDEX_BY_KEEPING_VERBS = {
+    "filter": lambda t: tfilter(t, lambda r: r["v"] % 20 != 0),
+    "filter_index": lambda t: filter_index(t, "2011-11 ~ 2012-01"),
+    "semi_join": lambda t: join(t, {"k": ["b"]}, "semi"),
+    "mutate_key": lambda t: mutate(t, k=lambda r: r["k"].upper()),
+}
+
+
+@pytest.mark.parametrize(
+    "verb", INDEX_BY_KEEPING_VERBS.values(), ids=INDEX_BY_KEEPING_VERBS.keys()
+)
 def test_index_by_persists_through_row_keeping_verbs(monthly_panel, verb):
     moved = verb(index_by(monthly_panel, Granularity.YEAR)).table
     assert moved.groups.index_name == "year"
@@ -592,9 +724,9 @@ def test_validate_table_checks_grouping(tb):
     with pytest.raises(SchemaError, match="grouping column 'nope' missing"):
         validate_table(replace(grouped, groups=replace(grouped.groups, by=("nope",))))
     yearly = index_by(tb, Granularity.YEAR)
-    short = replace(yearly.groups, index_values=yearly.groups.index_values[1:])
-    with pytest.raises(ValidityError, match="11 cells for 12 rows"):
-        validate_table(replace(yearly, groups=short))
+    missing = replace(yearly.groups, index_cells=yearly.groups.index_cells[1:])
+    with pytest.raises(ValidityError, match="no cell for index 2011 at row 0"):
+        validate_table(replace(yearly, groups=missing))
 
 
 # --- index_by ---------------------------------------------------------------
@@ -913,10 +1045,3 @@ def test_join_argument_errors(tb):
         join(tb, {"country": ["x"]}, by=[("country", "nope")])
     with pytest.raises(SchemaError):
         join(tb, {"country": ["x"], "z": [1, 2]})
-
-
-def test_semi_join_after_arrange_uses_sorted_rows(tb):
-    messy = arrange(tb, [("count", "desc")]).table
-    out = join(messy, {"country": ["Australia"]}, kind="semi").table
-    assert out.nrows == 4
-    assert set(out.column("country")) == {"Australia"}
