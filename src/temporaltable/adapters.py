@@ -179,16 +179,14 @@ def resolve_index(
     if not present:
         return EmptyIndex()
     if all(isinstance(v, TimePoint) for v in present):
-        # Counting compares members by identity first, so no cell runs
-        # Enum's Python-level hash.
-        grans = list(map(_granularity, present))
-        if grans.count(grans[0]) != len(grans):
-            names = ", ".join(sorted({v.granularity.value for v in present}))
+        grans = set(map(_granularity, present))
+        if len(grans) > 1:
+            names = ", ".join(sorted(g.value for g in grans))
             raise SchemaError(f"index column {name!r} mixes granularities: {names}")
         zones = set(map(_zone, present))
         if len(zones) > 1:
             raise SchemaError(f"index column {name!r} mixes time zones: {sorted(map(str, zones))}")
-        return TimeIndex(grans[0], zones.pop())
+        return TimeIndex(grans.pop(), zones.pop())
     for ad in registered_adapters():
         if all(map(ad.claims, present)):
             return ad

@@ -24,6 +24,10 @@ class Granularity(Enum):
     MILLISECOND = "millisecond"
     ORDINAL = "ordinal"
 
+    # Members are singletons that compare by identity, so they hash by it
+    # too, in C, not through Enum's Python-level hash of the name.
+    __hash__ = object.__hash__
+
     def __repr__(self):  # pragma: no cover - cosmetic
         return f"Granularity.{self.name}"
 

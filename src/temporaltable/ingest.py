@@ -13,14 +13,20 @@ column holding inf or nan by the same rule.
 Both ends work a column at a time and touch each distinct time cell once.
 A time column keeps a dict from raw text to its parsed value, so a day that
 a panel repeats once per series is parsed once; ``TimePoint`` is frozen, so
-every row shares the one instance.  Output renders each column by its
-declared kind, a time column once per distinct point, and streams the rows.
+every row shares the one instance.
+
+Every CSV written goes through one writer: each column is rendered by its
+declared kind (a time column once per distinct point) and quoted, each
+distinct text once; the rows are then joined, with LF row ends, into one
+text that is written in one piece.  A field is quoted by RFC 4180 when it
+holds a comma, a quote, CR or LF, and a row whose only field is empty is
+written ``""``.  A zoned sub-daily point carries its UTC offset only where
+a clock change repeats its local time (see ``timepoint``).
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import math
 import re
 
@@ -196,6 +202,43 @@ def render_cell(v) -> str:
     return str(v)
 
 
+# A field holding a comma, a quote, CR or LF is quoted (RFC 4180 section 2).
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+
+def _quoted(text: str) -> str:
+    """``text`` as one CSV field: in quotes, its quotes doubled, when it
+    holds a comma, a quote, CR or LF, and as it is otherwise."""
+    if _NEEDS_QUOTES.search(text) is None:
+        return text
+    return '"' + text.replace('"', '""') + '"'
+
+
+def _quoted_each(texts: list) -> list[str]:
+    """``texts`` (None for missing) as CSV fields, each distinct text
+    quoted once."""
+    fields = dict.fromkeys(texts)
+    for text in fields:
+        fields[text] = _quoted(text) if text else ""
+    return list(map(fields.__getitem__, texts))
+
+
+def _csv_text(header, columns) -> str:
+    """The CSV text of ``header`` and the rows of ``columns``, each a list
+    of fields already rendered and quoted; rows end in LF.
+
+    A row whose only field is empty is written ``""``, as the stdlib csv
+    writer writes it, so that it reads back as one empty cell, not a blank
+    line."""
+    header = list(map(_quoted, header))
+    if len(header) == 1:
+        lines = [field or '""' for field in (*header, *columns[0])]
+    else:
+        lines = [",".join(header), *map(",".join, zip(*columns))]
+    lines.append("")
+    return "\n".join(lines)
+
+
 def _non_finite_error(name: str, row: int, v) -> SchemaError:
     """The error for an inf or nan cell ``v`` of column ``name`` at ``row``:
     a CSV number is a JSON number, and JSON has none (RFC 8259 section 6)."""
@@ -204,58 +247,64 @@ def _non_finite_error(name: str, row: int, v) -> SchemaError:
     )
 
 
+def _check_finite(named_columns) -> None:
+    """Raise SchemaError for the first inf or nan cell of the first column
+    of (name, cells) pairs that holds one."""
+    for name, cells in named_columns:
+        bad = _first_non_finite(cells)
+        if bad is not None:
+            raise _non_finite_error(name, bad, cells[bad])
+
+
 def write_csv(stream, header, rows) -> None:
     """Write ``header`` and ``rows`` as CSV, each cell by :func:`render_cell`.
 
     Raises SchemaError, before writing anything, when a cell is an inf or
     nan float, naming the leftmost such column and its first such row, as
-    :func:`table_to_csv` does.  The text is made in a buffer and written
-    once it is whole."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    first = None  # (column, row, cell) of the leftmost inf or nan cell
-    for i, row in enumerate(rows):
-        c = _first_non_finite(row)
-        if c is not None and (first is None or c < first[0]):
-            first = (c, i, row[c])
-        writer.writerow([render_cell(v) for v in row])
-    if first is not None:
-        c, i, v = first
-        raise _non_finite_error(header[c], i, v)
-    stream.write(buf.getvalue())
+    :func:`table_to_csv` does."""
+    columns = list(zip(*rows)) or [()] * len(header)
+    _check_finite(zip(header, columns))
+    fields = [_quoted_each(list(map(render_cell, cells))) for cells in columns]
+    stream.write(_csv_text(header, fields))
 
 
-def _time_cells(values, render):
-    """``render`` over a time column, rendering each distinct point once.
+def _time_fields(values, render) -> list[str]:
+    """``render`` over a time column as quoted CSV fields, rendering and
+    quoting each distinct point once.
 
     Points are cached on (ticks, granularity, zone): TimePoint equality
-    ignores the zone, which changes the text.  Granularity members are
-    singletons, and keying on their id skips Enum's Python-level hash."""
-    text = {}
+    ignores the zone, which changes the text."""
+    fields = {}
+    out = []
     for v in values:
         if type(v) is not TimePoint:
-            yield render(v)  # missing, or an index adapter's own value
+            out.append(_quoted(render(v)))  # missing, or an index adapter's own value
             continue
-        key = (v.ticks, id(v.granularity), v.zone)
-        s = text.get(key)
+        key = (v.ticks, v.granularity, v.zone)
+        s = fields.get(key)
         if s is None:
-            s = text[key] = render(v)
-        yield s
+            s = fields[key] = _quoted(render(v))
+        out.append(s)
+    return out
 
 
 _BOOL_TEXT = {None: "", True: "true", False: "false"}
 
 
-def _rendered(col: Column, render):
-    """The cells of ``col`` as ``render`` writes them, chosen by its kind."""
-    if col.kind == "time":
-        return _time_cells(col.values, render)
+def _fields(col: Column, render) -> list[str]:
+    """The cells of ``col`` as CSV fields, rendered by its declared kind:
+    reals by ``repr``, ints by ``str``, bools as ``true``/``false`` and time
+    cells by ``render``.  Only text and time fields can need quotes."""
+    values = col.values
+    if col.kind == "real":
+        return ["" if v is None else repr(v) for v in values]
+    if col.kind == "int":
+        return ["" if v is None else str(v) for v in values]
     if col.kind == "bool":
-        return map(_BOOL_TEXT.__getitem__, col.values)
-    # int, real and text: csv.writer writes None as "", a float by repr and
-    # any other cell by str, as render_cell does.
-    return col.values
+        return list(map(_BOOL_TEXT.__getitem__, values))
+    if col.kind == "time":
+        return _time_fields(values, render)
+    return _quoted_each(values)
 
 
 def table_to_csv(t: TemporalTable, stream=None) -> str | None:
@@ -264,19 +313,16 @@ def table_to_csv(t: TemporalTable, stream=None) -> str | None:
     The output is what :func:`write_csv` makes of the rows, except that
     index cells are written by the table's index adapter, as the summary
     shows them.  It is built column by column: each column is rendered by
-    its declared kind, a time column once per distinct point, and rows are
-    streamed to the writer.  Raises SchemaError, before writing anything,
-    when a real column holds an inf or nan cell."""
-    for name, col in t.columns.items():
-        if col.kind == "real":
-            bad = _first_non_finite(col.values)
-            if bad is not None:
-                raise _non_finite_error(name, bad, col.values[bad])
-    out = stream or io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(t.column_names)
-    renders = (t.adapter.render if name == t.index else render_cell for name in t.columns)
-    writer.writerows(zip(*map(_rendered, t.columns.values(), renders)))
+    its declared kind, a time column once per distinct point, and the rows
+    are joined and written in one piece.  Raises SchemaError, before
+    writing anything, when a real column holds an inf or nan cell."""
+    _check_finite((name, col.values) for name, col in t.columns.items() if col.kind == "real")
+    fields = [
+        _fields(col, t.adapter.render if name == t.index else render_cell)
+        for name, col in t.columns.items()
+    ]
+    text = _csv_text(t.column_names, fields)
     if stream is None:
-        return out.getvalue()
+        return text
+    stream.write(text)
     return None

@@ -114,11 +114,15 @@ def _check_time_column(name: str, values: Sequence) -> None:
 
 
 def _sort_cell(v):
-    # Missing key values form a distinct level that sorts last.
+    # Missing cells form a distinct level that sorts last, and NaN, which
+    # compares false with every number, sorts after the numbers and before
+    # the missing cells.
     if v is None:
-        return (1,)
+        return (2,)
     if isinstance(v, TimePoint):
         return (0, v.ticks)
+    if v != v:
+        return (1,)
     return (0, v)
 
 

@@ -9,7 +9,9 @@ inference relies on.
 
 Sub-daily ticks are UTC instants.  An optional zone label changes how a point
 renders and how it floors to day-or-coarser granularities; it never changes
-the stored ticks.
+the stored ticks.  Where a clock change repeats a local time, the text
+carries its UTC offset (RFC 3339, ``2021-04-04 02:00+11:00``), and parsing
+takes an offset to pick the instant (PEP 495 ``fold``).
 """
 
 from __future__ import annotations
@@ -177,10 +179,16 @@ def _civil_datetime(tp: TimePoint) -> datetime:
     return _instant_from_ticks(tp.ticks, tp.granularity).astimezone(_tzinfo(tp.zone))
 
 
-def _ticks_from_civil(g: Granularity, zone: str | None, y, mo=1, d=1, h=0, mi=0, s=0, ms=0) -> int:
-    """Encode a civil time at a sub-daily granularity; must align exactly."""
+def _ticks_from_civil(
+    g: Granularity, zone: str | None, y, mo=1, d=1, h=0, mi=0, s=0, ms=0, offset=None
+) -> int:
+    """Encode a civil time at a sub-daily granularity; must align exactly.
+
+    ``offset`` (a timedelta, or None) is the UTC offset written with the
+    text: it selects one of the two instants of a local time that a clock
+    change repeats (PEP 495 ``fold``), and must be the zone's offset."""
     try:
-        if _is_utc(zone):
+        if _is_utc(zone) and offset is None:
             # No offset to apply: whole days from the date's ordinal.  date()
             # and time() check the fields as datetime() does, in the same
             # order and with the same errors.
@@ -189,6 +197,12 @@ def _ticks_from_civil(g: Granularity, zone: str | None, y, mo=1, d=1, h=0, mi=0,
             total_ms = (((days * 24 + h) * 60 + mi) * 60 + s) * 1000 + ms
         else:
             local = datetime(y, mo, d, h, mi, s, ms * 1000, tzinfo=_tzinfo(zone))
+            if offset is not None:
+                local = next(
+                    (c for c in (local, local.replace(fold=1)) if c.utcoffset() == offset), None
+                )
+                if local is None:
+                    raise ValueError(f"{zone or 'UTC'} is not at UTC{_offset_text(offset)} then")
             total_ms = (local - _EPOCH_UTC) // _ONE_MS
             # A local time that a clock change skips comes back from UTC as
             # another wall-clock time.
@@ -310,6 +324,11 @@ def floor_to(t: TimePoint, g) -> TimePoint:
 
 def render_timepoint(tp: TimePoint) -> str:
     g = tp.granularity
+    unit = MS_PER_TICK.get(g)
+    if unit is not None:
+        return _render_clock(tp, g, unit)
+    if g is Granularity.DAY:
+        return date.fromordinal(tp.ticks + _EPOCH_ORDINAL).isoformat()
     if g is Granularity.ORDINAL:
         return str(tp.ticks)
     if g is Granularity.YEAR:
@@ -320,31 +339,44 @@ def render_timepoint(tp: TimePoint) -> str:
     if g is Granularity.MONTH:
         y, m = divmod(tp.ticks, 12)
         return f"{1970 + y}-{m + 1:02d}"
-    if g is Granularity.WEEK:
-        monday = _date_from_ticks(tp.ticks, g)
-        iso = monday.isocalendar()
-        return f"{iso[0]} W{iso[1]:02d}"
-    if g is Granularity.DAY:
-        d = _date_from_ticks(tp.ticks, g)
-        return f"{d.year:04d}-{d.month:02d}-{d.day:02d}"
-    days, ms = divmod(tp.ticks * MS_PER_TICK[g], _MS_PER_DAY)
+    iso = _date_from_ticks(tp.ticks, g).isocalendar()
+    return f"{iso[0]} W{iso[1]:02d}"
+
+
+def _render_clock(tp: TimePoint, g: Granularity, unit: int) -> str:
+    """The zone-local date and clock of a sub-daily point, down to ``g``.
+
+    A local time that a clock change repeats is followed by its UTC offset
+    (RFC 3339), so that both instants keep their own text."""
+    days, ms = divmod(tp.ticks * unit, _MS_PER_DAY)
     days += _EPOCH_ORDINAL
+    offset = ""
     if _is_utc(tp.zone) and 1 <= days <= _MAX_ORDINAL:
         # No offset to apply: the date from its ordinal, the clock by divmod.
-        c = date.fromordinal(days)
+        day_text = date.fromordinal(days).isoformat()
         minutes, ms = divmod(ms, 60_000)
         hh, mm = divmod(minutes, 60)
         ss, ms = divmod(ms, 1000)
     else:
         c = _civil_datetime(tp)
+        day_text = f"{c.year:04d}-{c.month:02d}-{c.day:02d}"
         hh, mm, ss, ms = c.hour, c.minute, c.second, c.microsecond // 1000
-    base = f"{c.year:04d}-{c.month:02d}-{c.day:02d} {hh:02d}:{mm:02d}"
-    if g is Granularity.HOUR or g is Granularity.MINUTE:
-        return base
-    base += f":{ss:02d}"
+        if c.utcoffset() != c.replace(fold=1 - c.fold).utcoffset():
+            offset = _offset_text(c.utcoffset())
+    text = f"{day_text} {hh:02d}:{mm:02d}"
     if g is Granularity.SECOND:
-        return base
-    return base + f".{ms:03d}"
+        text += f":{ss:02d}"
+    elif g is Granularity.MILLISECOND:
+        text += f":{ss:02d}.{ms:03d}"
+    return text + offset
+
+
+def _offset_text(offset: timedelta) -> str:
+    """A UTC offset as ``+HH:MM``, with ``:SS`` when it has seconds."""
+    sign = "-" if offset < timedelta(0) else "+"
+    hh, rest = divmod(abs(offset).seconds, 3600)
+    mm, ss = divmod(rest, 60)
+    return f"{sign}{hh:02d}:{mm:02d}" + (f":{ss:02d}" if ss else "")
 
 
 # --- parsing ---------------------------------------------------------------
@@ -358,29 +390,37 @@ _DATE = r"([0-9]{4})-([0-9]{2})-([0-9]{2})"
 _CLOCK = _DATE + r"[ T]([0-9]{2})"
 _MINUTE = _CLOCK + r":([0-9]{2})"
 _SECOND = _MINUTE + r":([0-9]{2})"
+# A UTC offset (RFC 3339), written only where a clock change repeats a
+# local time; seconds for the historical offsets that have them.
+_AT = r"([+-][0-9]{2}:[0-9]{2}(?::[0-9]{2})?)?"
 # Month names are ASCII in any case ("a" keeps "ſ", U+017F, from folding to "s").
 _MONTH_NAME = "((?ai:" + "|".join(_MONTH_ABBR) + "))"
 
 
-def _on_ints(factory, zoned=False):
-    """A form's maker: ``factory`` over the match's groups read as ints,
-    and over the zone too when ``zoned``."""
-    if zoned:
-        return lambda zone, *fields: factory(*map(int, fields), zone=zone)
+def _on_ints(factory):
+    """A form's maker: ``factory`` over the match's groups read as ints."""
     return lambda zone, *fields: factory(*map(int, fields))
 
 
-def _hour(zone, *fields):
-    # Minutes other than the zone's offset (Kolkata's hours are at :30) do
-    # not align to whole hours, and _ticks_from_civil refuses them.
-    *clock, mi = fields
-    ticks = _ticks_from_civil(Granularity.HOUR, zone, *map(int, clock), int(mi or 0))
-    return TimePoint(ticks, Granularity.HOUR, zone)
+def _clock(g: Granularity):
+    """A sub-daily form's maker: the date and clock fields at ``g`` (an
+    hour's minutes may be left out), then an optional UTC offset."""
 
+    def make(zone, y, mo, d, h, mi, *rest):
+        *sec, offset = rest  # the seconds and milliseconds the form has
+        s, ms = (*sec, "0", "0")[:2]
+        if offset is not None:  # "+HH:MM", maybe with ":SS"
+            seconds = int(offset[1:3]) * 3600 + int(offset[4:6]) * 60 + int(offset[7:] or 0)
+            offset = timedelta(seconds=-seconds if offset[0] == "-" else seconds)
+        # Minutes other than the zone's offset (Kolkata's hours are at :30)
+        # do not align to whole hours, and _ticks_from_civil refuses them.
+        ticks = _ticks_from_civil(
+            g, zone, int(y), int(mo), int(d), int(h), int(mi or 0), int(s), int(ms.ljust(3, "0")),
+            offset,
+        )
+        return TimePoint(ticks, g, zone)
 
-def _millisecond(zone, *fields):
-    *clock, ms = fields
-    return millisecond(*map(int, clock), int(ms.ljust(3, "0")), zone=zone)
+    return make
 
 
 # The text forms, in guessing order: (granularity, pattern matched whole,
@@ -390,10 +430,11 @@ def _millisecond(zone, *fields):
 _FORMS = tuple(
     (g, re.compile(pattern), make, guessable)
     for g, pattern, make, guessable in (
-        (Granularity.MILLISECOND, _SECOND + r"\.([0-9]{1,3})", _millisecond, True),
-        (Granularity.SECOND, _SECOND, _on_ints(second, zoned=True), True),
-        (Granularity.MINUTE, _MINUTE, _on_ints(minute, zoned=True), True),
-        (Granularity.HOUR, _CLOCK + r"(?::([0-9]{2}))?", _hour, False),
+        (Granularity.MILLISECOND, _SECOND + r"\.([0-9]{1,3})" + _AT, _clock(Granularity.MILLISECOND),
+         True),
+        (Granularity.SECOND, _SECOND + _AT, _clock(Granularity.SECOND), True),
+        (Granularity.MINUTE, _MINUTE + _AT, _clock(Granularity.MINUTE), True),
+        (Granularity.HOUR, _CLOCK + r"(?::([0-9]{2}))?" + _AT, _clock(Granularity.HOUR), False),
         (Granularity.DAY, _DATE, _on_ints(day), True),
         (Granularity.WEEK, r"(-?[0-9]+)\s+W([0-9]{1,2})", _on_ints(week), True),
         (Granularity.QUARTER, r"(-?[0-9]+)\s+Q([1-4])", _on_ints(quarter), True),

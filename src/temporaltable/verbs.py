@@ -217,7 +217,8 @@ def arrange(t: TemporalTable, spec) -> list[dict]:
 
     ``spec`` lists column names, each optionally as (name, "desc"); the
     first name sorts first, and ties keep the table's canonical order.
-    Missing cells sort last ascending, first descending.
+    Ascending, NaN sorts after every number and missing cells last;
+    descending reverses that.
     """
     norm = []
     for item in _names(spec):

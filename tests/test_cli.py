@@ -339,6 +339,40 @@ def test_gaps_irregular_table_fails(capsys, gappy_csv):
     assert "regular" in err
 
 
+def test_a_key_holding_a_carriage_return_round_trips(capsys, tmp_path):
+    # A field holding a bare CR is quoted (RFC 4180), so the file that
+    # gaps fill writes reads back with every row whole.
+    p = tmp_path / "in.csv"
+    p.write_bytes(b'k,t,v\n"a\rb",1,1\n"a\rb",2,2\nc,1,3\n')
+    rc, out, err = run(capsys, "gaps", "fill", str(p), "--index", "t", "--key", "k")
+    assert (rc, err) == (0, "")
+    assert out == 'k,t,v\n"a\rb",1,1\n"a\rb",2,2\nc,1,3\n'
+    filled = tmp_path / "out.csv"
+    filled.write_bytes(out.encode())
+    rc, out, err = run(capsys, "validate", str(filled), "--index", "t", "--key", "k")
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[1] == "# Key:       k [2]"
+
+
+def test_zoned_hours_round_trip_across_a_dst_fall_back(capsys, tmp_path):
+    # Melbourne fell back at 03:00 on 2021-04-04, so 02:00 came twice; the
+    # file names each instant by its UTC offset and validates.
+    zone = "Australia/Melbourne"
+    t = temporaltable.build(
+        {"t": [TimePoint(k, temporaltable.Granularity.HOUR, zone) for k in range(449294, 449298)],
+         "v": [1, 2, 3, 4]}, "t")
+    p = tmp_path / "dst.csv"
+    p.write_text(table_to_csv(t))
+    assert p.read_text() == (
+        "t,v\n2021-04-04 01:00,1\n2021-04-04 02:00+11:00,2\n"
+        "2021-04-04 02:00+10:00,3\n2021-04-04 03:00,4\n"
+    )
+    rc, out, err = run(capsys, "validate", str(p), "--index", "t", "--time-format", "t=hour",
+                       "--zone", zone)
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[0] == "# A tsibble: 4 x 2 [1h] <Australia/Melbourne>"
+
+
 def test_each_distinct_time_cell_is_parsed_and_rendered_once(capsys, tmp_path, monkeypatch):
     # The benchmark counts parse_timepoint at this attribute and
     # TimePoint.render on the class; both must see every distinct cell.

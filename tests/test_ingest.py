@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 
@@ -23,6 +24,7 @@ from temporaltable import (
 from temporaltable.ingest import (
     _parse_time_cells,
     read_cell,
+    read_rows,
     render_cell,
     typed_columns,
     write_csv,
@@ -204,6 +206,26 @@ def test_kolkata_hourly_csv_round_trip(tmp_path):
     again = ingest(IngestConfig(str(path), "ts", time_format={"ts": "hour"}, zone=zone))
     assert_same_table(again, t)
     assert {h.zone for h in again.column("ts")} == {zone}
+
+
+@pytest.mark.parametrize("g", [g for g in Granularity if g.is_subdaily])
+def test_zoned_subdaily_csv_round_trip_across_a_dst_fall_back(g, tmp_path):
+    # Melbourne fell back at 03:00 local (UTC+11) on 2021-04-04, 16:00 UTC
+    # the day before; each local time of the hour before came twice.
+    zone = "Australia/Melbourne"
+    unit = MS_PER_TICK[g]
+    fallback, hour = 1_617_465_600_000, 3_600_000
+    step = max(900_000 // unit, 1)  # quarter hours, or hours
+    points = [TimePoint((fallback - 2 * hour) // unit + i * step, g, zone) for i in range(17)]
+    t = build({"ts": points, "v": list(range(17))}, "ts")
+    text = table_to_csv(t)
+    repeated = [p for p in points if fallback - hour <= p.ticks * unit < fallback + hour]
+    assert sum("+1" in line for line in text.splitlines()) == len(repeated) == (
+        2 if g is Granularity.HOUR else 8)
+    path = tmp_path / "out.csv"
+    path.write_text(text)
+    again = ingest(IngestConfig(str(path), "ts", time_format={"ts": g.value}, zone=zone))
+    assert_same_table(again, t)
 
 
 def test_csv_round_trip_quoting_and_missing(tmp_path):
@@ -454,3 +476,94 @@ def test_table_to_csv_renders_each_kind_like_render_cell():
         "2021-01-02,-0.0,,1970-01-01 00:00,\n"
         "2021-01-03,1e+16,false,1970-01-01 10:00,\n"
     )
+
+
+# --- the writer against csv.writer --------------------------------------------
+
+# csv.writer stays the oracle, in tests only.  It runs with CRLF row ends,
+# which every Python from 3.10 to 3.13 quotes a field holding CR or LF
+# under; with LF row ends, Python 3.11 leaves a bare CR unquoted, which RFC
+# 4180 forbids, so there the rule is pinned in
+# test_writer_quotes_by_rfc_4180 instead.
+def _oracle(header, rows) -> str:
+    """``header`` and ``rows`` (cells already rendered) as csv.writer writes
+    them, each row's CRLF turned into LF."""
+    lines = []
+    for row in (header, *rows):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(row)
+        lines.append(buf.getvalue().removesuffix("\r\n") + "\n")
+    return "".join(lines)
+
+
+# Text that needs quotes or looks as if it might: quotes, commas, CR, LF
+# and spaces at either end, among other characters (NUL aside, which some
+# csv readers refuse).
+_FIELD_TEXT = st.text(
+    st.sampled_from(list('ab ,"\r\n')) | st.characters(blacklist_characters="\x00"), max_size=6)
+_WRITTEN_CELLS = st.none() | _FIELD_TEXT | st.integers() | st.booleans() | st.floats(
+    allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _header_and_rows(draw, cells=_WRITTEN_CELLS):
+    header = draw(st.lists(_FIELD_TEXT, min_size=1, max_size=4, unique=True))
+    rows = draw(st.lists(st.lists(cells, min_size=len(header), max_size=len(header)),
+                         max_size=6))
+    return header, rows
+
+
+@given(_header_and_rows())
+def test_write_csv_matches_csv_writer(header_rows):
+    header, rows = header_rows
+    buf = io.StringIO()
+    write_csv(buf, header, rows)
+    assert buf.getvalue() == _oracle(header, [[render_cell(v) for v in row] for row in rows])
+
+
+@given(_header_and_rows(st.none() | _FIELD_TEXT))
+def test_table_to_csv_of_text_columns_matches_csv_writer(header_rows):
+    header, rows = header_rows
+    names = ["i"] + [f"{name}." for name in header]  # none is the index
+    columns = [list(range(len(rows))), *map(list, zip(*rows))] if rows else [[]] * len(names)
+    t = build({n: Column("text", c) if n != "i" else c for n, c in zip(names, columns)}, "i")
+    want = _oracle(names, [[render_cell(v) for v in row] for row in zip(*columns)])
+    assert table_to_csv(t) == want
+
+
+@given(header_rows=_header_and_rows())
+def test_read_rows_gives_back_the_written_cells(tmp_path_factory, header_rows):
+    header, rows = header_rows
+    buf = io.StringIO()
+    write_csv(buf, header, rows)
+    path = tmp_path_factory.getbasetemp() / "written.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(buf.getvalue())
+    assert read_rows(IngestConfig(str(path), index=header[0])) == (
+        header, [[render_cell(v) for v in row] for row in rows])
+
+
+@pytest.mark.parametrize(
+    "header, rows, text",
+    [
+        # RFC 4180 section 2: a field holding a comma, a quote, CR or LF
+        # is quoted, and its quotes are doubled.  csv.writer with LF row
+        # ends leaves the bare CR unquoted on Python 3.11.
+        (["k", "v"], [["a\rb", 1]], 'k,v\n"a\rb",1\n'),
+        (["k", "v"], [["a\nb", 1]], 'k,v\n"a\nb",1\n'),
+        (["k", "v"], [['say "hi"', "x,y"]], 'k,v\n"say ""hi""","x,y"\n'),
+        # Spaces are kept as they are, unquoted.
+        (["k", "v"], [[" a ", " "]], "k,v\n a , \n"),
+        # Empty text and a missing cell are both an empty field...
+        (["k", "v"], [["", None]], "k,v\n,\n"),
+        # ...except alone on a row, where it is "", so the row reads back
+        # as one empty cell and not as a blank line.
+        (["v"], [[""], [None], ["x"]], 'v\n""\n""\nx\n'),
+        ([""], [], '""\n'),
+        (["a,b", "c"], [], '"a,b",c\n'),
+    ],
+)
+def test_writer_quotes_by_rfc_4180(header, rows, text):
+    buf = io.StringIO()
+    write_csv(buf, header, rows)
+    assert buf.getvalue() == text

@@ -271,6 +271,29 @@ def test_local_times_skipped_by_dst_are_rejected():
     assert first.ticks * 60 == int(datetime(2021, 4, 4, 2, 30, tzinfo=mel).timestamp())
 
 
+def test_a_repeated_local_time_carries_its_utc_offset():
+    # Melbourne fell back on 2021-04-04: 03:00 (UTC+11) became 02:00 (UTC+10).
+    zone = "Australia/Melbourne"
+    texts = ["2021-04-04 01:00", "2021-04-04 02:00+11:00", "2021-04-04 02:00+10:00",
+             "2021-04-04 03:00"]
+    points = [TimePoint(k, Granularity.HOUR, zone) for k in range(449294, 449298)]
+    assert [p.render() for p in points] == texts
+    assert [parse_timepoint(text, "hour", zone) for text in texts] == points
+    assert TimePoint(449295 * 60 + 30, Granularity.MINUTE, zone).render() == (
+        "2021-04-04 02:30+11:00")
+    assert TimePoint(449296 * 3_600_000 + 5, Granularity.MILLISECOND, zone).render() == (
+        "2021-04-04 02:00:00.005+10:00")
+    # An offset where none is needed is read too, and must be the zone's.
+    assert parse_timepoint("2021-04-04 05:00+10:00", "hour", zone) == tp.hour(
+        2021, 4, 4, 5, zone=zone)
+    assert parse_timepoint("2011-07-05 17:00+00:00", "minute") == tp.minute(2011, 7, 5, 17, 0)
+    for text, at in [("2021-04-04 02:00+09:00", zone), ("2021-04-04 05:00+11:00", zone),
+                     ("2011-07-05 17:00+01:00", None)]:
+        with pytest.raises(ParseError, match="is not at UTC"):
+            parse_timepoint(text, "hour", at)
+    assert guess_granularity("2021-04-04 02:00+10:00") is Granularity.MINUTE
+
+
 # --- UTC fast paths: the same ticks, text and errors as datetime arithmetic --
 
 SUBDAILY = [g for g in Granularity if g.is_subdaily]
@@ -316,8 +339,12 @@ def _render_by_datetime(point):
     g, zone = point.granularity, point.zone
     tz = timezone.utc if zone in (None, "UTC", "utc") else ZoneInfo(zone)
     c = (EPOCH_UTC + timedelta(milliseconds=point.ticks * MS_PER_TICK[g])).astimezone(tz)
-    return _civil_text(g, c.year, c.month, c.day, c.hour, c.minute, c.second,
+    text = _civil_text(g, c.year, c.month, c.day, c.hour, c.minute, c.second,
                        c.microsecond // 1000)
+    if c.utcoffset() != c.replace(fold=1 - c.fold).utcoffset():
+        # A repeated local time carries its UTC offset, as isoformat writes it.
+        text += c.isoformat(timespec="seconds")[19:]
+    return text
 
 
 @given(

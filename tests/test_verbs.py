@@ -36,7 +36,7 @@ from temporaltable import (
     validate_table,
 )
 from temporaltable import filter as tfilter
-from temporaltable.table import Grouping, _sort_cell, replace
+from temporaltable.table import Grouping, replace
 from conftest import assert_same_table, table_rows
 
 
@@ -225,7 +225,7 @@ _ARRANGE_ROWS = st.lists(
     st.tuples(
         st.sampled_from(["a", "b", None]),
         st.integers(0, 9),
-        st.none() | st.integers(-2, 2) | st.floats(),
+        st.none() | st.integers(-2, 2) | st.floats() | st.just(math.nan),
         st.none() | st.sampled_from(["x", "y", ""]),
     ),
     unique_by=lambda cells: cells[:2],
@@ -237,6 +237,15 @@ _ARRANGE_SPEC = st.lists(
 )
 
 
+def _ascending_place(v):
+    """Where a cell sorts ascending: cells by value, then NaN, then missing."""
+    if v is None:
+        return (2,)
+    if isinstance(v, float) and math.isnan(v):
+        return (1,)
+    return (0, v)
+
+
 @given(_ARRANGE_ROWS, _ARRANGE_SPEC)
 def test_arrange_is_a_stable_multi_key_sort_of_the_rows(cells, spec):
     columns = [list(c) for c in zip(*cells)] or [[], [], [], []]
@@ -244,10 +253,17 @@ def test_arrange_is_a_stable_multi_key_sort_of_the_rows(cells, spec):
     before = list(t.rows())
     want = list(t.rows())
     for name, direction in reversed(spec):
-        want = sorted(want, key=lambda row: _sort_cell(row[name]), reverse=direction == "desc")
+        want = sorted(want, key=lambda row: _ascending_place(row[name]),
+                      reverse=direction == "desc")
     items = [name if direction is None else (name, direction) for name, direction in spec]
     assert arrange(t, items) == want
     assert list(t.rows()) == before
+
+
+def test_arrange_places_nan_after_numbers_and_before_missing_cells():
+    t = build({"t": [1, 2, 3, 4, 5, 6], "v": [3.0, math.nan, 1.0, None, 2.0, 0.5]}, "t")
+    assert repr([r["v"] for r in arrange(t, ["v"])]) == "[0.5, 1.0, 2.0, 3.0, nan, None]"
+    assert repr([r["v"] for r in arrange(t, [("v", "desc")])]) == "[None, nan, 3.0, 2.0, 1.0, 0.5]"
 
 
 def test_arrange_multi_column_stable(tb):
