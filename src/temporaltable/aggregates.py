@@ -9,6 +9,12 @@ int total.  A mean is ``math.fsum`` of the cells over their count, as in
 ``statistics.fmean``.  Where fsum fails, both use builtin ``sum`` instead
 (``[inf, -inf]`` gives nan).  A sum, mean or quantile of int cells too
 large for a float raises :class:`~temporaltable.errors.PreconditionError`.
+
+Sum, mean and quantile need numeric cells: ints and floats, their
+subclasses included, but not bools, which raise
+:class:`~temporaltable.errors.SchemaError`.  A pool whose cells are all
+plain ints and floats is checked by its set of types, one pass with no
+per-cell ``isinstance``; any other pool is checked cell by cell.
 """
 
 from __future__ import annotations
@@ -19,8 +25,8 @@ from .errors import PreconditionError, SchemaError
 
 NAMES = ("sum", "mean", "min", "max", "count", "quantile")
 
-# sum/mean/quantile need numeric cells; min/max work on any ordered kind.
-_NUMERIC_ONLY = {"sum", "mean", "quantile"}
+# The cell types that need no per-cell numeric check.
+_PLAIN_NUMBERS = {int, float}
 
 
 class Aggregate:
@@ -102,15 +108,23 @@ def apply(spec: str, values) -> object:
         return len(pool)
     if not pool:
         return None
-    if name in _NUMERIC_ONLY and not all(_numeric(v) for v in pool):
-        raise SchemaError(f"{name} needs numeric cells")
     if name == "min":
         return min(pool)
     if name == "max":
         return max(pool)
+    # sum, mean and quantile need numeric cells; min and max take any
+    # ordered kind.  A pool of plain ints and floats is settled by its set
+    # of types; bools, subclasses and text go cell by cell.
+    types = set(map(type, pool))
+    if types <= _PLAIN_NUMBERS:
+        has_float = float in types
+    elif all(_numeric(v) for v in pool):
+        has_float = any(isinstance(v, float) for v in pool)
+    else:
+        raise SchemaError(f"{name} needs numeric cells")
     try:
         if name == "sum":
-            return _fsum(pool) if any(isinstance(v, float) for v in pool) else sum(pool)
+            return _fsum(pool) if has_float else sum(pool)
         if name == "mean":
             return _fsum(pool) / len(pool)
         return quantile(pool, p)

@@ -8,16 +8,20 @@ global [min, max] span of the whole table, on its own tick phase so that
 observed points stay on-grid, which adds a run before its first and after
 its last observation where the span reaches further.  ``has_gaps``,
 ``count_gaps`` and ``require_gapless`` therefore cost time per observation,
-not per expected tick; ``scan_gaps`` and ``fill_gaps`` cost per missing
-value they return.
+not per expected tick; ``scan_gaps`` costs per missing value it returns.
+``fill_gaps`` costs per row and per missing value, with no sort: it keeps
+the order, the kinds and the ticks of the table it fills, and places each
+run of new rows by one ``bisect`` in its series.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from . import aggregates, table
 from .errors import GapError, SchemaError, UnsupportedOperationError
 from .record import Record
-from .table import Column, TemporalTable, as_kind, common_kind, key_groups
+from .table import Column, TemporalTable, as_kind, common_kind, key_groups, replace
 
 
 class GapReport(Record):
@@ -128,6 +132,15 @@ def fill_gaps(
     untouched; with ``full=True`` the result is a balanced panel over the
     global span.  Columns keep their kinds; an aggregate policy widens its
     column to hold :func:`~temporaltable.aggregates.result_kind` cells.
+
+    A ``group_by`` grouping is kept, as every column is.  An ``index_by``
+    grouping is dropped, since the new index values have no derived cell.
+
+    The result is what ``build`` makes of the same rows, without its work:
+    each run of missing ticks lies strictly between two consecutive
+    observations of its series (or beyond its ends, with ``full=True``), so
+    it is spliced in where ``bisect`` finds its first tick among the
+    series' old ticks, and the rows stay in canonical order.
     """
     fills = _resolve_fill(t, fills)
     per_key = _runs_by_key(t, full)
@@ -138,12 +151,27 @@ def fill_gaps(
         if isinstance(policy, aggregates.Aggregate):
             kind = aggregates.result_kind(aggregates.parse_spec(policy.spec)[0], data[col].kind)
             data[col].kind = common_kind((data[col].kind, kind))
+    # New rows go after the old ones; ``order`` lists every row position in
+    # canonical order, one series at a time, and ``ends`` where each ends.
+    old = t.ticks()
+    ticks = list(old)
+    index = data[t.index].values
+    order: list[int] = []
+    ends: list[int] = []
     for kt, r, runs in per_key:
+        at = r.start
+        for run in runs:
+            cut = bisect_left(old, run[0], at, r.stop)
+            order += range(at, cut)
+            order += range(len(ticks), len(ticks) + len(run))
+            ticks += run
+            index.extend(map(t.adapter.from_ticks, run))
+            at = cut
+        order += range(at, r.stop)
+        ends.append(len(order))
         n = sum(map(len, runs))
         if not n:
             continue
-        for run in runs:
-            data[t.index].values.extend(map(t.adapter.from_ticks, run))
         for name, cell in zip(t.key, kt):
             data[name].values.extend([cell] * n)
         cells = {
@@ -155,7 +183,12 @@ def fill_gaps(
         for col in measured:
             data[col].values.extend([cells.get(col)] * n)
 
-    return table.build(data, t.index, t.key, t.declared_regular, adapter=t.adapter)
+    groups = t.groups
+    if groups is not None:
+        groups = replace(groups, index_name=None, index_cells=(), index_adapter=None)
+    out = table.rows_at(replace(t, columns=data, _ticks=ticks), order)
+    interval = table._infer_for(ends, out.ticks(), t.adapter, t.declared_regular)
+    return replace(out, interval=interval, groups=groups, _ends=ends)
 
 
 def require_gapless(t: TemporalTable) -> None:

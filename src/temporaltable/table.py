@@ -591,8 +591,8 @@ def rows_at(t: TemporalTable, rows: Sequence[int]) -> TemporalTable:
 
     The one place rows move: column cells and index ticks are taken
     together, and every other field carries over as it is, column kinds and
-    grouping included.  The series ends are cleared; the two callers,
-    :func:`build` and :func:`take`, re-derive them.
+    grouping included.  The series ends are cleared; the callers,
+    :func:`build`, :func:`take` and ``gaps.fill_gaps``, re-derive them.
     """
     ticks = t.ticks()
     columns = {

@@ -364,10 +364,13 @@ def _render_clock(tp: TimePoint, g: Granularity, unit: int) -> str:
         if c.utcoffset() != c.replace(fold=1 - c.fold).utcoffset():
             offset = _offset_text(c.utcoffset())
     text = f"{day_text} {hh:02d}:{mm:02d}"
-    if g is Granularity.SECOND:
-        text += f":{ss:02d}"
-    elif g is Granularity.MILLISECOND:
+    # An hour or minute point keeps its local seconds where the zone's
+    # offset has them (local mean time, Melbourne's +09:39:52), so that its
+    # text parses back to it; a UTC clock never has them.
+    if g is Granularity.MILLISECOND:
         text += f":{ss:02d}.{ms:03d}"
+    elif g is Granularity.SECOND or ss:
+        text += f":{ss:02d}"
     return text + offset
 
 
@@ -404,19 +407,21 @@ def _on_ints(factory):
 
 def _clock(g: Granularity):
     """A sub-daily form's maker: the date and clock fields at ``g`` (an
-    hour's minutes may be left out), then an optional UTC offset."""
+    hour's minutes may be left out, and an hour or minute may carry
+    seconds), then an optional UTC offset."""
 
     def make(zone, y, mo, d, h, mi, *rest):
         *sec, offset = rest  # the seconds and milliseconds the form has
-        s, ms = (*sec, "0", "0")[:2]
+        s, ms = (*sec, None, None)[:2]
         if offset is not None:  # "+HH:MM", maybe with ":SS"
             seconds = int(offset[1:3]) * 3600 + int(offset[4:6]) * 60 + int(offset[7:] or 0)
             offset = timedelta(seconds=-seconds if offset[0] == "-" else seconds)
-        # Minutes other than the zone's offset (Kolkata's hours are at :30)
-        # do not align to whole hours, and _ticks_from_civil refuses them.
+        # Minutes or seconds other than the zone's offset (Kolkata's hours
+        # are at :30) do not align to whole ticks, and _ticks_from_civil
+        # refuses them.
         ticks = _ticks_from_civil(
-            g, zone, int(y), int(mo), int(d), int(h), int(mi or 0), int(s), int(ms.ljust(3, "0")),
-            offset,
+            g, zone, int(y), int(mo), int(d), int(h), int(mi or 0), int(s or 0),
+            int((ms or "0").ljust(3, "0")), offset,
         )
         return TimePoint(ticks, g, zone)
 
@@ -433,8 +438,10 @@ _FORMS = tuple(
         (Granularity.MILLISECOND, _SECOND + r"\.([0-9]{1,3})" + _AT, _clock(Granularity.MILLISECOND),
          True),
         (Granularity.SECOND, _SECOND + _AT, _clock(Granularity.SECOND), True),
-        (Granularity.MINUTE, _MINUTE + _AT, _clock(Granularity.MINUTE), True),
-        (Granularity.HOUR, _CLOCK + r"(?::([0-9]{2}))?" + _AT, _clock(Granularity.HOUR), False),
+        (Granularity.MINUTE, _MINUTE + r"(?::([0-9]{2}))?" + _AT, _clock(Granularity.MINUTE),
+         True),
+        (Granularity.HOUR, _CLOCK + r"(?::([0-9]{2})(?::([0-9]{2}))?)?" + _AT,
+         _clock(Granularity.HOUR), False),
         (Granularity.DAY, _DATE, _on_ints(day), True),
         (Granularity.WEEK, r"(-?[0-9]+)\s+W([0-9]{1,2})", _on_ints(week), True),
         (Granularity.QUARTER, r"(-?[0-9]+)\s+Q([1-4])", _on_ints(quarter), True),

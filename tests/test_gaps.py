@@ -11,18 +11,28 @@ from temporaltable import (
     GapError,
     Granularity,
     SchemaError,
+    TemporalTable,
     UnsupportedOperationError,
+    aggregates,
     build,
     count_gaps,
     fill_gaps,
+    group_by,
     has_gaps,
+    index_by,
     key_groups,
+    register_index_adapter,
     require_gapless,
     scan_gaps,
+    summarize,
+    table,
     timepoint as tp,
+    unregister_index_adapter,
 )
+from temporaltable.table import Grouping, as_kind, common_kind
 from temporaltable.timepoint import TimePoint
 from conftest import assert_same_table, table_rows
+from test_adapters import SemesterAdapter
 
 
 @pytest.fixture
@@ -354,3 +364,128 @@ def test_gap_verbs_match_a_grid_of_expected_ticks(t, full, data):
         rows += [{"k": kt[0], "t": cell(tk), **filled} for tk in missing]
     rows.sort(key=lambda row: (row["k"], t.adapter.to_ticks(row["t"])))
     assert table_rows(fill_gaps(t, fills, full)) == rows
+
+
+# --- fill_gaps splices: the table build makes of the same rows, without build
+
+# (lowest tick, index cell of a tick): an ordinal index, days, Melbourne
+# hours across the 2021-04-04 fall-back (UTC hours 449294-449298), and the
+# registered Semester adapter.
+INDEXES = {
+    "ordinal": (-4, lambda tk: tk),
+    "day": (18_990, lambda tk: TimePoint(tk, Granularity.DAY)),
+    "zoned hour": (449_288, lambda tk: TimePoint(tk, Granularity.HOUR, "Australia/Melbourne")),
+    "semester": (4_036, SemesterAdapter().from_ticks),
+}
+
+# Per measured column: its kind, and the fill policies drawn for it (None is
+# a missing marker; a column left out of the fills gets one too).
+POLICIES = {
+    "v": ("int", [None, -3, Aggregate("mean"), Aggregate("max"), Aggregate("sum"),
+                  Aggregate("count"), Aggregate("quantile:0.5")]),
+    "x": ("real", [None, 1.5, 2, Aggregate("mean"), Aggregate("min"), Aggregate("sum")]),
+    "s": ("text", [None, "gap", Aggregate("max"), Aggregate("min")]),
+}
+
+
+def _draw_gappy(data, index):
+    """A regular table on ``INDEXES[index]`` keyed by (k, j), whose series
+    may have gaps; build gets its rows in drawn order."""
+    base, cell = INDEXES[index]
+    step = data.draw(st.integers(1, 3))
+    keys = data.draw(st.lists(st.tuples(st.sampled_from(["A", "B", None]), st.integers(0, 1)),
+                              min_size=1, max_size=4, unique=True))
+    rows = []
+    for k, j in keys:
+        phase = data.draw(st.integers(0, step - 1))
+        for slot in data.draw(st.sets(st.integers(0, 9), min_size=1, max_size=6)):
+            rows.append({
+                "k": k, "j": j, "t": cell(base + phase + slot * step),
+                "v": data.draw(st.none() | st.integers(-50, 50)),
+                "x": data.draw(st.none() | st.integers(-5, 5) | st.floats(-1e6, 1e6)),
+                "s": data.draw(st.none() | st.sampled_from("xyz")),
+            })
+    t = build(
+        {"k": [r["k"] for r in rows], "j": [r["j"] for r in rows], "t": [r["t"] for r in rows],
+         **{c: Column(kind, [r[c] for r in rows]) for c, (kind, _) in POLICIES.items()}},
+        "t", ("k", "j"),
+    )
+    assume(t.interval.is_regular)
+    return t
+
+
+def _filled_by_build(t, fills, full, shuffle):
+    """What fill_gaps should give: ``build`` over the rows of ``t`` and one
+    new row per missing index value, put in the order ``shuffle`` gives,
+    on the adapter of ``t`` and with the kinds fill_gaps declares."""
+    kinds = dict(t.schema)
+    for col, policy in fills.items():
+        if isinstance(policy, Aggregate):
+            agg = aggregates.parse_spec(policy.spec)[0]
+            kinds[col] = common_kind((kinds[col], aggregates.result_kind(agg, kinds[col])))
+    series = dict(key_groups(t))
+    rows = table_rows(t)
+    for kt, cell in scan_gaps(t, full):
+        r = series[kt]
+        row = {**dict.fromkeys(t.columns), **dict(zip(t.key, kt)), t.index: cell}
+        for col, policy in fills.items():
+            if isinstance(policy, Aggregate):
+                row[col] = aggregates.apply(policy.spec, t.column(col)[r.start : r.stop])
+            elif policy is not None:
+                row[col] = as_kind(policy, kinds[col])
+        rows.append(row)
+    rows = shuffle(rows)
+    data = {name: Column(kinds[name], [row[name] for row in rows]) for name in t.columns}
+    return build(data, t.index, t.key, t.declared_regular, adapter=t.adapter)
+
+
+@given(st.sampled_from(sorted(INDEXES)), st.booleans(), st.data())
+def test_fill_gaps_is_the_table_build_makes_of_its_rows(index, full, data):
+    register_index_adapter(SemesterAdapter())
+    try:
+        t = _draw_gappy(data, index)
+        fills = {c: data.draw(st.sampled_from(ps)) for c, (_, ps) in POLICIES.items()}
+        fills = {c: p for c, p in fills.items() if data.draw(st.booleans())}
+        got = fill_gaps(t, fills, full)
+        want = _filled_by_build(t, fills, full, lambda rows: data.draw(st.permutations(rows)))
+    finally:
+        unregister_index_adapter("semester")
+    assert got.nrows == t.nrows + len(scan_gaps(t, full))
+    assert list(got.columns) == list(want.columns)
+    for field in TemporalTable.__slots__:
+        assert getattr(got, field) == getattr(want, field), field
+
+
+def test_fill_gaps_makes_no_call_to_build(holey, monkeypatch):
+    calls = []
+    real_build = table.build
+    monkeypatch.setattr(table, "build", lambda *a, **kw: calls.append(a) or real_build(*a, **kw))
+    filled = fill_gaps(holey, {"v": Aggregate("mean")}, full=True)
+    assert filled.nrows > holey.nrows
+    assert calls == []
+
+
+@pytest.fixture
+def daily():
+    # A misses the 3rd and 4th of January; B is complete.
+    days = [1, 2, 5, 1, 2, 3]
+    return build(
+        {"k": ["A"] * 3 + ["B"] * 3, "t": [tp.day(2021, 1, d) for d in days],
+         "v": [1, 2, 5, 10, 20, 30]},
+        "t", ("k",),
+    )
+
+
+def test_fill_keeps_a_group_by_grouping(daily):
+    grouped = group_by(daily, "k")
+    filled = fill_gaps(grouped, {"v": 0})
+    assert filled.nrows == daily.nrows + 2
+    assert filled.groups == grouped.groups == Grouping(by=("k",))
+    assert summarize(filled, n=("count", "v")).key == ("k",)
+
+
+def test_fill_drops_only_the_index_by_part_of_a_grouping(daily):
+    monthly = index_by(group_by(daily, "k"), "month")
+    assert monthly.groups.index_name == "month"
+    assert fill_gaps(monthly).groups == Grouping(by=("k",))
+    assert fill_gaps(index_by(daily, "month")).groups == Grouping()

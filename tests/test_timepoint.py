@@ -223,6 +223,12 @@ GRAMMAR = [
     ("2011-07-05 17:00", "hour", "2011-07-05 17:00", Granularity.MINUTE),
     ("2011-07-05 17:45:00.1", "millisecond", "2011-07-05 17:45:00.100",
      Granularity.MILLISECOND),
+    # An hour or a minute may carry seconds (local mean time has them); in
+    # UTC only zero seconds align, and the text guesses second.
+    ("2011-07-05 17:45:00", "minute", "2011-07-05 17:45", Granularity.SECOND),
+    ("2011-07-05 17:45:30", "minute", ParseError, Granularity.SECOND),
+    ("2011-07-05 17:00:00", "hour", "2011-07-05 17:00", Granularity.SECOND),
+    ("2011-07-05 17:00:30", "hour", ParseError, Granularity.SECOND),
     ("2011 Q3", "quarter", "2011 Q3", Granularity.QUARTER),
     # Surrounding whitespace is stripped; digits are ASCII, leading zeros
     # allowed in a year.
@@ -294,6 +300,42 @@ def test_a_repeated_local_time_carries_its_utc_offset():
     assert guess_granularity("2021-04-04 02:00+10:00") is Granularity.MINUTE
 
 
+# Zones whose offsets had seconds before standard time (local mean time),
+# some of them also across a clock change: Amsterdam's summer time of
+# 1916-1937 ran at +01:19:32.
+LMT_ZONES = ["Australia/Melbourne", "Asia/Kolkata", "Europe/Amsterdam", "America/New_York",
+             "Africa/Monrovia", "Europe/Dublin"]
+_S_1883 = int(datetime(1883, 1, 1, tzinfo=timezone.utc).timestamp())
+_S_1900 = int(datetime(1900, 1, 1, tzinfo=timezone.utc).timestamp())
+_S_2022 = int(datetime(2022, 1, 1, tzinfo=timezone.utc).timestamp())
+
+
+def test_a_local_mean_time_minute_round_trips():
+    zone = "Australia/Melbourne"
+    point = TimePoint(-45757440, Granularity.MINUTE, zone)
+    assert point.render() == "1883-01-01 09:39:52"  # the offset was +09:39:52
+    assert parse_timepoint(point.render(), "minute", zone) == point
+    hour = floor_to(point, Granularity.HOUR)
+    assert hour.render() == "1883-01-01 09:39:52"
+    assert parse_timepoint(hour.render(), "hour", zone) == hour
+    # UTC text is as before.
+    assert tp.minute(1883, 1, 1, 0, 0).render() == "1883-01-01 00:00"
+
+
+@given(
+    st.sampled_from(LMT_ZONES),
+    st.sampled_from([Granularity.HOUR, Granularity.MINUTE]),
+    st.integers(_S_1883, _S_1900) | st.integers(_S_1883, _S_2022 - 1),
+)
+def test_zoned_hours_and_minutes_round_trip_from_1883(zone, g, seconds):
+    point = TimePoint(seconds // (MS_PER_TICK[g] // 1000), g, zone)
+    text = point.render()
+    assert parse_timepoint(text, g, zone) == point
+    c = datetime.fromtimestamp(point.ticks * MS_PER_TICK[g] // 1000, ZoneInfo(zone))
+    clock = f"{c:%Y-%m-%d %H:%M}" + (f":{c.second:02d}" if c.second else "")
+    assert text in (clock, clock + c.isoformat()[19:])
+
+
 # --- UTC fast paths: the same ticks, text and errors as datetime arithmetic --
 
 SUBDAILY = [g for g in Granularity if g.is_subdaily]
@@ -302,7 +344,8 @@ EPOCH_UTC = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
 def _civil_text(g, y, mo, d, h, mi, s, ms):
     text = f"{y:04d}-{mo:02d}-{d:02d} {h:02d}:{mi:02d}"
-    if g is Granularity.SECOND or g is Granularity.MILLISECOND:
+    # An hour or minute shows seconds only where its zone's offset has them.
+    if g is Granularity.SECOND or g is Granularity.MILLISECOND or s:
         text += f":{s:02d}"
     if g is Granularity.MILLISECOND:
         text += f".{ms:03d}"

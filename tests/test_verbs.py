@@ -1,9 +1,10 @@
 import math
 import statistics
+from enum import IntEnum
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from temporaltable import (
     ConversionError,
@@ -553,6 +554,70 @@ def test_mean_that_does_not_fit_a_float_is_refused(cells):
 def test_sum_and_quantile_that_do_not_fit_a_float_are_refused(spec, cells):
     with pytest.raises(PreconditionError, match=spec.partition(":")[0]):
         aggregates.apply(spec, cells)
+
+
+class Level(IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class Real(float):
+    """A float subclass: numeric, but not a plain float."""
+
+
+def _apply_cell_by_cell(spec, values):
+    """``aggregates.apply`` with its numeric check made on every cell: the
+    oracle for the check that reads a pool's set of types."""
+    name, p = aggregates.parse_spec(spec)
+    pool = [v for v in values if v is not None]
+    if name == "count":
+        return len(pool)
+    if not pool:
+        return None
+    numeric = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+    if name in ("sum", "mean", "quantile") and not all(numeric(v) for v in pool):
+        raise SchemaError(f"{name} needs numeric cells")
+    if name == "min":
+        return min(pool)
+    if name == "max":
+        return max(pool)
+    try:
+        if name == "sum":
+            if any(isinstance(v, float) for v in pool):
+                return aggregates._fsum(pool)
+            return sum(pool)
+        if name == "mean":
+            return aggregates._fsum(pool) / len(pool)
+        return aggregates.quantile(pool, p)
+    except OverflowError:
+        raise PreconditionError(f"{name} of these cells does not fit a float") from None
+
+
+def _outcome(fn, spec, cells):
+    try:
+        v = fn(spec, cells)
+    except Exception as exc:
+        return "raises", type(exc), str(exc)
+    return "returns", type(v), repr(v)
+
+
+_POOL_CELLS = (
+    st.none() | st.integers(-9, 9) | st.just(10**400) | st.sampled_from([0.0, -0.0])
+    | st.floats() | st.booleans() | st.sampled_from(list(Level)) | st.floats().map(Real)
+    | st.text(max_size=2)
+)
+
+
+@given(
+    st.sampled_from(["sum", "mean", "min", "max", "count", "quantile:0.3"]),
+    st.lists(_POOL_CELLS, max_size=6)
+    # Plain ints and floats, with floats whose fsum and builtin sum differ.
+    | st.lists(st.none() | st.integers() | st.floats(allow_nan=False)
+               | st.sampled_from([1.0, 1e16, -1e16]), max_size=6),
+)
+@example("sum", [1e16, 1.0, -1e16])
+def test_apply_checks_a_pool_as_its_cells_would(spec, cells):
+    assert _outcome(aggregates.apply, spec, cells) == _outcome(_apply_cell_by_cell, spec, cells)
 
 
 def test_summarize_skips_missing_values():
