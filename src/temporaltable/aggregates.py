@@ -12,9 +12,9 @@ large for a float raises :class:`~temporaltable.errors.PreconditionError`.
 
 Sum, mean and quantile need numeric cells: ints and floats, their
 subclasses included, but not bools, which raise
-:class:`~temporaltable.errors.SchemaError`.  A pool whose cells are all
-plain ints and floats is checked by its set of types, one pass with no
-per-cell ``isinstance``; any other pool is checked cell by cell.
+:class:`~temporaltable.errors.SchemaError`.  A pool is checked by its set
+of cell types, one pass with no per-cell ``isinstance``; the same set says
+whether a sum holds a float.
 """
 
 from __future__ import annotations
@@ -24,9 +24,6 @@ import math
 from .errors import PreconditionError, SchemaError
 
 NAMES = ("sum", "mean", "min", "max", "count", "quantile")
-
-# The cell types that need no per-cell numeric check.
-_PLAIN_NUMBERS = {int, float}
 
 
 class Aggregate:
@@ -88,10 +85,6 @@ def quantile(values, p: float) -> float:
     return s[lo] + frac * (s[lo + 1] - s[lo])
 
 
-def _numeric(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
 def _fsum(pool: list):
     """``math.fsum`` of the cells, or builtin ``sum`` where fsum fails."""
     try:
@@ -113,15 +106,14 @@ def apply(spec: str, values) -> object:
     if name == "max":
         return max(pool)
     # sum, mean and quantile need numeric cells; min and max take any
-    # ordered kind.  A pool of plain ints and floats is settled by its set
-    # of types; bools, subclasses and text go cell by cell.
-    types = set(map(type, pool))
-    if types <= _PLAIN_NUMBERS:
-        has_float = float in types
-    elif all(_numeric(v) for v in pool):
-        has_float = any(isinstance(v, float) for v in pool)
-    else:
-        raise SchemaError(f"{name} needs numeric cells")
+    # ordered kind.  For a type, issubclass answers what isinstance would
+    # for each of its cells, so the set of types settles both questions.
+    has_float = False
+    for ty in set(map(type, pool)):
+        if issubclass(ty, float):
+            has_float = True
+        elif ty is bool or not issubclass(ty, int):
+            raise SchemaError(f"{name} needs numeric cells")
     try:
         if name == "sum":
             return _fsum(pool) if has_float else sum(pool)

@@ -514,7 +514,8 @@ def guess_granularity(text: str) -> Granularity | None:
     ['year', 'quarter', 'month', 'month', 'week', 'day', 'minute', 'second', 'millisecond']
 
     Bare integers guess as years, and "HH:MM" forms as minutes: declare the
-    hour granularity when a column is hourly.
+    hour granularity when a column is hourly.  Likewise declare the minute
+    for a minute column in local mean time, which is written with seconds.
 
     >>> guess_granularity("2011-07-05 17:00").value, guess_granularity("2011-07-05 17")
     ('minute', None)

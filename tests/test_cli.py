@@ -373,6 +373,28 @@ def test_zoned_hours_round_trip_across_a_dst_fall_back(capsys, tmp_path):
     assert out.splitlines()[0] == "# A tsibble: 4 x 2 [1h] <Australia/Melbourne>"
 
 
+def test_local_mean_time_minutes_need_their_granularity_declared(capsys, tmp_path):
+    # Melbourne's offset was +09:39:52 in 1883, so each minute is written
+    # with local seconds :52.  Its text is that of a second, and a guess
+    # from the cells reads seconds; declaring the minute reads it back.
+    zone = "Australia/Melbourne"
+    t = temporaltable.build(
+        {"t": [TimePoint(k, temporaltable.Granularity.MINUTE, zone)
+               for k in (-45757440, -45757439, -45757437)],
+         "v": [1, 2, 3]}, "t")
+    p = tmp_path / "lmt.csv"
+    p.write_text(table_to_csv(t))
+    assert p.read_text().splitlines()[1] == "1883-01-01 09:39:52,1"
+    args = ("validate", str(p), "--index", "t", "--zone", zone)
+    rc, out, err = run(capsys, *args)
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[0] == "# A tsibble: 3 x 2 [60s] <Australia/Melbourne>"
+    rc, out, err = run(capsys, *args, "--time-format", "t=minute")
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[0] == "# A tsibble: 3 x 2 [1m] <Australia/Melbourne>"
+    assert ingest(IngestConfig(str(p), index="t", zone=zone, time_format={"t": "minute"})) == t
+
+
 def test_each_distinct_time_cell_is_parsed_and_rendered_once(capsys, tmp_path, monkeypatch):
     # The benchmark counts parse_timepoint at this attribute and
     # TimePoint.render on the class; both must see every distinct cell.

@@ -498,9 +498,11 @@ def _oracle(header, rows) -> str:
 
 # Text that needs quotes or looks as if it might: quotes, commas, CR, LF
 # and spaces at either end, among other characters (NUL aside, which some
-# csv readers refuse).
+# csv readers refuse, and lone surrogates, which no UTF-8 file can hold).
 _FIELD_TEXT = st.text(
-    st.sampled_from(list('ab ,"\r\n')) | st.characters(blacklist_characters="\x00"), max_size=6)
+    st.sampled_from(list('ab ,"\r\n'))
+    | st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+    max_size=6)
 _WRITTEN_CELLS = st.none() | _FIELD_TEXT | st.integers() | st.booleans() | st.floats(
     allow_nan=False, allow_infinity=False)
 
