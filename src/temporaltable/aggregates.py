@@ -9,6 +9,8 @@ int total.  A mean is ``math.fsum`` of the cells over their count, as in
 ``statistics.fmean``.  Where fsum fails, both use builtin ``sum`` instead
 (``[inf, -inf]`` gives nan).  A sum, mean or quantile of int cells too
 large for a float raises :class:`~temporaltable.errors.PreconditionError`.
+A pool holding a NaN gives nan for every aggregate but count, wherever the
+NaN sits.
 
 Sum, mean and quantile need numeric cells: ints and floats, their
 subclasses included, but not bools, which raise
@@ -20,10 +22,12 @@ whether a sum holds a float.
 from __future__ import annotations
 
 import math
+import operator
 
 from .errors import PreconditionError, SchemaError
 
 NAMES = ("sum", "mean", "min", "max", "count", "quantile")
+_NUMERIC = ("sum", "mean", "quantile")
 
 
 class Aggregate:
@@ -101,10 +105,6 @@ def apply(spec: str, values) -> object:
         return len(pool)
     if not pool:
         return None
-    if name == "min":
-        return min(pool)
-    if name == "max":
-        return max(pool)
     # sum, mean and quantile need numeric cells; min and max take any
     # ordered kind.  For a type, issubclass answers what isinstance would
     # for each of its cells, so the set of types settles both questions.
@@ -112,8 +112,17 @@ def apply(spec: str, values) -> object:
     for ty in set(map(type, pool)):
         if issubclass(ty, float):
             has_float = True
-        elif ty is bool or not issubclass(ty, int):
+        elif name in _NUMERIC and (ty is bool or not issubclass(ty, int)):
             raise SchemaError(f"{name} needs numeric cells")
+    # NaN compares false with every cell, so where it sits would decide
+    # what min, max and sorting give (fsum gives sum and mean nan anyway);
+    # only a float cell can be NaN.
+    if has_float and name not in ("sum", "mean") and any(map(operator.ne, pool, pool)):
+        return math.nan
+    if name == "min":
+        return min(pool)
+    if name == "max":
+        return max(pool)
     try:
         if name == "sum":
             return _fsum(pool) if has_float else sum(pool)

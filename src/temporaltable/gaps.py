@@ -133,8 +133,8 @@ def fill_gaps(
     global span.  Columns keep their kinds; an aggregate policy widens its
     column to hold :func:`~temporaltable.aggregates.result_kind` cells.
 
-    A ``group_by`` grouping is kept, as every column is.  An ``index_by``
-    grouping is dropped, since the new index values have no derived cell.
+    The grouping is kept whole: every column stays, and so does the index
+    an ``index_by`` rule reads, which applies to the new index values too.
 
     The result is what ``build`` makes of the same rows, without its work:
     each run of missing ticks lies strictly between two consecutive
@@ -183,12 +183,9 @@ def fill_gaps(
         for col in measured:
             data[col].values.extend([cells.get(col)] * n)
 
-    groups = t.groups
-    if groups is not None:
-        groups = replace(groups, index_name=None, index_cells=(), index_adapter=None)
     out = table.rows_at(replace(t, columns=data, _ticks=ticks), order)
     interval = table._infer_for(ends, out.ticks(), t.adapter, t.declared_regular)
-    return replace(out, interval=interval, groups=groups, _ends=ends)
+    return replace(out, interval=interval, _ends=ends)
 
 
 def require_gapless(t: TemporalTable) -> None:

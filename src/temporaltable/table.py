@@ -191,32 +191,18 @@ def _run_ends(sorted_row_keys: list[int], ticks) -> list[int]:
 class Grouping(Frozen):
     """Active grouping: plain columns and/or a derived index.
 
-    ``index_cells`` holds the derived index cell of each source tick, as
-    (tick, cell) pairs sorted by tick.
+    ``index_rule`` is what ``index_by`` was given, a granularity or a
+    callable over index cells, and ``index_name`` names the index that
+    ``summarize`` derives by it.  A grouping holds the rule, not its cells,
+    so it applies to whatever index cells a table has, new ones included.
     """
 
-    __slots__ = ("by", "index_name", "index_cells", "index_adapter")
+    __slots__ = ("by", "index_name", "index_rule")
 
-    def __init__(
-        self,
-        by: tuple[str, ...] = (),
-        index_name: str | None = None,
-        index_cells: tuple[tuple[int, object], ...] = (),
-        index_adapter: IndexAdapter | None = None,
-    ):
+    def __init__(self, by: tuple[str, ...] = (), index_name: str | None = None, index_rule=None):
         set_field(self, "by", by)
         set_field(self, "index_name", index_name)
-        set_field(self, "index_cells", index_cells)
-        set_field(self, "index_adapter", index_adapter)
-
-
-def uncovered_row(groups: Grouping, ticks: Sequence[int]) -> int | None:
-    """The first row whose tick in ``ticks`` has no ``index_by`` cell in
-    ``groups``; None when every row has one or ``groups`` derives no index."""
-    if groups.index_name is None:
-        return None
-    cells = dict(groups.index_cells)
-    return next((i for i, tk in enumerate(ticks) if tk not in cells), None)
+        set_field(self, "index_rule", index_rule)
 
 
 # --- reports ---------------------------------------------------------------
@@ -640,9 +626,8 @@ def validate_table(t: TemporalTable) -> None:
 
     Checks column lengths and declared kinds, the stored ticks against
     the index cells, (key, index) uniqueness, canonical ordering, the
-    grouping against the columns and ticks, the stored series ends against
-    the runs of equal key cells, and that the stored interval matches
-    re-inference.
+    grouping columns, the stored series ends against the runs of equal key
+    cells, and that the stored interval matches re-inference.
     Raises ValidityError or SchemaError on failure.
     """
     n = t.nrows
@@ -679,10 +664,6 @@ def validate_table(t: TemporalTable) -> None:
         for c in t.groups.by:
             if c not in t.columns:
                 raise SchemaError(f"grouping column {c!r} missing")
-        row = uncovered_row(t.groups, ticks)
-        if row is not None:
-            cell = t.adapter.render(t.columns[t.index].values[row])
-            raise ValidityError(f"index_by grouping has no cell for index {cell} at row {row}")
     runs = [r.stop for _, r in _contiguous_groups(t.columns, t.key, n)]
     if t._ends != runs:
         raise ValidityError("stored series ends do not match the runs of equal key cells")

@@ -7,7 +7,7 @@ verb reruns only the construction checks its change can break:
 * ``filter``, ``filter_index``, semi/anti ``join`` and inner ``join``
   without fan-out keep a subset of rows
   (:func:`~temporaltable.table.take`): order and uniqueness hold, so only
-  the interval is re-inferred, and a changed interval is warned about.
+  the interval is re-inferred.
 * ``mutate`` and ``transmute`` of non-key, non-index columns, ``select``
   keeping every key column, and left/inner ``join`` where each left row
   matches at most one right row keep the rows
@@ -26,15 +26,18 @@ columns of a join that goes through ``build``).
 
 Results keep the table's index adapter, even one since unregistered or
 replaced.  Only new index cells resolve theirs from the values: ``mutate`` or
-``transmute`` of the index, right/full ``join``, and ``index_by`` to another
-granularity or through a callable.
+``transmute`` of the index, right/full ``join``, and ``summarize`` over an
+``index_by`` grouping to another granularity or through a callable.
 
-Grouping set by ``group_by`` or ``index_by`` persists through every verb
-that keeps or subsets rows (the first two kinds above); ``select`` and
+A grouping keeps what ``group_by`` and ``index_by`` were given: column
+names, and the granularity or callable that ``summarize`` applies to the
+index cells it finds.  Every verb that returns a :class:`VerbOutcome`
+returns through one exit, ``_outcome``, with one rule: a grouping column
+is kept while the result has it, and an ``index_by`` rule while the
+result keeps the index column and reads it through an adapter of the same
+kind, granularity and zone, new index cells included.  ``_outcome`` warns
+naming what it drops, and whenever the interval changes.  ``select`` and
 ``transmute`` keep grouping columns the way ``select`` keeps the index.
-The verbs that go through ``build`` and return a :class:`VerbOutcome` keep
-the grouping columns that survive and an ``index_by`` grouping whose index
-column, adapter and ticks survive, and warn about what they drop.
 ``summarize`` returns an ungrouped table.
 
 Every table is in canonical order, so ``arrange`` returns no table: it
@@ -54,7 +57,7 @@ import operator
 from bisect import bisect_left, bisect_right
 
 from . import aggregates, table
-from .adapters import resolve_index
+from .adapters import IndexAdapter, resolve_index
 from .errors import (
     ConversionError,
     MissingIndexError,
@@ -111,46 +114,38 @@ def _call_rowwise(fn, row: dict, what: str):
 # --- row verbs --------------------------------------------------------------
 
 
-def _kept(t: TemporalTable, rows) -> VerbOutcome:
-    """The rows at ascending positions ``rows`` of ``t``, with a warning
-    when the subset has another interval than ``t``."""
-    out = take(t, rows)
-    if out.interval == t.interval:
-        return VerbOutcome(out)
-    return VerbOutcome(out, (f"interval changed from {t.interval} to {out.interval}",))
+def _outcome(t: TemporalTable, out: TemporalTable, warnings: tuple = ()) -> VerbOutcome:
+    """``out``, which a verb made from ``t``, with what survives of the
+    grouping of ``t``, a warning naming what does not, and a warning when
+    the interval changed.
 
-
-def _rebuilt(t: TemporalTable, out: TemporalTable, warnings: tuple = ()) -> VerbOutcome:
-    """``out``, which ``build`` made from the rows of ``t``, with what
-    survives of the grouping of ``t``, and a warning for what does not.
-
-    A grouping column survives when ``out`` has it.  An ``index_by``
-    grouping survives when ``out`` keeps the index column, reads it through
-    an adapter of the same kind, granularity and zone (``build`` resolves a
-    new one for new index cells), and holds no tick without a derived cell.
+    A grouping column survives when ``out`` has it.  An ``index_by`` rule
+    survives when ``out`` keeps the index column and reads it through an
+    adapter of the same kind, granularity and zone (``build`` resolves a
+    new one for new index cells): the rule then reads the same kind of cell.
     """
-    same = lambda ad: (type(ad), ad.granularity, ad.zone)
     groups = t.groups
-    if groups is None:
-        return VerbOutcome(out, warnings)
-    lost = [c for c in groups.by if c not in out.columns]
-    if lost:
-        warnings += (f"grouping columns {lost} dropped",)
-    groups = replace(groups, by=tuple(c for c in groups.by if c in out.columns))
-    if groups.index_name is not None and not (
-        out.index == t.index
-        and same(out.adapter) == same(t.adapter)
-        and table.uncovered_row(groups, out.ticks()) is None
-    ):
-        warnings += (f"index_by grouping {groups.index_name!r} dropped",)
-        groups = replace(groups, index_name=None, index_cells=(), index_adapter=None)
-    return VerbOutcome(replace(out, groups=groups), warnings)
+    if groups is not None:
+        lost = [c for c in groups.by if c not in out.columns]
+        if lost:
+            warnings += (f"grouping columns {lost} dropped",)
+            groups = replace(groups, by=tuple(c for c in groups.by if c in out.columns))
+        same = lambda ad: (type(ad), ad.granularity, ad.zone)
+        if groups.index_name is not None and (
+            out.index != t.index or same(out.adapter) != same(t.adapter)
+        ):
+            warnings += (f"index_by grouping {groups.index_name!r} dropped",)
+            groups = replace(groups, index_name=None, index_rule=None)
+        out = replace(out, groups=groups)
+    if out.interval != t.interval:
+        warnings += (f"interval changed from {t.interval} to {out.interval}",)
+    return VerbOutcome(out, warnings)
 
 
 def filter(t: TemporalTable, predicate) -> VerbOutcome:
     """Keep rows where the predicate holds; interval is re-inferred."""
     keep = [i for i, row in enumerate(t.rows()) if _call_rowwise(predicate, row, "predicate")]
-    return _kept(t, keep)
+    return _outcome(t, take(t, keep))
 
 
 def filter_index(t: TemporalTable, expr: str) -> VerbOutcome:
@@ -184,7 +179,7 @@ def filter_index(t: TemporalTable, expr: str) -> VerbOutcome:
     start = _window_edge(t, sides[0], ticks, bisect_left) if sides[0] else 0
     stop = _window_edge(t, sides[-1], ticks, bisect_right) if sides[-1] else len(ticks)
     window = set(ticks[start:stop])
-    return _kept(t, [i for i, tk in enumerate(t.ticks()) if tk in window])
+    return _outcome(t, take(t, [i for i, tk in enumerate(t.ticks()) if tk in window]))
 
 
 def _window_edge(t: TemporalTable, text: str, ticks: list[int], side) -> int:
@@ -271,9 +266,10 @@ def select(t: TemporalTable, names) -> VerbOutcome:
     new_key = tuple(k for k in t.key if k in names)
     data = {name: t.columns[name] for name in names}
     if new_key == t.key:
-        return VerbOutcome(with_columns(t, data), warnings)
-    out = table.build(data, t.index, new_key, t.declared_regular, adapter=t.adapter)
-    return _rebuilt(t, out, warnings)
+        out = with_columns(t, data)
+    else:
+        out = table.build(data, t.index, new_key, t.declared_regular, adapter=t.adapter)
+    return _outcome(t, out, warnings)
 
 
 def _evaluate(t_data: dict[str, list], nrows: int, expr, name: str) -> list:
@@ -304,11 +300,13 @@ def _derive(t: TemporalTable, exprs: dict, keep: list[str]) -> VerbOutcome:
     cols = {c: data[c] if c in exprs else t.columns[c] for c in keep}
     if t.index in exprs or any(k in exprs for k in t.key):
         adapter = None if t.index in exprs else t.adapter
-        return _rebuilt(t, table.build(cols, t.index, t.key, t.declared_regular, adapter=adapter))
-    return VerbOutcome(with_columns(t, cols))
+        out = table.build(cols, t.index, t.key, t.declared_regular, adapter=adapter)
+    else:
+        out = with_columns(t, cols)
+    return _outcome(t, out)
 
 
-def mutate(t: TemporalTable, **exprs) -> VerbOutcome:
+def mutate(t: TemporalTable, /, **exprs) -> VerbOutcome:
     """Add or overwrite columns; each expression sees earlier results.
 
     An expression is a callable over the row dict, a full-length list of
@@ -318,7 +316,7 @@ def mutate(t: TemporalTable, **exprs) -> VerbOutcome:
     return _derive(t, exprs, list(dict.fromkeys([*t.columns, *exprs])))
 
 
-def transmute(t: TemporalTable, **exprs) -> VerbOutcome:
+def transmute(t: TemporalTable, /, **exprs) -> VerbOutcome:
     """Like mutate, but keep only key, index, grouping columns and the
     named results."""
     by = t.groups.by if t.groups else ()
@@ -346,63 +344,67 @@ def group_by_key(t: TemporalTable) -> TemporalTable:
     return group_by(t, *t.key)
 
 
-def index_by(t: TemporalTable, spec, name: str | None = None) -> TemporalTable:
-    """Group by a coarser derived index.
+def _derived_index(t: TemporalTable, rule, name: str) -> tuple[list, IndexAdapter]:
+    """The index cells that ``index_by`` rule ``rule`` derives from ``t``,
+    one per row, and their adapter, resolved from the distinct cells.
 
-    ``spec`` is a target granularity (floor each index value to it) or a
-    callable mapping index values to new index values.  The mapping must be
-    order-preserving; summarize then uses the derived column as the index.
+    ``rule`` is a :class:`Granularity` (floor each index cell to it) or a
+    callable; each distinct tick's cell is derived once.  Raises
+    ConversionError between an ordinal and a calendar index,
+    MissingIndexError for a missing derived cell, and PreconditionError for
+    a mapping that is not order-preserving.
     """
     values = t.columns[t.index].values
-    ticks = t.ticks()
-
-    same_index = False
-    if callable(spec) and not isinstance(spec, Granularity):
-        fn = spec
-        default_name = getattr(fn, "__name__", "")
-        if not default_name or default_name == "<lambda>":
-            default_name = f"{t.index}_by"
-    else:
-        g = _require_granularity(spec)
+    if isinstance(rule, Granularity):
         src = t.adapter.granularity
-        if src is not None and Granularity.ORDINAL in (g, src) and g is not src:
+        if src is not None and Granularity.ORDINAL in (rule, src) and rule is not src:
             raise ConversionError(
-                f"cannot derive a {g.value} index from a {src.value} index"
+                f"cannot derive a {rule.value} index from a {src.value} index"
             )
-        same_index = g is src or g is Granularity.ORDINAL
-        if same_index:
-            fn = lambda v: v
-        else:
-            fn = lambda v: floor_to(v, g)
-        default_name = g.value
-
+        if rule is src or rule is Granularity.ORDINAL:
+            # An unchanged index keeps its cells, and so its adapter.
+            return values, t.adapter
+        fn = lambda v: floor_to(v, rule)
+    else:
+        fn = rule
     cells = {}
-    for v, tk in zip(values, ticks):
+    for v, tk in zip(values, t.ticks()):
         if tk not in cells:
             cells[tk] = fn(v)
             if cells[tk] is None:
                 raise MissingIndexError(
                     f"index_by maps {t.index!r} cell {t.adapter.render(v)} to a missing value"
                 )
-
-    # An unchanged index keeps its cells, and so its adapter.
-    if same_index:
-        adapter = t.adapter
-    else:
-        adapter = resolve_index(name or default_name, list(map(cells.__getitem__, ticks)))
-    index_cells = tuple(sorted(cells.items()))
-    derived_ticks = [adapter.to_ticks(d) for _, d in index_cells]
+    adapter = resolve_index(name, list(cells.values()))
+    derived_ticks = [adapter.to_ticks(cells[tk]) for tk in sorted(cells)]
     if any(map(operator.lt, derived_ticks[1:], derived_ticks)):
         raise PreconditionError("index mapping is not order-preserving")
+    return list(map(cells.__getitem__, t.ticks())), adapter
 
+
+def index_by(t: TemporalTable, spec, name: str | None = None) -> TemporalTable:
+    """Group by a coarser derived index.
+
+    ``spec`` is a target granularity (floor each index value to it) or a
+    callable mapping index values to new index values.  The mapping must be
+    order-preserving; summarize then uses the derived column as the index.
+    The grouping keeps ``spec`` itself, which ``summarize`` applies to the
+    index cells it finds.
+    """
+    if callable(spec) and not isinstance(spec, Granularity):
+        default_name = getattr(spec, "__name__", "")
+        if not default_name or default_name == "<lambda>":
+            default_name = f"{t.index}_by"
+    else:
+        spec = _require_granularity(spec)
+        default_name = spec.value
+    name = name or default_name
+    _derived_index(t, spec, name)  # refuses a bad mapping here, not in summarize
     base = t.groups or Grouping()
-    groups = replace(
-        base, index_name=name or default_name, index_cells=index_cells, index_adapter=adapter
-    )
-    return replace(t, groups=groups)
+    return replace(t, groups=replace(base, index_name=name, index_rule=spec))
 
 
-def summarize(t: TemporalTable, **aggs) -> TemporalTable:
+def summarize(t: TemporalTable, /, **aggs) -> TemporalTable:
     """Aggregate values over time: one row per (group, index) combination.
 
     Each keyword maps an output column to a ``(spec, column)`` pair, with
@@ -410,27 +412,29 @@ def summarize(t: TemporalTable, **aggs) -> TemporalTable:
     The result's key is the grouping columns; without group_by the key
     columns are dropped and the table collapses to one series.  Each
     aggregate column has the kind :func:`~temporaltable.aggregates.result_kind`
-    declares for its spec and input column, whatever cells it holds.
+    declares for its spec and input column, whatever cells it holds.  An
+    output may not take the name of a grouping column or of the result's
+    index.
     """
     grouping = t.groups or Grouping()
+    idx_name = grouping.index_name or t.index
+    by = [c for c in grouping.by if c != idx_name]
     kinds = {}
     for out_name, pair in aggs.items():
         spec, col = pair
         agg = aggregates.parse_spec(spec)[0]
         if col not in t.columns:
             raise SchemaError(f"aggregation over unknown column {col!r}")
+        if out_name in by:
+            raise SchemaError(f"summarize output {out_name!r} clashes with a grouping column")
+        if out_name == idx_name:
+            raise SchemaError(f"summarize output {out_name!r} clashes with the result's index")
         kinds[out_name] = aggregates.result_kind(agg, t.kind_of(col))
 
     if grouping.index_name:
-        idx_name = grouping.index_name
-        cells = dict(grouping.index_cells)
-        idx_values = list(map(cells.__getitem__, t.ticks()))
-        idx_adapter = grouping.index_adapter
+        idx_values, idx_adapter = _derived_index(t, grouping.index_rule, idx_name)
     else:
-        idx_name = t.index
-        idx_values = t.columns[t.index].values
-        idx_adapter = t.adapter
-    by = [c for c in grouping.by if c != idx_name]
+        idx_values, idx_adapter = t.columns[t.index].values, t.adapter
     kinds.update((c, t.kind_of(c)) for c in by)
 
     # Rows bucketed by (group cells..., index tick) in first-seen order;
@@ -492,7 +496,7 @@ def gather(t: TemporalTable, names_to: str, values_to: str, columns) -> VerbOutc
             data[values_to].values.append(t.columns[c].values[i])
 
     new_key = t.key + (names_to,)
-    return _rebuilt(t, table.build(data, t.index, new_key, t.declared_regular, adapter=t.adapter))
+    return _outcome(t, table.build(data, t.index, new_key, t.declared_regular, adapter=t.adapter))
 
 
 def spread(t: TemporalTable, key_col: str, value_col: str) -> VerbOutcome:
@@ -549,7 +553,7 @@ def spread(t: TemporalTable, key_col: str, value_col: str) -> VerbOutcome:
             data[nm].values.append(groups[gk].get(level))
 
     new_key = tuple(k for k in t.key if k != key_col)
-    return _rebuilt(t, table.build(data, t.index, new_key, t.declared_regular, adapter=t.adapter))
+    return _outcome(t, table.build(data, t.index, new_key, t.declared_regular, adapter=t.adapter))
 
 
 # --- joins ------------------------------------------------------------------
@@ -604,7 +608,7 @@ def join(t: TemporalTable, other, kind: str = "left", by=None) -> VerbOutcome:
 
     if kind in ("semi", "anti"):
         want = kind == "semi"
-        return _kept(t, [i for i, k in enumerate(left_keys) if (k in lookup) == want])
+        return _outcome(t, take(t, [i for i, k in enumerate(left_keys) if (k in lookup) == want]))
 
     by_right = {rc for _, rc in pairs}
     extra = [c for c in right if c not in by_right]
@@ -621,8 +625,8 @@ def join(t: TemporalTable, other, kind: str = "left", by=None) -> VerbOutcome:
             cols[renames[c]] = [None if js is None else values[js[0]] for js in matches]
         out = with_columns(t, cols)
         if kind == "inner":
-            return _kept(out, [i for i, js in enumerate(matches) if js])
-        return VerbOutcome(out)
+            out = take(out, [i for i, js in enumerate(matches) if js])
+        return _outcome(t, out)
 
     data: dict[str, Column | list] = {c: [] for c in t.columns}
     for c in extra:
@@ -661,4 +665,4 @@ def join(t: TemporalTable, other, kind: str = "left", by=None) -> VerbOutcome:
                 declared = table.common_kind((declared, table.infer_kind(data[c])))
             data[c] = Column(declared, data[c])
     adapter = None if adds_right else t.adapter
-    return _rebuilt(t, table.build(data, t.index, t.key, t.declared_regular, adapter=adapter))
+    return _outcome(t, table.build(data, t.index, t.key, t.declared_regular, adapter=adapter))

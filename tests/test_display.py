@@ -1,7 +1,19 @@
+import pathlib
+import re
+
 import pytest
 
 from temporaltable import IngestConfig, build, ingest, render_summary, timepoint as tp
 from conftest import DATA
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_building_a_table_prints_the_block_that_follows_it(capsys):
+    section = README.read_text(encoding="utf-8").split("## Building a table\n", 1)[1]
+    code, shown = re.findall(r"```(?:python)?\n(.*?)```", section, re.S)[:2]
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out == shown
 
 
 def test_summary_header_and_key_line(tb):

@@ -484,8 +484,8 @@ def test_fill_keeps_a_group_by_grouping(daily):
     assert summarize(filled, n=("count", "v")).key == ("k",)
 
 
-def test_fill_drops_only_the_index_by_part_of_a_grouping(daily):
+def test_fill_keeps_an_index_by_grouping(daily):
     monthly = index_by(group_by(daily, "k"), "month")
-    assert monthly.groups.index_name == "month"
-    assert fill_gaps(monthly).groups == Grouping(by=("k",))
-    assert fill_gaps(index_by(daily, "month")).groups == Grouping()
+    filled = fill_gaps(monthly, {"v": 0})
+    assert filled.groups == monthly.groups == Grouping(("k",), "month", Granularity.MONTH)
+    assert summarize(filled, n=("count", "v")).column("n") == [5, 3]

@@ -62,11 +62,11 @@ CASES = [
     ),
     (
         Grouping,
-        [("by", ()), ("index_name", None), ("index_cells", ()), ("index_adapter", None)],
-        lambda x: Grouping(("k",), index_cells=((x, x),)),
+        [("by", ()), ("index_name", None), ("index_rule", None)],
+        lambda x: Grouping(("k",), "period", (YEAR, Granularity.QUARTER)[x]),
         True,
         True,
-        "Grouping(by=('k',), index_name=None, index_cells=((0, 0),), index_adapter=None)",
+        "Grouping(by=('k',), index_name='period', index_rule=Granularity.YEAR)",
     ),
     (
         VerbOutcome,

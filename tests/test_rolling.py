@@ -427,6 +427,14 @@ def test_spec_roll_sum_is_correctly_rounded():
                       [None, 3.5, None, 5])
 
 
+@pytest.mark.parametrize("spec", ["min", "max", "quantile:0.5"])
+def test_spec_roll_window_holding_nan_gives_nan(spec):
+    t = build({"t": [1, 2, 3, 4], "v": [math.nan, 1.0, 2.0, math.nan]}, "t")
+    got = roll_by_key(t, "v", "slide", spec, 2).column("v_slide")
+    want = {"min": 1.0, "max": 2.0, "quantile:0.5": 1.5}[spec]
+    assert same_cells(got, [None, math.nan, want, math.nan])
+
+
 def test_spec_roll_min_max_keep_the_earliest_of_equal_cells():
     t = build({"t": [1, 2, 3, 4], "v": [1, 1.0, 2.0, 2]}, "t")
     assert same_cells(roll_by_key(t, "v", "slide", "min", 2).column("v_slide"),

@@ -15,10 +15,12 @@ from temporaltable import (
     PreconditionError,
     SchemaError,
     ValidityError,
+    VerbOutcome,
     Window,
     aggregates,
     arrange,
     build,
+    fill_gaps,
     filter_index,
     floor_to,
     gather,
@@ -400,6 +402,13 @@ def test_transmute_keeps_key_index_and_results(tb):
     validate_table(out)
 
 
+def test_a_result_column_may_be_named_t(tb):
+    out = mutate(tb, t=list(range(12))).table
+    assert out.column("t") == list(range(12))
+    out = transmute(tb, t=1).table
+    assert out.column_names == ["country", "gender", "year", "t"]
+
+
 # --- grouping and summarize -------------------------------------------------
 
 
@@ -577,6 +586,8 @@ def _apply_cell_by_cell(spec, values):
     numeric = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
     if name in ("sum", "mean", "quantile") and not all(numeric(v) for v in pool):
         raise SchemaError(f"{name} needs numeric cells")
+    if name in ("min", "max", "quantile") and any(isinstance(v, float) and v != v for v in pool):
+        return math.nan
     if name == "min":
         return min(pool)
     if name == "max":
@@ -629,6 +640,43 @@ def test_summarize_skips_missing_values():
     out = summarize(t, s=("sum", "v"), n=("count", "v"))
     assert out.column("s") == [1.0, None]
     assert out.column("n") == [1, 0]
+
+
+def test_summarize_output_may_be_named_t(tb):
+    out = summarize(group_by(tb, "country"), t=("sum", "count"))
+    assert out.column_names == ["country", "year", "t"]
+
+
+def test_summarize_refuses_an_output_named_as_a_grouping_column_or_the_index(tb, monkeypatch):
+    applied = []
+    monkeypatch.setattr(aggregates, "apply", lambda *args: applied.append(args))
+    with pytest.raises(SchemaError, match="output 'country' clashes with a grouping column"):
+        summarize(group_by(tb, "country"), country=("sum", "count"))
+    with pytest.raises(SchemaError, match="output 'year' clashes with the result's index"):
+        summarize(tb, year=("sum", "count"))
+    with pytest.raises(SchemaError, match="output 'count' clashes with the result's index"):
+        summarize(index_by(tb, Granularity.YEAR, name="count"), count=("sum", "count"))
+    assert applied == []
+
+
+NAN_POOLS = [[math.nan, 1.0, 2.0], [1.0, math.nan, 2.0], [1.0, 2.0, math.nan], [1, math.nan, 2]]
+
+
+@pytest.mark.parametrize("spec", ["min", "max", "quantile:0.5", "sum", "mean"])
+@pytest.mark.parametrize("pool", NAN_POOLS)
+def test_a_pool_holding_nan_aggregates_to_nan_wherever_it_sits(spec, pool):
+    assert math.isnan(aggregates.apply(spec, pool))
+    assert aggregates.apply("count", pool) == 3
+
+
+def test_summarize_gives_nan_for_a_group_holding_nan():
+    t = build({"k": ["a"] * 3 + ["b"] * 3 + ["c"] * 2, "t": [1, 2, 3] * 2 + [1, 2],
+               "v": [math.nan, 1.0, 2.0, 1.0, math.nan, 2.0, 1.0, 2.0]}, "t", ("k",))
+    per_key = index_by(group_by(t, "k"), lambda v: 0, name="all")
+    out = summarize(per_key, lo=("min", "v"), hi=("max", "v"), mid=("quantile:0.5", "v"))
+    for name in ("lo", "hi", "mid"):
+        assert [math.isnan(v) for v in out.column(name)] == [True, True, False]
+    assert out.column("hi")[2] == 2.0
 
 
 def test_summarize_rejects_bad_requests(tb):
@@ -743,16 +791,26 @@ def test_index_by_grouping_survives_a_rebuild_that_keeps_its_ticks(monthly_panel
     assert inner.groups == yearly.groups
 
 
-def test_index_by_grouping_is_dropped_with_a_warning_when_a_tick_is_new(monthly_panel):
-    yearly = index_by(monthly_panel, Granularity.YEAR)
-    extra = {"k": ["c"], "month": [tp.month(2013, 1)], "v": [0]}
-    out, warnings = join(yearly, extra, "full", by=["k", "month", "v"])
-    assert out.groups == Grouping()
-    assert warnings == ("index_by grouping 'year' dropped",)
-    later = lambda r: tp.TimePoint(r["month"].ticks + 12, Granularity.MONTH)
-    out, warnings = mutate(group_by(yearly, "k"), month=later)
+def test_index_by_grouping_is_dropped_with_a_warning_when_the_index_granularity_changes(
+    monthly_panel,
+):
+    yearly = index_by(group_by(monthly_panel, "k"), Granularity.YEAR)
+    first_day = lambda r: tp.day(*tp.start_date(r["month"]).timetuple()[:3])
+    out, warnings = mutate(yearly, month=first_day)
     assert out.groups == Grouping(("k",))
-    assert warnings == ("index_by grouping 'year' dropped",)
+    assert warnings == (
+        "index_by grouping 'year' dropped",
+        "interval changed from [1M] to [1D]",
+    )
+
+
+def test_a_rebuilt_verb_warns_when_the_interval_changes():
+    # Each series is two days apart; together they are daily.
+    t = build({"k": ["a", "a", "b", "b"], "d": [tp.day(2021, 1, d) for d in (1, 3, 2, 4)],
+               "v": [1, 2, 3, 4]}, "d", ("k",))
+    out, warnings = select(t, ["d", "v"])
+    assert out.key == () and out.column("v") == [1, 3, 2, 4]
+    assert warnings == ("interval changed from [2D] to [1D]",)
 
 
 @pytest.fixture
@@ -767,6 +825,16 @@ INDEX_BY_KEEPING_VERBS = {
     "filter_index": lambda t: filter_index(t, "2011-11 ~ 2012-01"),
     "semi_join": lambda t: join(t, {"k": ["b"]}, "semi"),
     "mutate_key": lambda t: mutate(t, k=lambda r: r["k"].upper()),
+    # a's November and b's December are new rows.
+    "fill_gaps": lambda t: VerbOutcome(
+        fill_gaps(tfilter(t, lambda r: r["v"] not in (2, 30)).table, {"v": 0})
+    ),
+    "gather": lambda t: gather(t, "name", "v", ["v"]),
+    "full_join": lambda t: join(t, {"k": ["c"], "month": [tp.month(2013, 1)], "v": [7]},
+                                "full", by=["k", "month", "v"]),
+    "mutate_index": lambda t: mutate(
+        t, month=lambda r: tp.TimePoint(r["month"].ticks + 12, Granularity.MONTH)
+    ),
 }
 
 
@@ -804,10 +872,6 @@ def test_validate_table_checks_grouping(tb):
     grouped = group_by(tb, "continent")
     with pytest.raises(SchemaError, match="grouping column 'nope' missing"):
         validate_table(replace(grouped, groups=replace(grouped.groups, by=("nope",))))
-    yearly = index_by(tb, Granularity.YEAR)
-    missing = replace(yearly.groups, index_cells=yearly.groups.index_cells[1:])
-    with pytest.raises(ValidityError, match="no cell for index 2011 at row 0"):
-        validate_table(replace(yearly, groups=missing))
 
 
 # --- index_by ---------------------------------------------------------------
