@@ -44,7 +44,7 @@ from .errors import (
 from .gaps import GapReport, count_gaps, fill_gaps, has_gaps, require_gapless, scan_gaps
 from .granularity import Granularity
 from .ingest import IngestConfig, ingest, table_to_csv
-from .interval import Interval, gcd_of_diffs, infer_interval
+from .interval import Interval
 from .rolling import (
     Window,
     pslide,
@@ -131,14 +131,12 @@ __all__ = [
     "filter_index",
     "floor_to",
     "gather",
-    "gcd_of_diffs",
     "get_adapter",
     "group_by",
     "group_by_key",
     "guess_granularity",
     "has_gaps",
     "index_by",
-    "infer_interval",
     "ingest",
     "join",
     "key_groups",

@@ -65,7 +65,8 @@ class IndexAdapter(ABC):
 
 
 class TimeIndex(IndexAdapter):
-    """TimePoint cells of one granularity and zone; the ticks are their own."""
+    """TimePoint cells of one calendar granularity and zone; the ticks are
+    their own.  An ordinal index is :class:`OrdinalIndex`, plain ints."""
 
     unit_label = None
 

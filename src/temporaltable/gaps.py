@@ -184,8 +184,7 @@ def fill_gaps(
             data[col].values.extend([cells.get(col)] * n)
 
     out = table.rows_at(replace(t, columns=data, _ticks=ticks), order)
-    interval = table._infer_for(ends, out.ticks(), t.adapter, t.declared_regular)
-    return replace(out, interval=interval, _ends=ends)
+    return replace(out, interval=table._infer_for(t, ends, out.ticks()), _ends=ends)
 
 
 def require_gapless(t: TemporalTable) -> None:

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .errors import PreconditionError
-
 
 class Granularity(Enum):
     YEAR = "year"
@@ -81,16 +79,10 @@ MS_PER_TICK = {
 
 
 def coarser_or_equal(a: Granularity, b: Granularity) -> bool:
-    """True if ``a`` is coarser than or equal to ``b``.
+    """True if calendar granularity ``a`` is coarser than or equal to ``b``.
 
-    Ordinal compares only with itself; mixing it with a calendar kind raises
-    :class:`PreconditionError`.
+    Its callers hold calendar granularities only: no TimePoint is ordinal,
+    and an ordinal window or index is refused before any comparison.
     """
-    if a is Granularity.ORDINAL or b is Granularity.ORDINAL:
-        if a is b:
-            return True
-        raise PreconditionError(
-            f"granularities {a.value!r} and {b.value!r} are incomparable"
-        )
     return _RANK[a] <= _RANK[b]
 

@@ -35,9 +35,10 @@ from .granularity import Granularity
 from .record import Record
 from .table import Column, TemporalTable, build
 from .timepoint import JSON_INT, TimePoint, guess_granularity, parse_timepoint
+from .timepoint import _INT_RE, _read_json_int
 
-# Numbers follow the JSON grammar (RFC 8259 section 6), matched whole.
-_INT_RE = re.compile(JSON_INT)
+# Numbers follow the JSON grammar (RFC 8259 section 6), matched whole; an
+# int cell and an ordinal index value share one pattern, ``_INT_RE``.
 _NUMBER_RE = re.compile(JSON_INT + r"(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
 _BOOL = {"true": True, "false": False}
 
@@ -85,10 +86,10 @@ def read_rows(cfg: IngestConfig) -> tuple[list[str], list[list[str]]]:
     return header, rows
 
 
-def _parse_each_once(cells, parse) -> list:
-    """``cells`` (raw text, "" for missing) mapped through ``parse``, which
-    sees each distinct text once; a ParseError names the first row holding
-    the text."""
+def _parse_each_once(name, cells, parse) -> list:
+    """Column ``name``'s ``cells`` (raw text, "" for missing) mapped through
+    ``parse``, which sees each distinct text once; a ParseError names the
+    column and the first row holding the text."""
     parsed = {"": None}
     try:
         for raw in cells:
@@ -96,21 +97,14 @@ def _parse_each_once(cells, parse) -> list:
                 parsed[raw] = parse(raw)
     except ParseError as exc:
         row = cells.index(raw) + 2  # the header is row 1
-        raise IngestError(f"row {row}: {exc}", row=row) from exc
+        raise IngestError(f"row {row}, column {name!r}: {exc}", row=row) from exc
     return list(map(parsed.__getitem__, cells))
 
 
 def _parse_time_cells(name, cells, gran_name, zone):
     """Parse a column's raw cells as TimePoints (or ints for ordinal)."""
     if gran_name == "ordinal":
-        def parse(raw):
-            if not _INT_RE.fullmatch(raw):
-                raise ParseError(
-                    f"{raw!r} in column {name!r} is not an ordinal (integer) index value"
-                )
-            return int(raw)
-
-        return _parse_each_once(cells, parse)
+        return _parse_each_once(name, cells, _read_json_int)
 
     if gran_name in (None, "guess"):
         first = next((raw for raw in cells if raw), None)
@@ -129,7 +123,7 @@ def _parse_time_cells(name, cells, gran_name, zone):
             raise IngestError(f"unknown granularity {gran_name!r} for column {name!r}") from None
     # Called through the module attribute on every miss, so a wrapper
     # installed on ``ingest.parse_timepoint`` sees each distinct cell.
-    return _parse_each_once(cells, lambda raw: parse_timepoint(raw, g, zone))
+    return _parse_each_once(name, cells, lambda raw: parse_timepoint(raw, g, zone))
 
 
 def _first_non_finite(values) -> int | None:

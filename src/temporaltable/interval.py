@@ -1,9 +1,11 @@
 """Interval representation and GCD-based inference.
 
 A regular interval is a positive multiple of one granularity unit, computed
-as the greatest common divisor of all consecutive within-key tick
-differences.  Irregular spacing is a user declaration, never inferred; an
-unknown interval means no key holds two distinct index values.
+by :func:`infer_from_ticks`, the one inference function, as the greatest
+common divisor of all consecutive within-key tick differences.  Irregular
+spacing is a user declaration, never inferred, and a table's interval is
+the one record of it; an unknown interval means no key holds two distinct
+index values.
 """
 
 from __future__ import annotations
@@ -12,10 +14,9 @@ import math
 import operator
 from collections.abc import Iterable, Sequence
 
-from .errors import PreconditionError, SchemaError
+from .errors import PreconditionError
 from .granularity import UNIT_LETTERS, Granularity
 from .record import Frozen, set_field
-from .timepoint import TimePoint
 
 
 class Interval(Frozen):
@@ -64,23 +65,14 @@ class Interval(Frozen):
         return self.shorthand()
 
 
-def gcd_of_diffs(diffs: Sequence[int]) -> int:
-    """GCD of a non-empty list of positive integer differences."""
-    if not diffs:
-        raise PreconditionError("gcd_of_diffs requires at least one difference")
-    for d in diffs:
-        if not isinstance(d, int) or isinstance(d, bool) or d <= 0:
-            raise PreconditionError(f"differences must be positive integers, got {d!r}")
-    return math.gcd(*diffs)
-
-
 def infer_from_ticks(
     tick_groups: Iterable[Sequence[int]],
     granularity: Granularity | None,
     regular: bool,
     unit_label: str | None = None,
 ) -> Interval:
-    """Interval from per-key tick sequences (each sorted ascending, distinct)."""
+    """Interval from per-key tick sequences (each sorted ascending, distinct);
+    irregular when ``regular`` is false, whatever the spacing."""
     if not regular:
         return Interval.irregular()
     diffs = []
@@ -90,24 +82,5 @@ def infer_from_ticks(
         return Interval.unknown()
     if min(diffs) <= 0:
         raise PreconditionError("index ticks must be sorted ascending and distinct")
-    # Ticks are ints, so their differences need none of gcd_of_diffs' checks.
     return Interval.regular(granularity, math.gcd(*diffs), unit_label)
 
-
-def infer_interval(
-    series: Iterable[Sequence[TimePoint]], declared_regular: bool = True
-) -> Interval:
-    """Infer the table interval from the index cells of each series.
-
-    Pools consecutive differences across all keys and takes their GCD, on the
-    assumption that one table carries one interval.  With ``declared_regular``
-    false the result is irregular regardless of spacing.
-    """
-    groups = [list(vals) for vals in series]
-    grans = {tp.granularity for vals in groups for tp in vals}
-    if len(grans) > 1:
-        names = ", ".join(sorted(g.value for g in grans))
-        raise SchemaError(f"mixed index granularities across keys: {names}")
-    granularity = next(iter(grans)) if grans else None
-    tick_groups = [[tp.ticks for tp in vals] for vals in groups]
-    return infer_from_ticks(tick_groups, granularity, declared_regular)

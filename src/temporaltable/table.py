@@ -42,10 +42,6 @@ from .interval import Interval, infer_from_ticks
 from .record import Frozen, Record, set_field
 from .timepoint import TimePoint
 
-# Cell kinds: "int", "real", "text", "bool", "time".  Missing cells are None.
-KINDS = ("int", "real", "text", "bool", "time")
-
-
 class Column(Record):
     __slots__ = ("kind", "values")
 
@@ -249,7 +245,6 @@ class TemporalTable:
         "index",
         "key",
         "interval",
-        "declared_regular",
         "adapter",
         "groups",
         "_ticks",
@@ -262,7 +257,6 @@ class TemporalTable:
         index: str,
         key: tuple[str, ...],
         interval: Interval,
-        declared_regular: bool,
         adapter: IndexAdapter,
         groups: Grouping | None = None,
         _ticks: list[int] | None = None,
@@ -272,7 +266,6 @@ class TemporalTable:
         self.index = index
         self.key = key
         self.interval = interval
-        self.declared_regular = declared_regular
         self.adapter = adapter
         self.groups = groups
         self._ticks = _ticks
@@ -285,6 +278,12 @@ class TemporalTable:
         if not self.columns:
             return 0
         return len(next(iter(self.columns.values())))
+
+    @property
+    def declared_regular(self) -> bool:
+        """Whether the spacing is declared regular: an irregular interval is
+        only ever declared, never inferred, so the interval records it."""
+        return self.interval.form != "irregular"
 
     @property
     def notes(self) -> tuple[str, ...]:
@@ -516,16 +515,18 @@ def build(
             f"key={first_kt!r} index={adapter.render(columns[index].values[report.positions[0]])}",
             report,
         )
-    unsorted = TemporalTable(
-        columns, index, key, Interval.unknown(), regular, adapter, _ticks=ticks
-    )
-    t = _sorted_rows(unsorted, rows_of)
-    return replace(t, interval=_infer_for(t._ends, t.ticks(), adapter, regular))
+    seed = Interval.unknown() if regular else Interval.irregular()
+    t = _sorted_rows(TemporalTable(columns, index, key, seed, adapter, _ticks=ticks), rows_of)
+    return replace(t, interval=_infer_for(t, t._ends, t.ticks()))
 
 
-def _infer_for(ends, sorted_ticks, adapter, regular) -> Interval:
+def _infer_for(t: TemporalTable, ends, sorted_ticks) -> Interval:
+    """The interval of ``t``'s index when its series end at ``ends`` and its
+    ticks are ``sorted_ticks``; irregular if ``t`` is declared so."""
     tick_groups = [sorted_ticks[a:b] for a, b in zip([0, *ends], ends)]
-    return infer_from_ticks(tick_groups, adapter.granularity, regular, adapter.unit_label)
+    return infer_from_ticks(
+        tick_groups, t.adapter.granularity, t.declared_regular, t.adapter.unit_label
+    )
 
 
 def _contiguous_groups(columns, key, nrows) -> list[tuple[tuple, range]]:
@@ -600,8 +601,7 @@ def take(t: TemporalTable, rows: Sequence[int]) -> TemporalTable:
     out = rows_at(t, rows)
     cut = [bisect_left(rows, end) for end in t._ends]
     ends = [b for a, b in zip([0, *cut], cut) if b > a]
-    interval = _infer_for(ends, out.ticks(), t.adapter, t.declared_regular)
-    return replace(out, interval=interval, _ends=ends)
+    return replace(out, interval=_infer_for(t, ends, out.ticks()), _ends=ends)
 
 
 def with_columns(t: TemporalTable, columns: Mapping[str, Column | list]) -> TemporalTable:
@@ -667,6 +667,6 @@ def validate_table(t: TemporalTable) -> None:
     runs = [r.stop for _, r in _contiguous_groups(t.columns, t.key, n)]
     if t._ends != runs:
         raise ValidityError("stored series ends do not match the runs of equal key cells")
-    expected = _infer_for(runs, ticks, t.adapter, t.declared_regular)
+    expected = _infer_for(t, runs, ticks)
     if t.interval != expected:
         raise ValidityError(f"stored interval {t.interval} does not match re-inference {expected}")

@@ -5,7 +5,9 @@ A :class:`TimePoint` stores a signed tick count since the Unix epoch
 1970-01, days since 1970-01-01, seconds since the epoch instant, and so on.
 Weeks are ISO weeks starting Monday; week 0 is the week containing the epoch.
 Integer ticks keep interval arithmetic exact, which the GCD-based interval
-inference relies on.
+inference relies on.  A point is calendar time: an ordinal index (simulation
+steps, survey waves) holds plain ints, whose text is a JSON int, and no
+TimePoint has the ordinal granularity.
 
 Sub-daily ticks are UTC instants.  An optional zone label changes how a point
 renders and how it floors to day-or-coarser granularities; it never changes
@@ -77,6 +79,8 @@ class TimePoint(Frozen):
     def __init__(self, ticks: int, granularity: Granularity, zone: str | None = None):
         if not isinstance(ticks, int) or isinstance(ticks, bool):
             raise PreconditionError(f"ticks must be an integer, got {ticks!r}")
+        if granularity is Granularity.ORDINAL:
+            raise PreconditionError("an ordinal index holds plain ints, not TimePoints")
         _set_ticks(self, ticks)
         _set_granularity(self, granularity)
         _set_zone(self, zone)
@@ -118,13 +122,6 @@ class TimePoint(Frozen):
 
     def render(self) -> str:
         return render_timepoint(self)
-
-    def floor_to(self, g: Granularity) -> "TimePoint":
-        return floor_to(self, g)
-
-    @staticmethod
-    def parse(text: str, granularity, zone: str | None = None) -> "TimePoint":
-        return parse_timepoint(text, granularity, zone)
 
 
 # A point is made for each distinct cell read and each index value made, so
@@ -225,8 +222,6 @@ def _ticks_from_civil(
 def start_date(tp: TimePoint) -> date:
     """Civil start date of the period ``tp`` denotes (local date for sub-daily)."""
     g = tp.granularity
-    if g is Granularity.ORDINAL:
-        raise ConversionError("ordinal ticks have no calendar date")
     if g.is_subdaily:
         return _civil_datetime(tp).date()
     return _date_from_ticks(tp.ticks, g)
@@ -288,10 +283,6 @@ def millisecond(
     )
 
 
-def ordinal(n: int) -> TimePoint:
-    return TimePoint(n, Granularity.ORDINAL)
-
-
 # --- flooring --------------------------------------------------------------
 
 def floor_to(t: TimePoint, g) -> TimePoint:
@@ -300,14 +291,12 @@ def floor_to(t: TimePoint, g) -> TimePoint:
     ``g`` must be coarser than or equal to ``t.granularity``.  Sub-daily to
     sub-daily flooring is exact division on UTC ticks; flooring into a
     day-or-coarser granularity goes through the zone-local civil date.
-    Ordinal points only floor to themselves.
+    A calendar point has no ordinal floor.
     """
     g = _require_granularity(g)
-    if t.granularity is Granularity.ORDINAL or g is Granularity.ORDINAL:
-        if t.granularity is g:
-            return t
+    if g is Granularity.ORDINAL:
         raise ConversionError(
-            f"cannot floor {t.granularity.value} to {g.value}: ordinal and "
+            f"cannot floor {t.granularity.value} to ordinal: ordinal and "
             "calendar granularities do not mix"
         )
     if not coarser_or_equal(g, t.granularity):
@@ -329,8 +318,6 @@ def render_timepoint(tp: TimePoint) -> str:
         return _render_clock(tp, g, unit)
     if g is Granularity.DAY:
         return date.fromordinal(tp.ticks + _EPOCH_ORDINAL).isoformat()
-    if g is Granularity.ORDINAL:
-        return str(tp.ticks)
     if g is Granularity.YEAR:
         return str(1970 + tp.ticks)
     if g is Granularity.QUARTER:
@@ -387,6 +374,23 @@ def _offset_text(offset: timedelta) -> str:
 # A JSON int (RFC 8259 section 6): the text of an ordinal index value, and
 # of an int cell in CSV.
 JSON_INT = r"-?(?:0|[1-9][0-9]*)"
+_INT_RE = re.compile(JSON_INT)
+
+
+def _read_json_int(text: str) -> int:
+    """An ordinal index value: ``text``, matched whole, as a JSON int.
+
+    >>> _read_json_int("-42")
+    -42
+    >>> _read_json_int("007")
+    Traceback (most recent call last):
+    ...
+    temporaltable.errors.ParseError: '007' is not an ordinal (integer) index value
+    """
+    if not _INT_RE.fullmatch(text):
+        raise ParseError(f"{text!r} is not an ordinal (integer) index value")
+    return int(text)
+
 
 # Digits are ASCII: ``\d`` would take any Unicode decimal digit.
 _DATE = r"([0-9]{4})-([0-9]{2})-([0-9]{2})"
@@ -431,7 +435,7 @@ def _clock(g: Granularity):
 # The text forms, in guessing order: (granularity, pattern matched whole,
 # maker of the point from the zone and the match's groups, guessable).
 # Parsing tries the rows of its granularity; guessing takes the first
-# guessable row that matches.  Hour and ordinal are never guessed.
+# guessable row that matches.  Hour is never guessed.
 _FORMS = tuple(
     (g, re.compile(pattern), make, guessable)
     for g, pattern, make, guessable in (
@@ -453,7 +457,6 @@ _FORMS = tuple(
             True,
         ),
         (Granularity.YEAR, r"(-?[0-9]+)", _on_ints(year), True),
-        (Granularity.ORDINAL, "(" + JSON_INT + ")", _on_ints(ordinal), False),
     )
 )
 _FORMS_OF = {g: tuple((p, make) for h, p, make, _ in _FORMS if h is g) for g in Granularity}
@@ -463,7 +466,8 @@ def parse_timepoint(text: str, granularity, zone: str | None = None) -> TimePoin
     """Parse canonical text at a declared granularity.
 
     Surrounding whitespace is stripped, and a "T" date-time separator is
-    accepted on input.  Ordinal values are JSON ints.  The canonical forms:
+    accepted on input.  No text parses as an ordinal point: an ordinal index
+    holds ints (see ``_read_json_int``).  The canonical forms:
 
     >>> parse_timepoint("2011", "year")
     TimePoint('2011', 'year')
@@ -483,12 +487,6 @@ def parse_timepoint(text: str, granularity, zone: str | None = None) -> TimePoin
     TimePoint('2011-07-05 17:45:00', 'second')
     >>> parse_timepoint("2011-07-05 17:45:00.123", "millisecond")
     TimePoint('2011-07-05 17:45:00.123', 'millisecond')
-    >>> parse_timepoint("-42", "ordinal")
-    TimePoint('-42', 'ordinal')
-    >>> parse_timepoint("007", "ordinal")
-    Traceback (most recent call last):
-    ...
-    temporaltable.errors.ParseError: cannot parse '007' as ordinal
     """
     g = _require_granularity(granularity)
     text = text.strip()

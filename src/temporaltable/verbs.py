@@ -79,6 +79,7 @@ from .table import (
     with_columns,
 )
 from .timepoint import (
+    _read_json_int,
     _require_granularity,
     floor_to,
     guess_granularity,
@@ -192,7 +193,7 @@ def _window_edge(t: TemporalTable, text: str, ticks: list[int], side) -> int:
         raise ParseError("cannot filter the index of an empty table by time")
     if g is Granularity.ORDINAL:
         # Any ordinal index, plain ints or an adapter's, reads JSON ints.
-        return side(ticks, parse_timepoint(text, g).ticks)
+        return side(ticks, _read_json_int(text))
     try:
         # The index's own text, hours included, which are never guessed.
         point_g, point = g, parse_timepoint(text, g, t.adapter.zone)
@@ -414,11 +415,13 @@ def summarize(t: TemporalTable, /, **aggs) -> TemporalTable:
     aggregate column has the kind :func:`~temporaltable.aggregates.result_kind`
     declares for its spec and input column, whatever cells it holds.  An
     output may not take the name of a grouping column or of the result's
-    index.
+    index, and neither may a grouping column.
     """
     grouping = t.groups or Grouping()
     idx_name = grouping.index_name or t.index
-    by = [c for c in grouping.by if c != idx_name]
+    by = grouping.by
+    if idx_name in by:
+        raise SchemaError(f"grouping column {idx_name!r} clashes with the result's index")
     kinds = {}
     for out_name, pair in aggs.items():
         spec, col = pair
@@ -457,7 +460,7 @@ def summarize(t: TemporalTable, /, **aggs) -> TemporalTable:
             out[out_name].append(aggregates.apply(spec, [t.columns[col].values[i] for i in rows]))
 
     columns = {c: Column(kinds[c], v) if c in kinds else v for c, v in out.items()}
-    return table.build(columns, idx_name, tuple(by), t.declared_regular, adapter=idx_adapter)
+    return table.build(columns, idx_name, by, t.declared_regular, adapter=idx_adapter)
 
 
 # --- reshaping verbs --------------------------------------------------------

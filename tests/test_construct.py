@@ -111,7 +111,7 @@ def test_duplicates_empty_iff_build_succeeds():
 
 
 def test_minimal_duplicate_both_rows_reported():
-    raw = {"t": [tp.ordinal(1), tp.ordinal(1)], "v": [1, 2]}
+    raw = {"t": [1, 1], "v": [1, 2]}
     report = duplicates(raw, "t")
     assert report.positions == [0, 1]
 
@@ -143,10 +143,10 @@ def test_schema_validation():
 
 
 def test_mixed_int_real_promotes():
-    t = build({"t": [tp.ordinal(1), tp.ordinal(2)], "v": [1, 2.5]}, "t")
+    t = build({"t": [1, 2], "v": [1, 2.5]}, "t")
     assert t.kind_of("v") == "real"
     with pytest.raises(SchemaError):
-        build({"t": [tp.ordinal(1), tp.ordinal(2)], "v": [1, "x"]}, "t")
+        build({"t": [1, 2], "v": [1, "x"]}, "t")
 
 
 def test_one_promotion_rule():

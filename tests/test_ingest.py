@@ -21,6 +21,7 @@ from temporaltable import (
     table_to_csv,
     timepoint as tp,
 )
+from temporaltable.adapters import OrdinalIndex
 from temporaltable.ingest import (
     _parse_time_cells,
     read_cell,
@@ -85,8 +86,24 @@ def test_ordinal_index_reads_the_json_int_grammar(tmp_path, cell):
     path = write(tmp_path, f"t,v\n-2,a\n0,b\n{cell},c\n")
     with pytest.raises(IngestError) as info:
         ingest(IngestConfig(path, index="t", time_format={"t": "ordinal"}))
-    assert str(info.value).startswith(f"row 4: {cell!r} in column 't' is not an ordinal")
+    assert str(info.value).startswith(f"row 4, column 't': {cell!r} is not an ordinal")
     assert info.value.row == 4
+
+
+def test_ordinal_csv_round_trip(tmp_path):
+    # An ordinal index is plain ints, so what table_to_csv writes reads
+    # back as the same table: an OrdinalIndex of int cells, same interval.
+    t = build({"k": ["a", "a", "b", "b", "b"], "t": [-4, 2, 0, 3, 9], "v": [1, 2, 3, 4, 5]},
+              "t", ("k",))
+    path = write(tmp_path, table_to_csv(t))
+    back = ingest(IngestConfig(path, index="t", key=("k",), time_format={"t": "ordinal"}))
+    assert back == t
+    assert isinstance(back.adapter, OrdinalIndex)
+    assert back.kind_of("t") == "int" and back.interval == t.interval
+    assert back.interval.shorthand() == "[3]"
+    bad = write(tmp_path, table_to_csv(t).replace("\nb,3,", "\nb,03,"), "bad.csv")
+    with pytest.raises(IngestError, match="^row 5, column 't': '03' is not an ordinal"):
+        ingest(IngestConfig(bad, index="t", key=("k",), time_format={"t": "ordinal"}))
 
 
 def test_declared_granularity_beats_guessing(tmp_path):
@@ -345,7 +362,7 @@ def _cell_by_cell(cells, gran_name, zone):
             try:
                 values += _parse_time_cells("t", (raw,), "ordinal", zone)
             except IngestError as exc:
-                return None, str(exc).replace("row 2:", f"row {row}:", 1), row
+                return None, str(exc).replace("row 2,", f"row {row},", 1), row
         return values, None, None
     if gran_name is None:
         first = next((raw for raw in cells if raw), None)
@@ -360,7 +377,7 @@ def _cell_by_cell(cells, gran_name, zone):
         try:
             values.append(parse_timepoint(raw, g, zone) if raw else None)
         except ParseError as exc:
-            return None, f"row {row}: {exc}", row
+            return None, f"row {row}, column 't': {exc}", row
     return values, None, None
 
 

@@ -1,4 +1,5 @@
 import random
+from itertools import accumulate
 
 import pytest
 
@@ -7,69 +8,78 @@ from temporaltable import (
     Interval,
     PreconditionError,
     SchemaError,
-    gcd_of_diffs,
-    infer_interval,
+    build,
     timepoint as tp,
 )
+from temporaltable.interval import infer_from_ticks
+
+
+def _infer(groups, regular=True):
+    return infer_from_ticks(groups, Granularity.ORDINAL, regular)
+
+
+def _multiple(diffs):
+    """The inferred multiple of one series whose ticks step by ``diffs``."""
+    return _infer([list(accumulate([0, *diffs]))]).multiple
 
 
 def test_gcd_examples():
-    assert gcd_of_diffs([1, 1, 1]) == 1
-    assert gcd_of_diffs([4, 6, 10]) == 2
-    assert gcd_of_diffs([7]) == 7
+    assert _multiple([1, 1, 1]) == 1
+    assert _multiple([4, 6, 10]) == 2
+    assert _multiple([7]) == 7
 
 
 def test_gcd_bad_inputs():
+    assert _infer([]) == _infer([[5], []]) == Interval.unknown()
     with pytest.raises(PreconditionError):
-        gcd_of_diffs([])
+        _infer([[0, 3, 3]])
     with pytest.raises(PreconditionError):
-        gcd_of_diffs([3, 0])
-    with pytest.raises(PreconditionError):
-        gcd_of_diffs([3, -2])
-    with pytest.raises(PreconditionError):
-        gcd_of_diffs([True, 2])
+        _infer([[0, 3, 1]])
 
 
 def test_gcd_divides_all_and_is_maximal():
     rng = random.Random(5)
     for _ in range(300):
         diffs = [rng.randrange(1, 60) for _ in range(rng.randrange(1, 6))]
-        g = gcd_of_diffs(diffs)
+        g = _multiple(diffs)
         assert all(d % g == 0 for d in diffs)
         for candidate in range(g + 1, max(diffs) + 1):
             assert not all(d % candidate == 0 for d in diffs)
 
 
 def test_infer_two_years_per_key():
-    groups = [[tp.year(2011), tp.year(2012)] for _ in range(6)]
-    iv = infer_interval(groups)
-    assert iv == Interval.regular(Granularity.YEAR, 1)
-    assert iv.shorthand() == "[1Y]"
+    t = build({"k": [k for k in "abcdef" for _ in range(2)],
+               "y": [tp.year(2011), tp.year(2012)] * 6}, "y", ["k"])
+    assert t.interval == Interval.regular(Granularity.YEAR, 1)
+    assert t.interval.shorthand() == "[1Y]"
 
 
 def test_infer_single_observation_per_key_is_unknown():
-    iv = infer_interval([[tp.year(2011)], [tp.year(2014)]])
-    assert iv == Interval.unknown()
-    assert iv.shorthand() == "[?]"
+    t = build({"k": ["a", "b"], "y": [tp.year(2011), tp.year(2014)]}, "y", ["k"])
+    assert t.interval == Interval.unknown()
+    assert t.interval.shorthand() == "[?]"
 
 
 def test_infer_declared_irregular():
-    groups = [[tp.second(2017, 8, 3, 17, 45, 0), tp.second(2017, 8, 3, 19, 2, 13)]]
-    iv = infer_interval(groups, declared_regular=False)
-    assert iv == Interval.irregular()
-    assert iv.shorthand() == "[!]"
+    s = [tp.second(2017, 8, 3, 17, 45, 0), tp.second(2017, 8, 3, 19, 2, 13)]
+    t = build({"s": s}, "s", regular=False)
+    assert t.interval == Interval.irregular() and not t.declared_regular
+    assert t.interval.shorthand() == "[!]"
+    assert _infer([[0, 1, 2]], regular=False) == Interval.irregular()
 
 
 def test_infer_mixed_granularities_rejected():
     with pytest.raises(SchemaError):
-        infer_interval([[tp.year(2011), tp.year(2012)], [tp.month(2011, 1), tp.month(2011, 2)]])
+        build({"k": ["a", "a", "b", "b"],
+               "t": [tp.year(2011), tp.year(2012), tp.month(2011, 1), tp.month(2011, 2)]},
+              "t", ["k"])
 
 
 def test_infer_requires_sorted_distinct():
     with pytest.raises(PreconditionError):
-        infer_interval([[tp.year(2012), tp.year(2011)]])
+        _infer([[2012, 2011]])
     with pytest.raises(PreconditionError):
-        infer_interval([[tp.year(2011), tp.year(2011)]])
+        _infer([[2011, 2011]])
 
 
 def test_infer_permutation_invariant():
@@ -77,13 +87,13 @@ def test_infer_permutation_invariant():
     groups = []
     for _ in range(5):
         start = rng.randrange(0, 50)
-        groups.append([tp.month(2000, 1).ticks + start + 3 * j for j in range(4)])
-    groups = [[tp.TimePoint(t, Granularity.MONTH) for t in g] for g in groups]
-    base = infer_interval(groups)
+        groups.append([start + 3 * j for j in range(4)])
+    base = infer_from_ticks(groups, Granularity.MONTH, True)
+    assert base == Interval.regular(Granularity.MONTH, 3)
     for _ in range(5):
         shuffled = groups[:]
         rng.shuffle(shuffled)
-        assert infer_interval(shuffled) == base
+        assert infer_from_ticks(shuffled, Granularity.MONTH, True) == base
 
 
 def test_inferred_multiple_divides_every_diff():
@@ -93,13 +103,12 @@ def test_inferred_multiple_divides_every_diff():
         groups = []
         for _ in range(rng.randrange(1, 4)):
             anchor = rng.randrange(0, 100)
-            ticks = sorted({anchor + m * rng.randrange(0, 20) for _ in range(6)})
-            groups.append([tp.ordinal(t) for t in ticks])
-        iv = infer_interval(groups)
+            groups.append(sorted({anchor + m * rng.randrange(0, 20) for _ in range(6)}))
+        iv = _infer(groups)
         if iv.is_regular:
             for g in groups:
                 for a, b in zip(g, g[1:]):
-                    assert (b.ticks - a.ticks) % iv.multiple == 0
+                    assert (b - a) % iv.multiple == 0
 
 
 def test_shorthand_unit_letters():

@@ -112,8 +112,8 @@ CASES = [
     ),
     (
         TemporalTable,
-        [("columns", E), ("index", E), ("key", E), ("interval", E), ("declared_regular", E),
-         ("adapter", E), ("groups", None), ("_ticks", None), ("_ends", None)],
+        [("columns", E), ("index", E), ("key", E), ("interval", E), ("adapter", E),
+         ("groups", None), ("_ticks", None), ("_ends", None)],
         _table,
         False,
         False,
@@ -174,10 +174,10 @@ def test_ingest_config_time_formats_are_not_shared():
 
 def test_replace_derives_a_table_or_a_grouping():
     t = group_by(_table(), "k")
-    irregular = replace(t, declared_regular=False)
+    irregular = replace(t, interval=Interval.irregular())
     assert not irregular.declared_regular and t.declared_regular
     for name in TemporalTable.__slots__:
-        if name != "declared_regular":
+        if name != "interval":
             assert getattr(irregular, name) is getattr(t, name), name
     groups = replace(t.groups, index_name="decade")
     assert groups == Grouping(("k",), "decade") and t.groups == Grouping(("k",))

@@ -19,6 +19,7 @@ from temporaltable import (
     timepoint as tp,
 )
 from temporaltable.granularity import MS_PER_TICK
+from temporaltable.timepoint import _read_json_int
 
 EPOCH = date(1970, 1, 1)
 
@@ -112,8 +113,7 @@ def test_flooring_idempotent_and_monotone():
 
 def test_flooring_errors():
     with pytest.raises(ConversionError):
-        floor_to(tp.ordinal(3), Granularity.YEAR)
-    assert floor_to(tp.ordinal(3), Granularity.ORDINAL) == tp.ordinal(3)
+        floor_to(tp.year(2011), Granularity.ORDINAL)
     with pytest.raises(PreconditionError):
         floor_to(tp.year(2011), Granularity.DAY)
 
@@ -134,7 +134,6 @@ RENDERED = [
     (tp.minute(2011, 7, 5, 17, 45), "2011-07-05 17:45"),
     (tp.second(2011, 7, 5, 17, 45, 0), "2011-07-05 17:45:00"),
     (tp.millisecond(2011, 7, 5, 17, 45, 0, 123), "2011-07-05 17:45:00.123"),
-    (tp.ordinal(42), "42"),
 ]
 
 
@@ -253,12 +252,22 @@ def test_grammar_pinned(text, g, parsed, guessed):
 @pytest.mark.parametrize("text", ["+5", "007", "٣", "1_0", "1.0"])
 def test_ordinal_text_is_a_json_int(text):
     with pytest.raises(ParseError):
-        parse_timepoint(text, "ordinal")
+        _read_json_int(text)
 
 
 def test_ordinal_text_reads_json_ints():
-    for text, n in [("-2", -2), ("0", 0), ("-0", 0), (" 6 ", 6), ("10", 10)]:
-        assert parse_timepoint(text, "ordinal") == tp.ordinal(n)
+    for text, n in [("-2", -2), ("0", 0), ("-0", 0), ("10", 10)]:
+        assert _read_json_int(text) == n
+    # The text is matched whole; its callers strip what they read.
+    with pytest.raises(ParseError):
+        _read_json_int(" 6 ")
+
+
+def test_an_ordinal_index_is_plain_ints():
+    with pytest.raises(PreconditionError):
+        TimePoint(0, Granularity.ORDINAL)
+    with pytest.raises(ParseError):
+        parse_timepoint("42", "ordinal")
 
 
 def test_local_times_skipped_by_dst_are_rejected():

@@ -10,6 +10,7 @@ from temporaltable import (
     ConversionError,
     DuplicateIndexError,
     Granularity,
+    IndexAdapter,
     MissingIndexError,
     ParseError,
     PreconditionError,
@@ -133,13 +134,29 @@ def test_filter_index_ordinal():
         filter_index(t, "2011-07")
 
 
-@pytest.mark.parametrize("points", [False, True], ids=["ints", "ordinal_points"])
-def test_filter_index_ordinal_endpoints_are_json_ints(points):
-    # Plain int cells and tp.ordinal cells both index ordinal ticks, and
-    # both read their endpoints by the JSON int grammar, as ingest does.
+class _Steps(IndexAdapter):
+    """An ordinal index an adapter supplies: cell ``"s<n>"`` is tick n."""
+
+    name = "steps"
+    unit_label = "st"
+    sample_values = ("s0", "s1")
+
+    def to_ticks(self, value):
+        if not isinstance(value, str) or value[:1] != "s":
+            raise ValueError(value)
+        return int(value[1:])
+
+    def from_ticks(self, ticks):
+        return f"s{ticks}"
+
+
+@pytest.mark.parametrize("adapter", [None, _Steps()], ids=["ints", "adapter"])
+def test_filter_index_ordinal_endpoints_are_json_ints(adapter):
+    # Plain int cells and an adapter's ordinal cells both read their
+    # endpoints as ticks, by the JSON int grammar, as ingest does.
     ticks = [-2, 0, 5, 6, 10]
-    cells = [tp.ordinal(n) for n in ticks] if points else ticks
-    t = build({"t": cells, "v": [1, 2, 3, 4, 5]}, "t")
+    cells = [f"s{n}" for n in ticks] if adapter else ticks
+    t = build({"t": cells, "v": [1, 2, 3, 4, 5]}, "t", adapter=adapter)
     for text in ("+5", "1_0", "007", "\u0663", "+5 ~", "~ 1_0"):
         with pytest.raises(ParseError):
             filter_index(t, text)
@@ -214,7 +231,7 @@ def test_filter_index_refuses_finer_or_calendar_windows():
     years = build({"y": _run_of(tp.year(2010), 3)}, "y")
     with pytest.raises(PreconditionError, match="finer"):
         filter_index(years, "2011-07")
-    steps = build({"t": _run_of(tp.ordinal(3), 3)}, "t")
+    steps = build({"t": [3, 4, 5]}, "t")
     with pytest.raises(ParseError):
         filter_index(steps, "2011-07")
     with pytest.raises(ParseError):
@@ -657,6 +674,57 @@ def test_summarize_refuses_an_output_named_as_a_grouping_column_or_the_index(tb,
     with pytest.raises(SchemaError, match="output 'count' clashes with the result's index"):
         summarize(index_by(tb, Granularity.YEAR, name="count"), count=("sum", "count"))
     assert applied == []
+
+
+@pytest.mark.parametrize("order", ["index_by_then_group_by", "group_by_then_index_by"])
+def test_summarize_refuses_a_grouping_column_named_as_the_derived_index(monkeypatch, order):
+    # Two series; an index named as a grouping column would merge them.
+    t = build({"k": ["a", "a", "b", "b"], "m": [tp.month(2011, 1), tp.month(2011, 2)] * 2,
+               "v": [1, 2, 3, 4]}, "m", ("k",))
+    if order == "index_by_then_group_by":
+        grouped = group_by(index_by(t, "year", name="k"), "k")
+    else:
+        grouped = index_by(group_by(t, "k"), "year", name="k")
+    applied = []
+    monkeypatch.setattr(aggregates, "apply", lambda *args: applied.append(args))
+    with pytest.raises(SchemaError, match="grouping column 'k' clashes with the result's index"):
+        summarize(grouped, s=("sum", "v"))
+    assert applied == []
+
+
+def _irregular():
+    return build({"k": ["a"] * 3 + ["b"] * 3, "j": ["x"] * 6, "t": [1, 3, 7, 2, 3, 9],
+                  "v": [1, 2, 3, 4, 5, 6], "w": [10, 20, 30, 40, 50, 60]},
+                 "t", ("k", "j"), regular=False)
+
+
+IRREGULAR_VERBS = {
+    "filter": lambda t: tfilter(t, lambda r: r["v"] > 1).table,
+    "filter_index": lambda t: filter_index(t, "2 ~ 7").table,
+    "select_keeping_keys": lambda t: select(t, ["k", "j", "t", "v"]).table,
+    "select_dropping_a_key": lambda t: select(t, ["k", "t", "v"]).table,
+    "mutate_measure": lambda t: mutate(t, v=lambda r: r["v"] * 2).table,
+    "mutate_index": lambda t: mutate(t, t=lambda r: r["t"] * 2).table,
+    "transmute": lambda t: transmute(t, u=lambda r: r["v"] + r["w"]).table,
+    "gather": lambda t: gather(t, "name", "value", ["v", "w"]).table,
+    "spread": lambda t: spread(gather(t, "name", "value", ["v", "w"]).table, "name", "value").table,
+    "join_left": lambda t: join(t, {"k": ["a", "b"], "z": [1, 2]}, "left", by=["k"]).table,
+    "join_semi": lambda t: join(t, {"k": ["a"]}, "semi", by=["k"]).table,
+    "join_full": lambda t: join(t, {"k": ["c"], "j": ["x"], "t": [4], "z": [1]}, "full").table,
+    "summarize": lambda t: summarize(t, s=("sum", "v")),
+    "summarize_index_by": lambda t: summarize(
+        index_by(group_by(t, "k"), lambda v: v // 4, name="p"), s=("sum", "v")),
+}
+
+
+@pytest.mark.parametrize("verb", list(IRREGULAR_VERBS))
+def test_an_irregular_declaration_survives_every_verb(verb):
+    t = _irregular()
+    assert t.interval.shorthand() == "[!]"
+    out = IRREGULAR_VERBS[verb](t)
+    assert out.nrows > 0
+    assert out.interval.shorthand() == "[!]" and not out.declared_regular
+    validate_table(out)
 
 
 NAN_POOLS = [[math.nan, 1.0, 2.0], [1.0, math.nan, 2.0], [1.0, 2.0, math.nan], [1, math.nan, 2]]
