@@ -20,7 +20,7 @@ from operator import attrgetter
 
 from .errors import RegistrationError, SchemaError
 from .granularity import Granularity
-from .timepoint import TimePoint
+from .timepoint import TimePoint, _is_utc
 
 
 class IndexAdapter(ABC):
@@ -167,7 +167,8 @@ def resolve_index(
     """The adapter for index column ``name``: ``adapter`` if given as one or
     as a registered name, else the first kind that takes every value:
     TimePoints of one granularity and zone, a registered adapter, plain ints.
-    Zero values give :class:`EmptyIndex`.
+    Zero values give :class:`EmptyIndex`.  None and any case of "UTC" are
+    one zone, and an index that spells it more than one way reads as None.
     """
     if isinstance(adapter, IndexAdapter):
         return adapter
@@ -185,9 +186,9 @@ def resolve_index(
             names = ", ".join(sorted(g.value for g in grans))
             raise SchemaError(f"index column {name!r} mixes granularities: {names}")
         zones = set(map(_zone, present))
-        if len(zones) > 1:
+        if len(zones) > 1 and not all(map(_is_utc, zones)):
             raise SchemaError(f"index column {name!r} mixes time zones: {sorted(map(str, zones))}")
-        return TimeIndex(grans.pop(), zones.pop())
+        return TimeIndex(grans.pop(), zones.pop() if len(zones) == 1 else None)
     for ad in registered_adapters():
         if all(map(ad.claims, present)):
             return ad

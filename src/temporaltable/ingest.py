@@ -8,7 +8,8 @@ and so does a number too large for a float ("1e999"), since JSON numbers
 are finite.  Empty cells are missing.  The index column is parsed as time:
 either at a declared granularity, or by guessing from its first non-empty
 value ("ordinal" declares an index of JSON ints).  Output refuses a real
-column holding inf or nan by the same rule.
+column holding inf or nan by the same rule, and an empty text cell, which
+would read back as missing.
 
 Both ends work a column at a time and touch each distinct time cell once.
 A time column keeps a dict from raw text to its parsed value, so a day that
@@ -208,12 +209,18 @@ def _quoted(text: str) -> str:
     return '"' + text.replace('"', '""') + '"'
 
 
-def _quoted_each(texts: list) -> list[str]:
-    """``texts`` (None for missing) as CSV fields, each distinct text
-    quoted once."""
+def _quoted_each(name: str, texts: list) -> list[str]:
+    """Column ``name``'s ``texts`` (None for missing) as CSV fields, each
+    distinct text quoted once.  Raises SchemaError for an empty text: its
+    field would read back as a missing cell."""
     fields = dict.fromkeys(texts)
+    if "" in fields:
+        raise SchemaError(
+            f"column {name!r} holds an empty text at row {texts.index('')}; "
+            "CSV reads an empty field as missing"
+        )
     for text in fields:
-        fields[text] = _quoted(text) if text else ""
+        fields[text] = "" if text is None else _quoted(text)
     return list(map(fields.__getitem__, texts))
 
 
@@ -255,10 +262,13 @@ def write_csv(stream, header, rows) -> None:
 
     Raises SchemaError, before writing anything, when a cell is an inf or
     nan float, naming the leftmost such column and its first such row, as
-    :func:`table_to_csv` does."""
+    :func:`table_to_csv` does, and then for the first empty text cell."""
     columns = list(zip(*rows)) or [()] * len(header)
     _check_finite(zip(header, columns))
-    fields = [_quoted_each(list(map(render_cell, cells))) for cells in columns]
+    fields = [
+        _quoted_each(name, [v if v is None else render_cell(v) for v in cells])
+        for name, cells in zip(header, columns)
+    ]
     stream.write(_csv_text(header, fields))
 
 
@@ -285,7 +295,7 @@ def _time_fields(values, render) -> list[str]:
 _BOOL_TEXT = {None: "", True: "true", False: "false"}
 
 
-def _fields(col: Column, render) -> list[str]:
+def _fields(name: str, col: Column, render) -> list[str]:
     """The cells of ``col`` as CSV fields, rendered by its declared kind:
     reals by ``repr``, ints by ``str``, bools as ``true``/``false`` and time
     cells by ``render``.  Only text and time fields can need quotes."""
@@ -298,7 +308,7 @@ def _fields(col: Column, render) -> list[str]:
         return list(map(_BOOL_TEXT.__getitem__, values))
     if col.kind == "time":
         return _time_fields(values, render)
-    return _quoted_each(values)
+    return _quoted_each(name, values)
 
 
 def table_to_csv(t: TemporalTable, stream=None) -> str | None:
@@ -309,10 +319,11 @@ def table_to_csv(t: TemporalTable, stream=None) -> str | None:
     shows them.  It is built column by column: each column is rendered by
     its declared kind, a time column once per distinct point, and the rows
     are joined and written in one piece.  Raises SchemaError, before
-    writing anything, when a real column holds an inf or nan cell."""
+    writing anything, when a real column holds an inf or nan cell, and
+    then when a text column holds an empty text."""
     _check_finite((name, col.values) for name, col in t.columns.items() if col.kind == "real")
     fields = [
-        _fields(col, t.adapter.render if name == t.index else render_cell)
+        _fields(name, col, t.adapter.render if name == t.index else render_cell)
         for name, col in t.columns.items()
     ]
     text = _csv_text(t.column_names, fields)

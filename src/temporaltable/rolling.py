@@ -253,8 +253,6 @@ def roll_by_key(
     w = check_window(op, w)
     if workers is not None:
         _positive_int(workers, "workers")
-    if column not in t.columns:
-        raise SchemaError(f"no column named {column!r}")
     if t.kind_of(column) not in ("int", "real"):
         raise PreconditionError(f"column {column!r} is not numeric")
     if t.interval.form == "irregular":

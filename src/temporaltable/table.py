@@ -230,9 +230,9 @@ class TemporalTable:
 
     Instances are treated as immutable: every operation returns a new table.
     Do not mutate the lists returned by :meth:`column`.  Tables are made by
-    :func:`build`, moved row-wise by :func:`rows_at`, and otherwise derived
-    with :func:`replace`, so every field in ``__slots__`` travels with the
-    table unless a verb changes it.
+    :func:`build`, moved row-wise by :func:`rows_at`, put in order by
+    :func:`resort`, and otherwise derived with :func:`replace`, so every
+    field in ``__slots__`` travels with the table unless a verb changes it.
 
     Rows are always in canonical order: by key, past-to-future within each
     series.  ``_ends`` holds the exclusive end row of each series, in row
@@ -361,14 +361,6 @@ def row_dicts(names: Sequence[str], columns: Iterable[Sequence]) -> Iterator[dic
     return map(dict, map(zip, repeat(names), zip(*columns)))
 
 
-def _sorted_rows(t: TemporalTable, rows_of: dict[int, int]) -> TemporalTable:
-    """``t`` in canonical order, with its series ends, given the row of
-    each (unique) row key."""
-    row_keys = sorted(rows_of)
-    out = rows_at(t, list(map(rows_of.__getitem__, row_keys)))
-    return replace(out, _ends=_run_ends(row_keys, t.ticks()))
-
-
 # --- construction ----------------------------------------------------------
 
 
@@ -418,13 +410,6 @@ def _prepare(
             columns[name] = Column(adapter.cell_kind, idx_values)
         else:
             columns[name] = _typed_column(name, col)
-    for k in key:
-        if columns[k].kind == "real":
-            # NaN equals nothing, itself included, so it can neither sort
-            # nor tell series apart.
-            pos = next((i for i, v in enumerate(columns[k].values) if v != v), None)
-            if pos is not None:
-                raise SchemaError(f"key column {k!r} holds NaN at row {pos}")
     ticks = [None if v is None else adapter.to_ticks(v) for v in idx_values]
     if not set(map(type, ticks)) <= {int, type(None)}:
         # Subclasses of int other than bool pass; any other tick names its row.
@@ -461,6 +446,17 @@ def _key_notes(columns: dict[str, Column], key: tuple[str, ...]) -> tuple[str, .
     )
 
 
+def _refuse_nan_keys(columns, key) -> None:
+    """Raise SchemaError for the first NaN cell of the first key column
+    holding one: NaN equals nothing, itself included, so it can neither
+    sort nor tell series apart."""
+    for k in key:
+        if columns[k].kind == "real":
+            pos = next((i for i, v in enumerate(columns[k].values) if v != v), None)
+            if pos is not None:
+                raise SchemaError(f"key column {k!r} holds NaN at row {pos}")
+
+
 def _scan_duplicates(columns, index, key, ticks) -> DuplicateReport:
     seen: dict[tuple, list[int]] = {}
     for i in range(len(ticks)):
@@ -492,32 +488,14 @@ def build(
     :class:`SchemaError` for NaN in a key column.
     Row content is preserved exactly; only the row order changes.
     ``adapter`` (an :class:`IndexAdapter` or a registered name) fixes the
-    index kind; by default the index values decide.
-
-    The rows are sorted and checked for repeated (key, index) pairs on one
-    int per row, their row keys (see the module docstring), made here and
-    not kept; the series ends they give are kept.  A repeated row key is
-    reported from a scan of the cells in source order, and the interval is
-    the GCD of the tick differences within each series.
+    index kind; by default the index values decide.  ``_prepare`` types the
+    cells, and :func:`resort` checks and orders the typed rows.
     """
     columns, key, adapter, ticks = _prepare(
         raw, index, key, adapter, allow_missing_index=False
     )
-    row_keys = _row_keys(columns, key, ticks)
-    # Each row key maps to its last row; a shorter map means a repeated
-    # (key, index) pair, which the scan in source order then reports.
-    rows_of = dict(zip(row_keys, range(len(row_keys))))
-    if len(rows_of) < len(row_keys):
-        report = _scan_duplicates(columns, index, key, ticks)
-        first_kt = tuple(columns[k].values[report.positions[0]] for k in key)
-        raise DuplicateIndexError(
-            f"{len(report)} rows share a (key, index) pair; first duplicate: "
-            f"key={first_kt!r} index={adapter.render(columns[index].values[report.positions[0]])}",
-            report,
-        )
     seed = Interval.unknown() if regular else Interval.irregular()
-    t = _sorted_rows(TemporalTable(columns, index, key, seed, adapter, _ticks=ticks), rows_of)
-    return replace(t, interval=_infer_for(t, t._ends, t.ticks()))
+    return resort(TemporalTable(columns, index, key, seed, adapter, _ticks=ticks))
 
 
 def _infer_for(t: TemporalTable, ends, sorted_ticks) -> Interval:
@@ -554,6 +532,7 @@ def duplicates(
     columns, key, _, ticks = _prepare(
         raw, index, key, adapter, allow_missing_index=True
     )
+    _refuse_nan_keys(columns, key)
     ticks = [("missing",) if tk is None else tk for tk in ticks]
     return _scan_duplicates(columns, index, key, ticks)
 
@@ -578,14 +557,44 @@ def rows_at(t: TemporalTable, rows: Sequence[int]) -> TemporalTable:
 
     The one place rows move: column cells and index ticks are taken
     together, and every other field carries over as it is, column kinds and
-    grouping included.  The series ends are cleared; the callers,
-    :func:`build`, :func:`take` and ``gaps.fill_gaps``, re-derive them.
+    grouping included.  The series ends are cleared; :func:`resort`,
+    :func:`take` and ``gaps.fill_gaps`` re-derive them.
     """
     ticks = t.ticks()
     columns = {
         name: Column(col.kind, [col.values[i] for i in rows]) for name, col in t.columns.items()
     }
     return replace(t, columns=columns, _ticks=[ticks[i] for i in rows], _ends=None)
+
+
+def resort(t: TemporalTable) -> TemporalTable:
+    """``t``, its cells and ticks typed, its rows in any order, checked and
+    put in canonical order: what :func:`build` does after typing.
+
+    Raises SchemaError for NaN in a key column, and DuplicateIndexError,
+    from a scan of the cells in row order, for a repeated (key, index)
+    pair.  Rows are sorted on their row keys (see the module docstring);
+    the series ends they give are kept, and the interval is re-inferred.
+    """
+    _refuse_nan_keys(t.columns, t.key)
+    ticks = t.ticks()
+    row_keys = _row_keys(t.columns, t.key, ticks)
+    # Each row key maps to its last row; a shorter map means a repeated
+    # (key, index) pair, which the scan in row order then reports.
+    rows_of = dict(zip(row_keys, range(len(row_keys))))
+    if len(rows_of) < len(row_keys):
+        report = _scan_duplicates(t.columns, t.index, t.key, ticks)
+        first = report.positions[0]
+        cell = t.adapter.render(t.columns[t.index].values[first])
+        raise DuplicateIndexError(
+            f"{len(report)} rows share a (key, index) pair; first duplicate: "
+            f"key={t.key_tuple(first)!r} index={cell}",
+            report,
+        )
+    row_keys = sorted(rows_of)
+    out = rows_at(t, list(map(rows_of.__getitem__, row_keys)))
+    ends = _run_ends(row_keys, ticks)
+    return replace(out, interval=_infer_for(t, ends, out.ticks()), _ends=ends)
 
 
 def take(t: TemporalTable, rows: Sequence[int]) -> TemporalTable:
@@ -608,7 +617,8 @@ def with_columns(t: TemporalTable, columns: Mapping[str, Column | list]) -> Temp
     """``t`` with the same rows, index and key but the columns ``columns``.
 
     ``columns`` is the full, ordered column mapping of the result and must
-    hold the index and key columns of ``t`` unchanged.  :class:`Column`
+    hold the index and key columns of ``t``, unchanged unless the caller
+    passes the result to :func:`resort`.  :class:`Column`
     entries are taken as they are, kind unchecked: the caller declares it.
     Plain value lists are new or overwritten columns from outside the
     library and get the kind of their cells.  Every other field of ``t``

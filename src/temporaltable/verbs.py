@@ -2,27 +2,31 @@
 
 Every verb takes a valid table and either returns a valid table (wrapped in
 a :class:`VerbOutcome` with any diagnostics) or raises an engine error.  Each
-verb reruns only the construction checks its change can break:
+verb reruns only the construction checks its change can break, through one
+of four constructors:
 
-* ``filter``, ``filter_index``, semi/anti ``join`` and inner ``join``
-  without fan-out keep a subset of rows
-  (:func:`~temporaltable.table.take`): order and uniqueness hold, so only
-  the interval is re-inferred.
-* ``mutate`` and ``transmute`` of non-key, non-index columns, ``select``
-  keeping every key column, and left/inner ``join`` where each left row
-  matches at most one right row keep the rows
-  (:func:`~temporaltable.table.with_columns`): only new columns get
-  kinds; interval, ticks and index adapter carry over.
-* Anything that changes the key or index, adds rows or fans rows out goes
-  through :func:`~temporaltable.table.build`: ``summarize``, ``gather``,
-  ``spread``, right/full and fan-out joins, ``select`` dropping a key
-  column, and ``mutate``/``transmute`` of a key or index column.
+* :func:`~temporaltable.table.take` keeps a subset of rows: ``filter``,
+  ``filter_index``, semi/anti ``join`` and inner ``join`` without fan-out.
+  Order and uniqueness hold, so only the interval is re-inferred.
+* :func:`~temporaltable.table.with_columns` keeps the rows: ``mutate`` and
+  ``transmute`` of non-key, non-index columns, ``select`` keeping every
+  key column, and left/inner ``join`` where each left row matches at most
+  one right row.  Only new columns get kinds; interval, ticks and index
+  adapter carry over.
+* :func:`~temporaltable.table.resort` orders rows whose cells are already
+  typed under a new key or in a new order: ``select`` dropping a key
+  column, ``mutate``/``transmute`` of a key column, and ``gather``,
+  ``spread`` and ``summarize``, which pick their rows with
+  :func:`~temporaltable.table.rows_at`.  It checks uniqueness, sorts and
+  re-infers the interval; kinds, ticks and index adapter carry over.
+* :func:`~temporaltable.table.build` types index or key cells from outside
+  the library: ``mutate``/``transmute`` of the index, and right/full and
+  fan-out joins.
 
 Every column a verb carries keeps its kind, and ``summarize`` declares
 :func:`~temporaltable.aggregates.result_kind` for each aggregate.  Only
 cells from outside the library get the kind of their values: new columns
-of ``mutate``/``transmute`` and the right-hand table of a ``join`` (all
-columns of a join that goes through ``build``).
+of ``mutate``/``transmute`` and the right-hand table of a ``join``.
 
 Results keep the table's index adapter, even one since unregistered or
 replaced.  Only new index cells resolve theirs from the values: ``mutate`` or
@@ -79,6 +83,7 @@ from .table import (
     with_columns,
 )
 from .timepoint import (
+    _is_utc,
     _read_json_int,
     _require_granularity,
     floor_to,
@@ -122,8 +127,9 @@ def _outcome(t: TemporalTable, out: TemporalTable, warnings: tuple = ()) -> Verb
 
     A grouping column survives when ``out`` has it.  An ``index_by`` rule
     survives when ``out`` keeps the index column and reads it through an
-    adapter of the same kind, granularity and zone (``build`` resolves a
-    new one for new index cells): the rule then reads the same kind of cell.
+    adapter of the same kind, granularity and zone, None and any case of
+    "UTC" being one zone (``build`` resolves a new adapter for new index
+    cells): the rule then reads the same kind of cell.
     """
     groups = t.groups
     if groups is not None:
@@ -131,7 +137,7 @@ def _outcome(t: TemporalTable, out: TemporalTable, warnings: tuple = ()) -> Verb
         if lost:
             warnings += (f"grouping columns {lost} dropped",)
             groups = replace(groups, by=tuple(c for c in groups.by if c in out.columns))
-        same = lambda ad: (type(ad), ad.granularity, ad.zone)
+        same = lambda ad: (type(ad), ad.granularity, None if _is_utc(ad.zone) else ad.zone)
         if groups.index_name is not None and (
             out.index != t.index or same(out.adapter) != same(t.adapter)
         ):
@@ -218,21 +224,16 @@ def arrange(t: TemporalTable, spec) -> list[dict]:
     """
     norm = []
     for item in _names(spec):
-        if isinstance(item, str):
-            norm.append((item, "asc"))
-        else:
-            name, direction = item
-            if direction not in ("asc", "desc"):
-                raise PreconditionError(f"sort direction must be asc or desc, got {direction!r}")
-            norm.append((name, direction))
-    for name, _ in norm:
-        if name not in t.columns:
-            raise SchemaError(f"no column named {name!r}")
+        name, direction = (item, "asc") if isinstance(item, str) else item
+        if direction not in ("asc", "desc"):
+            raise PreconditionError(f"sort direction must be asc or desc, got {direction!r}")
+        norm.append((t.column(name), direction))
 
+    order = list(range(t.nrows))
+    for values, direction in reversed(norm):
+        order.sort(key=lambda i: _sort_cell(values[i]), reverse=(direction == "desc"))
     rows = list(t.rows())
-    for name, direction in reversed(norm):
-        rows.sort(key=lambda row: _sort_cell(row[name]), reverse=(direction == "desc"))
-    return rows
+    return [rows[i] for i in order]
 
 
 # --- column verbs -----------------------------------------------------------
@@ -247,29 +248,25 @@ def select(t: TemporalTable, names) -> VerbOutcome:
     identifies rows uniquely.
     """
     names = list(dict.fromkeys(_names(names)))
-    for name in names:
-        if name not in t.columns:
-            raise SchemaError(f"no column named {name!r}")
+    data = {name: Column(t.kind_of(name), t.column(name)) for name in names}
     warnings = ()
-    dropped_groups = [c for c in (t.groups.by if t.groups else ()) if c not in names]
+    dropped_groups = [c for c in (t.groups.by if t.groups else ()) if c not in data]
     if dropped_groups:
-        names.extend(dropped_groups)
+        data.update((c, t.columns[c]) for c in dropped_groups)
         warnings = (f"grouping columns {dropped_groups} retained implicitly",)
-    if t.index not in names:
-        if all(k in names for k in t.key):
-            names.append(t.index)
+    if t.index not in data:
+        if all(k in data for k in t.key):
+            data[t.index] = t.columns[t.index]
             warnings += (f"index column {t.index!r} retained implicitly",)
         else:
             raise SchemaError(
                 f"selection removes the index column {t.index!r}; include it, "
                 "or summarize/transmute to reshape the table"
             )
-    new_key = tuple(k for k in t.key if k in names)
-    data = {name: t.columns[name] for name in names}
-    if new_key == t.key:
-        out = with_columns(t, data)
-    else:
-        out = table.build(data, t.index, new_key, t.declared_regular, adapter=t.adapter)
+    new_key = tuple(k for k in t.key if k in data)
+    out = with_columns(t, data)
+    if new_key != t.key:
+        out = table.resort(replace(out, key=new_key))
     return _outcome(t, out, warnings)
 
 
@@ -290,20 +287,21 @@ def _evaluate(t_data: dict[str, list], nrows: int, expr, name: str) -> list:
 def _derive(t: TemporalTable, exprs: dict, keep: list[str]) -> VerbOutcome:
     """Evaluate ``exprs`` in order over ``t`` and keep ``keep``.
 
-    New values of the index or a key column re-validate uniqueness and
-    ordering through build.  Results get the kinds of their cells; the
-    columns carried over keep theirs.
+    New index cells go through build, which resolves their adapter; new
+    key cells re-validate uniqueness and ordering through resort.  Results
+    get the kinds of their cells; the columns carried over keep theirs.
     """
     data = {name: col.values for name, col in t.columns.items()}
     n = t.nrows
     for name, expr in exprs.items():
         data[name] = _evaluate(data, n, expr, name)
     cols = {c: data[c] if c in exprs else t.columns[c] for c in keep}
-    if t.index in exprs or any(k in exprs for k in t.key):
-        adapter = None if t.index in exprs else t.adapter
-        out = table.build(cols, t.index, t.key, t.declared_regular, adapter=adapter)
+    if t.index in exprs:
+        out = table.build(cols, t.index, t.key, t.declared_regular)
     else:
         out = with_columns(t, cols)
+        if any(k in exprs for k in t.key):
+            out = table.resort(out)
     return _outcome(t, out)
 
 
@@ -332,8 +330,7 @@ def group_by(t: TemporalTable, *columns) -> TemporalTable:
     """Attach grouping columns; data is untouched until summarize."""
     cols = list(dict.fromkeys(columns))
     for c in cols:
-        if c not in t.columns:
-            raise SchemaError(f"no column named {c!r}")
+        t.column(c)  # refuses an unknown column
         if c == t.index:
             raise SchemaError(f"cannot group by the index column {c!r}; use index_by")
     base = t.groups or Grouping()
@@ -345,9 +342,10 @@ def group_by_key(t: TemporalTable) -> TemporalTable:
     return group_by(t, *t.key)
 
 
-def _derived_index(t: TemporalTable, rule, name: str) -> tuple[list, IndexAdapter]:
-    """The index cells that ``index_by`` rule ``rule`` derives from ``t``,
-    one per row, and their adapter, resolved from the distinct cells.
+def _derived_index(t: TemporalTable, rule, name: str) -> tuple[list, list[int], IndexAdapter]:
+    """The index cells that ``index_by`` rule ``rule`` derives from ``t``
+    and their ticks, one per row, and their adapter, resolved from the
+    distinct cells.
 
     ``rule`` is a :class:`Granularity` (floor each index cell to it) or a
     callable; each distinct tick's cell is derived once.  Raises
@@ -364,7 +362,7 @@ def _derived_index(t: TemporalTable, rule, name: str) -> tuple[list, IndexAdapte
             )
         if rule is src or rule is Granularity.ORDINAL:
             # An unchanged index keeps its cells, and so its adapter.
-            return values, t.adapter
+            return values, t.ticks(), t.adapter
         fn = lambda v: floor_to(v, rule)
     else:
         fn = rule
@@ -377,10 +375,13 @@ def _derived_index(t: TemporalTable, rule, name: str) -> tuple[list, IndexAdapte
                     f"index_by maps {t.index!r} cell {t.adapter.render(v)} to a missing value"
                 )
     adapter = resolve_index(name, list(cells.values()))
-    derived_ticks = [adapter.to_ticks(cells[tk]) for tk in sorted(cells)]
+    old_ticks = sorted(cells)
+    derived_ticks = [adapter.to_ticks(cells[tk]) for tk in old_ticks]
     if any(map(operator.lt, derived_ticks[1:], derived_ticks)):
         raise PreconditionError("index mapping is not order-preserving")
-    return list(map(cells.__getitem__, t.ticks())), adapter
+    tick_of = dict(zip(old_ticks, derived_ticks))
+    ticks = t.ticks()
+    return list(map(cells.__getitem__, ticks)), list(map(tick_of.__getitem__, ticks)), adapter
 
 
 def index_by(t: TemporalTable, spec, name: str | None = None) -> TemporalTable:
@@ -423,11 +424,8 @@ def summarize(t: TemporalTable, /, **aggs) -> TemporalTable:
     if idx_name in by:
         raise SchemaError(f"grouping column {idx_name!r} clashes with the result's index")
     kinds = {}
-    for out_name, pair in aggs.items():
-        spec, col = pair
+    for out_name, (spec, col) in aggs.items():
         agg = aggregates.parse_spec(spec)[0]
-        if col not in t.columns:
-            raise SchemaError(f"aggregation over unknown column {col!r}")
         if out_name in by:
             raise SchemaError(f"summarize output {out_name!r} clashes with a grouping column")
         if out_name == idx_name:
@@ -435,32 +433,28 @@ def summarize(t: TemporalTable, /, **aggs) -> TemporalTable:
         kinds[out_name] = aggregates.result_kind(agg, t.kind_of(col))
 
     if grouping.index_name:
-        idx_values, idx_adapter = _derived_index(t, grouping.index_rule, idx_name)
+        idx_values, ticks, idx_adapter = _derived_index(t, grouping.index_rule, idx_name)
     else:
-        idx_values, idx_adapter = t.columns[t.index].values, t.adapter
-    kinds.update((c, t.kind_of(c)) for c in by)
+        idx_values, ticks, idx_adapter = t.columns[t.index].values, t.ticks(), t.adapter
 
     # Rows bucketed by (group cells..., index tick) in first-seen order;
-    # build sorts the result.
-    group_values = [t.columns[c].values for c in by]
+    # each bucket's cells are its last row's, and resort sorts the result.
     buckets: dict[tuple, list[int]] = {}
-    for i, bucket in enumerate(zip(*group_values, map(idx_adapter.to_ticks, idx_values))):
+    for i, bucket in enumerate(zip(*(t.columns[c].values for c in by), ticks)):
         buckets.setdefault(bucket, []).append(i)
 
-    out: dict[str, list] = {c: [] for c in by}
-    out[idx_name] = []
-    for name in aggs:
-        out[name] = []
-    for rows in buckets.values():
-        last = rows[-1]  # the bucket's cells are its last row's
-        for c, values in zip(by, group_values):
-            out[c].append(values[last])
-        out[idx_name].append(idx_values[last])
-        for out_name, (spec, col) in aggs.items():
-            out[out_name].append(aggregates.apply(spec, [t.columns[col].values[i] for i in rows]))
-
-    columns = {c: Column(kinds[c], v) if c in kinds else v for c, v in out.items()}
-    return table.build(columns, idx_name, by, t.declared_regular, adapter=idx_adapter)
+    columns = {c: t.columns[c] for c in by}
+    columns[idx_name] = Column(idx_adapter.cell_kind, idx_values)
+    keyed = replace(
+        t, columns=columns, index=idx_name, key=by, adapter=idx_adapter, groups=None, _ticks=ticks
+    )
+    out = table.rows_at(keyed, [rows[-1] for rows in buckets.values()])
+    data = dict(out.columns)
+    for out_name, (spec, col) in aggs.items():
+        values = t.columns[col].values
+        cells = [aggregates.apply(spec, [values[i] for i in rows]) for rows in buckets.values()]
+        data[out_name] = Column(kinds[out_name], cells)
+    return table.resort(with_columns(out, data))
 
 
 # --- reshaping verbs --------------------------------------------------------
@@ -476,11 +470,9 @@ def gather(t: TemporalTable, names_to: str, values_to: str, columns) -> VerbOutc
     if not columns:
         raise PreconditionError("gather needs at least one column")
     for c in columns:
-        if c not in t.columns:
-            raise SchemaError(f"no column named {c!r}")
         if c == t.index or c in t.key:
             raise SchemaError(f"cannot gather index or key column {c!r}")
-    kind = table.common_kind(t.kind_of(c) for c in columns)
+    kind = table.common_kind(map(t.kind_of, columns))
     remaining = [c for c in t.columns if c not in columns]
     for new in (names_to, values_to):
         if new in remaining:
@@ -488,30 +480,22 @@ def gather(t: TemporalTable, names_to: str, values_to: str, columns) -> VerbOutc
     if names_to == values_to:
         raise SchemaError("names_to and values_to must differ")
 
-    data = {c: Column(t.kind_of(c), []) for c in remaining}
-    data[names_to] = Column("text", [])
-    data[values_to] = Column(kind, [])
-    for i in range(t.nrows):
-        for c in columns:
-            for r in remaining:
-                data[r].values.append(t.columns[r].values[i])
-            data[names_to].values.append(c)
-            data[values_to].values.append(t.columns[c].values[i])
-
-    new_key = t.key + (names_to,)
-    return _outcome(t, table.build(data, t.index, new_key, t.declared_regular, adapter=t.adapter))
+    # Each row once per gathered column, in row order.
+    base = with_columns(t, {c: t.columns[c] for c in remaining})
+    out = table.rows_at(base, [i for i in range(t.nrows) for _ in columns])
+    cells = [cell for row in zip(*map(t.column, columns)) for cell in row]
+    data = dict(out.columns)
+    data[names_to] = Column("text", columns * t.nrows)
+    data[values_to] = Column(kind, cells)
+    return _outcome(t, table.resort(replace(with_columns(out, data), key=t.key + (names_to,))))
 
 
 def spread(t: TemporalTable, key_col: str, value_col: str) -> VerbOutcome:
     """Pivot one key level per column: the inverse of gather.
 
     Level columns appear in ascending level order.  Rows are grouped by all
-    remaining columns; a level observed twice in one group is a validity
-    error.
+    remaining columns, and each group becomes one row.
     """
-    for c in (key_col, value_col):
-        if c not in t.columns:
-            raise SchemaError(f"no column named {c!r}")
     if key_col == value_col:
         raise SchemaError("spread key and value columns must differ")
     if t.index in (key_col, value_col):
@@ -519,10 +503,11 @@ def spread(t: TemporalTable, key_col: str, value_col: str) -> VerbOutcome:
     if value_col in t.key:
         raise SchemaError(f"cannot use key column {value_col!r} as spread values")
 
-    levels = t.columns[key_col].values
-    if None in levels:
+    level_cells = t.column(key_col)
+    kind = t.kind_of(value_col)
+    if None in level_cells:
         raise ValidityError(f"column {key_col!r} has missing levels; cannot spread")
-    levels = sorted(set(levels), key=_sort_cell)
+    levels = sorted(set(level_cells), key=_sort_cell)
     names = [render_cell(v) for v in levels]
     remaining = [c for c in t.columns if c not in (key_col, value_col)]
     for nm in names:
@@ -531,32 +516,22 @@ def spread(t: TemporalTable, key_col: str, value_col: str) -> VerbOutcome:
     if len(set(names)) != len(names):
         raise ValidityError(f"levels of {key_col!r} render to identical column names")
 
-    groups: dict[tuple, dict] = {}
-    order: list[tuple] = []
-    for i in range(t.nrows):
-        gk = tuple(t.columns[c].values[i] for c in remaining)
-        if gk not in groups:
-            groups[gk] = {}
-            order.append(gk)
-        level = t.columns[key_col].values[i]
-        if level in groups[gk]:
-            raise ValidityError(
-                f"duplicate level {level!r} of {key_col!r} within one row group; "
-                "cannot spread"
-            )
-        groups[gk][level] = t.columns[value_col].values[i]
+    # A group's rows share the index and every key cell but ``key_col``'s,
+    # so (key, index) uniqueness gives each of them its own level.
+    firsts: dict[tuple, int] = {}
+    spread_cells: dict[tuple, dict] = {}
+    values = t.columns[value_col].values
+    for i, group in enumerate(zip(*(t.columns[c].values for c in remaining))):
+        firsts.setdefault(group, i)
+        spread_cells.setdefault(group, {})[level_cells[i]] = values[i]
 
-    data = {c: Column(t.kind_of(c), []) for c in remaining}
-    for nm in names:
-        data[nm] = Column(t.kind_of(value_col), [])
-    for gk in order:
-        for c, cell in zip(remaining, gk):
-            data[c].values.append(cell)
-        for level, nm in zip(levels, names):
-            data[nm].values.append(groups[gk].get(level))
-
+    base = with_columns(t, {c: t.columns[c] for c in remaining})
+    out = table.rows_at(base, list(firsts.values()))
+    data = dict(out.columns)
+    for level, nm in zip(levels, names):
+        data[nm] = Column(kind, [cells.get(level) for cells in spread_cells.values()])
     new_key = tuple(k for k in t.key if k != key_col)
-    return _outcome(t, table.build(data, t.index, new_key, t.declared_regular, adapter=t.adapter))
+    return _outcome(t, table.resort(replace(with_columns(out, data), key=new_key)))
 
 
 # --- joins ------------------------------------------------------------------
@@ -597,9 +572,7 @@ def join(t: TemporalTable, other, kind: str = "left", by=None) -> VerbOutcome:
             raise SchemaError("tables share no column names; pass join columns")
     else:
         pairs = [(p, p) if isinstance(p, str) else (p[0], p[1]) for p in _names(by)]
-    for lc, rc in pairs:
-        if lc not in t.columns:
-            raise SchemaError(f"no column named {lc!r}")
+    for _, rc in pairs:
         if rc not in right:
             raise SchemaError(f"joined table has no column named {rc!r}")
 
@@ -607,7 +580,7 @@ def join(t: TemporalTable, other, kind: str = "left", by=None) -> VerbOutcome:
     for j, k in enumerate(_zipped([right[rc] for _, rc in pairs], rn)):
         lookup.setdefault(k, []).append(j)
 
-    left_keys = _zipped([t.columns[lc].values for lc, _ in pairs], t.nrows)
+    left_keys = _zipped([t.column(lc) for lc, _ in pairs], t.nrows)
 
     if kind in ("semi", "anti"):
         want = kind == "semi"

@@ -116,6 +116,26 @@ def test_partial_ordering_rejected():
     assert get_adapter("partial") is None
 
 
+class _Nameless(SemesterAdapter):
+    name = ""
+
+
+class _Unsampled(SemesterAdapter):
+    name = "unsampled"
+    sample_values = ()
+
+
+@pytest.mark.parametrize("adapter, message", [
+    (OrdinalIndex, "adapter must be an IndexAdapter instance"),
+    (_Nameless(), "adapter must declare a non-empty name"),
+    (_Unsampled(), "adapter 'unsampled' must provide sample_values for validation"),
+])
+def test_registration_refuses_an_adapter_it_cannot_probe(adapter, message):
+    with pytest.raises(RegistrationError, match=message):
+        register_index_adapter(adapter)
+    assert get_adapter("unsampled") is None
+
+
 def test_non_integer_ticks_rejected():
     class Fractional(SemesterAdapter):
         name = "fractional"

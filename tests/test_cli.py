@@ -147,6 +147,20 @@ def test_gaps_fill_constant_must_fit_kind(capsys, gappy_csv, fill):
     assert "usage error" in err
 
 
+def test_gaps_fill_with_a_time_constant(capsys, tmp_path):
+    p = tmp_path / "seen.csv"
+    p.write_text("t,seen\n1,2020-01-01 10:00\n2,2020-01-01 11:00\n4,2020-01-03 09:30\n")
+    argv = ["gaps", "fill", str(p), "--index", "t", "--time-format", "t=ordinal",
+            "--time-format", "seen=minute", "--zone", "Asia/Kolkata"]
+    rc, out, _ = run(capsys, *argv, "--fill-with", "seen=2020-01-02 12:15")
+    assert rc == 0
+    assert out.splitlines() == ["t,seen", "1,2020-01-01 10:00", "2,2020-01-01 11:00",
+                                "3,2020-01-02 12:15", "4,2020-01-03 09:30"]
+    rc, _, err = run(capsys, *argv, "--fill-with", "seen=soon")
+    assert rc == 2
+    assert err.startswith("usage error: --fill-with seen=soon: neither a time constant")
+
+
 def test_gaps_fill_unknown_column(capsys, gappy_csv):
     rc, out, err = run(capsys, "gaps", "fill", gappy_csv, "--index", "t",
                        "--key", "k", "--time-format", "t=ordinal",

@@ -17,12 +17,14 @@ from temporaltable import (
     build,
     duplicates,
     key_groups,
+    render_summary,
+    table_to_csv,
     timepoint as tp,
     validate_table,
 )
 from temporaltable.table import _sort_keys, as_kind, common_kind, replace, take, with_columns
 from conftest import table_rows
-from test_adapters import Semester, SemesterAdapter
+from test_adapters import Semester, SemesterAdapter, semester_registry  # noqa: F401
 
 
 def shuffled(raw, seed):
@@ -142,6 +144,44 @@ def test_schema_validation():
         build({"t": [tp.year(2011), tp.month(2011, 2)], "v": [1, 2]}, "t")
 
 
+class _FloatTicks(SemesterAdapter):
+    def to_ticks(self, value):
+        return value.year + value.sem / 2
+
+
+@pytest.mark.parametrize("raw, key, adapter, message", [
+    ([("t", [1])], (), None, "raw table must be a mapping"),
+    ({"v": [1]}, (), None, "index column 't' not found"),
+    ({"t": [1], "k": [1]}, ("k", "k"), None, r"duplicate key columns: \['k', 'k'\]"),
+    ({"t": [1, 2], "d": [tp.day(2011, 1, 1), tp.month(2011, 1)]}, (), None,
+     "time column 'd' mixes granularities: day, month"),
+    ({"t": [Semester(2019, 1)]}, (), _FloatTicks(),
+     r"index value Semester\(2019, 1\) does not map to integer ticks"),
+    ({"t": [1]}, (), "no-such-adapter", "no index adapter registered under 'no-such-adapter'"),
+])
+def test_build_refusals(raw, key, adapter, message):
+    with pytest.raises(SchemaError, match=message):
+        build(raw, "t", key, adapter=adapter)
+
+
+def test_build_takes_an_adapter_by_registered_name(semester_registry):
+    t = build({"t": [Semester(2019, 2), Semester(2019, 1)], "v": [2, 1]}, "t", adapter="semester")
+    assert isinstance(t.adapter, SemesterAdapter)
+    assert t.column("v") == [1, 2]
+
+
+def test_a_utc_index_spelled_two_ways_is_one_zone():
+    mixed = build({"t": [tp.hour(2020, 1, 1, 0), tp.hour(2020, 1, 1, 1, "UTC")]}, "t")
+    assert render_summary(mixed).splitlines()[0] == "# A tsibble: 2 x 1 [1h] <UTC>"
+    for zone in (None, "UTC"):
+        alone = build({"t": [tp.hour(2020, 1, 1, 0, zone), tp.hour(2020, 1, 1, 1, zone)]}, "t")
+        assert render_summary(alone).splitlines()[0] == "# A tsibble: 2 x 1 [1h] <UTC>"
+        assert table_to_csv(alone) == table_to_csv(mixed)
+    build({"t": [tp.hour(2020, 1, 1, 0, "utc"), tp.hour(2020, 1, 1, 1, "UTC")]}, "t")
+    with pytest.raises(SchemaError, match=r"mixes time zones: \['America/New_York', 'None'\]"):
+        build({"t": [tp.hour(2020, 1, 1, 0), tp.hour(2020, 1, 1, 1, "America/New_York")]}, "t")
+
+
 def test_mixed_int_real_promotes():
     t = build({"t": [1, 2], "v": [1, 2.5]}, "t")
     assert t.kind_of("v") == "real"
@@ -232,6 +272,25 @@ def test_validate_table_catches_tampering(tb):
     broken.columns["year"].values.reverse()
     with pytest.raises(ValidityError):
         validate_table(broken)
+
+
+def test_validate_table_catches_corrupted_tables():
+    t = build({"k": ["a", "a", "b"], "t": [1, 2, 1], "v": [1, 2, 3]}, "t", ("k",))
+    swapped = [1, 0, 2]
+    unsorted = replace(t, columns={n: Column(c.kind, [c.values[i] for i in swapped])
+                                   for n, c in t.columns.items()},
+                       _ticks=[t.ticks()[i] for i in swapped])
+    with pytest.raises(ValidityError, match="not sorted"):
+        validate_table(unsorted)
+    repeated = replace(t, columns={**t.columns, "t": Column("int", [1, 1, 1])}, _ticks=[1, 1, 1])
+    with pytest.raises(ValidityError, match="duplicate \\(key, index\\) pair"):
+        validate_table(repeated)
+    short = replace(t, columns={**t.columns, "v": Column("int", [1, 2])})
+    with pytest.raises(SchemaError, match="column 'v' has length 2, expected 3"):
+        validate_table(short)
+    as_text = replace(t, columns={**t.columns, "t": Column("text", t.column("t"))})
+    with pytest.raises(SchemaError, match="does not match its adapter"):
+        validate_table(as_text)
 
 
 def test_validate_table_checks_stored_ticks():

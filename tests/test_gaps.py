@@ -162,6 +162,16 @@ def test_fill_aggregate_declares_its_kind():
     assert fill_gaps(t, {"v": Aggregate("max")}).kind_of("v") == "int"
 
 
+@pytest.mark.parametrize("spec, message", [
+    (5, "aggregate spec must be text, got 5"),
+    ("quantile", "quantile needs a probability"),
+    ("quantile:x", "bad quantile probability 'x'"),
+])
+def test_aggregate_policy_refuses_a_bad_spec(spec, message):
+    with pytest.raises(SchemaError, match=message):
+        Aggregate(spec)
+
+
 def test_fill_rejects_wrong_kind_constant(holey):
     with pytest.raises(SchemaError):
         fill_gaps(holey, {"v": "zero"})

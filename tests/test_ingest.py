@@ -3,7 +3,7 @@ import io
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from temporaltable import (
     Column,
@@ -256,6 +256,73 @@ def test_csv_round_trip_quoting_and_missing(tmp_path):
     assert table_to_csv(t, io.StringIO()) is None
 
 
+# Instants near clock changes: the Australia/Melbourne fall-back at
+# 2021-04-03 16:00 UTC and the America/New_York one at 2021-11-07 06:00 UTC.
+_CLOCK_CHANGES_MS = (1_617_465_600_000, 1_636_264_800_000)
+# Text cells that CSV can carry back: non-empty (an empty field is
+# missing), not read as a number or a boolean, and UTF-8 (no lone
+# surrogates).
+_ROUND_TRIP_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1).filter(
+    lambda s: isinstance(read_cell(s), str))
+_ROUND_TRIP_CELLS = {
+    "real": st.floats(allow_nan=False, allow_infinity=False),
+    "int": st.integers(),
+    "bool": st.booleans(),
+    "text": _ROUND_TRIP_TEXT,
+}
+
+
+def _index_cells(g, zone, clock_change_ms):
+    """Index cells of granularity ``g`` in ``zone``; sub-daily ones lie
+    within 30 hours of ``clock_change_ms``."""
+    if g is Granularity.ORDINAL:
+        return st.integers(-50, 50)
+    if not g.is_subdaily:
+        return st.builds(TimePoint, st.integers(-800, 800), st.just(g))
+    unit = MS_PER_TICK[g]
+    base = clock_change_ms // unit
+    hours = st.integers(-30, 30).map(lambda h: h * (3_600_000 // unit))
+    within = st.integers(0, 3_600_000 // unit - 1)
+    return st.builds(lambda h, k: TimePoint(base + h + k, g, zone), hours, within)
+
+
+@st.composite
+def _csv_round_trip_tables(draw):
+    """A table of every index granularity, sub-daily zones included, keys
+    whose names need quoting, and one measure column of each cell kind."""
+    g = draw(st.sampled_from(list(Granularity)))
+    zone = draw(st.sampled_from(
+        [None, "UTC", "Australia/Melbourne", "America/New_York", "Asia/Kolkata"]
+    )) if g.is_subdaily else None
+    key = tuple(draw(st.permutations(["c x", "d,e"]))[: draw(st.integers(0, 2))])
+    key_cells = {
+        k: st.none() | draw(st.sampled_from([st.sampled_from([1, 2]), _ROUND_TRIP_TEXT]))
+        for k in key
+    }
+    measure = st.none() | _ROUND_TRIP_CELLS[draw(st.sampled_from(sorted(_ROUND_TRIP_CELLS)))]
+    index = _index_cells(g, zone, draw(st.sampled_from(_CLOCK_CHANGES_MS)))
+    rows = draw(st.lists(
+        st.fixed_dictionaries({"t": index, "v": measure, **key_cells}), max_size=12,
+        unique_by=lambda r: (*(r[k] for k in key), r["t"])))
+    cols = {c: [r[c] for r in rows] for c in ("t", *key, "v")}
+    return build(cols, "t", key, regular=draw(st.booleans())), g, zone
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=_csv_round_trip_tables())
+def test_ingest_of_table_to_csv_gives_back_the_table(tmp_path_factory, drawn):
+    t, g, zone = drawn
+    path = tmp_path_factory.getbasetemp() / "round_trip.csv"
+    path.write_text(table_to_csv(t), encoding="utf-8", newline="")
+    again = ingest(IngestConfig(str(path), "t", t.key, t.declared_regular,
+                                time_format={"t": g.value}, zone=zone))
+    assert again.interval == t.interval
+    assert again.schema == t.schema
+    assert again.to_dict() == t.to_dict()
+    zones = lambda tab: [getattr(v, "zone", None) for v in tab.column("t")]
+    assert zones(again) == zones(t)
+
+
 def test_table_to_csv_stream(tb):
     buf = io.StringIO()
     table_to_csv(tb, buf)
@@ -313,6 +380,24 @@ def test_csv_writers_refuse_non_finite_reals(bad):
         write_csv(buf, ["v", "w"], [[None, 1.5], [2, bad]])
     assert (str(info.value), buf.getvalue()) == (
         f"real column 'w' holds {bad!r} at row 1; CSV numbers must be finite", "")
+
+
+def test_csv_writers_refuse_an_empty_text_cell(tmp_path):
+    # An empty text and a missing cell would both be an empty field, so a
+    # key of "" and None would read back as one series with repeated pairs.
+    t = build({"k": ["", None, "", None], "t": [1, 1, 2, 2], "v": [1, 2, 3, 4]}, "t", ("k",))
+    buf = io.StringIO()
+    with pytest.raises(SchemaError) as info:
+        table_to_csv(t, buf)
+    assert (str(info.value), buf.getvalue()) == (
+        "column 'k' holds an empty text at row 0; CSV reads an empty field as missing", "")
+    with pytest.raises(SchemaError) as info:
+        write_csv(buf, ["v", "w"], [[None, "x"], [1.5, "y"], [2, ""], [3, ""]])
+    assert (str(info.value), buf.getvalue()) == (
+        "column 'w' holds an empty text at row 2; CSV reads an empty field as missing", "")
+    # A non-key column: "" would read back as missing without a word.
+    with pytest.raises(SchemaError, match="^column 'w' holds an empty text at row 1;"):
+        table_to_csv(build({"t": [1, 2], "w": ["a", ""]}, "t"))
 
 
 def test_csv_writers_keep_large_finite_reals():
@@ -458,13 +543,18 @@ def test_table_to_csv_matches_row_by_row_rendering(cols_adapter):
         for name, col in t.columns.items() if col.kind == "real"
         for row, v in enumerate(col.values) if isinstance(v, float) and not math.isfinite(v)
     ]
-    if non_finite:
+    empty_texts = [
+        (name, col.values.index(""))
+        for name, col in t.columns.items() if col.kind == "text" and "" in col.values
+    ]
+    if non_finite or empty_texts:
         # Both writers refuse the first inf or nan cell, column by column,
-        # before writing anything.
-        name, row = non_finite[0]
+        # and then the first empty text, before writing anything.
+        (name, row), what = (non_finite[0], "real column") if non_finite else (
+            empty_texts[0], "column")
         for write in (lambda buf: table_to_csv(t, buf), lambda buf: buf.write(_row_by_row(t))):
             buf = io.StringIO()
-            with pytest.raises(SchemaError, match=f"^real column '{name}' holds .* at row {row};"):
+            with pytest.raises(SchemaError, match=f"^{what} '{name}' holds .* at row {row};"):
                 write(buf)
             assert buf.getvalue() == ""
         return
@@ -516,11 +606,12 @@ def _oracle(header, rows) -> str:
 # Text that needs quotes or looks as if it might: quotes, commas, CR, LF
 # and spaces at either end, among other characters (NUL aside, which some
 # csv readers refuse, and lone surrogates, which no UTF-8 file can hold).
-_FIELD_TEXT = st.text(
-    st.sampled_from(list('ab ,"\r\n'))
-    | st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
-    max_size=6)
-_WRITTEN_CELLS = st.none() | _FIELD_TEXT | st.integers() | st.booleans() | st.floats(
+_FIELD_CHARS = st.sampled_from(list('ab ,"\r\n')) | st.characters(
+    blacklist_categories=("Cs",), blacklist_characters="\x00")
+_FIELD_TEXT = st.text(_FIELD_CHARS, max_size=6)
+# A header may be empty; a text cell may not, since the writers refuse one.
+_CELL_TEXT = st.text(_FIELD_CHARS, min_size=1, max_size=6)
+_WRITTEN_CELLS = st.none() | _CELL_TEXT | st.integers() | st.booleans() | st.floats(
     allow_nan=False, allow_infinity=False)
 
 
@@ -540,7 +631,7 @@ def test_write_csv_matches_csv_writer(header_rows):
     assert buf.getvalue() == _oracle(header, [[render_cell(v) for v in row] for row in rows])
 
 
-@given(_header_and_rows(st.none() | _FIELD_TEXT))
+@given(_header_and_rows(st.none() | _CELL_TEXT))
 def test_table_to_csv_of_text_columns_matches_csv_writer(header_rows):
     header, rows = header_rows
     names = ["i"] + [f"{name}." for name in header]  # none is the index
@@ -573,11 +664,11 @@ def test_read_rows_gives_back_the_written_cells(tmp_path_factory, header_rows):
         (["k", "v"], [['say "hi"', "x,y"]], 'k,v\n"say ""hi""","x,y"\n'),
         # Spaces are kept as they are, unquoted.
         (["k", "v"], [[" a ", " "]], "k,v\n a , \n"),
-        # Empty text and a missing cell are both an empty field...
-        (["k", "v"], [["", None]], "k,v\n,\n"),
+        # A missing cell is an empty field...
+        (["k", "v"], [[None, None]], "k,v\n,\n"),
         # ...except alone on a row, where it is "", so the row reads back
         # as one empty cell and not as a blank line.
-        (["v"], [[""], [None], ["x"]], 'v\n""\n""\nx\n'),
+        (["v"], [[None], [None], ["x"]], 'v\n""\n""\nx\n'),
         ([""], [], '""\n'),
         (["a,b", "c"], [], '"a,b",c\n'),
     ],

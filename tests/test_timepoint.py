@@ -122,6 +122,18 @@ def test_comparison_needs_matching_granularity():
     with pytest.raises(PreconditionError):
         tp.year(2011) < tp.month(2011, 3)
     assert tp.year(2011) < tp.year(2012)
+    for compare in (lambda a, b: a > b, lambda a, b: a >= b):
+        with pytest.raises(PreconditionError, match="cannot compare TimePoint with int"):
+            compare(tp.year(2011), 2011)
+
+
+def test_point_construction_refusals():
+    with pytest.raises(PreconditionError, match="quarter must be 1..4, got 5"):
+        tp.quarter(2020, 5)
+    with pytest.raises(ParseError, match="unknown time zone 'Mars/Olympus_Mons'"):
+        tp.hour(2020, 1, 1, 0, "Mars/Olympus_Mons")
+    with pytest.raises(PreconditionError, match="ticks must be an integer, got 1.5"):
+        TimePoint(1.5, Granularity.DAY)
 
 
 RENDERED = [

@@ -1,11 +1,13 @@
 """Verb results against a fresh build of the same rows.
 
-The verbs rebuild their results with trusted constructors (``take`` for row
-subsets, ``with_columns`` for same-row column changes) that rerun only the
-checks a verb can break.  Every result must still be exactly what
-:func:`build` makes of its rows: same cells in the same order, interval,
-index adapter and key notes.  Column kinds are declared by the verbs, not
-re-read from cells: a row subset keeps its parent's schema.
+The verbs make their results with four constructors that rerun only the
+checks a verb can break: ``take`` for row subsets, ``with_columns`` for
+same-row column changes, ``resort`` for typed rows under a new key or in a
+new order, and ``build`` only for index or key cells from outside the
+library.  Every result must still be exactly what :func:`build` makes of
+its rows: same cells in the same order, interval, index adapter and key
+notes.  Column kinds are declared by the verbs, not re-read from cells: a
+row subset keeps its parent's schema.
 """
 
 import math
@@ -480,6 +482,65 @@ def test_left_join_with_duplicated_right_key_goes_through_build(monkeypatch):
     with pytest.raises(DuplicateIndexError):
         join(t, {"k": ["a", "a"], "w": [10, 20]}, "left", by=["k"])
     assert calls == [("t", ("k",))]
+
+
+# Each verb, and the constructors it reaches: ``build`` types cells from
+# outside and ends in ``resort``; ``take`` and ``with_columns`` reach neither.
+_OUTSIDE_RIGHT = {"t": [1, 5], "x": [7, 8]}
+
+
+def _fan_out_join(t):
+    # Each copy of a left row repeats its (key, index) pair.
+    with pytest.raises(DuplicateIndexError):
+        join(t, {"k1": ["a", "a"], "x": [1, 2]}, "left")
+
+
+CONSTRUCTORS_REACHED = {
+    "filter": (lambda t: tfilter(t, lambda r: r["v"] > 1), []),
+    "semi_join": (lambda t: join(t, {"k1": ["a"]}, "semi"), []),
+    "left_join": (lambda t: join(t, {"k1": ["a"], "x": [1]}, "left"), []),
+    "inner_join": (lambda t: join(t, {"k1": ["a"], "x": [1]}, "inner"), []),
+    "select_keeping_the_key": (lambda t: select(t, ["k1", "k2", "v"]), []),
+    "mutate_measure": (lambda t: mutate(t, v=0), []),
+    "select_dropping_a_key": (lambda t: select(t, ["k2", "t", "v"]), ["resort"]),
+    "mutate_key": (lambda t: mutate(t, k2=lambda r: r["k2"] * 10), ["resort"]),
+    "transmute_key": (lambda t: transmute(t, k2=lambda r: -r["k2"]), ["resort"]),
+    "gather": (lambda t: gather(t, "name", "value", ["v", "w"]), ["resort"]),
+    "spread": (lambda t: spread(t, "k1", "v"), ["resort"]),
+    "summarize": (lambda t: summarize(group_by(t, "k1"), n=("sum", "v")), ["resort"]),
+    "summarize_index_by": (
+        lambda t: summarize(index_by(t, lambda i: i // 2), n=("sum", "v")), ["resort"]),
+    "mutate_index": (lambda t: mutate(t, t=lambda r: r["t"] + 1), ["build", "resort"]),
+    "transmute_index": (lambda t: transmute(t, t=lambda r: r["t"] * 2), ["build", "resort"]),
+    "right_join": (lambda t: join(t, _OUTSIDE_RIGHT, "right", by=["t"]), ["build", "resort"]),
+    "full_join": (lambda t: join(t, _OUTSIDE_RIGHT, "full", by=["t"]), ["build", "resort"]),
+    "fan_out_join": (_fan_out_join, ["build", "resort"]),
+}
+
+
+@pytest.mark.parametrize(
+    "verb, reached", CONSTRUCTORS_REACHED.values(), ids=CONSTRUCTORS_REACHED.keys())
+def test_only_cells_from_outside_reach_build(monkeypatch, verb, reached):
+    t = build({"k1": ["a", "a", "b", "b"], "k2": [1, 2, 1, 2], "t": [1, 1, 2, 2],
+               "v": [1, 2, 3, 4], "w": [5, 6, 7, 8]}, "t", ("k1", "k2"))
+    calls = []
+
+    def spying(name):
+        real = getattr(table, name)
+
+        def spy(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return spy
+
+    for name in ("build", "resort"):
+        monkeypatch.setattr(table, name, spying(name))
+    out = verb(t)
+    assert calls == reached
+    monkeypatch.undo()
+    if out is not None:
+        assert_matches_build(getattr(out, "table", out))
 
 
 def test_mutate_overwriting_a_key_column_still_raises_on_duplicates():

@@ -1086,6 +1086,22 @@ def test_spread_errors(tb):
     holes = mutate(tb, gender=lambda r: None if r["count"] == 120 else r["gender"])
     with pytest.raises(ValidityError):
         spread(holes.table, "gender", "count")
+    with pytest.raises(SchemaError, match="cannot use key column 'country' as spread values"):
+        spread(tb, "gender", "country")
+    # 00:00 UTC and 00:00 in Melbourne are two instants with one text.
+    hours = [tp.hour(2020, 1, 1, 0), tp.hour(2020, 1, 1, 0, "Australia/Melbourne")]
+    t = build({"at": hours, "t": [1, 1], "v": [1, 2]}, "t", ("at",))
+    with pytest.raises(ValidityError, match="render to identical column names"):
+        spread(t, "at", "v")
+
+
+def test_index_by_survives_new_index_cells_spelling_utc_another_way():
+    # Index cells in zone "UTC" replaced by cells in zone None: one zone.
+    t = build({"t": [tp.hour(2020, 1, 1, h, "UTC") for h in range(4)], "v": [1, 2, 3, 4]}, "t")
+    out, warnings = mutate(index_by(t, "day"), t=lambda r: tp.TimePoint(
+        r["t"].ticks + 24, Granularity.HOUR))
+    assert out.groups.index_name == "day"
+    assert warnings == ()
 
 
 def test_spread_level_name_clash(tb):
@@ -1258,3 +1274,7 @@ def test_join_argument_errors(tb):
         join(tb, {"country": ["x"]}, by=[("country", "nope")])
     with pytest.raises(SchemaError):
         join(tb, {"country": ["x"], "z": [1, 2]})
+    # The right "count" would become "count_y", which the left already has.
+    left = mutate(tb, count_y=0).table
+    with pytest.raises(SchemaError, match="suffixed join column names still clash"):
+        join(left, {"country": ["Australia"], "count": [1]}, by=["country"])
