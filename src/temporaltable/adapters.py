@@ -9,7 +9,10 @@ detection, filling and interval inference then work unchanged through the ticks.
 Registration probes the adapter's ``sample_values`` to reject partial
 orderings up front.  Re-registering a name replaces the previous adapter
 (last write wins).  Register adapters during start-up, before tables are
-shared across threads; the registry is the package's only mutable state.
+shared across threads.  The registry is the package's only mutable state
+besides ``table._row_maker``'s cache of compiled row constructors, which is
+keyed by row width alone: two threads racing on a new width at worst
+compile its constructor twice, and either one builds the same rows.
 """
 
 from __future__ import annotations

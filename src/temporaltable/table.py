@@ -28,7 +28,8 @@ from __future__ import annotations
 import operator
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from itertools import compress, count, repeat
+from functools import cache
+from itertools import compress, count
 
 from .adapters import IndexAdapter, resolve_index
 from .errors import (
@@ -357,8 +358,39 @@ def replace(obj: TemporalTable | Grouping, **changes):
 
 
 def row_dicts(names: Sequence[str], columns: Iterable[Sequence]) -> Iterator[dict]:
-    """One ``{name: cell}`` dict per row of the equal-length ``columns``."""
-    return map(dict, map(zip, repeat(names), zip(*columns)))
+    """One ``{name: cell}`` dict per row of the equal-length ``columns``,
+    keys in the order of ``names``.
+
+    Each row is one dict display made by a function compiled once per
+    width (``_row_maker``), with ``names`` bound as its keys.  Every call
+    returns new dicts, so a caller may change one without touching the
+    columns or any other row.
+
+    >>> list(row_dicts(["t", "v"], [[1, 2], ["a", "b"]]))
+    [{'t': 1, 'v': 'a'}, {'t': 2, 'v': 'b'}]
+    """
+    if not names:
+        return iter(())
+    return map(_row_maker(len(names))(*names), *columns)
+
+
+@cache
+def _row_maker(width: int):
+    """``maker(k0, ..., kn)``, which returns ``lambda v0, ..., vn: {k0: v0,
+    ..., kn: vn}``, for ``width`` = n + 1 columns.
+
+    The source holds only generated identifiers and the names arrive as
+    arguments, so no column name is ever read as code (``namedtuple``
+    compiles its classes the same way).  Compiling costs far more than a
+    row, hence the cache; it is keyed by width alone, so it stays small.
+    """
+    keys = [f"k{i}" for i in range(width)]
+    cells = [f"v{i}" for i in range(width)]
+    pairs = ", ".join(f"{k}: {v}" for k, v in zip(keys, cells))
+    source = f"def maker({', '.join(keys)}):\n    return lambda {', '.join(cells)}: {{{pairs}}}\n"
+    namespace = {"__builtins__": {}}
+    exec(source, namespace)
+    return namespace["maker"]
 
 
 # --- construction ----------------------------------------------------------

@@ -51,14 +51,18 @@ lists the rows, as dicts, in the order asked for, for presentation.
 from scratch and stays the oracle the test suite checks every result
 against.
 
-Predicates and derivation functions receive one row as a plain dict.  They
-must be pure; grouped aggregation may evaluate groups in any order.
+Predicates and derivation functions receive one row as a plain dict, a new
+one per row.  They must be pure; grouped aggregation may evaluate groups in
+any order.  A ``KeyError(name)`` they raise is reported as a ``SchemaError``
+naming the unknown column; a bare ``KeyError`` propagates as raised.
 """
 
 from __future__ import annotations
 
 import operator
 from bisect import bisect_left, bisect_right
+from contextlib import contextmanager
+from itertools import compress, count
 
 from . import aggregates, table
 from .adapters import IndexAdapter, resolve_index
@@ -110,10 +114,15 @@ def _names(names) -> list:
     return [names] if isinstance(names, str) else list(names)
 
 
-def _call_rowwise(fn, row: dict, what: str):
+@contextmanager
+def _reading_rows(what: str):
+    """Report a ``KeyError`` with an argument, raised while ``what`` reads
+    rows, as a ``SchemaError`` naming the column; a bare one propagates."""
     try:
-        return fn(row)
+        yield
     except KeyError as exc:
+        if not exc.args:
+            raise
         raise SchemaError(f"{what} references unknown column {exc.args[0]!r}") from exc
 
 
@@ -151,7 +160,8 @@ def _outcome(t: TemporalTable, out: TemporalTable, warnings: tuple = ()) -> Verb
 
 def filter(t: TemporalTable, predicate) -> VerbOutcome:
     """Keep rows where the predicate holds; interval is re-inferred."""
-    keep = [i for i, row in enumerate(t.rows()) if _call_rowwise(predicate, row, "predicate")]
+    with _reading_rows("predicate"):
+        keep = list(compress(count(), map(predicate, t.rows())))
     return _outcome(t, take(t, keep))
 
 
@@ -272,9 +282,8 @@ def select(t: TemporalTable, names) -> VerbOutcome:
 
 def _evaluate(t_data: dict[str, list], nrows: int, expr, name: str) -> list:
     if callable(expr):
-        what = f"column {name!r}"
-        rows = table.row_dicts(list(t_data), t_data.values())
-        return [_call_rowwise(expr, row, what) for row in rows]
+        with _reading_rows(f"column {name!r}"):
+            return list(map(expr, table.row_dicts(list(t_data), t_data.values())))
     if isinstance(expr, (list, tuple)):
         if len(expr) != nrows:
             raise PreconditionError(

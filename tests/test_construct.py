@@ -22,7 +22,15 @@ from temporaltable import (
     timepoint as tp,
     validate_table,
 )
-from temporaltable.table import _sort_keys, as_kind, common_kind, replace, take, with_columns
+from temporaltable.table import (
+    _sort_keys,
+    as_kind,
+    common_kind,
+    replace,
+    row_dicts,
+    take,
+    with_columns,
+)
 from conftest import table_rows
 from test_adapters import Semester, SemesterAdapter, semester_registry  # noqa: F401
 
@@ -475,3 +483,48 @@ def test_build_matches_a_tuple_model(table, data):
     kept_keys = [pairs[order[i]][0] for i in keep]
     runs = [j for j in range(1, len(keep)) if kept_keys[j] != kept_keys[j - 1]]
     assert take(t, keep)._ends == (runs + [len(keep)] if keep else [])
+
+
+# --- row dicts ----------------------------------------------------------------
+
+# Names that are no identifiers, or that clash with the identifiers of the
+# compiled row constructor.
+_ODD_NAMES = ["", "a b", "1x", "k0", "v0", "maker", "lambda", "__class__", "é"]
+_ROW_NAME = st.one_of(st.sampled_from(_ODD_NAMES), st.text(max_size=3))
+_ROW_KINDS = [st.booleans(), st.integers(), st.floats(allow_nan=False), st.text(max_size=3)]
+_ROW_CELL = st.one_of(st.none(), *_ROW_KINDS)
+
+
+def _naive_rows(names, columns):
+    return [dict(zip(names, r)) for r in zip(*columns)]
+
+
+def _assert_rows_match_naive(got, names, columns):
+    want = _naive_rows(names, columns)
+    assert got == want
+    assert [list(row) for row in got] == [list(row) for row in want]
+
+
+@given(st.lists(_ROW_NAME, min_size=1, max_size=40, unique=True), st.integers(0, 4), st.data())
+def test_row_dicts_match_dict_of_zip(names, nrows, data):
+    columns = [data.draw(st.lists(_ROW_CELL, min_size=nrows, max_size=nrows)) for _ in names]
+    _assert_rows_match_naive(list(row_dicts(names, columns)), names, columns)
+
+
+@pytest.mark.parametrize("width, nrows", [(300, 3), (300, 0), (7, 0), (0, 0)])
+def test_row_dicts_of_wide_and_empty_tables(width, nrows):
+    names = (_ODD_NAMES + [f"c{i}" for i in range(width)])[:width]
+    columns = [[(name, i) for i in range(nrows)] for name in names]
+    _assert_rows_match_naive(list(row_dicts(names, columns)), names, columns)
+
+
+@given(st.lists(_ROW_NAME.filter(lambda n: n != "i"), max_size=12, unique=True), st.data())
+def test_table_rows_match_dict_of_zip(names, data):
+    nrows = data.draw(st.integers(0, 4))
+    raw = {"i": list(range(nrows))}
+    for name in names:
+        cell = st.none() | data.draw(st.sampled_from(_ROW_KINDS))
+        raw[name] = data.draw(st.lists(cell, min_size=nrows, max_size=nrows))
+    t = build(raw, "i")
+    _assert_rows_match_naive(list(t.rows()), t.column_names,
+                             [t.column(c) for c in t.column_names])

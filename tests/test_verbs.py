@@ -74,8 +74,43 @@ def test_filter_reinfers_interval():
 
 
 def test_filter_unknown_column_mentions_name(tb):
-    with pytest.raises(SchemaError, match="wrong"):
+    with pytest.raises(SchemaError, match="^predicate references unknown column 'wrong'$") as info:
         tfilter(tb, lambda r: r["wrong"] > 0)
+    assert isinstance(info.value.__cause__, KeyError)
+
+
+def test_a_derivation_reading_an_unknown_column_names_it(tb):
+    with pytest.raises(SchemaError, match="^column 'w' references unknown column 'nope'$") as info:
+        mutate(tb, w=lambda r: r["nope"])
+    assert isinstance(info.value.__cause__, KeyError)
+
+
+@pytest.mark.parametrize("verb", [tfilter, lambda t, f: mutate(t, w=f)], ids=["filter", "mutate"])
+def test_a_bare_key_error_in_row_code_propagates_unchanged(verb):
+    error = KeyError()
+
+    def raises(row):
+        raise error
+
+    with pytest.raises(KeyError) as info:
+        verb(build({"t": [1, 2], "v": [1, 2]}, "t"), raises)
+    assert info.value is error
+
+
+def test_a_predicate_that_changes_its_row_changes_nothing_else():
+    t = build({"t": [1, 2, 3], "v": [10, 20, 30]}, "t")
+    before = t.to_dict()
+    seen = []
+
+    def scribbles(row):
+        seen.append(dict(row))
+        row["v"] = -1
+        row["w"] = 0
+        return True
+
+    out = tfilter(t, scribbles).table
+    assert seen == [{"t": 1, "v": 10}, {"t": 2, "v": 20}, {"t": 3, "v": 30}]
+    assert t.to_dict() == out.to_dict() == before
 
 
 _EVERY_OTHER_DAY = {
