@@ -62,7 +62,6 @@ from __future__ import annotations
 import operator
 from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
-from itertools import compress, count
 
 from . import aggregates, table
 from .adapters import IndexAdapter, resolve_index
@@ -117,7 +116,11 @@ def _names(names) -> list:
 @contextmanager
 def _reading_rows(what: str):
     """Report a ``KeyError`` with an argument, raised while ``what`` reads
-    rows, as a ``SchemaError`` naming the column; a bare one propagates."""
+    rows, as a ``SchemaError`` naming the column; a bare one propagates.
+
+    Callers loop over the rows with a comprehension that calls the row
+    code directly: ``map`` would take a ``StopIteration`` the code raises
+    as the end of the rows and return too few results."""
     try:
         yield
     except KeyError as exc:
@@ -161,7 +164,7 @@ def _outcome(t: TemporalTable, out: TemporalTable, warnings: tuple = ()) -> Verb
 def filter(t: TemporalTable, predicate) -> VerbOutcome:
     """Keep rows where the predicate holds; interval is re-inferred."""
     with _reading_rows("predicate"):
-        keep = list(compress(count(), map(predicate, t.rows())))
+        keep = [i for i, row in enumerate(t.rows()) if predicate(row)]
     return _outcome(t, take(t, keep))
 
 
@@ -283,7 +286,7 @@ def select(t: TemporalTable, names) -> VerbOutcome:
 def _evaluate(t_data: dict[str, list], nrows: int, expr, name: str) -> list:
     if callable(expr):
         with _reading_rows(f"column {name!r}"):
-            return list(map(expr, table.row_dicts(list(t_data), t_data.values())))
+            return [expr(row) for row in table.row_dicts(list(t_data), t_data.values())]
     if isinstance(expr, (list, tuple)):
         if len(expr) != nrows:
             raise PreconditionError(

@@ -97,6 +97,27 @@ def test_a_bare_key_error_in_row_code_propagates_unchanged(verb):
     assert info.value is error
 
 
+@pytest.mark.parametrize(
+    "verb",
+    [tfilter, lambda t, f: mutate(t, w=f, x=lambda r: r["w"]), lambda t, f: transmute(t, w=f)],
+    ids=["filter", "mutate", "transmute"],
+)
+def test_stop_iteration_in_row_code_propagates(verb):
+    # It must not end the loop over the rows early, as an iterator
+    # consuming the row code would take it to: that drops rows from a
+    # filter and leaves a derived column shorter than the table.
+    error = StopIteration()
+
+    def stops_on_the_second_row(row):
+        if row["t"] == 2:
+            raise error
+        return True
+
+    with pytest.raises(StopIteration) as info:
+        verb(build({"t": [1, 2, 3], "v": [1, 2, 3]}, "t"), stops_on_the_second_row)
+    assert info.value is error
+
+
 def test_a_predicate_that_changes_its_row_changes_nothing_else():
     t = build({"t": [1, 2, 3], "v": [10, 20, 30]}, "t")
     before = t.to_dict()
