@@ -56,7 +56,12 @@ class IndexAdapter(ABC):
         """Inverse mapping used when materializing missing index values."""
 
     def claims(self, value) -> bool:
-        """Whether this adapter recognizes ``value`` as its index kind."""
+        """Whether this adapter recognizes ``value`` as its index kind.
+
+        ``resolve_index`` asks this of a column's first present cell only,
+        as a cheap probe, then converts every cell once with
+        :meth:`to_ticks`, reading the same errors and ticks as "not mine".
+        """
         try:
             tick = self.to_ticks(value)
         except (TypeError, ValueError):
@@ -117,6 +122,7 @@ class EmptyIndex(IndexAdapter):
 _REGISTRY: dict[str, IndexAdapter] = {}
 _granularity = attrgetter("granularity")
 _zone = attrgetter("zone")
+_ticks = attrgetter("ticks")
 
 
 def register_index_adapter(adapter: IndexAdapter) -> None:
@@ -166,24 +172,32 @@ def registered_adapters() -> list[IndexAdapter]:
 
 def resolve_index(
     name: str, values: Sequence, adapter: str | IndexAdapter | None = None
-) -> IndexAdapter:
-    """The adapter for index column ``name``: ``adapter`` if given as one or
-    as a registered name, else the first kind that takes every value:
-    TimePoints of one granularity and zone, a registered adapter, plain ints.
-    Zero values give :class:`EmptyIndex`.  None and any case of "UTC" are
-    one zone, and an index that spells it more than one way reads as None.
+) -> tuple[IndexAdapter, list]:
+    """The adapter for index column ``name`` and the ticks of ``values``
+    through it: one tick per value, None for a missing one, and each cell
+    converted once.
+
+    ``adapter``, given as one or as a registered name, converts every
+    present cell, and its ticks come back unchecked.  Otherwise the first
+    kind that takes every value: TimePoints of one granularity and zone, a
+    registered adapter, plain ints.  A registered adapter is probed with
+    :meth:`~IndexAdapter.claims` on the first present cell, then converts
+    every cell once.  A ``TypeError`` or ``ValueError``, or a tick that is
+    no int (a bool is none), passes the column on to the next kind; any
+    other exception propagates.  Zero present values give
+    :class:`EmptyIndex`.  None and any case of "UTC" are one zone, and an
+    index that spells it more than one way reads as None.
     """
-    if isinstance(adapter, IndexAdapter):
-        return adapter
+    present = [v for v in values if v is not None]
     if adapter is not None:
-        ad = get_adapter(adapter)
+        ad = adapter if isinstance(adapter, IndexAdapter) else get_adapter(adapter)
         if ad is None:
             raise SchemaError(f"no index adapter registered under {adapter!r}")
-        return ad
-    present = [v for v in values if v is not None]
+        return ad, _with_missing(list(map(ad.to_ticks, present)), values)
     if not present:
-        return EmptyIndex()
-    if all(isinstance(v, TimePoint) for v in present):
+        return EmptyIndex(), list(values)
+    types = set(map(type, present))
+    if all(issubclass(tp, TimePoint) for tp in types):
         grans = set(map(_granularity, present))
         if len(grans) > 1:
             names = ", ".join(sorted(g.value for g in grans))
@@ -191,13 +205,34 @@ def resolve_index(
         zones = set(map(_zone, present))
         if len(zones) > 1 and not all(map(_is_utc, zones)):
             raise SchemaError(f"index column {name!r} mixes time zones: {sorted(map(str, zones))}")
-        return TimeIndex(grans.pop(), zones.pop() if len(zones) == 1 else None)
+        ad = TimeIndex(grans.pop(), zones.pop() if len(zones) == 1 else None)
+        return ad, _with_missing(list(map(_ticks, present)), values)
     for ad in registered_adapters():
-        if all(map(ad.claims, present)):
-            return ad
-    if all(isinstance(v, int) and not isinstance(v, bool) for v in present):
-        return OrdinalIndex()
+        if not ad.claims(present[0]):
+            continue
+        try:
+            ticks = list(map(ad.to_ticks, present))
+        except (TypeError, ValueError):
+            continue
+        if _all_ints(set(map(type, ticks))):
+            return ad, _with_missing(ticks, values)
+    if _all_ints(types):
+        return OrdinalIndex(), list(values)
     raise SchemaError(
         f"index column {name!r} holds no recognized time kind "
         "(expected TimePoint, integer ticks, or a registered adapter kind)"
     )
+
+
+def _all_ints(types) -> bool:
+    # bool subclasses int but is no tick; subclasses of int otherwise are.
+    return all(issubclass(tp, int) and tp is not bool for tp in types)
+
+
+def _with_missing(ticks: list, values: Sequence) -> list:
+    """``ticks``, one per present cell of ``values``, with None put back
+    at each missing cell's place."""
+    if len(ticks) == len(values):
+        return ticks
+    it = iter(ticks)
+    return [None if v is None else next(it) for v in values]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 from .errors import PreconditionError
 from .granularity import UNIT_LETTERS, Granularity
@@ -66,21 +66,38 @@ class Interval(Frozen):
 
 
 def infer_from_ticks(
-    tick_groups: Iterable[Sequence[int]],
+    ticks: Sequence[int],
+    ends: Sequence[int],
     granularity: Granularity | None,
     regular: bool,
     unit_label: str | None = None,
 ) -> Interval:
-    """Interval from per-key tick sequences (each sorted ascending, distinct);
-    irregular when ``regular`` is false, whatever the spacing."""
+    """Interval of the series that the flat ``ticks`` hold, each ending at
+    the matching exclusive offset of ``ends``: the offsets ascend, the last
+    is ``len(ticks)``, and each series is sorted ascending and distinct.
+    Irregular when ``regular`` is false, whatever the spacing.
+
+    One pass takes the step between every two neighbouring ticks, blanks
+    the step across each series end, and takes the greatest common divisor
+    of the distinct steps left.
+
+    >>> infer_from_ticks([0, 2, 6, 11, 15], [3, 5], Granularity.DAY, True).shorthand()
+    '[2D]'
+    >>> infer_from_ticks([4, 9], [1, 2], Granularity.DAY, True).shorthand()
+    '[?]'
+    """
     if not regular:
         return Interval.irregular()
-    diffs = []
-    for ticks in tick_groups:
-        diffs.extend(map(operator.sub, ticks[1:], ticks))
-    if not diffs:
+    steps = list(map(operator.sub, ticks[1:], ticks))
+    for end in ends:
+        # An empty series repeats the end before it; the last end has no
+        # step after it.
+        if 0 < end <= len(steps):
+            steps[end - 1] = None
+    steps = set(steps)
+    steps.discard(None)
+    if not steps:
         return Interval.unknown()
-    if min(diffs) <= 0:
+    if min(steps) <= 0:
         raise PreconditionError("index ticks must be sorted ascending and distinct")
-    return Interval.regular(granularity, math.gcd(*diffs), unit_label)
-
+    return Interval.regular(granularity, math.gcd(*steps), unit_label)

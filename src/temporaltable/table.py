@@ -4,7 +4,11 @@ A table is built from plain column data.  Construction checks that the
 (key, index) pairs uniquely identify rows, sorts everything past-to-future
 within each key, and infers the interval.  Columns keep their original
 values untouched; the engine works on a parallel vector of integer ticks
-derived from the index column.
+derived from the index column.  Each phase is a pass over whole columns:
+typing converts each index cell to its tick once (``resolve_index``), the
+row order is one argsort of the row keys below, gathered into every
+column at once, and the interval comes from one pass over the flat sorted
+ticks (``infer_from_ticks``).
 
 Sorting works on one int per row, its row key, made afresh by each sort
 and never stored.  Each key column is dictionary-encoded: its distinct
@@ -433,7 +437,7 @@ def _prepare(
     if has_missing and not allow_missing_index:
         pos = next(i for i, v in enumerate(idx_values) if v is None)
         raise MissingIndexError(f"index column {index!r} has a missing value at row {pos}")
-    adapter = resolve_index(index, idx_values, adapter)
+    adapter, ticks = resolve_index(index, idx_values, adapter)
 
     columns: dict[str, Column] = {}
     for name, col in data.items():
@@ -442,7 +446,7 @@ def _prepare(
             columns[name] = Column(adapter.cell_kind, idx_values)
         else:
             columns[name] = _typed_column(name, col)
-    ticks = [None if v is None else adapter.to_ticks(v) for v in idx_values]
+    # Only an adapter the caller gave can have made a tick that is no int.
     if not set(map(type, ticks)) <= {int, type(None)}:
         # Subclasses of int other than bool pass; any other tick names its row.
         for i, tk in enumerate(ticks):
@@ -533,9 +537,8 @@ def build(
 def _infer_for(t: TemporalTable, ends, sorted_ticks) -> Interval:
     """The interval of ``t``'s index when its series end at ``ends`` and its
     ticks are ``sorted_ticks``; irregular if ``t`` is declared so."""
-    tick_groups = [sorted_ticks[a:b] for a, b in zip([0, *ends], ends)]
     return infer_from_ticks(
-        tick_groups, t.adapter.granularity, t.declared_regular, t.adapter.unit_label
+        sorted_ticks, ends, t.adapter.granularity, t.declared_regular, t.adapter.unit_label
     )
 
 
@@ -605,16 +608,19 @@ def resort(t: TemporalTable) -> TemporalTable:
 
     Raises SchemaError for NaN in a key column, and DuplicateIndexError,
     from a scan of the cells in row order, for a repeated (key, index)
-    pair.  Rows are sorted on their row keys (see the module docstring);
-    the series ends they give are kept, and the interval is re-inferred.
+    pair.  The row order is an argsort of the row keys (see the module
+    docstring): row positions sorted by their keys, which one gather then
+    applies to every column and the ticks.  The series ends the sorted
+    row keys give are kept, and the interval is re-inferred.
     """
     _refuse_nan_keys(t.columns, t.key)
     ticks = t.ticks()
     row_keys = _row_keys(t.columns, t.key, ticks)
-    # Each row key maps to its last row; a shorter map means a repeated
-    # (key, index) pair, which the scan in row order then reports.
-    rows_of = dict(zip(row_keys, range(len(row_keys))))
-    if len(rows_of) < len(row_keys):
+    order = sorted(range(len(row_keys)), key=row_keys.__getitem__)
+    row_keys = list(map(row_keys.__getitem__, order))
+    # Sorted, a repeated (key, index) pair is two equal neighbouring row
+    # keys, which the scan in row order then reports.
+    if any(map(operator.eq, row_keys[1:], row_keys)):
         report = _scan_duplicates(t.columns, t.index, t.key, ticks)
         first = report.positions[0]
         cell = t.adapter.render(t.columns[t.index].values[first])
@@ -623,8 +629,7 @@ def resort(t: TemporalTable) -> TemporalTable:
             f"key={t.key_tuple(first)!r} index={cell}",
             report,
         )
-    row_keys = sorted(rows_of)
-    out = rows_at(t, list(map(rows_of.__getitem__, row_keys)))
+    out = rows_at(t, order)
     ends = _run_ends(row_keys, ticks)
     return replace(out, interval=_infer_for(t, ends, out.ticks()), _ends=ends)
 

@@ -53,8 +53,9 @@ against.
 
 Predicates and derivation functions receive one row as a plain dict, a new
 one per row.  They must be pure; grouped aggregation may evaluate groups in
-any order.  A ``KeyError(name)`` they raise is reported as a ``SchemaError``
-naming the unknown column; a bare ``KeyError`` propagates as raised.
+any order.  A ``KeyError(name)`` they raise, ``name`` a str naming no column
+of the table, is reported as a ``SchemaError`` naming the unknown column;
+any other ``KeyError`` propagates as raised.
 """
 
 from __future__ import annotations
@@ -114,9 +115,11 @@ def _names(names) -> list:
 
 
 @contextmanager
-def _reading_rows(what: str):
-    """Report a ``KeyError`` with an argument, raised while ``what`` reads
-    rows, as a ``SchemaError`` naming the column; a bare one propagates.
+def _reading_rows(what: str, columns):
+    """Report a ``KeyError`` raised while ``what`` reads rows with the
+    names ``columns`` as a ``SchemaError`` naming the unknown column, when
+    its key is a str naming none of them; any other ``KeyError``, such as a
+    lookup in the caller's own mapping, propagates as raised.
 
     Callers loop over the rows with a comprehension that calls the row
     code directly: ``map`` would take a ``StopIteration`` the code raises
@@ -124,9 +127,11 @@ def _reading_rows(what: str):
     try:
         yield
     except KeyError as exc:
-        if not exc.args:
+        # Column names are always str, so no other key can name one.
+        name = exc.args[0] if exc.args else None
+        if not isinstance(name, str) or name in columns:
             raise
-        raise SchemaError(f"{what} references unknown column {exc.args[0]!r}") from exc
+        raise SchemaError(f"{what} references unknown column {name!r}") from exc
 
 
 # --- row verbs --------------------------------------------------------------
@@ -163,7 +168,7 @@ def _outcome(t: TemporalTable, out: TemporalTable, warnings: tuple = ()) -> Verb
 
 def filter(t: TemporalTable, predicate) -> VerbOutcome:
     """Keep rows where the predicate holds; interval is re-inferred."""
-    with _reading_rows("predicate"):
+    with _reading_rows("predicate", t.columns):
         keep = [i for i, row in enumerate(t.rows()) if predicate(row)]
     return _outcome(t, take(t, keep))
 
@@ -285,7 +290,7 @@ def select(t: TemporalTable, names) -> VerbOutcome:
 
 def _evaluate(t_data: dict[str, list], nrows: int, expr, name: str) -> list:
     if callable(expr):
-        with _reading_rows(f"column {name!r}"):
+        with _reading_rows(f"column {name!r}", t_data):
             return [expr(row) for row in table.row_dicts(list(t_data), t_data.values())]
     if isinstance(expr, (list, tuple)):
         if len(expr) != nrows:
@@ -360,7 +365,8 @@ def _derived_index(t: TemporalTable, rule, name: str) -> tuple[list, list[int], 
     distinct cells.
 
     ``rule`` is a :class:`Granularity` (floor each index cell to it) or a
-    callable; each distinct tick's cell is derived once.  Raises
+    callable; each distinct tick's cell is derived, and converted to its
+    tick, once.  Raises
     ConversionError between an ordinal and a calendar index,
     MissingIndexError for a missing derived cell, and PreconditionError for
     a mapping that is not order-preserving.
@@ -386,12 +392,11 @@ def _derived_index(t: TemporalTable, rule, name: str) -> tuple[list, list[int], 
                 raise MissingIndexError(
                     f"index_by maps {t.index!r} cell {t.adapter.render(v)} to a missing value"
                 )
-    adapter = resolve_index(name, list(cells.values()))
-    old_ticks = sorted(cells)
-    derived_ticks = [adapter.to_ticks(cells[tk]) for tk in old_ticks]
-    if any(map(operator.lt, derived_ticks[1:], derived_ticks)):
+    adapter, derived_ticks = resolve_index(name, list(cells.values()))
+    tick_of = dict(zip(cells, derived_ticks))
+    in_order = list(map(tick_of.__getitem__, sorted(cells)))
+    if any(map(operator.lt, in_order[1:], in_order)):
         raise PreconditionError("index mapping is not order-preserving")
-    tick_of = dict(zip(old_ticks, derived_ticks))
     ticks = t.ticks()
     return list(map(cells.__getitem__, ticks)), list(map(tick_of.__getitem__, ticks)), adapter
 

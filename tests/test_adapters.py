@@ -1,20 +1,23 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from temporaltable import (
     Granularity,
     IndexAdapter,
     RegistrationError,
+    SchemaError,
     build,
     fill_gaps,
     get_adapter,
     has_gaps,
+    index_by,
     register_index_adapter,
     registered_adapters,
     render_summary,
     table_to_csv,
     unregister_index_adapter,
 )
-from temporaltable.adapters import OrdinalIndex
+from temporaltable.adapters import EmptyIndex, OrdinalIndex, resolve_index
 
 
 class Semester:
@@ -201,3 +204,137 @@ def test_csv_writes_index_cells_as_the_adapter_renders_them():
               adapter=Named())
     assert table_to_csv(t) == "term,n\n2019-S1,4\n2019-S2,5\n"
     assert "2019-S1" in render_summary(t)
+
+
+class _CountingSemesters(SemesterAdapter):
+    """Counts its ``to_ticks`` calls."""
+
+    name = "counting"
+    calls = 0
+
+    def to_ticks(self, value):
+        self.calls += 1
+        return super().to_ticks(value)
+
+
+@pytest.fixture
+def counting():
+    spy = _CountingSemesters()
+    register_index_adapter(spy)
+    spy.calls = 0  # registration probes the samples
+    yield spy
+    unregister_index_adapter("counting")
+
+
+_TERMS = [Semester(y, s) for y in range(2010, 2020) for s in (1, 2)]
+
+
+def test_a_probed_build_converts_each_cell_once(counting):
+    t = build({"term": _TERMS[::-1], "n": list(range(len(_TERMS)))}, "term")
+    assert t.adapter is counting
+    # One probe of the first cell through claims, then one call per cell.
+    assert counting.calls <= len(_TERMS) + 1
+
+
+def test_a_build_given_its_adapter_converts_each_cell_once(counting):
+    build({"term": _TERMS[::-1], "n": list(range(len(_TERMS)))}, "term", adapter=counting)
+    assert counting.calls == len(_TERMS)
+
+
+def test_index_by_a_callable_converts_each_derived_cell_once(counting):
+    # Two series over the same six ticks: six cells to derive.
+    t = build({"k": ["a", "b"] * 6, "t": [n // 2 for n in range(12)]}, "t", ["k"])
+    counting.calls = 0
+    index_by(t, lambda n: Semester(2019 + n // 2, 1 + n % 2), "term")
+    assert counting.calls <= 6 + 1
+
+
+class _Picky(IndexAdapter):
+    """Ticks a cell by its value (an int) or its length (a str), except
+    that it refuses the cells in ``refused`` by raising the exception
+    class mapped to each, and gives the cells in ``bad`` the tick mapped to
+    each."""
+
+    unit_label = "p"
+    sample_values = (10, 11)
+
+    def __init__(self, name, refused, bad):
+        self.name = name
+        self.refused = refused
+        self.bad = bad
+
+    def to_ticks(self, value):
+        for cell, error in self.refused:
+            if cell == value:
+                raise error(f"not mine: {value!r}")
+        for cell, tick in self.bad:
+            if cell == value:
+                return tick
+        return value if isinstance(value, int) else len(value)
+
+    def from_ticks(self, ticks):
+        return ticks
+
+
+def _resolution_by_the_old_rule(values):
+    """The adapter and ticks ``resolve_index`` gave when it asked every
+    registered adapter's ``claims`` about every present cell, or
+    SchemaError.  No cell here is a TimePoint."""
+    present = [v for v in values if v is not None]
+    if not present:
+        return EmptyIndex, list(values)
+    for ad in registered_adapters():
+        if all(map(ad.claims, present)):
+            return ad, [None if v is None else ad.to_ticks(v) for v in values]
+    if all(isinstance(v, int) and not isinstance(v, bool) for v in present):
+        return OrdinalIndex, list(values)
+    return SchemaError, None
+
+
+_CELLS = st.sampled_from([0, 1, 2, 3, 7, True, "a", "bb", None])
+_PICKY = st.builds(
+    lambda refused, bad: (refused, bad),
+    st.lists(st.tuples(_CELLS, st.sampled_from([TypeError, ValueError])), max_size=2),
+    st.lists(st.tuples(_CELLS, st.sampled_from([True, False, 0.5, 2.0])), max_size=1),
+)
+
+
+@given(st.lists(_CELLS, max_size=8), _PICKY, _PICKY)
+def test_resolution_agrees_with_asking_claims_of_every_cell(values, first, second):
+    adapters = [_Picky("picky-1", *first), _Picky("picky-2", *second)]
+    for ad in adapters:
+        register_index_adapter(ad)
+    try:
+        want, want_ticks = _resolution_by_the_old_rule(values)
+        if want is SchemaError:
+            with pytest.raises(SchemaError, match="holds no recognized time kind"):
+                resolve_index("t", values)
+            return
+        ad, ticks = resolve_index("t", values)
+        assert ad is want if isinstance(want, IndexAdapter) else type(ad) is want
+        assert ticks == want_ticks
+        assert [type(tk) for tk in ticks] == [type(tk) for tk in want_ticks]
+    finally:
+        for ad in adapters:
+            unregister_index_adapter(ad.name)
+
+
+@pytest.mark.parametrize("row", [0, 1, 2])
+def test_an_adapter_bug_propagates_out_of_build(row):
+    class Broken(SemesterAdapter):
+        name = "broken"
+
+        def to_ticks(self, value):
+            if value == _TERMS[row] and self.armed:
+                raise RuntimeError("lookup table not loaded")
+            return super().to_ticks(value)
+
+    broken = Broken()
+    broken.armed = False
+    register_index_adapter(broken)
+    broken.armed = True
+    try:
+        with pytest.raises(RuntimeError, match="lookup table not loaded"):
+            build({"term": _TERMS[:3]}, "term")
+    finally:
+        unregister_index_adapter("broken")

@@ -1,7 +1,9 @@
+import math
 import random
 from itertools import accumulate
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from temporaltable import (
     Granularity,
@@ -14,8 +16,12 @@ from temporaltable import (
 from temporaltable.interval import infer_from_ticks
 
 
-def _infer(groups, regular=True):
-    return infer_from_ticks(groups, Granularity.ORDINAL, regular)
+def _infer(groups, regular=True, granularity=Granularity.ORDINAL):
+    """``infer_from_ticks`` over per-series tick lists: flattened, with the
+    ends of the series."""
+    ticks = [tk for group in groups for tk in group]
+    ends = list(accumulate(map(len, groups)))
+    return infer_from_ticks(ticks, ends, granularity, regular)
 
 
 def _multiple(diffs):
@@ -88,12 +94,12 @@ def test_infer_permutation_invariant():
     for _ in range(5):
         start = rng.randrange(0, 50)
         groups.append([start + 3 * j for j in range(4)])
-    base = infer_from_ticks(groups, Granularity.MONTH, True)
+    base = _infer(groups, granularity=Granularity.MONTH)
     assert base == Interval.regular(Granularity.MONTH, 3)
     for _ in range(5):
         shuffled = groups[:]
         rng.shuffle(shuffled)
-        assert infer_from_ticks(shuffled, Granularity.MONTH, True) == base
+        assert _infer(shuffled, granularity=Granularity.MONTH) == base
 
 
 def test_inferred_multiple_divides_every_diff():
@@ -109,6 +115,40 @@ def test_inferred_multiple_divides_every_diff():
             for g in groups:
                 for a, b in zip(g, g[1:]):
                     assert (b - a) % iv.multiple == 0
+
+
+def _infer_per_series(groups, regular=True):
+    """The interval of ``groups`` taken one series at a time."""
+    if not regular:
+        return Interval.irregular()
+    steps = [b - a for group in groups for a, b in zip(group, group[1:])]
+    if not steps:
+        return Interval.unknown()
+    if min(steps) <= 0:
+        raise PreconditionError("index ticks must be sorted ascending and distinct")
+    return Interval.regular(Granularity.ORDINAL, math.gcd(*steps))
+
+
+# Mostly valid series, some left unsorted or with a repeat.
+_SERIES = st.lists(st.integers(-30, 30), max_size=6).flatmap(
+    lambda ticks: st.sampled_from([sorted(set(ticks)), ticks])
+)
+
+
+@given(st.lists(_SERIES, max_size=6), st.booleans())
+@example([[], [4], [], [], [9]], True)  # empty and one-tick series only
+@example([[5, 6], [1, 2]], True)  # the next series starts below the last
+@example([[1, 3], [3, 5]], True)  # ... or on it
+@example([[7], [7, 7]], True)
+@example([[0, 4, 2]], True)
+def test_flat_inference_matches_per_series_inference(groups, regular):
+    try:
+        want = _infer_per_series(groups, regular)
+    except PreconditionError:
+        with pytest.raises(PreconditionError, match="sorted ascending and distinct"):
+            _infer(groups, regular)
+        return
+    assert _infer(groups, regular) == want
 
 
 def test_shorthand_unit_letters():

@@ -97,6 +97,22 @@ def test_a_bare_key_error_in_row_code_propagates_unchanged(verb):
     assert info.value is error
 
 
+def test_a_missed_lookup_in_the_callers_mapping_propagates_unchanged():
+    rates = {"a": 1}
+    with pytest.raises(KeyError) as info:
+        mutate(build({"t": [1, 2], "v": [1, 2]}, "t"), w=lambda r: rates[r["v"]])
+    assert info.value.args == (1,)
+
+
+@pytest.mark.parametrize("verb", [tfilter, lambda t, f: mutate(t, w=f)], ids=["filter", "mutate"])
+def test_a_key_error_naming_a_column_propagates_unchanged(verb):
+    # "v" is a column, so the row did not raise it: some other mapping did.
+    labels = {}
+    with pytest.raises(KeyError) as info:
+        verb(build({"t": [1, 2], "v": [1, 2]}, "t"), lambda r: labels["v"])
+    assert info.value.args == ("v",)
+
+
 @pytest.mark.parametrize(
     "verb",
     [tfilter, lambda t, f: mutate(t, w=f, x=lambda r: r["w"]), lambda t, f: transmute(t, w=f)],
