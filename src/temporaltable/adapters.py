@@ -18,7 +18,7 @@ compile its constructor twice, and either one builds the same rows.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from operator import attrgetter
 
 from .errors import RegistrationError, SchemaError
@@ -178,34 +178,37 @@ def resolve_index(
     converted once.
 
     ``adapter``, given as one or as a registered name, converts every
-    present cell, and its ticks come back unchecked.  Otherwise the first
-    kind that takes every value: TimePoints of one granularity and zone, a
-    registered adapter, plain ints.  A registered adapter is probed with
+    present cell, and a tick that is no int (a bool is none) raises
+    SchemaError naming its cell.  Otherwise the first kind that takes every
+    value: TimePoints of one granularity and zone, a registered adapter,
+    plain ints.  A registered adapter is probed with
     :meth:`~IndexAdapter.claims` on the first present cell, then converts
     every cell once.  A ``TypeError`` or ``ValueError``, or a tick that is
-    no int (a bool is none), passes the column on to the next kind; any
-    other exception propagates.  Zero present values give
-    :class:`EmptyIndex`.  None and any case of "UTC" are one zone, and an
-    index that spells it more than one way reads as None.
+    no int, passes the column on to the next kind; any other exception
+    propagates.  Zero present values give :class:`EmptyIndex`.  None and
+    any case of "UTC" are one zone, and an index that spells it more than
+    one way reads as None.
     """
-    present = [v for v in values if v is not None]
+    types = set(map(type, values))
+    present = [v for v in values if v is not None] if type(None) in types else values
+    types.discard(type(None))
     if adapter is not None:
         ad = adapter if isinstance(adapter, IndexAdapter) else get_adapter(adapter)
         if ad is None:
             raise SchemaError(f"no index adapter registered under {adapter!r}")
-        return ad, _with_missing(list(map(ad.to_ticks, present)), values)
-    if not present:
+        ticks = list(map(ad.to_ticks, present))
+        if not _all_ints(set(map(type, ticks))):
+            bad = next(v for v, tk in zip(present, ticks) if not _all_ints((type(tk),)))
+            raise SchemaError(f"index value {bad!r} does not map to integer ticks")
+        return ad, _with_missing(ticks, values)
+    if not types:
         return EmptyIndex(), list(values)
-    types = set(map(type, present))
     if all(issubclass(tp, TimePoint) for tp in types):
-        grans = set(map(_granularity, present))
-        if len(grans) > 1:
-            names = ", ".join(sorted(g.value for g in grans))
-            raise SchemaError(f"index column {name!r} mixes granularities: {names}")
+        gran = one_granularity(f"index column {name!r}", present)
         zones = set(map(_zone, present))
         if len(zones) > 1 and not all(map(_is_utc, zones)):
             raise SchemaError(f"index column {name!r} mixes time zones: {sorted(map(str, zones))}")
-        ad = TimeIndex(grans.pop(), zones.pop() if len(zones) == 1 else None)
+        ad = TimeIndex(gran, zones.pop() if len(zones) == 1 else None)
         return ad, _with_missing(list(map(_ticks, present)), values)
     for ad in registered_adapters():
         if not ad.claims(present[0]):
@@ -222,6 +225,16 @@ def resolve_index(
         f"index column {name!r} holds no recognized time kind "
         "(expected TimePoint, integer ticks, or a registered adapter kind)"
     )
+
+
+def one_granularity(column: str, cells: Iterable[TimePoint]) -> Granularity | None:
+    """The one granularity of the present TimePoint ``cells`` of ``column``
+    (None for no cell): a time column that mixes them raises SchemaError."""
+    grans = set(map(_granularity, cells))
+    if len(grans) > 1:
+        names = ", ".join(sorted(g.value for g in grans))
+        raise SchemaError(f"{column} mixes granularities: {names}")
+    return next(iter(grans), None)
 
 
 def _all_ints(types) -> bool:

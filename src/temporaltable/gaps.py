@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from . import aggregates, table
+from . import aggregates
 from .errors import GapError, SchemaError, UnsupportedOperationError
 from .record import Record
-from .table import Column, TemporalTable, as_kind, common_kind, key_groups, replace
+from .table import Column, TemporalTable, as_kind, common_kind, key_groups, place_rows, replace
 
 
 class GapReport(Record):
@@ -183,8 +183,7 @@ def fill_gaps(
         for col in measured:
             data[col].values.extend([cells.get(col)] * n)
 
-    out = table.rows_at(replace(t, columns=data, _ticks=ticks), order)
-    return replace(out, interval=table._infer_for(t, ends, out.ticks()), _ends=ends)
+    return place_rows(replace(t, columns=data, _ticks=ticks), order, ends)
 
 
 def require_gapless(t: TemporalTable) -> None:

@@ -69,25 +69,23 @@ def infer_from_ticks(
     ticks: Sequence[int],
     ends: Sequence[int],
     granularity: Granularity | None,
-    regular: bool,
     unit_label: str | None = None,
 ) -> Interval:
     """Interval of the series that the flat ``ticks`` hold, each ending at
     the matching exclusive offset of ``ends``: the offsets ascend, the last
     is ``len(ticks)``, and each series is sorted ascending and distinct.
-    Irregular when ``regular`` is false, whatever the spacing.
+    Never irregular: that is only declared, and a table that declares it
+    keeps it without asking here (``table._infer_for``).
 
     One pass takes the step between every two neighbouring ticks, blanks
     the step across each series end, and takes the greatest common divisor
     of the distinct steps left.
 
-    >>> infer_from_ticks([0, 2, 6, 11, 15], [3, 5], Granularity.DAY, True).shorthand()
+    >>> infer_from_ticks([0, 2, 6, 11, 15], [3, 5], Granularity.DAY).shorthand()
     '[2D]'
-    >>> infer_from_ticks([4, 9], [1, 2], Granularity.DAY, True).shorthand()
+    >>> infer_from_ticks([4, 9], [1, 2], Granularity.DAY).shorthand()
     '[?]'
     """
-    if not regular:
-        return Interval.irregular()
     steps = list(map(operator.sub, ticks[1:], ticks))
     for end in ends:
         # An empty series repeats the end before it; the last end has no

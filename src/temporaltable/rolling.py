@@ -268,6 +268,9 @@ def roll_by_key(
             kernel = functools.partial(_sums, agg)
         f = functools.partial(aggregates.apply, f)
     require_gapless(t)
+    name = as_name or f"{column}_{op}"
+    if name in t.columns:
+        raise SchemaError(f"column {name!r} already exists; pass as_name")
 
     groups = key_groups(t)
     values = t.columns[column].values
@@ -295,9 +298,6 @@ def roll_by_key(
     for part in parts:
         rolled.extend(part)
 
-    name = as_name or f"{column}_{op}"
-    if name in t.columns:
-        raise SchemaError(f"column {name!r} already exists; pass as_name")
     if kind is None and rolled.count(None) == len(rolled):
         kind = t.kind_of(column)
     return with_columns(t, {**t.columns, name: rolled if kind is None else Column(kind, rolled)})

@@ -1,14 +1,15 @@
 """Temporal tables: columnar data plus index, key and interval semantics.
 
-A table is built from plain column data.  Construction checks that the
-(key, index) pairs uniquely identify rows, sorts everything past-to-future
-within each key, and infers the interval.  Columns keep their original
-values untouched; the engine works on a parallel vector of integer ticks
-derived from the index column.  Each phase is a pass over whole columns:
-typing converts each index cell to its tick once (``resolve_index``), the
-row order is one argsort of the row keys below, gathered into every
-column at once, and the interval comes from one pass over the flat sorted
-ticks (``infer_from_ticks``).
+A table is built from plain column data: :func:`build` types the cells,
+``resolve_index`` converting and checking each index cell once, and
+:func:`resort` checks that the (key, index) pairs uniquely identify rows,
+sorts everything past-to-future within each key, and infers the interval.
+Columns keep their original values untouched; the engine works on a
+parallel vector of integer ticks derived from the index column.  The row
+order is one argsort of the row keys below, and :func:`place_rows`, where
+``resort``, ``take`` and ``gaps.fill_gaps`` all end, gathers it into every
+column at once and infers the interval from one pass over the flat sorted
+ticks.
 
 Sorting works on one int per row, its row key, made afresh by each sort
 and never stored.  Each key column is dictionary-encoded: its distinct
@@ -35,7 +36,7 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import cache
 from itertools import compress, count
 
-from .adapters import IndexAdapter, resolve_index
+from .adapters import IndexAdapter, one_granularity, resolve_index
 from .errors import (
     DuplicateIndexError,
     MissingIndexError,
@@ -105,13 +106,6 @@ def infer_kind(values: Sequence) -> str | None:
     # Subclasses and unsupported cells: classify cell by cell, which raises
     # for the first unsupported cell in column order.
     return common_kind(map(cell_kind, values))
-
-
-def _check_time_column(name: str, values: Sequence) -> None:
-    grans = {v.granularity for v in values if v is not None}
-    if len(grans) > 1:
-        names = ", ".join(sorted(g.value for g in grans))
-        raise SchemaError(f"time column {name!r} mixes granularities: {names}")
 
 
 def _sort_cell(v):
@@ -412,14 +406,9 @@ def _normalize_raw(raw) -> dict[str, Column | list]:
     return cols
 
 
-def _prepare(
-    raw,
-    index: str,
-    key: Sequence[str],
-    adapter: str | IndexAdapter | None,
-    *,
-    allow_missing_index: bool,
-):
+def _prepare(raw, index: str, key: Sequence[str], adapter: str | IndexAdapter | None):
+    # The typed columns, the key, and the index adapter with one tick per
+    # row: None for a missing index cell, which only build refuses.
     data = _normalize_raw(raw)
     if index not in data:
         raise SchemaError(f"index column {index!r} not found")
@@ -433,10 +422,6 @@ def _prepare(
         raise SchemaError(f"duplicate key columns: {list(key)}")
 
     idx_values = getattr(data[index], "values", data[index])
-    has_missing = any(v is None for v in idx_values)
-    if has_missing and not allow_missing_index:
-        pos = next(i for i, v in enumerate(idx_values) if v is None)
-        raise MissingIndexError(f"index column {index!r} has a missing value at row {pos}")
     adapter, ticks = resolve_index(index, idx_values, adapter)
 
     columns: dict[str, Column] = {}
@@ -446,12 +431,6 @@ def _prepare(
             columns[name] = Column(adapter.cell_kind, idx_values)
         else:
             columns[name] = _typed_column(name, col)
-    # Only an adapter the caller gave can have made a tick that is no int.
-    if not set(map(type, ticks)) <= {int, type(None)}:
-        # Subclasses of int other than bool pass; any other tick names its row.
-        for i, tk in enumerate(ticks):
-            if tk is not None and (not isinstance(tk, int) or isinstance(tk, bool)):
-                raise SchemaError(f"index value {idx_values[i]!r} does not map to integer ticks")
     return columns, key, adapter, ticks
 
 
@@ -470,7 +449,7 @@ def _typed_column(name: str, col: Column | list) -> Column:
     else:
         col = Column(infer_kind(col) or "text", col)
     if col.kind == "time":
-        _check_time_column(name, col.values)
+        one_granularity(f"time column {name!r}", (v for v in col.values if v is not None))
     return col
 
 
@@ -524,22 +503,25 @@ def build(
     :class:`SchemaError` for NaN in a key column.
     Row content is preserved exactly; only the row order changes.
     ``adapter`` (an :class:`IndexAdapter` or a registered name) fixes the
-    index kind; by default the index values decide.  ``_prepare`` types the
-    cells, and :func:`resort` checks and orders the typed rows.
+    index kind; by default the index values decide.  ``_prepare`` types
+    every cell, so a cell of the wrong kind is reported before a missing
+    index cell, and :func:`resort` checks and orders the typed rows.
     """
-    columns, key, adapter, ticks = _prepare(
-        raw, index, key, adapter, allow_missing_index=False
-    )
+    columns, key, adapter, ticks = _prepare(raw, index, key, adapter)
+    if None in ticks:
+        raise MissingIndexError(
+            f"index column {index!r} has a missing value at row {ticks.index(None)}"
+        )
     seed = Interval.unknown() if regular else Interval.irregular()
     return resort(TemporalTable(columns, index, key, seed, adapter, _ticks=ticks))
 
 
 def _infer_for(t: TemporalTable, ends, sorted_ticks) -> Interval:
     """The interval of ``t``'s index when its series end at ``ends`` and its
-    ticks are ``sorted_ticks``; irregular if ``t`` is declared so."""
-    return infer_from_ticks(
-        sorted_ticks, ends, t.adapter.granularity, t.declared_regular, t.adapter.unit_label
-    )
+    ticks are ``sorted_ticks``; a declared irregular interval is kept."""
+    if not t.declared_regular:
+        return t.interval
+    return infer_from_ticks(sorted_ticks, ends, t.adapter.granularity, t.adapter.unit_label)
 
 
 def _contiguous_groups(columns, key, nrows) -> list[tuple[tuple, range]]:
@@ -562,13 +544,12 @@ def duplicates(
     """All rows participating in a duplicated (key, index) pair, in source order.
 
     The report is empty exactly when :func:`build` would succeed with the
-    same arguments (missing index values aside, which build rejects outright).
+    same arguments (missing index values aside, which build rejects
+    outright), and it raises the SchemaError build would for the same cells.
     """
-    columns, key, _, ticks = _prepare(
-        raw, index, key, adapter, allow_missing_index=True
-    )
+    columns, key, _, ticks = _prepare(raw, index, key, adapter)
     _refuse_nan_keys(columns, key)
-    ticks = [("missing",) if tk is None else tk for tk in ticks]
+    # A missing index cell's tick is None, which equals no int tick.
     return _scan_duplicates(columns, index, key, ticks)
 
 
@@ -591,15 +572,23 @@ def rows_at(t: TemporalTable, rows: Sequence[int]) -> TemporalTable:
     """``t`` with its rows at positions ``rows``, in that order.
 
     The one place rows move: column cells and index ticks are taken
-    together, and every other field carries over as it is, column kinds and
-    grouping included.  The series ends are cleared; :func:`resort`,
-    :func:`take` and ``gaps.fill_gaps`` re-derive them.
+    together, and every other field carries over as it is, column kinds,
+    interval and grouping included.  The series ends are cleared, for
+    :func:`resort` or :func:`place_rows` to set.
     """
     ticks = t.ticks()
     columns = {
         name: Column(col.kind, [col.values[i] for i in rows]) for name, col in t.columns.items()
     }
     return replace(t, columns=columns, _ticks=[ticks[i] for i in rows], _ends=None)
+
+
+def place_rows(t: TemporalTable, rows: Sequence[int], ends: list[int]) -> TemporalTable:
+    """``t`` with its rows at positions ``rows``, an order that is
+    canonical, as series ending at the exclusive offsets ``ends``, and its
+    interval re-inferred (a declared irregular one is kept)."""
+    out = rows_at(t, rows)
+    return replace(out, interval=_infer_for(t, ends, out.ticks()), _ends=ends)
 
 
 def resort(t: TemporalTable) -> TemporalTable:
@@ -629,9 +618,7 @@ def resort(t: TemporalTable) -> TemporalTable:
             f"key={t.key_tuple(first)!r} index={cell}",
             report,
         )
-    out = rows_at(t, order)
-    ends = _run_ends(row_keys, ticks)
-    return replace(out, interval=_infer_for(t, ends, out.ticks()), _ends=ends)
+    return place_rows(t, order, _run_ends(row_keys, ticks))
 
 
 def take(t: TemporalTable, rows: Sequence[int]) -> TemporalTable:
@@ -644,10 +631,8 @@ def take(t: TemporalTable, rows: Sequence[int]) -> TemporalTable:
     before its old end do, and a series left with no row is dropped.  The
     interval is re-inferred on the subset.
     """
-    out = rows_at(t, rows)
     cut = [bisect_left(rows, end) for end in t._ends]
-    ends = [b for a, b in zip([0, *cut], cut) if b > a]
-    return replace(out, interval=_infer_for(t, ends, out.ticks()), _ends=ends)
+    return place_rows(t, rows, [b for a, b in zip([0, *cut], cut) if b > a])
 
 
 def with_columns(t: TemporalTable, columns: Mapping[str, Column | list]) -> TemporalTable:

@@ -7,7 +7,8 @@ of four constructors:
 
 * :func:`~temporaltable.table.take` keeps a subset of rows: ``filter``,
   ``filter_index``, semi/anti ``join`` and inner ``join`` without fan-out.
-  Order and uniqueness hold, so only the interval is re-inferred.
+  Order and uniqueness hold, so only the series ends are cut and the
+  interval is re-inferred.
 * :func:`~temporaltable.table.with_columns` keeps the rows: ``mutate`` and
   ``transmute`` of non-key, non-index columns, ``select`` keeping every
   key column, and left/inner ``join`` where each left row matches at most
@@ -17,11 +18,13 @@ of four constructors:
   typed under a new key or in a new order: ``select`` dropping a key
   column, ``mutate``/``transmute`` of a key column, and ``gather``,
   ``spread`` and ``summarize``, which pick their rows with
-  :func:`~temporaltable.table.rows_at`.  It checks uniqueness, sorts and
-  re-infers the interval; kinds, ticks and index adapter carry over.
-* :func:`~temporaltable.table.build` types index or key cells from outside
-  the library: ``mutate``/``transmute`` of the index, and right/full and
-  fan-out joins.
+  :func:`~temporaltable.table.rows_at`.  It refuses NaN in a key, checks
+  uniqueness, sorts and re-infers the interval; kinds, ticks and index
+  adapter carry over, and no cell is typed again.
+* :func:`~temporaltable.table.build` types cells from outside the table,
+  new index cells among them, then does what ``resort`` does:
+  ``mutate``/``transmute`` of the index, and right/full and fan-out
+  joins.
 
 Every column a verb carries keeps its kind, and ``summarize`` declares
 :func:`~temporaltable.aggregates.result_kind` for each aggregate.  Only

@@ -170,6 +170,22 @@ class _FloatTicks(SemesterAdapter):
 def test_build_refusals(raw, key, adapter, message):
     with pytest.raises(SchemaError, match=message):
         build(raw, "t", key, adapter=adapter)
+    with pytest.raises(SchemaError, match=message):
+        duplicates(raw, "t", key, adapter=adapter)
+
+
+# Typing every column comes first, so a missing index cell is reported
+# only once no column is of the wrong kind.
+@pytest.mark.parametrize("raw, message", [
+    ({"t": [None, tp.day(2011, 1, 1), tp.month(2011, 1)]},
+     "index column 't' mixes granularities: day, month"),
+    ({"t": [None, "x"]}, "index column 't' holds no recognized time kind"),
+    ({"t": [None, 1], "v": [1, "x"]}, r"column mixes cell kinds: \['int', 'text'\]"),
+])
+def test_a_kind_problem_is_reported_before_a_missing_index_cell(raw, message):
+    for refuse in (build, duplicates):
+        with pytest.raises(SchemaError, match=message):
+            refuse(raw, "t")
 
 
 def test_build_takes_an_adapter_by_registered_name(semester_registry):

@@ -16,12 +16,12 @@ from temporaltable import (
 from temporaltable.interval import infer_from_ticks
 
 
-def _infer(groups, regular=True, granularity=Granularity.ORDINAL):
+def _infer(groups, granularity=Granularity.ORDINAL):
     """``infer_from_ticks`` over per-series tick lists: flattened, with the
     ends of the series."""
     ticks = [tk for group in groups for tk in group]
     ends = list(accumulate(map(len, groups)))
-    return infer_from_ticks(ticks, ends, granularity, regular)
+    return infer_from_ticks(ticks, ends, granularity)
 
 
 def _multiple(diffs):
@@ -71,7 +71,6 @@ def test_infer_declared_irregular():
     t = build({"s": s}, "s", regular=False)
     assert t.interval == Interval.irregular() and not t.declared_regular
     assert t.interval.shorthand() == "[!]"
-    assert _infer([[0, 1, 2]], regular=False) == Interval.irregular()
 
 
 def test_infer_mixed_granularities_rejected():
@@ -117,10 +116,8 @@ def test_inferred_multiple_divides_every_diff():
                     assert (b - a) % iv.multiple == 0
 
 
-def _infer_per_series(groups, regular=True):
+def _infer_per_series(groups):
     """The interval of ``groups`` taken one series at a time."""
-    if not regular:
-        return Interval.irregular()
     steps = [b - a for group in groups for a, b in zip(group, group[1:])]
     if not steps:
         return Interval.unknown()
@@ -135,20 +132,20 @@ _SERIES = st.lists(st.integers(-30, 30), max_size=6).flatmap(
 )
 
 
-@given(st.lists(_SERIES, max_size=6), st.booleans())
-@example([[], [4], [], [], [9]], True)  # empty and one-tick series only
-@example([[5, 6], [1, 2]], True)  # the next series starts below the last
-@example([[1, 3], [3, 5]], True)  # ... or on it
-@example([[7], [7, 7]], True)
-@example([[0, 4, 2]], True)
-def test_flat_inference_matches_per_series_inference(groups, regular):
+@given(st.lists(_SERIES, max_size=6))
+@example([[], [4], [], [], [9]])  # empty and one-tick series only
+@example([[5, 6], [1, 2]])  # the next series starts below the last
+@example([[1, 3], [3, 5]])  # ... or on it
+@example([[7], [7, 7]])
+@example([[0, 4, 2]])
+def test_flat_inference_matches_per_series_inference(groups):
     try:
-        want = _infer_per_series(groups, regular)
+        want = _infer_per_series(groups)
     except PreconditionError:
         with pytest.raises(PreconditionError, match="sorted ascending and distinct"):
-            _infer(groups, regular)
+            _infer(groups)
         return
-    assert _infer(groups, regular) == want
+    assert _infer(groups) == want
 
 
 def test_shorthand_unit_letters():

@@ -276,6 +276,27 @@ def test_roll_by_key_refuses_gappy_tables():
         roll_by_key(t, "v", "slide", sum, 2)
 
 
+def test_roll_by_key_refuses_a_clashing_name_before_rolling():
+    calls = []
+
+    def counting_sum(window):
+        calls.append(window)
+        return sum(window)
+
+    t = build({"t": [1, 2, 3], "v": [1.0, 2.0, 3.0], "v_slide": [0, 0, 0]}, "t")
+    for as_name in (None, "t"):
+        with pytest.raises(SchemaError, match="already exists; pass as_name"):
+            roll_by_key(t, "v", "slide", counting_sum, 2, as_name=as_name)
+    assert calls == []
+    gappy = build({"t": [1, 2, 5], "v": [1.0, 2.0, 5.0]}, "t")
+    with pytest.raises(GapError):
+        roll_by_key(gappy, "v", "slide", counting_sum, 2, as_name="v")
+    assert calls == []
+    assert roll_by_key(t, "v", "slide", counting_sum, 2, as_name="w").column("w") == [
+        None, 3.0, 5.0]
+    assert len(calls) == 2
+
+
 def test_roll_by_key_refuses_irregular_tables():
     t = build({"t": [1, 2, 5], "v": [1.0, 2.0, 5.0]}, "t", regular=False)
     with pytest.raises(UnsupportedOperationError):
