@@ -173,8 +173,6 @@ def typed_columns(cfg: IngestConfig, header, rows) -> dict[str, list]:
 
 def ingest(cfg: IngestConfig) -> TemporalTable:
     """Read, type, and build; construction errors propagate."""
-    if cfg.index in cfg.key:
-        raise SchemaError(f"index column {cfg.index!r} cannot also be a key column")
     header, rows = read_rows(cfg)
     if cfg.index not in header:
         raise SchemaError(f"{cfg.path}: no column named {cfg.index!r}")

@@ -83,7 +83,7 @@ def common_kind(kinds) -> str | None:
     given; any other mix raises."""
     kinds = set(kinds) - {None}
     if len(kinds) > 1 and kinds != {"int", "real"}:
-        raise SchemaError(f"column mixes cell kinds: {sorted(kinds)}")
+        raise SchemaError(f"column mixes cell kinds: {sorted(kinds, key=str)}")
     return "real" if len(kinds) > 1 else next(iter(kinds), None)
 
 

@@ -12,24 +12,24 @@ of four constructors:
 * :func:`~temporaltable.table.with_columns` keeps the rows: ``mutate`` and
   ``transmute`` of non-key, non-index columns, ``select`` keeping every
   key column, and left/inner ``join`` where each left row matches at most
-  one right row.  Only new columns get kinds; interval, ticks and index
-  adapter carry over.
+  one right row (inner on the rows ``take`` keeps).  Only new columns get
+  kinds; interval, ticks and index adapter carry over.
 * :func:`~temporaltable.table.resort` orders rows whose cells are already
   typed under a new key or in a new order: ``select`` dropping a key
   column, ``mutate``/``transmute`` of a key column, and ``gather``,
-  ``spread`` and ``summarize``, which pick their rows with
+  ``spread``, ``summarize`` and fan-out joins, which pick their rows with
   :func:`~temporaltable.table.rows_at`.  It refuses NaN in a key, checks
   uniqueness, sorts and re-infers the interval; kinds, ticks and index
   adapter carry over, and no cell is typed again.
 * :func:`~temporaltable.table.build` types cells from outside the table,
   new index cells among them, then does what ``resort`` does:
-  ``mutate``/``transmute`` of the index, and right/full and fan-out
-  joins.
+  ``mutate``/``transmute`` of the index, and right/full joins.
 
 Every column a verb carries keeps its kind, and ``summarize`` declares
 :func:`~temporaltable.aggregates.result_kind` for each aggregate.  Only
 cells from outside the library get the kind of their values: new columns
-of ``mutate``/``transmute`` and the right-hand table of a ``join``.
+of ``mutate``/``transmute`` and the right-hand table of a ``join``, typed
+whole before any row is picked.
 
 Results keep the table's index adapter, even one since unregistered or
 replaced.  Only new index cells resolve theirs from the values: ``mutate`` or
@@ -66,9 +66,10 @@ from __future__ import annotations
 import operator
 from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
+from itertools import chain
 
 from . import aggregates, table
-from .adapters import IndexAdapter, resolve_index
+from .adapters import IndexAdapter, one_granularity, resolve_index
 from .errors import (
     ConversionError,
     MissingIndexError,
@@ -559,31 +560,50 @@ def spread(t: TemporalTable, key_col: str, value_col: str) -> VerbOutcome:
 _JOIN_KINDS = ("left", "right", "inner", "full", "semi", "anti")
 
 
-def _other_columns(other) -> dict[str, list]:
-    if isinstance(other, TemporalTable):
-        return other.to_dict()
-    cols = {str(k): list(v) for k, v in dict(other).items()}
-    if len({len(v) for v in cols.values()}) > 1:
-        raise SchemaError("joined table has ragged columns")
-    return cols
+def _join_keys(columns: list[list], nrows: int) -> list:
+    """One key per row of ``columns``: its cell for one column, else a tuple."""
+    return columns[0] if len(columns) == 1 else list(zip(*columns)) if columns else [()] * nrows
 
 
-def _zipped(columns: list[list], nrows: int) -> list[tuple]:
-    """One tuple of cells per row of ``columns``; ``()`` per row when none."""
-    return list(zip(*columns)) if columns else [()] * nrows
+def _gather(values: list, rows: list) -> list:
+    """The cells of ``values`` at ``rows``, missing where a row is None."""
+    return [None if i is None else values[i] for i in rows]
+
+
+def _matchable(lc: str, rc: str, left: list, right: list) -> set:
+    """The kinds of the cells of join columns ``lc`` and ``rc``: one kind, or
+    int and real, with time cells of one granularity, else SchemaError.  Any
+    other type, such as an adapter's values, is a kind of its own."""
+    what = f"joining {lc!r} with {rc!r}"
+    kinds = {
+        next((kind for tp, kind in table._KIND_OF_TYPE.items() if issubclass(cls, tp)), cls)
+        for cls in {*map(type, left), *map(type, right)}
+    } - {None}
+    if len(kinds) > 1 and kinds != {"int", "real"}:
+        names = sorted(getattr(k, "__name__", k) for k in kinds)
+        raise SchemaError(f"{what} mixes cell kinds: {names}")
+    if "time" in kinds:
+        one_granularity(what, (v for v in chain(left, right) if v is not None))
+    return kinds
 
 
 def join(t: TemporalTable, other, kind: str = "left", by=None) -> VerbOutcome:
     """Relational join re-validated under the temporal contract.
 
     ``by`` lists join columns as names or (left, right) pairs; by default the
-    commonly named columns.  Missing cells match missing cells.  Clashing
-    right column names get a "_y" suffix.  semi and anti filter left rows
+    commonly named columns.  Missing cells match missing cells and int cells
+    real ones; join columns whose cells cannot match raise SchemaError.  The
+    other right-hand columns are typed whole, a table's keeping its kinds,
+    and clashing names get a "_y" suffix.  A join column of a right/full
+    join gets the common kind of both sides.  semi and anti filter left rows
     without adding columns.
     """
     if kind not in _JOIN_KINDS:
         raise PreconditionError(f"join kind must be one of {_JOIN_KINDS}, got {kind!r}")
-    right = _other_columns(other)
+    right = table._normalize_raw(other)
+    if isinstance(other, TemporalTable):
+        # Only an index column reads its cells through an adapter.
+        right[other.index] = right[other.index].values
     rn = len(next(iter(right.values()))) if right else 0
 
     if by is None:
@@ -595,70 +615,48 @@ def join(t: TemporalTable, other, kind: str = "left", by=None) -> VerbOutcome:
     for _, rc in pairs:
         if rc not in right:
             raise SchemaError(f"joined table has no column named {rc!r}")
+    left_on = [t.column(lc) for lc, _ in pairs]
+    right_on = [getattr(right[rc], "values", right[rc]) for _, rc in pairs]
+    on = {lc: (rv, _matchable(lc, rc, lv, rv))
+          for (lc, rc), lv, rv in zip(pairs, left_on, right_on)}
 
-    lookup: dict[tuple, list[int]] = {}
-    for j, k in enumerate(_zipped([right[rc] for _, rc in pairs], rn)):
+    lookup: dict[object, list[int]] = {}
+    for j, k in enumerate(_join_keys(right_on, rn)):
         lookup.setdefault(k, []).append(j)
-
-    left_keys = _zipped([t.column(lc) for lc, _ in pairs], t.nrows)
+    left_keys = _join_keys(left_on, t.nrows)
 
     if kind in ("semi", "anti"):
         want = kind == "semi"
         return _outcome(t, take(t, [i for i, k in enumerate(left_keys) if (k in lookup) == want]))
 
     by_right = {rc for _, rc in pairs}
-    extra = [c for c in right if c not in by_right]
+    extra = {c: table._typed_column(c, col) for c, col in right.items() if c not in by_right}
     renames = {c: (c + "_y" if c in t.columns else c) for c in extra}
     if len(set(renames.values()) | set(t.columns)) != len(renames) + len(t.columns):
         raise SchemaError("suffixed join column names still clash; rename before joining")
 
-    matches = [lookup.get(k) for k in left_keys]
-    if kind in ("left", "inner") and all(js is None or len(js) == 1 for js in matches):
-        # No fan-out: t plus the right columns, then for inner the matched rows.
-        cols: dict[str, Column | list] = dict(t.columns)
-        for c in extra:
-            values = right[c]
-            cols[renames[c]] = [None if js is None else values[js[0]] for js in matches]
-        out = with_columns(t, cols)
-        if kind == "inner":
-            out = take(out, [i for i, js in enumerate(matches) if js])
-        return _outcome(t, out)
-
-    data: dict[str, Column | list] = {c: [] for c in t.columns}
-    for c in extra:
-        data[renames[c]] = []
-
-    def emit(i: int | None, j: int | None):
-        for c, col in t.columns.items():
-            data[c].append(col.values[i] if i is not None else None)
-        for c in extra:
-            data[renames[c]].append(right[c][j] if j is not None else None)
-        if i is None and j is not None:
-            for (lc, rc) in pairs:
-                data[lc][-1] = right[rc][j]
-
-    matched_right = set()
-    for i, js in enumerate(matches):
-        if js:
-            matched_right.update(js)
-            for j in js:
-                emit(i, j)
-        elif kind in ("left", "full"):
-            emit(i, None)
+    # One (left row, right row) pair per output row, None for a side with no row.
+    unmatched = (None,) if kind in ("left", "full") else ()
+    matches = [lookup.get(k, unmatched) for k in left_keys]
+    li = [i for i, js in enumerate(matches) for _ in js]
+    ri = list(chain.from_iterable(matches))
     if kind in ("right", "full"):
-        for j in range(rn):
-            if j not in matched_right:
-                emit(None, j)
+        new = sorted(set(range(rn)).difference(ri))
+        li, ri = li + [None] * len(new), ri + new
+    added = {renames[c]: Column(col.kind, _gather(col.values, ri)) for c, col in extra.items()}
 
-    # Left columns keep their declared kinds.  A right/full join also puts
-    # right-hand cells in the join columns, which take the common kind of
-    # both sides.  The index kind is its adapter's.
-    adds_right = kind in ("right", "full")
+    if kind in ("left", "inner"):
+        # Fan-out, a left row paired more than once, repeats its (key, index) pair.
+        fan_out = len(li) > len(matches) - matches.count(())
+        out = table.rows_at(t, li) if fan_out else t if len(li) == t.nrows else take(t, li)
+        out = with_columns(out, {**out.columns, **added})
+        return _outcome(t, table.resort(out) if fan_out else out)
+
+    # Right-only rows bring index cells from outside, whose adapter build resolves.
+    data: dict[str, Column | list] = {}
     for c, col in t.columns.items():
-        if c != t.index:
-            declared = col.kind
-            if adds_right and any(c == lc for lc, _ in pairs):
-                declared = table.common_kind((declared, table.infer_kind(data[c])))
-            data[c] = Column(declared, data[c])
-    adapter = None if adds_right else t.adapter
-    return _outcome(t, table.build(data, t.index, t.key, t.declared_regular, adapter=adapter))
+        rv, kinds = on.get(c, (None, ()))
+        cells = _gather(col.values, li) if rv is None else [
+            rv[j] if i is None else col.values[i] for i, j in zip(li, ri)]
+        data[c] = cells if c == t.index else Column(table.common_kind((col.kind, *kinds)), cells)
+    return _outcome(t, table.build({**data, **added}, t.index, t.key, t.declared_regular))

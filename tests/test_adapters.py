@@ -11,6 +11,7 @@ from temporaltable import (
     get_adapter,
     has_gaps,
     index_by,
+    join,
     register_index_adapter,
     registered_adapters,
     render_summary,
@@ -92,6 +93,34 @@ def test_semester_gaps_work_through_ticks(semester_registry):
         Semester(2020, 2),
     ]
     assert filled.column("n") == [1, 2, None, 3]
+
+
+# Each join of the semester table below with two semesters of its own:
+# (semesters, n, w, interval); semi and anti add no "w".
+SEMESTER_JOINS = {
+    "left": ([(2019, 1), (2019, 2), (2020, 1)], [140, 121, 155], [None, 1.5, None], "[1sem]"),
+    "right": ([(2019, 2), (2020, 2)], [121, None], [1.5, 2.5], "[2sem]"),
+    "inner": ([(2019, 2)], [121], [1.5], "[?]"),
+    "full": ([(2019, 1), (2019, 2), (2020, 1), (2020, 2)], [140, 121, 155, None],
+             [None, 1.5, None, 2.5], "[1sem]"),
+    "semi": ([(2019, 2)], [121], None, "[?]"),
+    "anti": ([(2019, 1), (2020, 1)], [140, 155], None, "[2sem]"),
+}
+
+
+@pytest.mark.parametrize("kind", SEMESTER_JOINS)
+def test_joins_match_an_adapters_own_values(semester_registry, kind):
+    # Semesters are none of the library's cell kinds: they match each other
+    # by equality, and no column typing reads the join column's cells.
+    terms, n, w, interval = SEMESTER_JOINS[kind]
+    t = build({"term": [Semester(2019, 1), Semester(2019, 2), Semester(2020, 1)],
+               "n": [140, 121, 155]}, "term")
+    out = join(t, {"term": [Semester(2019, 2), Semester(2020, 2)], "w": [1.5, 2.5]}, kind).table
+    added = [] if w is None else [("w", w)]
+    assert out.to_dict() == {"term": [Semester(*s) for s in terms], "n": n, **dict(added)}
+    assert out.schema == [("term", "time"), ("n", "int"), *[(c, "real") for c, _ in added]]
+    assert type(out.adapter) is SemesterAdapter
+    assert out.interval.shorthand() == interval
 
 
 def test_reregistering_replaces_without_error(semester_registry):

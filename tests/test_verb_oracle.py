@@ -124,7 +124,8 @@ def test_row_subset_verbs_match_build(t, data):
         out = join(t, right, kind, by=["m_text"]).table
         assert_matches_build(out, t.schema)
     left = join(t, right, "left", by=["m_text"]).table
-    assert_matches_build(left)
+    # "w" is typed whole before any row is picked: real, whichever rows match.
+    assert_matches_build(left, [*t.schema, ("w", "real")])
     # inner keeps a subset of the left join's rows, right-hand column included.
     out = join(t, right, "inner", by=["m_text"]).table
     assert_matches_build(out, left.schema)
@@ -469,16 +470,16 @@ def test_new_index_cells_resolve_their_adapter_from_values(verb):
     assert out.interval.shorthand() == "[2]"
 
 
-def test_left_join_with_duplicated_right_key_goes_through_build(monkeypatch):
+def test_left_join_with_duplicated_right_key_goes_through_resort(monkeypatch):
     t = build({"k": ["a", "b"], "t": [1, 1], "v": [1, 2]}, "t", ("k",))
     calls = []
-    real_build = table.build
+    real_resort = table.resort
 
-    def spy(*args, **kwargs):
-        calls.append(args[1:3])
-        return real_build(*args, **kwargs)
+    def spy(out):
+        calls.append((out.index, out.key))
+        return real_resort(out)
 
-    monkeypatch.setattr(table, "build", spy)
+    monkeypatch.setattr(table, "resort", spy)
     with pytest.raises(DuplicateIndexError):
         join(t, {"k": ["a", "a"], "w": [10, 20]}, "left", by=["k"])
     assert calls == [("t", ("k",))]
@@ -514,7 +515,7 @@ CONSTRUCTORS_REACHED = {
     "transmute_index": (lambda t: transmute(t, t=lambda r: r["t"] * 2), ["build", "resort"]),
     "right_join": (lambda t: join(t, _OUTSIDE_RIGHT, "right", by=["t"]), ["build", "resort"]),
     "full_join": (lambda t: join(t, _OUTSIDE_RIGHT, "full", by=["t"]), ["build", "resort"]),
-    "fan_out_join": (_fan_out_join, ["build", "resort"]),
+    "fan_out_join": (_fan_out_join, ["resort"]),
 }
 
 
