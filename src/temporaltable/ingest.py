@@ -11,18 +11,24 @@ value ("ordinal" declares an index of JSON ints).  Output refuses a real
 column holding inf or nan by the same rule, and an empty text cell, which
 would read back as missing.
 
-Both ends work a column at a time and touch each distinct time cell once.
-A time column keeps a dict from raw text to its parsed value, so a day that
-a panel repeats once per series is parsed once; ``TimePoint`` is frozen, so
-every row shares the one instance.
+Both ends work a column at a time and touch each distinct cell once.  A
+time column keeps a dict from raw text to its parsed value, so a day that a
+panel repeats once per series is parsed once; ``TimePoint`` is frozen, so
+every row shares the one instance.  Text in the exact shape of a canonical
+day, or of an unzoned hour, minute, second or millisecond, is read by the
+stdlib's ``fromisoformat``; ``parse_timepoint``'s grammar reads every other
+text and gives every error.  A number column is matched and typed once per distinct
+text, with the cells gathered from a dict.
 
 Every CSV written goes through one writer: each column is rendered by its
-declared kind (a time column once per distinct point) and quoted, each
-distinct text once; the rows are then joined, with LF row ends, into one
-text that is written in one piece.  A field is quoted by RFC 4180 when it
-holds a comma, a quote, CR or LF, and a row whose only field is empty is
-written ``""``.  A zoned sub-daily point carries its UTC offset only where
-a clock change repeats its local time (see ``timepoint``).
+declared kind and quoted, each distinct text once; the rows are then joined,
+with LF row ends, into one text that is written in one piece.  A time column
+renders once per distinct point, and the index once per distinct tick of
+the table's stored ticks; a number column goes through ``repr`` or ``str``
+in one ``map``.  A field is quoted by RFC 4180 when it holds a comma, a
+quote, CR or LF, and a row whose only field is empty is written ``""``.  A
+zoned sub-daily point carries its UTC offset only where a clock change
+repeats its local time (see ``timepoint``).
 """
 
 from __future__ import annotations
@@ -30,6 +36,8 @@ from __future__ import annotations
 import csv
 import math
 import re
+from functools import partial
+from operator import is_not
 
 from .errors import IngestError, ParseError, SchemaError
 from .granularity import Granularity
@@ -129,7 +137,17 @@ def _parse_time_cells(name, cells, gran_name, zone):
 
 def _first_non_finite(values) -> int | None:
     """Position of the first inf or nan float among ``values``, or None when
-    there is none."""
+    there is none.
+
+    One sum in C clears a column of finite numbers: an inf or nan cell makes
+    the sum inf or nan.  The cells are scanned when the sum is not finite
+    (it may overflow), or when it fails: a cell that is no number, or an int
+    too large for a float."""
+    try:
+        if math.isfinite(sum(filter(partial(is_not, None), values), 0.0)):
+            return None
+    except (TypeError, OverflowError):
+        pass
     return next(
         (i for i, v in enumerate(values) if isinstance(v, float) and not math.isfinite(v)), None
     )
@@ -139,18 +157,24 @@ def _infer_cells(cells) -> list:
     """Raw cells ("" for missing) typed as one int, real, bool or text column.
 
     JSON has no inf or nan (RFC 8259 section 6), so a number too large for
-    a float (``1e999``) reads as text, as ``inf`` does."""
+    a float (``1e999``) reads as text, as ``inf`` does.  Each distinct text
+    is typed once, and the cells are gathered from the typed values."""
     distinct = set(cells)
     distinct.discard("")
+    typed = None
     if distinct:
-        if all(_INT_RE.fullmatch(raw) for raw in distinct):
-            return [int(raw) if raw else None for raw in cells]
-        if all(_NUMBER_RE.fullmatch(raw) for raw in distinct):
-            if all(math.isfinite(float(raw)) for raw in distinct):
-                return [float(raw) if raw else None for raw in cells]
+        if all(map(_INT_RE.fullmatch, distinct)):
+            typed = dict(zip(distinct, map(int, distinct)))
+        elif all(map(_NUMBER_RE.fullmatch, distinct)):
+            reals = list(map(float, distinct))
+            if all(map(math.isfinite, reals)):
+                typed = dict(zip(distinct, reals))
         elif all(raw.lower() in _BOOL for raw in distinct):
-            return [_BOOL[raw.lower()] if raw else None for raw in cells]
-    return [raw or None for raw in cells]
+            typed = {raw: _BOOL[raw.lower()] for raw in distinct}
+    if typed is None:
+        return [raw or None for raw in cells]
+    typed[""] = None
+    return list(map(typed.__getitem__, cells))
 
 
 def read_cell(text: str):
@@ -255,57 +279,80 @@ def _check_finite(named_columns) -> None:
             raise _non_finite_error(name, bad, cells[bad])
 
 
+_TIME_CELL_TYPES = {TimePoint, type(None)}
+
+
 def write_csv(stream, header, rows) -> None:
     """Write ``header`` and ``rows`` as CSV, each cell by :func:`render_cell`.
 
-    Raises SchemaError, before writing anything, when a cell is an inf or
-    nan float, naming the leftmost such column and its first such row, as
-    :func:`table_to_csv` does, and then for the first empty text cell."""
+    A column of TimePoints (and missing cells) renders each distinct point
+    once.  Raises SchemaError, before writing anything, when a cell is an
+    inf or nan float, naming the leftmost such column and its first such
+    row, as :func:`table_to_csv` does, and then for the first empty text
+    cell."""
     columns = list(zip(*rows)) or [()] * len(header)
     _check_finite(zip(header, columns))
     fields = [
-        _quoted_each(name, [v if v is None else render_cell(v) for v in cells])
+        _time_fields(cells) if set(map(type, cells)) <= _TIME_CELL_TYPES
+        else _quoted_each(name, [v if v is None else render_cell(v) for v in cells])
         for name, cells in zip(header, columns)
     ]
     stream.write(_csv_text(header, fields))
 
 
-def _time_fields(values, render) -> list[str]:
-    """``render`` over a time column as quoted CSV fields, rendering and
-    quoting each distinct point once.
+def _time_fields(values) -> list[str]:
+    """A column of TimePoints and missing cells as quoted CSV fields,
+    rendering and quoting each distinct point once.
 
     Points are cached on (ticks, granularity, zone): TimePoint equality
     ignores the zone, which changes the text."""
     fields = {}
     out = []
     for v in values:
-        if type(v) is not TimePoint:
-            out.append(_quoted(render(v)))  # missing, or an index adapter's own value
+        if v is None:
+            out.append("")
             continue
         key = (v.ticks, v.granularity, v.zone)
         s = fields.get(key)
         if s is None:
-            s = fields[key] = _quoted(render(v))
+            s = fields[key] = _quoted(v.render())
         out.append(s)
     return out
 
 
+def _index_fields(t: TemporalTable) -> list[str]:
+    """The index cells of ``t`` as quoted CSV fields, by its adapter.
+
+    The index has one granularity and one zone, so its cells are keyed by
+    their ticks: each distinct tick is rendered and quoted once, and the
+    fields are gathered in one pass."""
+    ticks = t.ticks()
+    fields = dict(zip(ticks, t.columns[t.index].values))
+    render = t.adapter.render
+    for tick, v in fields.items():
+        fields[tick] = _quoted(render(v))
+    return list(map(fields.__getitem__, ticks))
+
+
 _BOOL_TEXT = {None: "", True: "true", False: "false"}
+_NUMBER_TEXT = {"real": repr, "int": str}
 
 
-def _fields(name: str, col: Column, render) -> list[str]:
+def _fields(name: str, col: Column) -> list[str]:
     """The cells of ``col`` as CSV fields, rendered by its declared kind:
     reals by ``repr``, ints by ``str``, bools as ``true``/``false`` and time
-    cells by ``render``.  Only text and time fields can need quotes."""
+    cells by ``TimePoint.render``.  Only text and time fields can need
+    quotes."""
     values = col.values
-    if col.kind == "real":
-        return ["" if v is None else repr(v) for v in values]
-    if col.kind == "int":
-        return ["" if v is None else str(v) for v in values]
+    render = _NUMBER_TEXT.get(col.kind)
+    if render is not None:
+        if None in values:
+            return ["" if v is None else render(v) for v in values]
+        return list(map(render, values))
     if col.kind == "bool":
         return list(map(_BOOL_TEXT.__getitem__, values))
     if col.kind == "time":
-        return _time_fields(values, render)
+        return _time_fields(values)
     return _quoted_each(name, values)
 
 
@@ -315,13 +362,14 @@ def table_to_csv(t: TemporalTable, stream=None) -> str | None:
     The output is what :func:`write_csv` makes of the rows, except that
     index cells are written by the table's index adapter, as the summary
     shows them.  It is built column by column: each column is rendered by
-    its declared kind, a time column once per distinct point, and the rows
-    are joined and written in one piece.  Raises SchemaError, before
+    its declared kind, a time column once per distinct point and the index
+    once per distinct tick, and the rows are joined and written in one
+    piece.  Raises SchemaError, before
     writing anything, when a real column holds an inf or nan cell, and
     then when a text column holds an empty text."""
     _check_finite((name, col.values) for name, col in t.columns.items() if col.kind == "real")
     fields = [
-        _fields(name, col, t.adapter.render if name == t.index else render_cell)
+        _index_fields(t) if name == t.index and col.kind == "time" else _fields(name, col)
         for name, col in t.columns.items()
     ]
     text = _csv_text(t.column_names, fields)

@@ -9,6 +9,11 @@ inference relies on.  A point is calendar time: an ordinal index (simulation
 steps, survey waves) holds plain ints, whose text is a JSON int, and no
 TimePoint has the ordinal granularity.
 
+Text in the exact canonical shape of a day, or of an unzoned sub-daily
+point, is read, and unzoned sub-daily points are rendered, through the
+stdlib's C date code (``fromisoformat``, ``isoformat``); the regex grammar
+``_FORMS`` reads every other text, and decides every error.
+
 Sub-daily ticks are UTC instants.  An optional zone label changes how a point
 renders and how it floors to day-or-coarser granularities; it never changes
 the stored ticks.  Where a clock change repeats a local time, the text
@@ -337,20 +342,20 @@ def _render_clock(tp: TimePoint, g: Granularity, unit: int) -> str:
     (RFC 3339), so that both instants keep their own text."""
     days, ms = divmod(tp.ticks * unit, _MS_PER_DAY)
     days += _EPOCH_ORDINAL
-    offset = ""
     if _is_utc(tp.zone) and 1 <= days <= _MAX_ORDINAL:
-        # No offset to apply: the date from its ordinal, the clock by divmod.
+        # No offset to apply: the date from its ordinal, the clock by
+        # divmod, one f-string.  A UTC hour or minute has no seconds.
         day_text = date.fromordinal(days).isoformat()
         minutes, ms = divmod(ms, 60_000)
         hh, mm = divmod(minutes, 60)
-        ss, ms = divmod(ms, 1000)
-    else:
-        c = _civil_datetime(tp)
-        day_text = f"{c.year:04d}-{c.month:02d}-{c.day:02d}"
-        hh, mm, ss, ms = c.hour, c.minute, c.second, c.microsecond // 1000
-        if c.utcoffset() != c.replace(fold=1 - c.fold).utcoffset():
-            offset = _offset_text(c.utcoffset())
-    text = f"{day_text} {hh:02d}:{mm:02d}"
+        if g is Granularity.MILLISECOND:
+            return f"{day_text} {hh:02d}:{mm:02d}:{ms // 1000:02d}.{ms % 1000:03d}"
+        if g is Granularity.SECOND:
+            return f"{day_text} {hh:02d}:{mm:02d}:{ms // 1000:02d}"
+        return f"{day_text} {hh:02d}:{mm:02d}"
+    c = _civil_datetime(tp)
+    ss, ms = c.second, c.microsecond // 1000
+    text = f"{c.year:04d}-{c.month:02d}-{c.day:02d} {c.hour:02d}:{c.minute:02d}"
     # An hour or minute point keeps its local seconds where the zone's
     # offset has them (local mean time, Melbourne's +09:39:52), so that its
     # text parses back to it; a UTC clock never has them.
@@ -358,7 +363,9 @@ def _render_clock(tp: TimePoint, g: Granularity, unit: int) -> str:
         text += f":{ss:02d}.{ms:03d}"
     elif g is Granularity.SECOND or ss:
         text += f":{ss:02d}"
-    return text + offset
+    if c.utcoffset() != c.replace(fold=1 - c.fold).utcoffset():
+        text += _offset_text(c.utcoffset())
+    return text
 
 
 def _offset_text(offset: timedelta) -> str:
@@ -461,13 +468,57 @@ _FORMS = tuple(
 )
 _FORMS_OF = {g: tuple((p, make) for h, p, make, _ in _FORMS if h is g) for g in Granularity}
 
+# The fast path for days and unzoned clocks: per granularity, a strict ASCII
+# shape of the canonical text and a maker that reads it through the stdlib's
+# C date code.
+# The shape alone decides what reaches that code, which on Python 3.11 and
+# later also reads forms the grammar refuses ("20110705", "2011-W27-2", a "Z"
+# suffix); clock fields are in range by shape, so only an invalid date
+# raises ValueError, and then the grammar gives the error.  A UTC clock at
+# its own granularity always aligns to whole ticks.
+_YMD = "[0-9]{4}-[0-9]{2}-[0-9]{2}"
+_HH = " (?:[01][0-9]|2[0-3])"
+_MM = ":[0-5][0-9]"
+_EPOCH_NAIVE = datetime(1970, 1, 1)
+
+
+def _fast_day(text, zone):
+    return TimePoint(date.fromisoformat(text).toordinal() - _EPOCH_ORDINAL, Granularity.DAY)
+
+
+def _fast_clock(g: Granularity):
+    unit = timedelta(milliseconds=MS_PER_TICK[g])
+
+    def make(text, zone):
+        return TimePoint((datetime.fromisoformat(text) - _EPOCH_NAIVE) // unit, g, zone)
+
+    return make
+
+
+_FAST = {
+    g: (re.compile(pattern).fullmatch, make)
+    for g, pattern, make in (
+        (Granularity.DAY, _YMD, _fast_day),
+        (Granularity.HOUR, _YMD + _HH + ":00", _fast_clock(Granularity.HOUR)),
+        (Granularity.MINUTE, _YMD + _HH + _MM, _fast_clock(Granularity.MINUTE)),
+        (Granularity.SECOND, _YMD + _HH + _MM * 2, _fast_clock(Granularity.SECOND)),
+        (Granularity.MILLISECOND, _YMD + _HH + _MM * 2 + r"\.[0-9]{3}",
+         _fast_clock(Granularity.MILLISECOND)),
+    )
+}
+
 
 def parse_timepoint(text: str, granularity, zone: str | None = None) -> TimePoint:
     """Parse canonical text at a declared granularity.
 
     Surrounding whitespace is stripped, and a "T" date-time separator is
     accepted on input.  No text parses as an ordinal point: an ordinal index
-    holds ints (see ``_read_json_int``).  The canonical forms:
+    holds ints (see ``_read_json_int``).  Text in the exact shape of a
+    canonical day, or, unzoned (None or UTC), of an hour, minute, second or
+    millisecond (``2011-07-05 17:45:00.123``, three digits) is read by
+    ``fromisoformat``; the grammar of ``_FORMS`` reads all other text and
+    gives every error.
+    The canonical forms:
 
     >>> parse_timepoint("2011", "year")
     TimePoint('2011', 'year')
@@ -489,6 +540,13 @@ def parse_timepoint(text: str, granularity, zone: str | None = None) -> TimePoin
     TimePoint('2011-07-05 17:45:00.123', 'millisecond')
     """
     g = _require_granularity(granularity)
+    fast = _FAST.get(g)
+    # A day's ticks never depend on the zone; a clock's do.
+    if fast is not None and (g is Granularity.DAY or _is_utc(zone)) and fast[0](text):
+        try:
+            return fast[1](text, zone)
+        except ValueError:
+            pass  # an invalid date: the grammar below says which field
     text = text.strip()
     try:
         for pattern, make in _FORMS_OF[g]:

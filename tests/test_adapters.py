@@ -235,6 +235,28 @@ def test_csv_writes_index_cells_as_the_adapter_renders_them():
     assert "2019-S1" in render_summary(t)
 
 
+def test_csv_renders_an_adapter_index_once_per_distinct_tick():
+    # The index is keyed by its stored ticks: a term that every series
+    # repeats is rendered once, and a text with a comma is quoted.
+    class Named(SemesterAdapter):
+        def __init__(self):
+            self.rendered = []
+
+        def render(self, value):
+            self.rendered.append(self.to_ticks(value))
+            return f"{value.year}, S{value.sem}"
+
+    ad = Named()
+    terms = [Semester(2019, 1), Semester(2019, 2), Semester(2020, 1)]
+    t = build({"k": ["a"] * 3 + ["b"] * 2, "term": terms + terms[1:], "n": [1, 2, 3, 4, 5]},
+              "term", ("k",), adapter=ad)
+    assert table_to_csv(t) == (
+        'k,term,n\na,"2019, S1",1\na,"2019, S2",2\na,"2020, S1",3\n'
+        'b,"2019, S2",4\nb,"2020, S1",5\n'
+    )
+    assert sorted(ad.rendered) == [4038, 4039, 4040]
+
+
 class _CountingSemesters(SemesterAdapter):
     """Counts its ``to_ticks`` calls."""
 

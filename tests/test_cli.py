@@ -439,6 +439,22 @@ def test_each_distinct_time_cell_is_parsed_and_rendered_once(capsys, tmp_path, m
     assert sorted(calls["parse"]) == days
     assert sorted(calls["render"]) == [18262, 18263, 18264, 18265]
 
+    # Hourly text, declared, takes the unzoned fast path of parse_timepoint;
+    # the filled hour is rendered once too.
+    calls["parse"].clear(), calls["render"].clear()
+    hours = ["2020-01-01 00:00", "2020-01-01 01:00", "2020-01-01 03:00"]
+    p = tmp_path / "hourly.csv"
+    p.write_text("sensor,ts,load\n" + "".join(
+        f"{sensor},{ts},{n}.5\n" for n, sensor in enumerate("ABC") for ts in hours))
+    rc, out, err = run(capsys, "gaps", "fill", str(p), "--index", "ts", "--key", "sensor",
+                       "--time-format", "ts=hour", "--fill-with", "load=0")
+    assert (rc, err) == (0, "")
+    assert out.count("\n") == 1 + 3 * 4
+    assert "A,2020-01-01 02:00,0.0\n" in out
+    assert sorted(calls["parse"]) == hours
+    first = 18262 * 24  # 2020-01-01 00:00 UTC
+    assert sorted(calls["render"]) == [first, first + 1, first + 2, first + 3]
+
 
 def test_cli_import_defers_slow_stdlib_modules():
     # Each is imported on first use (a thread pool, a non-UTC zone), so a

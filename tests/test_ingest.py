@@ -380,6 +380,11 @@ def test_csv_writers_refuse_non_finite_reals(bad):
         write_csv(buf, ["v", "w"], [[None, 1.5], [2, bad]])
     assert (str(info.value), buf.getvalue()) == (
         f"real column 'w' holds {bad!r} at row 1; CSV numbers must be finite", "")
+    # A column that mixes in text cells is scanned too.
+    with pytest.raises(SchemaError) as info:
+        write_csv(buf, ["w"], [["x"], [1.5], [bad]])
+    assert (str(info.value), buf.getvalue()) == (
+        f"real column 'w' holds {bad!r} at row 2; CSV numbers must be finite", "")
 
 
 def test_csv_writers_refuse_an_empty_text_cell(tmp_path):
@@ -400,9 +405,38 @@ def test_csv_writers_refuse_an_empty_text_cell(tmp_path):
         table_to_csv(build({"t": [1, 2], "w": ["a", ""]}, "t"))
 
 
+def test_write_csv_renders_each_distinct_time_point_once(monkeypatch):
+    calls = []
+    render = TimePoint.render
+
+    def counted(point):
+        calls.append((point.ticks, point.zone))
+        return render(point)
+
+    monkeypatch.setattr(TimePoint, "render", counted)
+    day = tp.day(2020, 1, 1)
+    hour = TimePoint(0, Granularity.HOUR, "Australia/Melbourne")
+    buf = io.StringIO()
+    write_csv(buf, ["d", "h", "mixed"], [[day, hour, day], [day, None, "x"], [tp.day(2020, 1, 1),
+              TimePoint(0, Granularity.HOUR), day]])
+    assert buf.getvalue() == (
+        "d,h,mixed\n"
+        "2020-01-01,1970-01-01 10:00,2020-01-01\n"
+        "2020-01-01,,x\n"
+        "2020-01-01,1970-01-01 00:00,2020-01-01\n"
+    )
+    # A column of points renders each (ticks, zone) once; one that mixes in
+    # other cells renders cell by cell.
+    assert calls == [(day.ticks, None), (0, "Australia/Melbourne"), (0, None),
+                     (day.ticks, None), (day.ticks, None)]
+
+
 def test_csv_writers_keep_large_finite_reals():
     t = build({"t": [1, 2, 3], "v": Column("real", [1e308, 1e308, 10**400])}, "t")
     assert table_to_csv(t) == f"t,v\n1,1e+308\n2,1e+308\n3,{10**400}\n"
+    # Cells whose sum overflows to inf, and none of them inf.
+    t = build({"t": [1, 2], "v": [1e308, 1e308]}, "t")
+    assert table_to_csv(t) == "t,v\n1,1e+308\n2,1e+308\n"
 
 
 # --- per-column caches: the same result as reading cell by cell -------------

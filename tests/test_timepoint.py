@@ -5,7 +5,7 @@ from datetime import date, datetime, timedelta, timezone
 from zoneinfo import ZoneInfo
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from temporaltable import (
     ConversionError,
@@ -427,3 +427,115 @@ def test_subdaily_render_matches_datetime(g, zone, ms):
         assert str(info.value) == str(exc)
         return
     assert point.render() == want
+
+
+# --- the fast path against the grammar ---------------------------------------
+
+def _grammar_parse(text, g, zone=None):
+    """``parse_timepoint`` as it reads text outside its fast path:
+    the ``_FORMS`` grammar alone, with its error texts."""
+    text = text.strip()
+    try:
+        for pattern, make in tp._FORMS_OF[g]:
+            m = pattern.fullmatch(text)
+            if m:
+                return make(zone, *m.groups())
+    except ParseError:
+        raise
+    except (ValueError, OverflowError) as exc:
+        raise ParseError(f"cannot parse {text!r} as {g.value}: {exc}") from exc
+    raise ParseError(f"cannot parse {text!r} as {g.value}")
+
+
+def _outcome(parse, text, g, zone):
+    """The (ticks, granularity, zone) ``parse`` reads, or its ParseError text."""
+    try:
+        point = parse(text, g, zone)
+    except ParseError as exc:
+        return str(exc)
+    return (point.ticks, point.granularity, point.zone)
+
+
+FAST = [Granularity.DAY, *SUBDAILY]
+# A day takes the fast path in any zone, a clock only unzoned.
+FAST_ZONES = (None, "UTC", "utc", "Australia/Melbourne")
+
+
+def _field(lo, hi, top):
+    """A two-digit field: mostly in lo..hi, else anywhere in 0..top."""
+    return st.one_of(st.integers(lo, hi), st.integers(lo, hi), st.just(lo), st.integers(0, top))
+
+
+@st.composite
+def _near_fast_shapes(draw):
+    """Text at and near the canonical day and clock shapes: fields in and
+    out of range, other separators and fraction widths, one character
+    replaced, inserted or dropped, and surrounding whitespace."""
+    y = draw(st.sampled_from([0, 1, 1969, 1970, 2011, 9999]) | st.integers(0, 9999))
+    text = f"{y:04d}-{draw(_field(1, 12, 99)):02d}-{draw(_field(1, 28, 99)):02d}"
+    depth = draw(st.integers(0, 4))
+    if depth >= 1:
+        text += draw(st.sampled_from("   T")) + f"{draw(_field(0, 23, 99)):02d}"
+    for _ in range(min(depth, 3) - 1):
+        text += f":{draw(_field(0, 59, 99)):02d}"
+    if depth == 4:
+        fraction = st.sampled_from(["123", "999", "000"]) | st.text("0123456789", max_size=4)
+        text += "." + draw(fraction)
+    if draw(st.integers(0, 3)) == 0:
+        i = draw(st.integers(0, len(text)))
+        c = draw(st.sampled_from("0123456789-:. TZ+٣"))
+        text = draw(st.sampled_from([text[:i] + c + text[i + 1:], text[:i] + c + text[i:],
+                                     text[:i] + text[i + 1:]]))
+    pad = st.sampled_from(["", "", "", " ", "\t", "\n"])
+    return draw(pad) + text + draw(pad)
+
+
+@given(_near_fast_shapes())
+@example("2011-07-05 17:00:00.123")
+@example("0001-01-01 00:00")
+@example("9999-12-31 23:59:59.999")
+@example("2011-02-30")
+@example("2011-07-05 24:00")
+@example("2011-07-05 17:60")
+@example("2011-07-05 17:45:00.1")
+# Forms that Python 3.11 and later read with fromisoformat and the grammar
+# refuses: each must give the grammar's error.
+@example("20110705")
+@example("2011-W27-2")
+@example("2011-07-05T17")
+@example("2011-07-05Z")
+@example("2011-07-05 17:00Z")
+@settings(max_examples=500)
+def test_fast_parse_matches_the_grammar(text):
+    for g in FAST:
+        for zone in FAST_ZONES:
+            assert _outcome(parse_timepoint, text, g, zone) == _outcome(
+                _grammar_parse, text, g, zone), (text, g, zone)
+
+
+def test_fast_parse_matches_the_grammar_on_a_grid():
+    days = [f"{y}-{m}-{d}" for y in ("0000", "0001", "1970", "2000", "2100", "9999")
+            for m in ("00", "01", "02", "12", "13") for d in ("00", "01", "28", "29", "31", "32")]
+    clocks = ["", " 00:00", " 23:00", " 24:00", " 23:59", " 12:60", " 23:59:59", " 23:59:60",
+              " 00:00:00.000", " 23:59:59.999", " 12:00:00.5", "T12:00", " 12:00 "]
+    for text in (day + clock for day in days for clock in clocks):
+        for g in FAST:
+            for zone in FAST_ZONES:
+                assert _outcome(parse_timepoint, text, g, zone) == _outcome(
+                    _grammar_parse, text, g, zone), (text, g, zone)
+
+
+@given(
+    st.sampled_from(SUBDAILY),
+    st.sampled_from([None, "UTC", "utc"]),
+    # Every millisecond of years 1 to 9999.
+    st.integers((1 - tp._EPOCH_ORDINAL) * 86_400_000,
+                (tp._MAX_ORDINAL + 1 - tp._EPOCH_ORDINAL) * 86_400_000 - 1),
+)
+def test_fast_render_matches_datetime_and_parses_back(g, zone, ms):
+    point = TimePoint(ms // MS_PER_TICK[g], g, zone)
+    text = point.render()
+    assert text == _render_by_datetime(point)
+    want = (point.ticks, g, zone)
+    assert _outcome(parse_timepoint, text, g, zone) == want
+    assert _outcome(_grammar_parse, text, g, zone) == want
