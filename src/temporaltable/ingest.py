@@ -14,21 +14,20 @@ would read back as missing.
 Both ends work a column at a time and touch each distinct cell once.  A
 time column keeps a dict from raw text to its parsed value, so a day that a
 panel repeats once per series is parsed once; ``TimePoint`` is frozen, so
-every row shares the one instance.  Text in the exact shape of a canonical
-day, or of an unzoned hour, minute, second or millisecond, is read by the
-stdlib's ``fromisoformat``; ``parse_timepoint``'s grammar reads every other
-text and gives every error.  A number column is matched and typed once per distinct
-text, with the cells gathered from a dict.
+every row shares the one instance.  Unzoned text in the exact shape of a
+canonical day or hour is read by the stdlib's ``fromisoformat``;
+``parse_timepoint``'s grammar reads every other text and gives every error.
+A number column is matched and typed once per distinct text, with the cells
+gathered from a dict.
 
 Every CSV written goes through one writer: each column is rendered by its
 declared kind and quoted, each distinct text once; the rows are then joined,
 with LF row ends, into one text that is written in one piece.  A time column
 renders once per distinct point, and the index once per distinct tick of
-the table's stored ticks; a number column goes through ``repr`` or ``str``
-in one ``map``.  A field is quoted by RFC 4180 when it holds a comma, a
-quote, CR or LF, and a row whose only field is empty is written ``""``.  A
-zoned sub-daily point carries its UTC offset only where a clock change
-repeats its local time (see ``timepoint``).
+the table's stored ticks.  A field is quoted by RFC 4180 when it holds a
+comma, a quote, CR or LF, and a row whose only field is empty is written
+``""``.  A zoned sub-daily point carries its UTC offset only where a clock
+change repeats its local time (see ``timepoint``).
 """
 
 from __future__ import annotations
@@ -36,8 +35,6 @@ from __future__ import annotations
 import csv
 import math
 import re
-from functools import partial
-from operator import is_not
 
 from .errors import IngestError, ParseError, SchemaError
 from .granularity import Granularity
@@ -137,17 +134,7 @@ def _parse_time_cells(name, cells, gran_name, zone):
 
 def _first_non_finite(values) -> int | None:
     """Position of the first inf or nan float among ``values``, or None when
-    there is none.
-
-    One sum in C clears a column of finite numbers: an inf or nan cell makes
-    the sum inf or nan.  The cells are scanned when the sum is not finite
-    (it may overflow), or when it fails: a cell that is no number, or an int
-    too large for a float."""
-    try:
-        if math.isfinite(sum(filter(partial(is_not, None), values), 0.0)):
-            return None
-    except (TypeError, OverflowError):
-        pass
+    there is none."""
     return next(
         (i for i, v in enumerate(values) if isinstance(v, float) and not math.isfinite(v)), None
     )
@@ -335,7 +322,6 @@ def _index_fields(t: TemporalTable) -> list[str]:
 
 
 _BOOL_TEXT = {None: "", True: "true", False: "false"}
-_NUMBER_TEXT = {"real": repr, "int": str}
 
 
 def _fields(name: str, col: Column) -> list[str]:
@@ -344,11 +330,10 @@ def _fields(name: str, col: Column) -> list[str]:
     cells by ``TimePoint.render``.  Only text and time fields can need
     quotes."""
     values = col.values
-    render = _NUMBER_TEXT.get(col.kind)
-    if render is not None:
-        if None in values:
-            return ["" if v is None else render(v) for v in values]
-        return list(map(render, values))
+    if col.kind == "real":
+        return ["" if v is None else repr(v) for v in values]
+    if col.kind == "int":
+        return ["" if v is None else str(v) for v in values]
     if col.kind == "bool":
         return list(map(_BOOL_TEXT.__getitem__, values))
     if col.kind == "time":

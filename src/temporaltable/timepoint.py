@@ -9,10 +9,10 @@ inference relies on.  A point is calendar time: an ordinal index (simulation
 steps, survey waves) holds plain ints, whose text is a JSON int, and no
 TimePoint has the ordinal granularity.
 
-Text in the exact canonical shape of a day, or of an unzoned sub-daily
-point, is read, and unzoned sub-daily points are rendered, through the
-stdlib's C date code (``fromisoformat``, ``isoformat``); the regex grammar
-``_FORMS`` reads every other text, and decides every error.
+Unzoned text in the exact canonical shape of a day or an hour is read, and
+unzoned sub-daily points are rendered, through the stdlib's C date code
+(``fromisoformat``, ``isoformat``); the regex grammar ``_FORMS`` reads every
+other text, and decides every error.
 
 Sub-daily ticks are UTC instants.  An optional zone label changes how a point
 renders and how it floors to day-or-coarser granularities; it never changes
@@ -468,43 +468,30 @@ _FORMS = tuple(
 )
 _FORMS_OF = {g: tuple((p, make) for h, p, make, _ in _FORMS if h is g) for g in Granularity}
 
-# The fast path for days and unzoned clocks: per granularity, a strict ASCII
+# The fast path for unzoned days and hours: per granularity, a strict ASCII
 # shape of the canonical text and a maker that reads it through the stdlib's
 # C date code.
 # The shape alone decides what reaches that code, which on Python 3.11 and
 # later also reads forms the grammar refuses ("20110705", "2011-W27-2", a "Z"
-# suffix); clock fields are in range by shape, so only an invalid date
-# raises ValueError, and then the grammar gives the error.  A UTC clock at
-# its own granularity always aligns to whole ticks.
+# suffix); an hour is in range by shape, so only an invalid date raises
+# ValueError, and then the grammar gives the error.
 _YMD = "[0-9]{4}-[0-9]{2}-[0-9]{2}"
-_HH = " (?:[01][0-9]|2[0-3])"
-_MM = ":[0-5][0-9]"
 _EPOCH_NAIVE = datetime(1970, 1, 1)
+_ONE_HOUR = timedelta(hours=1)
 
 
 def _fast_day(text, zone):
     return TimePoint(date.fromisoformat(text).toordinal() - _EPOCH_ORDINAL, Granularity.DAY)
 
 
-def _fast_clock(g: Granularity):
-    unit = timedelta(milliseconds=MS_PER_TICK[g])
-
-    def make(text, zone):
-        return TimePoint((datetime.fromisoformat(text) - _EPOCH_NAIVE) // unit, g, zone)
-
-    return make
+def _fast_hour(text, zone):
+    return TimePoint((datetime.fromisoformat(text) - _EPOCH_NAIVE) // _ONE_HOUR, Granularity.HOUR,
+                     zone)
 
 
 _FAST = {
-    g: (re.compile(pattern).fullmatch, make)
-    for g, pattern, make in (
-        (Granularity.DAY, _YMD, _fast_day),
-        (Granularity.HOUR, _YMD + _HH + ":00", _fast_clock(Granularity.HOUR)),
-        (Granularity.MINUTE, _YMD + _HH + _MM, _fast_clock(Granularity.MINUTE)),
-        (Granularity.SECOND, _YMD + _HH + _MM * 2, _fast_clock(Granularity.SECOND)),
-        (Granularity.MILLISECOND, _YMD + _HH + _MM * 2 + r"\.[0-9]{3}",
-         _fast_clock(Granularity.MILLISECOND)),
-    )
+    Granularity.DAY: (re.compile(_YMD).fullmatch, _fast_day),
+    Granularity.HOUR: (re.compile(_YMD + " (?:[01][0-9]|2[0-3]):00").fullmatch, _fast_hour),
 }
 
 
@@ -513,12 +500,11 @@ def parse_timepoint(text: str, granularity, zone: str | None = None) -> TimePoin
 
     Surrounding whitespace is stripped, and a "T" date-time separator is
     accepted on input.  No text parses as an ordinal point: an ordinal index
-    holds ints (see ``_read_json_int``).  Text in the exact shape of a
-    canonical day, or, unzoned (None or UTC), of an hour, minute, second or
-    millisecond (``2011-07-05 17:45:00.123``, three digits) is read by
-    ``fromisoformat``; the grammar of ``_FORMS`` reads all other text and
-    gives every error.
-    The canonical forms:
+    holds ints (see ``_read_json_int``).  Unzoned (None or UTC) text in the
+    exact shape of a canonical day or hour (``2011-07-05``,
+    ``2011-07-05 17:00``) is read by ``fromisoformat``; the grammar of
+    ``_FORMS`` reads all other text and gives every error.  The canonical
+    forms:
 
     >>> parse_timepoint("2011", "year")
     TimePoint('2011', 'year')
@@ -541,12 +527,17 @@ def parse_timepoint(text: str, granularity, zone: str | None = None) -> TimePoin
     """
     g = _require_granularity(granularity)
     fast = _FAST.get(g)
-    # A day's ticks never depend on the zone; a clock's do.
-    if fast is not None and (g is Granularity.DAY or _is_utc(zone)) and fast[0](text):
+    if fast is not None and _is_utc(zone) and fast[0](text):
         try:
             return fast[1](text, zone)
         except ValueError:
-            pass  # an invalid date: the grammar below says which field
+            pass  # an invalid date: the grammar says which field
+    return _parse_forms(text, g, zone)
+
+
+def _parse_forms(text: str, g: Granularity, zone: str | None) -> TimePoint:
+    """``text`` at granularity ``g`` by the ``_FORMS`` grammar, which words
+    every ``parse_timepoint`` error."""
     text = text.strip()
     try:
         for pattern, make in _FORMS_OF[g]:
