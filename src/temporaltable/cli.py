@@ -63,6 +63,8 @@ def _config(args) -> IngestConfig:
                 f"--time-format {col}={gran}: unknown granularity; expected one "
                 f"of {', '.join(sorted(_TIME_FORMATS))}"
             )
+    if len(args.delimiter) != 1:
+        raise UsageError(f"--delimiter must be one character, got {args.delimiter!r}")
     key = _split_key(args.key)
     if args.index in key:
         raise UsageError("--index column cannot appear in --key")
@@ -163,14 +165,16 @@ def _cmd_agg(args) -> int:
 
 def _cmd_roll(args) -> int:
     _parse_agg_spec(args.fn)
-    if args.op == "stretch":
-        size = args.init if args.init is not None else args.size
-        if size is None:
-            raise UsageError("stretch needs --init (the initial prefix length)")
-    else:
-        size = args.size
-        if size is None:
-            raise UsageError(f"{args.op} needs --size")
+    # Each window flag has one meaning: stretch's first prefix is --init,
+    # and slide and tile have a --size; the other flag is refused.
+    flag, size, other, unused = (
+        ("--init", args.init, "--size", args.size) if args.op == "stretch"
+        else ("--size", args.size, "--init", args.init)
+    )
+    if unused is not None:
+        raise UsageError(f"{args.op} takes {flag}, not {other}")
+    if size is None:
+        raise UsageError(f"{args.op} needs {flag}")
     try:
         w = rolling.check_window(
             args.op, rolling.Window(size=size, step=args.step, partial=args.partial)

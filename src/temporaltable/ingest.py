@@ -35,6 +35,7 @@ from __future__ import annotations
 import csv
 import math
 import re
+import sys
 
 from .errors import IngestError, ParseError, SchemaError
 from .granularity import Granularity
@@ -140,18 +141,24 @@ def _first_non_finite(values) -> int | None:
     )
 
 
-def _infer_cells(cells) -> list:
-    """Raw cells ("" for missing) typed as one int, real, bool or text column.
+def _infer_cells(cells, name=None) -> list:
+    """Raw cells ("" for missing) of column ``name`` typed as one int, real,
+    bool or text column.
 
     JSON has no inf or nan (RFC 8259 section 6), so a number too large for
-    a float (``1e999``) reads as text, as ``inf`` does.  Each distinct text
-    is typed once, and the cells are gathered from the typed values."""
+    a float (``1e999``) reads as text, as ``inf`` does.  An int longer than
+    the interpreter reads (``sys.get_int_max_str_digits()``) raises
+    IngestError naming its row and the column.  Each distinct text is typed
+    once, and the cells are gathered from the typed values."""
     distinct = set(cells)
     distinct.discard("")
     typed = None
     if distinct:
         if all(map(_INT_RE.fullmatch, distinct)):
-            typed = dict(zip(distinct, map(int, distinct)))
+            try:
+                typed = dict(zip(distinct, map(int, distinct)))
+            except ValueError:  # too many digits: this reader names the cell
+                return _parse_each_once(name, cells, _read_json_int)
         elif all(map(_NUMBER_RE.fullmatch, distinct)):
             reals = list(map(float, distinct))
             if all(map(math.isfinite, reals)):
@@ -178,7 +185,7 @@ def typed_columns(cfg: IngestConfig, header, rows) -> dict[str, list]:
         if name == cfg.index or name in cfg.time_format:
             data[name] = _parse_time_cells(name, cells, cfg.time_format.get(name), cfg.zone)
         else:
-            data[name] = _infer_cells(cells)
+            data[name] = _infer_cells(cells, name)
     return data
 
 
@@ -266,6 +273,30 @@ def _check_finite(named_columns) -> None:
             raise _non_finite_error(name, bad, cells[bad])
 
 
+def _long_int_error(name: str, cells) -> SchemaError | None:
+    """The error for the first int cell of column ``name`` with more digits
+    than ``str`` writes (``sys.get_int_max_str_digits()``), or None."""
+    for row, v in enumerate(cells):
+        if isinstance(v, int):
+            try:
+                str(v)
+            except ValueError:
+                return SchemaError(
+                    f"column {name!r} holds an int of more than {sys.get_int_max_str_digits()}"
+                    f" digits at row {row}; str() writes none that long"
+                )
+    return None
+
+
+def _rendered(name: str, cells) -> list:
+    """:func:`render_cell` of each present cell of column ``name``, None for
+    a missing one."""
+    try:
+        return [v if v is None else render_cell(v) for v in cells]
+    except ValueError as exc:
+        raise _long_int_error(name, cells) or exc
+
+
 _TIME_CELL_TYPES = {TimePoint, type(None)}
 
 
@@ -275,13 +306,13 @@ def write_csv(stream, header, rows) -> None:
     A column of TimePoints (and missing cells) renders each distinct point
     once.  Raises SchemaError, before writing anything, when a cell is an
     inf or nan float, naming the leftmost such column and its first such
-    row, as :func:`table_to_csv` does, and then for the first empty text
-    cell."""
+    row, as :func:`table_to_csv` does, then for the first empty text cell,
+    and for an int too long to write."""
     columns = list(zip(*rows)) or [()] * len(header)
     _check_finite(zip(header, columns))
     fields = [
         _time_fields(cells) if set(map(type, cells)) <= _TIME_CELL_TYPES
-        else _quoted_each(name, [v if v is None else render_cell(v) for v in cells])
+        else _quoted_each(name, _rendered(name, cells))
         for name, cells in zip(header, columns)
     ]
     stream.write(_csv_text(header, fields))
@@ -333,7 +364,10 @@ def _fields(name: str, col: Column) -> list[str]:
     if col.kind == "real":
         return ["" if v is None else repr(v) for v in values]
     if col.kind == "int":
-        return ["" if v is None else str(v) for v in values]
+        try:
+            return ["" if v is None else str(v) for v in values]
+        except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
+            raise _long_int_error(name, values) or exc
     if col.kind == "bool":
         return list(map(_BOOL_TEXT.__getitem__, values))
     if col.kind == "time":
@@ -349,9 +383,9 @@ def table_to_csv(t: TemporalTable, stream=None) -> str | None:
     shows them.  It is built column by column: each column is rendered by
     its declared kind, a time column once per distinct point and the index
     once per distinct tick, and the rows are joined and written in one
-    piece.  Raises SchemaError, before
-    writing anything, when a real column holds an inf or nan cell, and
-    then when a text column holds an empty text."""
+    piece.  Raises SchemaError, before writing anything, when a real
+    column holds an inf or nan cell, then when a text column holds an empty
+    text, and for an int too long to write."""
     _check_finite((name, col.values) for name, col in t.columns.items() if col.kind == "real")
     fields = [
         _index_fields(t) if name == t.index and col.kind == "time" else _fields(name, col)

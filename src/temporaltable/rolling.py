@@ -9,7 +9,7 @@ caller's window into a :class:`Window` fit for the op (tile's block size is
 ``Window(size)``, stretch's prefix is ``Window(init, step)``), and
 ``_spans`` lists each window as a (start, stop) slice.  The free functions
 apply f through ``_roll``; roll_by_key runs the same spans within each key
-group of a table, optionally across worker threads.  The typed variants
+group of a table, one series after another.  The typed variants
 (``slide_int`` ... ``stretch_text``) check every result against one of the
 table's cell kinds.
 
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import warnings
 from itertools import accumulate
 
 from . import aggregates
@@ -31,16 +32,6 @@ from .errors import PreconditionError, SchemaError, TypedResultError, Unsupporte
 from .gaps import require_gapless
 from .record import Frozen, set_field
 from .table import Column, TemporalTable, as_kind, key_groups, with_columns
-
-
-def ThreadPoolExecutor(max_workers: int):
-    """``concurrent.futures.ThreadPoolExecutor``, which only
-    ``roll_by_key(workers > 1)`` needs: the first call imports it and puts
-    it in this function's place."""
-    global ThreadPoolExecutor
-    from concurrent.futures import ThreadPoolExecutor
-
-    return ThreadPoolExecutor(max_workers=max_workers)
 
 
 def _positive_int(n, what: str) -> int:
@@ -247,12 +238,17 @@ def roll_by_key(
     Appends a result column aligned to each window's last row; rows that end
     no window hold a missing marker.  The table must be gap-free: rolling
     assumes an intact, time-ordered series, so gappy tables are refused with
-    a pointer to fill_gaps.  ``workers`` > 1 rolls the key groups in a
-    thread pool; f must be pure, and the output is identical either way.
+    a pointer to fill_gaps.  ``workers`` is deprecated and ignored: the
+    series roll in one loop, since threads gained nothing under the GIL.
     """
     w = check_window(op, w)
     if workers is not None:
         _positive_int(workers, "workers")
+        warnings.warn(
+            "roll_by_key(workers=) is deprecated and ignored; the series roll in one loop",
+            DeprecationWarning,
+            stacklevel=2,
+        )
     if t.kind_of(column) not in ("int", "real"):
         raise PreconditionError(f"column {column!r} is not numeric")
     if t.interval.form == "irregular":
@@ -272,10 +268,9 @@ def roll_by_key(
     if name in t.columns:
         raise SchemaError(f"column {name!r} already exists; pass as_name")
 
-    groups = key_groups(t)
     values = t.columns[column].values
-
-    def one_group(r: range) -> list:
+    rolled: list = []
+    for _, r in key_groups(t):
         vals = values[r.start : r.stop]
         out = [None] * len(vals)
         spans = _spans(op, len(vals), w)
@@ -286,17 +281,7 @@ def roll_by_key(
         else:
             for (_, b), v in zip(spans, results):
                 out[b - 1] = v
-        return out
-
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(one_group, (r for _, r in groups)))
-    else:
-        parts = [one_group(r) for _, r in groups]
-
-    rolled: list = []
-    for part in parts:
-        rolled.extend(part)
+        rolled.extend(out)
 
     if kind is None and rolled.count(None) == len(rolled):
         kind = t.kind_of(column)

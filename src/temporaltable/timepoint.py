@@ -24,6 +24,7 @@ takes an offset to pick the instant (PEP 495 ``fold``).
 from __future__ import annotations
 
 import re
+import sys
 from datetime import date, datetime, time, timedelta, timezone
 
 from .errors import ConversionError, ParseError, PreconditionError
@@ -396,7 +397,11 @@ def _read_json_int(text: str) -> int:
     """
     if not _INT_RE.fullmatch(text):
         raise ParseError(f"{text!r} is not an ordinal (integer) index value")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise ParseError(f"a {len(text.lstrip('-'))}-digit int is longer than the "
+                         f"{sys.get_int_max_str_digits()} digits int() reads") from None
 
 
 # Digits are ASCII: ``\d`` would take any Unicode decimal digit.

@@ -596,7 +596,9 @@ def join(t: TemporalTable, other, kind: str = "left", by=None) -> VerbOutcome:
     other right-hand columns are typed whole, a table's keeping its kinds,
     and clashing names get a "_y" suffix.  A join column of a right/full
     join gets the common kind of both sides.  semi and anti filter left rows
-    without adding columns.
+    without adding columns.  A right-hand table whose index holds its
+    adapter's own values (not cells of the library's kinds) must be joined
+    on that index, for every kind: no other column can hold them.
     """
     if kind not in _JOIN_KINDS:
         raise PreconditionError(f"join kind must be one of {_JOIN_KINDS}, got {kind!r}")
@@ -615,6 +617,15 @@ def join(t: TemporalTable, other, kind: str = "left", by=None) -> VerbOutcome:
     for _, rc in pairs:
         if rc not in right:
             raise SchemaError(f"joined table has no column named {rc!r}")
+    by_right = {rc for _, rc in pairs}
+    if isinstance(other, TemporalTable) and other.index not in by_right:
+        try:
+            table.infer_kind(right[other.index])
+        except SchemaError:
+            raise SchemaError(
+                f"the right-hand index {other.index!r} is no join column, and it holds "
+                "its adapter's values, which only an index can hold; join on it"
+            ) from None
     left_on = [t.column(lc) for lc, _ in pairs]
     right_on = [getattr(right[rc], "values", right[rc]) for _, rc in pairs]
     on = {lc: (rv, _matchable(lc, rc, lv, rv))
@@ -629,7 +640,6 @@ def join(t: TemporalTable, other, kind: str = "left", by=None) -> VerbOutcome:
         want = kind == "semi"
         return _outcome(t, take(t, [i for i, k in enumerate(left_keys) if (k in lookup) == want]))
 
-    by_right = {rc for _, rc in pairs}
     extra = {c: table._typed_column(c, col) for c, col in right.items() if c not in by_right}
     renames = {c: (c + "_y" if c in t.columns else c) for c in extra}
     if len(set(renames.values()) | set(t.columns)) != len(renames) + len(t.columns):

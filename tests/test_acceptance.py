@@ -13,6 +13,8 @@ import random
 import statistics
 import time
 
+import pytest
+
 from temporaltable import (
     Granularity,
     IngestConfig,
@@ -232,7 +234,9 @@ def test_criterion_07_parallel_determinism():
             cols["v"].append(rng.uniform(-100.0, 100.0))
     t = build(cols, "t", ("k",))
     serial = roll_by_key(t, "v", "slide", statistics.fmean, Window(7))
-    threaded = roll_by_key(t, "v", "slide", statistics.fmean, Window(7), workers=8)
+    # workers is deprecated and ignored; it must change no value or repr.
+    with pytest.warns(DeprecationWarning, match="workers"):
+        threaded = roll_by_key(t, "v", "slide", statistics.fmean, Window(7), workers=8)
     assert serial.column("v_slide") == threaded.column("v_slide")
     assert repr(serial.column("v_slide")) == repr(threaded.column("v_slide"))
     assert serial == threaded

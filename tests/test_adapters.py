@@ -123,6 +123,23 @@ def test_joins_match_an_adapters_own_values(semester_registry, kind):
     assert out.interval.shorthand() == interval
 
 
+@pytest.mark.parametrize("kind", SEMESTER_JOINS)
+def test_a_right_hand_index_of_adapter_values_must_be_a_join_column(semester_registry, kind):
+    # Off the join columns, the semesters would land in a plain column,
+    # which holds only the library's cell kinds: refused before matching.
+    t = build({"t": [1, 2], "n": [10, 20]}, "t")
+    terms = build({"term": [Semester(2019, 1), Semester(2019, 2)], "n": [10, 30]}, "term")
+    with pytest.raises(SchemaError, match=(
+        "^the right-hand index 'term' is no join column, and it holds its adapter's "
+        "values, which only an index can hold; join on it$"
+    )):
+        join(t, terms, kind, by=["n"])
+    # Joined on the index, the semesters match as before.
+    u = build({"term": [Semester(2019, 2)], "w": [1.5]}, "term")
+    rows = {"left": 1, "right": 2, "inner": 1, "full": 2, "semi": 1, "anti": 0}
+    assert join(u, terms, kind).table.nrows == rows[kind]
+
+
 def test_reregistering_replaces_without_error(semester_registry):
     class Replacement(SemesterAdapter):
         unit_label = "semester"

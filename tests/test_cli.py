@@ -305,6 +305,13 @@ def test_roll_usage_errors(capsys):
     rc, out, err = run(capsys, *missing[:-1], "median", "--op", "slide", "--size", "2")
     assert (rc, out) == (2, "")
     assert err.startswith("usage error: unknown aggregate 'median'")
+    # Each window flag has one meaning: --init is stretch's, --size the others'.
+    for op in ("slide", "tile"):
+        rc, out, err = run(capsys, *missing, "--op", op, "--size", "2", "--init", "3")
+        assert (rc, out, err) == (2, "", f"usage error: {op} takes --size, not --init\n")
+    for flags in (["--size", "2"], ["--size", "2", "--init", "3"]):
+        rc, out, err = run(capsys, *missing, "--op", "stretch", *flags)
+        assert (rc, out, err) == (2, "", "usage error: stretch takes --init, not --size\n")
 
 
 def test_bad_time_format_flag(capsys):
@@ -318,6 +325,26 @@ def test_bad_time_format_flag(capsys):
 def test_index_in_key_rejected(capsys):
     rc, _, err = run(capsys, "validate", TB, "--index", "year", "--key", "year,country")
     assert rc == 2
+
+
+@pytest.mark.parametrize("delimiter", ["", ";;"])
+def test_delimiter_must_be_one_character(capsys, delimiter):
+    # Refused before the file is opened: the path does not exist.
+    rc, out, err = run(capsys, "validate", "no-such.csv", "--index", "t",
+                       "--delimiter", delimiter)
+    assert (rc, out) == (2, "")
+    assert err == f"usage error: --delimiter must be one character, got {delimiter!r}\n"
+
+
+@pytest.mark.parametrize("time_format", [[], ["--time-format", "v=ordinal"]])
+def test_an_int_longer_than_the_interpreter_reads_fails_validation(capsys, tmp_path, time_format):
+    digits = sys.get_int_max_str_digits() + 1
+    p = tmp_path / "long.csv"
+    p.write_text(f"t,v\n1,7\n2,{'1' * digits}\n")
+    rc, out, err = run(capsys, "validate", str(p), "--index", "t",
+                       "--time-format", "t=ordinal", *time_format)
+    assert (rc, out) == (1, "")
+    assert err.startswith(f"error: row 3, column 'v': a {digits}-digit int is longer than")
 
 
 def test_missing_file_is_io_error(capsys):

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -365,6 +366,41 @@ def test_a_number_too_large_for_a_float_makes_a_text_column(tmp_path):
     assert dict(t.schema) == {"t": "int", "r": "text", "s": "real", "i": "text"}
     assert t.column("r") == ["1.5", "-1e999"]
     assert t.column("i") == ["1e999", "10"]
+
+
+# One digit more than the interpreter converts between int and text.
+LONG_DIGITS = sys.get_int_max_str_digits() + 1
+
+
+@pytest.mark.parametrize("time_format", [{}, {"v": "ordinal"}])
+def test_an_int_longer_than_the_interpreter_reads_is_an_ingest_error(tmp_path, time_format):
+    path = write(tmp_path, f"t,v\n1,7\n2,{'1' * LONG_DIGITS}\n")
+    cfg = IngestConfig(path, index="t", time_format={"t": "ordinal", **time_format})
+    with pytest.raises(IngestError) as info:
+        ingest(cfg)
+    assert info.value.row == 3
+    assert str(info.value) == (
+        f"row 3, column 'v': a {LONG_DIGITS}-digit int is longer than the "
+        f"{LONG_DIGITS - 1} digits int() reads"
+    )
+
+
+def test_csv_writers_refuse_an_int_too_long_to_write():
+    big = 10 ** LONG_DIGITS
+    message = (
+        f"column 'v' holds an int of more than {LONG_DIGITS - 1} digits at row 1; "
+        "str() writes none that long"
+    )
+    buf = io.StringIO()
+    with pytest.raises(SchemaError) as info:
+        table_to_csv(build({"t": [1, 2], "s": ["a", "b"], "v": [5, big]}, "t"), buf)
+    assert (str(info.value), buf.getvalue()) == (message, "")
+    with pytest.raises(SchemaError) as info:
+        write_csv(buf, ["t", "v"], [[1, None], [2, big]])
+    assert (str(info.value), buf.getvalue()) == (message, "")
+    # So does an ordinal index.
+    with pytest.raises(SchemaError, match="^column 't' holds an int of more than"):
+        table_to_csv(build({"t": [1, big]}, "t"))
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])

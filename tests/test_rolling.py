@@ -1,6 +1,8 @@
 import inspect
 import math
 import statistics
+import threading
+import warnings
 from decimal import Decimal
 
 import pytest
@@ -332,17 +334,28 @@ def test_roll_by_key_refuses_window_parts_the_op_ignores(tb, op, w, message):
 
 def test_roll_by_key_parallel_matches_serial(tb):
     serial = roll_by_key(tb, "count", "slide", statistics.fmean, 2)
-    threaded = roll_by_key(tb, "count", "slide", statistics.fmean, 2, workers=4)
+    with pytest.warns(DeprecationWarning, match="workers"):
+        threaded = roll_by_key(tb, "count", "slide", statistics.fmean, 2, workers=4)
     assert serial.column("count_slide") == threaded.column("count_slide")
     assert repr(serial.column("count_slide")) == repr(threaded.column("count_slide"))
 
 
-@pytest.mark.parametrize("workers", [0, -1, True, 2.5, "2"])
-def test_roll_by_key_rejects_bad_workers(tb, workers, monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a thread pool was started")
+def test_roll_by_key_workers_is_deprecated_and_starts_no_thread(tb, monkeypatch):
+    def no_thread(self):
+        raise AssertionError("a thread was started")
 
-    monkeypatch.setattr(rolling, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    serial = roll_by_key(tb, "count", "slide", statistics.fmean, 2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = roll_by_key(tb, "count", "slide", statistics.fmean, 2, workers=4)
+    assert [w.category for w in caught] == [DeprecationWarning]
+    assert out == serial
+    assert repr(out.column("count_slide")) == repr(serial.column("count_slide"))
+
+
+@pytest.mark.parametrize("workers", [0, -1, True, 2.5, "2"])
+def test_roll_by_key_rejects_bad_workers(tb, workers):
     with pytest.raises(PreconditionError, match="workers must be a positive integer"):
         roll_by_key(tb, "count", "slide", sum, 2, workers=workers)
 
@@ -399,13 +412,21 @@ COLUMNS = {
 
 def check_spec_roll(case, spec, workers):
     t, op, w = case
+
+    def roll():
+        # workers is deprecated and ignored: it must change no result.
+        if workers is None:
+            return roll_by_key(t, "v", op, spec, w)
+        with pytest.warns(DeprecationWarning, match="workers"):
+            return roll_by_key(t, "v", op, spec, w, workers=workers)
+
     try:
         want = roll_by_key(t, "v", op, lambda win: aggregates.apply(spec, win), w).column("v_" + op)
     except (OverflowError, ValueError) as exc:  # e.g. fmean over windows whose sum overflows
         with pytest.raises(type(exc)):
-            roll_by_key(t, "v", op, spec, w, workers=workers)
+            roll()
         return
-    got = roll_by_key(t, "v", op, spec, w, workers=workers).column("v_" + op)
+    got = roll().column("v_" + op)
     assert same_cells(got, want)
 
 
