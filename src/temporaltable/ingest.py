@@ -8,8 +8,9 @@ and so does a number too large for a float ("1e999"), since JSON numbers
 are finite.  Empty cells are missing.  The index column is parsed as time:
 either at a declared granularity, or by guessing from its first non-empty
 value ("ordinal" declares an index of JSON ints).  Output refuses a real
-column holding inf or nan by the same rule, and an empty text cell, which
-would read back as missing.
+column holding inf or nan by the same rule, an empty text cell, which
+would read back as missing, and a time point whose date has no text
+(outside years 1 to 9999).
 
 Both ends work a column at a time and touch each distinct cell once.  A
 time column keeps a dict from raw text to its parsed value, so a day that a
@@ -24,10 +25,14 @@ Every CSV written goes through one writer: each column is rendered by its
 declared kind and quoted, each distinct text once; the rows are then joined,
 with LF row ends, into one text that is written in one piece.  A time column
 renders once per distinct point, and the index once per distinct tick of
-the table's stored ticks.  A field is quoted by RFC 4180 when it holds a
-comma, a quote, CR or LF, and a row whose only field is empty is written
-``""``.  A zoned sub-daily point carries its UTC offset only where a clock
-change repeats its local time (see ``timepoint``).
+the table's stored ticks: an unzoned index from day down to millisecond is
+written from the ticks alone, with one date text per distinct day, and any
+other index through its adapter.  A real column is checked for inf and nan
+by one float sum, and scanned only when that sum is not finite.  A field is
+quoted by RFC 4180 when it holds a comma, a quote, CR or LF, and a row whose
+only field is empty is written ``""``.  A zoned sub-daily point carries its
+UTC offset only where a clock change repeats its local time (see
+``timepoint``).
 """
 
 from __future__ import annotations
@@ -37,12 +42,13 @@ import math
 import re
 import sys
 
+from .adapters import TimeIndex
 from .errors import IngestError, ParseError, SchemaError
 from .granularity import Granularity
 from .record import Record
 from .table import Column, TemporalTable, build
-from .timepoint import JSON_INT, TimePoint, guess_granularity, parse_timepoint
-from .timepoint import _INT_RE, _read_json_int
+from .timepoint import JSON_INT, TimePoint, _is_utc, guess_granularity, parse_timepoint
+from .timepoint import _INT_RE, _TICKS_PER_DAY, _read_json_int, _utc_texts
 
 # Numbers follow the JSON grammar (RFC 8259 section 6), matched whole; an
 # int cell and an ordinal index value share one pattern, ``_INT_RE``.
@@ -135,7 +141,17 @@ def _parse_time_cells(name, cells, gran_name, zone):
 
 def _first_non_finite(values) -> int | None:
     """Position of the first inf or nan float among ``values``, or None when
-    there is none."""
+    there is none.
+
+    A clean column is passed in one C pass: a float sum is finite only when
+    every float summed is.  A sum that is not finite (it may just overflow),
+    or that cannot be taken (an int too large for a float, a cell of another
+    kind), falls through to the scan, which finds the row."""
+    try:
+        if math.isfinite(sum(filter(None, values), 0.0)):
+            return None
+    except (OverflowError, TypeError):
+        pass
     return next(
         (i for i, v in enumerate(values) if isinstance(v, float) and not math.isfinite(v)), None
     )
@@ -273,11 +289,21 @@ def _check_finite(named_columns) -> None:
             raise _non_finite_error(name, bad, cells[bad])
 
 
-def _long_int_error(name: str, cells) -> SchemaError | None:
-    """The error for the first int cell of column ``name`` with more digits
-    than ``str`` writes (``sys.get_int_max_str_digits()``), or None."""
+def _unwritable_error(name: str, cells) -> SchemaError | None:
+    """The error for the first cell of column ``name`` that has no text: an
+    int with more digits than ``str`` writes (``sys.get_int_max_str_digits()``),
+    or a time point whose date lies outside years 1 to 9999.  None when
+    there is no such cell."""
     for row, v in enumerate(cells):
-        if isinstance(v, int):
+        if isinstance(v, TimePoint):
+            try:
+                v.render()
+            except (ValueError, OverflowError) as exc:
+                return SchemaError(
+                    f"column {name!r} holds a time point at row {row} ({v.granularity.value}"
+                    f" tick {v.ticks}) that cannot be written: {exc}"
+                )
+        elif isinstance(v, int):
             try:
                 str(v)
             except ValueError:
@@ -293,8 +319,8 @@ def _rendered(name: str, cells) -> list:
     a missing one."""
     try:
         return [v if v is None else render_cell(v) for v in cells]
-    except ValueError as exc:
-        raise _long_int_error(name, cells) or exc
+    except (ValueError, OverflowError) as exc:
+        raise _unwritable_error(name, cells) or exc
 
 
 _TIME_CELL_TYPES = {TimePoint, type(None)}
@@ -307,48 +333,63 @@ def write_csv(stream, header, rows) -> None:
     once.  Raises SchemaError, before writing anything, when a cell is an
     inf or nan float, naming the leftmost such column and its first such
     row, as :func:`table_to_csv` does, then for the first empty text cell,
-    and for an int too long to write."""
+    an int too long to write and a time point past what dates write."""
     columns = list(zip(*rows)) or [()] * len(header)
     _check_finite(zip(header, columns))
     fields = [
-        _time_fields(cells) if set(map(type, cells)) <= _TIME_CELL_TYPES
+        _time_fields(name, cells) if set(map(type, cells)) <= _TIME_CELL_TYPES
         else _quoted_each(name, _rendered(name, cells))
         for name, cells in zip(header, columns)
     ]
     stream.write(_csv_text(header, fields))
 
 
-def _time_fields(values) -> list[str]:
-    """A column of TimePoints and missing cells as quoted CSV fields,
+def _time_fields(name: str, values) -> list[str]:
+    """Column ``name``'s TimePoints and missing cells as quoted CSV fields,
     rendering and quoting each distinct point once.
 
     Points are cached on (ticks, granularity, zone): TimePoint equality
     ignores the zone, which changes the text."""
     fields = {}
     out = []
-    for v in values:
-        if v is None:
-            out.append("")
-            continue
-        key = (v.ticks, v.granularity, v.zone)
-        s = fields.get(key)
-        if s is None:
-            s = fields[key] = _quoted(v.render())
-        out.append(s)
+    try:
+        for v in values:
+            if v is None:
+                out.append("")
+                continue
+            key = (v.ticks, v.granularity, v.zone)
+            s = fields.get(key)
+            if s is None:
+                s = fields[key] = _quoted(v.render())
+            out.append(s)
+    except (ValueError, OverflowError) as exc:
+        raise _unwritable_error(name, values) or exc
     return out
 
 
-def _index_fields(t: TemporalTable) -> list[str]:
-    """The index cells of ``t`` as quoted CSV fields, by its adapter.
+def _index_fields(name: str, t: TemporalTable) -> list[str]:
+    """The index cells of ``t``, column ``name``, as CSV fields, keyed by
+    their ticks: each distinct tick is written once, and the fields are
+    gathered in one pass.
 
-    The index has one granularity and one zone, so its cells are keyed by
-    their ticks: each distinct tick is rendered and quoted once, and the
-    fields are gathered in one pass."""
+    An unzoned :class:`TimeIndex` from day down to millisecond is written
+    from the ticks alone, one date text per distinct day (see
+    ``timepoint._utc_texts``); its canonical text never needs quotes.  Any
+    other index renders each distinct tick's cell through its adapter and
+    quotes it.  Raises SchemaError for a point that has no text, before
+    anything is written."""
     ticks = t.ticks()
-    fields = dict(zip(ticks, t.columns[t.index].values))
-    render = t.adapter.render
-    for tick, v in fields.items():
-        fields[tick] = _quoted(render(v))
+    adapter = t.adapter
+    try:
+        if (type(adapter) is TimeIndex and _is_utc(adapter.zone)
+                and adapter.granularity in _TICKS_PER_DAY):
+            fields = _utc_texts(ticks, adapter.granularity)
+        else:
+            fields = dict(zip(ticks, t.columns[t.index].values))
+            for tick, v in fields.items():
+                fields[tick] = _quoted(adapter.render(v))
+    except (ValueError, OverflowError) as exc:
+        raise _unwritable_error(name, t.columns[t.index].values) or exc
     return list(map(fields.__getitem__, ticks))
 
 
@@ -367,11 +408,11 @@ def _fields(name: str, col: Column) -> list[str]:
         try:
             return ["" if v is None else str(v) for v in values]
         except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
-            raise _long_int_error(name, values) or exc
+            raise _unwritable_error(name, values) or exc
     if col.kind == "bool":
         return list(map(_BOOL_TEXT.__getitem__, values))
     if col.kind == "time":
-        return _time_fields(values)
+        return _time_fields(name, values)
     return _quoted_each(name, values)
 
 
@@ -381,14 +422,16 @@ def table_to_csv(t: TemporalTable, stream=None) -> str | None:
     The output is what :func:`write_csv` makes of the rows, except that
     index cells are written by the table's index adapter, as the summary
     shows them.  It is built column by column: each column is rendered by
-    its declared kind, a time column once per distinct point and the index
-    once per distinct tick, and the rows are joined and written in one
-    piece.  Raises SchemaError, before writing anything, when a real
-    column holds an inf or nan cell, then when a text column holds an empty
-    text, and for an int too long to write."""
+    its declared kind, a time column once per distinct point, and the index
+    once per distinct tick, an unzoned time index straight from its ticks
+    with one date text per distinct day; the rows are then joined and
+    written in one piece.  Raises SchemaError, before writing anything,
+    when a real column holds an inf or nan cell, then when a text column
+    holds an empty text, and for an int too long to write or a time point
+    whose date lies outside years 1 to 9999, naming the column and row."""
     _check_finite((name, col.values) for name, col in t.columns.items() if col.kind == "real")
     fields = [
-        _index_fields(t) if name == t.index and col.kind == "time" else _fields(name, col)
+        _index_fields(name, t) if name == t.index and col.kind == "time" else _fields(name, col)
         for name, col in t.columns.items()
     ]
     text = _csv_text(t.column_names, fields)

@@ -9,10 +9,11 @@ inference relies on.  A point is calendar time: an ordinal index (simulation
 steps, survey waves) holds plain ints, whose text is a JSON int, and no
 TimePoint has the ordinal granularity.
 
-Unzoned text in the exact canonical shape of a day or an hour is read, and
-unzoned sub-daily points are rendered, through the stdlib's C date code
-(``fromisoformat``, ``isoformat``); the regex grammar ``_FORMS`` reads every
-other text, and decides every error.
+Unzoned text in the exact canonical shape of a day or an hour is read
+through the stdlib's C date code (``fromisoformat``); the regex grammar
+``_FORMS`` reads every other text, and decides every error.  Unzoned days
+and sub-daily points are written by one renderer, ``_day_texts``: a date's
+text from its ordinal (``isoformat``), then each clock.
 
 Sub-daily ticks are UTC instants.  An optional zone label changes how a point
 renders and how it floors to day-or-coarser granularities; it never changes
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import re
 import sys
+from bisect import bisect_left
 from datetime import date, datetime, time, timedelta, timezone
 
 from .errors import ConversionError, ParseError, PreconditionError
@@ -319,11 +321,10 @@ def floor_to(t: TimePoint, g) -> TimePoint:
 
 def render_timepoint(tp: TimePoint) -> str:
     g = tp.granularity
-    unit = MS_PER_TICK.get(g)
-    if unit is not None:
-        return _render_clock(tp, g, unit)
+    if g.is_subdaily:
+        return _render_clock(tp, g)
     if g is Granularity.DAY:
-        return date.fromordinal(tp.ticks + _EPOCH_ORDINAL).isoformat()
+        return _day_texts(tp.ticks, (tp.ticks,), g)[0]
     if g is Granularity.YEAR:
         return str(1970 + tp.ticks)
     if g is Granularity.QUARTER:
@@ -336,24 +337,77 @@ def render_timepoint(tp: TimePoint) -> str:
     return f"{iso[0]} W{iso[1]:02d}"
 
 
-def _render_clock(tp: TimePoint, g: Granularity, unit: int) -> str:
+# Ticks per day of the granularities whose unzoned text is a date, followed
+# by a clock for the sub-daily ones.
+_TICKS_PER_DAY = {
+    Granularity.DAY: 1, **{g: _MS_PER_DAY // unit for g, unit in MS_PER_TICK.items()}
+}
+_HOUR_CLOCKS = tuple(f" {h:02d}:00" for h in range(24))
+
+
+def _day_texts(days: int, ticks, g: Granularity) -> list[str]:
+    """The unzoned texts of ``ticks`` at ``g``, day down to millisecond,
+    which all fall on day ``days`` since the epoch: the date's text is made
+    once, from its ordinal, and each tick's clock follows it, from a table
+    for an hour and by ``divmod`` otherwise.  A UTC hour or minute has no
+    seconds.
+
+    >>> _day_texts(15_160, [15_160], Granularity.DAY)
+    ['2011-07-05']
+    >>> _day_texts(15_160, [15_160 * 24, 15_160 * 24 + 17], Granularity.HOUR)
+    ['2011-07-05 00:00', '2011-07-05 17:00']
+    >>> _day_texts(-1, [-1], Granularity.MILLISECOND)
+    ['1969-12-31 23:59:59.999']
+
+    A day outside years 1 to 9999 raises ``date.fromordinal``'s ValueError.
+    """
+    text = date.fromordinal(days + _EPOCH_ORDINAL).isoformat()
+    if g is Granularity.DAY:
+        return [text] * len(ticks)
+    midnight = days * _TICKS_PER_DAY[g]
+    if g is Granularity.HOUR:
+        return [text + _HOUR_CLOCKS[tick - midnight] for tick in ticks]
+    unit = MS_PER_TICK[g]
+    texts = []
+    for tick in ticks:
+        minutes, ms = divmod((tick - midnight) * unit, 60_000)
+        hh, mm = divmod(minutes, 60)
+        if g is Granularity.MILLISECOND:
+            texts.append(f"{text} {hh:02d}:{mm:02d}:{ms // 1000:02d}.{ms % 1000:03d}")
+        elif g is Granularity.SECOND:
+            texts.append(f"{text} {hh:02d}:{mm:02d}:{ms // 1000:02d}")
+        else:
+            texts.append(f"{text} {hh:02d}:{mm:02d}")
+    return texts
+
+
+def _utc_texts(ticks, g: Granularity) -> dict[int, str]:
+    """The unzoned text of each distinct tick among ``ticks`` at ``g``, day
+    down to millisecond, keyed by tick.  The distinct ticks are sorted and
+    cut into days, and each day's run is written by one :func:`_day_texts`
+    call, so each distinct day's date text is made once."""
+    per_day = _TICKS_PER_DAY[g]
+    ticks = sorted(set(ticks))
+    texts = {}
+    start = 0
+    while start < len(ticks):
+        days = ticks[start] // per_day
+        end = bisect_left(ticks, (days + 1) * per_day, start)
+        run = ticks[start:end]
+        texts.update(zip(run, _day_texts(days, run, g)))
+        start = end
+    return texts
+
+
+def _render_clock(tp: TimePoint, g: Granularity) -> str:
     """The zone-local date and clock of a sub-daily point, down to ``g``.
 
     A local time that a clock change repeats is followed by its UTC offset
     (RFC 3339), so that both instants keep their own text."""
-    days, ms = divmod(tp.ticks * unit, _MS_PER_DAY)
-    days += _EPOCH_ORDINAL
-    if _is_utc(tp.zone) and 1 <= days <= _MAX_ORDINAL:
-        # No offset to apply: the date from its ordinal, the clock by
-        # divmod, one f-string.  A UTC hour or minute has no seconds.
-        day_text = date.fromordinal(days).isoformat()
-        minutes, ms = divmod(ms, 60_000)
-        hh, mm = divmod(minutes, 60)
-        if g is Granularity.MILLISECOND:
-            return f"{day_text} {hh:02d}:{mm:02d}:{ms // 1000:02d}.{ms % 1000:03d}"
-        if g is Granularity.SECOND:
-            return f"{day_text} {hh:02d}:{mm:02d}:{ms // 1000:02d}"
-        return f"{day_text} {hh:02d}:{mm:02d}"
+    if _is_utc(tp.zone):
+        days = tp.ticks // _TICKS_PER_DAY[g]
+        if 1 <= days + _EPOCH_ORDINAL <= _MAX_ORDINAL:
+            return _day_texts(days, (tp.ticks,), g)[0]
     c = _civil_datetime(tp)
     ss, ms = c.second, c.microsecond // 1000
     text = f"{c.year:04d}-{c.month:02d}-{c.day:02d} {c.hour:02d}:{c.minute:02d}"

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import temporaltable
-from temporaltable import TimePoint, Window, aggregates, roll_by_key
+from temporaltable import Granularity, TimePoint, Window, aggregates, build, roll_by_key
 from temporaltable.cli import main
 from temporaltable.ingest import IngestConfig, ingest, table_to_csv
 from conftest import DATA
@@ -195,6 +195,41 @@ def test_agg_quantile_column_name(capsys):
                        "--by", "year", "--fn", "count=quantile:0.5")
     assert rc == 0
     assert out.splitlines()[0] == "year,count_quantile_0.5"
+
+
+def test_agg_by_hour_writes_each_hour_from_its_ticks(capsys):
+    # The CI smoke step runs this command: an hour index written from its
+    # ticks by the unzoned writer, on every Python in the matrix.
+    rc, out, err = run(capsys, "agg", FLIGHTS, "--index", "sched_dep_datetime",
+                       "--key", "flight_num,origin", "--irregular",
+                       "--time-format", "sched_arr_datetime=second", "--by", "hour",
+                       "--group", "origin", "--fn", "dep_delay=mean")
+    assert (rc, err) == (0, "")
+    assert out == (
+        "origin,hour,dep_delay_mean\n"
+        "ATL,2017-08-03 07:00,3.0\n"
+        "ATL,2017-08-04 07:00,118.0\n"
+        "BOS,2017-08-03 13:00,57.0\n"
+        "DAL,2017-08-03 09:00,-1.0\n"
+        "JFK,2017-08-03 06:00,-4.0\n"
+        "JFK,2017-08-04 06:00,0.0\n"
+        "LAX,2017-08-03 17:00,140.0\n"
+        "ORD,2017-08-03 08:00,22.0\n"
+        "ORD,2017-08-03 17:00,140.0\n"
+        "ORD,2017-08-04 17:00,-2.0\n"
+    )
+
+
+def test_a_point_past_year_9999_fails_output(capsys, monkeypatch, gappy_csv):
+    # No text ttab reads parses past year 9999, so the table is handed in.
+    cli_module = importlib.import_module("temporaltable.cli")
+    far = build({"d": [TimePoint(k, Granularity.DAY) for k in (3_000_000, 3_000_001)],
+                 "v": [1, 2]}, "d")
+    monkeypatch.setattr(cli_module, "ingest", lambda cfg: far)
+    rc, out, err = run(capsys, "gaps", "fill", gappy_csv, "--index", "d")
+    assert (rc, out) == (1, "")
+    assert err == ("error: column 'd' holds a time point at row 0 (day tick 3000000) "
+                   "that cannot be written: year 10183 is out of range\n")
 
 
 def test_agg_usage_errors(capsys):
@@ -437,24 +472,27 @@ def test_local_mean_time_minutes_need_their_granularity_declared(capsys, tmp_pat
 
 
 def test_each_distinct_time_cell_is_parsed_and_rendered_once(capsys, tmp_path, monkeypatch):
-    # The benchmark counts parse_timepoint at this attribute and
-    # TimePoint.render on the class; both must see every distinct cell.
+    # The benchmark counts parse_timepoint at this attribute, so it must see
+    # every distinct cell.  An unzoned index is written from its ticks by
+    # timepoint._day_texts, once per distinct day with that day's ticks.
     # (The package's ``ingest`` attribute is the function, not the module.)
     ingest_module = importlib.import_module("temporaltable.ingest")
+    timepoint_module = importlib.import_module("temporaltable.timepoint")
 
-    calls = {"parse": [], "render": []}
-    parse, render = ingest_module.parse_timepoint, TimePoint.render
+    calls = {"parse": [], "days": [], "render": []}
+    parse, day_texts = ingest_module.parse_timepoint, timepoint_module._day_texts
 
     def counted_parse(text, *args):
         calls["parse"].append(text)
         return parse(text, *args)
 
-    def counted_render(point):
-        calls["render"].append(point.ticks)
-        return render(point)
+    def counted_day_texts(days, ticks, g):
+        calls["days"].append(days)
+        calls["render"].extend(ticks)
+        return day_texts(days, ticks, g)
 
     monkeypatch.setattr(ingest_module, "parse_timepoint", counted_parse)
-    monkeypatch.setattr(TimePoint, "render", counted_render)
+    monkeypatch.setattr(timepoint_module, "_day_texts", counted_day_texts)
     days = ["2020-01-01", "2020-01-02", "2020-01-04"]
     p = tmp_path / "daily.csv"
     p.write_text("city,day,riders\n" + "".join(
@@ -464,11 +502,13 @@ def test_each_distinct_time_cell_is_parsed_and_rendered_once(capsys, tmp_path, m
     assert (rc, err) == (0, "")
     assert out.count("\n") == 1 + 5 * 4
     assert sorted(calls["parse"]) == days
-    assert sorted(calls["render"]) == [18262, 18263, 18264, 18265]
+    assert calls["days"] == calls["render"] == [18262, 18263, 18264, 18265]
 
     # Hourly text, declared, takes the unzoned fast path of parse_timepoint;
-    # the filled hour is rendered once too.
-    calls["parse"].clear(), calls["render"].clear()
+    # the filled hour is rendered once too, and the four hours of one day
+    # share one date text.
+    for seen in calls.values():
+        seen.clear()
     hours = ["2020-01-01 00:00", "2020-01-01 01:00", "2020-01-01 03:00"]
     p = tmp_path / "hourly.csv"
     p.write_text("sensor,ts,load\n" + "".join(
@@ -480,7 +520,8 @@ def test_each_distinct_time_cell_is_parsed_and_rendered_once(capsys, tmp_path, m
     assert "A,2020-01-01 02:00,0.0\n" in out
     assert sorted(calls["parse"]) == hours
     first = 18262 * 24  # 2020-01-01 00:00 UTC
-    assert sorted(calls["render"]) == [first, first + 1, first + 2, first + 3]
+    assert calls["days"] == [18262]
+    assert calls["render"] == [first, first + 1, first + 2, first + 3]
 
 
 def test_cli_import_defers_slow_stdlib_modules():

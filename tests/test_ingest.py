@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import sys
+from datetime import timedelta
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +25,7 @@ from temporaltable import (
 )
 from temporaltable.adapters import OrdinalIndex
 from temporaltable.ingest import (
+    _first_non_finite,
     _parse_time_cells,
     read_cell,
     read_rows,
@@ -34,6 +36,7 @@ from temporaltable.ingest import (
 from temporaltable.granularity import MS_PER_TICK
 from conftest import DATA, assert_same_table
 from test_adapters import Semester, SemesterAdapter
+from test_timepoint import EPOCH, _render_by_datetime
 
 
 def write(tmp_path, text, name="t.csv"):
@@ -473,6 +476,142 @@ def test_csv_writers_keep_large_finite_reals():
     # Cells whose sum overflows to inf, and none of them inf.
     t = build({"t": [1, 2], "v": [1e308, 1e308]}, "t")
     assert table_to_csv(t) == "t,v\n1,1e+308\n2,1e+308\n"
+
+
+def _plain_scan(cells):
+    """The row of the first inf or nan float among ``cells``, cell by cell."""
+    return next((row for row, v in enumerate(cells)
+                 if isinstance(v, float) and not math.isfinite(v)), None)
+
+
+# Real cells for the one-sum finite check: floats, missing cells, inf and
+# nan, cells whose sum overflows, and ints too large for a float.
+_REAL_CELLS = st.one_of(
+    st.floats(), st.none(), st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -0.0]),
+    st.sampled_from([1e308, -1e308, 1.7976931348623157e308]),
+    st.integers(-10**20, 10**20), st.integers(10**309, 10**320).map(lambda k: k * (-1) ** k),
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.lists(_REAL_CELLS, max_size=12), min_size=1, max_size=3))
+def test_finite_check_matches_a_plain_scan(columns):
+    for cells in columns:
+        assert _first_non_finite(cells) == _plain_scan(cells)
+    n = max(map(len, columns))
+    columns = [cells + [None] * (n - len(cells)) for cells in columns]
+    names = [f"v{j}" for j in range(len(columns))]
+    t = build({"i": list(range(n)), **{name: Column("real", cells)
+                                         for name, cells in zip(names, columns)}}, "i")
+    bad = next(((name, row) for name, cells in zip(names, columns)
+                if (row := _plain_scan(cells)) is not None), None)
+    rows = [[i, *cells] for i, *cells in zip(range(n), *columns)]
+    writers = (lambda buf: table_to_csv(t, buf), lambda buf: write_csv(buf, ["i", *names], rows))
+    for write in writers:
+        buf = io.StringIO()
+        if bad is None:
+            write(buf)
+            assert buf.getvalue() == _row_by_row(t)
+            continue
+        name, row = bad
+        with pytest.raises(SchemaError) as info:
+            write(buf)
+        v = dict(zip(names, columns))[name][row]
+        assert (str(info.value), buf.getvalue()) == (
+            f"real column {name!r} holds {v!r} at row {row}; CSV numbers must be finite", "")
+
+
+# --- time text written from ticks, against datetime -------------------------
+
+WRITTEN = [Granularity.DAY, *(g for g in Granularity if g.is_subdaily)]
+
+
+def _text_by_datetime(point):
+    """The text of a day or sub-daily point by ``datetime`` arithmetic;
+    OverflowError or ValueError when it has none."""
+    if point.granularity is Granularity.DAY:
+        return (EPOCH + timedelta(days=point.ticks)).isoformat()
+    return _render_by_datetime(point)
+
+
+@st.composite
+def _written_ticks(draw, g):
+    """A few distinct ticks at ``g``: anywhere in years 1 to 9999, at and
+    around midnights, around the epoch, and now and then just outside that
+    range or far past it."""
+    per_day = tp._TICKS_PER_DAY[g]
+    lo = (1 - tp._EPOCH_ORDINAL) * per_day
+    hi = (tp._MAX_ORDINAL + 1 - tp._EPOCH_ORDINAL) * per_day - 1
+    near_midnight = st.builds(lambda d, off: d * per_day + off,
+                              st.integers(lo // per_day, hi // per_day), st.integers(-2, 2))
+    tick = st.one_of(st.integers(lo, hi), near_midnight.filter(lambda k: lo <= k <= hi),
+                     st.integers(-3 * per_day, 3 * per_day))
+    if draw(st.integers(0, 9)) == 0:
+        tick |= st.sampled_from([lo - 1, hi + 1, 3_000_000 * per_day])
+    return draw(st.lists(tick, min_size=1, max_size=8, unique=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=st.sampled_from(WRITTEN), zone=st.sampled_from([None, "UTC", "Australia/Melbourne"]),
+       data=st.data())
+def test_csv_time_text_matches_datetime(g, zone, data):
+    # Two series share some ticks, so the index repeats them; the time
+    # column holds the same points in any order, with gaps.
+    ticks = data.draw(_written_ticks(g))
+    points = [TimePoint(k, g, zone) for k in ticks]
+    a = data.draw(st.lists(st.sampled_from(points), min_size=1, unique=True))
+    b = data.draw(st.lists(st.sampled_from(points), unique=True))
+    n = len(a) + len(b)
+    w = data.draw(st.lists(st.none() | st.sampled_from(points), min_size=n, max_size=n))
+    t = build({"k": ["a"] * len(a) + ["b"] * len(b), "t": a + b, "w": w}, "t", ("k",))
+    names = t.column_names
+    rows = [[t.columns[c].values[i] for c in names] for i in range(t.nrows)]
+
+    def text(v):
+        try:
+            return "" if v is None else _text_by_datetime(v)
+        except (OverflowError, ValueError):
+            return None
+
+    texts = [[k, *map(text, points)] for k, *points in rows]
+    # The first point with no text, column by column, then row by row.
+    bad = next(((name, row) for j, name in enumerate(names)
+                for row, r in enumerate(texts) if r[j] is None), None)
+    writers = (lambda buf: table_to_csv(t, buf), lambda buf: write_csv(buf, names, rows))
+    for write in writers:
+        buf = io.StringIO()
+        if bad is None:
+            write(buf)
+            assert buf.getvalue() == "".join(f"{','.join(r)}\n" for r in [names, *texts])
+            continue
+        # A point that has no text is refused before anything is written.
+        with pytest.raises(SchemaError, match=rf"^column '{bad[0]}' holds a time point at "
+                                              rf"row {bad[1]} \({g.value} tick -?[0-9]+\) "
+                                              "that cannot be written: "):
+            write(buf)
+        assert buf.getvalue() == ""
+
+
+def test_csv_writers_refuse_a_point_past_year_9999():
+    for g, ticks, why in ((Granularity.DAY, 3_000_000, "year 10183 is out of range"),
+                          (Granularity.HOUR, 3_000_000 * 24, "date value out of range")):
+        t = build({"d": [TimePoint(0, g), TimePoint(ticks, g)], "v": [1, 2]}, "d")
+        message = (f"column 'd' holds a time point at row 1 ({g.value} tick {ticks}) "
+                   f"that cannot be written: {why}")
+        buf = io.StringIO()
+        with pytest.raises(SchemaError) as info:
+            table_to_csv(t, buf)
+        assert (str(info.value), buf.getvalue()) == (message, "")
+        with pytest.raises(SchemaError) as info:
+            write_csv(buf, ["d", "v"], [[TimePoint(0, g), 1], [TimePoint(ticks, g), 2]])
+        assert (str(info.value), buf.getvalue()) == (message, "")
+        # A column that mixes in other cells is refused the same way.
+        with pytest.raises(SchemaError) as info:
+            write_csv(buf, ["d"], [["x"], [TimePoint(ticks, g)]])
+        assert (str(info.value), buf.getvalue()) == (message, "")
+        # The point itself keeps datetime's error.
+        with pytest.raises((ValueError, OverflowError), match=why):
+            TimePoint(ticks, g).render()
 
 
 # --- per-column caches: the same result as reading cell by cell -------------
