@@ -3,11 +3,13 @@
 The header reports dimensions and the interval shorthand (plus the zone for
 date-time indexes), the key line reports key columns and series count, and a
 short preview of rows follows.  Large counts print with thousands separators.
+A preview cell that has no text, such as a time point past year 9999, raises
+the SchemaError the CSV writers raise, naming its column and row.
 """
 
 from __future__ import annotations
 
-from .ingest import render_cell
+from .ingest import _unwritable_error, render_cell
 from .table import TemporalTable, key_groups
 
 _PREVIEW_ROWS = 5
@@ -23,16 +25,17 @@ def render_summary(t: TemporalTable, preview: int = _PREVIEW_ROWS) -> str:
     shown = min(preview, t.nrows)
     names = t.column_names
 
-    def show(c, v):
-        if c == t.index and v is not None:
-            return t.adapter.render(v)
-        return render_cell(v)
+    def show(c):
+        values = t.columns[c].values[:shown]
+        render = t.adapter.render if c == t.index else render_cell
+        try:
+            return [render_cell(v) if v is None else render(v) for v in values]
+        except (ValueError, OverflowError) as exc:
+            raise _unwritable_error(c, values) or exc
 
-    cells = [[show(c, t.columns[c].values[i]) for c in names] for i in range(shown)]
-    widths = [
-        max(len(c), max((len(row[j]) for row in cells), default=0))
-        for j, c in enumerate(names)
-    ]
+    columns = [show(c) for c in names]
+    cells = list(zip(*columns))
+    widths = [max(map(len, [c, *col])) for c, col in zip(names, columns)]
     right = [t.kind_of(c) in ("int", "real") for c in names]
 
     def fmt(row):

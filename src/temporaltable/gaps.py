@@ -11,12 +11,16 @@ its last observation where the span reaches further.  ``has_gaps``,
 not per expected tick; ``scan_gaps`` costs per missing value it returns.
 ``fill_gaps`` costs per row and per missing value, with no sort: it keeps
 the order, the kinds and the ticks of the table it fills, and places each
-run of new rows by one ``bisect`` in its series.
+run of new rows by one ``bisect`` in its series.  It makes one object per
+distinct value, not per new row: the adapter's ``from_ticks`` is called once
+per distinct missing tick, and that index cell is shared by every series
+that misses the tick, as each new row's key and fill cells are shared.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Iterator
 
 from . import aggregates
 from .errors import GapError, SchemaError, UnsupportedOperationError
@@ -57,8 +61,9 @@ def _require_regular(t: TemporalTable) -> None:
         )
 
 
-def _runs_by_key(t: TemporalTable, full: bool) -> list[tuple[tuple, range, list[range]]]:
-    """Per key: (key tuple, row range, runs of missing ticks as ranges)."""
+def _runs_by_key(t: TemporalTable, full: bool) -> Iterator[tuple[tuple, range, list[range]]]:
+    """Per key: (key tuple, row range, runs of missing ticks as ranges), each
+    key's runs made as they are read."""
     _require_regular(t)
     groups = key_groups(t)
     ticks = t.ticks()
@@ -66,17 +71,17 @@ def _runs_by_key(t: TemporalTable, full: bool) -> list[tuple[tuple, range, list[
     if full and groups:
         glo = min(ticks)
         ghi = max(ticks)
-    out = []
-    for kt, r in groups:
+
+    def runs(r: range) -> list[range]:
         observed = ticks[r.start : r.stop]
         if full:
             # One step outside the first and last tick on this key's phase
             # inside the global span.
             first = observed[0]
             observed = [glo + (first - glo) % m - m, *observed, ghi - (ghi - first) % m + m]
-        runs = [range(a + m, b, m) for a, b in zip(observed, observed[1:]) if b - a > m]
-        out.append((kt, r, runs))
-    return out
+        return [range(a + m, b, m) for a, b in zip(observed, observed[1:]) if b - a > m]
+
+    return ((kt, r, runs(r)) for kt, r in groups)
 
 
 def has_gaps(t: TemporalTable, full: bool = False) -> list[tuple[tuple, bool]]:
@@ -140,7 +145,10 @@ def fill_gaps(
     each run of missing ticks lies strictly between two consecutive
     observations of its series (or beyond its ends, with ``full=True``), so
     it is spliced in where ``bisect`` finds its first tick among the
-    series' old ticks, and the rows stay in canonical order.
+    series' old ticks, and the rows stay in canonical order.  The new index
+    cells for one tick are one shared object, made by one ``from_ticks``
+    call, as :func:`~temporaltable.ingest.ingest` shares one point per
+    distinct text.
     """
     fills = _resolve_fill(t, fills)
     per_key = _runs_by_key(t, full)
@@ -155,7 +163,6 @@ def fill_gaps(
     # canonical order, one series at a time, and ``ends`` where each ends.
     old = t.ticks()
     ticks = list(old)
-    index = data[t.index].values
     order: list[int] = []
     ends: list[int] = []
     for kt, r, runs in per_key:
@@ -165,7 +172,6 @@ def fill_gaps(
             order += range(at, cut)
             order += range(len(ticks), len(ticks) + len(run))
             ticks += run
-            index.extend(map(t.adapter.from_ticks, run))
             at = cut
         order += range(at, r.stop)
         ends.append(len(order))
@@ -182,6 +188,10 @@ def fill_gaps(
         }
         for col in measured:
             data[col].values.extend([cells.get(col)] * n)
+    # One index cell per distinct new tick, shared by every series missing it.
+    new = ticks[len(old) :]
+    shared = {tick: t.adapter.from_ticks(tick) for tick in dict.fromkeys(new)}
+    data[t.index].values.extend(map(shared.__getitem__, new))
 
     return place_rows(replace(t, columns=data, _ticks=ticks), order, ends)
 

@@ -330,16 +330,19 @@ def write_csv(stream, header, rows) -> None:
     """Write ``header`` and ``rows`` as CSV, each cell by :func:`render_cell`.
 
     A column of TimePoints (and missing cells) renders each distinct point
-    once.  Raises SchemaError, before writing anything, when a cell is an
+    once, and only a column holding a float cell is checked for inf and
+    nan.  Raises SchemaError, before writing anything, when a cell is an
     inf or nan float, naming the leftmost such column and its first such
     row, as :func:`table_to_csv` does, then for the first empty text cell,
     an int too long to write and a time point past what dates write."""
     columns = list(zip(*rows)) or [()] * len(header)
-    _check_finite(zip(header, columns))
+    types = [set(map(type, cells)) for cells in columns]
+    _check_finite((name, cells) for name, cells, held in zip(header, columns, types)
+                  if any(issubclass(tp, float) for tp in held))
     fields = [
-        _time_fields(name, cells) if set(map(type, cells)) <= _TIME_CELL_TYPES
+        _time_fields(name, cells) if held <= _TIME_CELL_TYPES
         else _quoted_each(name, _rendered(name, cells))
-        for name, cells in zip(header, columns)
+        for name, cells, held in zip(header, columns, types)
     ]
     stream.write(_csv_text(header, fields))
 

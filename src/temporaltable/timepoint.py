@@ -126,7 +126,11 @@ class TimePoint(Frozen):
         return self.ticks >= other.ticks
 
     def __repr__(self):
-        return f"TimePoint({self.render()!r}, {self.granularity.value!r})"
+        try:
+            return f"TimePoint({self.render()!r}, {self.granularity.value!r})"
+        except (ValueError, OverflowError):
+            # A date outside years 1 to 9999 has no text: the constructor call.
+            return f"TimePoint({self.ticks}, Granularity.{self.granularity.name})"
 
     def render(self) -> str:
         return render_timepoint(self)

@@ -599,6 +599,10 @@ def join(t: TemporalTable, other, kind: str = "left", by=None) -> VerbOutcome:
     without adding columns.  A right-hand table whose index holds its
     adapter's own values (not cells of the library's kinds) must be joined
     on that index, for every kind: no other column can hold them.
+
+    Each right key maps straight to its row; only a key that repeats, a
+    fan-out, keeps the list of its rows.  Rows pair in left row order, each
+    left row with its right rows in their order.
     """
     if kind not in _JOIN_KINDS:
         raise PreconditionError(f"join kind must be one of {_JOIN_KINDS}, got {kind!r}")
@@ -631,9 +635,15 @@ def join(t: TemporalTable, other, kind: str = "left", by=None) -> VerbOutcome:
     on = {lc: (rv, _matchable(lc, rc, lv, rv))
           for (lc, rc), lv, rv in zip(pairs, left_on, right_on)}
 
-    lookup: dict[object, list[int]] = {}
-    for j, k in enumerate(_join_keys(right_on, rn)):
-        lookup.setdefault(k, []).append(j)
+    # Each right key maps to its row, or, where it repeats, to the list of
+    # its rows: a fan-out.
+    right_keys = _join_keys(right_on, rn)
+    lookup: dict[object, int | list[int]] = dict(zip(right_keys, range(rn)))
+    if len(lookup) < rn:
+        rows_of: dict[object, list[int]] = {}
+        for j, k in enumerate(right_keys):
+            rows_of.setdefault(k, []).append(j)
+        lookup.update((k, js) for k, js in rows_of.items() if len(js) > 1)
     left_keys = _join_keys(left_on, t.nrows)
 
     if kind in ("semi", "anti"):
@@ -646,18 +656,23 @@ def join(t: TemporalTable, other, kind: str = "left", by=None) -> VerbOutcome:
         raise SchemaError("suffixed join column names still clash; rename before joining")
 
     # One (left row, right row) pair per output row, None for a side with no row.
-    unmatched = (None,) if kind in ("left", "full") else ()
-    matches = [lookup.get(k, unmatched) for k in left_keys]
-    li = [i for i, js in enumerate(matches) for _ in js]
-    ri = list(chain.from_iterable(matches))
+    ri = list(map(lookup.get, left_keys))
+    li = list(range(t.nrows))
+    # Fan-out, a left row paired more than once, repeats its (key, index) pair.
+    fan_out = len(lookup) < rn and list in set(map(type, ri))
+    if fan_out:
+        matches = [j if type(j) is list else (j,) for j in ri]
+        li = [i for i, js in enumerate(matches) for _ in js]
+        ri = list(chain.from_iterable(matches))
+    if kind in ("inner", "right") and None in ri:
+        li = [i for i, j in zip(li, ri) if j is not None]
+        ri = [j for j in ri if j is not None]
     if kind in ("right", "full"):
         new = sorted(set(range(rn)).difference(ri))
         li, ri = li + [None] * len(new), ri + new
     added = {renames[c]: Column(col.kind, _gather(col.values, ri)) for c, col in extra.items()}
 
     if kind in ("left", "inner"):
-        # Fan-out, a left row paired more than once, repeats its (key, index) pair.
-        fan_out = len(li) > len(matches) - matches.count(())
         out = table.rows_at(t, li) if fan_out else t if len(li) == t.nrows else take(t, li)
         out = with_columns(out, {**out.columns, **added})
         return _outcome(t, table.resort(out) if fan_out else out)

@@ -197,13 +197,15 @@ def test_agg_quantile_column_name(capsys):
     assert out.splitlines()[0] == "year,count_quantile_0.5"
 
 
+AGG_BY_HOUR = ("agg", FLIGHTS, "--index", "sched_dep_datetime", "--key", "flight_num,origin",
+               "--irregular", "--time-format", "sched_arr_datetime=second", "--by", "hour",
+               "--group", "origin", "--fn", "dep_delay=mean")
+
+
 def test_agg_by_hour_writes_each_hour_from_its_ticks(capsys):
     # The CI smoke step runs this command: an hour index written from its
     # ticks by the unzoned writer, on every Python in the matrix.
-    rc, out, err = run(capsys, "agg", FLIGHTS, "--index", "sched_dep_datetime",
-                       "--key", "flight_num,origin", "--irregular",
-                       "--time-format", "sched_arr_datetime=second", "--by", "hour",
-                       "--group", "origin", "--fn", "dep_delay=mean")
+    rc, out, err = run(capsys, *AGG_BY_HOUR)
     assert (rc, err) == (0, "")
     assert out == (
         "origin,hour,dep_delay_mean\n"
@@ -216,6 +218,94 @@ def test_agg_by_hour_writes_each_hour_from_its_ticks(capsys):
         "LAX,2017-08-03 17:00,140.0\n"
         "ORD,2017-08-03 08:00,22.0\n"
         "ORD,2017-08-03 17:00,140.0\n"
+        "ORD,2017-08-04 17:00,-2.0\n"
+    )
+
+
+def test_full_fill_of_the_hourly_agg_puts_six_origins_on_one_grid(capsys, tmp_path):
+    # The CI smoke step runs this command after the agg above: each new hour
+    # is one index cell shared by the origins that miss it, written from its
+    # ticks, on every Python in the matrix.
+    rc, out, err = run(capsys, *AGG_BY_HOUR)
+    assert (rc, err) == (0, "")
+    agg = tmp_path / "agg-hour.csv"
+    agg.write_text(out)
+    rc, out, err = run(capsys, "gaps", "fill", str(agg), "--index", "hour", "--key", "origin",
+                       "--time-format", "hour=hour", "--full")
+    assert (rc, err) == (0, "")
+    assert out == (
+        "origin,hour,dep_delay_mean\n"
+        "ATL,2017-08-03 07:00,3.0\n"
+        "ATL,2017-08-03 10:00,\n"
+        "ATL,2017-08-03 13:00,\n"
+        "ATL,2017-08-03 16:00,\n"
+        "ATL,2017-08-03 19:00,\n"
+        "ATL,2017-08-03 22:00,\n"
+        "ATL,2017-08-04 01:00,\n"
+        "ATL,2017-08-04 04:00,\n"
+        "ATL,2017-08-04 07:00,118.0\n"
+        "ATL,2017-08-04 10:00,\n"
+        "ATL,2017-08-04 13:00,\n"
+        "ATL,2017-08-04 16:00,\n"
+        "BOS,2017-08-03 07:00,\n"
+        "BOS,2017-08-03 10:00,\n"
+        "BOS,2017-08-03 13:00,57.0\n"
+        "BOS,2017-08-03 16:00,\n"
+        "BOS,2017-08-03 19:00,\n"
+        "BOS,2017-08-03 22:00,\n"
+        "BOS,2017-08-04 01:00,\n"
+        "BOS,2017-08-04 04:00,\n"
+        "BOS,2017-08-04 07:00,\n"
+        "BOS,2017-08-04 10:00,\n"
+        "BOS,2017-08-04 13:00,\n"
+        "BOS,2017-08-04 16:00,\n"
+        "DAL,2017-08-03 06:00,\n"
+        "DAL,2017-08-03 09:00,-1.0\n"
+        "DAL,2017-08-03 12:00,\n"
+        "DAL,2017-08-03 15:00,\n"
+        "DAL,2017-08-03 18:00,\n"
+        "DAL,2017-08-03 21:00,\n"
+        "DAL,2017-08-04 00:00,\n"
+        "DAL,2017-08-04 03:00,\n"
+        "DAL,2017-08-04 06:00,\n"
+        "DAL,2017-08-04 09:00,\n"
+        "DAL,2017-08-04 12:00,\n"
+        "DAL,2017-08-04 15:00,\n"
+        "JFK,2017-08-03 06:00,-4.0\n"
+        "JFK,2017-08-03 09:00,\n"
+        "JFK,2017-08-03 12:00,\n"
+        "JFK,2017-08-03 15:00,\n"
+        "JFK,2017-08-03 18:00,\n"
+        "JFK,2017-08-03 21:00,\n"
+        "JFK,2017-08-04 00:00,\n"
+        "JFK,2017-08-04 03:00,\n"
+        "JFK,2017-08-04 06:00,0.0\n"
+        "JFK,2017-08-04 09:00,\n"
+        "JFK,2017-08-04 12:00,\n"
+        "JFK,2017-08-04 15:00,\n"
+        "LAX,2017-08-03 08:00,\n"
+        "LAX,2017-08-03 11:00,\n"
+        "LAX,2017-08-03 14:00,\n"
+        "LAX,2017-08-03 17:00,140.0\n"
+        "LAX,2017-08-03 20:00,\n"
+        "LAX,2017-08-03 23:00,\n"
+        "LAX,2017-08-04 02:00,\n"
+        "LAX,2017-08-04 05:00,\n"
+        "LAX,2017-08-04 08:00,\n"
+        "LAX,2017-08-04 11:00,\n"
+        "LAX,2017-08-04 14:00,\n"
+        "LAX,2017-08-04 17:00,\n"
+        "ORD,2017-08-03 08:00,22.0\n"
+        "ORD,2017-08-03 11:00,\n"
+        "ORD,2017-08-03 14:00,\n"
+        "ORD,2017-08-03 17:00,140.0\n"
+        "ORD,2017-08-03 20:00,\n"
+        "ORD,2017-08-03 23:00,\n"
+        "ORD,2017-08-04 02:00,\n"
+        "ORD,2017-08-04 05:00,\n"
+        "ORD,2017-08-04 08:00,\n"
+        "ORD,2017-08-04 11:00,\n"
+        "ORD,2017-08-04 14:00,\n"
         "ORD,2017-08-04 17:00,-2.0\n"
     )
 

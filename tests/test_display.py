@@ -3,7 +3,16 @@ import re
 
 import pytest
 
-from temporaltable import IngestConfig, build, ingest, render_summary, timepoint as tp
+from temporaltable import (
+    Granularity,
+    IngestConfig,
+    SchemaError,
+    TimePoint,
+    build,
+    ingest,
+    render_summary,
+    timepoint as tp,
+)
 from conftest import DATA
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -108,3 +117,18 @@ def test_preview_width_override(tb):
     lines = render_summary(tb, preview=12).splitlines()
     assert not lines[-1].startswith("# ...")
     assert len(lines) == 2 + 1 + 12
+
+
+def test_summary_refuses_a_preview_point_past_year_9999():
+    # The same SchemaError the CSV writers raise, leftmost column first.
+    days = [TimePoint(0, Granularity.DAY), TimePoint(3_000_001, Granularity.DAY)]
+    t = build({"v": [1, 2], "d": [TimePoint(k, Granularity.DAY) for k in (3_000_000, 3_000_001)],
+               "e": days}, "d")
+    with pytest.raises(SchemaError, match=r"^column 'd' holds a time point at row 0 \(day tick "
+                       r"3000000\) that cannot be written: year 10183 is out of range$"):
+        render_summary(t)
+    t = build({"d": [1, 2], "e": days}, "d")
+    with pytest.raises(SchemaError, match=r"^column 'e' holds a time point at row 1 "):
+        render_summary(t)
+    # Only the preview is rendered: a point past it does not stop the summary.
+    assert render_summary(t, preview=1).splitlines()[-1] == "# ... with 1 more rows"

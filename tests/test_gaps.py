@@ -466,6 +466,57 @@ def test_fill_gaps_is_the_table_build_makes_of_its_rows(index, full, data):
         assert getattr(got, field) == getattr(want, field), field
 
 
+class CountedSemesterAdapter(SemesterAdapter):
+    """Semesters that record each tick :meth:`from_ticks` is asked for."""
+
+    name = "counted semester"
+
+    def __init__(self):
+        self.calls = []
+
+    def from_ticks(self, ticks):
+        self.calls.append(ticks)
+        return super().from_ticks(ticks)
+
+
+@given(st.booleans(), st.data())
+def test_fill_gaps_makes_one_index_cell_per_distinct_new_tick(full, data):
+    adapter = CountedSemesterAdapter()
+    register_index_adapter(adapter)
+    try:
+        cols = {"k": [], "t": [], "v": []}
+        for k in "ABCD"[: data.draw(st.integers(1, 4))]:
+            for tk in sorted(data.draw(st.sets(st.integers(4_036, 4_045), min_size=1, max_size=6))):
+                cols["k"].append(k)
+                cols["t"].append(SemesterAdapter().from_ticks(tk))
+                cols["v"].append(data.draw(st.none() | st.integers(-9, 9)))
+        t = build({**cols, "v": Column("int", cols["v"])}, "t", ("k",))
+        assume(t.interval.is_regular)
+        adapter.calls.clear()
+        got = fill_gaps(t, {"v": 0}, full)
+    finally:
+        unregister_index_adapter("counted semester")
+    assert type(got.adapter) is CountedSemesterAdapter
+    model = _grid_model(t, full)
+    new = {(kt, tk) for kt, missing in model for tk in missing}
+    # from_ticks once per distinct new tick; its cell is shared by every
+    # series that misses that tick.
+    assert sorted(adapter.calls) == sorted({tk for _, tk in new})
+    cells = {}
+    for i, tk in enumerate(got.ticks()):
+        if (got.key_tuple(i), tk) in new:
+            cell = cells.setdefault(tk, got.column("t")[i])
+            assert cell is got.column("t")[i]
+            assert cell == SemesterAdapter().from_ticks(tk)
+    assert cells.keys() == {tk for _, tk in new}
+    rows = table_rows(t) + [{"k": kt[0], "t": SemesterAdapter().from_ticks(tk), "v": 0}
+                            for kt, tk in new]
+    rows.sort(key=lambda row: (row["k"], row["t"].year, row["t"].sem))
+    assert table_rows(got) == rows
+    assert got.schema == t.schema
+    assert got.ticks() == [2 * row["t"].year + row["t"].sem - 1 for row in rows]
+
+
 def test_fill_gaps_makes_no_call_to_build(holey, monkeypatch):
     calls = []
     real_build = table.build

@@ -521,6 +521,26 @@ def test_finite_check_matches_a_plain_scan(columns):
             f"real column {name!r} holds {v!r} at row {row}; CSV numbers must be finite", "")
 
 
+
+def test_write_csv_checks_only_columns_that_hold_a_float(monkeypatch):
+    ingest_module = sys.modules["temporaltable.ingest"]
+    checked = []
+    real_check = ingest_module._first_non_finite
+    monkeypatch.setattr(ingest_module, "_first_non_finite",
+                        lambda cells: checked.append(cells) or real_check(cells))
+    day = TimePoint(0, Granularity.DAY)
+    header = ["s", "i", "d", "r", "m"]
+    rows = [["a", 1, day, 0.5, "x"], ["b", None, None, None, 2.5], ["c", 3, day, 1.5, None]]
+    buf = io.StringIO()
+    write_csv(buf, header, rows)
+    assert checked == [(0.5, None, 1.5), ("x", 2.5, None)]
+    assert buf.getvalue() == "s,i,d,r,m\na,1,1970-01-01,0.5,x\nb,,,,2.5\nc,3,1970-01-01,1.5,\n"
+    # A float in a column of other cells keeps its column and row.
+    rows[2][4] = math.inf
+    with pytest.raises(SchemaError, match=r"^real column 'm' holds inf at row 2; "):
+        write_csv(io.StringIO(), header, rows)
+
+
 # --- time text written from ticks, against datetime -------------------------
 
 WRITTEN = [Granularity.DAY, *(g for g in Granularity if g.is_subdaily)]

@@ -64,6 +64,20 @@ def test_second_ticks_match_epoch_seconds(dt):
     assert point.ticks == oracle
 
 
+def test_repr_of_a_point_without_text_falls_back_to_its_ticks():
+    assert repr(TimePoint(3, Granularity.DAY)) == "TimePoint('1970-01-04', 'day')"
+    # Past year 9999 a point has no text; repr still answers, as the
+    # constructor call that makes the point again.
+    for g, ticks in ((Granularity.DAY, 3_000_000), (Granularity.HOUR, -10**20),
+                     (Granularity.MILLISECOND, 10**30)):
+        point = TimePoint(ticks, g, "Australia/Melbourne")
+        with pytest.raises((ValueError, OverflowError)):
+            point.render()
+        text = repr(point)
+        assert text == f"TimePoint({ticks}, Granularity.{g.name})"
+        assert eval(text) == point
+
+
 def test_subdaily_zone_changes_ticks_not_rendering_zone():
     utc = tp.hour(2017, 8, 3, 17)
     ny = tp.hour(2017, 8, 3, 17, zone="America/New_York")

@@ -133,6 +133,93 @@ def test_row_subset_verbs_match_build(t, data):
     assert left.column("w") == [lookup.get(v) for v in t.column("m_text")]
 
 
+# --- join against a nested-loop model ---------------------------------------
+
+# Right-hand cells per join column: some equal left cells, ints that match
+# reals (2 and 2.0), cells no left row holds, and missing cells.
+_RIGHT_CELLS = {
+    "k_int": [1, 2, 2.0, 3, None],
+    "k_real": [0.5, 2, 2.0, 2.5, 3.5, None],
+    "k_text": ["a", "b", "c", None],
+    "m_int": [-1, 0, 0.0, 1, 6, None],
+    "m_text": ["x", "y", "q", None],
+}
+_CELL_KINDS = {bool: "bool", int: "int", float: "real", str: "text", tp.TimePoint: "time"}
+
+
+def _join_model(t, right, by, kind):
+    """The columns of ``join(t, right, kind, by)`` and their kinds, from
+    nested loops over both sides' rows: each left row in order with each
+    right row it matches in order, then the right rows no left row matched.
+    Join cells match by ``==`` (None matches None, 2 matches 2.0)."""
+    n = len(right["w"])
+    left = [t.row(i) for i in range(t.nrows)]
+    rows_right = [{c: cells[j] for c, cells in right.items()} for j in range(n)]
+    pairs = [(i, j) for i, lrow in enumerate(left) for j, rrow in enumerate(rows_right)
+             if all(lrow[c] == rrow[c] for c in by)]
+    kinds = dict(t.schema)
+    if kind in ("semi", "anti"):
+        hit = {i for i, _ in pairs}
+        rows = [lrow for i, lrow in enumerate(left) if (i in hit) == (kind == "semi")]
+        return {c: [row[c] for row in rows] for c in kinds}, kinds
+    extra = {c: c + "_y" if c in t.columns else c for c in right if c not in by}
+    rows = []
+    for i, lrow in enumerate(left):
+        js = [j for li, j in pairs if li == i] or ([None] if kind in ("left", "full") else [])
+        for j in js:
+            rows.append({**lrow, **{y: None if j is None else right[c][j] for c, y in extra.items()}})
+    if kind in ("right", "full"):
+        matched = {j for _, j in pairs}
+        rows += [{**dict.fromkeys(t.columns), **{c: rrow[c] for c in by},
+                  **{y: rrow[c] for c, y in extra.items()}}
+                 for j, rrow in enumerate(rows_right) if j not in matched]
+        # Build resolves the kind of the index from its cells.
+        for c in set(by) - {t.index}:
+            cells = [v for v in (*t.column(c), *right[c]) if v is not None]
+            kinds[c] = table.common_kind([kinds[c], *(_CELL_KINDS[type(v)] for v in cells)])
+    for c, y in extra.items():
+        kinds[y] = table.infer_kind(right[c]) or "text"
+    return {c: [row[c] for row in rows] for c in kinds}, kinds
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables(), st.sampled_from(verbs._JOIN_KINDS), st.data())
+def test_join_matches_a_nested_loop_model(t, kind, data):
+    by = data.draw(st.lists(st.sampled_from([*_RIGHT_CELLS, "t"]), min_size=1, max_size=2,
+                            unique=True))
+    daily = t.adapter.granularity is Granularity.DAY
+    ticks = [3, 4, 5, 6, 9, None]
+    pools = {**_RIGHT_CELLS,
+             "t": [tp.TimePoint(tk, Granularity.DAY) if daily and tk else tk for tk in ticks]}
+    # Right keys unique under ==, or drawn with repeats: a fan-out.
+    keys = data.draw(st.lists(st.tuples(*(st.sampled_from(pools[c]) for c in by)), max_size=6,
+                              unique=data.draw(st.booleans())))
+    right = {c: [k[x] for k in keys] for x, c in enumerate(by)}
+    right["w"] = list(range(len(keys)))
+    right["m_real"] = data.draw(st.lists(st.none() | st.floats(-5, 5), min_size=len(keys),
+                                         max_size=len(keys)))
+    try:
+        columns, kinds = _join_model(t, right, by, kind)
+        want = build({c: cells if c == t.index else table.Column(kinds[c], cells)
+                      for c, cells in columns.items()}, t.index, t.key, t.declared_regular)
+    except (SchemaError, ValidityError) as exc:
+        # A fan-out or a right-hand row repeats a (key, index) pair or brings
+        # no index cell, or right-hand join cells have no common kind with
+        # their left column's: the join refuses it as build does.
+        with pytest.raises(type(exc)):
+            join(t, right, kind, by=by)
+        return
+    got = join(t, right, kind, by=by).table
+    assert got.to_dict() == want.to_dict()
+    assert [list(map(type, col.values)) for col in got.columns.values()] == [
+        list(map(type, col.values)) for col in want.columns.values()]
+    # Only right-hand rows bring index cells whose kind build resolves.
+    assert got.schema == [
+        (c, k if c == t.index and kind in ("right", "full") else kinds[c]) for c, k in want.schema]
+    assert got.interval == want.interval
+    assert got.ticks() == want.ticks()
+
+
 @settings(max_examples=150, deadline=None)
 @given(tables(), st.data())
 def test_same_row_verbs_match_build(t, data):
