@@ -41,7 +41,7 @@ class IndexAdapter(ABC):
     sample_values: Sequence = ()
     granularity: Granularity | None = Granularity.ORDINAL
     zone: str | None = None
-    cell_kind: str = "time"
+    cell_kind: str | None = "time"
 
     @abstractmethod
     def to_ticks(self, value) -> int:
@@ -106,11 +106,12 @@ class OrdinalIndex(IndexAdapter):
 
 
 class EmptyIndex(IndexAdapter):
-    """The index of a table built from no rows; its kind is undetermined."""
+    """The index of a table built from no rows; its kind is undetermined,
+    so its column has kind None, as any column with no present cell."""
 
     unit_label = None
     granularity = None
-    cell_kind = "text"
+    cell_kind = None
 
     def to_ticks(self, value):  # pragma: no cover - no rows to convert
         raise SchemaError("empty table has no index values")

@@ -68,7 +68,7 @@ def parse_spec(spec: str) -> tuple[str, float | None]:
     return name, None
 
 
-def result_kind(name: str, input_kind: str) -> str:
+def result_kind(name: str, input_kind: str | None) -> str | None:
     """Kind of the column that aggregate ``name`` makes from a column of
     ``input_kind``, declared for the whole column whatever cells it holds."""
     if name == "count":

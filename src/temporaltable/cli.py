@@ -45,18 +45,29 @@ def _split_key(text: str) -> tuple[str, ...]:
     return tuple(k.strip() for k in text.split(",") if k.strip())
 
 
-def _pairs(raw: list[str], flag: str) -> dict[str, str]:
-    out = {}
+def _pairs(raw: list[str], flag: str) -> list[tuple[str, str]]:
+    out = []
     for item in raw:
         name, sep, value = item.partition("=")
         if not sep or not name:
             raise UsageError(f"{flag} expects COL=VALUE, got {item!r}")
+        out.append((name, value))
+    return out
+
+
+def _per_column(raw: list[str], flag: str) -> dict[str, str]:
+    """``_pairs`` for a flag that sets one value per column: a column given
+    twice is refused, not overwritten."""
+    out = {}
+    for name, value in _pairs(raw, flag):
+        if name in out:
+            raise UsageError(f"{flag} names column {name!r} more than once")
         out[name] = value
     return out
 
 
 def _config(args) -> IngestConfig:
-    formats = _pairs(args.time_format, "--time-format")
+    formats = _per_column(args.time_format, "--time-format")
     for col, gran in formats.items():
         if gran not in _TIME_FORMATS:
             raise UsageError(
@@ -97,7 +108,8 @@ def _cmd_validate(args) -> int:
 
 def _fill_policy(t: TemporalTable, col: str, text: str):
     """A constant of the column's kind when the text reads as one, the way
-    a CSV cell of that column is read, otherwise an aggregate name."""
+    a CSV cell of that column is read, otherwise an aggregate name.  A
+    column of kind None (no present cell) reads any text as a constant."""
     kind = t.kind_of(col)
     if kind == "text":
         return text
@@ -131,7 +143,7 @@ def _cmd_gaps(args) -> int:
                   ([*kt, lo, hi, n] for kt, lo, hi, n in report.entries))
     else:
         fills = {}
-        for col, text in _pairs(args.fill_with, "--fill-with").items():
+        for col, text in _per_column(args.fill_with, "--fill-with").items():
             if col not in t.columns:
                 raise UsageError(f"--fill-with names unknown column {col!r}")
             fills[col] = _fill_policy(t, col, text)
@@ -148,7 +160,7 @@ def _cmd_agg(args) -> int:
     fns = _pairs(args.fn, "--fn")
     if not fns:
         raise UsageError("agg needs at least one --fn COL=FN")
-    for col, spec in fns.items():
+    for col, spec in fns:
         _parse_agg_spec(spec)
 
     t = ingest(_config(args))
@@ -156,7 +168,7 @@ def _cmd_agg(args) -> int:
         t = verbs.group_by(t, *_split_key(args.group))
     t = verbs.index_by(t, by)
     aggs = {
-        f"{col}_{spec.replace(':', '_')}": (spec, col) for col, spec in fns.items()
+        f"{col}_{spec.replace(':', '_')}": (spec, col) for col, spec in fns
     }
     result = verbs.summarize(t, **aggs)
     table_to_csv(result, sys.stdout)

@@ -25,7 +25,16 @@ from collections.abc import Iterator
 from . import aggregates
 from .errors import GapError, SchemaError, UnsupportedOperationError
 from .record import Record
-from .table import Column, TemporalTable, as_kind, common_kind, key_groups, place_rows, replace
+from .table import (
+    Column,
+    TemporalTable,
+    as_kind,
+    cell_kind,
+    common_kind,
+    key_groups,
+    place_rows,
+    replace,
+)
 
 
 class GapReport(Record):
@@ -135,8 +144,10 @@ def fill_gaps(
     over the key's observed values, or None for a plain missing marker
     (the default for unlisted columns).  Existing rows pass through
     untouched; with ``full=True`` the result is a balanced panel over the
-    global span.  Columns keep their kinds; an aggregate policy widens its
-    column to hold :func:`~temporaltable.aggregates.result_kind` cells.
+    global span.  Each filled column widens to the common kind of its own
+    and its policy's: the constant's kind, or the
+    :func:`~temporaltable.aggregates.result_kind` of an aggregate.  So a
+    column with no present cell (kind None) takes the kind of its fill.
 
     The grouping is kept whole: every column stays, and so does the index
     an ``index_by`` rule reads, which applies to the new index values too.
@@ -158,7 +169,9 @@ def fill_gaps(
     for col, policy in fills.items():
         if isinstance(policy, aggregates.Aggregate):
             kind = aggregates.result_kind(aggregates.parse_spec(policy.spec)[0], data[col].kind)
-            data[col].kind = common_kind((data[col].kind, kind))
+        else:
+            kind = cell_kind(policy)
+        data[col].kind = common_kind((data[col].kind, kind), f"filling column {col!r}")
     # New rows go after the old ones; ``order`` lists every row position in
     # canonical order, one series at a time, and ``ends`` where each ends.
     old = t.ticks()

@@ -232,8 +232,9 @@ def roll_by_key(
     series holding inf or nan, apply the spec to each sliced window.
     Results equal ``aggregates.apply`` on each window.  A spec's result
     column has the kind :func:`.aggregates.result_kind` declares, whatever
-    cells it holds; a callable's gets the kind of its cells, or the rolled
-    column's kind when it holds none (no window ends).
+    cells it holds; a callable's gets the kind of its cells, None when it
+    holds none (no window ends).  The rolled column must be int, real or
+    of kind None (no present cell).
 
     Appends a result column aligned to each window's last row; rows that end
     no window hold a missing marker.  The table must be gap-free: rolling
@@ -249,7 +250,7 @@ def roll_by_key(
             DeprecationWarning,
             stacklevel=2,
         )
-    if t.kind_of(column) not in ("int", "real"):
+    if t.kind_of(column) not in ("int", "real", None):
         raise PreconditionError(f"column {column!r} is not numeric")
     if t.interval.form == "irregular":
         raise UnsupportedOperationError(
@@ -283,6 +284,4 @@ def roll_by_key(
                 out[b - 1] = v
         rolled.extend(out)
 
-    if kind is None and rolled.count(None) == len(rolled):
-        kind = t.kind_of(column)
     return with_columns(t, {**t.columns, name: rolled if kind is None else Column(kind, rolled)})

@@ -51,7 +51,7 @@ from .timepoint import TimePoint
 class Column(Record):
     __slots__ = ("kind", "values")
 
-    def __init__(self, kind: str, values: list):
+    def __init__(self, kind: str | None, values: list):
         self.kind = kind
         self.values = values
 
@@ -77,35 +77,44 @@ def cell_kind(v) -> str | None:
     raise SchemaError(f"unsupported cell value {v!r} of type {type(v).__name__}")
 
 
-def common_kind(kinds) -> str | None:
+def common_kind(kinds, what: str = "column") -> str | None:
     """The kind of a column holding cells of ``kinds``: int and real make
-    real, and missing cells (kind None) fit any kind.  None when no kind is
-    given; any other mix raises."""
+    real, and kind None, a missing cell or a column with no present cell,
+    fits any kind.  None when no other kind is given; any other mix
+    raises, naming ``what``.
+
+    >>> common_kind(["int", None, "real"])
+    'real'
+    >>> common_kind([None, None]) is None
+    True
+    """
     kinds = set(kinds) - {None}
     if len(kinds) > 1 and kinds != {"int", "real"}:
-        raise SchemaError(f"column mixes cell kinds: {sorted(kinds, key=str)}")
+        raise SchemaError(f"{what} mixes cell kinds: {sorted(kinds, key=str)}")
     return "real" if len(kinds) > 1 else next(iter(kinds), None)
 
 
-def as_kind(v, kind: str):
+def as_kind(v, kind: str | None):
     """Cell ``v`` as a cell of a ``kind`` column: an int widens to float in a
-    real column.  Raises SchemaError when ``v`` is no such cell."""
+    real column, and a column of kind None takes any cell.  Raises
+    SchemaError when ``v`` is no such cell."""
     got = cell_kind(v)
-    if got == kind:
+    if kind is None or got == kind:
         return v
     if kind == "real" and got == "int":
         return float(v)
     raise SchemaError(f"{v!r} ({got}) does not fit kind {kind!r}")
 
 
-def infer_kind(values: Sequence) -> str | None:
-    """Column kind from its values; None when no cell is present."""
+def infer_kind(values: Sequence, what: str = "column") -> str | None:
+    """Column kind from its values: the common kind of its present cells,
+    None when no cell is present.  A mix is refused, naming ``what``."""
     types = set(map(type, values))
     if types.issubset(_KIND_OF_TYPE):
-        return common_kind(map(_KIND_OF_TYPE.get, types))
+        return common_kind(map(_KIND_OF_TYPE.get, types), what)
     # Subclasses and unsupported cells: classify cell by cell, which raises
     # for the first unsupported cell in column order.
-    return common_kind(map(cell_kind, values))
+    return common_kind(map(cell_kind, values), what)
 
 
 def _sort_cell(v):
@@ -298,7 +307,7 @@ class TemporalTable:
         return list(self.columns)
 
     @property
-    def schema(self) -> list[tuple[str, str]]:
+    def schema(self) -> list[tuple[str, str | None]]:
         return [(name, col.kind) for name, col in self.columns.items()]
 
     def column(self, name: str) -> list:
@@ -306,7 +315,7 @@ class TemporalTable:
             raise SchemaError(f"no column named {name!r}")
         return self.columns[name].values
 
-    def kind_of(self, name: str) -> str:
+    def kind_of(self, name: str) -> str | None:
         if name not in self.columns:
             raise SchemaError(f"no column named {name!r}")
         return self.columns[name].kind
@@ -436,10 +445,10 @@ def _prepare(raw, index: str, key: Sequence[str], adapter: str | IndexAdapter | 
 
 def _typed_column(name: str, col: Column | list) -> Column:
     """A non-index column: a :class:`Column` keeps its declared kind, which
-    must hold its cells; plain values get the kind of their cells ("text"
-    when no cell is present)."""
+    must hold its cells; plain values get the kind of their cells, None
+    when no cell is present."""
+    actual = infer_kind(getattr(col, "values", col), f"column {name!r}")
     if isinstance(col, Column):
-        actual = infer_kind(col.values)
         try:
             fits = common_kind((col.kind, actual)) == col.kind
         except SchemaError:
@@ -447,7 +456,7 @@ def _typed_column(name: str, col: Column | list) -> Column:
         if not fits:
             raise SchemaError(f"column {name!r} of kind {col.kind!r} holds {actual} cells")
     else:
-        col = Column(infer_kind(col) or "text", col)
+        col = Column(actual, col)
     if col.kind == "time":
         one_granularity(f"time column {name!r}", (v for v in col.values if v is not None))
     return col
@@ -497,7 +506,7 @@ def build(
     :class:`Column` entries (an existing table is also accepted).  Cells
     may be int, float, str, bool, TimePoint or None.  A :class:`Column`
     keeps its declared kind, checked against its cells; a plain list gets
-    the kind of its cells ("text" when none is present).  Raises
+    the kind of its cells, None when none is present.  Raises
     :class:`DuplicateIndexError` when (key, index) pairs are not unique,
     :class:`MissingIndexError` for missing index values, and
     :class:`SchemaError` for NaN in a key column.

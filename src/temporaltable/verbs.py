@@ -493,7 +493,7 @@ def gather(t: TemporalTable, names_to: str, values_to: str, columns) -> VerbOutc
     for c in columns:
         if c == t.index or c in t.key:
             raise SchemaError(f"cannot gather index or key column {c!r}")
-    kind = table.common_kind(map(t.kind_of, columns))
+    kind = table.common_kind(map(t.kind_of, columns), f"gathering {columns}")
     remaining = [c for c in t.columns if c not in columns]
     for new in (names_to, values_to):
         if new in remaining:
@@ -683,5 +683,6 @@ def join(t: TemporalTable, other, kind: str = "left", by=None) -> VerbOutcome:
         rv, kinds = on.get(c, (None, ()))
         cells = _gather(col.values, li) if rv is None else [
             rv[j] if i is None else col.values[i] for i, j in zip(li, ri)]
-        data[c] = cells if c == t.index else Column(table.common_kind((col.kind, *kinds)), cells)
+        data[c] = cells if c == t.index else Column(
+            table.common_kind((col.kind, *kinds), f"join column {c!r}"), cells)
     return _outcome(t, table.build({**data, **added}, t.index, t.key, t.declared_regular))

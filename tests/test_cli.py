@@ -190,6 +190,25 @@ def test_agg_ungrouped_collapses(capsys):
     assert out == "year,count_sum\n2011,4038\n2012,3889\n"
 
 
+def test_agg_keeps_every_fn_of_a_column(capsys):
+    rc, out, err = run(capsys, "agg", TB, "--index", "year", "--key", "country,gender",
+                       "--by", "year", "--fn", "count=sum", "--fn", "count=mean")
+    assert (rc, err) == (0, "")
+    assert out == "year,count_sum,count_mean\n2011,4038,673.0\n2012,3889,648.1666666666666\n"
+
+
+@pytest.mark.parametrize("flag, first, second", [
+    ("--fill-with", "v=0", "v=mean"),
+    ("--time-format", "t=ordinal", "t=guess"),
+])
+def test_a_column_given_twice_to_a_per_column_flag_is_a_usage_error(
+        capsys, gappy_csv, flag, first, second):
+    rc, out, err = run(capsys, "gaps", "fill", gappy_csv, "--index", "t", "--key", "k",
+                       flag, first, flag, second)
+    assert (rc, out) == (2, "")
+    assert err == f"usage error: {flag} names column {first.partition('=')[0]!r} more than once\n"
+
+
 def test_agg_quantile_column_name(capsys):
     rc, out, err = run(capsys, "agg", TB, "--index", "year", "--key", "country,gender",
                        "--by", "year", "--fn", "count=quantile:0.5")
@@ -307,6 +326,32 @@ def test_full_fill_of_the_hourly_agg_puts_six_origins_on_one_grid(capsys, tmp_pa
         "ORD,2017-08-04 11:00,\n"
         "ORD,2017-08-04 14:00,\n"
         "ORD,2017-08-04 17:00,-2.0\n"
+    )
+
+
+def test_gaps_count_of_the_hourly_agg_goes_through_the_report_writer(capsys, tmp_path):
+    # The CI smoke step runs this command too: its report is written by
+    # ingest.write_csv, which no other smoke step runs.
+    rc, out, err = run(capsys, *AGG_BY_HOUR)
+    agg = tmp_path / "agg-hour.csv"
+    agg.write_text(out)
+    rc, out, err = run(capsys, "gaps", "count", str(agg), "--index", "hour", "--key", "origin",
+                       "--time-format", "hour=hour", "--full")
+    assert (rc, err) == (0, "")
+    assert out == (
+        "origin,from,to,n\n"
+        "ATL,2017-08-03 10:00,2017-08-04 04:00,7\n"
+        "ATL,2017-08-04 10:00,2017-08-04 16:00,3\n"
+        "BOS,2017-08-03 07:00,2017-08-03 10:00,2\n"
+        "BOS,2017-08-03 16:00,2017-08-04 16:00,9\n"
+        "DAL,2017-08-03 06:00,2017-08-03 06:00,1\n"
+        "DAL,2017-08-03 12:00,2017-08-04 15:00,10\n"
+        "JFK,2017-08-03 09:00,2017-08-04 03:00,7\n"
+        "JFK,2017-08-04 09:00,2017-08-04 15:00,3\n"
+        "LAX,2017-08-03 08:00,2017-08-03 14:00,3\n"
+        "LAX,2017-08-03 20:00,2017-08-04 17:00,8\n"
+        "ORD,2017-08-03 11:00,2017-08-03 14:00,2\n"
+        "ORD,2017-08-03 20:00,2017-08-04 14:00,7\n"
     )
 
 

@@ -180,7 +180,7 @@ def test_build_refusals(raw, key, adapter, message):
     ({"t": [None, tp.day(2011, 1, 1), tp.month(2011, 1)]},
      "index column 't' mixes granularities: day, month"),
     ({"t": [None, "x"]}, "index column 't' holds no recognized time kind"),
-    ({"t": [None, 1], "v": [1, "x"]}, r"column mixes cell kinds: \['int', 'text'\]"),
+    ({"t": [None, 1], "v": [1, "x"]}, r"column 'v' mixes cell kinds: \['int', 'text'\]"),
 ])
 def test_a_kind_problem_is_reported_before_a_missing_index_cell(raw, message):
     for refuse in (build, duplicates):
@@ -230,8 +230,8 @@ def test_build_keeps_a_declared_column_kind():
     t = build({"t": [2, 1], "v": Column("real", [1, 2]), "w": Column("int", [None, None])}, "t")
     assert t.schema == [("t", "int"), ("v", "real"), ("w", "int")]
     assert t.column("v") == [2, 1]
-    # A plain list is read from its cells; "text" when none is present.
-    assert build({"t": [1], "v": [None]}, "t").kind_of("v") == "text"
+    # A plain list is read from its cells; kind None when none is present.
+    assert build({"t": [1], "v": [None]}, "t").kind_of("v") is None
     with pytest.raises(SchemaError, match="column 'v' of kind 'int' holds real cells"):
         build({"t": [1, 2], "v": Column("int", [1, 2.5])}, "t")
     with pytest.raises(SchemaError, match="column 'v' of kind 'real' holds text cells"):
@@ -277,6 +277,9 @@ def test_univariate_series_needs_no_key():
 def test_empty_table():
     t = build({"t": [], "v": []}, "t")
     assert t.nrows == 0
+    # No cell says what kind the index or "v" is: both have kind None.
+    assert t.adapter.cell_kind is None
+    assert t.schema == [("t", None), ("v", None)]
     assert t.interval.shorthand() == "[?]"
     assert key_groups(t) == []
 
@@ -315,6 +318,10 @@ def test_validate_table_catches_corrupted_tables():
     as_text = replace(t, columns={**t.columns, "t": Column("text", t.column("t"))})
     with pytest.raises(SchemaError, match="does not match its adapter"):
         validate_table(as_text)
+    # Kind None is a column with no present cell.
+    no_kind = replace(t, columns={**t.columns, "v": Column(None, [1, None, 3])})
+    with pytest.raises(SchemaError, match="column 'v' of kind None holds int cells"):
+        validate_table(no_kind)
 
 
 def test_validate_table_checks_stored_ticks():

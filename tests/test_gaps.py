@@ -29,7 +29,7 @@ from temporaltable import (
     timepoint as tp,
     unregister_index_adapter,
 )
-from temporaltable.table import Grouping, as_kind, common_kind
+from temporaltable.table import Grouping, as_kind, cell_kind, common_kind
 from temporaltable.timepoint import TimePoint
 from conftest import assert_same_table, table_rows
 from test_adapters import SemesterAdapter
@@ -160,6 +160,20 @@ def test_fill_aggregate_declares_its_kind():
         filled = fill_gaps(t, {"v": Aggregate("mean"), "s": Aggregate("max")})
         assert filled.schema == [("t", "int"), ("v", "real"), ("s", "text")]
     assert fill_gaps(t, {"v": Aggregate("max")}).kind_of("v") == "int"
+
+
+def test_fill_gives_a_column_with_no_present_cell_the_kind_of_its_fill():
+    t = build({"k": ["a", "a", "a"], "d": [1, 2, 4], "v": [None, None, None]}, "d", ("k",))
+    assert t.kind_of("v") is None
+    filled = fill_gaps(t, {"v": 0})
+    assert (filled.column("v"), filled.kind_of("v")) == ([None, None, 0, None], "int")
+    filled = fill_gaps(t, {"v": Aggregate("mean")})
+    assert (filled.column("v"), filled.kind_of("v")) == ([None] * 4, "real")
+    assert fill_gaps(t).kind_of("v") is None
+    # A policy whose cells the column cannot hold is refused, naming it.
+    text = build({"d": [1, 3], "s": ["a", "b"]}, "d")
+    with pytest.raises(SchemaError, match=r"filling column 's' mixes cell kinds: \['real', 'text'\]"):
+        fill_gaps(text, {"s": Aggregate("mean")})
 
 
 @pytest.mark.parametrize("spec, message", [
@@ -395,6 +409,8 @@ POLICIES = {
                   Aggregate("count"), Aggregate("quantile:0.5")]),
     "x": ("real", [None, 1.5, 2, Aggregate("mean"), Aggregate("min"), Aggregate("sum")]),
     "s": ("text", [None, "gap", Aggregate("max"), Aggregate("min")]),
+    # No present cell: the column takes the kind of its fill.
+    "n": (None, [None, 0, 2.5, "gap", Aggregate("mean"), Aggregate("count"), Aggregate("max")]),
 }
 
 
@@ -414,6 +430,7 @@ def _draw_gappy(data, index):
                 "v": data.draw(st.none() | st.integers(-50, 50)),
                 "x": data.draw(st.none() | st.integers(-5, 5) | st.floats(-1e6, 1e6)),
                 "s": data.draw(st.none() | st.sampled_from("xyz")),
+                "n": None,
             })
     t = build(
         {"k": [r["k"] for r in rows], "j": [r["j"] for r in rows], "t": [r["t"] for r in rows],
@@ -433,6 +450,8 @@ def _filled_by_build(t, fills, full, shuffle):
         if isinstance(policy, Aggregate):
             agg = aggregates.parse_spec(policy.spec)[0]
             kinds[col] = common_kind((kinds[col], aggregates.result_kind(agg, kinds[col])))
+        else:
+            kinds[col] = common_kind((kinds[col], cell_kind(policy)))
     series = dict(key_groups(t))
     rows = table_rows(t)
     for kt, cell in scan_gaps(t, full):

@@ -501,9 +501,21 @@ def test_spec_roll_with_no_window_declares_its_kind(spec, kinds):
         assert out.kind_of("v_slide") == kind
 
 
-def test_callable_roll_with_no_window_takes_the_rolled_kind():
+def test_a_column_with_no_present_cell_rolls():
+    t = build({"t": [1, 2, 3], "v": [None, None, None], "s": ["a", "b", "c"]}, "t")
+    out = roll_by_key(t, "v", "slide", "count", 2)
+    assert out.column("v_slide") == [None, 0, 0]
+    assert out.kind_of("v_slide") == "int"
+    out = roll_by_key(t, "v", "slide", "sum", 2)
+    assert out.column("v_slide") == [None, None, None]
+    assert out.kind_of("v_slide") is None
+    with pytest.raises(PreconditionError, match="column 's' is not numeric"):
+        roll_by_key(t, "s", "slide", "count", 2)
+
+
+def test_callable_roll_with_no_window_has_kind_none():
     out = roll_by_key(build({"t": [1, 2, 3], "v": [1, 2, 3]}, "t"), "v", "slide", sum, 5)
-    assert out.schema[-1] == ("v_slide", "int")
+    assert out.schema[-1] == ("v_slide", None)
     assert out.column("v_slide") == [None, None, None]
     # Where a window ends, the results' own kind wins.
     out = roll_by_key(build({"t": [1, 2, 3], "v": [1, 2, 3]}, "t"), "v", "slide", statistics.fmean, 2)

@@ -467,6 +467,8 @@ def test_mutate_broadcast_and_list(tb):
     assert sorted(out.column("seq")) == list(range(12))
     with pytest.raises(PreconditionError):
         mutate(tb, seq=[1, 2, 3])
+    with pytest.raises(SchemaError, match=r"column 'seq' mixes cell kinds: \['int', 'text'\]"):
+        mutate(tb, seq=[1, "x"] * 6)
 
 
 def test_mutate_overwriting_index_revalidates(tb):
@@ -559,6 +561,13 @@ def test_summarize_without_present_cells_declares_kinds():
     out = summarize(holes, lo=("min", "x"), hi=("max", "x"), s=("sum", "x"))
     assert out.column("lo") == [None]
     assert out.schema == [("t", "int"), ("lo", "real"), ("hi", "real"), ("s", "real")]
+
+
+def test_summarize_of_a_column_with_no_present_cell():
+    t = build({"t": [1, 2], "v": [None, None]}, "t")
+    out = summarize(t, s=("sum", "v"), n=("count", "v"), m=("mean", "v"))
+    assert out.to_dict() == {"t": [1, 2], "s": [None, None], "n": [0, 0], "m": [None, None]}
+    assert out.schema == [("t", "int"), ("s", None), ("n", "int"), ("m", "real")]
 
 
 def test_summarize_declares_kinds_whatever_the_cells():
@@ -1144,8 +1153,16 @@ def test_gather_errors(tb):
     with pytest.raises(PreconditionError):
         gather(tb, "name", "value", [])
     t = build({"t": [1], "a": [1], "b": ["x"]}, "t")
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match=r"gathering \['a', 'b'\] mixes cell kinds: \['int', 'text'\]"):
         gather(t, "which", "value", ["a", "b"])
+
+
+def test_gather_takes_a_column_with_no_present_cell():
+    t = build({"d": [1, 2], "a": [None, None], "b": [1, 2]}, "d")
+    out = gather(t, "n", "val", ["a", "b"]).table
+    assert out.to_dict() == {"d": [1, 2, 1, 2], "n": ["a", "a", "b", "b"],
+                             "val": [None, None, 1, 2]}
+    assert out.kind_of("val") == "int"
 
 
 def test_spread_errors(tb):
@@ -1391,11 +1408,23 @@ def test_join_types_right_columns_before_picking_rows():
     assert out.kind_of("w") == "real"
 
 
+@pytest.mark.parametrize("kind", ["right", "full"])
+def test_a_join_column_with_no_present_cell_takes_right_hand_cells(kind):
+    t = build({"t": [1], "k": [None]}, "t")
+    out = join(t, {"k": [1], "t": [2], "w": [0]}, kind, by=["k", "t"]).table
+    assert out.kind_of("k") == "int"
+    assert out.column("k") == ([None, 1] if kind == "full" else [1])
+    # A declared kind stays, and a refusal names the join column.
+    text = tfilter(build({"t": [1, 2], "k": ["a", None]}, "t"), lambda r: r["k"] is None).table
+    with pytest.raises(SchemaError, match=r"join column 'k' mixes cell kinds: \['int', 'text'\]"):
+        join(text, {"k": [1], "t": [2]}, kind, by=["k", "t"])
+
+
 def test_a_full_join_refuses_a_right_cell_no_column_holds():
     # The left join column has no cell, so the Decimal passes the match
     # check, and the join column of the result must then refuse it.
     t = build({"t": [1, 2], "k": [None, None]}, "t")
-    with pytest.raises(SchemaError, match="mixes cell kinds"):
+    with pytest.raises(SchemaError, match=r"unsupported cell value Decimal\('1'\)"):
         join(t, {"t": [3], "k": [Decimal(1)]}, "full")
 
 
