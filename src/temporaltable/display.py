@@ -3,8 +3,6 @@
 The header reports dimensions and the interval shorthand (plus the zone for
 date-time indexes), the key line reports key columns and series count, and a
 short preview of rows follows.  Large counts print with thousands separators.
-A preview cell that has no text, such as a time point past year 9999, raises
-the SchemaError the CSV writers raise, naming its column and row.
 """
 
 from __future__ import annotations
@@ -16,6 +14,10 @@ _PREVIEW_ROWS = 5
 
 
 def render_summary(t: TemporalTable, preview: int = _PREVIEW_ROWS) -> str:
+    """The summary of ``t``, previewing ``preview`` rows.  A preview cell
+    with no text raises the CSV writers' SchemaError, naming its column and
+    row, from one catch around the column loop; an index adapter's own
+    ``render`` error passes through."""
     g = t.adapter.granularity
     zone = f" <{t.adapter.zone or 'UTC'}>" if g is not None and g.is_subdaily else ""
     lines = [f"# A tsibble: {t.nrows:,} x {t.ncols:,} {t.interval.shorthand()}{zone}"]
@@ -25,15 +27,14 @@ def render_summary(t: TemporalTable, preview: int = _PREVIEW_ROWS) -> str:
     shown = min(preview, t.nrows)
     names = t.column_names
 
-    def show(c):
+    columns = []
+    for c in names:
         values = t.columns[c].values[:shown]
         render = t.adapter.render if c == t.index else render_cell
         try:
-            return [render_cell(v) if v is None else render(v) for v in values]
+            columns.append([render_cell(v) if v is None else render(v) for v in values])
         except (ValueError, OverflowError) as exc:
             raise _unwritable_error(c, values) or exc
-
-    columns = [show(c) for c in names]
     cells = list(zip(*columns))
     widths = [max(map(len, [c, *col])) for c, col in zip(names, columns)]
     right = [t.kind_of(c) in ("int", "real") for c in names]

@@ -9,8 +9,8 @@ are finite.  Empty cells are missing.  The index column is parsed as time:
 either at a declared granularity, or by guessing from its first non-empty
 value ("ordinal" declares an index of JSON ints).  Output refuses a real
 column holding inf or nan by the same rule, an empty text cell, which
-would read back as missing, and a time point whose date has no text
-(outside years 1 to 9999).
+would read back as missing, an int too long for ``str`` and a time point
+whose date has no text (outside years 1 to 9999).
 
 Both ends work a column at a time and touch each distinct cell once.  A
 time column keeps a dict from raw text to its parsed value, so a day that a
@@ -21,15 +21,15 @@ canonical day or hour is read by the stdlib's ``fromisoformat``;
 A number column is matched and typed once per distinct text, with the cells
 gathered from a dict.
 
-Every CSV written goes through one writer: each column is rendered by its
-declared kind and quoted, each distinct text once; the rows are then joined,
-with LF row ends, into one text that is written in one piece.  A time column
-renders once per distinct point, and the index once per distinct tick of
-the table's stored ticks: an unzoned index from day down to millisecond is
-written from the ticks alone, with one date text per distinct day, and any
-other index through its adapter.  A real column is checked for inf and nan
-by one float sum, and scanned only when that sum is not finite.  A field is
-quoted by RFC 4180 when it holds a comma, a quote, CR or LF, and a row whose
+CSV is written by two writers.  :func:`table_to_csv` renders each column
+by its declared kind, each distinct text once: the index once per distinct
+tick, an unzoned one from day down to millisecond from the ticks alone,
+with one date text per distinct day.  The report writer :func:`write_csv`
+renders each cell by its type; the tests compare the first with it.  Both
+check a real column for inf and nan by one float sum, scanned only when it
+is not finite, refuse a cell with no text in one place, a catch around the
+column loop, and write the rows, LF-ended, in one piece.  A field is quoted
+by RFC 4180 when it holds a comma, a quote, CR or LF, and a row whose
 only field is empty is written ``""``.  A zoned sub-daily point carries its
 UTC offset only where a clock change repeats its local time (see
 ``timepoint``).
@@ -272,21 +272,15 @@ def _csv_text(header, columns) -> str:
     return "\n".join(lines)
 
 
-def _non_finite_error(name: str, row: int, v) -> SchemaError:
-    """The error for an inf or nan cell ``v`` of column ``name`` at ``row``:
-    a CSV number is a JSON number, and JSON has none (RFC 8259 section 6)."""
-    return SchemaError(
-        f"real column {name!r} holds {v!r} at row {row}; CSV numbers must be finite"
-    )
-
-
 def _check_finite(named_columns) -> None:
     """Raise SchemaError for the first inf or nan cell of the first column
-    of (name, cells) pairs that holds one."""
+    of (name, cells) pairs that holds one: a CSV number is a JSON number,
+    and JSON has none (RFC 8259 section 6)."""
     for name, cells in named_columns:
         bad = _first_non_finite(cells)
         if bad is not None:
-            raise _non_finite_error(name, bad, cells[bad])
+            raise SchemaError(f"real column {name!r} holds {cells[bad]!r} at row {bad}; "
+                              "CSV numbers must be finite")
 
 
 def _unwritable_error(name: str, cells) -> SchemaError | None:
@@ -314,85 +308,72 @@ def _unwritable_error(name: str, cells) -> SchemaError | None:
     return None
 
 
-def _rendered(name: str, cells) -> list:
-    """:func:`render_cell` of each present cell of column ``name``, None for
-    a missing one."""
-    try:
-        return [v if v is None else render_cell(v) for v in cells]
-    except (ValueError, OverflowError) as exc:
-        raise _unwritable_error(name, cells) or exc
-
-
 _TIME_CELL_TYPES = {TimePoint, type(None)}
 
 
 def write_csv(stream, header, rows) -> None:
     """Write ``header`` and ``rows`` as CSV, each cell by :func:`render_cell`.
 
-    A column of TimePoints (and missing cells) renders each distinct point
-    once, and only a column holding a float cell is checked for inf and
-    nan.  Raises SchemaError, before writing anything, when a cell is an
-    inf or nan float, naming the leftmost such column and its first such
-    row, as :func:`table_to_csv` does, then for the first empty text cell,
-    an int too long to write and a time point past what dates write."""
+    The report writer knows no column kinds; the tests compare
+    :func:`table_to_csv` with it.  A column of TimePoints (and missing
+    cells) renders each distinct point once, and only a column holding a
+    float cell is checked for inf and nan.  Raises SchemaError, before
+    writing anything, when a cell is an inf or nan float, naming the
+    leftmost such column and its first such row, as :func:`table_to_csv`
+    does, then for the first empty text cell, an int too long to write and
+    a time point past what dates write."""
     columns = list(zip(*rows)) or [()] * len(header)
     types = [set(map(type, cells)) for cells in columns]
     _check_finite((name, cells) for name, cells, held in zip(header, columns, types)
                   if any(issubclass(tp, float) for tp in held))
-    fields = [
-        _time_fields(name, cells) if held <= _TIME_CELL_TYPES
-        else _quoted_each(name, _rendered(name, cells))
-        for name, cells, held in zip(header, columns, types)
-    ]
+    fields = []
+    for name, cells, held in zip(header, columns, types):
+        try:
+            fields.append(_time_fields(cells) if held <= _TIME_CELL_TYPES else _quoted_each(
+                name, [v if v is None else render_cell(v) for v in cells]))
+        except (ValueError, OverflowError) as exc:
+            raise _unwritable_error(name, cells) or exc
     stream.write(_csv_text(header, fields))
 
 
-def _time_fields(name: str, values) -> list[str]:
-    """Column ``name``'s TimePoints and missing cells as quoted CSV fields,
-    rendering and quoting each distinct point once.
+def _time_fields(values) -> list[str]:
+    """TimePoints and missing cells as quoted CSV fields, rendering and
+    quoting each distinct point once.
 
     Points are cached on (ticks, granularity, zone): TimePoint equality
     ignores the zone, which changes the text."""
     fields = {}
     out = []
-    try:
-        for v in values:
-            if v is None:
-                out.append("")
-                continue
-            key = (v.ticks, v.granularity, v.zone)
-            s = fields.get(key)
-            if s is None:
-                s = fields[key] = _quoted(v.render())
-            out.append(s)
-    except (ValueError, OverflowError) as exc:
-        raise _unwritable_error(name, values) or exc
+    for v in values:
+        if v is None:
+            out.append("")
+            continue
+        key = (v.ticks, v.granularity, v.zone)
+        s = fields.get(key)
+        if s is None:
+            s = fields[key] = _quoted(v.render())
+        out.append(s)
     return out
 
 
-def _index_fields(name: str, t: TemporalTable) -> list[str]:
-    """The index cells of ``t``, column ``name``, as CSV fields, keyed by
-    their ticks: each distinct tick is written once, and the fields are
-    gathered in one pass.
+def _index_fields(t: TemporalTable) -> list[str]:
+    """The index cells of ``t`` as CSV fields, keyed by their ticks: each
+    distinct tick is written once, and the fields are gathered in one pass.
 
     An unzoned :class:`TimeIndex` from day down to millisecond is written
     from the ticks alone, one date text per distinct day (see
     ``timepoint._utc_texts``); its canonical text never needs quotes.  Any
     other index renders each distinct tick's cell through its adapter and
-    quotes it.  Raises SchemaError for a point that has no text, before
-    anything is written."""
+    quotes it."""
     ticks = t.ticks()
     adapter = t.adapter
-    try:
-        if (type(adapter) is TimeIndex and _is_utc(adapter.zone)
-                and adapter.granularity in _TICKS_PER_DAY):
-            fields = _utc_texts(ticks, adapter.granularity)
-        else:
-            fields = dict(zip(ticks, t.columns[t.index].values))
-            for tick, v in fields.items():
-                fields[tick] = _quoted(adapter.render(v))
-    except (ValueError, OverflowError) as exc:
-        raise _unwritable_error(name, t.columns[t.index].values) or exc
+    if (type(adapter) is TimeIndex and _is_utc(adapter.zone)
+            and adapter.granularity in _TICKS_PER_DAY):
+        fields = _utc_texts(ticks, adapter.granularity)
+    else:
+        fields = dict(zip(ticks, t.columns[t.index].values))
+        for tick, v in fields.items():
+            fields[tick] = _quoted(adapter.render(v))
     return list(map(fields.__getitem__, ticks))
 
 
@@ -403,19 +384,17 @@ def _fields(name: str, col: Column) -> list[str]:
     """The cells of ``col`` as CSV fields, rendered by its declared kind:
     reals by ``repr``, ints by ``str``, bools as ``true``/``false`` and time
     cells by ``TimePoint.render``.  Only text and time fields can need
-    quotes."""
+    quotes.  An empty text raises SchemaError naming column ``name``; a
+    cell with no text raises its renderer's error to the caller."""
     values = col.values
     if col.kind == "real":
         return ["" if v is None else repr(v) for v in values]
     if col.kind == "int":
-        try:
-            return ["" if v is None else str(v) for v in values]
-        except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
-            raise _unwritable_error(name, values) or exc
+        return ["" if v is None else str(v) for v in values]
     if col.kind == "bool":
         return list(map(_BOOL_TEXT.__getitem__, values))
     if col.kind == "time":
-        return _time_fields(name, values)
+        return _time_fields(values)
     return _quoted_each(name, values)
 
 
@@ -429,14 +408,19 @@ def table_to_csv(t: TemporalTable, stream=None) -> str | None:
     once per distinct tick, an unzoned time index straight from its ticks
     with one date text per distinct day; the rows are then joined and
     written in one piece.  Raises SchemaError, before writing anything,
-    when a real column holds an inf or nan cell, then when a text column
-    holds an empty text, and for an int too long to write or a time point
-    whose date lies outside years 1 to 9999, naming the column and row."""
+    when a real column holds an inf or nan cell; then, column by column,
+    when a text column holds an empty text, and for an int too long to
+    write or a time point whose date lies outside years 1 to 9999, naming
+    the column and row.  Any other error of an adapter's ``render`` reaches
+    the caller as raised."""
     _check_finite((name, col.values) for name, col in t.columns.items() if col.kind == "real")
-    fields = [
-        _index_fields(name, t) if name == t.index and col.kind == "time" else _fields(name, col)
-        for name, col in t.columns.items()
-    ]
+    fields = []
+    for name, col in t.columns.items():
+        try:
+            fields.append(_index_fields(t) if name == t.index and col.kind == "time"
+                          else _fields(name, col))
+        except (ValueError, OverflowError) as exc:
+            raise _unwritable_error(name, col.values) or exc
     text = _csv_text(t.column_names, fields)
     if stream is None:
         return text

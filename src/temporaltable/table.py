@@ -70,11 +70,13 @@ _KIND_OF_TYPE = {
 }
 
 
-def cell_kind(v) -> str | None:
+def cell_kind(v, what: str | None = None) -> str | None:
+    """The kind of cell ``v``; SchemaError, naming ``what``, for a cell of none."""
     for tp, kind in _KIND_OF_TYPE.items():
         if isinstance(v, tp):
             return kind
-    raise SchemaError(f"unsupported cell value {v!r} of type {type(v).__name__}")
+    held = f"{what} holds " if what else ""
+    raise SchemaError(f"{held}unsupported cell value {v!r} of type {type(v).__name__}")
 
 
 def common_kind(kinds, what: str = "column") -> str | None:
@@ -114,7 +116,7 @@ def infer_kind(values: Sequence, what: str = "column") -> str | None:
         return common_kind(map(_KIND_OF_TYPE.get, types), what)
     # Subclasses and unsupported cells: classify cell by cell, which raises
     # for the first unsupported cell in column order.
-    return common_kind(map(cell_kind, values), what)
+    return common_kind((cell_kind(v, what) for v in values), what)
 
 
 def _sort_cell(v):

@@ -601,8 +601,9 @@ def join(t: TemporalTable, other, kind: str = "left", by=None) -> VerbOutcome:
     on that index, for every kind: no other column can hold them.
 
     Each right key maps straight to its row; only a key that repeats, a
-    fan-out, keeps the list of its rows.  Rows pair in left row order, each
-    left row with its right rows in their order.
+    fan-out, keeps the list of its rows, and a key holding NaN, which equals
+    nothing, is left out.  Rows pair in left row order, each left row with
+    its right rows in their order.
     """
     if kind not in _JOIN_KINDS:
         raise PreconditionError(f"join kind must be one of {_JOIN_KINDS}, got {kind!r}")
@@ -638,10 +639,18 @@ def join(t: TemporalTable, other, kind: str = "left", by=None) -> VerbOutcome:
     # Each right key maps to its row, or, where it repeats, to the list of
     # its rows: a fan-out.
     right_keys = _join_keys(right_on, rn)
-    lookup: dict[object, int | list[int]] = dict(zip(right_keys, range(rn)))
-    if len(lookup) < rn:
+    # A dict finds an object by identity before it asks ==, so a NaN join
+    # cell, which only a real column holds, would match itself.
+    nan = {j for rv, kinds in on.values() if "real" in kinds
+           for j, v in enumerate(rv) if v != v}
+    right_rows = range(rn)
+    if nan:
+        right_rows = [j for j in right_rows if j not in nan]
+        right_keys = [right_keys[j] for j in right_rows]
+    lookup: dict[object, int | list[int]] = dict(zip(right_keys, right_rows))
+    if len(lookup) < len(right_rows):
         rows_of: dict[object, list[int]] = {}
-        for j, k in enumerate(right_keys):
+        for j, k in zip(right_rows, right_keys):
             rows_of.setdefault(k, []).append(j)
         lookup.update((k, js) for k, js in rows_of.items() if len(js) > 1)
     left_keys = _join_keys(left_on, t.nrows)

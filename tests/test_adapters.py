@@ -1,3 +1,5 @@
+import io
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -272,6 +274,28 @@ def test_csv_renders_an_adapter_index_once_per_distinct_tick():
         'b,"2019, S2",4\nb,"2020, S1",5\n'
     )
     assert sorted(ad.rendered) == [4038, 4039, 4040]
+
+
+def test_an_adapter_render_error_reaches_the_writers_caller_as_raised():
+    # Only an int or a time point with no text becomes a SchemaError; the
+    # adapter's own error passes through unchanged, and nothing is written.
+    class Unwritable(SemesterAdapter):
+        def render(self, value):
+            if value.year == 2020:
+                self.raised = ValueError(f"no text for {value!r}")
+                raise self.raised
+            return super().render(value)
+
+    ad = Unwritable()
+    t = build({"term": [Semester(2019, 1), Semester(2020, 1)], "n": [1, 2]}, "term", adapter=ad)
+    buf = io.StringIO()
+    with pytest.raises(ValueError) as info:
+        table_to_csv(t, buf)
+    assert (info.value, str(info.value), buf.getvalue()) == (
+        ad.raised, "no text for Semester(2020, 1)", "")
+    with pytest.raises(ValueError) as info:
+        render_summary(t)
+    assert info.value is ad.raised
 
 
 class _CountingSemesters(SemesterAdapter):

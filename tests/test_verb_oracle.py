@@ -139,10 +139,11 @@ def test_row_subset_verbs_match_build(t, data):
 # --- join against a nested-loop model ---------------------------------------
 
 # Right-hand cells per join column: some equal left cells, ints that match
-# reals (2 and 2.0), cells no left row holds, and missing cells.
+# reals (2 and 2.0), cells no left row holds, and missing cells.  A NaN is
+# either math.nan, which left cells may hold too, or a NaN of its own.
 _RIGHT_CELLS = {
     "k_int": [1, 2, 2.0, 3, None],
-    "k_real": [0.5, 2, 2.0, 2.5, 3.5, None],
+    "k_real": [0.5, 2, 2.0, 2.5, 3.5, None, math.nan, float("nan")],
     "k_text": ["a", "b", "c", None],
     "m_int": [-1, 0, 0.0, 1, 6, None],
     "m_text": ["x", "y", "q", None],
@@ -188,6 +189,13 @@ def _join_model(t, right, by, kind):
 @settings(max_examples=300, deadline=None)
 @given(tables(), st.sampled_from(verbs._JOIN_KINDS), st.data())
 def test_join_matches_a_nested_loop_model(t, kind, data):
+    if "k_real" not in t.key:
+        # Left NaN cells: math.nan, shared with the right-hand pool, or one
+        # of each cell's own; build refuses NaN only in a key column.
+        nans = data.draw(st.lists(st.sampled_from([None, "shared", "own"]),
+                                  min_size=t.nrows, max_size=t.nrows))
+        t = mutate(t, k_real=[v if n is None else math.nan if n == "shared" else float("nan")
+                              for n, v in zip(nans, t.column("k_real"))]).table
     by = data.draw(st.lists(st.sampled_from([*_RIGHT_CELLS, "t"]), min_size=1, max_size=2,
                             unique=True))
     daily = t.adapter.granularity is Granularity.DAY

@@ -1428,6 +1428,43 @@ def test_a_full_join_refuses_a_right_cell_no_column_holds():
         join(t, {"t": [3], "k": [Decimal(1)]}, "full")
 
 
+def test_an_unsupported_cell_is_refused_naming_its_column():
+    message = r"^column 'v' holds unsupported cell value Decimal\('1'\) of type Decimal$"
+    with pytest.raises(SchemaError, match=message):
+        build({"t": [1], "v": [Decimal(1)]}, "t")
+    with pytest.raises(SchemaError, match=message):
+        mutate(build({"t": [1]}, "t"), v=[Decimal(1)])
+    with pytest.raises(SchemaError, match=message):
+        join(build({"t": [1], "k": [1]}, "t"), {"k": [1], "v": [Decimal(1)]})
+
+
+# Each join kind of a left row (1, NaN) and a right row (1, NaN) on t and
+# x: NaN equals nothing, itself included, so the rows never match.
+_NAN_JOINED = {
+    "left": {"k": ["l", "l"], "y": [None, "b"]},
+    "inner": {"k": ["l"], "y": ["b"]},
+    "right": {"k": ["l", None], "y": ["b", "a"]},
+    "full": {"k": ["l", "l", None], "y": [None, "b", "a"]},
+    "semi": {"k": ["l"], "t": [2]},
+    "anti": {"k": ["l"], "t": [1]},
+}
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["own-nan", "shared-nan"])
+@pytest.mark.parametrize("kind", list(_NAN_JOINED))
+def test_a_nan_join_cell_matches_no_cell(kind, shared):
+    left_nan = float("nan")
+    right_nan = left_nan if shared else float("nan")
+    t = build({"t": [1, 2], "k": ["l", "l"], "x": [left_nan, 1.0]}, "t", ("k",))
+    out = join(t, {"t": [1, 2], "x": [right_nan, 1.0], "y": ["a", "b"]}, kind,
+               by=["t", "x"]).table
+    assert {c: out.column(c) for c in _NAN_JOINED[kind]} == _NAN_JOINED[kind]
+    # One join column: its cell is the lookup key itself, not in a tuple.
+    right = {"x": [right_nan], "y": ["a"]}
+    assert join(t, right, "left").table.column("y") == [None, None]
+    assert join(t, right, "semi").table.nrows == 0
+
+
 def test_right_only_rows_need_index_values(tb):
     with pytest.raises(MissingIndexError):
         join(tb, {"country": ["Narnia"], "pop": [1]}, kind="full")
