@@ -16,7 +16,7 @@ Sum, mean and quantile need numeric cells: ints and floats, their
 subclasses included, but not bools, which raise
 :class:`~temporaltable.errors.SchemaError`.  A pool is checked by its set
 of cell types, one pass with no per-cell ``isinstance``; the same set says
-whether a sum holds a float.
+whether a cell is missing and whether a sum holds a float.
 """
 
 from __future__ import annotations
@@ -98,9 +98,13 @@ def _fsum(pool: list):
 
 
 def apply(spec: str, values) -> object:
-    """Apply an aggregate spec to a sequence of cells, skipping missing ones."""
+    """Apply an aggregate spec to an iterable of cells, read once, skipping missing ones."""
     name, p = parse_spec(spec)
-    pool = [v for v in values if v is not None]
+    pool = list(values)
+    types = set(map(type, pool))
+    if type(None) in types:
+        types.discard(type(None))
+        pool = [v for v in pool if v is not None]
     if name == "count":
         return len(pool)
     if not pool:
@@ -109,7 +113,7 @@ def apply(spec: str, values) -> object:
     # ordered kind.  For a type, issubclass answers what isinstance would
     # for each of its cells, so the set of types settles both questions.
     has_float = False
-    for ty in set(map(type, pool)):
+    for ty in types:
         if issubclass(ty, float):
             has_float = True
         elif name in _NUMERIC and (ty is bool or not issubclass(ty, int)):

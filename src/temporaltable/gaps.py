@@ -30,6 +30,7 @@ from .table import (
     TemporalTable,
     as_kind,
     cell_kind,
+    cells_at,
     common_kind,
     key_groups,
     place_rows,
@@ -206,7 +207,7 @@ def fill_gaps(
     shared = {tick: t.adapter.from_ticks(tick) for tick in dict.fromkeys(new)}
     data[t.index].values.extend(map(shared.__getitem__, new))
 
-    return place_rows(replace(t, columns=data, _ticks=ticks), order, ends)
+    return place_rows(replace(t, columns=data, _ticks=ticks), cells_at(order), ends)
 
 
 def require_gapless(t: TemporalTable) -> None:

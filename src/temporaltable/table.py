@@ -6,10 +6,10 @@ A table is built from plain column data: :func:`build` types the cells,
 sorts everything past-to-future within each key, and infers the interval.
 Columns keep their original values untouched; the engine works on a
 parallel vector of integer ticks derived from the index column.  The row
-order is one argsort of the row keys below, and :func:`place_rows`, where
-``resort``, ``take`` and ``gaps.fill_gaps`` all end, gathers it into every
-column at once and infers the interval from one pass over the flat sorted
-ticks.
+order is one argsort of the row keys below.  Rows move by one getter per
+move, :func:`cells_at`, an ``operator.itemgetter`` that takes the cells of
+every column and the ticks in C; :func:`place_rows`, where ``resort``,
+``take`` and ``gaps.fill_gaps`` end, applies it and infers the interval.
 
 Sorting works on one int per row, its row key, made afresh by each sort
 and never stored.  Each key column is dictionary-encoded: its distinct
@@ -20,9 +20,9 @@ the table's ticks, so row keys order rows as the ``(key cells..., tick)``
 tuples of ``_sort_keys`` do, and two rows share a row key exactly when
 they share a (key, index) pair.
 
-The series the sorted row keys give are stored: a series ends wherever
-the key digits of the row key change, and the table keeps those end
-offsets (``_ends``), a run-end encoding of its key columns that ``take``
+The series the sorted row keys give are stored: a series ends where its
+key code, the row key less its tick digit, changes.  The table keeps those
+end offsets (``_ends``), a run-end encoding of its key columns that ``take``
 and ``key_groups`` read in place of the key cells.  ``validate_table``
 keeps to the tuples and to runs of equal key cells, so it checks the row
 keys and the stored ends rather than trusting them.
@@ -34,7 +34,7 @@ import operator
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import cache
-from itertools import compress, count
+from itertools import compress, count, repeat
 
 from .adapters import IndexAdapter, one_granularity, resolve_index
 from .errors import (
@@ -144,23 +144,23 @@ def _sort_keys(columns, key, ticks) -> list:
     for k in key:
         col = columns[k]
         if col.kind == "time" or None in col.values:
-            parts.append([_sort_cell(v) for v in col.values])
+            parts.append(list(map(_sort_cell, col.values)))
         else:
             parts.append(col.values)
     return list(zip(*parts, ticks))
 
 
-def _row_keys(columns, key, ticks) -> list[int]:
-    """One int per row: the key columns' codes, then the tick, as digits of
-    one mixed-radix number whose last digit spans the table's ticks.
+def _row_keys(columns, key, ticks) -> tuple[list[int] | None, list[int]]:
+    """Per row, its key code and its row key: the key columns' codes, and
+    then the tick, as digits of one mixed-radix number whose last digit
+    spans the table's ticks.  Without a key column the codes are None.
 
     A key column's codes follow ``_sort_cell`` order, with missing cells
     last, and cells that compare equal share a code.  Each code is made
     already multiplied by the weight of its digit.
     """
-    lo = min(ticks, default=0)
-    span = max(ticks, default=0) - lo + 1
-    row_keys, weight = ticks, span
+    weight = max(ticks, default=0) - min(ticks, default=0) + 1
+    codes = None
     for k in reversed(key):
         values = columns[k].values
         if columns[k].kind == "time":
@@ -170,25 +170,18 @@ def _row_keys(columns, key, ticks) -> list[int]:
         levels.discard(None)
         code = dict(zip(sorted(levels), range(0, weight * len(levels), weight)))
         code[None] = weight * len(levels)
-        row_keys = list(map(operator.add, map(code.__getitem__, values), row_keys))
+        digit = map(code.__getitem__, values)
+        codes = list(digit if codes is None else map(operator.add, digit, codes))
         weight *= len(levels) + 1
-    return row_keys
+    return codes, ticks if codes is None else list(map(operator.add, codes, ticks))
 
 
-def _run_ends(sorted_row_keys: list[int], ticks) -> list[int]:
-    """Exclusive end offset of each series in rows sorted on their row keys.
-
-    The key digits of a row key are ``(row key - lowest tick) // span``;
-    the tick digit is the raw tick, not offset by the lowest one.
-    """
-    if not sorted_row_keys:
-        return []
-    lo = min(ticks)
-    span = max(ticks) - lo + 1
-    series = [(rk - lo) // span for rk in sorted_row_keys]
-    ends = list(compress(count(1), map(operator.ne, series, series[1:])))
-    ends.append(len(series))
-    return ends
+def _run_ends(sorted_codes: list[int] | None, nrows: int) -> list[int]:
+    """Exclusive end offset of each series in rows sorted on their row
+    keys, given their key codes: a series ends where the code changes."""
+    changes = () if sorted_codes is None else compress(
+        count(1), map(operator.ne, sorted_codes, sorted_codes[1:]))
+    return [*changes, nrows] if nrows else []
 
 
 # --- grouping metadata -----------------------------------------------------
@@ -478,7 +471,8 @@ def _refuse_nan_keys(columns, key) -> None:
     sort nor tell series apart."""
     for k in key:
         if columns[k].kind == "real":
-            pos = next((i for i, v in enumerate(columns[k].values) if v != v), None)
+            values = columns[k].values
+            pos = next(compress(count(), map(operator.ne, values, values)), None)
             if pos is not None:
                 raise SchemaError(f"key column {k!r} holds NaN at row {pos}")
 
@@ -565,12 +559,12 @@ def duplicates(
 
 
 def key_groups(t: TemporalTable) -> list[tuple[tuple, range]]:
-    """One (key tuple, row range) entry per series, in sorted key order."""
-    key_columns = [t.columns[k].values for k in t.key]
-    return [
-        (tuple(values[b - 1] for values in key_columns), range(a, b))
-        for a, b in zip([0, *t._ends], t._ends)
-    ]
+    """One (key tuple, row range) entry per series, in sorted key order; the
+    key tuples are the cells of the last rows, taken by one :func:`cells_at`."""
+    ends = t._ends
+    get = cells_at(list(map(operator.add, ends, repeat(-1))))
+    kts = list(zip(*(get(t.columns[k].values) for k in t.key))) if t.key else [()] * len(ends)
+    return list(zip(kts, map(range, [0, *ends], ends)))
 
 
 # --- trusted constructors for the verb layer -------------------------------
@@ -579,26 +573,41 @@ def key_groups(t: TemporalTable) -> list[tuple[tuple, range]]:
 # carries over from ``t``.
 
 
+def cells_at(rows: Sequence[int]):
+    """A function taking the cells at positions ``rows`` of a list, as a new
+    list, by one ``operator.itemgetter`` in C; below two positions, where
+    ``itemgetter`` raises or returns a bare cell, by a comprehension."""
+    if len(rows) > 1:
+        get = operator.itemgetter(*rows)
+        return lambda values: list(get(values))
+    return lambda values: [values[i] for i in rows]
+
+
 def rows_at(t: TemporalTable, rows: Sequence[int]) -> TemporalTable:
     """``t`` with its rows at positions ``rows``, in that order.
 
-    The one place rows move: column cells and index ticks are taken
-    together, and every other field carries over as it is, column kinds,
-    interval and grouping included.  The series ends are cleared, for
-    :func:`resort` or :func:`place_rows` to set.
+    Column cells and index ticks move together, by one :func:`cells_at`
+    getter, as in :func:`place_rows`, and every other field carries over
+    as it is, column kinds, interval and grouping included.  The series
+    ends are cleared, for :func:`resort` or :func:`place_rows` to set.
+
+    >>> t = build({"t": [1, 2, 3], "v": ["a", "b", "c"]}, "t")
+    >>> rows_at(t, [2, 0, 2]).column("v"), rows_at(t, [1]).ticks(), rows_at(t, []).column("v")
+    (['c', 'a', 'c'], [2], [])
     """
-    ticks = t.ticks()
-    columns = {
-        name: Column(col.kind, [col.values[i] for i in rows]) for name, col in t.columns.items()
-    }
-    return replace(t, columns=columns, _ticks=[ticks[i] for i in rows], _ends=None)
+    return _moved(t, cells_at(rows))
 
 
-def place_rows(t: TemporalTable, rows: Sequence[int], ends: list[int]) -> TemporalTable:
-    """``t`` with its rows at positions ``rows``, an order that is
-    canonical, as series ending at the exclusive offsets ``ends``, and its
-    interval re-inferred (a declared irregular one is kept)."""
-    out = rows_at(t, rows)
+def _moved(t: TemporalTable, get) -> TemporalTable:
+    columns = {name: Column(col.kind, get(col.values)) for name, col in t.columns.items()}
+    return replace(t, columns=columns, _ticks=get(t.ticks()), _ends=None)
+
+
+def place_rows(t: TemporalTable, get, ends: list[int]) -> TemporalTable:
+    """``t`` with its rows taken by ``get``, a :func:`cells_at` getter of a
+    canonical order, as series ending at the exclusive offsets ``ends``, and
+    its interval re-inferred (a declared irregular one is kept)."""
+    out = _moved(t, get)
     return replace(out, interval=_infer_for(t, ends, out.ticks()), _ends=ends)
 
 
@@ -609,15 +618,15 @@ def resort(t: TemporalTable) -> TemporalTable:
     Raises SchemaError for NaN in a key column, and DuplicateIndexError,
     from a scan of the cells in row order, for a repeated (key, index)
     pair.  The row order is an argsort of the row keys (see the module
-    docstring): row positions sorted by their keys, which one gather then
-    applies to every column and the ticks.  The series ends the sorted
-    row keys give are kept, and the interval is re-inferred.
+    docstring), and one :func:`cells_at` getter of it sorts the row keys,
+    the key codes, every column and the ticks.  A series ends where the
+    sorted key codes change, and the interval is re-inferred.
     """
     _refuse_nan_keys(t.columns, t.key)
     ticks = t.ticks()
-    row_keys = _row_keys(t.columns, t.key, ticks)
-    order = sorted(range(len(row_keys)), key=row_keys.__getitem__)
-    row_keys = list(map(row_keys.__getitem__, order))
+    codes, row_keys = _row_keys(t.columns, t.key, ticks)
+    get = cells_at(sorted(range(len(row_keys)), key=row_keys.__getitem__))
+    row_keys = get(row_keys)
     # Sorted, a repeated (key, index) pair is two equal neighbouring row
     # keys, which the scan in row order then reports.
     if any(map(operator.eq, row_keys[1:], row_keys)):
@@ -629,7 +638,7 @@ def resort(t: TemporalTable) -> TemporalTable:
             f"key={t.key_tuple(first)!r} index={cell}",
             report,
         )
-    return place_rows(t, order, _run_ends(row_keys, ticks))
+    return place_rows(t, get, _run_ends(None if codes is None else get(codes), len(row_keys)))
 
 
 def take(t: TemporalTable, rows: Sequence[int]) -> TemporalTable:
@@ -642,8 +651,8 @@ def take(t: TemporalTable, rows: Sequence[int]) -> TemporalTable:
     before its old end do, and a series left with no row is dropped.  The
     interval is re-inferred on the subset.
     """
-    cut = [bisect_left(rows, end) for end in t._ends]
-    return place_rows(t, rows, [b for a, b in zip([0, *cut], cut) if b > a])
+    cut = list(map(bisect_left, repeat(rows), t._ends))
+    return place_rows(t, cells_at(rows), list(compress(cut, map(operator.gt, cut, [0, *cut]))))
 
 
 def with_columns(t: TemporalTable, columns: Mapping[str, Column | list]) -> TemporalTable:

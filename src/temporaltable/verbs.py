@@ -58,7 +58,9 @@ Predicates and derivation functions receive one row as a plain dict, a new
 one per row.  They must be pure; grouped aggregation may evaluate groups in
 any order.  A ``KeyError(name)`` they raise, ``name`` a str naming no column
 of the table, is reported as a ``SchemaError`` naming the unknown column;
-any other ``KeyError`` propagates as raised.
+any other ``KeyError`` propagates as raised.  Loops that call such code stay
+comprehensions (see ``_reading_rows``); loops over the library's own cells
+use C iterators: masks through ``compress``, row moves through ``cells_at``.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ from __future__ import annotations
 import operator
 from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
-from itertools import chain
+from itertools import chain, compress, count
 
 from . import aggregates, table
 from .adapters import IndexAdapter, one_granularity, resolve_index
@@ -127,7 +129,8 @@ def _reading_rows(what: str, columns):
 
     Callers loop over the rows with a comprehension that calls the row
     code directly: ``map`` would take a ``StopIteration`` the code raises
-    as the end of the rows and return too few results."""
+    as the end of the rows and return too few results.  Loops that call
+    no user code, over the library's own cells, use C iterators instead."""
     try:
         yield
     except KeyError as exc:
@@ -208,7 +211,7 @@ def filter_index(t: TemporalTable, expr: str) -> VerbOutcome:
     start = _window_edge(t, sides[0], ticks, bisect_left) if sides[0] else 0
     stop = _window_edge(t, sides[-1], ticks, bisect_right) if sides[-1] else len(ticks)
     window = set(ticks[start:stop])
-    return _outcome(t, take(t, [i for i, tk in enumerate(t.ticks()) if tk in window]))
+    return _outcome(t, take(t, list(compress(count(), map(window.__contains__, t.ticks())))))
 
 
 def _window_edge(t: TemporalTable, text: str, ticks: list[int], side) -> int:
@@ -253,9 +256,8 @@ def arrange(t: TemporalTable, spec) -> list[dict]:
 
     order = list(range(t.nrows))
     for values, direction in reversed(norm):
-        order.sort(key=lambda i: _sort_cell(values[i]), reverse=(direction == "desc"))
-    rows = list(t.rows())
-    return [rows[i] for i in order]
+        order.sort(key=list(map(_sort_cell, values)).__getitem__, reverse=(direction == "desc"))
+    return list(map(list(t.rows()).__getitem__, order))
 
 
 # --- column verbs -----------------------------------------------------------
@@ -388,20 +390,21 @@ def _derived_index(t: TemporalTable, rule, name: str) -> tuple[list, list[int], 
         fn = lambda v: floor_to(v, rule)
     else:
         fn = rule
+    ticks = t.ticks()
+    # Each distinct tick's first cell: read backwards, the earliest is written last.
+    first = dict(zip(reversed(ticks), reversed(values)))
     cells = {}
-    for v, tk in zip(values, t.ticks()):
-        if tk not in cells:
-            cells[tk] = fn(v)
-            if cells[tk] is None:
-                raise MissingIndexError(
-                    f"index_by maps {t.index!r} cell {t.adapter.render(v)} to a missing value"
-                )
+    for tk in dict.fromkeys(ticks):
+        cells[tk] = fn(first[tk])
+        if cells[tk] is None:
+            raise MissingIndexError(
+                f"index_by maps {t.index!r} cell {t.adapter.render(first[tk])} to a missing value"
+            )
     adapter, derived_ticks = resolve_index(name, list(cells.values()))
     tick_of = dict(zip(cells, derived_ticks))
     in_order = list(map(tick_of.__getitem__, sorted(cells)))
     if any(map(operator.lt, in_order[1:], in_order)):
         raise PreconditionError("index mapping is not order-preserving")
-    ticks = t.ticks()
     return list(map(cells.__getitem__, ticks)), list(map(tick_of.__getitem__, ticks)), adapter
 
 
@@ -469,11 +472,12 @@ def summarize(t: TemporalTable, /, **aggs) -> TemporalTable:
     keyed = replace(
         t, columns=columns, index=idx_name, key=by, adapter=idx_adapter, groups=None, _ticks=ticks
     )
-    out = table.rows_at(keyed, [rows[-1] for rows in buckets.values()])
+    out = table.rows_at(keyed, list(map(operator.itemgetter(-1), buckets.values())))
     data = dict(out.columns)
+    pools = list(map(table.cells_at, buckets.values()))
     for out_name, (spec, col) in aggs.items():
         values = t.columns[col].values
-        cells = [aggregates.apply(spec, [values[i] for i in rows]) for rows in buckets.values()]
+        cells = [aggregates.apply(spec, pool(values)) for pool in pools]
         data[out_name] = Column(kinds[out_name], cells)
     return table.resort(with_columns(out, data))
 
@@ -503,8 +507,8 @@ def gather(t: TemporalTable, names_to: str, values_to: str, columns) -> VerbOutc
 
     # Each row once per gathered column, in row order.
     base = with_columns(t, {c: t.columns[c] for c in remaining})
-    out = table.rows_at(base, [i for i in range(t.nrows) for _ in columns])
-    cells = [cell for row in zip(*map(t.column, columns)) for cell in row]
+    out = table.rows_at(base, list(chain.from_iterable(zip(*[range(t.nrows)] * len(columns)))))
+    cells = list(chain.from_iterable(zip(*map(t.column, columns))))
     data = dict(out.columns)
     data[names_to] = Column("text", columns * t.nrows)
     data[values_to] = Column(kind, cells)
@@ -641,8 +645,8 @@ def join(t: TemporalTable, other, kind: str = "left", by=None) -> VerbOutcome:
     right_keys = _join_keys(right_on, rn)
     # A dict finds an object by identity before it asks ==, so a NaN join
     # cell, which only a real column holds, would match itself.
-    nan = {j for rv, kinds in on.values() if "real" in kinds
-           for j, v in enumerate(rv) if v != v}
+    nan = set(chain.from_iterable(compress(count(), map(operator.ne, rv, rv))
+                                  for rv, kinds in on.values() if "real" in kinds))
     right_rows = range(rn)
     if nan:
         right_rows = [j for j in right_rows if j not in nan]
@@ -656,8 +660,9 @@ def join(t: TemporalTable, other, kind: str = "left", by=None) -> VerbOutcome:
     left_keys = _join_keys(left_on, t.nrows)
 
     if kind in ("semi", "anti"):
-        want = kind == "semi"
-        return _outcome(t, take(t, [i for i, k in enumerate(left_keys) if (k in lookup) == want]))
+        hits = map(lookup.__contains__, left_keys)
+        hits = hits if kind == "semi" else map(operator.not_, hits)
+        return _outcome(t, take(t, list(compress(count(), hits))))
 
     extra = {c: table._typed_column(c, col) for c, col in right.items() if c not in by_right}
     renames = {c: (c + "_y" if c in t.columns else c) for c in extra}

@@ -355,6 +355,103 @@ def test_gaps_count_of_the_hourly_agg_goes_through_the_report_writer(capsys, tmp
     )
 
 
+ROLL_HOURLY = ("--index", "hour", "--key", "origin", "--time-format", "hour=hour",
+               "--op", "slide", "--col", "dep_delay_mean", "--fn", "mean", "--size", "3")
+
+
+def test_roll_of_the_filled_hourly_agg(capsys, tmp_path):
+    # The CI smoke step rolls the full panel that gaps fill makes of the
+    # hourly agg, on every Python in the matrix; the unfilled agg is
+    # refused for its gaps.
+    rc, out, err = run(capsys, *AGG_BY_HOUR)
+    agg = tmp_path / "agg-hour.csv"
+    agg.write_text(out)
+    rc, out, err = run(capsys, "gaps", "fill", str(agg), "--index", "hour", "--key", "origin",
+                       "--time-format", "hour=hour", "--full")
+    filled = tmp_path / "filled-hour.csv"
+    filled.write_text(out)
+    rc, out, err = run(capsys, "roll", str(filled), *ROLL_HOURLY)
+    assert (rc, err) == (0, "")
+    assert out == (
+        "origin,hour,dep_delay_mean,dep_delay_mean_slide\n"
+        "ATL,2017-08-03 07:00,3.0,\n"
+        "ATL,2017-08-03 10:00,,\n"
+        "ATL,2017-08-03 13:00,,3.0\n"
+        "ATL,2017-08-03 16:00,,\n"
+        "ATL,2017-08-03 19:00,,\n"
+        "ATL,2017-08-03 22:00,,\n"
+        "ATL,2017-08-04 01:00,,\n"
+        "ATL,2017-08-04 04:00,,\n"
+        "ATL,2017-08-04 07:00,118.0,118.0\n"
+        "ATL,2017-08-04 10:00,,118.0\n"
+        "ATL,2017-08-04 13:00,,118.0\n"
+        "ATL,2017-08-04 16:00,,\n"
+        "BOS,2017-08-03 07:00,,\n"
+        "BOS,2017-08-03 10:00,,\n"
+        "BOS,2017-08-03 13:00,57.0,57.0\n"
+        "BOS,2017-08-03 16:00,,57.0\n"
+        "BOS,2017-08-03 19:00,,57.0\n"
+        "BOS,2017-08-03 22:00,,\n"
+        "BOS,2017-08-04 01:00,,\n"
+        "BOS,2017-08-04 04:00,,\n"
+        "BOS,2017-08-04 07:00,,\n"
+        "BOS,2017-08-04 10:00,,\n"
+        "BOS,2017-08-04 13:00,,\n"
+        "BOS,2017-08-04 16:00,,\n"
+        "DAL,2017-08-03 06:00,,\n"
+        "DAL,2017-08-03 09:00,-1.0,\n"
+        "DAL,2017-08-03 12:00,,-1.0\n"
+        "DAL,2017-08-03 15:00,,-1.0\n"
+        "DAL,2017-08-03 18:00,,\n"
+        "DAL,2017-08-03 21:00,,\n"
+        "DAL,2017-08-04 00:00,,\n"
+        "DAL,2017-08-04 03:00,,\n"
+        "DAL,2017-08-04 06:00,,\n"
+        "DAL,2017-08-04 09:00,,\n"
+        "DAL,2017-08-04 12:00,,\n"
+        "DAL,2017-08-04 15:00,,\n"
+        "JFK,2017-08-03 06:00,-4.0,\n"
+        "JFK,2017-08-03 09:00,,\n"
+        "JFK,2017-08-03 12:00,,-4.0\n"
+        "JFK,2017-08-03 15:00,,\n"
+        "JFK,2017-08-03 18:00,,\n"
+        "JFK,2017-08-03 21:00,,\n"
+        "JFK,2017-08-04 00:00,,\n"
+        "JFK,2017-08-04 03:00,,\n"
+        "JFK,2017-08-04 06:00,0.0,0.0\n"
+        "JFK,2017-08-04 09:00,,0.0\n"
+        "JFK,2017-08-04 12:00,,0.0\n"
+        "JFK,2017-08-04 15:00,,\n"
+        "LAX,2017-08-03 08:00,,\n"
+        "LAX,2017-08-03 11:00,,\n"
+        "LAX,2017-08-03 14:00,,\n"
+        "LAX,2017-08-03 17:00,140.0,140.0\n"
+        "LAX,2017-08-03 20:00,,140.0\n"
+        "LAX,2017-08-03 23:00,,140.0\n"
+        "LAX,2017-08-04 02:00,,\n"
+        "LAX,2017-08-04 05:00,,\n"
+        "LAX,2017-08-04 08:00,,\n"
+        "LAX,2017-08-04 11:00,,\n"
+        "LAX,2017-08-04 14:00,,\n"
+        "LAX,2017-08-04 17:00,,\n"
+        "ORD,2017-08-03 08:00,22.0,\n"
+        "ORD,2017-08-03 11:00,,\n"
+        "ORD,2017-08-03 14:00,,22.0\n"
+        "ORD,2017-08-03 17:00,140.0,140.0\n"
+        "ORD,2017-08-03 20:00,,140.0\n"
+        "ORD,2017-08-03 23:00,,140.0\n"
+        "ORD,2017-08-04 02:00,,\n"
+        "ORD,2017-08-04 05:00,,\n"
+        "ORD,2017-08-04 08:00,,\n"
+        "ORD,2017-08-04 11:00,,\n"
+        "ORD,2017-08-04 14:00,,\n"
+        "ORD,2017-08-04 17:00,-2.0,-2.0\n"
+    )
+    rc, out, err = run(capsys, "roll", str(agg), *ROLL_HOURLY)
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: 3 key(s) have implicit gaps (first: key ('ATL',) misses ")
+
+
 def test_a_point_past_year_9999_fails_output(capsys, monkeypatch, gappy_csv):
     # No text ttab reads parses past year 9999, so the table is handed in.
     cli_module = importlib.import_module("temporaltable.cli")

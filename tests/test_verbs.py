@@ -590,6 +590,33 @@ def test_float_sum_is_correctly_rounded():
     assert math.isnan(aggregates.apply("sum", [math.inf, -math.inf, 1.0]))
 
 
+
+_APPLY_REFERENCE = {"sum": sum, "mean": statistics.fmean, "min": min, "max": max, "count": len,
+                    "quantile:0.5": statistics.median}
+
+
+@pytest.mark.parametrize("make", [list, tuple, lambda cells: (v for v in cells)],
+                         ids=["list", "tuple", "generator"])
+@pytest.mark.parametrize("cells", [(1, 2, 3), (1, None, 3, None), (None, None), (), (2.5, None)])
+@pytest.mark.parametrize("spec", sorted(_APPLY_REFERENCE))
+def test_apply_reads_any_iterable_of_cells_once(make, cells, spec):
+    # Missing cells are skipped whatever holds the cells.  A generator
+    # read twice would give its cells to the first pass only, so the
+    # results pin one read.
+    pool = [v for v in cells if v is not None]
+    want = _APPLY_REFERENCE[spec](pool) if pool or spec == "count" else None
+    given_cells = make(cells)
+    assert aggregates.apply(spec, given_cells) == want
+    if isinstance(given_cells, list):
+        assert given_cells == list(cells)  # the caller's list is not changed
+
+def test_apply_reads_a_range_and_a_generator_with_a_missing_cell():
+    assert aggregates.apply("sum", range(4)) == 6
+    assert aggregates.apply("max", range(0)) is None
+    assert aggregates.apply("count", range(5)) == 5
+    assert aggregates.apply("sum", (x for x in (1, 2, None))) == 3
+    assert aggregates.apply("count", (x for x in (1, None, None))) == 1
+
 def test_summarize_quantile_matches_reference(tb):
     out = summarize(tb, q=("quantile:0.3", "count"))
     by_year = {}
