@@ -79,7 +79,8 @@ class IngestConfig(Record):
 
 
 def read_rows(cfg: IngestConfig) -> tuple[list[str], list[list[str]]]:
-    with open(cfg.path, newline="", encoding="utf-8") as fh:
+    # "utf-8-sig" reads past a byte-order mark, which spreadsheets write.
+    with open(cfg.path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, delimiter=cfg.delimiter)
         try:
             header = next(reader)
@@ -206,10 +207,12 @@ def typed_columns(cfg: IngestConfig, header, rows) -> dict[str, list]:
 
 
 def ingest(cfg: IngestConfig) -> TemporalTable:
-    """Read, type, and build; construction errors propagate."""
+    """Read, type, and build; construction errors propagate.  A SchemaError
+    names the index or a ``time_format`` column the header lacks."""
     header, rows = read_rows(cfg)
-    if cfg.index not in header:
-        raise SchemaError(f"{cfg.path}: no column named {cfg.index!r}")
+    for name in (cfg.index, *cfg.time_format):
+        if name not in header:
+            raise SchemaError(f"{cfg.path}: no column named {name!r}")
     data = typed_columns(cfg, header, rows)
     return build(data, cfg.index, cfg.key, cfg.regular)
 

@@ -9,11 +9,17 @@ inference relies on.  A point is calendar time: an ordinal index (simulation
 steps, survey waves) holds plain ints, whose text is a JSON int, and no
 TimePoint has the ordinal granularity.
 
+One codec converts each calendar fact.  A day or week tick meets its date
+only through the date's ordinal less ``_EPOCH_ORDINAL``; a year, quarter or
+month tick is the months since 1970-01 over its months per tick (12, 3, 1);
+civil fields become a sub-daily point only in ``_civil_point``.
+
 Unzoned text in the exact canonical shape of a day or an hour is read
-through the stdlib's C date code (``fromisoformat``); the regex grammar
-``_FORMS`` reads every other text, and decides every error.  Unzoned days
-and sub-daily points are written by one renderer, ``_day_texts``: a date's
-text from its ordinal (``isoformat``), then each clock.
+through the stdlib's C date code (``fromisoformat``; an hour is its date's
+ordinal and two hour digits); the regex grammar ``_FORMS`` reads every
+other text, and decides every error.  Unzoned days and sub-daily points are
+written by one renderer, ``_day_texts``: a date's text from its ordinal
+(``isoformat``), then each clock.
 
 Sub-daily ticks are UTC instants.  An optional zone label changes how a point
 renders and how it floors to day-or-coarser granularities; it never changes
@@ -33,12 +39,9 @@ from .errors import ConversionError, ParseError, PreconditionError
 from .granularity import MS_PER_TICK, Granularity, coarser_or_equal
 from .record import Frozen
 
-_EPOCH_DATE = date(1970, 1, 1)
-_EPOCH_ORDINAL = _EPOCH_DATE.toordinal()
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 _MAX_ORDINAL = date.max.toordinal()
-_MS_PER_DAY = 86_400_000
 _EPOCH_UTC = datetime(1970, 1, 1, tzinfo=timezone.utc)
-_ONE_MS = timedelta(milliseconds=1)
 
 _MONTH_ABBR = {
     "jan": 1, "feb": 2, "mar": 3, "apr": 4, "may": 5, "jun": 6,
@@ -146,52 +149,55 @@ _set_zone = TimePoint.zone.__set__
 
 # --- tick <-> civil conversions -------------------------------------------
 
+# Months per tick, and days per tick with the date ordinal of tick 0: week 0
+# starts on Monday 1969-12-29, the Monday of the epoch's ISO week.
+_MONTHS_PER_TICK = {Granularity.YEAR: 12, Granularity.QUARTER: 3, Granularity.MONTH: 1}
+_DAYS_PER_TICK = {Granularity.WEEK: (7, _EPOCH_ORDINAL - 3), Granularity.DAY: (1, _EPOCH_ORDINAL)}
+
+
+def _year_month(ticks: int, g: Granularity) -> tuple[int, int]:
+    """The year and month (1 to 12) a year, quarter or month tick starts in."""
+    y, m = divmod(ticks * _MONTHS_PER_TICK[g], 12)
+    return 1970 + y, m + 1
+
+
+def _month_ticks(y: int, mo: int, g: Granularity) -> int:
+    """The year, quarter or month tick holding month ``mo`` of year ``y``."""
+    return ((y - 1970) * 12 + mo - 1) // _MONTHS_PER_TICK[g]
+
+
 def _date_from_ticks(ticks: int, g: Granularity) -> date:
-    """Start date of the period a day-or-coarser tick denotes."""
-    if g is Granularity.YEAR:
-        return date(1970 + ticks, 1, 1)
-    if g is Granularity.QUARTER:
-        y, q = divmod(ticks, 4)
-        return date(1970 + y, 3 * q + 1, 1)
-    if g is Granularity.MONTH:
-        y, m = divmod(ticks, 12)
-        return date(1970 + y, m + 1, 1)
-    if g is Granularity.WEEK:
-        return _EPOCH_DATE + timedelta(days=7 * ticks - 3)
-    if g is Granularity.DAY:
-        return _EPOCH_DATE + timedelta(days=ticks)
+    """Start date of the period a day-or-coarser tick denotes.  A day or
+    week outside years 1 to 9999 raises ``date.fromordinal``'s ValueError."""
+    if g in _MONTHS_PER_TICK:
+        return date(*_year_month(ticks, g), 1)
+    if g in _DAYS_PER_TICK:
+        days, origin = _DAYS_PER_TICK[g]
+        return date.fromordinal(ticks * days + origin)
     raise ConversionError(f"{g.value} has no date representation")
 
 
 def _date_to_ticks(d: date, g: Granularity) -> int:
     """Tick of the period at ``g`` containing date ``d``."""
-    if g is Granularity.YEAR:
-        return d.year - 1970
-    if g is Granularity.QUARTER:
-        return (d.year - 1970) * 4 + (d.month - 1) // 3
-    if g is Granularity.MONTH:
-        return (d.year - 1970) * 12 + (d.month - 1)
-    if g is Granularity.WEEK:
-        monday = d - timedelta(days=d.weekday())
-        return ((monday - _EPOCH_DATE).days + 3) // 7
-    if g is Granularity.DAY:
-        return d.toordinal() - _EPOCH_ORDINAL
+    if g in _MONTHS_PER_TICK:
+        return _month_ticks(d.year, d.month, g)
+    if g in _DAYS_PER_TICK:
+        days, origin = _DAYS_PER_TICK[g]
+        return (d.toordinal() - origin) // days
     raise ConversionError(f"{g.value} ticks are not date-based")
-
-
-def _instant_from_ticks(ticks: int, g: Granularity) -> datetime:
-    return _EPOCH_UTC + timedelta(milliseconds=ticks * MS_PER_TICK[g])
 
 
 def _civil_datetime(tp: TimePoint) -> datetime:
     """Zone-local civil time of a sub-daily point."""
-    return _instant_from_ticks(tp.ticks, tp.granularity).astimezone(_tzinfo(tp.zone))
+    instant = _EPOCH_UTC + timedelta(milliseconds=tp.ticks * MS_PER_TICK[tp.granularity])
+    return instant.astimezone(_tzinfo(tp.zone))
 
 
-def _ticks_from_civil(
+def _civil_point(
     g: Granularity, zone: str | None, y, mo=1, d=1, h=0, mi=0, s=0, ms=0, offset=None
-) -> int:
-    """Encode a civil time at a sub-daily granularity; must align exactly.
+) -> TimePoint:
+    """The point at sub-daily ``g`` of a civil time in ``zone``, which must
+    align exactly: the clock factories' and the grammar's one constructor.
 
     ``offset`` (a timedelta, or None) is the UTC offset written with the
     text: it selects one of the two instants of a local time that a clock
@@ -212,7 +218,7 @@ def _ticks_from_civil(
                 )
                 if local is None:
                     raise ValueError(f"{zone or 'UTC'} is not at UTC{_offset_text(offset)} then")
-            total_ms = (local - _EPOCH_UTC) // _ONE_MS
+            total_ms = (local - _EPOCH_UTC) // timedelta(milliseconds=1)
             # A local time that a clock change skips comes back from UTC as
             # another wall-clock time.
             back = local.astimezone(timezone.utc).astimezone(local.tzinfo)
@@ -220,15 +226,14 @@ def _ticks_from_civil(
                 raise ValueError(f"the clocks in {zone} skip {local:%Y-%m-%d %H:%M:%S}")
     except (ValueError, OverflowError) as exc:
         raise ParseError(f"invalid civil time {(y, mo, d, h, mi, s, ms)}: {exc}") from exc
-    unit = MS_PER_TICK[g]
-    ticks, rem = divmod(total_ms, unit)
+    ticks, rem = divmod(total_ms, MS_PER_TICK[g])
     if rem:
         local = datetime(y, mo, d, h, mi, s, ms * 1000, tzinfo=_tzinfo(zone))
         raise ParseError(
             f"{local.isoformat()} does not align to whole {g.value} ticks "
             f"(offset remainder {rem} ms); use a finer granularity"
         )
-    return ticks
+    return TimePoint(ticks, g, zone)
 
 
 def start_date(tp: TimePoint) -> date:
@@ -242,19 +247,19 @@ def start_date(tp: TimePoint) -> date:
 # --- factories -------------------------------------------------------------
 
 def year(y: int) -> TimePoint:
-    return TimePoint(y - 1970, Granularity.YEAR)
+    return TimePoint(_month_ticks(y, 1, Granularity.YEAR), Granularity.YEAR)
 
 
 def quarter(y: int, q: int) -> TimePoint:
     if not 1 <= q <= 4:
         raise PreconditionError(f"quarter must be 1..4, got {q}")
-    return TimePoint((y - 1970) * 4 + q - 1, Granularity.QUARTER)
+    return TimePoint(_month_ticks(y, 3 * q - 2, Granularity.QUARTER), Granularity.QUARTER)
 
 
 def month(y: int, mo: int) -> TimePoint:
     if not 1 <= mo <= 12:
         raise PreconditionError(f"month must be 1..12, got {mo}")
-    return TimePoint((y - 1970) * 12 + mo - 1, Granularity.MONTH)
+    return TimePoint(_month_ticks(y, mo, Granularity.MONTH), Granularity.MONTH)
 
 
 def week(iso_year: int, iso_week: int) -> TimePoint:
@@ -270,29 +275,21 @@ def day(y: int, mo: int, d: int) -> TimePoint:
 
 
 def hour(y: int, mo: int, d: int, h: int, zone: str | None = None) -> TimePoint:
-    return TimePoint(_ticks_from_civil(Granularity.HOUR, zone, y, mo, d, h), Granularity.HOUR, zone)
+    return _civil_point(Granularity.HOUR, zone, y, mo, d, h)
 
 
 def minute(y: int, mo: int, d: int, h: int, mi: int, zone: str | None = None) -> TimePoint:
-    return TimePoint(
-        _ticks_from_civil(Granularity.MINUTE, zone, y, mo, d, h, mi), Granularity.MINUTE, zone
-    )
+    return _civil_point(Granularity.MINUTE, zone, y, mo, d, h, mi)
 
 
 def second(y: int, mo: int, d: int, h: int, mi: int, s: int, zone: str | None = None) -> TimePoint:
-    return TimePoint(
-        _ticks_from_civil(Granularity.SECOND, zone, y, mo, d, h, mi, s), Granularity.SECOND, zone
-    )
+    return _civil_point(Granularity.SECOND, zone, y, mo, d, h, mi, s)
 
 
 def millisecond(
     y: int, mo: int, d: int, h: int, mi: int, s: int, ms: int, zone: str | None = None
 ) -> TimePoint:
-    return TimePoint(
-        _ticks_from_civil(Granularity.MILLISECOND, zone, y, mo, d, h, mi, s, ms),
-        Granularity.MILLISECOND,
-        zone,
-    )
+    return _civil_point(Granularity.MILLISECOND, zone, y, mo, d, h, mi, s, ms)
 
 
 # --- flooring --------------------------------------------------------------
@@ -329,14 +326,13 @@ def render_timepoint(tp: TimePoint) -> str:
         return _render_clock(tp, g)
     if g is Granularity.DAY:
         return _day_texts(tp.ticks, (tp.ticks,), g)[0]
-    if g is Granularity.YEAR:
-        return str(1970 + tp.ticks)
-    if g is Granularity.QUARTER:
-        y, q = divmod(tp.ticks, 4)
-        return f"{1970 + y} Q{q + 1}"
-    if g is Granularity.MONTH:
-        y, m = divmod(tp.ticks, 12)
-        return f"{1970 + y}-{m + 1:02d}"
+    if g in _MONTHS_PER_TICK:
+        y, m = _year_month(tp.ticks, g)
+        if g is Granularity.YEAR:
+            return str(y)
+        if g is Granularity.QUARTER:
+            return f"{y} Q{(m + 2) // 3}"
+        return f"{y}-{m:02d}"
     iso = _date_from_ticks(tp.ticks, g).isocalendar()
     return f"{iso[0]} W{iso[1]:02d}"
 
@@ -344,7 +340,7 @@ def render_timepoint(tp: TimePoint) -> str:
 # Ticks per day of the granularities whose unzoned text is a date, followed
 # by a clock for the sub-daily ones.
 _TICKS_PER_DAY = {
-    Granularity.DAY: 1, **{g: _MS_PER_DAY // unit for g, unit in MS_PER_TICK.items()}
+    Granularity.DAY: 1, **{g: 86_400_000 // unit for g, unit in MS_PER_TICK.items()}
 }
 _HOUR_CLOCKS = tuple(f" {h:02d}:00" for h in range(24))
 
@@ -491,13 +487,10 @@ def _clock(g: Granularity):
             seconds = int(offset[1:3]) * 3600 + int(offset[4:6]) * 60 + int(offset[7:] or 0)
             offset = timedelta(seconds=-seconds if offset[0] == "-" else seconds)
         # Minutes or seconds other than the zone's offset (Kolkata's hours
-        # are at :30) do not align to whole ticks, and _ticks_from_civil
+        # are at :30) do not align to whole ticks, and _civil_point
         # refuses them.
-        ticks = _ticks_from_civil(
-            g, zone, int(y), int(mo), int(d), int(h), int(mi or 0), int(s or 0),
-            int((ms or "0").ljust(3, "0")), offset,
-        )
-        return TimePoint(ticks, g, zone)
+        return _civil_point(g, zone, int(y), int(mo), int(d), int(h), int(mi or 0), int(s or 0),
+                            int((ms or "0").ljust(3, "0")), offset)
 
     return make
 
@@ -539,8 +532,6 @@ _FORMS_OF = {g: tuple((p, make) for h, p, make, _ in _FORMS if h is g) for g in 
 # suffix); an hour is in range by shape, so only an invalid date raises
 # ValueError, and then the grammar gives the error.
 _YMD = "[0-9]{4}-[0-9]{2}-[0-9]{2}"
-_EPOCH_NAIVE = datetime(1970, 1, 1)
-_ONE_HOUR = timedelta(hours=1)
 
 
 def _fast_day(text, zone):
@@ -548,8 +539,8 @@ def _fast_day(text, zone):
 
 
 def _fast_hour(text, zone):
-    return TimePoint((datetime.fromisoformat(text) - _EPOCH_NAIVE) // _ONE_HOUR, Granularity.HOUR,
-                     zone)
+    days = date.fromisoformat(text[:10]).toordinal() - _EPOCH_ORDINAL
+    return TimePoint(days * 24 + int(text[11:13]), Granularity.HOUR, zone)
 
 
 _FAST = {

@@ -245,18 +245,20 @@ def arrange(t: TemporalTable, spec) -> list[dict]:
     ``spec`` lists column names, each optionally as (name, "desc"); the
     first name sorts first, and ties keep the table's canonical order.
     Ascending, NaN sorts after every number and missing cells last;
-    descending reverses that.
+    descending reverses that.  The index sorts by its ticks, the order its
+    adapter defines, so its cells need no ``<`` of their own.
     """
     norm = []
     for item in _names(spec):
         name, direction = (item, "asc") if isinstance(item, str) else item
         if direction not in ("asc", "desc"):
             raise PreconditionError(f"sort direction must be asc or desc, got {direction!r}")
-        norm.append((t.column(name), direction))
+        keys = t.ticks() if name == t.index else list(map(_sort_cell, t.column(name)))
+        norm.append((keys, direction))
 
     order = list(range(t.nrows))
-    for values, direction in reversed(norm):
-        order.sort(key=list(map(_sort_cell, values)).__getitem__, reverse=(direction == "desc"))
+    for keys, direction in reversed(norm):
+        order.sort(key=keys.__getitem__, reverse=(direction == "desc"))
     return list(map(list(t.rows()).__getitem__, order))
 
 
@@ -463,6 +465,8 @@ def summarize(t: TemporalTable, /, **aggs) -> TemporalTable:
 
     # Rows bucketed by (group cells..., index tick) in first-seen order;
     # each bucket's cells are its last row's, and resort sorts the result.
+    # A NaN grouping cell is refused first, naming its row of ``t``.
+    table._refuse_nan_keys(t.columns, by)
     buckets: dict[tuple, list[int]] = {}
     for i, bucket in enumerate(zip(*(t.columns[c].values for c in by), ticks)):
         buckets.setdefault(bucket, []).append(i)

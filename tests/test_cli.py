@@ -168,6 +168,23 @@ def test_gaps_fill_unknown_column(capsys, gappy_csv):
     assert rc == 2
 
 
+def test_a_time_format_naming_no_column_fails_validation(capsys, tmp_path):
+    p = tmp_path / "a.csv"
+    p.write_text("day,v\n2011-07-05,1\n")
+    rc, out, err = run(capsys, "validate", str(p), "--index", "day",
+                       "--time-format", "nosuch=day")
+    assert (rc, out) == (1, "")
+    assert err == f"error: {p}: no column named 'nosuch'\n"
+
+
+def test_validate_reads_past_a_byte_order_mark(capsys, tmp_path):
+    p = tmp_path / "b.csv"
+    p.write_bytes("day,v\n2011-07-05,1\n2011-07-06,2\n".encode("utf-8-sig"))
+    rc, out, err = run(capsys, "validate", str(p), "--index", "day")
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[0] == "# A tsibble: 2 x 2 [1D]"
+
+
 def test_agg_grouped(capsys):
     rc, out, err = run(capsys, "agg", TB, "--index", "year", "--key", "country,gender",
                        "--by", "year", "--fn", "count=sum", "--group", "country")

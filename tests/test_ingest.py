@@ -184,6 +184,27 @@ def test_structural_errors(tmp_path):
         ingest(IngestConfig(write(tmp_path, "t,v\n1,2\n"), index="t", key=("t",)))
 
 
+def test_a_time_format_naming_no_column_is_refused(tmp_path):
+    path = write(tmp_path, "day,v\n2011-07-05,1\n")
+    with pytest.raises(SchemaError, match=r"t\.csv: no column named 'nosuch'$"):
+        ingest(IngestConfig(path, index="day", time_format={"nosuch": "day"}))
+
+
+def test_a_byte_order_mark_is_not_part_of_the_first_header_name(tmp_path):
+    text = "day,v\r\n2011-07-05,1\r\n2011-07-06,2\r\n"
+    plain = tmp_path / "plain.csv"
+    plain.write_bytes(text.encode("utf-8"))
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(text.encode("utf-8-sig"))
+    got = ingest(IngestConfig(str(marked), index="day"))
+    assert list(got.columns) == ["day", "v"]
+    assert_same_table(got, ingest(IngestConfig(str(plain), index="day")))
+    # Only a leading mark is dropped: a mark inside a cell stays its text.
+    inner = tmp_path / "inner.csv"
+    inner.write_bytes("day,v\n2011-07-05,\ufeffa\n".encode("utf-8"))
+    assert ingest(IngestConfig(str(inner), index="day")).column("v") == ["\ufeffa"]
+
+
 def test_header_only_file(tmp_path):
     t = ingest(IngestConfig(write(tmp_path, "t,v\n"), index="t"))
     assert t.nrows == 0

@@ -53,6 +53,45 @@ def test_week_ticks_iso_monday_aligned():
         assert w.ticks == ((monday - EPOCH).days + 3) // 7
 
 
+# Per day-or-coarser granularity: the tick of the period holding a date, and
+# the period's start date, by plain date arithmetic.
+_PERIODS = {
+    Granularity.YEAR: (lambda d: d.year - 1970, lambda d: date(d.year, 1, 1)),
+    Granularity.QUARTER: (lambda d: (d.year - 1970) * 4 + (d.month - 1) // 3,
+                          lambda d: date(d.year, (d.month - 1) // 3 * 3 + 1, 1)),
+    Granularity.MONTH: (lambda d: (d.year - 1970) * 12 + d.month - 1,
+                        lambda d: date(d.year, d.month, 1)),
+    Granularity.WEEK: (lambda d: ((d - EPOCH).days - d.weekday() + 3) // 7,
+                       lambda d: d - timedelta(days=d.weekday())),
+    Granularity.DAY: (lambda d: (d - EPOCH).days, lambda d: d),
+}
+
+
+@given(st.sampled_from(list(_PERIODS)), st.dates())
+@example(Granularity.WEEK, date.min)
+@example(Granularity.WEEK, date.max)
+@example(Granularity.QUARTER, date(1969, 12, 31))
+def test_date_ticks_round_trip_through_the_period_start(g, d):
+    tick_of, start_of = _PERIODS[g]
+    ticks = tp._date_to_ticks(d, g)
+    assert ticks == tick_of(d)
+    start = tp._date_from_ticks(ticks, g)
+    assert start == start_of(d)
+    assert tp._date_to_ticks(start, g) == ticks
+    assert start.weekday() == 0 or g is not Granularity.WEEK
+
+
+@pytest.mark.parametrize("g", [Granularity.WEEK, Granularity.DAY])
+def test_a_day_or_week_without_a_date_raises_value_error(g):
+    for ticks in (tp._date_to_ticks(date.min, g) - 1, tp._date_to_ticks(date.max, g) + 1):
+        point = TimePoint(ticks, g)
+        with pytest.raises(ValueError):
+            tp.start_date(point)
+        with pytest.raises(ValueError):
+            point.render()
+        assert repr(point) == f"TimePoint({ticks}, Granularity.{g.name})"
+
+
 @given(
     st.datetimes(
         min_value=datetime(1930, 1, 1), max_value=datetime(2200, 1, 1)

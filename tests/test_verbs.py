@@ -31,17 +31,20 @@ from temporaltable import (
     join,
     key_groups,
     mutate,
+    register_index_adapter,
     roll_by_key,
     select,
     spread,
     summarize,
     timepoint as tp,
     transmute,
+    unregister_index_adapter,
     validate_table,
 )
 from temporaltable import filter as tfilter
 from temporaltable.table import Grouping, cell_kind, common_kind, replace
 from conftest import assert_same_table, table_rows
+from test_adapters import Semester, SemesterAdapter
 
 
 # --- filter -----------------------------------------------------------------
@@ -364,6 +367,20 @@ def test_arrange_multi_column_stable(tb):
     assert genders == sorted(genders)
     female_counts = [r["count"] for r in rows if r["gender"] == "Female"]
     assert female_counts == sorted(female_counts, reverse=True)
+
+
+def test_arrange_sorts_an_adapter_index_by_its_ticks():
+    # A Semester defines == but no <: the index sorts by its adapter's ticks.
+    register_index_adapter(SemesterAdapter())
+    try:
+        terms = [Semester(2020, 1), Semester(2019, 1), Semester(2019, 2)]
+        t = build({"k": ["a"] * 3 + ["b"] * 3, "s": terms * 2, "v": [1, 2, 3, 4, 5, 6]},
+                  "s", ("k",))
+        assert [r["v"] for r in arrange(t, ["s"])] == [2, 5, 3, 6, 1, 4]
+        assert [r["v"] for r in arrange(t, [("s", "desc")])] == [1, 4, 3, 6, 2, 5]
+        assert [r["v"] for r in arrange(t, [("k", "desc"), ("s", "desc")])] == [4, 6, 5, 1, 3, 2]
+    finally:
+        unregister_index_adapter("semester")
 
 
 def test_arrange_rejects_bad_spec(tb):
@@ -754,6 +771,14 @@ _POOL_CELLS = (
 @example("sum", [1e16, 1.0, -1e16])
 def test_apply_checks_a_pool_as_its_cells_would(spec, cells):
     assert _outcome(aggregates.apply, spec, cells) == _outcome(_apply_cell_by_cell, spec, cells)
+
+
+def test_summarize_names_the_row_of_t_holding_a_nan_grouping_cell():
+    # Rows 0 and 2 share a bucket, so the NaN would be row 2 of the buckets.
+    t = build({"k": ["a", "a", "b", "b"], "t": [1, 2, 1, 2], "g": [1.0, 1.0, 1.0, math.nan],
+               "x": [1, 2, 3, 4]}, "t", ("k",))
+    with pytest.raises(SchemaError, match=r"^key column 'g' holds NaN at row 3$"):
+        summarize(group_by(t, "g"), s=("sum", "x"))
 
 
 def test_summarize_skips_missing_values():
