@@ -142,11 +142,8 @@ def _cmd_gaps(args) -> int:
         write_csv(out, list(report.key_names) + ["from", "to", "n"],
                   ([*kt, lo, hi, n] for kt, lo, hi, n in report.entries))
     else:
-        fills = {}
-        for col, text in _per_column(args.fill_with, "--fill-with").items():
-            if col not in t.columns:
-                raise UsageError(f"--fill-with names unknown column {col!r}")
-            fills[col] = _fill_policy(t, col, text)
+        fills = {col: _fill_policy(t, col, text)
+                 for col, text in _per_column(args.fill_with, "--fill-with").items()}
         filled = gaps.fill_gaps(t, fills, full=args.full)
         table_to_csv(filled, out)
     return 0

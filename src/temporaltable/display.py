@@ -7,6 +7,7 @@ short preview of rows follows.  Large counts print with thousands separators.
 
 from __future__ import annotations
 
+from .errors import PreconditionError
 from .ingest import _unwritable_error, render_cell
 from .table import TemporalTable, key_groups
 
@@ -14,10 +15,12 @@ _PREVIEW_ROWS = 5
 
 
 def render_summary(t: TemporalTable, preview: int = _PREVIEW_ROWS) -> str:
-    """The summary of ``t``, previewing ``preview`` rows.  A preview cell
-    with no text raises the CSV writers' SchemaError, naming its column and
-    row, from one catch around the column loop; an index adapter's own
-    ``render`` error passes through."""
+    """The summary of ``t``, previewing ``preview`` rows, an int of at least
+    0, else PreconditionError.  A preview cell with no text raises the CSV
+    writers' SchemaError, naming its column and row, from one catch around
+    the column loop; an index adapter's own ``render`` error passes through."""
+    if not isinstance(preview, int) or isinstance(preview, bool) or preview < 0:
+        raise PreconditionError(f"preview must be a non-negative integer, got {preview!r}")
     g = t.adapter.granularity
     zone = f" <{t.adapter.zone or 'UTC'}>" if g is not None and g.is_subdaily else ""
     lines = [f"# A tsibble: {t.nrows:,} x {t.ncols:,} {t.interval.shorthand()}{zone}"]

@@ -59,9 +59,6 @@ class GapReport(Record):
     def __len__(self):
         return len(self.entries)
 
-    def __bool__(self):
-        return bool(self.entries)
-
 
 def _require_regular(t: TemporalTable) -> None:
     if not t.interval.is_regular:
@@ -122,14 +119,13 @@ def count_gaps(t: TemporalTable, full: bool = False) -> GapReport:
 def _resolve_fill(t: TemporalTable, fills: dict | None) -> dict:
     fills = dict(fills or {})
     for col, policy in fills.items():
-        if col not in t.columns:
-            raise SchemaError(f"fill policy names unknown column {col!r}")
+        kind = t.kind_of(col)
         if col == t.index or col in t.key:
             raise SchemaError(f"cannot fill {col!r}: index and key columns are derived")
         if isinstance(policy, aggregates.Aggregate) or policy is None:
             continue
         try:
-            fills[col] = as_kind(policy, t.kind_of(col))
+            fills[col] = as_kind(policy, kind)
         except SchemaError as exc:
             raise SchemaError(f"constant fill for column {col!r}: {exc}") from None
     return fills

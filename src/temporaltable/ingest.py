@@ -3,14 +3,15 @@
 Cells are typed per column in a fixed order: integer, then real, then
 boolean, then time (only for columns with a declared format, and always for
 the index), with text as the fallback.  Integers and reals are JSON numbers
-(RFC 8259 section 6); other text, "+5" and "nan" included, stays text,
-and so does a number too large for a float ("1e999"), since JSON numbers
-are finite.  Empty cells are missing.  The index column is parsed as time:
-either at a declared granularity, or by guessing from its first non-empty
-value ("ordinal" declares an index of JSON ints).  Output refuses a real
-column holding inf or nan by the same rule, an empty text cell, which
-would read back as missing, an int too long for ``str`` and a time point
-whose date has no text (outside years 1 to 9999).
+(RFC 8259 section 6); other text, "+5" and "nan" included, stays text, and
+so does a number too large for a float ("1e999"), since JSON numbers are
+finite.  Empty cells are missing, and blank lines that end the file are
+ignored.  The index column is parsed as time: either at a declared
+granularity, or by guessing from its first non-empty value ("ordinal"
+declares an index of JSON ints).  Output refuses a real column holding inf
+or nan by the same rule, an empty text cell, which would read back as
+missing, an int too long for ``str`` and a time point whose date has no
+text (outside years 1 to 9999).
 
 Both ends work a column at a time and touch each distinct cell once.  A
 time column keeps a dict from raw text to its parsed value, so a day that a
@@ -39,14 +40,16 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import re
 import sys
+from itertools import compress, count, repeat
 
 from .adapters import TimeIndex
-from .errors import IngestError, ParseError, SchemaError
+from .errors import IngestError, MissingIndexError, ParseError, SchemaError
 from .granularity import Granularity
 from .record import Record
-from .table import Column, TemporalTable, build
+from .table import Column, TemporalTable, build, kind_of_type
 from .timepoint import JSON_INT, TimePoint, _is_utc, guess_granularity, parse_timepoint
 from .timepoint import _INT_RE, _TICKS_PER_DAY, _read_json_int, _utc_texts
 
@@ -86,15 +89,13 @@ def read_rows(cfg: IngestConfig) -> tuple[list[str], list[list[str]]]:
             header = next(reader)
         except StopIteration:
             raise IngestError(f"{cfg.path}: empty file; a header row is required") from None
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise IngestError(
-                    f"{cfg.path}: row {lineno} has {len(row)} fields, "
-                    f"header has {len(header)}",
-                    row=lineno,
-                )
-            rows.append(row)
+        rows = list(reader)
+    while rows and not rows[-1]:  # blank lines that end the file
+        rows.pop()
+    bad = next(compress(count(2), map(operator.ne, map(len, rows), repeat(len(header)))), None)
+    if bad is not None:
+        raise IngestError(f"{cfg.path}: row {bad} has {len(rows[bad - 2])} fields, "
+                          f"header has {len(header)}", row=bad)
     if len(set(header)) != len(header):
         raise SchemaError(f"{cfg.path}: duplicate column names in header")
     return header, rows
@@ -208,13 +209,19 @@ def typed_columns(cfg: IngestConfig, header, rows) -> dict[str, list]:
 
 def ingest(cfg: IngestConfig) -> TemporalTable:
     """Read, type, and build; construction errors propagate.  A SchemaError
-    names the index or a ``time_format`` column the header lacks."""
+    names the index, a key or a ``time_format`` column the header lacks,
+    and a MissingIndexError the file row of the first empty index cell."""
     header, rows = read_rows(cfg)
-    for name in (cfg.index, *cfg.time_format):
+    for name in (cfg.index, *cfg.key, *cfg.time_format):
         if name not in header:
             raise SchemaError(f"{cfg.path}: no column named {name!r}")
     data = typed_columns(cfg, header, rows)
-    return build(data, cfg.index, cfg.key, cfg.regular)
+    try:
+        return build(data, cfg.index, cfg.key, cfg.regular)
+    except MissingIndexError:
+        row = data[cfg.index].index(None) + 2  # the header is row 1
+        raise MissingIndexError(
+            f"index column {cfg.index!r} has a missing value at row {row}") from None
 
 
 # --- CSV output -------------------------------------------------------------
@@ -311,28 +318,25 @@ def _unwritable_error(name: str, cells) -> SchemaError | None:
     return None
 
 
-_TIME_CELL_TYPES = {TimePoint, type(None)}
-
-
 def write_csv(stream, header, rows) -> None:
     """Write ``header`` and ``rows`` as CSV, each cell by :func:`render_cell`.
 
-    The report writer knows no column kinds; the tests compare
-    :func:`table_to_csv` with it.  A column of TimePoints (and missing
-    cells) renders each distinct point once, and only a column holding a
-    float cell is checked for inf and nan.  Raises SchemaError, before
-    writing anything, when a cell is an inf or nan float, naming the
-    leftmost such column and its first such row, as :func:`table_to_csv`
-    does, then for the first empty text cell, an int too long to write and
-    a time point past what dates write."""
+    The report writer knows no column kinds, only each cell's
+    (``table.kind_of_type``); the tests compare :func:`table_to_csv` with
+    it.  A column of time and missing cells renders each distinct point
+    once, and only a column holding a real cell is checked for inf and nan.
+    Raises SchemaError, before writing anything, when a cell is an inf or
+    nan float, naming the leftmost such column and its first such row, as
+    :func:`table_to_csv` does, then for the first empty text cell, an int
+    too long to write and a time point past what dates write."""
     columns = list(zip(*rows)) or [()] * len(header)
-    types = [set(map(type, cells)) for cells in columns]
-    _check_finite((name, cells) for name, cells, held in zip(header, columns, types)
-                  if any(issubclass(tp, float) for tp in held))
+    kinds = [set(map(kind_of_type, set(map(type, cells)))) for cells in columns]
+    _check_finite((name, cells) for name, cells, held in zip(header, columns, kinds)
+                  if "real" in held)
     fields = []
-    for name, cells, held in zip(header, columns, types):
+    for name, cells, held in zip(header, columns, kinds):
         try:
-            fields.append(_time_fields(cells) if held <= _TIME_CELL_TYPES else _quoted_each(
+            fields.append(_time_fields(cells) if held <= {"time", None} else _quoted_each(
                 name, [v if v is None else render_cell(v) for v in cells]))
         except (ValueError, OverflowError) as exc:
             raise _unwritable_error(name, cells) or exc

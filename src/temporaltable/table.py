@@ -59,7 +59,6 @@ class Column(Record):
         return len(self.values)
 
 
-# Tried in this order by cell_kind: bool before int, which it subclasses.
 _KIND_OF_TYPE = {
     type(None): None,
     bool: "bool",
@@ -70,20 +69,27 @@ _KIND_OF_TYPE = {
 }
 
 
+def kind_of_type(cls: type):
+    """The kind of a cell of type ``cls``, or ``cls`` itself for a type of no
+    kind.  Subclasses count, tried in ``_KIND_OF_TYPE`` order: bool before
+    int, which it subclasses.  The one reader of ``_KIND_OF_TYPE``."""
+    return next((kind for tp, kind in _KIND_OF_TYPE.items() if issubclass(cls, tp)), cls)
+
+
 def cell_kind(v, what: str | None = None) -> str | None:
     """The kind of cell ``v``; SchemaError, naming ``what``, for a cell of none."""
-    for tp, kind in _KIND_OF_TYPE.items():
-        if isinstance(v, tp):
-            return kind
-    held = f"{what} holds " if what else ""
-    raise SchemaError(f"{held}unsupported cell value {v!r} of type {type(v).__name__}")
+    kind = kind_of_type(type(v))
+    if kind is type(v):
+        held = f"{what} holds " if what else ""
+        raise SchemaError(f"{held}unsupported cell value {v!r} of type {type(v).__name__}")
+    return kind
 
 
-def common_kind(kinds, what: str = "column") -> str | None:
+def common_kind(kinds, what: str = "column"):
     """The kind of a column holding cells of ``kinds``: int and real make
     real, and kind None, a missing cell or a column with no present cell,
     fits any kind.  None when no other kind is given; any other mix
-    raises, naming ``what``.
+    raises, naming ``what``, and a type of no kind by its name.
 
     >>> common_kind(["int", None, "real"])
     'real'
@@ -92,7 +98,8 @@ def common_kind(kinds, what: str = "column") -> str | None:
     """
     kinds = set(kinds) - {None}
     if len(kinds) > 1 and kinds != {"int", "real"}:
-        raise SchemaError(f"{what} mixes cell kinds: {sorted(kinds, key=str)}")
+        names = sorted(getattr(k, "__name__", k) for k in kinds)
+        raise SchemaError(f"{what} mixes cell kinds: {names}")
     return "real" if len(kinds) > 1 else next(iter(kinds), None)
 
 
@@ -110,13 +117,13 @@ def as_kind(v, kind: str | None):
 
 def infer_kind(values: Sequence, what: str = "column") -> str | None:
     """Column kind from its values: the common kind of its present cells,
-    None when no cell is present.  A mix is refused, naming ``what``."""
-    types = set(map(type, values))
-    if types.issubset(_KIND_OF_TYPE):
-        return common_kind(map(_KIND_OF_TYPE.get, types), what)
-    # Subclasses and unsupported cells: classify cell by cell, which raises
-    # for the first unsupported cell in column order.
-    return common_kind((cell_kind(v, what) for v in values), what)
+    None when no cell is present.  An unsupported cell, the first in
+    column order, is refused before a mix, each naming ``what``."""
+    kinds = set(map(kind_of_type, set(map(type, values))))
+    if any(isinstance(kind, type) for kind in kinds):
+        for v in values:
+            cell_kind(v, what)
+    return common_kind(kinds, what)
 
 
 def _sort_cell(v):
@@ -217,9 +224,6 @@ class DuplicateReport(Record):
         self.key = key
         self.rows = rows
         self.positions = positions
-
-    def __bool__(self):
-        return bool(self.rows)
 
     def __len__(self):
         return len(self.rows)

@@ -583,14 +583,8 @@ def _matchable(lc: str, rc: str, left: list, right: list) -> set:
     int and real, with time cells of one granularity, else SchemaError.  Any
     other type, such as an adapter's values, is a kind of its own."""
     what = f"joining {lc!r} with {rc!r}"
-    kinds = {
-        next((kind for tp, kind in table._KIND_OF_TYPE.items() if issubclass(cls, tp)), cls)
-        for cls in {*map(type, left), *map(type, right)}
-    } - {None}
-    if len(kinds) > 1 and kinds != {"int", "real"}:
-        names = sorted(getattr(k, "__name__", k) for k in kinds)
-        raise SchemaError(f"{what} mixes cell kinds: {names}")
-    if "time" in kinds:
+    kinds = set(map(table.kind_of_type, {*map(type, left), *map(type, right)}))
+    if table.common_kind(kinds, what) == "time":
         one_granularity(what, (v for v in chain(left, right) if v is not None))
     return kinds
 

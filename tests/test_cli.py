@@ -165,7 +165,7 @@ def test_gaps_fill_unknown_column(capsys, gappy_csv):
     rc, out, err = run(capsys, "gaps", "fill", gappy_csv, "--index", "t",
                        "--key", "k", "--time-format", "t=ordinal",
                        "--fill-with", "w=0")
-    assert rc == 2
+    assert (rc, out, err) == (1, "", "error: no column named 'w'\n")
 
 
 def test_a_time_format_naming_no_column_fails_validation(capsys, tmp_path):
@@ -175,6 +175,21 @@ def test_a_time_format_naming_no_column_fails_validation(capsys, tmp_path):
                        "--time-format", "nosuch=day")
     assert (rc, out) == (1, "")
     assert err == f"error: {p}: no column named 'nosuch'\n"
+
+
+def test_a_key_naming_no_column_fails_validation(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "k.csv").write_text("day,v\n2011-07-05,1\n")
+    rc, out, err = run(capsys, "validate", "k.csv", "--index", "day", "--key", "nosuch")
+    assert (rc, out, err) == (1, "", "error: k.csv: no column named 'nosuch'\n")
+
+
+def test_validate_names_the_file_row_of_an_empty_index_cell(capsys, tmp_path):
+    p = tmp_path / "miss.csv"
+    p.write_text("day,v\n2011-07-05,1\n,2\n")
+    rc, out, err = run(capsys, "validate", str(p), "--index", "day")
+    assert (rc, out) == (1, "")
+    assert err == "error: index column 'day' has a missing value at row 3\n"
 
 
 def test_validate_reads_past_a_byte_order_mark(capsys, tmp_path):

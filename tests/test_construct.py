@@ -1,6 +1,8 @@
 import math
 import random
+import re
 from collections import Counter
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +27,10 @@ from temporaltable import (
 from temporaltable.table import (
     _sort_keys,
     as_kind,
+    cell_kind,
     common_kind,
+    infer_kind,
+    kind_of_type,
     replace,
     row_dicts,
     take,
@@ -224,6 +229,58 @@ def test_one_promotion_rule():
     for cell, kind in ((2.5, "int"), (True, "int"), (None, "real"), ("2", "int")):
         with pytest.raises(SchemaError):
             as_kind(cell, kind)
+
+
+class Level(IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class Tag(str):
+    pass
+
+
+class Money(float):
+    pass
+
+
+class Stamp(TimePoint):
+    __slots__ = ()
+
+
+class Foreign:
+    def __repr__(self):
+        return "Foreign()"
+
+
+def _kind_by_isinstance(v):
+    # The per-cell walk the kinds were once read by, bool before int.
+    walk = ((type(None), None), (bool, "bool"), (int, "int"), (float, "real"), (str, "text"),
+            (TimePoint, "time"))
+    return next((kind for tp, kind in walk if isinstance(v, tp)), type(v))
+
+
+@pytest.mark.parametrize("cell", [
+    None, True, 3, Level.HIGH, 2.5, Money(1.5), "x", Tag("y"), tp.day(2011, 1, 1),
+    Stamp(0, Granularity.DAY), Foreign(), b"z",
+], ids=repr)
+def test_one_rule_gives_a_cell_type_its_kind(cell):
+    want = _kind_by_isinstance(cell)
+    assert kind_of_type(type(cell)) == want
+    if isinstance(want, type):
+        message = f"^column 'v' holds unsupported cell value {re.escape(repr(cell))} of type {want.__name__}$"
+        with pytest.raises(SchemaError, match=message):
+            cell_kind(cell, "column 'v'")
+        # The first unsupported cell is named, before any mix of kinds.
+        with pytest.raises(SchemaError, match=message):
+            infer_kind(["a", 1, cell, object()], "column 'v'")
+    else:
+        assert cell_kind(cell) == want
+        assert infer_kind([None, cell, cell]) == want
+        if want not in (None, "text"):
+            mix = re.escape(str(sorted([want, "text"])))
+            with pytest.raises(SchemaError, match=f"^column mixes cell kinds: {mix}$"):
+                infer_kind([cell, "t"])
 
 
 def test_build_keeps_a_declared_column_kind():

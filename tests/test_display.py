@@ -6,6 +6,7 @@ import pytest
 from temporaltable import (
     Granularity,
     IngestConfig,
+    PreconditionError,
     SchemaError,
     TimePoint,
     build,
@@ -117,6 +118,15 @@ def test_preview_width_override(tb):
     lines = render_summary(tb, preview=12).splitlines()
     assert not lines[-1].startswith("# ...")
     assert len(lines) == 2 + 1 + 12
+
+
+@pytest.mark.parametrize("preview", [-1, 2.0, True, "5", None])
+def test_summary_refuses_a_preview_that_is_no_row_count(tb, preview):
+    with pytest.raises(PreconditionError,
+                       match=f"^preview must be a non-negative integer, got {re.escape(repr(preview))}$"):
+        render_summary(tb, preview=preview)
+    lines = render_summary(tb, preview=0).splitlines()
+    assert lines[2:] == ["country  continent  gender  year  count", "# ... with 12 more rows"]
 
 
 def test_summary_refuses_a_preview_point_past_year_9999():

@@ -197,6 +197,20 @@ def test_fill_rejects_wrong_kind_constant(holey):
         fill_gaps(holey, {"t": 5})
 
 
+@pytest.mark.parametrize("policy", [0, None, Aggregate("mean")])
+def test_fill_names_a_column_the_table_lacks_as_the_table_does(holey, policy):
+    with pytest.raises(SchemaError, match="^no column named 'nosuch'$"):
+        fill_gaps(holey, {"nosuch": policy})
+
+
+def test_a_report_is_true_exactly_when_it_lists_something(holey):
+    complete = build({"t": [1, 2], "v": [1, 2]}, "t")
+    for report in (count_gaps(holey), count_gaps(complete),
+                   table.duplicates({"t": [1, 1, 2]}, "t"), table.duplicates({"t": [1, 2]}, "t")):
+        assert bool(report) == (len(report) > 0)
+    assert [bool(count_gaps(holey)), bool(table.duplicates({"t": [1, 1]}, "t"))] == [True, True]
+
+
 def test_fill_preserves_existing_rows(holey):
     filled = fill_gaps(holey, {"v": Aggregate("max")})
     old = {(r["k"], r["t"], r["v"]) for r in table_rows(holey)}

@@ -13,6 +13,7 @@ from temporaltable import (
     Granularity,
     IngestConfig,
     IngestError,
+    MissingIndexError,
     ParseError,
     SchemaError,
     TimePoint,
@@ -188,6 +189,40 @@ def test_a_time_format_naming_no_column_is_refused(tmp_path):
     path = write(tmp_path, "day,v\n2011-07-05,1\n")
     with pytest.raises(SchemaError, match=r"t\.csv: no column named 'nosuch'$"):
         ingest(IngestConfig(path, index="day", time_format={"nosuch": "day"}))
+
+
+def test_a_key_naming_no_column_is_refused(tmp_path):
+    path = write(tmp_path, "day,v\n2011-07-05,1\n")
+    with pytest.raises(SchemaError, match=r"t\.csv: no column named 'nosuch'$"):
+        ingest(IngestConfig(path, index="day", key=("v", "nosuch")))
+
+
+def test_an_empty_index_cell_is_named_by_its_file_row(tmp_path):
+    # The header is row 1, as for a cell that does not parse.
+    path = write(tmp_path, "day,v\n2011-07-05,1\n,2\n2011-07-07,3\n")
+    with pytest.raises(MissingIndexError,
+                       match=r"^index column 'day' has a missing value at row 3$"):
+        ingest(IngestConfig(path, index="day"))
+    path = write(tmp_path, "day,v\n2011-07-05,1\nnever,2\n")
+    with pytest.raises(IngestError, match=r"^row 3, column 'day': "):
+        ingest(IngestConfig(path, index="day"))
+
+
+def test_blank_lines_that_end_a_file_are_ignored(tmp_path):
+    text = "day,v\n2011-07-05,1\n2011-07-06,2\n"
+    want = ingest(IngestConfig(write(tmp_path, text), index="day"))
+    for end in ("\n", "\n\n", "\r\n\r\n"):
+        got = ingest(IngestConfig(write(tmp_path, text + end, "end.csv"), index="day"))
+        assert_same_table(got, want)
+    # A lone empty field is written "", which reads back as one missing cell.
+    assert read_rows(IngestConfig(write(tmp_path, 'v\n1\n""\n\n'), index="v"))[1] == [["1"], [""]]
+
+
+def test_a_blank_line_between_rows_is_refused_by_its_row(tmp_path):
+    path = write(tmp_path, "day,v\n2011-07-05,1\n\n2011-07-06,2\n\n")
+    with pytest.raises(IngestError, match=r"t\.csv: row 3 has 0 fields, header has 2$") as info:
+        ingest(IngestConfig(path, index="day"))
+    assert info.value.row == 3
 
 
 def test_a_byte_order_mark_is_not_part_of_the_first_header_name(tmp_path):
@@ -489,6 +524,17 @@ def test_write_csv_renders_each_distinct_time_point_once(monkeypatch):
     # other cells renders cell by cell.
     assert calls == [(day.ticks, None), (0, "Australia/Melbourne"), (0, None),
                      (day.ticks, None), (day.ticks, None)]
+
+
+def test_write_csv_writes_a_time_point_subclass_as_render_cell_does():
+    class Stamp(TimePoint):
+        __slots__ = ()
+
+    rows = [[Stamp(0, Granularity.DAY), 1], [None, 2], [Stamp(0, Granularity.HOUR, "Asia/Kolkata"), 3]]
+    buf = io.StringIO()
+    write_csv(buf, ["s", "v"], rows)
+    assert buf.getvalue() == "s,v\n1970-01-01,1\n,2\n1970-01-01 05:30,3\n"
+    assert buf.getvalue().splitlines()[1:] == [",".join(map(render_cell, row)) for row in rows]
 
 
 def test_csv_writers_keep_large_finite_reals():

@@ -180,6 +180,17 @@ def test_comparison_needs_matching_granularity():
             compare(tp.year(2011), 2011)
 
 
+def test_greater_orders_by_ticks_within_one_granularity():
+    a, b = tp.month(2011, 3), tp.month(2011, 4)
+    assert (b > a, a > b, a > a) == (True, False, False)
+    assert (b >= a, a >= b, a >= a) == (True, False, True)
+    for compare in (lambda x, y: x > y, lambda x, y: x >= y):
+        with pytest.raises(PreconditionError, match="^cannot compare month with day$"):
+            compare(a, tp.day(2011, 3, 1))
+        with pytest.raises(PreconditionError, match="^cannot compare TimePoint with str$"):
+            compare(a, "2011-03")
+
+
 def test_point_construction_refusals():
     with pytest.raises(PreconditionError, match="quarter must be 1..4, got 5"):
         tp.quarter(2020, 5)
