@@ -13,13 +13,17 @@ or nan by the same rule, an empty text cell, which would read back as
 missing, an int too long for ``str`` and a time point whose date has no
 text (outside years 1 to 9999).
 
-Both ends work a column at a time and touch each distinct cell once.  A
-time column keeps a dict from raw text to its parsed value, so a day that a
-panel repeats once per series is parsed once; ``TimePoint`` is frozen, so
-every row shares the one instance.  Unzoned text in the exact shape of a
-canonical day or hour is read by the stdlib's ``fromisoformat``;
-``parse_timepoint``'s grammar reads every other text and gives every error.
-A number column is matched and typed once per distinct text, with the cells
+A file with no quote, CR or NUL is split into lines and each line on the
+delimiter; ``csv.reader`` reads every other file, and both give the same
+rows.  Both ends work a column at a time and touch each distinct cell once.
+A time column keeps a dict from raw text to its parsed value, so a day that
+a panel repeats once per series is parsed once; ``TimePoint`` is frozen, so
+every row shares the one instance.  A column of unzoned sub-daily text in
+canonical shape is read a date at a time: each distinct date is parsed
+once, as a day, by ``parse_timepoint``, and each distinct clock read once.
+Any other time column is read text by text by ``parse_timepoint``, whose
+grammar words every error.  A number column's distinct texts are checked
+by one pattern match over them all, then typed once each, with the cells
 gathered from a dict.
 
 CSV is written by two writers.  :func:`table_to_csv` renders each column
@@ -38,7 +42,9 @@ UTC offset only where a clock change repeats its local time (see
 
 from __future__ import annotations
 
+import codecs
 import csv
+import io
 import math
 import operator
 import re
@@ -47,15 +53,30 @@ from itertools import compress, count, repeat
 
 from .adapters import TimeIndex
 from .errors import IngestError, MissingIndexError, ParseError, SchemaError
-from .granularity import Granularity
+from .granularity import MS_PER_TICK, Granularity
 from .record import Record
 from .table import Column, TemporalTable, build, kind_of_type
 from .timepoint import JSON_INT, TimePoint, _is_utc, guess_granularity, parse_timepoint
-from .timepoint import _INT_RE, _TICKS_PER_DAY, _read_json_int, _utc_texts
+from .timepoint import _TICKS_PER_DAY, _read_json_int, _utc_texts
+
+
+def _many(pattern: str) -> re.Pattern:
+    """The pattern of one or more texts matching ``pattern``, a newline between."""
+    return re.compile(f"(?:{pattern}\n)*{pattern}")
+
+
+def _all_match(many: re.Pattern, texts) -> bool:
+    """Whether every text of ``texts``, a non-empty collection, matches the
+    pattern that ``many`` repeats: one ``fullmatch`` over the texts joined
+    by newlines.  A text that holds a newline never matches."""
+    joined = "\n".join(texts)
+    return joined.count("\n") == len(texts) - 1 and many.fullmatch(joined) is not None
+
 
 # Numbers follow the JSON grammar (RFC 8259 section 6), matched whole; an
-# int cell and an ordinal index value share one pattern, ``_INT_RE``.
-_NUMBER_RE = re.compile(JSON_INT + r"(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
+# int cell and an ordinal index value share one pattern, ``JSON_INT``.
+_INTS = _many(JSON_INT)
+_NUMBERS = _many(JSON_INT + r"(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
 _BOOL = {"true": True, "false": False}
 
 
@@ -81,17 +102,65 @@ class IngestConfig(Record):
         self.delimiter = delimiter
 
 
+def _read_text(path: str) -> str:
+    """The text of the file at ``path``, decoded as UTF-8 past a leading
+    byte-order mark, which spreadsheets write.  Bytes that are not UTF-8
+    raise IngestError naming the line that holds the first of them."""
+    with open(path, "rb") as fh:
+        data = fh.read().removeprefix(codecs.BOM_UTF8)
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        # A sentinel byte ends the last line, so it is counted complete or not.
+        line = len((data[:exc.start] + b".").splitlines())
+        raise IngestError(f"{path}: line {line} is not UTF-8 text "
+                          f"({data[exc.start:exc.end]!r}: {exc.reason})") from None
+
+
+def _plain_lines(text: str) -> list[str] | None:
+    """The lines of ``text``, blank lines that end it dropped, when
+    ``str.split`` on the delimiter reads each one as ``csv.reader`` does;
+    None otherwise.  That holds when the text has no quote, CR or NUL, no
+    blank line before its last row and no line longer than
+    ``csv.field_size_limit()``, so that no field exceeds the limit."""
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    lines = text.split("\n")
+    while lines and not lines[-1]:
+        lines.pop()
+    limit = csv.field_size_limit()
+    if not lines or "" in lines or (len(text) > limit and max(map(len, lines)) > limit):
+        return None
+    return lines
+
+
 def read_rows(cfg: IngestConfig) -> tuple[list[str], list[list[str]]]:
-    # "utf-8-sig" reads past a byte-order mark, which spreadsheets write.
-    with open(cfg.path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh, delimiter=cfg.delimiter)
+    """The header and the data rows of ``cfg.path``, one list of text cells
+    each: split by ``_plain_lines`` where it can, else read by
+    ``csv.reader``.  Raises IngestError for an empty file, bytes that are
+    not UTF-8, a field longer than ``csv.field_size_limit()`` and a row
+    whose width differs from the header's, and SchemaError for a repeated
+    column name."""
+    text = _read_text(cfg.path)
+    # Built on every file, so a delimiter the csv module refuses is refused
+    # whichever way the file is read.
+    reader = csv.reader(io.StringIO(text, newline=""), delimiter=cfg.delimiter)
+    lines = _plain_lines(text)
+    if lines is not None:
+        header, *rows = map(str.split, lines, repeat(cfg.delimiter))
+    else:
+        rows = []
         try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError(f"{cfg.path}: empty file; a header row is required") from None
-        rows = list(reader)
-    while rows and not rows[-1]:  # blank lines that end the file
-        rows.pop()
+            for row in reader:
+                rows.append(row)
+        except csv.Error as exc:
+            raise IngestError(f"{cfg.path}: row {len(rows) + 1}: {exc}",
+                              row=len(rows) + 1) from None
+        if not rows:
+            raise IngestError(f"{cfg.path}: empty file; a header row is required")
+        header = rows.pop(0)
+        while rows and not rows[-1]:  # blank lines that end the file
+            rows.pop()
     bad = next(compress(count(2), map(operator.ne, map(len, rows), repeat(len(header)))), None)
     if bad is not None:
         raise IngestError(f"{cfg.path}: row {bad} has {len(rows[bad - 2])} fields, "
@@ -116,6 +185,52 @@ def _parse_each_once(name, cells, parse) -> list:
     return list(map(parsed.__getitem__, cells))
 
 
+# The canonical unzoned text of each sub-daily granularity: a date, then a
+# clock down to the granularity; a UTC hour or minute has no seconds.
+_CLOCK_TEXTS = {
+    g: _many("[0-9]{4}-[0-9]{2}-[0-9]{2} [0-9]{2}:" + clock)
+    for g, clock in ((Granularity.HOUR, "00"), (Granularity.MINUTE, "[0-9]{2}"),
+                     (Granularity.SECOND, "[0-9]{2}:[0-9]{2}"),
+                     (Granularity.MILLISECOND, r"[0-9]{2}:[0-9]{2}\.[0-9]{3}"))
+}
+
+
+def _clock_ticks(clock: str, g: Granularity) -> int | None:
+    """Ticks at ``g`` since midnight of ``clock``, a canonical clock text
+    (`` HH:MM``, then ``:SS`` and ``.fff`` as ``g`` has them), or None when
+    a field is out of range."""
+    h, mi, s = int(clock[1:3]), int(clock[4:6]), int(clock[7:9] or 0)
+    if h > 23 or mi > 59 or s > 59:
+        return None
+    return (((h * 60 + mi) * 60 + s) * 1000 + int(clock[10:] or 0)) // MS_PER_TICK[g]
+
+
+def _clock_points(cells, g: Granularity, zone) -> list | None:
+    """The unzoned sub-daily points of ``cells`` (raw text, "" for missing)
+    at ``g``, or None unless every text is canonical and valid, when the
+    grammar reads the column and words its first error.
+
+    Each distinct date is parsed once, as a day, through the module
+    attribute ``parse_timepoint``; each distinct clock is read once; a
+    text's ticks are its day's first tick plus its clock's."""
+    texts = dict.fromkeys(cells)
+    texts.pop("", None)
+    if not texts or not _all_match(_CLOCK_TEXTS[g], texts):
+        return None
+    per_day = _TICKS_PER_DAY[g]
+    try:
+        days = {date: parse_timepoint(date, Granularity.DAY).ticks * per_day
+                for date in {text[:10] for text in texts}}
+    except ParseError:
+        return None
+    clocks = {clock: _clock_ticks(clock, g) for clock in {text[10:] for text in texts}}
+    if None in clocks.values():
+        return None
+    points = {text: TimePoint(days[text[:10]] + clocks[text[10:]], g, zone) for text in texts}
+    points[""] = None
+    return list(map(points.__getitem__, cells))
+
+
 def _parse_time_cells(name, cells, gran_name, zone):
     """Parse a column's raw cells as TimePoints (or ints for ordinal)."""
     if gran_name == "ordinal":
@@ -136,6 +251,10 @@ def _parse_time_cells(name, cells, gran_name, zone):
             g = Granularity(gran_name)
         except ValueError:
             raise IngestError(f"unknown granularity {gran_name!r} for column {name!r}") from None
+    if g in _CLOCK_TEXTS and _is_utc(zone):
+        points = _clock_points(cells, g, zone)
+        if points is not None:
+            return points
     # Called through the module attribute on every miss, so a wrapper
     # installed on ``ingest.parse_timepoint`` sees each distinct cell.
     return _parse_each_once(name, cells, lambda raw: parse_timepoint(raw, g, zone))
@@ -172,12 +291,12 @@ def _infer_cells(cells, name=None) -> list:
     distinct.discard("")
     typed = None
     if distinct:
-        if all(map(_INT_RE.fullmatch, distinct)):
+        if _all_match(_INTS, distinct):
             try:
                 typed = dict(zip(distinct, map(int, distinct)))
             except ValueError:  # too many digits: this reader names the cell
                 return _parse_each_once(name, cells, _read_json_int)
-        elif all(map(_NUMBER_RE.fullmatch, distinct)):
+        elif _all_match(_NUMBERS, distinct):
             reals = list(map(float, distinct))
             if all(map(math.isfinite, reals)):
                 typed = dict(zip(distinct, reals))

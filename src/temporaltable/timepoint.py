@@ -14,12 +14,10 @@ only through the date's ordinal less ``_EPOCH_ORDINAL``; a year, quarter or
 month tick is the months since 1970-01 over its months per tick (12, 3, 1);
 civil fields become a sub-daily point only in ``_civil_point``.
 
-Unzoned text in the exact canonical shape of a day or an hour is read
-through the stdlib's C date code (``fromisoformat``; an hour is its date's
-ordinal and two hour digits); the regex grammar ``_FORMS`` reads every
-other text, and decides every error.  Unzoned days and sub-daily points are
-written by one renderer, ``_day_texts``: a date's text from its ordinal
-(``isoformat``), then each clock.
+Text is read by one regex grammar, ``_FORMS``, which decides every error.
+Unzoned days and sub-daily points are written by one renderer,
+``_day_texts``: a date's text from its ordinal (``isoformat``), then each
+clock.
 
 Sub-daily ticks are UTC instants.  An optional zone label changes how a point
 renders and how it floors to day-or-coarser granularities; it never changes
@@ -524,41 +522,14 @@ _FORMS = tuple(
 )
 _FORMS_OF = {g: tuple((p, make) for h, p, make, _ in _FORMS if h is g) for g in Granularity}
 
-# The fast path for unzoned days and hours: per granularity, a strict ASCII
-# shape of the canonical text and a maker that reads it through the stdlib's
-# C date code.
-# The shape alone decides what reaches that code, which on Python 3.11 and
-# later also reads forms the grammar refuses ("20110705", "2011-W27-2", a "Z"
-# suffix); an hour is in range by shape, so only an invalid date raises
-# ValueError, and then the grammar gives the error.
-_YMD = "[0-9]{4}-[0-9]{2}-[0-9]{2}"
-
-
-def _fast_day(text, zone):
-    return TimePoint(date.fromisoformat(text).toordinal() - _EPOCH_ORDINAL, Granularity.DAY)
-
-
-def _fast_hour(text, zone):
-    days = date.fromisoformat(text[:10]).toordinal() - _EPOCH_ORDINAL
-    return TimePoint(days * 24 + int(text[11:13]), Granularity.HOUR, zone)
-
-
-_FAST = {
-    Granularity.DAY: (re.compile(_YMD).fullmatch, _fast_day),
-    Granularity.HOUR: (re.compile(_YMD + " (?:[01][0-9]|2[0-3]):00").fullmatch, _fast_hour),
-}
-
-
 def parse_timepoint(text: str, granularity, zone: str | None = None) -> TimePoint:
     """Parse canonical text at a declared granularity.
 
     Surrounding whitespace is stripped, and a "T" date-time separator is
     accepted on input.  No text parses as an ordinal point: an ordinal index
-    holds ints (see ``_read_json_int``).  Unzoned (None or UTC) text in the
-    exact shape of a canonical day or hour (``2011-07-05``,
-    ``2011-07-05 17:00``) is read by ``fromisoformat``; the grammar of
-    ``_FORMS`` reads all other text and gives every error.  The canonical
-    forms:
+    holds ints (see ``_read_json_int``).  The grammar of ``_FORMS`` reads
+    every text and words every error; ``ingest`` reads a column of unzoned
+    sub-daily text through it a date at a time.  The canonical forms:
 
     >>> parse_timepoint("2011", "year")
     TimePoint('2011', 'year')
@@ -580,18 +551,6 @@ def parse_timepoint(text: str, granularity, zone: str | None = None) -> TimePoin
     TimePoint('2011-07-05 17:45:00.123', 'millisecond')
     """
     g = _require_granularity(granularity)
-    fast = _FAST.get(g)
-    if fast is not None and _is_utc(zone) and fast[0](text):
-        try:
-            return fast[1](text, zone)
-        except ValueError:
-            pass  # an invalid date: the grammar says which field
-    return _parse_forms(text, g, zone)
-
-
-def _parse_forms(text: str, g: Granularity, zone: str | None) -> TimePoint:
-    """``text`` at granularity ``g`` by the ``_FORMS`` grammar, which words
-    every ``parse_timepoint`` error."""
     text = text.strip()
     try:
         for pattern, make in _FORMS_OF[g]:

@@ -1,4 +1,7 @@
+import csv
+import gc
 import importlib
+import os
 import pathlib
 import subprocess
 import sys
@@ -735,11 +738,14 @@ def test_local_mean_time_minutes_need_their_granularity_declared(capsys, tmp_pat
     assert ingest(IngestConfig(str(p), index="t", zone=zone, time_format={"t": "minute"})) == t
 
 
-def test_each_distinct_time_cell_is_parsed_and_rendered_once(capsys, tmp_path, monkeypatch):
-    # The benchmark counts parse_timepoint at this attribute, so it must see
-    # every distinct cell.  An unzoned index is written from its ticks by
-    # timepoint._day_texts, once per distinct day with that day's ticks.
-    # (The package's ``ingest`` attribute is the function, not the module.)
+def test_each_distinct_day_is_parsed_once_and_each_tick_rendered_once(
+        capsys, tmp_path, monkeypatch):
+    # The benchmark counts parse_timepoint at this attribute.  Ingest reads
+    # an unzoned time column through it once per distinct day: a day column
+    # once per distinct cell, a sub-daily column once per distinct date.  An
+    # unzoned index is written from its ticks by timepoint._day_texts, once
+    # per distinct day with that day's ticks.  (The package's ``ingest``
+    # attribute is the function, not the module.)
     ingest_module = importlib.import_module("temporaltable.ingest")
     timepoint_module = importlib.import_module("temporaltable.timepoint")
 
@@ -768,9 +774,9 @@ def test_each_distinct_time_cell_is_parsed_and_rendered_once(capsys, tmp_path, m
     assert sorted(calls["parse"]) == days
     assert calls["days"] == calls["render"] == [18262, 18263, 18264, 18265]
 
-    # Hourly text, declared, takes the unzoned fast path of parse_timepoint;
-    # the filled hour is rendered once too, and the four hours of one day
-    # share one date text.
+    # Hourly text, declared, is parsed once per distinct date, the three
+    # hours of 2020-01-01 through one parse of that day; the filled hour is
+    # rendered once too, and the four hours of one day share one date text.
     for seen in calls.values():
         seen.clear()
     hours = ["2020-01-01 00:00", "2020-01-01 01:00", "2020-01-01 03:00"]
@@ -782,10 +788,20 @@ def test_each_distinct_time_cell_is_parsed_and_rendered_once(capsys, tmp_path, m
     assert (rc, err) == (0, "")
     assert out.count("\n") == 1 + 3 * 4
     assert "A,2020-01-01 02:00,0.0\n" in out
-    assert sorted(calls["parse"]) == hours
+    assert calls["parse"] == ["2020-01-01"]
     first = 18262 * 24  # 2020-01-01 00:00 UTC
     assert calls["days"] == [18262]
     assert calls["render"] == [first, first + 1, first + 2, first + 3]
+
+    # Minutes over two days, guessed: two day parses for six distinct cells.
+    for seen in calls.values():
+        seen.clear()
+    minutes = [f"2020-01-0{d} 23:5{m}" for d in (1, 2) for m in (7, 8, 9)]
+    p = tmp_path / "minutes.csv"
+    p.write_text("ts,load\n" + "".join(f"{ts},{n}\n" for n, ts in enumerate(minutes)))
+    rc, out, err = run(capsys, "validate", str(p), "--index", "ts")
+    assert (rc, err) == (0, "")
+    assert sorted(calls["parse"]) == ["2020-01-01", "2020-01-02"]
 
 
 def test_cli_import_defers_slow_stdlib_modules():
@@ -808,3 +824,84 @@ def test_cli_import_defers_slow_stdlib_modules():
             [sys.executable, *flags, "-c", code], capture_output=True, text=True, check=True
         )
         assert done.stdout.split() == [], flags
+
+
+@pytest.mark.parametrize("data, line", [
+    (b"day,v\n2011-07-05,1\n2011-07-06,\xff\xfe\n", 3),
+    (b"\xef\xbb\xbfday,v\n2011-07-05,\xff\n", 2),  # past a byte-order mark
+    (b"day,v\r\n2011-07-05,1\r\n\xe9t\xe9,2\r\n", 3),
+    (b"d\xffay,v\n", 1),
+])
+def test_bytes_that_are_not_utf8_fail_validation_naming_their_line(capsys, tmp_path, data, line):
+    p = tmp_path / "latin1.csv"
+    p.write_bytes(data)
+    rc, out, err = run(capsys, "validate", str(p), "--index", "day")
+    assert (rc, out) == (1, "")
+    assert err.startswith(f"error: {p}: line {line} is not UTF-8 text (b'\\x")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("quoted", [False, True])
+def test_a_field_past_the_csv_field_limit_fails_validation_naming_its_row(
+        capsys, tmp_path, quoted):
+    limit = csv.field_size_limit()
+    p = tmp_path / "long.csv"
+    q = '"' if quoted else ""
+    p.write_text(f"day,v\n2011-07-05,1\n2011-07-06,{q}{'x' * (limit + 1)}{q}\n")
+    rc, out, err = run(capsys, "validate", str(p), "--index", "day")
+    assert (rc, out) == (1, "")
+    assert err == f"error: {p}: row 3: field larger than field limit ({limit})\n"
+    assert csv.field_size_limit() == limit  # the limit is not lifted
+    # A field of exactly the limit is read.
+    p.write_text(f"day,v\n2011-07-05,1\n2011-07-06,{q}{'x' * limit}{q}\n")
+    rc, out, err = run(capsys, "validate", str(p), "--index", "day")
+    assert (rc, err) == (0, "")
+
+
+def test_main_leaves_the_cyclic_collector_as_it_found_it(capsys):
+    before = (gc.isenabled(), gc.get_freeze_count())
+    rc, _, _ = run(capsys, "roll", TB, "--index", "year", "--key", "country,gender",
+                   "--op", "slide", "--col", "count", "--fn", "mean", "--size", "2")
+    assert rc == 0
+    rc, _, _ = run(capsys, "validate", "/nonexistent/nope.csv", "--index", "t")
+    assert rc == 3
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("validate", TB, "--index", "year", "--key", "country,gender"), 0),
+    (("agg", TB, "--index", "year", "--key", "country,gender", "--by", "year",
+      "--fn", "count=sum", "--group", "country"), 0),
+    (("roll", TB, "--index", "year", "--key", "country,gender", "--op", "slide",
+      "--col", "count", "--fn", "mean", "--size", "2"), 0),
+    (("validate", FLIGHTS, "--index", "sched_dep_datetime", "--key", "flight_num",
+      "--irregular"), 1),
+    (("agg", TB, "--index", "year", "--by", "year"), 2),
+    (("validate", TB), 2),  # argparse's own usage error
+    (("validate", "/nonexistent/nope.csv", "--index", "t"), 3),
+])
+def test_python_m_temporaltable_writes_what_main_writes(capsys, argv, code):
+    try:
+        rc = main(list(argv))
+    except SystemExit as exc:
+        rc = exc.code
+    captured = capsys.readouterr()
+    src = str(pathlib.Path(temporaltable.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-m", "temporaltable", *argv], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert rc == done.returncode == code
+    assert done.stdout == captured.out.encode()
+    assert done.stderr == captured.err.encode()
+
+
+def test_the_process_entry_turns_the_collector_off_and_freezes_the_heap():
+    src = str(pathlib.Path(temporaltable.__file__).parents[1])
+    code = (
+        f"import gc, sys; sys.path.insert(0, {src!r}); from temporaltable.cli import process_main; "
+        f"sys.argv = ['ttab', 'validate', {TB!r}, '--index', 'year', '--key', 'country,gender']; "
+        "rc = process_main(); print(rc, gc.isenabled(), gc.get_freeze_count() > 0, file=sys.stderr)"
+    )
+    done = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert done.stderr == "0 False True\n"
+    assert done.stdout.startswith("# A tsibble: 12 x 5 [1Y]\n")

@@ -5,7 +5,7 @@ import sys
 from datetime import timedelta
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from temporaltable import (
     Column,
@@ -973,3 +973,87 @@ def test_writer_quotes_by_rfc_4180(header, rows, text):
     buf = io.StringIO()
     write_csv(buf, header, rows)
     assert buf.getvalue() == text
+
+
+# --- read_rows against the csv module ----------------------------------------
+
+def _csv_reference(path, delimiter):
+    """What ``read_rows`` must give for a UTF-8 file: ``csv.reader`` over
+    the whole file, row by row, with the same checks, as (header, rows) or
+    the (type, text, row) of the error."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh, delimiter=delimiter)
+        rows = []
+        try:
+            for row in reader:
+                rows.append(row)
+        except csv.Error as exc:
+            return IngestError, f"{path}: row {len(rows) + 1}: {exc}", len(rows) + 1
+    if not rows:
+        return IngestError, f"{path}: empty file; a header row is required", None
+    header, rows = rows[0], rows[1:]
+    while rows and not rows[-1]:
+        rows.pop()
+    for row, cells in enumerate(rows, start=2):
+        if len(cells) != len(header):
+            return (IngestError, f"{path}: row {row} has {len(cells)} fields, "
+                                 f"header has {len(header)}", row)
+    if len(set(header)) != len(header):
+        return SchemaError, f"{path}: duplicate column names in header", None
+    return header, rows
+
+
+_DELIMITERS = [",", ";", "\t", "|", " "]
+_PLAIN = "ab1 ,;\t|"
+_ANY = _PLAIN + '"\r\x00\ufeff\n'
+
+
+@st.composite
+def _csv_texts(draw):
+    """File text around CSV: rows of a drawn width on the drawn delimiter,
+    with blank and odd lines, one-column files, quotes, CR, NUL, a byte-order
+    mark, other delimiters, fields past a small field limit, and blank or
+    missing line ends at the end."""
+    delimiter = draw(st.sampled_from(_DELIMITERS))
+    alphabet = draw(st.sampled_from([_PLAIN, _PLAIN, _ANY]))
+    width = draw(st.integers(1, 3))
+    field = st.text(st.sampled_from(alphabet), max_size=draw(st.sampled_from([3, 10])))
+    line = st.one_of(
+        st.lists(field, min_size=width, max_size=width).map(delimiter.join),
+        st.lists(field, min_size=width, max_size=width).map(delimiter.join),
+        st.just(""),
+        st.text(st.sampled_from(alphabet), max_size=8),
+    )
+    lines = draw(st.lists(line, max_size=6))
+    text = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"])).join(lines)
+    text += draw(st.sampled_from(["", "\n", "\n", "\n\n", "\r\n"]))
+    return draw(st.sampled_from(["", "", "\ufeff"])) + text, delimiter
+
+
+@given(_csv_texts(), st.sampled_from([None, 4, 8]))
+@example(("a,b\n1,2\n\n3,4\n", ","), None)
+@example(("a\n\n\n", ","), None)
+@example(("\n\n", ","), None)
+@example(("", ","), None)
+@example(("a,b\n12345,1\n", ","), 4)
+@example(("a,b\n1234,1\n", ","), 4)
+@example(('a,b\n"12345",1\n', ","), 4)
+@example(("a;b\n1;2", ";"), None)
+@example(("\ufeffa,b\r\n1,\x002\r\n", ","), None)
+@settings(max_examples=300)
+def test_read_rows_matches_the_csv_module(tmp_path_factory, text_delimiter, limit):
+    text, delimiter = text_delimiter
+    path = tmp_path_factory.getbasetemp() / "drawn.csv"
+    path.write_bytes(text.encode("utf-8"))
+    old_limit = csv.field_size_limit()
+    if limit is not None:
+        csv.field_size_limit(limit)
+    try:
+        want = _csv_reference(str(path), delimiter)
+        try:
+            got = read_rows(IngestConfig(str(path), index="a", delimiter=delimiter))
+        except (IngestError, SchemaError) as exc:
+            got = type(exc), str(exc), getattr(exc, "row", None)
+    finally:
+        csv.field_size_limit(old_limit)
+    assert got == want

@@ -1,6 +1,7 @@
 """Tick encodings checked against stdlib calendar arithmetic."""
 
 import random
+import sys
 from datetime import date, datetime, timedelta, timezone
 from zoneinfo import ZoneInfo
 
@@ -18,7 +19,9 @@ from temporaltable import (
     parse_timepoint,
     timepoint as tp,
 )
+from temporaltable.errors import IngestError
 from temporaltable.granularity import MS_PER_TICK
+from temporaltable.ingest import _parse_time_cells
 from temporaltable.timepoint import _read_json_int
 
 EPOCH = date(1970, 1, 1)
@@ -493,7 +496,7 @@ def test_subdaily_render_matches_datetime(g, zone, ms):
     assert point.render() == want
 
 
-# --- the fast path against the grammar ---------------------------------------
+# --- ingest's column reader against the grammar -----------------------------
 
 def _outcome(parse, text, g, zone):
     """The (ticks, granularity, zone) ``parse`` reads, or its ParseError text."""
@@ -504,9 +507,35 @@ def _outcome(parse, text, g, zone):
     return (point.ticks, point.granularity, point.zone)
 
 
-FAST = [Granularity.DAY, Granularity.HOUR]
-# The fast path reads only unzoned text; a zoned point keeps the grammar.
-FAST_ZONES = (None, "UTC", "utc", "Australia/Melbourne")
+def _column_outcome(cells, g, zone):
+    """The (ticks, granularity, zone) of each cell of a time column ``t``
+    read by ingest, or the text of its IngestError."""
+    try:
+        points = _parse_time_cells("t", tuple(cells), g.value, zone)
+    except IngestError as exc:
+        return str(exc)
+    return [(p.ticks, p.granularity, p.zone) for p in points]
+
+
+def _cell_outcome(cells, g, zone):
+    """What ``_column_outcome`` must give: each cell read on its own by the
+    grammar, or the first error, named by its file row."""
+    out = []
+    for row, text in enumerate(cells, start=2):
+        got = _outcome(parse_timepoint, text, g, zone)
+        if isinstance(got, str):
+            return f"row {row}, column 't': {got}"
+        out.append(got)
+    return out
+
+
+# The granularities whose unzoned text the column reader reads a date at a
+# time; a zoned column keeps the grammar.
+COLUMN = [Granularity.DAY, *SUBDAILY]
+COLUMN_ZONES = (None, "UTC", "utc", "Australia/Melbourne")
+# A canonical text at each granularity, to sit beside a drawn one.
+CANONICAL = {g: TimePoint(1_309_885_200_000 // MS_PER_TICK[g], g).render() for g in SUBDAILY}
+CANONICAL[Granularity.DAY] = "2011-07-05"
 
 
 def _field(lo, hi, top):
@@ -515,7 +544,7 @@ def _field(lo, hi, top):
 
 
 @st.composite
-def _near_fast_shapes(draw):
+def _near_canonical_shapes(draw):
     """Text at and near the canonical day and clock shapes: fields in and
     out of range, other separators and fraction widths, one character
     replaced, inserted or dropped, and surrounding whitespace."""
@@ -538,7 +567,7 @@ def _near_fast_shapes(draw):
     return draw(pad) + text + draw(pad)
 
 
-@given(_near_fast_shapes())
+@given(_near_canonical_shapes())
 @example("2011-07-05 17:00:00.123")
 @example("0001-01-01 00:00")
 @example("9999-12-31 23:59:59.999")
@@ -546,6 +575,9 @@ def _near_fast_shapes(draw):
 @example("2011-07-05 24:00")
 @example("2011-07-05 17:60")
 @example("2011-07-05 17:45:00.1")
+@example("2011-07-05T17:00")
+@example(" 2011-07-05 17:00")
+@example("2011-07-05 17:00\n2011-07-05 18:00")
 # Forms that Python 3.11 and later read with fromisoformat and the grammar
 # refuses: each must give the grammar's error.
 @example("20110705")
@@ -553,12 +585,62 @@ def _near_fast_shapes(draw):
 @example("2011-07-05T17")
 @example("2011-07-05Z")
 @example("2011-07-05 17:00Z")
-@settings(max_examples=500)
+@settings(max_examples=300)
 def test_fast_parse_matches_the_grammar(text):
-    for g in FAST:
-        for zone in FAST_ZONES:
-            assert _outcome(parse_timepoint, text, g, zone) == _outcome(
-                tp._parse_forms, text, g, zone), (text, g, zone)
+    # The column reader reads a drawn text alone, and between canonical
+    # texts of two other days, as the grammar reads each cell.
+    for g in COLUMN:
+        for zone in COLUMN_ZONES:
+            for cells in ([text], [CANONICAL[g], text, "2011-07-06" + CANONICAL[g][10:]]):
+                assert _column_outcome(cells, g, zone) == _cell_outcome(cells, g, zone), (
+                    cells, g, zone)
+
+
+@pytest.mark.parametrize("text, g, error", [
+    # The grammar words each error on the whole cell, as before the column
+    # reader: an invalid date or clock field, or a clock that does not align.
+    ("2011-02-30", "day", "cannot parse '2011-02-30' as day: day is out of range for month"),
+    ("2011-02-30 17:00", "hour",
+     "invalid civil time (2011, 2, 30, 17, 0, 0, 0): day is out of range for month"),
+    ("2011-07-05 24:00", "hour",
+     "invalid civil time (2011, 7, 5, 24, 0, 0, 0): hour must be in 0..23"),
+    ("2011-07-05 17:60", "minute",
+     "invalid civil time (2011, 7, 5, 17, 60, 0, 0): minute must be in 0..59"),
+    ("2011-07-05 23:59:60", "second",
+     "invalid civil time (2011, 7, 5, 23, 59, 60, 0): second must be in 0..59"),
+    ("0000-01-01 00:00", "hour",
+     "invalid civil time (0, 1, 1, 0, 0, 0, 0): year 0 is out of range"),
+    ("2011-07-05 17:30", "hour", "2011-07-05T17:30:00+00:00 does not align to whole hour ticks "
+                                 "(offset remainder 1800000 ms); use a finer granularity"),
+])
+@pytest.mark.parametrize("zone", [None, "UTC", "utc"])
+def test_the_column_reader_words_an_error_as_the_grammar(text, g, error, zone):
+    g = Granularity(g)
+    cells = [CANONICAL[g], text, CANONICAL[g]]
+    assert _column_outcome(cells, g, zone) == f"row 3, column 't': {error}"
+
+
+@pytest.mark.parametrize("cells, zone, parsed", [
+    # Canonical unzoned clock text: one parse of each distinct date.
+    (["2011-07-05 17:00", "2011-07-05 18:00", "2011-07-06 17:00"], None,
+     ["2011-07-05", "2011-07-06"]),
+    (["2011-07-05 17:00", "2011-07-05 18:00"], "UTC", ["2011-07-05"]),
+    (["2011-07-05 17:00", "2011-07-05 18:00"], "utc", ["2011-07-05"]),
+    # A T separator, surrounding whitespace or a zone: the grammar reads
+    # each distinct text, and one such text sends its whole column there.
+    (["2011-07-05T17:00"], None, ["2011-07-05T17:00"]),
+    ([" 2011-07-05 17:00"], "UTC", [" 2011-07-05 17:00"]),
+    (["2011-07-05 17:00", "2011-07-05T18:00"], None, ["2011-07-05 17:00", "2011-07-05T18:00"]),
+    (["2011-07-05 17:00"], "Australia/Melbourne", ["2011-07-05 17:00"]),
+])
+def test_only_canonical_unzoned_clock_text_is_read_a_date_at_a_time(
+        monkeypatch, cells, zone, parsed):
+    module = sys.modules["temporaltable.ingest"]
+    seen, parse = [], module.parse_timepoint
+    monkeypatch.setattr(module, "parse_timepoint",
+                        lambda text, *args: seen.append(text) or parse(text, *args))
+    _parse_time_cells("t", tuple(cells), "hour", zone)
+    assert sorted(seen) == sorted(parsed)
 
 
 def test_fast_parse_matches_the_grammar_on_a_grid():
@@ -566,11 +648,16 @@ def test_fast_parse_matches_the_grammar_on_a_grid():
             for m in ("00", "01", "02", "12", "13") for d in ("00", "01", "28", "29", "31", "32")]
     clocks = ["", " 00:00", " 23:00", " 24:00", " 23:59", " 12:60", " 23:59:59", " 23:59:60",
               " 00:00:00.000", " 23:59:59.999", " 12:00:00.5", "T12:00", " 12:00 "]
-    for text in (day + clock for day in days for clock in clocks):
-        for g in FAST:
-            for zone in FAST_ZONES:
-                assert _outcome(parse_timepoint, text, g, zone) == _outcome(
-                    tp._parse_forms, text, g, zone), (text, g, zone)
+    texts = [day + clock for day in days for clock in clocks]
+    for g in COLUMN:
+        for zone in COLUMN_ZONES:
+            for text in texts:
+                assert _column_outcome([text], g, zone) == _cell_outcome([text], g, zone), (
+                    text, g, zone)
+            # Every text the grammar reads at g, in one column: many days
+            # and clocks, each distinct one read once.
+            valid = [t for t in texts if not isinstance(_outcome(parse_timepoint, t, g, zone), str)]
+            assert _column_outcome(valid, g, zone) == _cell_outcome(valid, g, zone), (g, zone)
 
 
 @given(
@@ -586,4 +673,4 @@ def test_fast_render_matches_datetime_and_parses_back(g, zone, ms):
     assert text == _render_by_datetime(point)
     want = (point.ticks, g, zone)
     assert _outcome(parse_timepoint, text, g, zone) == want
-    assert _outcome(tp._parse_forms, text, g, zone) == want
+    assert _column_outcome([text], g, zone) == [want]
