@@ -77,6 +77,9 @@ def _config(args) -> IngestConfig:
             )
     if len(args.delimiter) != 1:
         raise UsageError(f"--delimiter must be one character, got {args.delimiter!r}")
+    if args.delimiter in '"\r\n':
+        # CSV reserves these: a quote quotes a field, and CR and LF end a row.
+        raise UsageError(f"--delimiter cannot be a quote, CR or LF, got {args.delimiter!r}")
     key = _split_key(args.key)
     if args.index in key:
         raise UsageError("--index column cannot appear in --key")

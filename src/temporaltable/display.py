@@ -8,7 +8,7 @@ short preview of rows follows.  Large counts print with thousands separators.
 from __future__ import annotations
 
 from .errors import PreconditionError
-from .ingest import _unwritable_error, render_cell
+from .ingest import _TEXT_BY_KIND, _unwritable_error
 from .table import TemporalTable, key_groups
 
 _PREVIEW_ROWS = 5
@@ -16,9 +16,10 @@ _PREVIEW_ROWS = 5
 
 def render_summary(t: TemporalTable, preview: int = _PREVIEW_ROWS) -> str:
     """The summary of ``t``, previewing ``preview`` rows, an int of at least
-    0, else PreconditionError.  A preview cell with no text raises the CSV
-    writers' SchemaError, naming its column and row, from one catch around
-    the column loop; an index adapter's own ``render`` error passes through."""
+    0, else PreconditionError.  A cell is written as the CSV writers write
+    it, unquoted; one with no text raises their SchemaError, naming its
+    column and row, from one catch around the column loop; an index
+    adapter's own ``render`` error passes through."""
     if not isinstance(preview, int) or isinstance(preview, bool) or preview < 0:
         raise PreconditionError(f"preview must be a non-negative integer, got {preview!r}")
     g = t.adapter.granularity
@@ -33,9 +34,9 @@ def render_summary(t: TemporalTable, preview: int = _PREVIEW_ROWS) -> str:
     columns = []
     for c in names:
         values = t.columns[c].values[:shown]
-        render = t.adapter.render if c == t.index else render_cell
+        render = t.adapter.render if c == t.index else _TEXT_BY_KIND[t.kind_of(c)]
         try:
-            columns.append([render_cell(v) if v is None else render(v) for v in values])
+            columns.append(["" if v is None else render(v) for v in values])
         except (ValueError, OverflowError) as exc:
             raise _unwritable_error(c, values) or exc
     cells = list(zip(*columns))

@@ -26,18 +26,18 @@ grammar words every error.  A number column's distinct texts are checked
 by one pattern match over them all, then typed once each, with the cells
 gathered from a dict.
 
-CSV is written by two writers.  :func:`table_to_csv` renders each column
-by its declared kind, each distinct text once: the index once per distinct
-tick, an unzoned one from day down to millisecond from the ticks alone,
-with one date text per distinct day.  The report writer :func:`write_csv`
-renders each cell by its type; the tests compare the first with it.  Both
-check a real column for inf and nan by one float sum, scanned only when it
-is not finite, refuse a cell with no text in one place, a catch around the
-column loop, and write the rows, LF-ended, in one piece.  A field is quoted
-by RFC 4180 when it holds a comma, a quote, CR or LF, and a row whose
-only field is empty is written ``""``.  A zoned sub-daily point carries its
-UTC offset only where a clock change repeats its local time (see
-``timepoint``).
+A cell is rendered one way, by its column's kind (``_TEXT_BY_KIND``), in
+both CSV writers, the summary and ``spread``'s level names.  The report
+writer :func:`write_csv` first types each column of its rows.
+:func:`table_to_csv` writes the index once per distinct tick, an unzoned
+one from day down to millisecond from the ticks alone.  Both check a real
+column for inf and nan by one float sum, scanned only when it is not
+finite, render a time column once per distinct point, refuse a cell with
+no text in one place, a catch around the column loop, and write the rows,
+LF-ended, in one piece.  A field is quoted by RFC 4180 when it holds a
+comma, a quote, CR or LF, and a row whose only field is empty is written
+``""``.  A zoned sub-daily point carries its UTC offset only where a clock
+change repeats its local time (see ``timepoint``).
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from .adapters import TimeIndex
 from .errors import IngestError, MissingIndexError, ParseError, SchemaError
 from .granularity import MS_PER_TICK, Granularity
 from .record import Record
-from .table import Column, TemporalTable, build, kind_of_type
+from .table import Column, TemporalTable, build, infer_kind
 from .timepoint import JSON_INT, TimePoint, _is_utc, guess_granularity, parse_timepoint
 from .timepoint import _TICKS_PER_DAY, _read_json_int, _utc_texts
 
@@ -346,18 +346,6 @@ def ingest(cfg: IngestConfig) -> TemporalTable:
 # --- CSV output -------------------------------------------------------------
 
 
-def render_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, TimePoint):
-        return v.render()
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 # A field holding a comma, a quote, CR or LF is quoted (RFC 4180 section 2).
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
@@ -438,28 +426,16 @@ def _unwritable_error(name: str, cells) -> SchemaError | None:
 
 
 def write_csv(stream, header, rows) -> None:
-    """Write ``header`` and ``rows`` as CSV, each cell by :func:`render_cell`.
-
-    The report writer knows no column kinds, only each cell's
-    (``table.kind_of_type``); the tests compare :func:`table_to_csv` with
-    it.  A column of time and missing cells renders each distinct point
-    once, and only a column holding a real cell is checked for inf and nan.
-    Raises SchemaError, before writing anything, when a cell is an inf or
-    nan float, naming the leftmost such column and its first such row, as
-    :func:`table_to_csv` does, then for the first empty text cell, an int
-    too long to write and a time point past what dates write."""
+    """Write ``header`` and ``rows`` as CSV.  Each column is typed as
+    ``build`` types a plain list, then written by its kind as in
+    :func:`table_to_csv`.  Raises SchemaError, before writing anything, for
+    the first column that mixes cell kinds or holds a cell of no kind; then
+    for an inf or nan real, and, column by column, an empty text, an int
+    too long to write or a time point outside years 1 to 9999, naming the
+    column and row."""
     columns = list(zip(*rows)) or [()] * len(header)
-    kinds = [set(map(kind_of_type, set(map(type, cells)))) for cells in columns]
-    _check_finite((name, cells) for name, cells, held in zip(header, columns, kinds)
-                  if "real" in held)
-    fields = []
-    for name, cells, held in zip(header, columns, kinds):
-        try:
-            fields.append(_time_fields(cells) if held <= {"time", None} else _quoted_each(
-                name, [v if v is None else render_cell(v) for v in cells]))
-        except (ValueError, OverflowError) as exc:
-            raise _unwritable_error(name, cells) or exc
-    stream.write(_csv_text(header, fields))
+    stream.write(_written(header, [Column(infer_kind(cells, f"column {name!r}"), cells)
+                                   for name, cells in zip(header, columns)]))
 
 
 def _time_fields(values) -> list[str]:
@@ -503,51 +479,53 @@ def _index_fields(t: TemporalTable) -> list[str]:
     return list(map(fields.__getitem__, ticks))
 
 
-_BOOL_TEXT = {None: "", True: "true", False: "false"}
+# The text of a present cell by its column's kind; a time cell's ``render``
+# is looked up on the cell.
+_TEXT_BY_KIND = {"real": repr, "int": str, "bool": {True: "true", False: "false"}.__getitem__,
+                 "time": operator.methodcaller("render"), "text": str, None: str}
 
 
 def _fields(name: str, col: Column) -> list[str]:
-    """The cells of ``col`` as CSV fields, rendered by its declared kind:
-    reals by ``repr``, ints by ``str``, bools as ``true``/``false`` and time
-    cells by ``TimePoint.render``.  Only text and time fields can need
-    quotes.  An empty text raises SchemaError naming column ``name``; a
-    cell with no text raises its renderer's error to the caller."""
-    values = col.values
-    if col.kind == "real":
-        return ["" if v is None else repr(v) for v in values]
-    if col.kind == "int":
-        return ["" if v is None else str(v) for v in values]
-    if col.kind == "bool":
-        return list(map(_BOOL_TEXT.__getitem__, values))
+    """The cells of ``col`` as CSV fields, rendered by its declared kind
+    (``_TEXT_BY_KIND``).  Only text and time fields can need quotes.  An
+    empty text raises SchemaError naming column ``name``; a cell with no
+    text raises its renderer's error to the caller."""
     if col.kind == "time":
-        return _time_fields(values)
-    return _quoted_each(name, values)
+        return _time_fields(col.values)
+    if col.kind in ("text", None):
+        return _quoted_each(name, col.values)
+    render = _TEXT_BY_KIND[col.kind]
+    return ["" if v is None else render(v) for v in col.values]
+
+
+def _written(names, columns, fields=_fields) -> str:
+    """The CSV text of ``columns``, a list of :class:`Column`, under the
+    header ``names``, each column's fields made by ``fields(name, col)``:
+    the body both writers share."""
+    _check_finite((name, col.values) for name, col in zip(names, columns) if col.kind == "real")
+    out = []
+    for name, col in zip(names, columns):
+        try:
+            out.append(fields(name, col))
+        except (ValueError, OverflowError) as exc:
+            raise _unwritable_error(name, col.values) or exc
+    return _csv_text(names, out)
 
 
 def table_to_csv(t: TemporalTable, stream=None) -> str | None:
     """Write a table as CSV; returns the text when no stream is given.
 
-    The output is what :func:`write_csv` makes of the rows, except that
-    index cells are written by the table's index adapter, as the summary
-    shows them.  It is built column by column: each column is rendered by
-    its declared kind, a time column once per distinct point, and the index
+    Each column is written by its declared kind, except that index cells
+    are written by the table's index adapter, as the summary shows them:
     once per distinct tick, an unzoned time index straight from its ticks
-    with one date text per distinct day; the rows are then joined and
-    written in one piece.  Raises SchemaError, before writing anything,
-    when a real column holds an inf or nan cell; then, column by column,
-    when a text column holds an empty text, and for an int too long to
-    write or a time point whose date lies outside years 1 to 9999, naming
-    the column and row.  Any other error of an adapter's ``render`` reaches
-    the caller as raised."""
-    _check_finite((name, col.values) for name, col in t.columns.items() if col.kind == "real")
-    fields = []
-    for name, col in t.columns.items():
-        try:
-            fields.append(_index_fields(t) if name == t.index and col.kind == "time"
-                          else _fields(name, col))
-        except (ValueError, OverflowError) as exc:
-            raise _unwritable_error(name, col.values) or exc
-    text = _csv_text(t.column_names, fields)
+    with one date text per distinct day.  The rows are then joined and
+    written in one piece.  Raises SchemaError, before writing anything, as
+    :func:`write_csv` does for typed columns; any other error of an
+    adapter's ``render`` reaches the caller as raised."""
+    def fields(name, col):
+        return _index_fields(t) if name == t.index and col.kind == "time" else _fields(name, col)
+
+    text = _written(t.column_names, list(t.columns.values()), fields)
     if stream is None:
         return text
     stream.write(text)

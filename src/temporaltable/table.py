@@ -18,7 +18,7 @@ cells get codes in ``_sort_cell`` order (missing last), and equal cells
 tick are read as digits of one mixed-radix number whose last digit spans
 the table's ticks, so row keys order rows as the ``(key cells..., tick)``
 tuples of ``_sort_keys`` do, and two rows share a row key exactly when
-they share a (key, index) pair.
+they share a (key, index) pair: the duplicate report counts row keys.
 
 The series the sorted row keys give are stored: a series ends where its
 key code, the row key less its tick digit, changes.  The table keeps those
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_left
+from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import cache
 from itertools import compress, count, repeat
@@ -481,12 +482,12 @@ def _refuse_nan_keys(columns, key) -> None:
                 raise SchemaError(f"key column {k!r} holds NaN at row {pos}")
 
 
-def _scan_duplicates(columns, index, key, ticks) -> DuplicateReport:
-    seen: dict[tuple, list[int]] = {}
-    for i in range(len(ticks)):
-        kt = tuple(columns[k].values[i] for k in key)
-        seen.setdefault((kt, ticks[i]), []).append(i)
-    positions = sorted(p for ps in seen.values() if len(ps) > 1 for p in ps)
+def _duplicate_report(columns, index, key, row_keys) -> DuplicateReport:
+    """The rows whose row key (see :func:`_row_keys`) occurs more than once,
+    in row order: the rows of a repeated (key, index) pair."""
+    counts = Counter(row_keys)
+    positions = [] if len(counts) == len(row_keys) else [
+        i for i, k in enumerate(row_keys) if counts[k] > 1]
     rows = [{name: col.values[i] for name, col in columns.items()} for i in positions]
     return DuplicateReport(index=index, key=key, rows=rows, positions=positions)
 
@@ -558,8 +559,12 @@ def duplicates(
     """
     columns, key, _, ticks = _prepare(raw, index, key, adapter)
     _refuse_nan_keys(columns, key)
-    # A missing index cell's tick is None, which equals no int tick.
-    return _scan_duplicates(columns, index, key, ticks)
+    if None in ticks:
+        # Missing index cells share one tick past every present one, so two
+        # rows of one key that both lack an index are a repeated pair.
+        past = max((k for k in ticks if k is not None), default=0) + 1
+        ticks = [past if k is None else k for k in ticks]
+    return _duplicate_report(columns, index, key, _row_keys(columns, key, ticks)[1])
 
 
 def key_groups(t: TemporalTable) -> list[tuple[tuple, range]]:
@@ -619,9 +624,9 @@ def resort(t: TemporalTable) -> TemporalTable:
     """``t``, its cells and ticks typed, its rows in any order, checked and
     put in canonical order: what :func:`build` does after typing.
 
-    Raises SchemaError for NaN in a key column, and DuplicateIndexError,
-    from a scan of the cells in row order, for a repeated (key, index)
-    pair.  The row order is an argsort of the row keys (see the module
+    Raises SchemaError for NaN in a key column, and DuplicateIndexError for
+    a repeated (key, index) pair, reporting the rows that share a row key.
+    The row order is an argsort of the row keys (see the module
     docstring), and one :func:`cells_at` getter of it sorts the row keys,
     the key codes, every column and the ticks.  A series ends where the
     sorted key codes change, and the interval is re-inferred.
@@ -630,11 +635,10 @@ def resort(t: TemporalTable) -> TemporalTable:
     ticks = t.ticks()
     codes, row_keys = _row_keys(t.columns, t.key, ticks)
     get = cells_at(sorted(range(len(row_keys)), key=row_keys.__getitem__))
-    row_keys = get(row_keys)
-    # Sorted, a repeated (key, index) pair is two equal neighbouring row
-    # keys, which the scan in row order then reports.
-    if any(map(operator.eq, row_keys[1:], row_keys)):
-        report = _scan_duplicates(t.columns, t.index, t.key, ticks)
+    sorted_keys = get(row_keys)
+    # Sorted, a repeated (key, index) pair is two equal neighbouring row keys.
+    if any(map(operator.eq, sorted_keys[1:], sorted_keys)):
+        report = _duplicate_report(t.columns, t.index, t.key, row_keys)
         first = report.positions[0]
         cell = t.adapter.render(t.columns[t.index].values[first])
         raise DuplicateIndexError(

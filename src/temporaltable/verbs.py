@@ -81,7 +81,7 @@ from .errors import (
     ValidityError,
 )
 from .granularity import Granularity, coarser_or_equal
-from .ingest import render_cell
+from .ingest import _TEXT_BY_KIND
 from .record import Frozen, set_field
 from .table import (
     Column,
@@ -537,7 +537,7 @@ def spread(t: TemporalTable, key_col: str, value_col: str) -> VerbOutcome:
     if None in level_cells:
         raise ValidityError(f"column {key_col!r} has missing levels; cannot spread")
     levels = sorted(set(level_cells), key=_sort_cell)
-    names = [render_cell(v) for v in levels]
+    names = list(map(_TEXT_BY_KIND[t.kind_of(key_col)], levels))
     remaining = [c for c in t.columns if c not in (key_col, value_col)]
     for nm in names:
         if nm in remaining:

@@ -1,15 +1,21 @@
+import argparse
+import codecs
+import contextlib
 import csv
 import gc
 import importlib
+import io
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 import temporaltable
-from temporaltable import Granularity, TimePoint, Window, aggregates, build, roll_by_key
+from temporaltable import Granularity, TimePoint, Window, aggregates, build, cli, roll_by_key
 from temporaltable.cli import main
 from temporaltable.ingest import IngestConfig, ingest, table_to_csv
 from conftest import DATA
@@ -71,17 +77,20 @@ def test_print_matches_validate(capsys):
 def test_validate_duplicate_rows_fail_with_report(capsys):
     rc, out, err = run(capsys, "validate", FLIGHTS, "--index", "sched_dep_datetime",
                        "--key", "flight_num", "--irregular")
-    assert rc == 1
-    assert out == ""
-    lines = err.splitlines()
-    assert lines[0].startswith("error:")
-    assert "NK630" in lines[0]
-    assert lines[1].startswith("flight_num,sched_dep_datetime,")
-    assert len(lines) == 4
-    assert lines[2].startswith("NK630,2017-08-03 17:45:00")
-    assert lines[3].startswith("NK630,2017-08-03 17:45:00")
-    assert "N601NK" in lines[2]
-    assert "N639NK" in lines[3]
+    assert (rc, out) == (1, "")
+    # The report rows are written by their columns' kinds: the time columns
+    # at second, the delays as ints and the rest as text.
+    assert err == (
+        "error: 2 rows share a (key, index) pair; first duplicate: "
+        "key=('NK630',) index=2017-08-03 17:45:00\n"
+        "flight_num,sched_dep_datetime,sched_arr_datetime,dep_delay,arr_delay,carrier,tailnum,"
+        "origin,dest,air_time,distance,origin_city_name,origin_state,dest_city_name,dest_state,"
+        "taxi_out,taxi_in,carrier_delay,weather_delay,nas_delay,security_delay,late_aircraft_delay\n"
+        "NK630,2017-08-03 17:45:00,2017-08-03 21:00:00,140,194,NK,N601NK,LAX,DEN,107,862,"
+        "Los Angeles,CA,Denver,CO,69,13,0,0,194,0,0\n"
+        "NK630,2017-08-03 17:45:00,2017-08-03 21:00:00,140,194,NK,N639NK,ORD,LGA,107,733,"
+        "Chicago,IL,New York,NY,69,13,0,0,194,0,0\n"
+    )
 
 
 def test_validate_after_removing_duplicate(capsys, tmp_path):
@@ -366,7 +375,7 @@ def test_full_fill_of_the_hourly_agg_puts_six_origins_on_one_grid(capsys, tmp_pa
 
 def test_gaps_count_of_the_hourly_agg_goes_through_the_report_writer(capsys, tmp_path):
     # The CI smoke step runs this command too: its report is written by
-    # ingest.write_csv, which no other smoke step runs.
+    # ingest.write_csv, as is the duplicate report, which the step also runs.
     rc, out, err = run(capsys, *AGG_BY_HOUR)
     agg = tmp_path / "agg-hour.csv"
     agg.write_text(out)
@@ -638,6 +647,17 @@ def test_delimiter_must_be_one_character(capsys, delimiter):
     assert err == f"usage error: --delimiter must be one character, got {delimiter!r}\n"
 
 
+@pytest.mark.parametrize("delimiter", ['"', "\r", "\n"])
+def test_delimiter_cannot_be_a_quote_cr_or_lf(capsys, tmp_path, delimiter):
+    # Refused on every Python: 3.13's csv module raises ValueError for
+    # these, where 3.11 read such a file as one column.
+    p = tmp_path / "q.csv"
+    p.write_text('a"b\n1"2\n')
+    rc, out, err = run(capsys, "validate", str(p), "--index", "a", "--delimiter", delimiter)
+    assert (rc, out) == (2, "")
+    assert err == f"usage error: --delimiter cannot be a quote, CR or LF, got {delimiter!r}\n"
+
+
 @pytest.mark.parametrize("time_format", [[], ["--time-format", "v=ordinal"]])
 def test_an_int_longer_than_the_interpreter_reads_fails_validation(capsys, tmp_path, time_format):
     digits = sys.get_int_max_str_digits() + 1
@@ -905,3 +925,103 @@ def test_the_process_entry_turns_the_collector_off_and_freezes_the_heap():
                           timeout=60, check=True)
     assert done.stderr == "0 False True\n"
     assert done.stdout.startswith("# A tsibble: 12 x 5 [1Y]\n")
+
+
+# --- the exit-code contract, as a property ------------------------------------
+
+def _mostly(common, rare):
+    """``common`` nine times in ten, else ``rare``."""
+    return st.integers(0, 9).flatmap(lambda k: rare if k == 9 else common)
+
+
+# The cells of each column a small CSV is drawn from, and noise that CSV
+# and UTF-8 decoding treat specially.
+_FUZZ_CELLS = {
+    "t": ["2020-01-01", "2020-01-02", "2020-01-04", "2020-01-01 10:00", "2020 Q1", "1", "2"],
+    "k": ["a", "b", ""],
+    "v": ["1", "2", "-3", "1.5", "", "1e999"],
+    "w": ["x", "y", "true", "nan", "", " "],
+}
+_FUZZ_NOISE = st.text(st.sampled_from(['a', '"', ",", ";", "\r", "\n", "\0", "\ufeff", "\t"]),
+                      max_size=3)
+_FUZZ_BYTES = st.sampled_from([b"\xff", b"\xc3", codecs.BOM_UTF8, b"\0", b'"', b"\r", b"\n",
+                               b"x" * (csv.field_size_limit() + 1)])
+# Flag values by the flag's destination: what the commands take.
+_FUZZ_VALUES = {
+    "index": list(_FUZZ_CELLS), "col": list(_FUZZ_CELLS), "key": ["k", "w", "k,w", "t", ","],
+    "group": ["k", "w", "k,w"], "zone": ["UTC", "Australia/Melbourne", "No/Such_Zone"],
+    "time_format": ["t=day", "t=hour", "t=guess", "t=ordinal", "t=quarter", "v=second", "t"],
+    "delimiter": [",", ";", "\t", '"'], "by": ["hour", "day", "month", "year", "week"],
+    "fn": ["v=mean", "w=sum", "v=quantile:0.5", "mean", "sum", "count", "v=nope"],
+    "fill_with": ["v=0", "w=sum", "w=x", "t=2020-01-01", "v=mean"],
+    "size": ["1", "2", "0", "-1"], "step": ["1", "2", "0"], "init": ["1", "2", "0"],
+}
+
+
+@st.composite
+def _fuzz_csv(draw) -> bytes:
+    """A small CSV: a header and rows of drawn cells, mostly valid for
+    their column, then a few raw bytes (not UTF-8, a BOM, NUL, a quote,
+    CR, LF, a field past the limit) put anywhere in it."""
+    header = draw(_mostly(st.permutations(list(_FUZZ_CELLS)), st.lists(
+        st.sampled_from(list(_FUZZ_CELLS)), min_size=1, max_size=4, unique=True)))
+    row = st.tuples(*(_mostly(st.sampled_from(_FUZZ_CELLS[c]), _FUZZ_NOISE) for c in header))
+    rows = draw(st.lists(row, max_size=8))
+    data = ("\n".join(map(",".join, [header, *rows])) + draw(st.sampled_from(["\n", "", "\r\n"])))
+    data = data.encode()
+    for piece in draw(_mostly(st.just(()), st.lists(_FUZZ_BYTES, min_size=1, max_size=2))):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + piece + data[at:]
+    return data
+
+
+@st.composite
+def _fuzz_argv(draw, paths) -> list[str]:
+    """A command line drawn from the parser itself: a command, its
+    positionals (the CSV path among ``paths``), then its required flags
+    nearly always and any other flag now and then, with a value drawn for
+    each flag that takes one."""
+    (commands,) = [a.choices for a in cli._parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    name = draw(st.sampled_from(sorted(commands)))
+    argv = [name]
+    for action in commands[name]._actions:
+        if action.dest == "help":
+            continue
+        if action.option_strings:
+            if draw(st.integers(0, 9)) >= (9 if action.required else 5):
+                continue
+            argv.append(draw(st.sampled_from(action.option_strings)))
+        if action.dest == "csv":
+            argv.append(draw(st.sampled_from(paths)))
+        elif action.nargs != 0:
+            values = list(action.choices or _FUZZ_VALUES[action.dest])
+            argv.append(draw(_mostly(st.sampled_from(values), st.text(max_size=3))))
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=_fuzz_csv(), args=st.data())
+def test_every_input_gets_an_exit_code_and_an_error_line(tmp_path_factory, data, args):
+    base = tmp_path_factory.getbasetemp()
+    path = base / "fuzz.csv"
+    path.write_bytes(data)
+    argv = args.draw(_fuzz_argv([str(path), str(base / "no-such.csv"), str(base)]))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    event(f"exit {rc}")
+    assert rc in (0, 1, 2, 3), argv
+    assert "Traceback" not in err, argv
+    if rc == 0:
+        assert err == "", argv
+        return
+    assert out == "", argv
+    # argparse refuses a command line with its usage, then "ttab <command>:
+    # error: ..."; every other refusal is one line of ours.
+    argparse_refusal = rc == 2 and re.match(r"usage: ttab.*^ttab [a-z]+: error: ", err, re.M | re.S)
+    assert argparse_refusal or err.startswith(("error: ", "usage error: ", "i/o error: ")), argv

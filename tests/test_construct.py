@@ -141,6 +141,35 @@ def test_duplicates_tolerates_missing_index():
     assert report.positions == [0, 1]
 
 
+def _repeated_rows(raw, names) -> list[int]:
+    """The rows whose cells of ``names`` equal another row's, by a nested
+    loop over the raw cells: missing equals missing, and 1 equals 1.0."""
+    rows = list(zip(*(raw[c] for c in names)))
+    return [i for i, a in enumerate(rows) if any(j != i and a == b for j, b in enumerate(rows))]
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_duplicates_match_a_nested_loop(data):
+    n = data.draw(st.integers(1, 12))
+    cells = st.lists(st.none() | st.sampled_from([0, 1, 2, 0.0, 1.0, -0.0, 2.5]),
+                     min_size=n, max_size=n)
+    raw = {
+        "k": data.draw(cells),
+        "s": data.draw(st.lists(st.none() | st.sampled_from("ab"), min_size=n, max_size=n)),
+        # An ordinal index with missing cells, but at least one present.
+        "t": data.draw(st.lists(st.none() | st.integers(-2, 2), min_size=n, max_size=n)
+                       .filter(lambda ts: ts != [None] * n)),
+        "v": list(range(n)),
+    }
+    key = data.draw(st.sampled_from([(), ("k",), ("s",), ("k", "s")]))
+    report = duplicates(raw, "t", key)
+    want = _repeated_rows(raw, [*key, "t"])
+    assert report.positions == want
+    assert [row["v"] for row in report.rows] == want
+    assert (report.index, report.key) == ("t", key)
+
+
 def test_unknown_index_kind_rejected():
     with pytest.raises(SchemaError):
         build({"t": ["a", "b"], "v": [1, 2]}, "t")

@@ -21,6 +21,8 @@ from temporaltable import (
     guess_granularity,
     ingest,
     parse_timepoint,
+    render_summary,
+    spread,
     table_to_csv,
     timepoint as tp,
 )
@@ -30,7 +32,6 @@ from temporaltable.ingest import (
     _parse_time_cells,
     read_cell,
     read_rows,
-    render_cell,
     typed_columns,
     write_csv,
 )
@@ -252,15 +253,43 @@ def test_custom_delimiter(tmp_path):
     assert t.column("v") == [1, 2]
 
 
-def test_render_cell():
-    assert render_cell(None) == ""
-    assert render_cell(True) == "true"
-    assert render_cell(False) == "false"
-    assert render_cell(1.5) == "1.5"
-    assert render_cell(0.1) == "0.1"
-    assert render_cell(tp.month(2011, 7)) == "2011-07"
-    assert render_cell("plain") == "plain"
-    assert render_cell(42) == "42"
+def _cell_text(v) -> str:
+    """A cell's text by its Python type, one cell at a time: the reference
+    that the writers' rendering by column kind is held to."""
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, TimePoint):
+        return v.render()
+    if isinstance(v, float):
+        return repr(v)
+    return str(v)
+
+
+@pytest.mark.parametrize("cells, texts", [
+    ([True, None, False], ["true", "", "false"]),
+    ([1.5, 0.1, 2], ["1.5", "0.1", "2"]),
+    ([42, -7, None], ["42", "-7", ""]),
+    ([tp.month(2011, 7), None, tp.month(2011, 8)], ["2011-07", "", "2011-08"]),
+    (["plain", "a,b", None], ["plain", "a,b", ""]),
+])
+def test_each_kind_is_rendered_one_way(cells, texts):
+    # The report writer, the table writer, the summary preview and spread's
+    # level names all give a cell its column kind's text; only the CSV
+    # writers quote it.
+    assert list(map(_cell_text, cells)) == texts
+    want = _oracle(["t", "v"], zip((1, 2, 3), texts))
+    buf = io.StringIO()
+    write_csv(buf, ["t", "v"], [[i, v] for i, v in zip((1, 2, 3), cells)])
+    t = build({"t": [1, 2, 3], "v": cells}, "t")
+    assert buf.getvalue() == table_to_csv(t) == want
+    assert [line.split()[1:] for line in render_summary(t).splitlines()[2:]] == [
+        [x] if x else [] for x in texts]
+    present = [v for v in cells if v is not None]
+    wide = spread(build({"t": [1] * len(present), "k": present, "n": [0] * len(present)},
+                        "t", ("k",)), "k", "n").table
+    assert sorted(wide.column_names) == sorted(["t", *filter(None, texts)])
 
 
 def test_csv_round_trip(tb, tmp_path):
@@ -475,11 +504,11 @@ def test_csv_writers_refuse_non_finite_reals(bad):
         write_csv(buf, ["v", "w"], [[None, 1.5], [2, bad]])
     assert (str(info.value), buf.getvalue()) == (
         f"real column 'w' holds {bad!r} at row 1; CSV numbers must be finite", "")
-    # A column that mixes in text cells is scanned too.
+    # A column that mixes in text cells is refused for the mix, first.
     with pytest.raises(SchemaError) as info:
-        write_csv(buf, ["w"], [["x"], [1.5], [bad]])
+        write_csv(buf, ["v", "w"], [[bad, "x"], [1.5, 1.5], [2, bad]])
     assert (str(info.value), buf.getvalue()) == (
-        f"real column 'w' holds {bad!r} at row 2; CSV numbers must be finite", "")
+        "column 'w' mixes cell kinds: ['real', 'text']", "")
 
 
 def test_csv_writers_refuse_an_empty_text_cell(tmp_path):
@@ -512,21 +541,24 @@ def test_write_csv_renders_each_distinct_time_point_once(monkeypatch):
     day = tp.day(2020, 1, 1)
     hour = TimePoint(0, Granularity.HOUR, "Australia/Melbourne")
     buf = io.StringIO()
-    write_csv(buf, ["d", "h", "mixed"], [[day, hour, day], [day, None, "x"], [tp.day(2020, 1, 1),
-              TimePoint(0, Granularity.HOUR), day]])
+    write_csv(buf, ["d", "h"], [[day, hour], [day, None], [tp.day(2020, 1, 1),
+              TimePoint(0, Granularity.HOUR)]])
     assert buf.getvalue() == (
-        "d,h,mixed\n"
-        "2020-01-01,1970-01-01 10:00,2020-01-01\n"
-        "2020-01-01,,x\n"
-        "2020-01-01,1970-01-01 00:00,2020-01-01\n"
+        "d,h\n"
+        "2020-01-01,1970-01-01 10:00\n"
+        "2020-01-01,\n"
+        "2020-01-01,1970-01-01 00:00\n"
     )
-    # A column of points renders each (ticks, zone) once; one that mixes in
-    # other cells renders cell by cell.
-    assert calls == [(day.ticks, None), (0, "Australia/Melbourne"), (0, None),
-                     (day.ticks, None), (day.ticks, None)]
+    # A column of points renders each (ticks, zone) once.
+    assert calls == [(day.ticks, None), (0, "Australia/Melbourne"), (0, None)]
+    # A column that mixes in other cells is refused before any point renders.
+    calls.clear()
+    with pytest.raises(SchemaError, match=r"^column 'mixed' mixes cell kinds: \['text', 'time'\]$"):
+        write_csv(buf, ["d", "mixed"], [[day, day], [day, "x"]])
+    assert calls == []
 
 
-def test_write_csv_writes_a_time_point_subclass_as_render_cell_does():
+def test_write_csv_writes_a_time_point_subclass_as_a_time_point():
     class Stamp(TimePoint):
         __slots__ = ()
 
@@ -534,7 +566,7 @@ def test_write_csv_writes_a_time_point_subclass_as_render_cell_does():
     buf = io.StringIO()
     write_csv(buf, ["s", "v"], rows)
     assert buf.getvalue() == "s,v\n1970-01-01,1\n,2\n1970-01-01 05:30,3\n"
-    assert buf.getvalue().splitlines()[1:] == [",".join(map(render_cell, row)) for row in rows]
+    assert buf.getvalue().splitlines()[1:] == [",".join(map(_cell_text, row)) for row in rows]
 
 
 def test_csv_writers_keep_large_finite_reals():
@@ -597,15 +629,21 @@ def test_write_csv_checks_only_columns_that_hold_a_float(monkeypatch):
                         lambda cells: checked.append(cells) or real_check(cells))
     day = TimePoint(0, Granularity.DAY)
     header = ["s", "i", "d", "r", "m"]
-    rows = [["a", 1, day, 0.5, "x"], ["b", None, None, None, 2.5], ["c", 3, day, 1.5, None]]
+    rows = [["a", 1, day, 0.5, 2], ["b", None, None, None, 2.5], ["c", 3, day, 1.5, None]]
     buf = io.StringIO()
     write_csv(buf, header, rows)
-    assert checked == [(0.5, None, 1.5), ("x", 2.5, None)]
-    assert buf.getvalue() == "s,i,d,r,m\na,1,1970-01-01,0.5,x\nb,,,,2.5\nc,3,1970-01-01,1.5,\n"
-    # A float in a column of other cells keeps its column and row.
+    # Ints beside a float make a real column; an int column is not scanned.
+    assert checked == [(0.5, None, 1.5), (2, 2.5, None)]
+    assert buf.getvalue() == "s,i,d,r,m\na,1,1970-01-01,0.5,2\nb,,,,2.5\nc,3,1970-01-01,1.5,\n"
     rows[2][4] = math.inf
     with pytest.raises(SchemaError, match=r"^real column 'm' holds inf at row 2; "):
         write_csv(io.StringIO(), header, rows)
+    # A float in a column of text cells is refused for the mix, unscanned.
+    checked.clear()
+    rows[0][4] = "x"
+    with pytest.raises(SchemaError, match=r"^column 'm' mixes cell kinds: \['real', 'text'\]$"):
+        write_csv(io.StringIO(), header, rows)
+    assert checked == []
 
 
 # --- time text written from ticks, against datetime -------------------------
@@ -692,10 +730,11 @@ def test_csv_writers_refuse_a_point_past_year_9999():
         with pytest.raises(SchemaError) as info:
             write_csv(buf, ["d", "v"], [[TimePoint(0, g), 1], [TimePoint(ticks, g), 2]])
         assert (str(info.value), buf.getvalue()) == (message, "")
-        # A column that mixes in other cells is refused the same way.
+        # A column that mixes in other cells is refused for the mix.
         with pytest.raises(SchemaError) as info:
             write_csv(buf, ["d"], [["x"], [TimePoint(ticks, g)]])
-        assert (str(info.value), buf.getvalue()) == (message, "")
+        assert (str(info.value), buf.getvalue()) == (
+            "column 'd' mixes cell kinds: ['text', 'time']", "")
         # The point itself keeps datetime's error.
         with pytest.raises((ValueError, OverflowError), match=why):
             TimePoint(ticks, g).render()
@@ -788,11 +827,12 @@ def test_time_column_matches_cell_by_cell_parsing(gran_name, data):
 
 
 def _row_by_row(t) -> str:
-    """The table written one row at a time through render_cell."""
-    buf = io.StringIO()
+    """The table written one row at a time by csv.writer: index cells by the
+    table's adapter, every other cell by ``_cell_text``."""
     names = t.column_names
-    write_csv(buf, names, ([t.columns[c].values[i] for c in names] for i in range(t.nrows)))
-    return buf.getvalue()
+    texts = [t.adapter.render if c == t.index else _cell_text for c in names]
+    return _oracle(names, ([text(t.columns[c].values[i]) for c, text in zip(names, texts)]
+                           for i in range(t.nrows)))
 
 
 _CELLS = {
@@ -844,15 +884,14 @@ def test_table_to_csv_matches_row_by_row_rendering(cols_adapter):
         for name, col in t.columns.items() if col.kind == "text" and "" in col.values
     ]
     if non_finite or empty_texts:
-        # Both writers refuse the first inf or nan cell, column by column,
+        # The writer refuses the first inf or nan cell, column by column,
         # and then the first empty text, before writing anything.
         (name, row), what = (non_finite[0], "real column") if non_finite else (
             empty_texts[0], "column")
-        for write in (lambda buf: table_to_csv(t, buf), lambda buf: buf.write(_row_by_row(t))):
-            buf = io.StringIO()
-            with pytest.raises(SchemaError, match=f"^{what} '{name}' holds .* at row {row};"):
-                write(buf)
-            assert buf.getvalue() == ""
+        buf = io.StringIO()
+        with pytest.raises(SchemaError, match=f"^{what} '{name}' holds .* at row {row};"):
+            table_to_csv(t, buf)
+        assert buf.getvalue() == ""
         return
     want = _row_by_row(t)
     assert table_to_csv(t) == want
@@ -861,7 +900,7 @@ def test_table_to_csv_matches_row_by_row_rendering(cols_adapter):
     assert buf.getvalue() == want
 
 
-def test_table_to_csv_renders_each_kind_like_render_cell():
+def test_table_to_csv_renders_each_kind():
     t = build(
         {
             "t": [tp.day(2021, 1, 1), tp.day(2021, 1, 2), tp.day(2021, 1, 3)],
@@ -907,15 +946,18 @@ _FIELD_CHARS = st.sampled_from(list('ab ,"\r\n')) | st.characters(
 _FIELD_TEXT = st.text(_FIELD_CHARS, max_size=6)
 # A header may be empty; a text cell may not, since the writers refuse one.
 _CELL_TEXT = st.text(_FIELD_CHARS, min_size=1, max_size=6)
-_WRITTEN_CELLS = st.none() | _CELL_TEXT | st.integers() | st.booleans() | st.floats(
-    allow_nan=False, allow_infinity=False)
+# The cells of one column kind each; a real column may hold ints.
+_WRITTEN_KINDS = (_CELL_TEXT, st.integers(), st.booleans(),
+                  st.floats(allow_nan=False, allow_infinity=False) | st.integers())
 
 
 @st.composite
-def _header_and_rows(draw, cells=_WRITTEN_CELLS):
+def _header_and_rows(draw, kinds=_WRITTEN_KINDS):
+    """A header and rows whose columns each hold missing cells and cells of
+    one kind drawn from ``kinds``."""
     header = draw(st.lists(_FIELD_TEXT, min_size=1, max_size=4, unique=True))
-    rows = draw(st.lists(st.lists(cells, min_size=len(header), max_size=len(header)),
-                         max_size=6))
+    cells = [st.none() | draw(st.sampled_from(kinds)) for _ in header]
+    rows = draw(st.lists(st.tuples(*cells).map(list), max_size=6))
     return header, rows
 
 
@@ -924,16 +966,16 @@ def test_write_csv_matches_csv_writer(header_rows):
     header, rows = header_rows
     buf = io.StringIO()
     write_csv(buf, header, rows)
-    assert buf.getvalue() == _oracle(header, [[render_cell(v) for v in row] for row in rows])
+    assert buf.getvalue() == _oracle(header, [list(map(_cell_text, row)) for row in rows])
 
 
-@given(_header_and_rows(st.none() | _CELL_TEXT))
+@given(_header_and_rows([_CELL_TEXT]))
 def test_table_to_csv_of_text_columns_matches_csv_writer(header_rows):
     header, rows = header_rows
     names = ["i"] + [f"{name}." for name in header]  # none is the index
     columns = [list(range(len(rows))), *map(list, zip(*rows))] if rows else [[]] * len(names)
     t = build({n: Column("text", c) if n != "i" else c for n, c in zip(names, columns)}, "i")
-    want = _oracle(names, [[render_cell(v) for v in row] for row in zip(*columns)])
+    want = _oracle(names, [list(map(_cell_text, row)) for row in zip(*columns)])
     assert table_to_csv(t) == want
 
 
@@ -946,7 +988,7 @@ def test_read_rows_gives_back_the_written_cells(tmp_path_factory, header_rows):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(buf.getvalue())
     assert read_rows(IngestConfig(str(path), index=header[0])) == (
-        header, [[render_cell(v) for v in row] for row in rows])
+        header, [list(map(_cell_text, row)) for row in rows])
 
 
 @pytest.mark.parametrize(
